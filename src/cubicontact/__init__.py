@@ -76,6 +76,7 @@ from .rootsystems import (
 )
 from .chevalley import (
     ChevalleyAlgebra,
+    StructureConstantError,
     chevalley,
     coroot_element,
     verify_chevalley_jacobi,

@@ -23,9 +23,13 @@ through beta.  Every other constant follows from the standard relations:
             + N(eps, -alpha) N(-beta, eps - alpha),
     a Jacobi consequence on (e_eps, e_-alpha, e_-beta).
 
-All constants are asserted integral; the Jacobi identity over basis
-triples is re-verified by enumeration (sampled for the big algebras,
-exhaustively under the long-run flag).
+Every constant is checked to be a nonzero integer (a failure raises
+``StructureConstantError``).  The brackets of basis elements are kept in
+one integer table indexed by basis position, filled a row at a time on
+first use from the rules above; ``bracket_labels``, ``bracket`` and the
+Jacobi check all read it.  The Jacobi identity is re-verified over basis
+triples, sampled or exhaustively; the exhaustive check evaluates the
+jacobiator of every unordered triple.
 """
 
 from __future__ import annotations
@@ -41,12 +45,29 @@ def _vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+class StructureConstantError(ValueError):
+    """A derived structure constant is not a nonzero integer."""
+
+
+def _integral(val, x, y) -> int:
+    if val.denominator != 1:
+        raise StructureConstantError(
+            f"non-integral structure constant N{(x, y)} = {val}"
+        )
+    return int(val)
+
+
 class ChevalleyAlgebra:
     """Simple Lie algebra over Q in a Chevalley basis.
 
     Elements are dicts from basis labels to rational coefficients; the
     labels are ("h", i) for the coroot generators and ("e", root) for
     root vectors.
+
+    The bracket of basis elements b_i, b_j (positions in ``labels``) is
+    row i, entry j of the structure-constant table: the tuple of nonzero
+    (k, int coefficient) terms of [b_i, b_j], absent when the bracket is
+    zero.  Rows are filled on first use.
     """
 
     def __init__(self, rs: RootSystem):
@@ -59,6 +80,10 @@ class ChevalleyAlgebra:
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self._n_memo = {}
         self._extraspecial = self._build_extraspecial()
+        self._rows = [None] * len(self.labels)
+        # Results other modules derive from this algebra, memoized per
+        # object (for example its highest-root extraction).
+        self.derived = {}
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -113,9 +138,10 @@ class ChevalleyAlgebra:
         if hit is not None:
             return hit
         val = self._n_compute(x, y, s)
-        assert isinstance(val, int) or val.denominator == 1, (x, y, val)
-        val = int(val)
-        assert val != 0, ("vanishing structure constant", x, y)
+        if not val:
+            raise StructureConstantError(
+                f"vanishing structure constant N{(x, y)}"
+            )
         self._n_memo[key] = val
         return val
 
@@ -141,9 +167,7 @@ class ChevalleyAlgebra:
                     _neg(y), _vsub(eps, x)
                 )
             denom = self.n_constant(eps, _neg(s))
-            val = Fraction(t1 + t2, denom)
-            assert val.denominator == 1, (x, y, val)
-            return int(val)
+            return _integral(Fraction(t1 + t2, denom), x, y)
         if not xpos and not ypos:
             return -self.n_constant(_neg(x), _neg(y))
         # Mixed signs.
@@ -157,42 +181,70 @@ class ChevalleyAlgebra:
                 -Fraction(rs.norm2(nu), rs.norm2(x))
                 * self.n_constant(mu, nu)
             )
-            assert val.denominator == 1, (x, y, val)
-            return int(val)
+            return _integral(val, x, y)
         return self.n_constant(_neg(y), _neg(x))
 
     # -- brackets ---------------------------------------------------------
 
+    def _row(self, i: int) -> dict:
+        """Row i of the structure-constant table, filled on first use."""
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = self._fill_row(i)
+        return row
+
+    def table(self) -> list:
+        """Every row of the structure-constant table."""
+        return [self._row(i) for i in range(len(self.labels))]
+
+    def _fill_row(self, i: int) -> dict:
+        """Nonzero brackets [b_i, b_j] from the Chevalley rules."""
+        rs = self.rs
+        labels = self.labels
+        r = rs.rank
+        kind, va = labels[i]
+        row = {}
+        if kind == "h":
+            alpha = rs.simple_root(va)
+            for j in range(r, len(labels)):
+                c = rs.pairing(labels[j][1], alpha)
+                if c:
+                    row[j] = ((j, c),)
+            return row
+        for j in range(r):
+            c = rs.pairing(va, rs.simple_root(j))
+            if c:
+                row[j] = ((i, -c),)
+        for j in range(r, len(labels)):
+            vb = labels[j][1]
+            s = _vadd(va, vb)
+            if not any(s):
+                coords = rs.coroot_coordinates(va)
+                row[j] = tuple((t, c) for t, c in enumerate(coords) if c)
+                continue
+            k = self.index.get(("e", s))
+            if k is not None:
+                row[j] = ((k, self.n_constant(va, vb)),)
+        return row
+
     def bracket_labels(self, la, lb) -> dict:
         """Bracket of two basis elements as a sparse label dict."""
-        rs = self.rs
-        ka, va = la
-        kb, vb = lb
-        if ka == "h" and kb == "h":
-            return {}
-        if ka == "h":
-            c = rs.pairing(vb, rs.simple_root(va))
-            return {lb: c} if c else {}
-        if kb == "h":
-            c = rs.pairing(va, rs.simple_root(vb))
-            return {la: -c} if c else {}
-        s = _vadd(va, vb)
-        if not any(s):
-            coords = rs.coroot_coordinates(va)
-            return {("h", i): c for i, c in enumerate(coords) if c}
-        if rs.is_root(s):
-            return {("e", s): self.n_constant(va, vb)}
-        return {}
+        labels = self.labels
+        terms = self._row(self.index[la]).get(self.index[lb], ())
+        return {labels[k]: c for k, c in terms}
 
     def bracket(self, u: dict, v: dict) -> dict:
+        index = self.index
+        labels = self.labels
+        v_terms = [(index[lb], cb) for lb, cb in v.items() if cb]
         out = {}
         for la, ca in u.items():
             if not ca:
                 continue
-            for lb, cb in v.items():
-                if not cb:
-                    continue
-                for lc, cc in self.bracket_labels(la, lb).items():
+            row = self._row(index[la])
+            for j, cb in v_terms:
+                for k, cc in row.get(j, ()):
+                    lc = labels[k]
                     val = out.get(lc, 0) + ca * cb * cc
                     if val:
                         out[lc] = val
@@ -235,41 +287,54 @@ class ChevalleyJacobiReport:
         return not self.violations
 
 
+def _jacobiator(rows, i, j, k) -> dict:
+    """[b_i,[b_j,b_k]] + [b_j,[b_k,b_i]] + [b_k,[b_i,b_j]] by index."""
+    acc = {}
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        inner = rows[y].get(z)
+        if inner is None:
+            continue
+        row_x = rows[x]
+        for w, cw in inner:
+            for v, cv in row_x.get(w, ()):
+                val = acc.get(v, 0) + cw * cv
+                if val:
+                    acc[v] = val
+                else:
+                    del acc[v]
+    return acc
+
+
 def verify_chevalley_jacobi(
     alg: ChevalleyAlgebra, sample: int | None = None, seed: int = 0
 ) -> ChevalleyJacobiReport:
     """Jacobi over basis triples; exhaustive when sample is None.
 
-    Exhaustive mode runs over unordered triples: the jacobiator is an
+    Both modes read the algebra's integer structure-constant table and
+    work on basis positions; labels appear only in reported violations.
+
+    Exhaustive mode evaluates the full jacobiator of every unordered
+    triple, so it checks C(d, 3) triples: the jacobiator is an
     alternating function of its arguments for any antisymmetric bracket,
     so triples with a repeated label and permuted copies vanish or flip
     sign automatically.
     """
     labels = alg.labels
     d = len(labels)
+    rows = alg.table()
     violations = []
-
-    def jacobiator_is_zero(la, lb, lc):
-        acc = {}
-        for pair in ((la, lb, lc), (lb, lc, la), (lc, la, lb)):
-            x, y, z = pair
-            inner = alg.bracket_labels(y, z)
-            for lw, cw in inner.items():
-                for lv, cv in alg.bracket_labels(x, lw).items():
-                    val = acc.get(lv, 0) + cw * cv
-                    if val:
-                        acc[lv] = val
-                    else:
-                        acc.pop(lv, None)
-        return not acc
-
     checked = 0
     if sample is None:
         for i in range(d):
+            row_i = rows[i]
             for j in range(i + 1, d):
+                row_j = rows[j]
+                ij_zero = j not in row_i
+                checked += d - j - 1
                 for k in range(j + 1, d):
-                    checked += 1
-                    if not jacobiator_is_zero(labels[i], labels[j], labels[k]):
+                    if ij_zero and k not in row_j and i not in rows[k]:
+                        continue  # all three inner brackets vanish
+                    if _jacobiator(rows, i, j, k):
                         violations.append((labels[i], labels[j], labels[k]))
         mode = "exhaustive"
     else:
@@ -279,7 +344,7 @@ def verify_chevalley_jacobi(
             j = sampler.int_range(0, d - 1)
             k = sampler.int_range(0, d - 1)
             checked += 1
-            if not jacobiator_is_zero(labels[i], labels[j], labels[k]):
+            if _jacobiator(rows, i, j, k):
                 violations.append((labels[i], labels[j], labels[k]))
         mode = "sampled"
     return ChevalleyJacobiReport(

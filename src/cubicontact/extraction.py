@@ -187,13 +187,17 @@ def _distinguished(alg: ChevalleyAlgebra, dg: DoubleGrading):
     return x_basis, z_basis, y_basis, top[0], side[0]
 
 
-_EXTRACTION_CACHE: dict = {}
+def _sparse_columns(m):
+    """Nonzero entries of each column of m, as (row, value) pairs."""
+    return [
+        [(r, m[r][c]) for r in range(len(m)) if m[r][c]]
+        for c in range(len(m[0]))
+    ]
 
 
 def extraction(alg: ChevalleyAlgebra) -> ExtractionData:
-    """Pairings, phi and the cubic, computed once per algebra."""
-    key = (alg.rs.lie_type, alg.rs.rank)
-    hit = _EXTRACTION_CACHE.get(key)
+    """Pairings, phi and the cubic, computed once per algebra object."""
+    hit = alg.derived.get("extraction")
     if hit is not None:
         return hit
     dg = double_grading(alg)
@@ -212,37 +216,35 @@ def extraction(alg: ChevalleyAlgebra) -> ExtractionData:
     m_upper_inv = mat_inv(m_upper)
     phi_mat = mat_mul(m_lower, m_upper_inv)
 
-    # Trilinear map F(a,b,c) = e_psi coefficient of [phi(x_a), [phi(x_b), x_c]].
+    # Trilinear map F(a,b,c) = e_psi coefficient of [phi(x_a), [phi(x_b), x_c]]
+    # = phi_a . m_upper . inner_bc, contracted over nonzero entries only:
+    # the pairing matrices are sparse (monomial for G2 to E8).
     phi_vecs = [
         {z_basis[b]: phi_mat[a][b] for b in range(p) if phi_mat[a][b]}
         for a in range(p)
     ]
     y_index = {lab: i for i, lab in enumerate(y_basis)}
-    inner = [[None] * p for _ in range(p)]
+    m_upper_cols = _sparse_columns(m_upper)
+    phi_cols = _sparse_columns(phi_mat)
+    f_vals = {}
     for b in range(p):
         for c in range(p):
             br = alg.bracket(phi_vecs[b], {x_basis[c]: Q1})
-            vec = [Q0] * p
+            contracted = {}
             for lab, coeff in br.items():
                 if lab not in y_index:
                     raise ExtractionError(
                         f"[phi(x_{b}), x_{c}] leaves g(1,1): {lab}"
                     )
-                vec[y_index[lab]] = Fraction(coeff)
-            inner[b][c] = vec
-    # Contract against the upper pairing: F(a,b,c) = phi_a . m_upper . inner_bc
-    contracted = [[None] * p for _ in range(p)]
-    for b in range(p):
-        for c in range(p):
-            vec = inner[b][c]
-            contracted[b][c] = [
-                sum((m_upper[d][e] * vec[e] for e in range(p)), Q0)
-                for d in range(p)
-            ]
+                for d, m in m_upper_cols[y_index[lab]]:
+                    contracted[d] = contracted.get(d, Q0) + m * coeff
+            for d, val in contracted.items():
+                if val:
+                    for a, phi_ad in phi_cols[d]:
+                        f_vals[a, b, c] = f_vals.get((a, b, c), Q0) + phi_ad * val
 
     def f_val(a, b, c):
-        row = contracted[b][c]
-        return sum((phi_mat[a][d] * row[d] for d in range(p)), Q0)
+        return f_vals.get((a, b, c), Q0)
 
     entries = {}
     sixth = Fraction(1, 6)
@@ -278,7 +280,7 @@ def extraction(alg: ChevalleyAlgebra) -> ExtractionData:
         tensor=normalized,
         norm_scalar=scalar,
     )
-    _EXTRACTION_CACHE[key] = data
+    alg.derived["extraction"] = data
     return data
 
 
@@ -388,8 +390,9 @@ def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
     b_sel = [[b_cols[c][r] for c in sel] for r in range(p)]
     k_sel = [[k_cols[c][r] for c in sel] for r in range(p)]
     j_mat = mat_mul(k_sel, mat_inv(b_sel))  # maps dual coordinates to y coords
+    j_cols = _sparse_columns(j_mat)
     for idx in range(len(b_cols)):
-        got = _mat_vec_cols(j_mat, b_cols[idx])
+        got = _mat_vec_cols(j_cols, b_cols[idx])
         if got != k_cols[idx]:
             return _embedding_fail(
                 data, 0, ("dual identification inconsistent", idx)
@@ -486,9 +489,14 @@ def _independent_columns(cols, p):
     return None
 
 
-def _mat_vec_cols(m, v):
-    p = len(v)
-    return [sum((m[r][c] * v[c] for c in range(p)), Q0) for r in range(p)]
+def _mat_vec_cols(m_cols, v):
+    """m . v for m given by its sparse columns, skipping zero entries."""
+    out = [Q0] * len(v)
+    for c, vc in enumerate(v):
+        if vc:
+            for r, m in m_cols[c]:
+                out[r] += m * vc
+    return out
 
 
 def ternary_dimension_check(alg: ChevalleyAlgebra) -> dict:

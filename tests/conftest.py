@@ -3,30 +3,6 @@ import pytest
 from cubicontact.extraction import algebra_for
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--long-run",
-        action="store_true",
-        default=False,
-        help="run the expensive exhaustive checks (E-series Jacobi, E6-E8 embeddings)",
-    )
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "longrun: expensive checks enabled with --long-run"
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--long-run"):
-        return
-    skip = pytest.mark.skip(reason="needs --long-run")
-    for item in items:
-        if "longrun" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(scope="session")
 def g2():
     return algebra_for("G", 2)

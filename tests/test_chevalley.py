@@ -1,6 +1,7 @@
 import pytest
 
 from cubicontact.chevalley import (
+    StructureConstantError,
     chevalley,
     coroot_element,
     eigenvalue_on,
@@ -56,23 +57,115 @@ def test_jacobi_sampled_e_series(key):
     assert rep.mode == "sampled"
 
 
-@pytest.mark.longrun
 @pytest.mark.parametrize("key", [("E", 6), ("E", 7), ("E", 8)])
 def test_jacobi_exhaustive_e_series(key):
     alg = algebra_for(*key)
     rep = verify_chevalley_jacobi(alg)
     assert rep.ok
+    d = alg.dimension
+    assert rep.triples_checked == d * (d - 1) * (d - 2) // 6
 
 
-def test_all_constants_integral_f4():
-    alg = algebra_for("F", 4)
-    rs = alg.rs
+def _root_pairs(rs):
+    """Pairs of roots whose sum is a root."""
     for a in rs.all_roots():
         for b in rs.all_roots():
             s = tuple(x + y for x, y in zip(a, b))
             if any(s) and rs.is_root(s):
-                n = alg.n_constant(a, b)
-                assert isinstance(n, int) and n != 0
+                yield a, b
+
+
+def _reference_bracket_labels(alg, la, lb):
+    """[la, lb] straight from the Chevalley rules, without the table."""
+    rs = alg.rs
+    (ka, va), (kb, vb) = la, lb
+    if ka == "h" and kb == "h":
+        return {}
+    if ka == "h":
+        c = rs.pairing(vb, rs.simple_root(va))
+        return {lb: c} if c else {}
+    if kb == "h":
+        c = rs.pairing(va, rs.simple_root(vb))
+        return {la: -c} if c else {}
+    s = tuple(x + y for x, y in zip(va, vb))
+    if not any(s):
+        coords = rs.coroot_coordinates(va)
+        return {("h", i): c for i, c in enumerate(coords) if c}
+    if rs.is_root(s):
+        return {("e", s): alg.n_constant(va, vb)}
+    return {}
+
+
+def _reference_violations(alg):
+    """Exhaustive label-level jacobiator over unordered basis triples."""
+    labels = alg.labels
+    d = len(labels)
+    violations = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                la, lb, lc = labels[i], labels[j], labels[k]
+                acc = {}
+                for x, y, z in ((la, lb, lc), (lb, lc, la), (lc, la, lb)):
+                    for lw, cw in _reference_bracket_labels(alg, y, z).items():
+                        for lv, cv in _reference_bracket_labels(alg, x, lw).items():
+                            acc[lv] = acc.get(lv, 0) + cw * cv
+                if any(acc.values()):
+                    violations.append((la, lb, lc))
+    return tuple(violations)
+
+
+@pytest.mark.parametrize("key", [("G", 2), ("B", 3)])
+def test_table_matches_reference_rules(key):
+    alg = chevalley(build_root_system(*key))
+    for la in alg.labels:
+        for lb in alg.labels:
+            assert alg.bracket_labels(la, lb) == _reference_bracket_labels(
+                alg, la, lb
+            )
+    assert verify_chevalley_jacobi(alg).violations == _reference_violations(alg) == ()
+
+
+@pytest.mark.parametrize("key", [("G", 2), ("B", 3)])
+def test_jacobi_detects_flipped_constant(key):
+    # A private algebra: the shared algebra_for instances stay untouched.
+    alg = chevalley(build_root_system(*key))
+    for a, b in _root_pairs(alg.rs):
+        alg.n_constant(a, b)
+    flipped = min(alg._n_memo)
+    alg._n_memo[flipped] = -alg._n_memo[flipped]
+    rep = verify_chevalley_jacobi(alg)
+    assert not rep.ok
+    d = alg.dimension
+    assert rep.triples_checked == d * (d - 1) * (d - 2) // 6
+    assert rep.violations == _reference_violations(alg)
+
+
+def test_jacobi_finds_lone_nonzero_inner_bracket():
+    # Corrupt [h_0, h_1] into a root vector that h_2 does not centralize:
+    # for (h_0, h_1, h_2) that is the only nonzero inner bracket.
+    alg = chevalley(build_root_system("B", 3))
+    h0, h1, h2 = alg.labels[:3]
+    root = next(
+        lab for lab in alg.labels if lab[0] == "e" and alg.bracket_labels(h2, lab)
+    )
+    alg.table()[alg.index[h0]][alg.index[h1]] = ((alg.index[root], 1),)
+    assert (h0, h1, h2) in verify_chevalley_jacobi(alg).violations
+
+
+@pytest.mark.parametrize("string_p, message", [(0, "non-integral"), (-1, "vanishing")])
+def test_bad_structure_constant_raises(string_p, message):
+    alg = chevalley(build_root_system("G", 2))
+    alg.string_p = lambda alpha, beta: string_p
+    with pytest.raises(StructureConstantError, match=message):
+        alg.table()
+
+
+def test_all_constants_integral_f4():
+    alg = algebra_for("F", 4)
+    for a, b in _root_pairs(alg.rs):
+        n = alg.n_constant(a, b)
+        assert isinstance(n, int) and n != 0
 
 
 def test_coroot_normalization_g2():

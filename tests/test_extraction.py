@@ -2,9 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from cubicontact.chevalley import chevalley
 from cubicontact.cubic import SymCubic, b_rank
 from cubicontact.extraction import (
     ExtractionError,
+    _mat_vec_cols,
+    _sparse_columns,
     algebra_for,
     double_grading,
     extract_cubic,
@@ -96,12 +99,71 @@ def test_embedding_g2_f4(g2, f4):
         assert rep.pairs_checked == dim_n * dim_n
 
 
-@pytest.mark.longrun
 @pytest.mark.parametrize("key", [("E", 6), ("E", 7), ("E", 8)])
 def test_embedding_e_series(key):
     alg = algebra_for(*key)
     rep = verify_embedding(alg)
     assert rep.ok
+    assert rep.dim_n == 3 * EXPECTED_P[key] + 2
+    assert rep.pairs_checked == rep.dim_n * rep.dim_n
+
+
+def _dense_raw_tensor(alg, data):
+    """The raw cubic by dense Fraction contraction over every entry."""
+    p = data.p
+    phi_mat, m_upper = data.phi_mat, data.m_upper
+    y_index = {lab: i for i, lab in enumerate(data.y_basis)}
+    phi_vecs = [
+        {data.z_basis[b]: phi_mat[a][b] for b in range(p) if phi_mat[a][b]}
+        for a in range(p)
+    ]
+    contracted = [[None] * p for _ in range(p)]
+    for b in range(p):
+        for c in range(p):
+            vec = [F(0)] * p
+            for lab, coeff in alg.bracket(phi_vecs[b], {data.x_basis[c]: F(1)}).items():
+                vec[y_index[lab]] = F(coeff)
+            contracted[b][c] = [
+                sum((m_upper[d][e] * vec[e] for e in range(p)), F(0))
+                for d in range(p)
+            ]
+
+    def f_val(a, b, c):
+        return sum((phi_mat[a][d] * contracted[b][c][d] for d in range(p)), F(0))
+
+    entries = {}
+    for a in range(p):
+        for b in range(a, p):
+            for c in range(b, p):
+                total = sum(
+                    f_val(*perm)
+                    for perm in ((a, b, c), (a, c, b), (b, a, c),
+                                 (b, c, a), (c, a, b), (c, b, a))
+                )
+                if total:
+                    entries[(a, b, c)] = total * F(1, 6)
+    return SymCubic(p, entries)
+
+
+@pytest.mark.parametrize("key", sorted(EXPECTED_P))
+def test_sparse_contraction_matches_dense(key):
+    alg = algebra_for(*key)
+    data = extraction(alg)
+    assert data.raw_tensor == _dense_raw_tensor(alg, data)
+
+
+def test_sparse_mat_vec_matches_dense():
+    m = [[F(0), F(2), F(0)], [F(-1, 3), F(0), F(5)], [F(0), F(0), F(0)]]
+    for v in ([F(1), F(2), F(3)], [F(0), F(0), F(7, 2)], [F(0)] * 3):
+        dense = [sum(m[r][c] * v[c] for c in range(3)) for r in range(3)]
+        assert _mat_vec_cols(_sparse_columns(m), v) == dense
+
+
+def test_extraction_memoized_per_algebra(g2):
+    private = chevalley(build_root_system("G", 2))
+    data = extraction(private)
+    assert extraction(private) is data
+    assert extraction(g2) is not data
 
 
 TERNARY = {("G", 2): 0, ("F", 4): 8, ("E", 6): 16, ("E", 7): 35, ("E", 8): 78}
