@@ -30,6 +30,7 @@ from .nilpotent import (
     act_slw,
     bracket,
     dim_report,
+    generic_element,
     n_basis,
     n_dim,
     verify_jacobi,
@@ -59,6 +60,7 @@ from .contact import (
     theta,
 )
 from .moment import (
+    FlowBasePointError,
     MomentPoint,
     ProbeVerdict,
     boundary_report,

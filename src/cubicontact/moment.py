@@ -8,6 +8,15 @@ so everything reduces to plain rational arithmetic; for sl(W) generators
 the flow moves z and y and the derivative is taken with first order
 jets.
 
+The n* component of the moment map needs the moment value on all 3p + 2
+basis elements of n.  A -> theta~(velocity(A)) is linear, so it is
+evaluated once, on the generic element of n whose coordinates are formal
+linear forms (nilpotent.generic_element): the coefficient of the i-th
+coordinate in the result is exactly the value on the i-th basis element.
+The flow code runs unchanged on these forms, and since they admit only
+linear operations, any non-linear use of A would raise instead of
+giving a wrong number.
+
 The n-components are assembled into a point of the dual space through a
 fixed identification of (V (x) W)* and W* with V* (x) W and W via the
 symplectic form.  The identification on the (V (x) W)* block carries the
@@ -40,9 +49,13 @@ from .cubic import (
     reduce_mod,
     trilinear,
 )
-from .nilpotent import NElem, SlWElem, bracket, _dot
+from .nilpotent import NElem, SlWElem, bracket, generic_element, _dot
 from .sampling import SeededSampler
 from .scalars import HALF, Jet, Q0, TWELFTH
+
+
+class FlowBasePointError(ValueError):
+    """An sl(W) flow, re-expressed in the chart, moved the base point."""
 
 
 @dataclass(frozen=True)
@@ -135,7 +148,10 @@ def _velocity_from_slw_generator(pt: ChartPoint, A: SlWElem, T: SymCubic):
         (ynew.val, pt.y),
         (chart.x3_m.val, pt.chart.x3_m),
     ):
-        assert got == want, "flow does not fix the base point coordinates"
+        if got != want:
+            raise FlowBasePointError(
+                "flow does not fix the base point coordinates"
+            )
     xdot1 = tuple(t.eps for t in chart.x1)
     xdot2 = tuple(t.eps for t in chart.x2)
     return (
@@ -147,7 +163,8 @@ def moment_of(pt: ChartPoint, A, T: SymCubic) -> Fraction:
     """theta~ on the fundamental vector field of the generator A at pt.
 
     A may be an NElem, an SlWElem, or an (NElem, SlWElem) pair acting as
-    the sum of the two generators.
+    the sum of the two generators.  An NElem whose coordinates are
+    LinForms gives the LinForm of the values (see moment_point_at).
     """
     require_assumption(T)
     if pt.y == 0:
@@ -174,41 +191,18 @@ def moment_of(pt: ChartPoint, A, T: SymCubic) -> Fraction:
 def moment_point_at(pt: ChartPoint, T: SymCubic) -> MomentPoint:
     """Assemble the n* component of the moment map at pt.
 
-    Pairs the moment functional with the basis of n and presents the
-    result in V* (x) W and W coordinates through the symplectic
-    identifications (the n1 block scaled by -2, see the module note).
+    One moment_of call on the generic element of n gives the moment
+    functional as a linear form whose coefficients are its values on the
+    basis of n (exact, because A -> moment_of(pt, A, T) is linear).
+    These are presented in V* (x) W and W coordinates through the
+    symplectic identifications (the n1 block scaled by -2, see the
+    module note).
     """
     p = T.dim
-    mu1 = []
-    for k in range(p):
-        row = []
-        for col in (0, 1):
-            basis = NElem.from_parts(
-                p,
-                col1=[
-                    (Fraction(1) if (col == 0 and i == k) else Q0)
-                    for i in range(p)
-                ],
-                col2=[
-                    (Fraction(1) if (col == 1 and i == k) else Q0)
-                    for i in range(p)
-                ],
-            )
-            row.append(moment_of(pt, basis, T))
-        mu1.append(row)
-    mu2 = []
-    for k in range(p):
-        basis = NElem.from_parts(
-            p, n2=[Fraction(1) if i == k else Q0 for i in range(p)]
-        )
-        mu2.append(moment_of(pt, basis, T))
-    mu3 = [
-        moment_of(pt, NElem.from_parts(p, n3=(1, 0)), T),
-        moment_of(pt, NElem.from_parts(p, n3=(0, 1)), T),
-    ]
-    phi1 = tuple((-2 * mu1[k][1], 2 * mu1[k][0]) for k in range(p))
-    phi2 = tuple(mu2)
-    phi3 = (mu3[1], -mu3[0])
+    mu = moment_of(pt, generic_element(p), T).coefficient
+    phi1 = tuple((-2 * mu(p + k), 2 * mu(k)) for k in range(p))
+    phi2 = tuple(mu(2 * p + k) for k in range(p))
+    phi3 = (mu(3 * p + 1), -mu(3 * p))
     return MomentPoint(phi1=phi1, phi2=phi2, phi3=phi3)
 
 

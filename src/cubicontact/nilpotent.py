@@ -31,7 +31,7 @@ from .cubic import (
     cubic_hash,
     polarize,
 )
-from .scalars import Q0, Q1
+from .scalars import LinForm, Q0, Q1
 
 
 def _dot(u, v):
@@ -183,6 +183,21 @@ def basis_element(p: int, idx: int) -> NElem:
 
 def n_basis(p: int):
     return [basis_element(p, i) for i in range(n_dim(p))]
+
+
+def generic_element(p: int) -> NElem:
+    """The element sum_i a_i b_i over the basis b_i, a_i formal coordinates.
+
+    Its coordinates are the LinForm coordinates a_i in basis order, so a
+    map that is linear in its NElem argument, evaluated once here, yields
+    its value on basis_element(p, i) as the coefficient of a_i.
+    """
+    a = LinForm.coordinate
+    return NElem(
+        tuple((a(i), a(p + i)) for i in range(p)),
+        tuple(a(2 * p + i) for i in range(p)),
+        (a(3 * p), a(3 * p + 1)),
+    )
 
 
 def bracket_table(T: SymCubic):

@@ -9,6 +9,7 @@ version.  Samples are small rationals to keep exact arithmetic cheap.
 from __future__ import annotations
 
 import random
+import struct
 from fractions import Fraction
 
 
@@ -45,8 +46,14 @@ class SeededSampler:
             if any(v):
                 return v
 
-    def residue(self, q: int) -> int:
-        return self.bits(32) % q
-
     def residue_vector(self, p: int, q: int):
-        return [self.residue(q) for _ in range(p)]
+        """p residues mod q, each from one 32-bit word of the stream.
+
+        One getrandbits(32 p) call fills its words least significant
+        first, in the order p successive getrandbits(32) calls return
+        them, so the stream is the same as drawing word by word.
+        """
+        words = struct.unpack(
+            "<%dI" % p, self._rng.getrandbits(32 * p).to_bytes(4 * p, "little")
+        )
+        return [w % q for w in words]

@@ -1,17 +1,24 @@
 """Exact scalar rings.
 
 Everything in this package runs on ``fractions.Fraction``; no floating
-point value is ever produced.  Two small commutative ring extensions are
-needed by the chart computations:
+point value is ever produced.  Two small commutative ring extensions and
+a type of linear forms are needed by the chart computations:
 
-* ``QPoly``  - dense univariate polynomials over Q, used to solve for
+* ``QPoly``   - dense univariate polynomials over Q, used to solve for
   group elements whose coordinates are exact polynomials in a line
   parameter.
-* ``Jet``    - first order jets a + b*eps with eps^2 = 0, used to take
+* ``Jet``     - first order jets a + b*eps with eps^2 = 0, used to take
   exact derivatives of group flows at t = 0.
+* ``LinForm`` - sparse linear forms sum_i c_i a_i in formal coordinates
+  a_i.  A map that is linear in its argument, evaluated once on the
+  generic argument whose i-th coordinate is a_i, yields its values on
+  every basis vector at once as the coefficients.  Only the linear
+  operations exist, so a non-linear use raises TypeError instead of
+  giving a wrong number.
 
-Both interoperate with ``Fraction`` and ``int`` through the reflected
-arithmetic hooks, so the algebra layer can stay scalar-agnostic.
+All three interoperate with ``Fraction`` and ``int`` through the
+reflected arithmetic hooks, so the algebra layer can stay
+scalar-agnostic.
 
 ``MPoly`` is a minimal multivariate polynomial (dict of exponent tuples)
 used for the symbolic exterior derivative of the chart one-form.
@@ -227,6 +234,84 @@ class Jet:
 
     def __repr__(self):
         return f"Jet({self.val!r}, {self.eps!r})"
+
+
+class LinForm:
+    """Sparse linear form sum_i c_i a_i over Q in formal coordinates a_i.
+
+    ``coeffs`` maps a coordinate index to its nonzero coefficient.  Forms
+    add and subtract, and scale by ``int`` or ``Fraction``; adding the
+    exact constant 0 is the identity.  A product of two forms or the sum
+    of a form and a nonzero constant would leave the linear forms and
+    raises TypeError.  The empty form is false and equals 0.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {} if coeffs is None else coeffs
+
+    @staticmethod
+    def coordinate(i: int) -> "LinForm":
+        return LinForm({i: Q1})
+
+    def coefficient(self, i: int) -> Fraction:
+        return self.coeffs.get(i, Q0)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if other:
+                raise TypeError("cannot add a nonzero constant to a linear form")
+            return self
+        if not isinstance(other, LinForm):
+            return NotImplemented
+        out = dict(self.coeffs)
+        for i, c in other.coeffs.items():
+            a = out.get(i)
+            if a is None:
+                out[i] = c
+            else:
+                s = a + c
+                if s:
+                    out[i] = s
+                else:
+                    del out[i]
+        return LinForm(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LinForm({i: -c for i, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, LinForm):
+            raise TypeError("product of two linear forms is not linear")
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            return LinForm()
+        return LinForm({i: c * other for i, c in self.coeffs.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, LinForm):
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return not self.coeffs and not other
+        return NotImplemented
+
+    def __repr__(self):
+        return f"LinForm({self.coeffs!r})"
 
 
 class MPoly:

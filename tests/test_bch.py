@@ -1,7 +1,9 @@
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubicontact import verify
 from cubicontact.bch import (
     ChartElem,
     GroupElem,
@@ -16,7 +18,9 @@ from cubicontact.bch import (
     solve_line_coordinates,
 )
 from cubicontact.cubic import SymCubic
-from cubicontact.nilpotent import NElem, bracket, n_basis
+from cubicontact.catalog import catalog_get
+from cubicontact.nilpotent import NElem, bracket, generic_element, n_basis
+from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
 from cubicontact.scalars import HALF, QPoly
 
@@ -124,6 +128,39 @@ def test_exp_diff_roundtrip_basis_and_samples():
             z = sample_nelem(sampler, p)
             assert exp_diff(x, exp_diff_inv(x, z, T), T) == z
             assert exp_diff_inv(x, exp_diff(x, z, T), T) == z
+
+
+@pytest.mark.parametrize("name", ["xyz", "det3", "pfaff6"])
+def test_exp_diff_generic_roundtrip_matches_basis_loop(name):
+    T = catalog_get(name).tensor()
+    p = T.dim
+    x = sample_nelem(SeededSampler(14), p)
+    generic = generic_element(p)
+    inv = exp_diff_inv(x, generic, T)
+    back = exp_diff(x, inv, T)
+    assert back == generic
+    for i, z in enumerate(n_basis(p)):
+        y = exp_diff_inv(x, z, T)
+        assert inv.map_scalars(lambda s: s.coefficient(i)) == y
+        assert back.map_scalars(lambda s: s.coefficient(i)) == exp_diff(x, y, T)
+
+
+def test_expdiff_suite_catches_perturbed_inverse(monkeypatch):
+    T = catalog_get("det3").tensor()
+    cfg = RunConfig(seed=7, samples=3)
+    assert verify.run_expdiff_suite(T, cfg) == (
+        "pass", {"samples": 3, "failures": []}
+    )
+
+    def perturbed(X, Z, T):
+        # Linear in Z, wrong only on the basis direction eps_4.
+        Y = exp_diff_inv(X, Z, T)
+        return Y + NElem.from_parts(T.dim, n3=(HALF * Z.n2[4], F(0)))
+
+    monkeypatch.setattr(verify, "exp_diff_inv", perturbed)
+    status, details = verify.run_expdiff_suite(T, cfg)
+    assert status == "fail"
+    assert details["failures"][0] == {"check": "basis_roundtrip"}
 
 
 def _display_inversion(x, z, T):

@@ -1,11 +1,15 @@
+import dataclasses
+import inspect
 from fractions import Fraction as F
 
 import pytest
 
+from cubicontact import moment
 from cubicontact.catalog import catalog_get
 from cubicontact.contact import ChartPoint, sample_chart_point
 from cubicontact.cubic import ReductionError, SymCubic, polarize
 from cubicontact.moment import (
+    FlowBasePointError,
     MomentPoint,
     boundary_report,
     moment_membership,
@@ -14,6 +18,7 @@ from cubicontact.moment import (
     smoothness_probe,
 )
 from cubicontact.nilpotent import NElem, SlWElem, n_basis
+from cubicontact.scalars import Q0
 from cubicontact.sampling import SeededSampler
 
 X3 = SymCubic(1, {(0, 0, 0): 1})
@@ -98,6 +103,119 @@ def test_assembled_moment_known_components():
     m = moment_point_at(pt, X3)
     assert m.phi2 == (F(0),)
     assert m.phi3 == (F(5), F(0))
+
+
+CATALOG = (
+    "x3", "xq5", "xyz", "fermat3", "det-sym-3", "det3", "pfaff6", "j3o-norm",
+)
+
+
+def _moment_point_by_basis_loop(pt, T):
+    """Reference: one moment_of call per basis element of n."""
+    p = T.dim
+    mu1 = []
+    for k in range(p):
+        row = []
+        for col in (0, 1):
+            unit = [F(1) if i == k else Q0 for i in range(p)]
+            zero = [Q0] * p
+            basis = NElem.from_parts(
+                p,
+                col1=unit if col == 0 else zero,
+                col2=unit if col == 1 else zero,
+            )
+            row.append(moment_of(pt, basis, T))
+        mu1.append(row)
+    mu2 = [
+        moment_of(
+            pt, NElem.from_parts(p, n2=[F(i == k) for i in range(p)]), T
+        )
+        for k in range(p)
+    ]
+    mu3 = [
+        moment_of(pt, NElem.from_parts(p, n3=(1, 0)), T),
+        moment_of(pt, NElem.from_parts(p, n3=(0, 1)), T),
+    ]
+    return MomentPoint(
+        phi1=tuple((-2 * mu1[k][1], 2 * mu1[k][0]) for k in range(p)),
+        phi2=tuple(mu2),
+        phi3=(mu3[1], -mu3[0]),
+    )
+
+
+def _moment_point_closed_form(pt, T):
+    """Hand-derived moment point, independent of the flow code.
+
+    phi1_k = (2y X2_k, 2yz X2_k + y B(X1, X1)_k), phi2 = y X1,
+    phi3 = (y, yz).
+    """
+    y, z = pt.y, pt.z
+    x1, x2 = pt.chart.x1, pt.chart.x2
+    b = polarize(T, x1, x1)
+    return MomentPoint(
+        phi1=tuple(
+            (2 * y * x2[k], 2 * y * z * x2[k] + y * b[k]) for k in range(T.dim)
+        ),
+        phi2=tuple(y * t for t in x1),
+        phi3=(y, y * z),
+    )
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_moment_point_matches_basis_loop(name):
+    T = catalog_get(name).tensor()
+    sampler = SeededSampler(34)
+    for _ in range(1 if T.dim > 15 else 3):
+        pt = sample_chart_point(sampler, T.dim)
+        m = moment_point_at(pt, T)
+        assert m == _moment_point_by_basis_loop(pt, T)
+        parts = [c for row in m.phi1 for c in row] + list(m.phi2 + m.phi3)
+        assert all(type(c) is F for c in parts)
+
+
+@pytest.mark.parametrize("name", [n for n in CATALOG if n != "j3o-norm"])
+def test_moment_point_matches_closed_form(name):
+    T = catalog_get(name).tensor()
+    sampler = SeededSampler(35)
+    for _ in range(3):
+        pt = sample_chart_point(sampler, T.dim)
+        assert moment_point_at(pt, T) == _moment_point_closed_form(pt, T)
+
+
+def _flipped_half_bracket_velocity():
+    """_velocity_from_n_generator with the sign of 1/2 [A, X] flipped."""
+    src = inspect.getsource(moment._velocity_from_n_generator)
+    term = "V = A + HALF * ax"
+    assert src.count(term) == 1
+    namespace = dict(vars(moment))
+    exec(src.replace(term, "V = A - HALF * ax"), namespace)
+    return namespace["_velocity_from_n_generator"]
+
+
+@pytest.mark.parametrize("name", ["xyz", "det3"])
+def test_closed_form_catches_flipped_half_bracket(name, monkeypatch):
+    T = catalog_get(name).tensor()
+    pt = sample_chart_point(SeededSampler(36), T.dim)
+    assert moment_point_at(pt, T) == _moment_point_closed_form(pt, T)
+    monkeypatch.setattr(
+        moment, "_velocity_from_n_generator", _flipped_half_bracket_velocity()
+    )
+    assert moment_point_at(pt, T) != _moment_point_closed_form(pt, T)
+
+
+def test_slw_flow_moving_base_point_raises(monkeypatch):
+    real = moment.chart_decompose
+
+    def shifted(U, z, T):
+        chart, w = real(U, z, T)
+        return dataclasses.replace(chart, x3_m=chart.x3_m + 1), w
+
+    pt = sample_chart_point(SeededSampler(37), 3)
+    moment_of(pt, SlWElem.of(1, 2, 3), FERMAT3)
+    monkeypatch.setattr(moment, "chart_decompose", shifted)
+    with pytest.raises(FlowBasePointError):
+        moment_of(pt, SlWElem.of(1, 2, 3), FERMAT3)
+    assert issubclass(FlowBasePointError, ValueError)
 
 
 def test_probe_fermat_exhaustive_none():

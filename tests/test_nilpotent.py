@@ -8,9 +8,11 @@ from cubicontact.nilpotent import (
     SlWElem,
     act_slw,
     basis_degree,
+    basis_element,
     bracket,
     bracket_table,
     dim_report,
+    generic_element,
     n_basis,
     n_dim,
     verify_jacobi,
@@ -173,3 +175,18 @@ def test_basis_enumeration():
     assert len(basis) == 8
     degrees = [basis_degree(2, i) for i in range(8)]
     assert degrees == [1, 1, 1, 1, 2, 2, 3, 3]
+
+
+def test_generic_element_coefficients_are_the_basis():
+    for p in (1, 2, 4):
+        generic = generic_element(p)
+        for i in range(n_dim(p)):
+            coeff = generic.map_scalars(lambda s: s.coefficient(i))
+            assert coeff == basis_element(p, i)
+
+
+def test_generic_element_rejects_nonlinear_use():
+    T = SymCubic(2, {(0, 0, 1): 1})
+    g = generic_element(2)
+    with pytest.raises(TypeError):
+        bracket(g, g, T)
