@@ -257,7 +257,7 @@ _ENTRIES = (
     ),
     CatalogEntry(
         "j3o-norm", 27, j3o_norm_cubic,
-        {"p": 27, "b_rank": 27, "probe": "none-found"},
+        {"p": 27, "b_rank": 27, "probe": "witness-found"},
         "cubic norm of hermitian 3x3 octonion matrices",
     ),
 )

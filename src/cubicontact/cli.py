@@ -96,13 +96,17 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     which = list(SUITES) if args.which == "all" else [args.which]
-    cfg = RunConfig(
-        seed=args.seed,
-        samples=args.samples,
-        primes=tuple(args.primes),
-        probe_budget=args.budget,
-        long_run=args.long_run,
-    )
+    try:
+        cfg = RunConfig(
+            seed=args.seed,
+            samples=args.samples,
+            primes=tuple(args.primes),
+            probe_budget=args.budget,
+            long_run=args.long_run,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = run_verification(T, which, cfg)
     _emit(args, f"verify-{cubic_hash(T)[:12]}.{args.format}", report.render(args.format))
     if report.all_pass:
@@ -130,6 +134,11 @@ def _parse_type(text: str):
 
 def cmd_extract(args) -> int:
     try:
+        entry = catalog_get(args.compare) if args.compare else None
+    except KeyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         lie_type, rank = _parse_type(args.type)
         alg = algebra_for(lie_type, rank)
         data = extraction(alg)
@@ -147,11 +156,10 @@ def cmd_extract(args) -> int:
     }
     if args.embedding:
         report["embedding"] = verify_embedding(alg).to_json()
-    if args.compare:
-        entry = catalog_get(args.compare)
+    if entry is not None:
         report["comparison"] = compare_to_extraction(entry, alg)
     _emit(args, f"extract-report-{name}.json", canonical_json(report))
-    if args.compare and not report["comparison"]["consistent"]:
+    if entry is not None and not report["comparison"]["consistent"]:
         return 1
     if args.embedding and not report["embedding"]["ok"]:
         return 1
@@ -163,26 +171,20 @@ def cmd_catalog(args) -> int:
         for entry in catalog_list():
             print(f"{entry.name}\tp={entry.p}\t{entry.description}")
         return 0
-    if args.action == "emit":
-        if not args.name:
-            print("error: catalog emit needs a name", file=sys.stderr)
-            return 2
-        try:
-            entry = catalog_get(args.name)
-        except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _emit(args, f"catalog-{entry.name}.json", dumps_tensor(entry.tensor()))
-        return 0
-    if args.action == "signature":
-        if not args.name:
-            print("error: catalog signature needs a name", file=sys.stderr)
-            return 2
+    # argparse restricts the action to list, emit and signature.
+    if not args.name:
+        print(f"error: catalog {args.action} needs a name", file=sys.stderr)
+        return 2
+    try:
         entry = catalog_get(args.name)
+    except KeyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.action == "emit":
+        _emit(args, f"catalog-{entry.name}.json", dumps_tensor(entry.tensor()))
+    else:
         print(canonical_json(jsonable(signature(entry.tensor()))))
-        return 0
-    print(f"error: unknown catalog action {args.action!r}", file=sys.stderr)
-    return 2
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

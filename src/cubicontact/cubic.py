@@ -280,8 +280,8 @@ def loads_tensor(text: str) -> SymCubic:
     for rec in obj["entries"]:
         try:
             i, j, k = rec["i"] - 1, rec["j"] - 1, rec["k"] - 1
-            val = frac(rec["value"]) if isinstance(rec["value"], str) else frac(rec["value"])
-        except (KeyError, TypeError, ValueError) as exc:
+            val = frac(rec["value"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise TensorFormatError(f"bad entry record {rec!r}") from exc
         if not (0 <= i <= j <= k < dim):
             raise TensorFormatError(

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice, product
 
 from .bch import ChartElem, chart_decompose
 from .contact import ChartPoint, require_assumption
@@ -212,7 +213,7 @@ def moment_point_at(pt: ChartPoint, T: SymCubic) -> MomentPoint:
 class ProbeVerdict:
     cubic_hash: str
     primes: tuple
-    modes: tuple  # (q, 'exhaustive'|'random') in probe order
+    modes: tuple  # (q, 'exhaustive'|'structured+random') in probe order
     trials: tuple  # (q, count actually tested)
     witness: tuple | None  # (q, coordinates) or None
 
@@ -260,6 +261,38 @@ def _is_quadric_zero(per_k, v, q) -> bool:
     return True
 
 
+def _structured_candidates(p: int, q: int):
+    """e_i for every i, then e_i + e_j and e_i - e_j for i < j, mod q.
+
+    The singular locus of a cubic often contains a coordinate vector or
+    a sum or difference of two: the gradient of a Jordan norm is the
+    sharp map, which vanishes on rank-one elements such as diag(1, 0, 0)
+    (McCrimmon, A Taste of Jordan Algebras, 2004).  A random vector hits
+    such a cone with probability about q^-codim, so these p^2 vectors
+    are tested first.
+    """
+    for i in range(p):
+        v = [0] * p
+        v[i] = 1
+        yield v
+    for i in range(p):
+        for j in range(i + 1, p):
+            for sign in (1, q - 1):
+                v = [0] * p
+                v[i] = 1
+                v[j] = sign
+                yield v
+
+
+def _random_candidates(p: int, q: int, budget: int, seed: int):
+    """The nonzero vectors among `budget` seeded draws mod q."""
+    sampler = SeededSampler(seed ^ (q << 20))
+    for _ in range(budget):
+        v = sampler.residue_vector(p, q)
+        if any(v):
+            yield v
+
+
 def smoothness_probe(
     T: SymCubic, primes=(5, 7, 11, 13), budget: int = 10 ** 6, seed: int = 0
 ) -> ProbeVerdict:
@@ -267,45 +300,37 @@ def smoothness_probe(
 
     Such a v is (the reduction of) a singular point of the projective
     cubic hypersurface, since the gradient of c at v equals 3 B(v, v)
-    under the full-sum normalization.  Exhaustive when q^p <= budget,
-    otherwise `budget` seeded random trials per prime; the verdict is
-    probabilistic evidence, not a proof of smoothness.
+    under the full-sum normalization.
+
+    Per prime q, in mode 'exhaustive' when q^p <= budget, every nonzero
+    vector is tested in lexicographic order.  Otherwise, in mode
+    'structured+random', the p^2 vectors of _structured_candidates are
+    tested first, then the nonzero ones among `budget` seeded random
+    draws.  trials counts the vectors tested.  A witness proves the
+    hypersurface singular; 'none-found' is evidence of smoothness, not
+    a proof.
     """
     p = T.dim
     modes = []
     trials = []
     witness = None
     for q in primes:
-        ff = reduce_mod(T, q)
-        per_k = _quadric_data(ff)
-        exhaustive = q ** p <= budget
-        modes.append((q, "exhaustive" if exhaustive else "random"))
-        count = 0
-        if exhaustive:
-            v = [0] * p
-            while True:
-                # Lexicographic increment, skipping the zero vector.
-                i = p - 1
-                while i >= 0 and v[i] == q - 1:
-                    v[i] = 0
-                    i -= 1
-                if i < 0:
-                    break
-                v[i] += 1
-                count += 1
-                if _is_quadric_zero(per_k, v, q):
-                    witness = (q, tuple(v))
-                    break
+        per_k = _quadric_data(reduce_mod(T, q))
+        if q ** p <= budget:
+            modes.append((q, "exhaustive"))
+            candidates = islice(product(range(q), repeat=p), 1, None)
         else:
-            sampler = SeededSampler(seed ^ (q << 20))
-            for _ in range(budget):
-                v = sampler.residue_vector(p, q)
-                if not any(v):
-                    continue
-                count += 1
-                if _is_quadric_zero(per_k, v, q):
-                    witness = (q, tuple(v))
-                    break
+            modes.append((q, "structured+random"))
+            candidates = chain(
+                _structured_candidates(p, q),
+                _random_candidates(p, q, budget, seed),
+            )
+        count = 0
+        for v in candidates:
+            count += 1
+            if _is_quadric_zero(per_k, v, q):
+                witness = (q, tuple(v))
+                break
         trials.append((q, count))
         if witness is not None:
             break
@@ -326,19 +351,18 @@ def boundary_report(
     The image has dimension 2p + 2; its boundary forces phi3 = 0 and
     then c(phi2, phi2, .) = 0.  When the probe finds no singular-point
     witness the boundary parameters reduce to the 2p of phi1 and the
-    codimension >= 2 argument applies; a witness flags the smoothness
-    hypothesis as violated and the argument as inapplicable.
+    codimension >= 2 argument is supported (not proved: 'none-found' is
+    evidence of smoothness only); a witness proves the hypersurface
+    singular and the argument inapplicable.
     """
     p = T.dim
     verdict = smoothness_probe(T, primes=primes, budget=budget, seed=seed)
-    supported = not verdict.found
     return {
         "cubic_hash": cubic_hash(T),
         "p": p,
         "dim_moment_image": 2 * p + 2,
         "boundary_param_count": 2 * p,
         "probe": verdict.to_json(),
-        "codim_ge2_supported": supported,
-        "smoothness_hypothesis_holds": supported,
+        "codim_ge2_supported": not verdict.found,
         "inapplicable": verdict.found,
     }

@@ -34,6 +34,8 @@ class RunConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.probe_budget < 0:
+            raise ValueError("probe budget must be >= 0")
         for q in self.primes:
             if not _is_prime(q):
                 raise ValueError(f"{q} is not prime")

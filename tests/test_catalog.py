@@ -153,8 +153,6 @@ def test_signature_determinism_and_fields():
 
 def test_expected_probe_classes():
     for entry in catalog_list():
-        if entry.p > 9:
-            continue  # large entries covered by the acceptance suite
         sig = signature(entry.tensor())
         assert sig["probe"] == entry.expected_signature["probe"], entry.name
 

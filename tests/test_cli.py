@@ -129,3 +129,32 @@ def test_stdout_when_no_out(monkeypatch, capsys):
     monkeypatch.delenv("CUBICONTACT_OUT", raising=False)
     assert main(["catalog", "emit", "x3"]) == 0
     assert '"dim":1' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "signature", "nope"],
+        ["verify", "{x3}", "--samples", "0", "--out", "{out}"],
+        ["verify", "{x3}", "--primes", "4", "--out", "{out}"],
+        ["verify", "{x3}", "--budget", "-1", "--which", "moment", "--out", "{out}"],
+        ["extract", "--type", "G2", "--compare", "nope", "--out", "{out}"],
+        ["check", "{zero_den}"],
+    ],
+    ids=[
+        "unknown-signature-name", "samples-0", "non-prime", "negative-budget",
+        "unknown-compare-name", "zero-denominator",
+    ],
+)
+def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, capsys):
+    zero_den = tmp_path / "zero_den.json"
+    zero_den.write_text(
+        '{"dim": 1, "entries": [{"i": 1, "j": 1, "k": 1, "value": "1/0"}]}'
+    )
+    out = tmp_path / "out"
+    argv = [a.format(x3=x3_file, zero_den=zero_den, out=out) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()

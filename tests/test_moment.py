@@ -7,7 +7,14 @@ import pytest
 from cubicontact import moment
 from cubicontact.catalog import catalog_get
 from cubicontact.contact import ChartPoint, sample_chart_point
-from cubicontact.cubic import ReductionError, SymCubic, polarize
+from cubicontact.cubic import (
+    ReductionError,
+    SymCubic,
+    polarize,
+    reduce_mod,
+    trilinear,
+)
+from cubicontact.extraction import extraction
 from cubicontact.moment import (
     FlowBasePointError,
     MomentPoint,
@@ -254,13 +261,133 @@ def test_probe_reproducible():
     a = smoothness_probe(T, primes=(5,), budget=5000, seed=9).to_json()
     b = smoothness_probe(T, primes=(5,), budget=5000, seed=9).to_json()
     assert a == b
-    assert a["modes"]["5"] == "random"
+    assert a["modes"]["5"] == "structured+random"
+
+
+def _parent_probe(T, primes, budget, seed=0):
+    """The probe before its structured phase: (modes, trials, witness)."""
+    p = T.dim
+    modes, trials, witness = [], [], None
+    for q in primes:
+        per_k = moment._quadric_data(reduce_mod(T, q))
+        exhaustive = q ** p <= budget
+        modes.append((q, "exhaustive" if exhaustive else "random"))
+        count = 0
+        if exhaustive:
+            v = [0] * p
+            while True:
+                i = p - 1
+                while i >= 0 and v[i] == q - 1:
+                    v[i] = 0
+                    i -= 1
+                if i < 0:
+                    break
+                v[i] += 1
+                count += 1
+                if moment._is_quadric_zero(per_k, v, q):
+                    witness = (q, tuple(v))
+                    break
+        else:
+            sampler = SeededSampler(seed ^ (q << 20))
+            for _ in range(budget):
+                v = sampler.residue_vector(p, q)
+                if not any(v):
+                    continue
+                count += 1
+                if moment._is_quadric_zero(per_k, v, q):
+                    witness = (q, tuple(v))
+                    break
+        trials.append((q, count))
+        if witness is not None:
+            break
+    return tuple(modes), tuple(trials), witness
+
+
+def _assert_honest_witness(T, witness):
+    q, v = witness
+    assert any(x % q for x in v)
+    cov = polarize(T, [F(x) for x in v], [F(x) for x in v])
+    assert all(c.denominator == 1 and c.numerator % q == 0 for c in cov)
+
+
+def _xyz_in_skew_coordinates():
+    # c(v) = xyz(A v) with A = B^-1, B = [[1,1,1],[1,2,3],[1,3,6]]: the
+    # singular points are the multiples of the columns of B, whose
+    # entries are all nonzero mod 5, so no structured candidate is one.
+    xyz = catalog_get("xyz").tensor()
+    cols = ((3, -3, 1), (-3, 5, -2), (1, -2, 1))  # columns of A
+    entries = {}
+    for i in range(3):
+        for j in range(i, 3):
+            for k in range(j, 3):
+                entries[(i, j, k)] = trilinear(xyz, cols[i], cols[j], cols[k])
+    return SymCubic(3, entries)
+
+
+@pytest.mark.parametrize("name", ["j3o-norm", "det3", "pfaff6"])
+def test_probe_structured_witness_catalog(name):
+    T = catalog_get(name).tensor()
+    p = T.dim
+    verdict = smoothness_probe(T, primes=(5, 7, 11, 13), budget=10 ** 5)
+    assert verdict.modes[0] == (5, "structured+random")
+    assert verdict.witness[0] == 5
+    assert dict(verdict.trials)[5] <= p + p * (p - 1)
+    _assert_honest_witness(T, verdict.witness)
+
+
+@pytest.mark.parametrize("algebra", ["e6", "e7", "e8"])
+def test_probe_structured_witness_extracted(algebra, request):
+    T = extraction(request.getfixturevalue(algebra)).tensor
+    p = T.dim
+    verdict = smoothness_probe(T, primes=(5, 7, 11, 13), budget=10 ** 5)
+    assert verdict.modes[0] == (5, "structured+random")
+    assert verdict.witness[0] == 5
+    assert dict(verdict.trials)[5] <= p + p * (p - 1)
+    _assert_honest_witness(T, verdict.witness)
+
+
+def test_probe_random_phase_unchanged_without_structured_witness():
+    # Diagonal Fermat cubic on 9 variables: smooth, so both phases come
+    # up empty and every random draw of the parent stream is tested.
+    T = SymCubic(9, {(i, i, i): 1 for i in range(9)})
+    primes, budget, seed = (5, 7), 3000, 4
+    _modes, ref_trials, ref_witness = _parent_probe(T, primes, budget, seed)
+    verdict = smoothness_probe(T, primes=primes, budget=budget, seed=seed)
+    assert verdict.witness is None and ref_witness is None
+    assert verdict.trials == tuple((q, 81 + n) for q, n in ref_trials)
+    assert verdict.modes == tuple((q, "structured+random") for q in primes)
+
+
+def test_probe_random_phase_finds_the_parent_witness():
+    T = _xyz_in_skew_coordinates()
+    primes, budget = (5, 7), 100
+    for seed in range(4):
+        _modes, ref_trials, ref_witness = _parent_probe(T, primes, budget, seed)
+        verdict = smoothness_probe(T, primes=primes, budget=budget, seed=seed)
+        assert ref_witness is not None
+        assert verdict.witness == ref_witness
+        assert verdict.trials == tuple((q, 9 + n) for q, n in ref_trials)
+        _assert_honest_witness(T, verdict.witness)
+
+
+@pytest.mark.parametrize("name", ["x3", "xq5", "xyz", "fermat3", "det-sym-3"])
+def test_probe_exhaustive_mode_matches_parent(name):
+    T = catalog_get(name).tensor()
+    primes = (5, 7, 11, 13)
+    verdict = smoothness_probe(T, primes=primes, budget=10 ** 5)
+    modes, trials, witness = _parent_probe(T, primes, 10 ** 5)
+    assert all(mode == "exhaustive" for _q, mode in modes)
+    assert (verdict.modes, verdict.trials, verdict.witness) == (
+        modes, trials, witness,
+    )
 
 
 def test_boundary_report_fermat_supported():
     rep = boundary_report(FERMAT3, primes=(5, 7, 11), budget=10 ** 6)
     assert rep["codim_ge2_supported"]
     assert not rep["inapplicable"]
+    # 'none-found' is not a proof of smoothness, so nothing claims one.
+    assert "smoothness_hypothesis_holds" not in rep
     assert rep["dim_moment_image"] == 2 * 3 + 2
     assert rep["boundary_param_count"] == 2 * 3
 

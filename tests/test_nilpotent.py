@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from cubicontact import nilpotent
+from cubicontact.catalog import catalog_get
 from cubicontact.cubic import SymCubic
 from cubicontact.nilpotent import (
     NElem,
@@ -21,6 +23,7 @@ from cubicontact.sampling import SeededSampler
 
 X3 = SymCubic(1, {(0, 0, 0): 1})
 ZERO2 = SymCubic(2, {})
+FERMAT3 = SymCubic(3, {(i, i, i): 1 for i in range(3)})
 
 
 def sample_nelem(sampler, p):
@@ -92,9 +95,90 @@ def test_grading_of_bracket_table():
 def test_jacobi_x3_full_enumeration():
     rep = verify_jacobi(X3)
     assert rep.ok
-    assert rep.triples_checked == 5 ** 3
+    assert rep.triples_checked == 10  # C(5, 3)
     assert rep.dim_n == 5
     assert rep.assumption_ok
+
+
+def _jacobi_violations_all_ordered(table):
+    """Sorted distinct triples with a nonzero jacobiator, over all d^3."""
+    d = len(table)
+    found = set()
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                acc = {}
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    for b, c in table[y][z]:
+                        for b2, c2 in table[x][b]:
+                            acc[b2] = acc.get(b2, 0) + c * c2
+                if any(acc.values()):
+                    found.add(tuple(sorted((i, j, k))))
+    return found
+
+
+def _patch_table(monkeypatch, edit):
+    real = nilpotent.bracket_table
+
+    def patched(T):
+        table = real(T)
+        edit(table)
+        return table
+
+    monkeypatch.setattr(nilpotent, "bracket_table", patched)
+
+
+@pytest.mark.parametrize("name", ["xq5", "det3", "pfaff6"])
+def test_jacobi_checks_unordered_triples(name):
+    T = catalog_get(name).tensor()
+    d = n_dim(T.dim)
+    rep = verify_jacobi(T)
+    assert rep.ok
+    assert rep.triples_checked == d * (d - 1) * (d - 2) // 6
+
+
+def test_jacobi_catches_asymmetric_entry(monkeypatch):
+    p = 3
+
+    def edit(t):
+        # [e0 f1, e0 f2] gains an f1 term that [e0 f2, e0 f1] lacks.
+        t[0][p] = t[0][p] + ((3 * p, F(1)),)
+
+    _patch_table(monkeypatch, edit)
+    rep = verify_jacobi(FERMAT3)
+    assert not rep.ok
+    assert (0, p) in rep.violations
+
+
+def test_jacobi_catches_nonzero_self_bracket(monkeypatch):
+    def edit(t):
+        t[2][2] = ((3, F(1)),)  # [eps, eps] = f1
+
+    _patch_table(monkeypatch, edit)
+    rep = verify_jacobi(X3)
+    assert not rep.ok
+    assert rep.violations[0] == (2, 2)
+
+
+def test_jacobi_catches_antisymmetric_corruption(monkeypatch):
+    p = 3
+    eps1 = 2 * p + 1
+
+    def edit(t):
+        # [e0 f1, e0 f2] = eps0 + eps1 and its negative: still
+        # antisymmetric, but [e1 f1, eps1] = -f1 breaks Jacobi on
+        # (e0 f1, e1 f1, e0 f2).
+        t[0][p] = t[0][p] + ((eps1, F(1)),)
+        t[p][0] = t[p][0] + ((eps1, F(-1)),)
+
+    _patch_table(monkeypatch, edit)
+    rep = verify_jacobi(FERMAT3, max_violations=10 ** 6)
+    assert not rep.ok
+    assert all(len(v) == 3 and v[0] < v[1] < v[2] for v in rep.violations)
+    assert (0, 1, p) in rep.violations
+    assert set(rep.violations) == _jacobi_violations_all_ordered(
+        nilpotent.bracket_table(FERMAT3)
+    )
 
 
 def test_jacobi_zero_cubic():
