@@ -102,7 +102,6 @@ def cmd_verify(args) -> int:
             samples=args.samples,
             primes=tuple(args.primes),
             probe_budget=args.budget,
-            long_run=args.long_run,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -215,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--primes", type=int, nargs="+", default=[5, 7, 11, 13]
     )
     p_verify.add_argument("--budget", type=int, default=10 ** 6)
-    p_verify.add_argument("--long-run", action="store_true")
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

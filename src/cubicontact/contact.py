@@ -19,11 +19,17 @@ chart identification; the opposite orientation (obtained by X2 -> -X2)
 is the one compatible with the bracket conventions of this package and
 is what the moment-map module consumes.  Both have the same determinant
 at every point, so the nondegeneracy certificate is orientation-blind.
+This module uses the published display orientation throughout.
 
-The skew matrix of d(theta~) is produced by symbolic exterior
-differentiation of the one-form (polynomial coefficients), then exact
-evaluation; nondegeneracy is certified by exact determinants at seeded
-sample points.
+d(theta~) does not depend on the cubic.  Its skew matrix M, with
+M[a][b] the coefficient of dx_a ^ dx_b in the coordinates of coords(),
+has the closed form
+
+    M[y][X3m] = 1,  M[y][X3l] = -z,  M[z][X3l] = -y,
+    M[y][X1_i] = X2_i / 2,  M[y][X2_i] = -X1_i / 2,  M[X2_i][X1_i] = y,
+
+skew-completed, all other entries 0.  Nondegeneracy is certified by
+exact determinants at seeded sample points.
 """
 
 from __future__ import annotations
@@ -32,17 +38,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bch import ChartElem, solve_line_coordinates
-from .cubic import (
-    SymCubic,
-    assumption_holds,
-    basis_vector,
-    cubic_eval,
-    cubic_hash,
-    polarize,
-)
+from .cubic import SymCubic, assumption_holds, cubic_eval, cubic_hash, polarize
 from .linalg import mat_det
 from .sampling import SeededSampler
-from .scalars import HALF, MPoly, Q0, Q1, SIXTH
+from .scalars import HALF, Q0, Q1, SIXTH
 
 
 class AssumptionError(ValueError):
@@ -98,59 +97,44 @@ def theta(X: ChartElem, Z: ChartElem, T: SymCubic) -> Fraction:
     return Z.x3_m + HALF * (x2_z1 - z2_x1)
 
 
-def one_form(p: int, orientation: str = "display"):
-    """Coefficients of theta~ as polynomials in the 2p+4 coordinates.
-
-    orientation 'display' is the published chart formula; 'flow' flips
-    the half term (X2 -> -X2), the variant consistent with the bracket
-    conventions used for group flows.
-    """
-    n = 2 * p + 4
-    y = MPoly.var(0, n)
-    z = MPoly.var(1, n)
-    sign = Q1 if orientation == "display" else -Q1
-    coeffs = [MPoly.zero(n) for _ in range(n)]
-    coeffs[2] = y  # dX3m
-    coeffs[3] = -(y * z)  # dX3l
-    for i in range(p):
-        x1_i = MPoly.var(4 + i, n)
-        x2_i = MPoly.var(4 + p + i, n)
-        coeffs[4 + i] = (HALF * sign) * (y * x2_i)  # dX1_i
-        coeffs[4 + p + i] = (-HALF * sign) * (y * x1_i)  # dX2_i
-    return coeffs
-
-
-def one_form_value(pt: ChartPoint, velocity, orientation: str = "display") -> Fraction:
+def one_form_value(pt: ChartPoint, velocity) -> Fraction:
     """theta~ evaluated on a coordinate velocity vector at pt."""
     p = pt.dim
     y, z = pt.y, pt.z
     x1, x2 = pt.chart.x1, pt.chart.x2
-    sign = Q1 if orientation == "display" else -Q1
     val = y * (velocity[2] - z * velocity[3])
     acc = Q0
     for i in range(p):
         acc += x2[i] * velocity[4 + i] - x1[i] * velocity[4 + p + i]
-    return val + sign * HALF * y * acc
+    return val + HALF * y * acc
 
 
-def dtheta_matrix(pt: ChartPoint, T: SymCubic, orientation: str = "display"):
-    """Exact skew matrix of d(theta~) at pt, coordinates as in coords()."""
-    if pt.y == 0:
+def dtheta_matrix(pt: ChartPoint, T: SymCubic):
+    """Exact skew matrix of d(theta~) at pt, coordinates as in coords().
+
+    Filled from the closed form in the module docstring; T fixes only
+    the dimension.
+    """
+    y = pt.y
+    if y == 0:
         raise ValueError("fiber coordinate y must be nonzero")
     p = T.dim
     if pt.dim != p:
         raise ValueError("dimension mismatch")
     n = 2 * p + 4
-    coeffs = one_form(p, orientation)
-    point = pt.coords()
     mat = [[Q0] * n for _ in range(n)]
-    for a in range(n):
-        fa = coeffs[a]
-        for b in range(a + 1, n):
-            entry = (coeffs[b].diff(a) - fa.diff(b)).eval(point)
-            if entry:
-                mat[a][b] = entry
-                mat[b][a] = -entry
+
+    def put(a, b, entry):
+        mat[a][b] = entry
+        mat[b][a] = -entry
+
+    put(0, 2, Q1)
+    put(0, 3, -pt.z)
+    put(1, 3, -y)
+    for i, (x1_i, x2_i) in enumerate(zip(pt.chart.x1, pt.chart.x2)):
+        put(0, 4 + i, HALF * x2_i)
+        put(0, 4 + p + i, -HALF * x1_i)
+        put(4 + p + i, 4 + i, y)
     return mat
 
 
@@ -285,64 +269,24 @@ def tau_closure_sample(v, t, T: SymCubic):
     return tuple(v) + zero + (Q0, Q0)
 
 
-_LINE_CONSTANTS_CACHE: dict = {}
-
-
 def tau_line_constants(T: SymCubic):
-    """The startup constants (s1, s2, s3) relating line coordinates to tau.
+    """The constants (s1, s2, s3) relating line coordinates to tau.
 
-    Determined once per cubic from reference vectors with B(v,v) != 0 and
-    c(v) != 0 (they exist whenever the surjectivity assumption holds).
+    The degree-1 coefficients of the line coordinates solved by
+    solve_line_coordinates are (s1 v, s2 B(v,v), s3 c(v)) with
+    (s1, s2, s3) = (-1, -1/2, 1/6) for every cubic; they follow from
+    chart_decompose.  tau_matches_line_expansion checks them against the
+    actual cubic.
     """
     require_assumption(T)
-    key = cubic_hash(T)
-    if key in _LINE_CONSTANTS_CACHE:
-        return _LINE_CONSTANTS_CACHE[key]
-    p = T.dim
-
-    def reference_vectors():
-        for i in range(p):
-            yield basis_vector(p, i)
-        for i in range(p):
-            for j in range(i + 1, p):
-                yield tuple(
-                    Q1 if t in (i, j) else Q0 for t in range(p)
-                )
-        sampler = SeededSampler(91)
-        for _ in range(256):
-            yield sampler.vector(p)
-
-    s1 = s2 = s3 = None
-    for v in reference_vectors():
-        sol = solve_line_coordinates(v, T)
-        bvv = polarize(T, v, v)
-        cv = cubic_eval(T, v)
-        if s1 is None:
-            for x, coeff in zip(v, sol.z1):
-                if x:
-                    s1 = coeff.coefficient(1) / x
-                    break
-        if s2 is None:
-            for x, coeff in zip(bvv, sol.z2):
-                if x:
-                    s2 = coeff.coefficient(1) / x
-                    break
-        if s3 is None and cv:
-            s3 = sol.z3_l.coefficient(1) / cv
-        if s1 is not None and s2 is not None and s3 is not None:
-            break
-    if s1 is None or s2 is None or s3 is None:
-        raise AssumptionError("could not calibrate line constants")
-    _LINE_CONSTANTS_CACHE[key] = (s1, s2, s3)
-    return s1, s2, s3
+    return -Q1, -HALF, SIXTH
 
 
 def tau_matches_line_expansion(v, T: SymCubic) -> bool:
     """Degree-1 line coefficients equal (s1 v, s2 B(v,v), s3 c(v)).
 
-    The constants come from tau_line_constants and are independent of v;
-    with the fixed orientation convention their magnitudes are 1, 1/2
-    and 1/6.
+    The constants come from tau_line_constants and are independent of v
+    and of the cubic.
     """
     require_assumption(T)
     s1, s2, s3 = tau_line_constants(T)

@@ -264,6 +264,13 @@ def dumps_tensor(T: SymCubic) -> str:
     )
 
 
+def _json_index(x) -> int:
+    """An entry index must be a JSON integer: not a boolean, not a float."""
+    if type(x) is not int:
+        raise TypeError(f"index {x!r} is not an integer")
+    return x
+
+
 def loads_tensor(text: str) -> SymCubic:
     try:
         obj = json.loads(text)
@@ -272,14 +279,17 @@ def loads_tensor(text: str) -> SymCubic:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise TensorFormatError("tensor JSON needs 'dim' and 'entries'")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    # bool is a subclass of int, but a JSON true/false is not a number.
+    if type(dim) is not int or dim < 1:
         raise TensorFormatError("'dim' must be a positive integer")
     entries = {}
     if not isinstance(obj["entries"], list):
         raise TensorFormatError("'entries' must be a list")
     for rec in obj["entries"]:
         try:
-            i, j, k = rec["i"] - 1, rec["j"] - 1, rec["k"] - 1
+            i, j, k = (_json_index(rec[key]) - 1 for key in ("i", "j", "k"))
+            if isinstance(rec["value"], bool):
+                raise TypeError("boolean value")
             val = frac(rec["value"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise TensorFormatError(f"bad entry record {rec!r}") from exc

@@ -38,7 +38,7 @@ from .chevalley import (
     eigenvalue_on,
 )
 from .cubic import SymCubic, b_rank, normalize_cubic, polarize
-from .linalg import mat_inv, mat_mul, mat_rank, mat_solve
+from .linalg import mat_inv, mat_mul, mat_rank
 from .nilpotent import bracket_table, n_dim
 from .rootsystems import (
     RootSystemError,
@@ -195,22 +195,35 @@ def _sparse_columns(m):
     ]
 
 
+def _pairings(alg: ChevalleyAlgebra, dg: DoubleGrading):
+    """Distinguished bases, both pairing matrices and their ranks.
+
+    Returns ((x_basis, z_basis, y_basis, psi_label, psi_alpha_label),
+    m_lower, m_upper, PairingReport).
+    """
+    distinguished = _distinguished(alg, dg)
+    x_basis, z_basis, y_basis, psi_label, psi_alpha_label = distinguished
+    m_lower = _pairing_matrix(alg, x_basis, y_basis, psi_alpha_label)
+    m_upper = _pairing_matrix(alg, z_basis, y_basis, psi_label)
+    ranks = PairingReport(
+        p=len(y_basis), rank_lower=mat_rank(m_lower), rank_upper=mat_rank(m_upper)
+    )
+    return distinguished, m_lower, m_upper, ranks
+
+
 def extraction(alg: ChevalleyAlgebra) -> ExtractionData:
     """Pairings, phi and the cubic, computed once per algebra object."""
     hit = alg.derived.get("extraction")
     if hit is not None:
         return hit
     dg = double_grading(alg)
-    x_basis, z_basis, y_basis, psi_label, psi_alpha_label = _distinguished(
-        alg, dg
-    )
-    p = len(y_basis)
-    m_lower = _pairing_matrix(alg, x_basis, y_basis, psi_alpha_label)
-    m_upper = _pairing_matrix(alg, z_basis, y_basis, psi_label)
-    if mat_rank(m_lower) != p or mat_rank(m_upper) != p:
+    distinguished, m_lower, m_upper, ranks = _pairings(alg, dg)
+    x_basis, z_basis, y_basis, psi_label, psi_alpha_label = distinguished
+    p = ranks.p
+    if not ranks.perfect:
         raise ExtractionError(
             f"pairings are not perfect: ranks "
-            f"{mat_rank(m_lower)}, {mat_rank(m_upper)} != {p}"
+            f"{ranks.rank_lower}, {ranks.rank_upper} != {p}"
         )
     # phi(x_a) = sum_b phi[a][b] z_b with phi . m_upper = m_lower.
     m_upper_inv = mat_inv(m_upper)
@@ -285,17 +298,10 @@ def extraction(alg: ChevalleyAlgebra) -> ExtractionData:
 
 
 def verify_pairings(alg: ChevalleyAlgebra, dg: DoubleGrading | None = None) -> PairingReport:
+    """Ranks of both pairings; reports them without raising."""
     if dg is None:
         dg = double_grading(alg)
-    x_basis, z_basis, y_basis, psi_label, psi_alpha_label = _distinguished(
-        alg, dg
-    )
-    p = len(y_basis)
-    m_lower = _pairing_matrix(alg, x_basis, y_basis, psi_alpha_label)
-    m_upper = _pairing_matrix(alg, z_basis, y_basis, psi_label)
-    return PairingReport(
-        p=p, rank_lower=mat_rank(m_lower), rank_upper=mat_rank(m_upper)
-    )
+    return _pairings(alg, dg)[3]
 
 
 def extract_cubic(alg: ChevalleyAlgebra, normalized: bool = True) -> SymCubic:

@@ -16,100 +16,91 @@ def mat_copy(rows):
     return [list(r) for r in rows]
 
 
+def _eliminate(m, n_cols: int, jordan: bool = False):
+    """Row-reduce m in place on its first n_cols columns.
+
+    First-nonzero pivoting.  Entries below each pivot are cleared (row
+    echelon form); with jordan=True each pivot row is also scaled to a
+    leading 1 and the entries above the pivot are cleared (reduced row
+    echelon form).  Columns past n_cols, such as an augmented right-hand
+    side, are carried along.  Returns the pivot columns and the sign of
+    the row permutation.
+    """
+    n_rows = len(m)
+    pivots = []
+    sign = 1
+    for col in range(n_cols):
+        top = len(pivots)
+        if top == n_rows:
+            break
+        piv = next((r for r in range(top, n_rows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != top:
+            m[top], m[piv] = m[piv], m[top]
+            sign = -sign
+        prow = m[top]
+        width = len(prow)
+        inv = Q1 / prow[col]
+        if jordan:
+            for c in range(col, width):
+                prow[c] *= inv
+            targets = (r for r in range(n_rows) if r != top)
+        else:
+            targets = range(top + 1, n_rows)
+        for r in targets:
+            f = m[r][col]
+            if f == 0:
+                continue
+            if not jordan:
+                f = f * inv
+            row = m[r]
+            for c in range(col, width):
+                row[c] -= prow[c] * f
+        pivots.append(col)
+    return pivots, sign
+
+
 def mat_rank(rows) -> int:
     if not rows:
         return 0
     m = mat_copy(rows)
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        piv = None
-        for r in range(rank, n_rows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Q1 / m[rank][col]
-        for r in range(rank + 1, n_rows):
-            f = m[r][col]
-            if f == 0:
-                continue
-            f = f * inv
-            row, prow = m[r], m[rank]
-            for c in range(col, n_cols):
-                row[c] -= prow[c] * f
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    pivots, _sign = _eliminate(m, len(m[0]))
+    return len(pivots)
 
 
 def mat_det(rows) -> Fraction:
     n = len(rows)
-    if n == 0:
-        return Q1
     m = mat_copy(rows)
-    det = Q1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Q0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Q1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col]
-            if f == 0:
-                continue
-            f = f * inv
-            row, prow = m[r], m[col]
-            for c in range(col, n):
-                row[c] -= prow[c] * f
+    pivots, sign = _eliminate(m, n)
+    if len(pivots) < n:
+        return Q0
+    det = Fraction(sign)
+    for i in range(n):
+        det *= m[i][i]
     return det
+
+
+def _solve_augmented(a, right):
+    """Reduce [a | right] for square a; returns the reduced right block."""
+    n = len(a)
+    m = [list(row) + list(extra) for row, extra in zip(a, right)]
+    pivots, _sign = _eliminate(m, n, jordan=True)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular system")
+    return [row[n:] for row in m]
 
 
 def mat_solve(a, b):
     """Solve a x = b for square a; b is a vector.  Raises on singular a."""
-    n = len(a)
-    m = [list(row) + [bv] for row, bv in zip(mat_copy(a), b)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = Q1 / m[col][col]
-        for c in range(col, n + 1):
-            m[col][c] *= inv
-        for r in range(n):
-            if r == col:
-                continue
-            f = m[r][col]
-            if f == 0:
-                continue
-            for c in range(col, n + 1):
-                m[r][c] -= m[col][c] * f
-    return [m[r][n] for r in range(n)]
+    return [row[0] for row in _solve_augmented(a, [[bv] for bv in b])]
 
 
 def mat_inv(a):
+    """Inverse of square a by one reduction of [a | I].  Raises on singular a."""
     n = len(a)
-    cols = []
-    for j in range(n):
-        e = [Q1 if i == j else Q0 for i in range(n)]
-        cols.append(mat_solve(a, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    identity = [[Q1 if i == j else Q0 for j in range(n)] for i in range(n)]
+    return _solve_augmented(a, identity)
 
 
 def mat_mul(a, b):

@@ -29,9 +29,11 @@ naive unscaled identification satisfies it only up to a factor 2, an
 artifact of c(v,v,.) being the full polarization).
 
 Orientation note: the flow computation pairs with the 'flow' orientation
-of the chart one-form (see contact.one_form); with the published
-'display' orientation the grade-2 component of the assembled functional
-cancels identically and no identification can repair the equation.
+of the chart one-form, X2 -> -X2 in the closed form of
+contact.dtheta_matrix; with the published 'display' orientation, the
+one the contact module uses, the grade-2 component of the assembled
+functional cancels identically and no identification can repair the
+equation.
 """
 
 from __future__ import annotations

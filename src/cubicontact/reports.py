@@ -29,7 +29,6 @@ class RunConfig:
     samples: int = 100
     primes: tuple = (5, 7, 11, 13)
     probe_budget: int = 10 ** 6
-    long_run: bool = False
 
     def __post_init__(self):
         if self.samples < 1:
@@ -46,7 +45,6 @@ class RunConfig:
             "samples": self.samples,
             "primes": list(self.primes),
             "probe_budget": self.probe_budget,
-            "long_run": self.long_run,
         }
 
 

@@ -19,9 +19,6 @@ a type of linear forms are needed by the chart computations:
 All three interoperate with ``Fraction`` and ``int`` through the
 reflected arithmetic hooks, so the algebra layer can stay
 scalar-agnostic.
-
-``MPoly`` is a minimal multivariate polynomial (dict of exponent tuples)
-used for the symbolic exterior derivative of the chart one-form.
 """
 
 from __future__ import annotations
@@ -313,103 +310,3 @@ class LinForm:
     def __repr__(self):
         return f"LinForm({self.coeffs!r})"
 
-
-class MPoly:
-    """Sparse multivariate polynomial over Q.
-
-    Terms map exponent tuples to coefficients.  Only the operations the
-    exterior-derivative computation needs are provided.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = frac(c)
-                if c:
-                    self.terms[tuple(mono)] = c
-
-    @staticmethod
-    def const(c, nvars: int) -> "MPoly":
-        return MPoly(nvars, {(0,) * nvars: frac(c)})
-
-    @staticmethod
-    def var(i: int, nvars: int) -> "MPoly":
-        mono = [0] * nvars
-        mono[i] = 1
-        return MPoly(nvars, {tuple(mono): Q1})
-
-    @staticmethod
-    def zero(nvars: int) -> "MPoly":
-        return MPoly(nvars)
-
-    def __add__(self, other):
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Q0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return MPoly(self.nvars, out)
-
-    def __neg__(self):
-        return MPoly(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, MPoly):
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    s = out.get(m, Q0) + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
-            return MPoly(self.nvars, out)
-        f = _as_fraction(other)
-        if f is None:
-            return NotImplemented
-        return MPoly(self.nvars, {m: c * f for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def diff(self, i: int) -> "MPoly":
-        out = {}
-        for mono, c in self.terms.items():
-            e = mono[i]
-            if e == 0:
-                continue
-            m = list(mono)
-            m[i] = e - 1
-            out[tuple(m)] = c * e
-        return MPoly(self.nvars, out)
-
-    def eval(self, point) -> Fraction:
-        total = Q0
-        for mono, c in self.terms.items():
-            term = c
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    term = term * point[i]
-            total += term
-        return total
-
-    def __eq__(self, other):
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __repr__(self):
-        return f"MPoly({self.nvars}, {self.terms!r})"

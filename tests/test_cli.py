@@ -140,21 +140,42 @@ def test_stdout_when_no_out(monkeypatch, capsys):
         ["verify", "{x3}", "--budget", "-1", "--which", "moment", "--out", "{out}"],
         ["extract", "--type", "G2", "--compare", "nope", "--out", "{out}"],
         ["check", "{zero_den}"],
+        ["check", "{bool_value}"],
+        ["check", "{bool_index}"],
+        ["check", "{bool_dim}"],
+        ["check", "{float_index}"],
     ],
     ids=[
         "unknown-signature-name", "samples-0", "non-prime", "negative-budget",
-        "unknown-compare-name", "zero-denominator",
+        "unknown-compare-name", "zero-denominator", "boolean-value",
+        "boolean-index", "boolean-dim", "float-index",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, capsys):
-    zero_den = tmp_path / "zero_den.json"
-    zero_den.write_text(
-        '{"dim": 1, "entries": [{"i": 1, "j": 1, "k": 1, "value": "1/0"}]}'
-    )
+    tensors = {
+        "zero_den": '{"dim": 1, "entries": [{"i": 1, "j": 1, "k": 1, "value": "1/0"}]}',
+        "bool_value": '{"dim": 1, "entries": [{"i": 1, "j": 1, "k": 1, "value": true}]}',
+        "bool_index": '{"dim": 1, "entries": [{"i": true, "j": 1, "k": 1, "value": "1"}]}',
+        "bool_dim": '{"dim": true, "entries": [{"i": 1, "j": 1, "k": 1, "value": "1"}]}',
+        "float_index": '{"dim": 2, "entries": [{"i": 1.5, "j": 2, "k": 2, "value": "1"}]}',
+    }
+    paths = {}
+    for key, text in tensors.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(text)
     out = tmp_path / "out"
-    argv = [a.format(x3=x3_file, zero_den=zero_den, out=out) for a in argv]
+    argv = [a.format(x3=x3_file, out=out, **paths) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_long_run_flag_is_gone(x3_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(x3_file), "--long-run", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--long-run" in capsys.readouterr().err
     assert not out.exists()

@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from cubicontact.bch import ChartElem
+from cubicontact import contact, verify
+from cubicontact.bch import ChartElem, solve_line_coordinates
+from cubicontact.catalog import catalog_get, catalog_list
 from cubicontact.contact import (
     AssumptionError,
     ChartPoint,
@@ -18,8 +20,11 @@ from cubicontact.contact import (
     theta,
 )
 from cubicontact.cubic import SymCubic, cubic_eval, polarize
+from cubicontact.extraction import algebra_for, extract_cubic
 from cubicontact.linalg import mat_det
+from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
+from cubicontact.scalars import Jet
 
 X3 = SymCubic(1, {(0, 0, 0): 1})
 FERMAT3 = SymCubic(3, {(i, i, i): 1 for i in range(3)})
@@ -86,6 +91,36 @@ def test_dtheta_determinant_is_fiber_power():
         pt = sample_chart_point(sampler, 3)
         m = dtheta_matrix(pt, T)
         assert mat_det(m) == pt.y ** (2 * 3 + 2)
+
+
+def _jet_point(pt, a):
+    """pt with every coordinate a Jet, eps = 1 on coordinate a only."""
+    coords = [Jet(c, 1 if i == a else 0) for i, c in enumerate(pt.coords())]
+    p = pt.dim
+    chart = ChartElem(
+        tuple(coords[4: 4 + p]), tuple(coords[4 + p:]), coords[2], coords[3]
+    )
+    return ChartPoint(chart, coords[1], coords[0])
+
+
+@pytest.mark.parametrize("p", [1, 3, 9])
+def test_dtheta_is_exterior_derivative_of_one_form(p):
+    # Independent reference: M[a][b] = d_a theta~_b - d_b theta~_a, each
+    # partial taken exactly by perturbing one coordinate with a Jet.
+    n = 2 * p + 4
+    T = SymCubic(p, {(0, 0, 0): 1})
+    units = [_unit(n, b) for b in range(n)]
+    sampler = SeededSampler(30 + p)
+    for _ in range(3):
+        pt = sample_chart_point(sampler, p)
+        partial = [
+            [one_form_value(_jet_point(pt, a), units[b]).eps for b in range(n)]
+            for a in range(n)
+        ]
+        expected = [
+            [partial[a][b] - partial[b][a] for b in range(n)] for a in range(n)
+        ]
+        assert dtheta_matrix(pt, T) == expected
 
 
 def test_dtheta_requires_nonzero_y():
@@ -185,16 +220,47 @@ def test_tau_closure_rejects_double_zero():
         tau_closure_sample((F(0),), F(0), X3)
 
 
-def test_tau_line_constants_and_match():
-    s1, s2, s3 = tau_line_constants(X3)
-    assert (abs(s1), abs(s2), abs(s3)) == (F(1), F(1, 2), F(1, 6))
-    # Same constants from different vectors of different cubics.
-    for T, p in ((X3, 1), (FERMAT3, 3)):
-        assert tau_line_constants(T) == (s1, s2, s3)
-        sampler = SeededSampler(23)
-        for _ in range(20):
-            assert tau_matches_line_expansion(sampler.vector(p), T)
-    assert tau_matches_line_expansion((F(0),), X3)
+TAU_CUBICS = tuple(e.name for e in catalog_list()) + ("extracted-G2", "extracted-F4")
+
+
+def _tau_cubic(name):
+    if name.startswith("extracted-"):
+        return extract_cubic(algebra_for(name[-2], int(name[-1])))
+    return catalog_get(name).tensor()
+
+
+@pytest.mark.parametrize("name", TAU_CUBICS)
+def test_tau_line_constants_and_match(name):
+    T = _tau_cubic(name)
+    p = T.dim
+    assert tau_line_constants(T) == (F(-1), F(-1, 2), F(1, 6))
+    sampler = SeededSampler(23)
+    for v in [(F(0),) * p] + [sampler.vector(p) for _ in range(20)]:
+        # Degree-1 line coefficients are (-v, -B(v,v)/2, c(v)/6).
+        sol = solve_line_coordinates(v, T)
+        assert [c.coefficient(1) for c in sol.z1] == [-x for x in v]
+        assert [c.coefficient(1) for c in sol.z2] == [
+            -x / 2 for x in polarize(T, v, v)
+        ]
+        assert sol.z3_l.coefficient(1) == cubic_eval(T, v) / 6
+        assert tau_matches_line_expansion(v, T)
+
+
+def test_tau_suite_fails_with_wrong_signs(monkeypatch):
+    # Right magnitudes, wrong signs: the suite must see it on the cubic.
+    T = catalog_get("fermat3").tensor()
+    cfg = RunConfig(seed=0, samples=5)
+    assert verify.run_tau_suite(T, cfg)[0] == "pass"
+
+    def wrong(_T):
+        return F(1), F(1, 2), F(1, 6)
+
+    monkeypatch.setattr(contact, "tau_line_constants", wrong)
+    monkeypatch.setattr(verify, "tau_line_constants", wrong)
+    status, details = verify.run_tau_suite(T, cfg)
+    assert status == "fail"
+    assert details["magnitudes_ok"]
+    assert details["failures"]
 
 
 def test_one_form_value_matches_matrix_convention():

@@ -1,0 +1,180 @@
+from fractions import Fraction as F
+
+import pytest
+
+from cubicontact.linalg import mat_det, mat_inv, mat_mul, mat_rank, mat_solve
+from cubicontact.sampling import SeededSampler
+from cubicontact.scalars import Q0, Q1
+
+# Reference: the three separate elimination loops that rank, det and solve
+# used before they shared one kernel; inverse was one solve per column.
+
+
+def ref_rank(rows):
+    if not rows:
+        return 0
+    m = [list(r) for r in rows]
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    for col in range(n_cols):
+        piv = None
+        for r in range(rank, n_rows):
+            if m[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = Q1 / m[rank][col]
+        for r in range(rank + 1, n_rows):
+            f = m[r][col]
+            if f == 0:
+                continue
+            f = f * inv
+            row, prow = m[r], m[rank]
+            for c in range(col, n_cols):
+                row[c] -= prow[c] * f
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def ref_det(rows):
+    n = len(rows)
+    if n == 0:
+        return Q1
+    m = [list(r) for r in rows]
+    det = Q1
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if m[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            return Q0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = Q1 / m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col]
+            if f == 0:
+                continue
+            f = f * inv
+            row, prow = m[r], m[col]
+            for c in range(col, n):
+                row[c] -= prow[c] * f
+    return det
+
+
+def ref_solve(a, b):
+    n = len(a)
+    m = [list(row) + [bv] for row, bv in zip(a, b)]
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if m[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            raise ZeroDivisionError("singular system")
+        m[col], m[piv] = m[piv], m[col]
+        inv = Q1 / m[col][col]
+        for c in range(col, n + 1):
+            m[col][c] *= inv
+        for r in range(n):
+            if r == col:
+                continue
+            f = m[r][col]
+            if f == 0:
+                continue
+            for c in range(col, n + 1):
+                m[r][c] -= m[col][c] * f
+    return [m[r][n] for r in range(n)]
+
+
+def ref_inv(a):
+    n = len(a)
+    cols = [ref_solve(a, [Q1 if i == j else Q0 for i in range(n)]) for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def _random(sampler, n_rows, n_cols, sparsity=0):
+    """Seeded Fraction matrix; about sparsity / (sparsity + 1) of it zero."""
+    return [
+        [
+            sampler.fraction() if sampler.int_range(0, sparsity) == 0 else Q0
+            for _ in range(n_cols)
+        ]
+        for _ in range(n_rows)
+    ]
+
+
+def _low_rank(sampler, n, r):
+    """n x n product of n x r and r x n factors: rank at most r."""
+    return mat_mul(_random(sampler, n, r), _random(sampler, r, n))
+
+
+def _cases():
+    sampler = SeededSampler(57)
+    cases = []
+    for n in (1, 2, 3, 5, 8):
+        cases.append(_random(sampler, n, n))
+        cases.append(_random(sampler, n, n, sparsity=2))
+    for n, r in ((3, 1), (4, 2), (6, 3), (7, 6)):
+        cases.append(_low_rank(sampler, n, r))
+    # Singular by a zero column, a repeated row, and a zero leading block
+    # that forces row swaps.
+    m = _random(sampler, 4, 4)
+    cases.append([row[:2] + [Q0] + row[3:] for row in m])
+    m = _random(sampler, 4, 4)
+    cases.append([m[0], m[1], m[0], m[3]])
+    cases.append([[Q0, Q0, F(1)], [Q0, F(2), F(3)], [F(4), F(5), F(6)]])
+    # A signed permutation, as in the extraction pairings.
+    cases.append([[Q0, F(-1), Q0], [Q0, Q0, F(1)], [F(1), Q0, Q0]])
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("m", CASES)
+def test_rank_det_solve_inv_match_reference(m):
+    n = len(m)
+    assert mat_rank(m) == ref_rank(m)
+    assert mat_det(m) == ref_det(m)
+    b = [F(k + 1, 3) for k in range(n)]
+    if ref_det(m) == 0:
+        for fn, args in ((mat_solve, (m, b)), (mat_inv, (m,))):
+            with pytest.raises(ZeroDivisionError):
+                fn(*args)
+        return
+    assert mat_solve(m, b) == ref_solve(m, b)
+    inv = mat_inv(m)
+    assert inv == ref_inv(m)
+    assert mat_mul(m, inv) == [[Q1 if i == j else Q0 for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (5, 2), (3, 3)])
+def test_rank_rectangular_matches_reference(shape):
+    sampler = SeededSampler(58)
+    for sparsity in (0, 3):
+        m = _random(sampler, *shape, sparsity=sparsity)
+        assert mat_rank(m) == ref_rank(m)
+    low = mat_mul(_random(sampler, shape[0], 1), _random(sampler, 1, shape[1]))
+    assert mat_rank(low) == ref_rank(low) <= 1
+
+
+def test_inputs_are_not_modified():
+    m = [[Q0, F(1)], [F(2), F(3)]]
+    before = [list(r) for r in m]
+    mat_rank(m), mat_det(m), mat_solve(m, [Q1, Q1]), mat_inv(m)
+    assert m == before
+
+
+def test_empty():
+    assert mat_rank([]) == 0
+    assert mat_det([]) == 1

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cubicontact.scalars import Jet, LinForm, MPoly, QPoly, frac
+from cubicontact.scalars import Jet, LinForm, QPoly, frac
 
 
 def test_frac_coercions():
@@ -47,16 +47,6 @@ def test_jet_square_of_variable_vanishes():
     eps = Jet.variable()
     assert eps * eps == Jet(0, 0)
     assert not (eps * eps)
-
-
-def test_mpoly_diff_and_eval():
-    x = MPoly.var(0, 2)
-    y = MPoly.var(1, 2)
-    f = x * y + F(3) * (x * x)
-    assert f.diff(0).eval((F(2), F(5))) == 5 + 12
-    assert f.diff(1) == x
-    assert f.eval((F(1), F(1))) == 4
-    assert (f - f) == MPoly.zero(2)
 
 
 def test_linform_linear_operations():
