@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cubic import SymCubic, polarize, trilinear
-from .nilpotent import NElem, bracket, _dot, _vadd, _vsub
-from .scalars import HALF, Q0, QPoly, SIXTH, TWELFTH
+from .nilpotent import NElem, bracket, _dot, _vsub
+from .scalars import HALF, Q0, QPoly, TWELFTH
 
 
 def bch(X: NElem, Y: NElem, T: SymCubic) -> NElem:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cubic import (
     SymCubic,

@@ -27,9 +27,11 @@ Every constant is checked to be a nonzero integer (a failure raises
 ``StructureConstantError``).  The brackets of basis elements are kept in
 one integer table indexed by basis position, filled a row at a time on
 first use from the rules above; ``bracket_labels``, ``bracket`` and the
-Jacobi check all read it.  The Jacobi identity is re-verified over basis
-triples, sampled or exhaustively; the exhaustive check evaluates the
-jacobiator of every unordered triple.
+Jacobi check all read it.  The table has the format of
+nilpotent.bracket_table, so both algebras are checked by the one Jacobi
+kernel in ``nilpotent``: the exhaustive check compares every stored
+entry with its transpose and evaluates the jacobiator of every unordered
+basis triple; the sampled check evaluates it on seeded triples.
 """
 
 from __future__ import annotations
@@ -37,12 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .nilpotent import _jacobiator, _vsub, jacobi_violations
 from .rootsystems import RootSystem, _neg, _vadd
 from .sampling import SeededSampler
-
-
-def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 class StructureConstantError(ValueError):
@@ -287,24 +286,6 @@ class ChevalleyJacobiReport:
         return not self.violations
 
 
-def _jacobiator(rows, i, j, k) -> dict:
-    """[b_i,[b_j,b_k]] + [b_j,[b_k,b_i]] + [b_k,[b_i,b_j]] by index."""
-    acc = {}
-    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-        inner = rows[y].get(z)
-        if inner is None:
-            continue
-        row_x = rows[x]
-        for w, cw in inner:
-            for v, cv in row_x.get(w, ()):
-                val = acc.get(v, 0) + cw * cv
-                if val:
-                    acc[v] = val
-                else:
-                    del acc[v]
-    return acc
-
-
 def verify_chevalley_jacobi(
     alg: ChevalleyAlgebra, sample: int | None = None, seed: int = 0
 ) -> ChevalleyJacobiReport:
@@ -313,39 +294,26 @@ def verify_chevalley_jacobi(
     Both modes read the algebra's integer structure-constant table and
     work on basis positions; labels appear only in reported violations.
 
-    Exhaustive mode evaluates the full jacobiator of every unordered
-    triple, so it checks C(d, 3) triples: the jacobiator is an
-    alternating function of its arguments for any antisymmetric bracket,
-    so triples with a repeated label and permuted copies vanish or flip
-    sign automatically.
+    Exhaustive mode runs nilpotent.jacobi_violations on the table: label
+    pairs whose brackets are not antisymmetric, then every unordered
+    triple with a nonzero jacobiator, so it checks C(d, 3) triples.
+    Sampled mode evaluates the jacobiator of ``sample`` seeded triples.
     """
     labels = alg.labels
     d = len(labels)
     rows = alg.table()
-    violations = []
-    checked = 0
     if sample is None:
-        for i in range(d):
-            row_i = rows[i]
-            for j in range(i + 1, d):
-                row_j = rows[j]
-                ij_zero = j not in row_i
-                checked += d - j - 1
-                for k in range(j + 1, d):
-                    if ij_zero and k not in row_j and i not in rows[k]:
-                        continue  # all three inner brackets vanish
-                    if _jacobiator(rows, i, j, k):
-                        violations.append((labels[i], labels[j], labels[k]))
+        found = jacobi_violations(rows)
+        checked = d * (d - 1) * (d - 2) // 6
         mode = "exhaustive"
     else:
         sampler = SeededSampler(seed)
-        for _ in range(sample):
-            i = sampler.int_range(0, d - 1)
-            j = sampler.int_range(0, d - 1)
-            k = sampler.int_range(0, d - 1)
-            checked += 1
-            if _jacobiator(rows, i, j, k):
-                violations.append((labels[i], labels[j], labels[k]))
+        triples = [
+            tuple(sampler.int_range(0, d - 1) for _ in range(3))
+            for _ in range(sample)
+        ]
+        found = (t for t in triples if _jacobiator(rows, *t))
+        checked = len(triples)
         mode = "sampled"
     return ChevalleyJacobiReport(
         lie_type=alg.rs.lie_type,
@@ -353,5 +321,5 @@ def verify_chevalley_jacobi(
         dimension=d,
         mode=mode,
         triples_checked=checked,
-        violations=tuple(violations),
+        violations=tuple(tuple(labels[i] for i in v) for v in found),
     )

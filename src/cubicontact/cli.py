@@ -23,13 +23,11 @@ from pathlib import Path
 
 from .catalog import catalog_get, catalog_list, compare_to_extraction, signature
 from .cubic import (
-    SymCubic,
     TensorFormatError,
-    assumption_holds,
     b_rank,
     cubic_hash,
     dumps_tensor,
-    loads_tensor,
+    load_tensor,
 )
 from .extraction import (
     ExtractionError,
@@ -53,14 +51,6 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _load_cubic(path: str) -> SymCubic:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return loads_tensor(fh.read())
-    except FileNotFoundError:
-        raise TensorFormatError(f"no such file: {path}")
-
-
 def _emit(args, name: str, text: str) -> None:
     if args.out or os.environ.get(OUT_ENV):
         target = _out_dir(args) / name
@@ -72,7 +62,7 @@ def _emit(args, name: str, text: str) -> None:
 
 def cmd_check(args) -> int:
     try:
-        T = _load_cubic(args.cubic)
+        T = load_tensor(args.cubic)
     except TensorFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -91,7 +81,7 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        T = _load_cubic(args.cubic)
+        T = load_tensor(args.cubic)
     except TensorFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

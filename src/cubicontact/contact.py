@@ -76,13 +76,6 @@ class ChartPoint:
         return (self.y, self.z, c.x3_m, c.x3_l) + tuple(c.x1) + tuple(c.x2)
 
 
-def coordinate_names(p: int):
-    names = ["y", "z", "X3m", "X3l"]
-    names += [f"X1_{i}" for i in range(p)]
-    names += [f"X2_{i}" for i in range(p)]
-    return names
-
-
 def theta(X: ChartElem, Z: ChartElem, T: SymCubic) -> Fraction:
     """Contact form at chart point X on a chart velocity Z, mod the f1 line.
 

@@ -177,10 +177,6 @@ def trilinear(T: SymCubic, v1, v2, v3) -> Fraction:
     return total
 
 
-def basis_vector(p: int, i: int):
-    return tuple(Fraction(1) if t == i else Q0 for t in range(p))
-
-
 def b_rank(T: SymCubic) -> int:
     """Rank over Q of span{ B(e_i, e_j) : i <= j } inside the dual space."""
     p = T.dim
@@ -304,8 +300,15 @@ def loads_tensor(text: str) -> SymCubic:
 
 
 def load_tensor(path) -> SymCubic:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_tensor(fh.read())
+    """Read a tensor file; an unreadable or non-UTF-8 file is malformed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise TensorFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TensorFormatError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    return loads_tensor(text)
 
 
 def save_tensor(T: SymCubic, path) -> None:

@@ -41,10 +41,8 @@ from .cubic import SymCubic, b_rank, normalize_cubic, polarize
 from .linalg import mat_inv, mat_mul, mat_rank
 from .nilpotent import bracket_table, n_dim
 from .rootsystems import (
-    RootSystemError,
     build_root_system,
     find_alpha,
-    _neg,
 )
 from .scalars import Q0, Q1
 
@@ -442,7 +440,7 @@ def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
         for b in range(d):
             pairs += 1
             expected = {}
-            for idx, coeff in table[a][b]:
+            for idx, coeff in table[a].get(b, ()):
                 for lab, c2 in theta_cols[idx].items():
                     val = expected.get(lab, Q0) + coeff * c2
                     if val:

@@ -119,14 +119,3 @@ def mat_mul(a, b):
                 if bt[j]:
                     oi[j] += f * bt[j]
     return out
-
-
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        s = Q0
-        for x, y in zip(row, v):
-            if x and y:
-                s += x * y
-        out.append(s)
-    return out

@@ -42,10 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, product
 
-from .bch import ChartElem, chart_decompose
+from .bch import chart_decompose
 from .contact import ChartPoint, require_assumption
 from .cubic import (
-    ReductionError,
     SymCubic,
     cubic_hash,
     polarize,

@@ -12,7 +12,11 @@ omega(f1, f2) = +1.  The brackets are
 
 all other graded pieces bracketing to zero (degrees beyond three).  The
 grade-3 part is central and the Jacobi identity holds exactly because
-dim W = 2; ``verify_jacobi`` re-derives that fact by brute enumeration.
+dim W = 2.  ``verify_jacobi`` re-derives that fact from ``bracket``
+itself: ``bracket_table`` reads the structure constants off one bracket
+per basis element, and ``jacobi_violations``, the Jacobi kernel shared
+with the Chevalley algebras, checks antisymmetry on every stored entry
+and the jacobiator on every basis triple.
 
 Elements carry their grade-1 part as a p x 2 matrix whose columns are
 the f1 and f2 coefficients.  All values are immutable; every operation
@@ -22,7 +26,7 @@ is a pure function, safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import islice
 
 from .cubic import (
     SymCubic,
@@ -200,38 +204,78 @@ def generic_element(p: int) -> NElem:
     )
 
 
-def bracket_table(T: SymCubic):
-    """Sparse table of basis brackets in basis coordinates.
+def bracket_table(T: SymCubic) -> list:
+    """Structure-constant table of n, read off ``bracket``.
 
-    table[a][b] is a tuple of (index, coefficient) pairs.  Used by the
-    Jacobi enumeration and by the structure-constant comparison against
-    Chevalley subalgebras.
+    Row i maps j to the nonzero (k, coefficient) terms of [b_i, b_j] in
+    basis coordinates, absent when the bracket is zero: the format of
+    ChevalleyAlgebra.table.  Bracketing b_i with generic_element(p) once
+    gives the whole row: coordinate k of the result is a LinForm whose
+    coefficient of a_j is the k-th coordinate of [b_i, b_j].  n2
+    coordinate m is basis index 2p + m, n3 coordinate a is 3p + a.
     """
     p = T.dim
-    d = n_dim(p)
-    table = [[() for _ in range(d)] for _ in range(d)]
-
-    def cov_entries(i, j):
-        out = []
-        for k in range(p):
-            v = T.value(i, j, k)
-            if v:
-                out.append((2 * p + k, v))
-        return tuple(out)
-
-    for i in range(p):
-        for j in range(p):
-            cov = cov_entries(i, j)
-            if cov:
-                # [e_i f1, e_j f2] = +B(e_i, e_j); [e_i f2, e_j f1] = -B
-                table[i][p + j] = cov
-                table[p + i][j] = tuple((k, -v) for k, v in cov)
-    for i in range(p):
-        for a in (0, 1):
-            # [eps_i, e_i f_a] = f_a
-            table[2 * p + i][a * p + i] = ((3 * p + a, Q1),)
-            table[a * p + i][2 * p + i] = ((3 * p + a, -Q1),)
+    generic = generic_element(p)
+    table = []
+    for i in range(n_dim(p)):
+        out = bracket(basis_element(p, i), generic, T)
+        row = {}
+        for k, form in enumerate(out.n2 + out.n3, start=2 * p):
+            if form:
+                for j, c in form.coeffs.items():
+                    row.setdefault(j, []).append((k, c))
+        table.append({j: tuple(terms) for j, terms in row.items()})
     return table
+
+
+def _jacobiator(rows, i, j, k) -> dict:
+    """[b_i,[b_j,b_k]] + [b_j,[b_k,b_i]] + [b_k,[b_i,b_j]] by index."""
+    acc = {}
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        inner = rows[y].get(z)
+        if inner is None:
+            continue
+        row_x = rows[x]
+        for w, cw in inner:
+            for v, cv in row_x.get(w, ()):
+                val = acc.get(v, 0) + cw * cv
+                if val:
+                    acc[v] = val
+                else:
+                    del acc[v]
+    return acc
+
+
+def jacobi_violations(rows):
+    """Every antisymmetry and Jacobi violation of a sparse bracket table.
+
+    ``rows`` is a structure-constant table in the format of
+    ``bracket_table``.  First come the pairs (a, b), a <= b, with
+    [b_a, b_b] != -[b_b, b_a] (for a == b: a nonzero self-bracket), in
+    order; each stored entry is compared with its transpose.  Then come
+    the triples i < j < k with a nonzero jacobiator, in order.  For an
+    antisymmetric bracket the jacobiator is alternating, so these C(d, 3)
+    triples cover all d^3: a triple with a repeated index gives zero and
+    a permuted one the same value up to sign.  A triple whose three
+    inner brackets are all absent is skipped, its jacobiator being zero.
+    """
+    bad = set()
+    for a, row in enumerate(rows):
+        for b, terms in row.items():
+            if dict(rows[b].get(a, ())) != {k: -c for k, c in terms}:
+                bad.add((min(a, b), max(a, b)))
+    yield from sorted(bad)
+    d = len(rows)
+    for i in range(d):
+        row_i = rows[i]
+        for j in range(i + 1, d):
+            row_j = rows[j]
+            ij_zero = j not in row_i
+            for k in range(j + 1, d):
+                if ij_zero and k not in row_j and i not in rows[k]:
+                    continue  # all three inner brackets vanish
+                if _jacobiator(rows, i, j, k):
+                    yield (i, j, k)
 
 
 @dataclass(frozen=True)
@@ -259,54 +303,19 @@ class JacobiReport:
 
 
 def verify_jacobi(T: SymCubic, max_violations: int = 16) -> JacobiReport:
-    """Check antisymmetry and the Jacobi identity on the basis of n.
+    """Antisymmetry and the Jacobi identity on the basis of n.
 
-    Antisymmetry is checked on every pair: a violation (a, b) with
-    a <= b means [b_a, b_b] != -[b_b, b_a] (for a == b: a nonzero
-    self-bracket).  Given antisymmetry the jacobiator
-    [x,[y,z]] + [y,[z,x]] + [z,[x,y]] is alternating, so it is evaluated
-    on the C(d, 3) triples i < j < k only (see
-    chevalley.verify_chevalley_jacobi); a violation (i, j, k) is a
-    triple with a nonzero jacobiator.  triples_checked is C(d, 3).
+    The table is read off ``bracket`` (see bracket_table) and checked by
+    jacobi_violations; the report keeps its first ``max_violations``
+    violations.  triples_checked is C(d, 3).
     """
     p = T.dim
     d = n_dim(p)
-    table = bracket_table(T)
-    violations = []
-
-    def report():
-        return JacobiReport(
-            p, d, d * (d - 1) * (d - 2) // 6, tuple(violations),
-            assumption_holds(T), cubic_hash(T),
-        )
-
-    for a in range(d):
-        for b in range(a, d):
-            if dict(table[a][b]) != {k: -c for k, c in table[b][a]}:
-                violations.append((a, b))
-                if len(violations) >= max_violations:
-                    return report()
-    for i in range(d):
-        ti = table[i]
-        for j in range(i + 1, d):
-            tj = table[j]
-            for k in range(j + 1, d):
-                tk = table[k]
-                acc = {}
-                for (b, c) in tj[k]:
-                    for (b2, c2) in ti[b]:
-                        acc[b2] = acc.get(b2, Q0) + c * c2
-                for (b, c) in tk[i]:
-                    for (b2, c2) in tj[b]:
-                        acc[b2] = acc.get(b2, Q0) + c * c2
-                for (b, c) in ti[j]:
-                    for (b2, c2) in tk[b]:
-                        acc[b2] = acc.get(b2, Q0) + c * c2
-                if any(acc.values()):
-                    violations.append((i, j, k))
-                    if len(violations) >= max_violations:
-                        return report()
-    return report()
+    violations = tuple(islice(jacobi_violations(bracket_table(T)), max_violations))
+    return JacobiReport(
+        p, d, d * (d - 1) * (d - 2) // 6, violations,
+        assumption_holds(T), cubic_hash(T),
+    )
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Reports are byte-deterministic: identical RunConfig values produce
 identical bytes.  For that reason no wall-clock timing ever enters a
-report; timing, when wanted, goes to stderr logging only.
+report.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ integers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -89,20 +90,10 @@ def symmetrizer(cartan):
                     changed = True
     if any(x is None for x in d):
         raise RootSystemError("Dynkin diagram is not connected")
-    denom = 1
-    for x in d:
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
+    denom = math.lcm(*(x.denominator for x in d))
     ints = [int(x * denom) for x in d]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
+    g = math.gcd(*ints)
     return tuple(x // g for x in ints)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 @dataclass(frozen=True)
@@ -128,9 +119,6 @@ class RootSystem:
 
     def all_roots(self):
         return list(self.pos_roots) + [_neg(b) for b in self.pos_roots]
-
-    def height(self, beta) -> int:
-        return sum(beta)
 
     def order_index(self, beta) -> int:
         return self._pos_index[beta]

@@ -40,12 +40,6 @@ class SeededSampler:
     def vector(self, p: int, **kw):
         return tuple(self.fraction(**kw) for _ in range(p))
 
-    def nonzero_vector(self, p: int, **kw):
-        while True:
-            v = self.vector(p, **kw)
-            if any(v):
-                return v
-
     def residue_vector(self, p: int, q: int):
         """p residues mod q, each from one 32-bit word of the stream.
 

@@ -28,8 +28,6 @@ from fractions import Fraction
 Q0 = Fraction(0)
 Q1 = Fraction(1)
 HALF = Fraction(1, 2)
-THIRD = Fraction(1, 3)
-QUARTER = Fraction(1, 4)
 SIXTH = Fraction(1, 6)
 TWELFTH = Fraction(1, 12)
 

@@ -17,7 +17,6 @@ from cubicontact.catalog import (
     xq_cubic,
 )
 from cubicontact.cubic import b_rank, cubic_eval
-from cubicontact.extraction import algebra_for
 from cubicontact.sampling import SeededSampler
 
 

@@ -97,10 +97,18 @@ def _reference_bracket_labels(alg, la, lb):
 
 
 def _reference_violations(alg):
-    """Exhaustive label-level jacobiator over unordered basis triples."""
+    """Label-level antisymmetry over basis pairs, then the exhaustive
+    jacobiator over unordered basis triples."""
     labels = alg.labels
     d = len(labels)
     violations = []
+    for i in range(d):
+        for j in range(i, d):
+            la, lb = labels[i], labels[j]
+            ab = _reference_bracket_labels(alg, la, lb)
+            ba = _reference_bracket_labels(alg, lb, la)
+            if ab != {lab: -c for lab, c in ba.items()}:
+                violations.append((la, lb))
     for i in range(d):
         for j in range(i + 1, d):
             for k in range(j + 1, d):
@@ -139,6 +147,24 @@ def test_jacobi_detects_flipped_constant(key):
     d = alg.dimension
     assert rep.triples_checked == d * (d - 1) * (d - 2) // 6
     assert rep.violations == _reference_violations(alg)
+    assert len(rep.violations[0]) == 2
+
+
+@pytest.mark.parametrize("key", [("G", 2), ("B", 3)])
+def test_jacobi_reports_one_sided_corruption_as_pair(key):
+    # Double [e_a, e_b] but not [e_b, e_a]: the bracket is no longer
+    # antisymmetric, which the C(d, 3) triple walk alone cannot see.
+    alg = chevalley(build_root_system(*key))
+    rows = alg.table()
+    a, b = next(
+        (i, j) for i, row in enumerate(rows) for j in row
+        if i < j and alg.labels[i][0] == alg.labels[j][0] == "e"
+    )
+    rows[a][b] = tuple((k, 2 * c) for k, c in rows[a][b])
+    rep = verify_chevalley_jacobi(alg)
+    assert not rep.ok
+    assert rep.violations[0] == (alg.labels[a], alg.labels[b])
+    assert [v for v in rep.violations if len(v) == 2] == [rep.violations[0]]
 
 
 def test_jacobi_finds_lone_nonzero_inner_bracket():

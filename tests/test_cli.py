@@ -144,11 +144,16 @@ def test_stdout_when_no_out(monkeypatch, capsys):
         ["check", "{bool_index}"],
         ["check", "{bool_dim}"],
         ["check", "{float_index}"],
+        ["check", "{directory}"],
+        ["verify", "{directory}", "--out", "{out}"],
+        ["check", "{non_utf8}"],
+        ["verify", "{non_utf8}", "--out", "{out}"],
     ],
     ids=[
         "unknown-signature-name", "samples-0", "non-prime", "negative-budget",
         "unknown-compare-name", "zero-denominator", "boolean-value",
-        "boolean-index", "boolean-dim", "float-index",
+        "boolean-index", "boolean-dim", "float-index", "check-directory",
+        "verify-directory", "check-non-utf8", "verify-non-utf8",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, capsys):
@@ -163,6 +168,10 @@ def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, caps
     for key, text in tensors.items():
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_text(text)
+    paths["directory"] = tmp_path / "a-directory"
+    paths["directory"].mkdir()
+    paths["non_utf8"] = tmp_path / "non-utf8.json"
+    paths["non_utf8"].write_bytes(b"\xff\xfe")
     out = tmp_path / "out"
     argv = [a.format(x3=x3_file, out=out, **paths) for a in argv]
     assert main(argv) == 2

@@ -18,7 +18,7 @@ from cubicontact.extraction import (
     verify_embedding,
     verify_pairings,
 )
-from cubicontact.rootsystems import TypeARejection, build_root_system, find_alpha
+from cubicontact.rootsystems import TypeARejection, build_root_system
 
 
 def test_five_step_dims_g2(g2):

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from cubicontact import nilpotent
-from cubicontact.catalog import catalog_get
-from cubicontact.cubic import SymCubic
+from cubicontact.catalog import catalog_get, catalog_list
+from cubicontact.cubic import SymCubic, polarize
+from cubicontact.extraction import algebra_for, extraction
 from cubicontact.nilpotent import (
     NElem,
     SlWElem,
@@ -19,7 +20,9 @@ from cubicontact.nilpotent import (
     n_dim,
     verify_jacobi,
 )
+from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
+from cubicontact.verify import run_verification
 
 X3 = SymCubic(1, {(0, 0, 0): 1})
 ZERO2 = SymCubic(2, {})
@@ -86,10 +89,68 @@ def test_grading_of_bracket_table():
     for a in range(n_dim(p)):
         for b in range(n_dim(p)):
             da, db = basis_degree(p, a), basis_degree(p, b)
-            for idx, _c in table[a][b]:
+            for idx, _c in table[a].get(b, ()):
                 assert basis_degree(p, idx) == da + db
             if da + db > 3:
-                assert table[a][b] == ()
+                assert b not in table[a]
+
+
+def _explicit_bracket_table(T):
+    """The bracket rules of n spelled out entry by entry, as a reference.
+
+    [e_i f1, e_j f2] = B(e_i, e_j) = -[e_i f2, e_j f1] in n2 and
+    [eps_i, e_i f_a] = f_a = -[e_i f_a, eps_i] in n3, in dict rows.
+    """
+    p = T.dim
+    d = n_dim(p)
+    table = [{} for _ in range(d)]
+    for i in range(p):
+        for j in range(p):
+            cov = tuple(
+                (2 * p + k, T.value(i, j, k)) for k in range(p) if T.value(i, j, k)
+            )
+            if cov:
+                table[i][p + j] = cov
+                table[p + i][j] = tuple((k, -v) for k, v in cov)
+    for i in range(p):
+        for a in (0, 1):
+            table[2 * p + i][a * p + i] = ((3 * p + a, F(1)),)
+            table[a * p + i][2 * p + i] = ((3 * p + a, F(-1)),)
+    return table
+
+
+@pytest.mark.parametrize(
+    "name",
+    [e.name for e in catalog_list()] + ["raw-G2", "raw-F4", "raw-E6"],
+)
+def test_bracket_table_matches_explicit_rules(name):
+    if name.startswith("raw-"):
+        T = extraction(algebra_for(name[4], int(name[5:]))).raw_tensor
+    else:
+        T = catalog_get(name).tensor()
+    assert bracket_table(T) == _explicit_bracket_table(T)
+
+
+def test_jacobi_suite_reads_bracket(monkeypatch):
+    # A bracket whose n2 part is symmetric, B(x_f1, y_f2) + B(x_f2, y_f1),
+    # is not a Lie bracket; the jacobi suite must see it.
+    real = nilpotent.bracket
+
+    def symmetric_n2(x, y, T):
+        out = real(x, y, T)
+        n2 = tuple(
+            a + b
+            for a, b in zip(polarize(T, x.col(0), y.col(1)), polarize(T, x.col(1), y.col(0)))
+        )
+        return NElem(out.n1, n2, out.n3)
+
+    T = catalog_get("xyz").tensor()
+    cfg = RunConfig(seed=0, samples=2)
+    assert run_verification(T, ["jacobi"], cfg).checks[0]["status"] == "pass"
+    monkeypatch.setattr(nilpotent, "bracket", symmetric_n2)
+    report = run_verification(T, ["jacobi"], cfg)
+    assert report.checks[0]["status"] == "fail"
+    assert report.checks[0]["details"]["jacobi"]["jacobi_violations"]
 
 
 def test_jacobi_x3_full_enumeration():
@@ -109,8 +170,8 @@ def _jacobi_violations_all_ordered(table):
             for k in range(d):
                 acc = {}
                 for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    for b, c in table[y][z]:
-                        for b2, c2 in table[x][b]:
+                    for b, c in table[y].get(z, ()):
+                        for b2, c2 in table[x].get(b, ()):
                             acc[b2] = acc.get(b2, 0) + c * c2
                 if any(acc.values()):
                     found.add(tuple(sorted((i, j, k))))
@@ -142,7 +203,7 @@ def test_jacobi_catches_asymmetric_entry(monkeypatch):
 
     def edit(t):
         # [e0 f1, e0 f2] gains an f1 term that [e0 f2, e0 f1] lacks.
-        t[0][p] = t[0][p] + ((3 * p, F(1)),)
+        t[0][p] = t[0].get(p, ()) + ((3 * p, F(1)),)
 
     _patch_table(monkeypatch, edit)
     rep = verify_jacobi(FERMAT3)
@@ -168,8 +229,8 @@ def test_jacobi_catches_antisymmetric_corruption(monkeypatch):
         # [e0 f1, e0 f2] = eps0 + eps1 and its negative: still
         # antisymmetric, but [e1 f1, eps1] = -f1 breaks Jacobi on
         # (e0 f1, e1 f1, e0 f2).
-        t[0][p] = t[0][p] + ((eps1, F(1)),)
-        t[p][0] = t[p][0] + ((eps1, F(-1)),)
+        t[0][p] = t[0].get(p, ()) + ((eps1, F(1)),)
+        t[p][0] = t[p].get(0, ()) + ((eps1, F(-1)),)
 
     _patch_table(monkeypatch, edit)
     rep = verify_jacobi(FERMAT3, max_violations=10 ** 6)
