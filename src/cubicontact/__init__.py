@@ -21,7 +21,6 @@ from .cubic import (
     normalize_cubic,
     polarize,
     reduce_mod,
-    save_tensor,
     trilinear,
 )
 from .nilpotent import (

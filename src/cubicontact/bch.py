@@ -7,12 +7,20 @@ Because n is 3-step nilpotent the Campbell-Hausdorff series terminates:
 Group elements are carried in logarithmic coordinates, so multiplication
 is H, the identity is 0 and inversion is negation.
 
+Every double bracket below is [U, C] with C = [X, Y] in n2 + n3.  C has
+no grade-1 part, so the only surviving term of the bracket is the n3
+pairing v*(v) w: [U, C] is central, with coordinates -C2 . U_col(a).
+One bracket per series is therefore enough.  With xy = [X, Y], the two
+third-order terms of H combine by antisymmetry into 1/12 [X - Y, xy]:
+
+    H(X, Y) = X + Y + 1/2 xy + 1/12 xy2 . (Y_col - X_col)   (last term in n3).
+
 The differential of the exponential chart at X is
 
-    e_X(Y) = Y + 1/2 [X,Y] + 1/12 [X,[X,Y]],
+    e_X(Y) = Y + 1/2 [X,Y] + 1/12 [X,[X,Y]] = Y + 1/2 xy - 1/12 xy2 . X_col,
 
-and ``exp_diff_inv`` inverts it by back substitution through the grades.
-Solved this way the grade-3 line reads
+and since ad_X^3 = 0 its inverse is Z - 1/2 [X,Z] + 1/6 [X,[X,Z]], the
+last term again central.  Its grade-3 line reads
 
     Y3 = Z3 - 1/2 [X1,Z2] - 1/2 [X2,Z1] + 1/6 [X1,[X1,Z1]],
 
@@ -31,18 +39,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cubic import SymCubic, polarize, trilinear
-from .nilpotent import NElem, bracket, _dot, _vsub
-from .scalars import HALF, Q0, QPoly, TWELFTH
+from .cubic import SymCubic, polarize
+from .nilpotent import NElem, bracket, _dot
+from .scalars import HALF, Q0, QPoly, SIXTH, TWELFTH
+
+
+def _central(c2, U: NElem) -> NElem:
+    """[U, C] for any C in n2 + n3 whose n2 part is c2: the central
+    element with coordinates -c2 . U_col(a)."""
+    return NElem.from_parts(U.dim, n3=tuple(-_dot(c2, U.col(a)) for a in (0, 1)))
 
 
 def bch(X: NElem, Y: NElem, T: SymCubic) -> NElem:
     """Truncated Campbell-Hausdorff product H(X, Y), exact."""
     xy = bracket(X, Y, T)
-    term2 = HALF * xy
-    term3 = TWELFTH * bracket(X, xy, T)
-    term4 = TWELFTH * bracket(Y, bracket(Y, X, T), T)
-    return X + Y + term2 + term3 + term4
+    return X + Y + HALF * xy + TWELFTH * _central(xy.n2, X - Y)
 
 
 @dataclass(frozen=True)
@@ -67,24 +78,13 @@ def group_inv(a: GroupElem) -> GroupElem:
 def exp_diff(X: NElem, Y: NElem, T: SymCubic) -> NElem:
     """e_X(Y) = Y + 1/2 [X,Y] + 1/12 [X,[X,Y]]; linear in Y."""
     xy = bracket(X, Y, T)
-    return Y + HALF * xy + TWELFTH * bracket(X, xy, T)
+    return Y + HALF * xy + TWELFTH * _central(xy.n2, X)
 
 
 def exp_diff_inv(X: NElem, Z: NElem, T: SymCubic) -> NElem:
-    """The exact Y with exp_diff(X, Y) = Z, by grade-wise back substitution."""
-    p = T.dim
-    # Grade 1: Y1 = Z1.
-    y1 = NElem(Z.n1, (Q0,) * p, (Q0, Q0))
-    x1 = NElem(X.n1, (Q0,) * p, (Q0, Q0))
-    # Grade 2: Y2 = Z2 - 1/2 [X1, Y1].
-    b11 = bracket(x1, y1, T)
-    y2_cov = _vsub(Z.n2, tuple(HALF * t for t in b11.n2))
-    y12 = NElem(Z.n1, y2_cov, (Q0, Q0))
-    # Grade 3: Y3 = Z3 - 1/2 [X, Y1 + Y2]_3 - 1/12 [X1, [X1, Y1]].
-    x12 = NElem(X.n1, X.n2, (Q0, Q0))
-    corr = HALF * bracket(x12, y12, T) + TWELFTH * bracket(x1, b11, T)
-    y3 = _vsub(Z.n3, corr.n3)
-    return NElem(Z.n1, y2_cov, y3)
+    """The exact Y with exp_diff(X, Y) = Z: Z - 1/2 [X,Z] + 1/6 [X,[X,Z]]."""
+    xz = bracket(X, Z, T)
+    return Z - HALF * xz + SIXTH * _central(xz.n2, X)
 
 
 # --- the chart over the projective W line ------------------------------
@@ -138,10 +138,11 @@ def chart_decompose(U: NElem, z, T: SymCubic):
     # Grade 2: X2 = U2 + 1/2 B(x1, w)   (from [x1 (x) f2, w (x) p]).
     bx1w = polarize(T, x1, w)
     x2 = tuple(u + HALF * b for u, b in zip(U.n2, bx1w))
-    # Grade 3 corrections.
+    # Grade 3 corrections; c is symmetric, so c(x1, x1, w) = B(x1, w).x1
+    # and c(x1, w, w) = B(x1, w).w.
     x2w = _dot(x2, w)
-    t_x1x1w = trilinear(T, x1, x1, w)
-    t_x1ww = trilinear(T, x1, w, w)
+    t_x1x1w = _dot(bx1w, x1)
+    t_x1ww = _dot(bx1w, w)
     x3_l = U.n3[0] - HALF * x2w + TWELFTH * t_x1ww
     x3_m = (
         U.n3[1]

@@ -12,6 +12,8 @@ B(v, v)(v) = c(v) holds on the nose.  The polarization
     B(v1, v2) = c(v1, v2, .)
 
 is the covector with k-th coordinate sum_{i,j} T_sym(i,j,k) v1_i v2_j.
+Because T is fully symmetric, every trilinear value is a contraction of
+one polarization, c(x, y, w) = B(x, w) . y, whatever pair is polarized.
 
 The surjectivity condition on B (rank of the span of all B(e_i, e_j)
 equal to p) is what makes the downstream geometry work; it is exposed
@@ -309,11 +311,6 @@ def load_tensor(path) -> SymCubic:
     except UnicodeDecodeError as exc:
         raise TensorFormatError(f"{path} is not UTF-8 text: {exc.reason}") from exc
     return loads_tensor(text)
-
-
-def save_tensor(T: SymCubic, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_tensor(T) + "\n")
 
 
 def cubic_hash(T: SymCubic) -> str:

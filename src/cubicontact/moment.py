@@ -42,16 +42,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, product
 
-from .bch import chart_decompose
+from .bch import chart_decompose, exp_diff
 from .contact import ChartPoint, require_assumption
 from .cubic import (
     SymCubic,
     cubic_hash,
     polarize,
     reduce_mod,
-    trilinear,
 )
-from .nilpotent import NElem, SlWElem, bracket, generic_element, _dot
+from .nilpotent import NElem, SlWElem, generic_element, _dot
 from .sampling import SeededSampler
 from .scalars import HALF, Jet, Q0, TWELFTH
 
@@ -99,15 +98,13 @@ def _velocity_from_n_generator(pt: ChartPoint, A: NElem, T: SymCubic):
 
     The flow multiplies exp(tA) exp(X) and re-expresses the product in
     the chart at the same base line; to first order the moved element is
-    X + t V with V = A + 1/2 [A, X] + 1/12 [X, [X, A]], and the chart
-    re-decomposition is linearized by hand below (it is affine in the
-    first-order part).  z and y do not move.
+    X + t V with V = exp_diff(-X, A) = A + 1/2 [A, X] + 1/12 [X, [X, A]],
+    and the chart re-decomposition is linearized by hand below (it is
+    affine in the first-order part; c(x1, x1, v_l) = B(x1, v_l).x1 as in
+    chart_decompose).  z and y do not move.
     """
-    p = T.dim
-    X = pt.chart.to_nelem()
     z = pt.z
-    ax = bracket(A, X, T)
-    V = A + HALF * ax + TWELFTH * bracket(X, bracket(X, A, T), T)
+    V = exp_diff(-pt.chart.to_nelem(), A, T)
     v_l = V.col(0)
     v_m = V.col(1)
     x1 = pt.chart.x1
@@ -117,7 +114,7 @@ def _velocity_from_n_generator(pt: ChartPoint, A: NElem, T: SymCubic):
     xdot2 = tuple(a + HALF * b for a, b in zip(V.n2, b_x1_vl))
     x2_vl = _dot(x2, v_l)
     xdot3_l = V.n3[0] - HALF * x2_vl
-    xdot3_m = V.n3[1] - HALF * z * x2_vl - TWELFTH * trilinear(T, x1, x1, v_l)
+    xdot3_m = V.n3[1] - HALF * z * x2_vl - TWELFTH * _dot(b_x1_vl, x1)
     return (Q0, Q0, xdot3_m, xdot3_l) + xdot1 + xdot2
 
 

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,8 @@ from cubicontact.nilpotent import NElem, bracket, generic_element, n_basis
 from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
 from cubicontact.scalars import HALF, QPoly
+
+bch_module = importlib.import_module("cubicontact.bch")
 
 X3 = SymCubic(1, {(0, 0, 0): 1})
 T2 = SymCubic(2, {(0, 0, 0): 1, (0, 1, 1): F(1, 2), (1, 1, 1): -2})
@@ -161,6 +164,27 @@ def test_expdiff_suite_catches_perturbed_inverse(monkeypatch):
     status, details = verify.run_expdiff_suite(T, cfg)
     assert status == "fail"
     assert details["failures"][0] == {"check": "basis_roundtrip"}
+
+
+def test_group_suite_reports_broken_inverse_once(monkeypatch):
+    T = catalog_get("det3").tensor()
+    cfg = RunConfig(seed=7, samples=3)
+    assert verify.run_group_suite(T, cfg) == (
+        "pass", {"samples": 3, "failures": []}
+    )
+    real = bch_module.bch
+
+    def no_inverse(X, Y, T):
+        # Off by a central f1 exactly when Y = -X.
+        H = real(X, Y, T)
+        if (X + Y).is_zero() and not X.is_zero():
+            H = H + NElem.from_parts(T.dim, n3=(F(1), F(0)))
+        return H
+
+    monkeypatch.setattr(bch_module, "bch", no_inverse)
+    status, details = verify.run_group_suite(T, cfg)
+    assert status == "fail"
+    assert details["failures"] == [{"check": "inverse", "sample": 0}]
 
 
 def _display_inversion(x, z, T):

@@ -1,0 +1,273 @@
+"""The closed-form group law against the series it replaced.
+
+bch, exp_diff, exp_diff_inv, chart_decompose and the n-generator
+velocity rest on two facts: a double bracket [U, [X, Y]] is central,
+and c(x, y, w) = B(x, w).y for the symmetric trilinear form.  The
+references below are the bracket-by-bracket and trilinear-by-trilinear
+versions they replaced.  Each pair is compared exactly on every catalog
+cubic and the extracted G2 and F4 cubics, over each scalar ring the
+package feeds them: Fraction, QPoly (the line solver), LinForm (the
+generic element) and Jet (the sl(W) flow).
+"""
+
+import importlib
+
+import pytest
+
+from cubicontact import moment
+from cubicontact.bch import (
+    ChartElem,
+    bch,
+    chart_decompose,
+    exp_diff,
+    exp_diff_inv,
+    solve_line_coordinates,
+)
+from cubicontact.catalog import catalog_get, catalog_list
+from cubicontact.contact import sample_chart_point
+from cubicontact.cubic import polarize, trilinear
+from cubicontact.extraction import algebra_for, extract_cubic
+from cubicontact.nilpotent import NElem, SlWElem, bracket, generic_element, _dot
+from cubicontact.sampling import SeededSampler
+from cubicontact.scalars import HALF, Jet, Q0, QPoly, TWELFTH
+
+bch_module = importlib.import_module("cubicontact.bch")
+nilpotent = importlib.import_module("cubicontact.nilpotent")
+
+CUBICS = tuple(e.name for e in catalog_list()) + ("extracted-G2", "extracted-F4")
+
+
+def _cubic(name):
+    if name.startswith("extracted-"):
+        return extract_cubic(algebra_for(name[-2], int(name[-1])))
+    return catalog_get(name).tensor()
+
+
+# --- references: the series as written before the closed forms -----------
+
+def ref_bch(X, Y, T):
+    xy = bracket(X, Y, T)
+    term3 = TWELFTH * bracket(X, xy, T)
+    term4 = TWELFTH * bracket(Y, bracket(Y, X, T), T)
+    return X + Y + HALF * xy + term3 + term4
+
+
+def ref_exp_diff(X, Y, T):
+    xy = bracket(X, Y, T)
+    return Y + HALF * xy + TWELFTH * bracket(X, xy, T)
+
+
+def ref_exp_diff_inv(X, Z, T):
+    """Grade-by-grade back substitution."""
+    p = T.dim
+    y1 = NElem(Z.n1, (Q0,) * p, (Q0, Q0))
+    x1 = NElem(X.n1, (Q0,) * p, (Q0, Q0))
+    b11 = bracket(x1, y1, T)
+    y2 = tuple(a - HALF * b for a, b in zip(Z.n2, b11.n2))
+    y12 = NElem(Z.n1, y2, (Q0, Q0))
+    x12 = NElem(X.n1, X.n2, (Q0, Q0))
+    corr = HALF * bracket(x12, y12, T) + TWELFTH * bracket(x1, b11, T)
+    return NElem(Z.n1, y2, tuple(a - b for a, b in zip(Z.n3, corr.n3)))
+
+
+def ref_chart_decompose(U, z, T):
+    """Three tensor walks: one polarize and two trilinear values."""
+    u_l, u_m = U.col(0), U.col(1)
+    w = u_l
+    x1 = tuple(m - z * l for m, l in zip(u_m, u_l))
+    x2 = tuple(u + HALF * b for u, b in zip(U.n2, polarize(T, x1, w)))
+    x2w = _dot(x2, w)
+    t_x1x1w = trilinear(T, x1, x1, w)
+    t_x1ww = trilinear(T, x1, w, w)
+    x3_l = U.n3[0] - HALF * x2w + TWELFTH * t_x1ww
+    x3_m = U.n3[1] - HALF * (z * x2w) - TWELFTH * t_x1x1w + TWELFTH * (z * t_x1ww)
+    return ChartElem(x1, x2, x3_m, x3_l), w
+
+
+def ref_velocity(pt, A, T):
+    """The hand-written first-order series of the n-generator flow."""
+    X = pt.chart.to_nelem()
+    z = pt.z
+    V = A + HALF * bracket(A, X, T) + TWELFTH * bracket(X, bracket(X, A, T), T)
+    v_l, v_m = V.col(0), V.col(1)
+    x1, x2 = pt.chart.x1, pt.chart.x2
+    xdot1 = tuple(m - z * l for m, l in zip(v_m, v_l))
+    xdot2 = tuple(a + HALF * b for a, b in zip(V.n2, polarize(T, x1, v_l)))
+    x2_vl = _dot(x2, v_l)
+    xdot3_l = V.n3[0] - HALF * x2_vl
+    xdot3_m = V.n3[1] - HALF * z * x2_vl - TWELFTH * trilinear(T, x1, x1, v_l)
+    return (Q0, Q0, xdot3_m, xdot3_l) + xdot1 + xdot2
+
+
+# --- inputs over each ring -------------------------------------------------
+
+def _sample_nelem(sampler, p):
+    return NElem.from_parts(
+        p,
+        col1=sampler.vector(p),
+        col2=sampler.vector(p),
+        n2=sampler.vector(p),
+        n3=(sampler.fraction(), sampler.fraction()),
+    )
+
+
+def _fraction_inputs(T, sampler):
+    p = T.dim
+    return _sample_nelem(sampler, p), _sample_nelem(sampler, p), sampler.fraction()
+
+
+def _qpoly_inputs(T, sampler):
+    """The line solver's data: chart element, w (x) p, line element, z."""
+    p = T.dim
+    v = sampler.vector(p)
+    sol = solve_line_coordinates(v, T)
+    zvar = QPoly.x()
+    chart = ChartElem(sol.z1, sol.z2, sol.z3_m, sol.z3_l).to_nelem()
+    wp = NElem.from_parts(p, col1=sol.w, col2=tuple(zvar * wi for wi in sol.w))
+    line = NElem.from_parts(p, col1=tuple(QPoly.const(c) for c in v))
+    return chart, wp, line, zvar
+
+
+def _jet_inputs(T, sampler, monkeypatch):
+    """The elements and moved z that the sl(W) flow hands to chart_decompose."""
+    pt = sample_chart_point(sampler, T.dim)
+    seen = []
+
+    def recording(U, z, T):
+        seen.append((U, z))
+        return chart_decompose(U, z, T)
+
+    monkeypatch.setattr(moment, "chart_decompose", recording)
+    for g in (SlWElem.of(1, 2, 3), SlWElem.of(-2, 1, 5)):
+        moment._velocity_from_slw_generator(pt, g, T)
+    monkeypatch.undo()
+    (X, z), (Y, _z) = seen
+    assert isinstance(z, Jet) and any(isinstance(c, Jet) for c in X.col(1))
+    return X, Y, z
+
+
+def _upper(x: NElem) -> NElem:
+    """The n2 + n3 part of x."""
+    return NElem.from_parts(x.dim, n2=x.n2, n3=x.n3)
+
+
+def _assert_group_law_same(X, Y, T):
+    assert bch(X, Y, T) == ref_bch(X, Y, T)
+    assert bch(Y, X, T) == ref_bch(Y, X, T)
+    assert exp_diff(X, Y, T) == ref_exp_diff(X, Y, T)
+    assert exp_diff_inv(X, Y, T) == ref_exp_diff_inv(X, Y, T)
+
+
+@pytest.mark.parametrize("name", CUBICS)
+def test_closed_forms_match_references_over_fraction(name):
+    T = _cubic(name)
+    sampler = SeededSampler(60)
+    for _ in range(3):
+        X, Y, z = _fraction_inputs(T, sampler)
+        _assert_group_law_same(X, Y, T)
+        assert chart_decompose(X, z, T) == ref_chart_decompose(X, z, T)
+        pt = sample_chart_point(sampler, T.dim)
+        assert moment._velocity_from_n_generator(pt, X, T) == ref_velocity(pt, X, T)
+
+
+@pytest.mark.parametrize("name", CUBICS)
+def test_closed_forms_match_references_over_qpoly(name):
+    T = _cubic(name)
+    sampler = SeededSampler(61)
+    chart, wp, line, zvar = _qpoly_inputs(T, sampler)
+    _assert_group_law_same(chart, wp, T)
+    _assert_group_law_same(chart, line, T)
+    assert chart_decompose(line, zvar, T) == ref_chart_decompose(line, zvar, T)
+    pt = sample_chart_point(sampler, T.dim)
+    assert moment._velocity_from_n_generator(pt, chart, T) == ref_velocity(pt, chart, T)
+
+
+@pytest.mark.parametrize("name", CUBICS)
+def test_closed_forms_match_references_over_linform(name):
+    T = _cubic(name)
+    p = T.dim
+    sampler = SeededSampler(62)
+    X, _Y, z = _fraction_inputs(T, sampler)
+    generic = generic_element(p)
+    # exp_diff and its inverse are linear in the second argument.
+    assert exp_diff(X, generic, T) == ref_exp_diff(X, generic, T)
+    assert exp_diff_inv(X, generic, T) == ref_exp_diff_inv(X, generic, T)
+    # bch and chart_decompose are not linear: both versions refuse forms
+    # where a product of two forms or a form plus a constant would occur...
+    upper = _upper(generic)
+    zero = NElem.zero(p)
+    for new, ref, args in (
+        (bch, ref_bch, (generic, generic)),
+        (bch, ref_bch, (X, upper)),
+        (chart_decompose, ref_chart_decompose, (generic, z)),
+    ):
+        for fn in (new, ref):
+            with pytest.raises(TypeError):
+                fn(*args, T)
+    # ...and agree where the result is linear.
+    for args in ((generic, zero), (zero, generic), (upper, 3 * upper)):
+        assert bch(*args, T) == ref_bch(*args, T)
+    assert chart_decompose(upper, z, T) == ref_chart_decompose(upper, z, T)
+    pt = sample_chart_point(sampler, p)
+    assert moment._velocity_from_n_generator(pt, generic, T) == ref_velocity(pt, generic, T)
+
+
+@pytest.mark.parametrize("name", CUBICS)
+def test_closed_forms_match_references_over_jet(name, monkeypatch):
+    T = _cubic(name)
+    sampler = SeededSampler(63)
+    X, Y, z = _jet_inputs(T, sampler, monkeypatch)
+    _assert_group_law_same(X, Y, T)
+    assert chart_decompose(X, z, T) == ref_chart_decompose(X, z, T)
+    assert chart_decompose(Y, z, T) == ref_chart_decompose(Y, z, T)
+    pt = sample_chart_point(sampler, T.dim)
+    assert moment._velocity_from_n_generator(pt, X, T) == ref_velocity(pt, X, T)
+
+
+# --- one tensor walk per closed form ---------------------------------------
+
+def _count(monkeypatch, fn_name, modules):
+    """Count calls of fn_name through each module's binding of it."""
+    calls = []
+    for mod in modules:
+        real = getattr(mod, fn_name, None)
+        if real is None:
+            continue
+
+        def counted(*args, _real=real):
+            calls.append(fn_name)
+            return _real(*args)
+
+        monkeypatch.setattr(mod, fn_name, counted)
+    return calls
+
+
+def test_each_series_brackets_once(monkeypatch):
+    T = catalog_get("det3").tensor()
+    sampler = SeededSampler(64)
+    X, Y, z = _fraction_inputs(T, sampler)
+    pt = sample_chart_point(sampler, T.dim)
+    brackets = _count(monkeypatch, "bracket", (bch_module, moment))
+    for fn in (bch, exp_diff, exp_diff_inv):
+        brackets.clear()
+        fn(X, Y, T)
+        assert len(brackets) == 1, fn.__name__
+    brackets.clear()
+    moment._velocity_from_n_generator(pt, Y, T)
+    assert len(brackets) == 1
+
+
+def test_chart_contractions_polarize_once(monkeypatch):
+    T = catalog_get("det3").tensor()
+    sampler = SeededSampler(65)
+    X, _Y, z = _fraction_inputs(T, sampler)
+    pt = sample_chart_point(sampler, T.dim)
+    mods = (bch_module, moment, nilpotent)
+    polarizes = _count(monkeypatch, "polarize", mods)
+    trilinears = _count(monkeypatch, "trilinear", mods)
+    chart_decompose(X, z, T)
+    assert len(polarizes) == 1 and not trilinears
+    polarizes.clear()
+    moment._velocity_from_n_generator(pt, X, T)
+    # Two inside the one bracket, one for B(x1, v_l).
+    assert len(polarizes) == 3 and not trilinears

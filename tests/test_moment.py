@@ -190,12 +190,16 @@ def test_moment_point_matches_closed_form(name):
 
 
 def _flipped_half_bracket_velocity():
-    """_velocity_from_n_generator with the sign of 1/2 [A, X] flipped."""
+    """_velocity_from_n_generator with the sign of 1/2 [A, X] flipped.
+
+    exp_diff(X, A) differs from exp_diff(-X, A) only there: the 1/12
+    [X, [X, A]] term is even in X.
+    """
     src = inspect.getsource(moment._velocity_from_n_generator)
-    term = "V = A + HALF * ax"
+    term = "V = exp_diff(-pt.chart.to_nelem(), A, T)"
     assert src.count(term) == 1
     namespace = dict(vars(moment))
-    exec(src.replace(term, "V = A - HALF * ax"), namespace)
+    exec(src.replace(term, "V = exp_diff(pt.chart.to_nelem(), A, T)"), namespace)
     return namespace["_velocity_from_n_generator"]
 
 
