@@ -51,12 +51,9 @@ from .contact import (
     ChartPoint,
     dtheta_matrix,
     nondegeneracy_certificate,
-    symplectic_pairing_D,
     tau,
-    tau_closure_sample,
     tau_line_constants,
     tau_matches_line_expansion,
-    theta,
 )
 from .moment import (
     FlowBasePointError,

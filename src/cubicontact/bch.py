@@ -29,6 +29,16 @@ same W line and [X1, Z1] = 0, this agrees with the inversion display
 that carries a 5/12 coefficient instead; the difference is exactly
 1/4 [X1,[X1,Z1]] and a dedicated test records both behaviours.
 
+bch, exp_diff and exp_diff_inv share one kernel with the coefficients
+(1/2, 1/12), (1/2, 1/12) and (-1/2, 1/6).  When every coordinate of both
+arguments is a Fraction it clears each element's denominators with one
+lcm, computes [X, Y] and the central term in Python ints from T's
+integer table (``SymCubic.scaled``), and builds the Fractions once, at
+the end (common-denominator arithmetic; Geddes, Czapor and Labahn,
+Algorithms for Computer Algebra, 1992, ch. 9).  Elements over any other
+ring (QPoly, LinForm, Jet, or holding a plain int) take the generic path
+through ``bracket``.
+
 ``chart_decompose`` factors exp(U) = exp(X) exp(w (x) p) with X in the
 chart complement n_m = (V (x) f2) + V* + W and p = f1 + z f2; it works
 over any of the scalar rings (rationals, polynomials in z, jets), which
@@ -38,9 +48,12 @@ is what the line solver and the moment computations build on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .cubic import SymCubic, polarize
-from .nilpotent import NElem, bracket, _dot
+from .nilpotent import NElem, _check_same_dim, _dot, bracket
 from .scalars import HALF, Q0, QPoly, SIXTH, TWELFTH
 
 
@@ -50,10 +63,57 @@ def _central(c2, U: NElem) -> NElem:
     return NElem.from_parts(U.dim, n3=tuple(-_dot(c2, U.col(a)) for a in (0, 1)))
 
 
+def _cleared(x: NElem):
+    """(coordinates in basis order times d, d) with d the lcm of their
+    denominators, or None unless every coordinate is a Fraction."""
+    flat = x.col(0) + x.col(1) + x.n2 + x.n3
+    if any(type(c) is not Fraction for c in flat):
+        return None
+    pairs = [c.as_integer_ratio() for c in flat]
+    d = lcm(*[q for _n, q in pairs])
+    return [n * (d // q) for n, q in pairs], d
+
+
+def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
+    """[X +] Y + h [X, Y] + t [U, [X, Y]], U = X - Y with X, else U = X:
+    the one kernel of bch, exp_diff and exp_diff_inv."""
+    _check_same_dim(X, Y, T)
+    cleared = _cleared(X), _cleared(Y)
+    if None in cleared:
+        xy = bracket(X, Y, T)
+        out = Y + h * xy + t * _central(xy.n2, X - Y if with_x else X)
+        return X + out if with_x else out
+    (xs, dx), (ys, dy) = cleared
+    dt, rows = T.scaled()
+    p, w, dxy = T.dim, int(with_x), dx * dy
+    xc, yc = (xs[:p], xs[p:2 * p]), (ys[:p], ys[p:2 * p])
+    x2, y2 = xs[2 * p:3 * p], ys[2 * p:3 * p]
+    # b = dt dx dy [X, Y]_2 = B(x_f1, y_f2) - B(x_f2, y_f1): one walk of T.
+    b = [0] * p
+    for a1, a2, row in zip(*xc, rows):
+        if a1 or a2:
+            for j, k, v in row:
+                b[k] += v * (a1 * yc[1][j] - a2 * yc[0][j])
+    # s = dx dy (w X + Y); dx dy [X, Y]_3 = x2 . y_col - y2 . x_col, and
+    # t [U, [X, Y]] is central with coordinates -t b . U_col / (dt dx dy).
+    s = [w * xa * dy + ya * dx for xa, ya in zip(xs, ys)]
+    hn, hd, tn, td = h.numerator, h.denominator, t.numerator, t.denominator
+    n1 = [Fraction(sa, dxy) for sa in s[:2 * p]]
+    n2 = tuple(Fraction(hd * dt * sa + hn * ba, hd * dt * dxy) for sa, ba in zip(s[2 * p:], b))
+    n3 = tuple(
+        Fraction(
+            td * dt * dxy * (hd * sa + hn * (sum(map(mul, x2, yca)) - sum(map(mul, y2, xca))))
+            - tn * hd * (dy * sum(map(mul, b, xca)) - w * dx * sum(map(mul, b, yca))),
+            hd * td * dt * dxy * dxy,
+        )
+        for sa, xca, yca in zip(s[3 * p:], xc, yc)
+    )
+    return NElem(tuple(zip(n1[:p], n1[p:])), n2, n3)
+
+
 def bch(X: NElem, Y: NElem, T: SymCubic) -> NElem:
     """Truncated Campbell-Hausdorff product H(X, Y), exact."""
-    xy = bracket(X, Y, T)
-    return X + Y + HALF * xy + TWELFTH * _central(xy.n2, X - Y)
+    return _series(X, Y, T, HALF, TWELFTH, with_x=True)
 
 
 @dataclass(frozen=True)
@@ -77,14 +137,12 @@ def group_inv(a: GroupElem) -> GroupElem:
 
 def exp_diff(X: NElem, Y: NElem, T: SymCubic) -> NElem:
     """e_X(Y) = Y + 1/2 [X,Y] + 1/12 [X,[X,Y]]; linear in Y."""
-    xy = bracket(X, Y, T)
-    return Y + HALF * xy + TWELFTH * _central(xy.n2, X)
+    return _series(X, Y, T, HALF, TWELFTH, with_x=False)
 
 
 def exp_diff_inv(X: NElem, Z: NElem, T: SymCubic) -> NElem:
     """The exact Y with exp_diff(X, Y) = Z: Z - 1/2 [X,Z] + 1/6 [X,[X,Z]]."""
-    xz = bracket(X, Z, T)
-    return Z - HALF * xz + SIXTH * _central(xz.n2, X)
+    return _series(X, Z, T, -HALF, SIXTH, with_x=False)
 
 
 # --- the chart over the projective W line ------------------------------

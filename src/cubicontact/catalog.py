@@ -69,10 +69,6 @@ def octonion_mul(x, y):
     return _cd_mul(list(x), list(y))
 
 
-def octonion_norm(x):
-    return sum(t * t for t in x)
-
-
 def octonion_table():
     """mult[i][j] = (k, sign) with e_i e_j = sign e_k."""
     table = []

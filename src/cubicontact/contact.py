@@ -76,20 +76,6 @@ class ChartPoint:
         return (self.y, self.z, c.x3_m, c.x3_l) + tuple(c.x1) + tuple(c.x2)
 
 
-def theta(X: ChartElem, Z: ChartElem, T: SymCubic) -> Fraction:
-    """Contact form at chart point X on a chart velocity Z, mod the f1 line.
-
-    Returns the f2 coefficient Z3m + 1/2 (X2(z1) - Z2(x1)), the published
-    chart display.
-    """
-    require_assumption(T)
-    if X.dim != Z.dim or X.dim != T.dim:
-        raise ValueError("dimension mismatch")
-    x2_z1 = sum((a * b for a, b in zip(X.x2, Z.x1)), Q0)
-    z2_x1 = sum((a * b for a, b in zip(Z.x2, X.x1)), Q0)
-    return Z.x3_m + HALF * (x2_z1 - z2_x1)
-
-
 def one_form_value(pt: ChartPoint, velocity) -> Fraction:
     """theta~ evaluated on a coordinate velocity vector at pt."""
     p = pt.dim
@@ -197,34 +183,6 @@ def nondegeneracy_certificate(
     )
 
 
-def symplectic_pairing_D(d1, d2, T: SymCubic) -> Fraction:
-    """Restriction of d(theta~) (y = 1) to the contact hyperplane at base.
-
-    Arguments are coordinate velocity vectors at the base point; both
-    must lie in the hyperplane, i.e. have zero value under theta~ there
-    (the X3m component vanishes).
-    """
-    require_assumption(T)
-    p = T.dim
-    n = 2 * p + 4
-    if len(d1) != n or len(d2) != n:
-        raise ValueError(f"expected coordinate vectors of length {n}")
-    base = ChartPoint.base(p)
-    for d in (d1, d2):
-        if one_form_value(base, d) != 0:
-            raise ValueError("argument is not in the contact hyperplane")
-    mat = dtheta_matrix(base, T)
-    total = Q0
-    for a in range(n):
-        if not d1[a]:
-            continue
-        row = mat[a]
-        for b in range(n):
-            if row[b] and d2[b]:
-                total += d1[a] * row[b] * d2[b]
-    return total
-
-
 # --- tangent map of lines ----------------------------------------------
 
 def tau(v, T: SymCubic):
@@ -232,34 +190,6 @@ def tau(v, T: SymCubic):
     if len(v) != T.dim:
         raise ValueError("dimension mismatch")
     return tuple(v) + polarize(T, v, v) + (cubic_eval(T, v), Q1)
-
-
-def tau_closure_sample(v, t, T: SymCubic):
-    """Homogenized sample [t^2 v : t B(v,v) : c(v) : t^3] of the closure.
-
-    At t = 0 the raw tuple can vanish identically (when c(v) = 0); the
-    returned value is then the limit representative along the ray, with
-    the common power of t divided out: [0 : B(v,v) : 0 : 0] when the
-    polarization survives, [v : 0 : 0 : 0] otherwise.
-    """
-    if len(v) != T.dim:
-        raise ValueError("dimension mismatch")
-    if not any(v) and not t:
-        raise ValueError("(v, t) must be nonzero")
-    p = T.dim
-    bvv = polarize(T, v, v)
-    cv = cubic_eval(T, v)
-    if t:
-        t2 = t * t
-        return (
-            tuple(t2 * x for x in v) + tuple(t * x for x in bvv) + (cv, t2 * t)
-        )
-    zero = (Q0,) * p
-    if cv:
-        return zero + zero + (cv, Q0)
-    if any(bvv):
-        return zero + bvv + (Q0, Q0)
-    return tuple(v) + zero + (Q0, Q0)
 
 
 def tau_line_constants(T: SymCubic):

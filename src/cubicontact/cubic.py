@@ -14,6 +14,10 @@ B(v, v)(v) = c(v) holds on the nose.  The polarization
 is the covector with k-th coordinate sum_{i,j} T_sym(i,j,k) v1_i v2_j.
 Because T is fully symmetric, every trilinear value is a contraction of
 one polarization, c(x, y, w) = B(x, w) . y, whatever pair is polarized.
+``polarize`` walks T's ordered entries grouped by first index, so a zero
+v1_i skips its whole group and a unit vector costs only its own group;
+the group law reads the same table times the lcm of the entries'
+denominators, as ints.  Both tables are memoized on the tensor.
 
 The surjectivity condition on B (rank of the span of all B(e_i, e_j)
 equal to p) is what makes the downstream geometry work; it is exposed
@@ -29,6 +33,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import mat_rank
 from .scalars import Q0, frac
@@ -79,7 +84,7 @@ def perm_multiplicity(tri) -> int:
 class SymCubic:
     """Symmetric trilinear tensor on Q^p (sparse, canonical i<=j<=k keys)."""
 
-    __slots__ = ("dim", "entries", "_expanded", "_b_rank")
+    __slots__ = ("dim", "entries", "_grouped", "_scaled", "_b_rank")
 
     def __init__(self, dim: int, entries):
         if dim < 1:
@@ -96,21 +101,32 @@ class SymCubic:
             if v:
                 canon[(i, j, k)] = v
         self.entries = canon
-        self._expanded = None
+        self._grouped = None
+        self._scaled = None
         self._b_rank = None
 
     def value(self, i, j, k) -> Fraction:
         return self.entries.get(_canonical_triple(i, j, k), Q0)
 
-    def expanded(self):
-        """All distinct ordered permutations as (i, j, k, value) tuples."""
-        if self._expanded is None:
-            out = []
+    def grouped(self):
+        """Row i: (j, k, value) for each ordered permutation (i, j, k) of an entry."""
+        if self._grouped is None:
+            rows = [[] for _ in range(self.dim)]
             for tri, val in sorted(self.entries.items()):
-                for perm in _distinct_perms(tri):
-                    out.append((perm[0], perm[1], perm[2], val))
-            self._expanded = tuple(out)
-        return self._expanded
+                for i, j, k in _distinct_perms(tri):
+                    rows[i].append((j, k, val))
+            self._grouped = tuple(map(tuple, rows))
+        return self._grouped
+
+    def scaled(self):
+        """(d, grouped() times d), d the lcm of the entries' denominators."""
+        if self._scaled is None:
+            d = lcm(*(v.denominator for v in self.entries.values()))
+            self._scaled = d, tuple(
+                tuple((j, k, v.numerator * (d // v.denominator)) for j, k, v in row)
+                for row in self.grouped()
+            )
+        return self._scaled
 
     def items_canonical(self):
         return sorted(self.entries.items())
@@ -158,14 +174,13 @@ def polarize(T: SymCubic, v1, v2):
     _check_vec(T, v1, "v1")
     _check_vec(T, v2, "v2")
     out = [Q0] * T.dim
-    for i, j, k, val in T.expanded():
-        a = v1[i]
+    for a, row in zip(v1, T.grouped()):
         if not a:
             continue
-        b = v2[j]
-        if not b:
-            continue
-        out[k] = out[k] + val * a * b
+        for j, k, val in row:
+            b = v2[j]
+            if b:
+                out[k] = out[k] + val * a * b
     return tuple(out)
 
 
@@ -180,13 +195,17 @@ def trilinear(T: SymCubic, v1, v2, v3) -> Fraction:
 
 
 def b_rank(T: SymCubic) -> int:
-    """Rank over Q of span{ B(e_i, e_j) : i <= j } inside the dual space."""
-    p = T.dim
-    rows = []
-    for i in range(p):
-        for j in range(i, p):
-            rows.append([T.value(i, j, k) for k in range(p)])
-    return mat_rank(rows)
+    """Rank over Q of span{ B(e_i, e_j) : i <= j } inside the dual space.
+
+    B(e_i, e_j)_k = T(i, j, k): rows and columns are built only for the
+    pairs and indices that occur in an entry, all others being zero.
+    """
+    cols = {k: c for c, k in enumerate(sorted({i for tri in T.entries for i in tri}))}
+    rows = {}
+    for (i, j, k), val in T.entries.items():
+        for pair, col in (((i, j), k), ((i, k), j), ((j, k), i)):
+            rows.setdefault(pair, [Q0] * len(cols))[cols[col]] = val
+    return mat_rank(list(rows.values()))
 
 
 def assumption_holds(T: SymCubic) -> bool:

@@ -1,94 +1,102 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra over the rationals, fraction free.
 
-Plain Gaussian elimination with first-nonzero pivoting; no floating
-point, no pivot-size heuristics.  Matrices are lists of lists of
-Fraction (rows).
+Matrices are lists of rows of int or Fraction entries.  One elimination
+kernel serves every routine.  It multiplies each row by the lcm of its
+denominators and works on ints (Bareiss, Math. Comp. 22, 1968): a row
+with a nonzero f in the pivot column becomes
+
+    row <- (pv/g) row - (f/g) pivot_row,   g = gcd(pv, f),
+
+divided by the gcd of its entries, which keeps it no larger than the
+Bareiss row.  Rows with a zero in the pivot column are skipped.
+mat_det tracks the row scales and multipliers exactly; mat_solve and
+mat_inv divide by each pivot once, at the end.  Results are Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalars import Q0, Q1
 
 
-def mat_copy(rows):
-    return [list(r) for r in rows]
+def _scaled_rows(rows):
+    """Each row times the lcm of its denominators, as ints, and the lcms' product."""
+    out, scale = [], 1
+    for row in rows:
+        pairs = [x.as_integer_ratio() for x in row]
+        d = lcm(*[q for _n, q in pairs])
+        out.append([n for n, _q in pairs] if d == 1 else [n * (d // q) for n, q in pairs])
+        scale *= d
+    return out, scale
 
 
 def _eliminate(m, n_cols: int, jordan: bool = False):
-    """Row-reduce m in place on its first n_cols columns.
+    """Row-reduce the integer rows m in place on their first n_cols columns.
 
-    First-nonzero pivoting.  Entries below each pivot are cleared (row
-    echelon form); with jordan=True each pivot row is also scaled to a
-    leading 1 and the entries above the pivot are cleared (reduced row
-    echelon form).  Columns past n_cols, such as an augmented right-hand
-    side, are carried along.  Returns the pivot columns and the sign of
-    the row permutation.
+    Entries below each pivot are cleared; with jordan=True those above
+    it too.  Columns past n_cols, such as an augmented right-hand side,
+    are carried along.  Returns the pivot columns and (num, den) with
+    det(m before) = num/den * det(m after).
     """
     n_rows = len(m)
     pivots = []
-    sign = 1
+    num = den = 1
     for col in range(n_cols):
         top = len(pivots)
         if top == n_rows:
             break
-        piv = next((r for r in range(top, n_rows) if m[r][col] != 0), None)
+        piv = next((r for r in range(top, n_rows) if m[r][col]), None)
         if piv is None:
             continue
         if piv != top:
             m[top], m[piv] = m[piv], m[top]
-            sign = -sign
+            num = -num
         prow = m[top]
-        width = len(prow)
-        inv = Q1 / prow[col]
-        if jordan:
-            for c in range(col, width):
-                prow[c] *= inv
-            targets = (r for r in range(n_rows) if r != top)
-        else:
-            targets = range(top + 1, n_rows)
+        pv = prow[col]
+        targets = range(n_rows) if jordan else range(top + 1, n_rows)
         for r in targets:
             f = m[r][col]
-            if f == 0:
+            if not f or r == top:
                 continue
-            if not jordan:
-                f = f * inv
-            row = m[r]
-            for c in range(col, width):
-                row[c] -= prow[c] * f
+            g = gcd(pv, f)
+            a, b = pv // g, f // g
+            row = [a * x - b * y for x, y in zip(m[r], prow)]
+            c = gcd(*row)
+            if c > 1:
+                row = [x // c for x in row]
+                num *= c
+            m[r] = row
+            den *= a
         pivots.append(col)
-    return pivots, sign
+    return pivots, num, den
 
 
 def mat_rank(rows) -> int:
-    if not rows:
-        return 0
-    m = mat_copy(rows)
-    pivots, _sign = _eliminate(m, len(m[0]))
-    return len(pivots)
+    m, _scale = _scaled_rows(rows)
+    return len(_eliminate(m, len(m[0]) if m else 0)[0])
 
 
 def mat_det(rows) -> Fraction:
     n = len(rows)
-    m = mat_copy(rows)
-    pivots, sign = _eliminate(m, n)
+    m, scale = _scaled_rows(rows)
+    pivots, num, den = _eliminate(m, n)
     if len(pivots) < n:
         return Q0
-    det = Fraction(sign)
     for i in range(n):
-        det *= m[i][i]
-    return det
+        num *= m[i][i]
+    return Fraction(num, den * scale)
 
 
 def _solve_augmented(a, right):
     """Reduce [a | right] for square a; returns the reduced right block."""
     n = len(a)
-    m = [list(row) + list(extra) for row, extra in zip(a, right)]
-    pivots, _sign = _eliminate(m, n, jordan=True)
+    m, _scale = _scaled_rows([list(row) + list(extra) for row, extra in zip(a, right)])
+    pivots, _num, _den = _eliminate(m, n, jordan=True)
     if len(pivots) < n:
         raise ZeroDivisionError("singular system")
-    return [row[n:] for row in m]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m)]
 
 
 def mat_solve(a, b):

@@ -156,14 +156,6 @@ def n_dim(p: int) -> int:
     return 3 * p + 2
 
 
-def basis_degree(p: int, idx: int) -> int:
-    if idx < 2 * p:
-        return 1
-    if idx < 3 * p:
-        return 2
-    return 3
-
-
 def basis_element(p: int, idx: int) -> NElem:
     z = [Q0] * p
     if idx < p:

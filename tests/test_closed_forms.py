@@ -11,8 +11,11 @@ generic element) and Jet (the sl(W) flow).
 """
 
 import importlib
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicontact import moment
 from cubicontact.bch import (
@@ -243,16 +246,23 @@ def _count(monkeypatch, fn_name, modules):
 
 
 def test_each_series_brackets_once(monkeypatch):
+    """Off Fraction inputs (QPoly here) each series makes one bracket;
+    on Fraction inputs it runs on integers and makes none."""
     T = catalog_get("det3").tensor()
     sampler = SeededSampler(64)
     X, Y, z = _fraction_inputs(T, sampler)
+    chart, wp, _line, _z = _qpoly_inputs(T, sampler)
     pt = sample_chart_point(sampler, T.dim)
     brackets = _count(monkeypatch, "bracket", (bch_module, moment))
     for fn in (bch, exp_diff, exp_diff_inv):
         brackets.clear()
+        fn(chart, wp, T)
+        assert len(brackets) == 1, fn.__name__
         fn(X, Y, T)
         assert len(brackets) == 1, fn.__name__
     brackets.clear()
+    moment._velocity_from_n_generator(pt, generic_element(T.dim), T)
+    assert len(brackets) == 1
     moment._velocity_from_n_generator(pt, Y, T)
     assert len(brackets) == 1
 
@@ -260,7 +270,7 @@ def test_each_series_brackets_once(monkeypatch):
 def test_chart_contractions_polarize_once(monkeypatch):
     T = catalog_get("det3").tensor()
     sampler = SeededSampler(65)
-    X, _Y, z = _fraction_inputs(T, sampler)
+    X, Y, z = _fraction_inputs(T, sampler)
     pt = sample_chart_point(sampler, T.dim)
     mods = (bch_module, moment, nilpotent)
     polarizes = _count(monkeypatch, "polarize", mods)
@@ -268,6 +278,66 @@ def test_chart_contractions_polarize_once(monkeypatch):
     chart_decompose(X, z, T)
     assert len(polarizes) == 1 and not trilinears
     polarizes.clear()
-    moment._velocity_from_n_generator(pt, X, T)
+    moment._velocity_from_n_generator(pt, generic_element(T.dim), T)
     # Two inside the one bracket, one for B(x1, v_l).
     assert len(polarizes) == 3 and not trilinears
+    polarizes.clear()
+    # On Fractions the series reads T's integer table: only B(x1, v_l).
+    moment._velocity_from_n_generator(pt, Y, T)
+    assert len(polarizes) == 1
+    for fn in (bch, exp_diff, exp_diff_inv):
+        fn(X, Y, T)
+    assert len(polarizes) == 1 and not trilinears
+
+
+# --- the integer path of the series ----------------------------------------
+
+# Pairwise coprime denominators, so the lcm of an element's grows large.
+BIG_DENOMINATORS = (1_000_003, 998_244_353, 1_000_000_007, 2_147_483_647, 999_999_937)
+# Zero often enough that one grade-1 column of a row is zero and the other not.
+big_fractions = st.just(Fraction(0)) | st.builds(
+    Fraction,
+    st.integers(-10 ** 12, 10 ** 12),
+    st.sampled_from(BIG_DENOMINATORS) | st.integers(1, 10 ** 12),
+)
+SERIES = ((bch, ref_bch), (exp_diff, ref_exp_diff), (exp_diff_inv, ref_exp_diff_inv))
+
+
+def _element(p, coords):
+    return NElem.from_parts(
+        p, col1=coords[:p], col2=coords[p:2 * p], n2=coords[2 * p:3 * p], n3=coords[3 * p:]
+    )
+
+
+def _coordinates(x):
+    return x.col(0) + x.col(1) + x.n2 + x.n3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    name=st.sampled_from(("x3", "xyz", "det-sym-3", "det3")),
+    # Every catalog tensor is integral; 5/7 gives T a denominator.
+    scale=st.sampled_from((Fraction(1), Fraction(5, 7))),
+    with_ints=st.booleans(),
+)
+def test_integer_path_matches_references(data, name, scale, with_ints):
+    """Fraction elements take the integer path and give Fractions; an
+    element holding a plain int takes the generic path, one bracket."""
+    T = catalog_get(name).tensor().scale(scale)
+    p = T.dim
+    scalars = st.integers(-50, 50) | big_fractions if with_ints else big_fractions
+    X, Y = (
+        _element(p, data.draw(st.lists(scalars, min_size=3 * p + 2, max_size=3 * p + 2)))
+        for _ in range(2)
+    )
+    if with_ints:
+        X = _element(p, (7,) + _coordinates(X)[1:])
+    with mock.patch.object(bch_module, "bracket", wraps=bracket) as spy:
+        for fn, ref in SERIES:
+            for a, b in ((X, Y), (Y, X)):
+                out = fn(a, b, T)
+                assert out == ref(a, b, T), fn.__name__
+                if not with_ints:
+                    assert all(type(c) is Fraction for c in _coordinates(out))
+    assert spy.call_count == (6 if with_ints else 0)

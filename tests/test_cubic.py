@@ -1,8 +1,10 @@
+import importlib
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubicontact.catalog import catalog_get, catalog_list
 from cubicontact.cubic import (
     DimensionMismatchError,
     ReductionError,
@@ -19,8 +21,11 @@ from cubicontact.cubic import (
     reduce_mod,
     trilinear,
 )
+from cubicontact.extraction import extract_cubic
 from cubicontact.linalg import mat_det, mat_inv, mat_mul, mat_rank, mat_solve
 from cubicontact.sampling import SeededSampler
+
+cubic_module = importlib.import_module("cubicontact.cubic")
 
 X3 = SymCubic(1, {(0, 0, 0): 1})
 FERMAT3 = SymCubic(3, {(i, i, i): 1 for i in range(3)})
@@ -64,6 +69,52 @@ def test_b_rank_values():
     assert b_rank(X3) == 1
     assert b_rank(ZERO2) == 0
     assert b_rank(FERMAT3) == 3
+
+
+def _dense_b_rank(T):
+    """Every row B(e_i, e_j), i <= j, dense: the construction b_rank replaced."""
+    p = T.dim
+    return mat_rank([[T.value(i, j, k) for k in range(p)] for i in range(p) for j in range(i, p)])
+
+
+B_RANK_CUBICS = tuple(e.name for e in catalog_list()) + ("G2", "F4", "E6")
+
+
+@pytest.mark.parametrize("name", B_RANK_CUBICS)
+def test_b_rank_matches_dense_rows(name, request):
+    if name in ("G2", "F4", "E6"):
+        T = extract_cubic(request.getfixturevalue(name.lower()))
+    else:
+        T = catalog_get(name).tensor()
+    assert b_rank(T) == _dense_b_rank(T)
+    half = T.scale(F(5, 7))
+    assert b_rank(half) == _dense_b_rank(half)
+
+
+def test_b_rank_builds_rows_only_for_occurring_pairs(monkeypatch):
+    seen = []
+
+    def recording(rows):
+        seen.append([len(r) for r in rows])
+        return mat_rank(rows)
+
+    monkeypatch.setattr(cubic_module, "mat_rank", recording)
+    assert b_rank(SymCubic(100_000, {})) == 0
+    # One entry: the pairs (0, 1), (0, 99999), (1, 99999), three columns.
+    assert b_rank(SymCubic(100_000, {(0, 1, 99_999): 1})) == 3
+    assert seen == [[], [3, 3, 3]]
+
+
+def test_grouped_and_scaled_tables():
+    T = SymCubic(3, {(0, 0, 1): F(1, 2), (1, 2, 2): 2, (0, 1, 2): F(-1, 3)})
+    d, rows = T.scaled()
+    assert d == 6
+    grouped = T.grouped()
+    assert [[(j, k, F(v, d)) for j, k, v in row] for row in rows] == [list(r) for r in grouped]
+    assert all(type(v) is int for row in rows for _j, _k, v in row)
+    # Row i holds every ordered permutation starting with i.
+    assert sorted((j, k) for j, k, _v in grouped[0]) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert sum(len(r) for r in grouped) == 3 + 3 + 6
 
 
 def test_eval_equals_polarization_on_diagonal():

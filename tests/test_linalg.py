@@ -113,6 +113,22 @@ def _random(sampler, n_rows, n_cols, sparsity=0):
     ]
 
 
+def _large(sampler, n_rows, n_cols):
+    """Seeded Fraction matrix with 30-bit numerators and denominators."""
+    return [
+        [F(sampler.int_range(-2 ** 30, 2 ** 30), sampler.int_range(1, 2 ** 30)) for _ in range(n_cols)]
+        for _ in range(n_rows)
+    ]
+
+
+def _ints(sampler, n_rows, n_cols):
+    """Seeded matrix of plain ints, about a third of them zero."""
+    return [
+        [sampler.int_range(-9, 9) if sampler.int_range(0, 2) else 0 for _ in range(n_cols)]
+        for _ in range(n_rows)
+    ]
+
+
 def _low_rank(sampler, n, r):
     """n x n product of n x r and r x n factors: rank at most r."""
     return mat_mul(_random(sampler, n, r), _random(sampler, r, n))
@@ -133,6 +149,13 @@ def _cases():
     m = _random(sampler, 4, 4)
     cases.append([m[0], m[1], m[0], m[3]])
     cases.append([[Q0, Q0, F(1)], [Q0, F(2), F(3)], [F(4), F(5), F(6)]])
+    # Large denominators, plain ints, and ints mixed with Fractions.
+    for n in (2, 4, 7):
+        cases.append(_large(sampler, n, n))
+        cases.append(_ints(sampler, n, n))
+    m = _ints(sampler, 5, 5)
+    cases.append([row[:2] + big[2:] for row, big in zip(m, _large(sampler, 5, 5))])
+    cases.append([[2, 4, 6], [1, 2, 3], [0, 1, 5]])
     # A signed permutation, as in the extraction pairings.
     cases.append([[Q0, F(-1), Q0], [Q0, Q0, F(1)], [F(1), Q0, Q0]])
     return cases
@@ -145,7 +168,8 @@ CASES = _cases()
 def test_rank_det_solve_inv_match_reference(m):
     n = len(m)
     assert mat_rank(m) == ref_rank(m)
-    assert mat_det(m) == ref_det(m)
+    det = mat_det(m)
+    assert det == ref_det(m) and type(det) is F
     b = [F(k + 1, 3) for k in range(n)]
     if ref_det(m) == 0:
         for fn, args in ((mat_solve, (m, b)), (mat_inv, (m,))):
@@ -153,8 +177,10 @@ def test_rank_det_solve_inv_match_reference(m):
                 fn(*args)
         return
     assert mat_solve(m, b) == ref_solve(m, b)
+    assert mat_solve(m, list(range(n))) == ref_solve(m, list(range(n)))
     inv = mat_inv(m)
     assert inv == ref_inv(m)
+    assert all(type(x) is F for row in inv for x in row)
     assert mat_mul(m, inv) == [[Q1 if i == j else Q0 for j in range(n)] for i in range(n)]
 
 
@@ -163,6 +189,8 @@ def test_rank_rectangular_matches_reference(shape):
     sampler = SeededSampler(58)
     for sparsity in (0, 3):
         m = _random(sampler, *shape, sparsity=sparsity)
+        assert mat_rank(m) == ref_rank(m)
+    for m in (_large(sampler, *shape), _ints(sampler, *shape)):
         assert mat_rank(m) == ref_rank(m)
     low = mat_mul(_random(sampler, shape[0], 1), _random(sampler, 1, shape[1]))
     assert mat_rank(low) == ref_rank(low) <= 1

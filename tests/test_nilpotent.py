@@ -10,7 +10,6 @@ from cubicontact.nilpotent import (
     NElem,
     SlWElem,
     act_slw,
-    basis_degree,
     basis_element,
     bracket,
     bracket_table,
@@ -27,6 +26,11 @@ from cubicontact.verify import run_verification
 X3 = SymCubic(1, {(0, 0, 0): 1})
 ZERO2 = SymCubic(2, {})
 FERMAT3 = SymCubic(3, {(i, i, i): 1 for i in range(3)})
+
+
+def basis_degree(p, idx):
+    """Grade of basis element idx: 2p in n1, p in n2, then 2 in n3."""
+    return 1 if idx < 2 * p else 2 if idx < 3 * p else 3
 
 
 def sample_nelem(sampler, p):
