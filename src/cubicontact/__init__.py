@@ -30,7 +30,6 @@ from .nilpotent import (
     bracket,
     dim_report,
     generic_element,
-    n_basis,
     n_dim,
     verify_jacobi,
 )
@@ -84,12 +83,10 @@ from .extraction import (
     ExtractionError,
     algebra_for,
     double_grading,
-    extract_cubic,
     extraction,
     five_step_grading,
     ternary_dimension_check,
     verify_embedding,
-    verify_pairings,
 )
 from .catalog import (
     CatalogEntry,

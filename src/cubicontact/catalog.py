@@ -62,13 +62,6 @@ def _cd_conj(x):
     return [x[0]] + [-t for t in x[1:]]
 
 
-def octonion_mul(x, y):
-    """Product of two octonions given as 8-coordinate sequences."""
-    if len(x) != 8 or len(y) != 8:
-        raise ValueError("octonions have 8 coordinates")
-    return _cd_mul(list(x), list(y))
-
-
 def octonion_table():
     """mult[i][j] = (k, sign) with e_i e_j = sign e_k."""
     table = []

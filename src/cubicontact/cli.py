@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .catalog import catalog_get, catalog_list, compare_to_extraction, signature
 from .cubic import (
+    ReductionError,
     TensorFormatError,
     b_rank,
     cubic_hash,
@@ -96,7 +97,11 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_verification(T, which, cfg)
+    try:
+        report = run_verification(T, which, cfg)
+    except ReductionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _emit(args, f"verify-{cubic_hash(T)[:12]}.{args.format}", report.render(args.format))
     if report.all_pass:
         return 0

@@ -5,28 +5,21 @@ Chart coordinates on the punctured line bundle are ordered
     (y, z, X3m, X3l, X1_1..X1_p, X2_1..X2_p),        2p + 4 in total,
 
 with y != 0 the fiber coordinate and z the coordinate on the projective
-W line.  The pulled back one-form used here is the published chart
-display
+W line.  The pulled back one-form is
 
-    theta~ = y (dX3m - z dX3l) + y/2 (X2.dX1 - X1.dX2),
+    theta~ = y (dX3m - z dX3l) + y/2 (X1.dX2 - X2.dX1),
 
-whose exterior derivative at the base point is
-
-    dy ^ dX3m - y dz ^ dX3l + y dX2 ^ dX1.
-
-The sign of the half term depends on an orientation convention for the
-chart identification; the opposite orientation (obtained by X2 -> -X2)
-is the one compatible with the bracket conventions of this package and
-is what the moment-map module consumes.  Both have the same determinant
-at every point, so the nondegeneracy certificate is orientation-blind.
-This module uses the published display orientation throughout.
+the orientation in which the fundamental vector fields of the group
+flows (moment module) are contact vector fields.  The published chart
+display carries the opposite sign on the X2 terms; with it the moment
+variety equation fails.
 
 d(theta~) does not depend on the cubic.  Its skew matrix M, with
 M[a][b] the coefficient of dx_a ^ dx_b in the coordinates of coords(),
 has the closed form
 
     M[y][X3m] = 1,  M[y][X3l] = -z,  M[z][X3l] = -y,
-    M[y][X1_i] = X2_i / 2,  M[y][X2_i] = -X1_i / 2,  M[X2_i][X1_i] = y,
+    M[y][X1_i] = -X2_i / 2,  M[y][X2_i] = X1_i / 2,  M[X1_i][X2_i] = y,
 
 skew-completed, all other entries 0.  Nondegeneracy is certified by
 exact determinants at seeded sample points.
@@ -84,7 +77,7 @@ def one_form_value(pt: ChartPoint, velocity) -> Fraction:
     val = y * (velocity[2] - z * velocity[3])
     acc = Q0
     for i in range(p):
-        acc += x2[i] * velocity[4 + i] - x1[i] * velocity[4 + p + i]
+        acc += x1[i] * velocity[4 + p + i] - x2[i] * velocity[4 + i]
     return val + HALF * y * acc
 
 
@@ -111,9 +104,9 @@ def dtheta_matrix(pt: ChartPoint, T: SymCubic):
     put(0, 3, -pt.z)
     put(1, 3, -y)
     for i, (x1_i, x2_i) in enumerate(zip(pt.chart.x1, pt.chart.x2)):
-        put(0, 4 + i, HALF * x2_i)
-        put(0, 4 + p + i, -HALF * x1_i)
-        put(4 + p + i, 4 + i, y)
+        put(0, 4 + i, -HALF * x2_i)
+        put(0, 4 + p + i, HALF * x1_i)
+        put(4 + i, 4 + p + i, y)
     return mat
 
 

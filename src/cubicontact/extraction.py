@@ -38,7 +38,7 @@ from .chevalley import (
     eigenvalue_on,
 )
 from .cubic import SymCubic, b_rank, normalize_cubic, polarize
-from .linalg import mat_inv, mat_mul, mat_rank
+from .linalg import _solve_augmented, mat_inv, mat_mul, mat_rank
 from .nilpotent import bracket_table, n_dim
 from .rootsystems import (
     build_root_system,
@@ -138,17 +138,6 @@ def _pairing_matrix(alg, left_labels, mid_labels, target_label):
 
 
 @dataclass(frozen=True)
-class PairingReport:
-    p: int
-    rank_lower: int  # g(0,1) x g(1,1) -> g(1,2)
-    rank_upper: int  # g(1,0) x g(1,1) -> g(2,1)
-
-    @property
-    def perfect(self) -> bool:
-        return self.rank_lower == self.p == self.rank_upper
-
-
-@dataclass(frozen=True)
 class ExtractionData:
     lie_type: str
     rank: int
@@ -193,35 +182,20 @@ def _sparse_columns(m):
     ]
 
 
-def _pairings(alg: ChevalleyAlgebra, dg: DoubleGrading):
-    """Distinguished bases, both pairing matrices and their ranks.
-
-    Returns ((x_basis, z_basis, y_basis, psi_label, psi_alpha_label),
-    m_lower, m_upper, PairingReport).
-    """
-    distinguished = _distinguished(alg, dg)
-    x_basis, z_basis, y_basis, psi_label, psi_alpha_label = distinguished
-    m_lower = _pairing_matrix(alg, x_basis, y_basis, psi_alpha_label)
-    m_upper = _pairing_matrix(alg, z_basis, y_basis, psi_label)
-    ranks = PairingReport(
-        p=len(y_basis), rank_lower=mat_rank(m_lower), rank_upper=mat_rank(m_upper)
-    )
-    return distinguished, m_lower, m_upper, ranks
-
-
 def extraction(alg: ChevalleyAlgebra) -> ExtractionData:
     """Pairings, phi and the cubic, computed once per algebra object."""
     hit = alg.derived.get("extraction")
     if hit is not None:
         return hit
     dg = double_grading(alg)
-    distinguished, m_lower, m_upper, ranks = _pairings(alg, dg)
-    x_basis, z_basis, y_basis, psi_label, psi_alpha_label = distinguished
-    p = ranks.p
-    if not ranks.perfect:
+    x_basis, z_basis, y_basis, psi_label, psi_alpha_label = _distinguished(alg, dg)
+    p = len(y_basis)
+    m_lower = _pairing_matrix(alg, x_basis, y_basis, psi_alpha_label)
+    m_upper = _pairing_matrix(alg, z_basis, y_basis, psi_label)
+    ranks = (mat_rank(m_lower), mat_rank(m_upper))
+    if ranks != (p, p):
         raise ExtractionError(
-            f"pairings are not perfect: ranks "
-            f"{ranks.rank_lower}, {ranks.rank_upper} != {p}"
+            f"pairings are not perfect: ranks {ranks[0]}, {ranks[1]} != {p}"
         )
     # phi(x_a) = sum_b phi[a][b] z_b with phi . m_upper = m_lower.
     m_upper_inv = mat_inv(m_upper)
@@ -295,18 +269,6 @@ def extraction(alg: ChevalleyAlgebra) -> ExtractionData:
     return data
 
 
-def verify_pairings(alg: ChevalleyAlgebra, dg: DoubleGrading | None = None) -> PairingReport:
-    """Ranks of both pairings; reports them without raising."""
-    if dg is None:
-        dg = double_grading(alg)
-    return _pairings(alg, dg)[3]
-
-
-def extract_cubic(alg: ChevalleyAlgebra, normalized: bool = True) -> SymCubic:
-    data = extraction(alg)
-    return data.tensor if normalized else data.raw_tensor
-
-
 def gradings_report(alg: ChevalleyAlgebra) -> dict:
     """CLI-facing summary of the gradings and the extraction."""
     _pieces, dims = five_step_grading(alg)
@@ -353,10 +315,19 @@ class EmbeddingReport:
 def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
     """Structure-constant comparison of the graded span with abstract n.
 
-    Builds the explicit basis identification (V from g(0,1), the (x) f2
-    block through phi, the dual block from the bracket data, the W line
-    pair from consistency constants) and checks every bracket of basis
-    elements of n(raw cubic) against the Chevalley bracket of the images.
+    Builds the basis identification theta of n(raw cubic) with the
+    span: e_i (x) f1 -> x_i, e_i (x) f2 -> phi(x_i), and the dual basis
+    eps_k of V* -> J(eps_k) in g(1,1), where J is the linear map with
+    J(B(e_i, e_j)) = [x_i, phi(x_j)].  J is solved from the pairs with
+    B(e_i, e_j) != 0 in one elimination; B is onto (the surjectivity
+    assumption), so J is unique.  The W line is read off eps_0:
+    f1 -> kappa1 e_{psi-alpha} and f2 -> kappa2 e_psi with
+    [eps_0, e_0 (x) f1] = f1 and [eps_0, e_0 (x) f2] = f2.
+
+    The check is the comparison of every bracket of basis elements of n
+    with the Chevalley bracket of their images; any inconsistency of
+    the data used to build theta shows up there.  Only a zero kappa is
+    reported before it, as the comparison cannot see a degenerate W line.
     """
     data = extraction(alg)
     p = data.p
@@ -365,68 +336,41 @@ def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
     phi_mat = data.phi_mat
 
     # Images of e_i (x) f1 and e_i (x) f2.
-    theta_cols = []
-    for i in range(p):
-        theta_cols.append({x_basis[i]: Q1})
+    theta_cols = [{x_basis[i]: Q1} for i in range(p)]
     for i in range(p):
         theta_cols.append(
             {z_basis[b]: phi_mat[i][b] for b in range(p) if phi_mat[i][b]}
         )
 
-    # Dual block: J with J(B(e_i, e_j)) = [x_i, phi(x_j)] for all pairs.
+    # Dual block: rows B(e_i, e_j) against the g(1,1) coordinates of
+    # [x_i, phi(x_j)]; the solution is the transpose of J.
     y_index = {lab: k for k, lab in enumerate(y_basis)}
-    b_cols = []
-    k_cols = []
+    b_rows = []
+    k_rows = []
     for i in range(p):
         for j in range(p):
-            b_cols.append(list(polarize(T, _unit(p, i), _unit(p, j))))
-            br = alg.bracket(theta_cols[i], theta_cols[p + j])
-            vec = [Q0] * p
-            for lab, coeff in br.items():
-                if lab not in y_index:
-                    return _embedding_fail(data, 0, ("bracket leaves g(1,1)", lab))
-                vec[y_index[lab]] = Fraction(coeff)
-            k_cols.append(vec)
-    # Select p independent columns of the B matrix.
-    sel = _independent_columns(b_cols, p)
-    if sel is None:
-        raise ExtractionError("extracted cubic violates the surjectivity assumption")
-    b_sel = [[b_cols[c][r] for c in sel] for r in range(p)]
-    k_sel = [[k_cols[c][r] for c in sel] for r in range(p)]
-    j_mat = mat_mul(k_sel, mat_inv(b_sel))  # maps dual coordinates to y coords
-    j_cols = _sparse_columns(j_mat)
-    for idx in range(len(b_cols)):
-        got = _mat_vec_cols(j_cols, b_cols[idx])
-        if got != k_cols[idx]:
-            return _embedding_fail(
-                data, 0, ("dual identification inconsistent", idx)
-            )
-    for k in range(p):
-        theta_cols.append(
-            {y_basis[m]: j_mat[m][k] for m in range(p) if j_mat[m][k]}
-        )
+            b_row = polarize(T, _unit(p, i), _unit(p, j))
+            if not any(b_row):
+                continue
+            k_row = [Q0] * p
+            for lab, coeff in alg.bracket(theta_cols[i], theta_cols[p + j]).items():
+                if lab in y_index:
+                    k_row[y_index[lab]] = coeff
+            b_rows.append(b_row)
+            k_rows.append(k_row)
+    try:
+        j_transpose = _solve_augmented(b_rows, k_rows, p)
+    except ZeroDivisionError:
+        raise ExtractionError(
+            "extracted cubic violates the surjectivity assumption"
+        ) from None
+    for row in j_transpose:
+        theta_cols.append({y_basis[m]: v for m, v in enumerate(row) if v})
 
-    # W line images: kappa1 e_{psi-alpha} and kappa2 e_psi by consistency.
-    kappa1 = kappa2 = None
-    for k in range(p):
-        for j in range(p):
-            br1 = alg.bracket(theta_cols[2 * p + k], theta_cols[j])
-            br2 = alg.bracket(theta_cols[2 * p + k], theta_cols[p + j])
-            c1 = Fraction(br1.pop(data.psi_alpha_label, 0))
-            c2 = Fraction(br2.pop(data.psi_label, 0))
-            if any(br1.values()) or any(br2.values()):
-                return _embedding_fail(data, 0, ("dual brackets leave W", k, j))
-            if k == j:
-                if kappa1 is None:
-                    kappa1, kappa2 = c1, c2
-                elif (c1, c2) != (kappa1, kappa2):
-                    return _embedding_fail(
-                        data, 0, ("inconsistent W normalization", k)
-                    )
-            elif c1 or c2:
-                return _embedding_fail(
-                    data, 0, ("dual pairing not diagonal", k, j)
-                )
+    # W line images, from the brackets of eps_0 with e_0 (x) f1, f2.
+    eps0 = theta_cols[2 * p]
+    kappa1 = Fraction(alg.bracket(eps0, theta_cols[0]).get(data.psi_alpha_label, 0))
+    kappa2 = Fraction(alg.bracket(eps0, theta_cols[p]).get(data.psi_label, 0))
     if not kappa1 or not kappa2:
         return _embedding_fail(data, 0, ("degenerate W normalization",))
     theta_cols.append({data.psi_alpha_label: kappa1})
@@ -478,29 +422,6 @@ def _embedding_fail(data: ExtractionData, pairs, info) -> EmbeddingReport:
 
 def _unit(p, i):
     return tuple(Q1 if t == i else Q0 for t in range(p))
-
-
-def _independent_columns(cols, p):
-    chosen = []
-    rows = []
-    for idx, col in enumerate(cols):
-        trial = rows + [list(col)]
-        if mat_rank(trial) == len(trial):
-            rows = trial
-            chosen.append(idx)
-            if len(chosen) == p:
-                return chosen
-    return None
-
-
-def _mat_vec_cols(m_cols, v):
-    """m . v for m given by its sparse columns, skipping zero entries."""
-    out = [Q0] * len(v)
-    for c, vc in enumerate(v):
-        if vc:
-            for r, m in m_cols[c]:
-                out[r] += m * vc
-    return out
 
 
 def ternary_dimension_check(alg: ChevalleyAlgebra) -> dict:

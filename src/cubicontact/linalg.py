@@ -10,7 +10,10 @@ with a nonzero f in the pivot column becomes
 divided by the gcd of its entries, which keeps it no larger than the
 Bareiss row.  Rows with a zero in the pivot column are skipped.
 mat_det tracks the row scales and multipliers exactly; mat_solve and
-mat_inv divide by each pivot once, at the end.  Results are Fractions.
+mat_inv divide by each pivot once, at the end.  The same solve serves
+tall systems of full column rank: the solution is read off the pivot
+rows, which is the unique solution when the system is consistent (the
+caller checks consistency).  Results are Fractions.
 """
 
 from __future__ import annotations
@@ -89,26 +92,30 @@ def mat_det(rows) -> Fraction:
     return Fraction(num, den * scale)
 
 
-def _solve_augmented(a, right):
-    """Reduce [a | right] for square a; returns the reduced right block."""
-    n = len(a)
+def _solve_augmented(a, right, n: int):
+    """Reduce [a | right] for a with n columns and full column rank.
+
+    a may have more rows than columns (a tall system); the solution is
+    read off the n pivot rows, and the other rows are not checked.
+    Returns the reduced right block; raises when rank(a) < n.
+    """
     m, _scale = _scaled_rows([list(row) + list(extra) for row, extra in zip(a, right)])
     pivots, _num, _den = _eliminate(m, n, jordan=True)
     if len(pivots) < n:
         raise ZeroDivisionError("singular system")
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m)]
+    return [[Fraction(x, m[i][i]) for x in m[i][n:]] for i in range(n)]
 
 
 def mat_solve(a, b):
     """Solve a x = b for square a; b is a vector.  Raises on singular a."""
-    return [row[0] for row in _solve_augmented(a, [[bv] for bv in b])]
+    return [row[0] for row in _solve_augmented(a, [[bv] for bv in b], len(a))]
 
 
 def mat_inv(a):
     """Inverse of square a by one reduction of [a | I].  Raises on singular a."""
     n = len(a)
     identity = [[Q1 if i == j else Q0 for j in range(n)] for i in range(n)]
-    return _solve_augmented(a, identity)
+    return _solve_augmented(a, identity, n)
 
 
 def mat_mul(a, b):

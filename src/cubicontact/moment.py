@@ -28,12 +28,9 @@ exactly at every chart point, which is the moment variety equation (the
 naive unscaled identification satisfies it only up to a factor 2, an
 artifact of c(v,v,.) being the full polarization).
 
-Orientation note: the flow computation pairs with the 'flow' orientation
-of the chart one-form, X2 -> -X2 in the closed form of
-contact.dtheta_matrix; with the published 'display' orientation, the
-one the contact module uses, the grade-2 component of the assembled
-functional cancels identically and no identification can repair the
-equation.
+The one-form is contact.one_form_value; its orientation is the one in
+which these fundamental vector fields are contact vector fields (see the
+contact module).
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from fractions import Fraction
 from itertools import chain, islice, product
 
 from .bch import chart_decompose, exp_diff
-from .contact import ChartPoint, require_assumption
+from .contact import ChartPoint, one_form_value, require_assumption
 from .cubic import (
     SymCubic,
     cubic_hash,
@@ -177,14 +174,7 @@ def moment_of(pt: ChartPoint, A, T: SymCubic) -> Fraction:
         vel = _velocity_from_slw_generator(pt, A, T)
     else:
         raise TypeError(f"unsupported generator {A!r}")
-    # Flow-oriented one-form: y (dX3m - z dX3l) + y/2 (X1.dX2 - X2.dX1).
-    p = T.dim
-    y, z = pt.y, pt.z
-    x1, x2 = pt.chart.x1, pt.chart.x2
-    acc = Q0
-    for i in range(p):
-        acc += x1[i] * vel[4 + p + i] - x2[i] * vel[4 + i]
-    return y * (vel[2] - z * vel[3]) + HALF * y * acc
+    return one_form_value(pt, vel)
 
 
 def moment_point_at(pt: ChartPoint, T: SymCubic) -> MomentPoint:

@@ -177,10 +177,6 @@ def basis_element(p: int, idx: int) -> NElem:
     raise IndexError(idx)
 
 
-def n_basis(p: int):
-    return [basis_element(p, i) for i in range(n_dim(p))]
-
-
 def generic_element(p: int) -> NElem:
     """The element sum_i a_i b_i over the basis b_i, a_i formal coordinates.
 
@@ -294,16 +290,19 @@ class JacobiReport:
         }
 
 
-def verify_jacobi(T: SymCubic, max_violations: int = 16) -> JacobiReport:
+MAX_VIOLATIONS = 16
+
+
+def verify_jacobi(T: SymCubic) -> JacobiReport:
     """Antisymmetry and the Jacobi identity on the basis of n.
 
     The table is read off ``bracket`` (see bracket_table) and checked by
-    jacobi_violations; the report keeps its first ``max_violations``
+    jacobi_violations; the report keeps its first MAX_VIOLATIONS
     violations.  triples_checked is C(d, 3).
     """
     p = T.dim
     d = n_dim(p)
-    violations = tuple(islice(jacobi_violations(bracket_table(T)), max_violations))
+    violations = tuple(islice(jacobi_violations(bracket_table(T)), MAX_VIOLATIONS))
     return JacobiReport(
         p, d, d * (d - 1) * (d - 2) // 6, violations,
         assumption_holds(T), cubic_hash(T),

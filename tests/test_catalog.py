@@ -9,7 +9,7 @@ from cubicontact.catalog import (
     compare_to_extraction,
     det_sym3_cubic,
     j3o_norm_cubic,
-    octonion_mul,
+    _cd_mul,
     octonion_table,
     pfaff6_cubic,
     signature,
@@ -94,6 +94,12 @@ def test_octonion_table_shape():
         assert table[i][i] == (0, -1)
         assert table[0][i] == (i, 1)
         assert table[i][0] == (i, 1)
+
+
+def octonion_mul(x, y):
+    """Product of two octonions given as 8-coordinate sequences."""
+    assert len(x) == len(y) == 8
+    return _cd_mul(list(x), list(y))
 
 
 def octonion_norm(x):

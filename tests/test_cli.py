@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicontact.cli import main
 from cubicontact.cubic import dumps_tensor, loads_tensor
@@ -148,12 +153,15 @@ def test_stdout_when_no_out(monkeypatch, capsys):
         ["verify", "{directory}", "--out", "{out}"],
         ["check", "{non_utf8}"],
         ["verify", "{non_utf8}", "--out", "{out}"],
+        ["verify", "{fifth}", "--samples", "2", "--out", "{out}"],
+        ["verify", "{fifth}", "--samples", "2", "--primes", "5", "7", "--out", "{out}"],
     ],
     ids=[
         "unknown-signature-name", "samples-0", "non-prime", "negative-budget",
         "unknown-compare-name", "zero-denominator", "boolean-value",
         "boolean-index", "boolean-dim", "float-index", "check-directory",
         "verify-directory", "check-non-utf8", "verify-non-utf8",
+        "probe-prime-denominator", "probe-prime-denominator-primes",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, capsys):
@@ -163,6 +171,7 @@ def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, caps
         "bool_index": '{"dim": 1, "entries": [{"i": true, "j": 1, "k": 1, "value": "1"}]}',
         "bool_dim": '{"dim": true, "entries": [{"i": 1, "j": 1, "k": 1, "value": "1"}]}',
         "float_index": '{"dim": 2, "entries": [{"i": 1.5, "j": 2, "k": 2, "value": "1"}]}',
+        "fifth": '{"dim": 1, "entries": [{"i": 1, "j": 1, "k": 1, "value": "1/5"}]}',
     }
     paths = {}
     for key, text in tensors.items():
@@ -188,3 +197,73 @@ def test_long_run_flag_is_gone(x3_file, tmp_path, capsys):
     assert exc.value.code == 2
     assert "--long-run" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- fuzzed input: the exit-code contract and no traceback ---------------
+
+_JUNK = st.sampled_from([None, True, "x", 1.5, -1, 9, [], {}])
+_VALUE = st.sampled_from(["1", "-2", "1/2", "1/5", "3/7", "1/13", "0", 3])
+
+
+@st.composite
+def _tensor_json(draw):
+    """A valid Fermat-like tensor (diagonal entries, so B is onto unless a
+    value is 0) plus a few extra entries, with up to two fields mutated."""
+    dim = draw(st.integers(1, 4))
+    index = st.integers(1, dim)
+    entries = [{"i": i, "j": i, "k": i, "value": draw(_VALUE)} for i in range(1, dim + 1)]
+    entries += draw(st.lists(
+        st.fixed_dictionaries({"i": index, "j": index, "k": index, "value": _VALUE}),
+        max_size=2,
+    ))
+    doc = {"dim": dim, "entries": entries}
+    for _ in range(draw(st.integers(0, 2))):
+        where = draw(st.sampled_from(["dim", "entries", "entry", "root"]))
+        if where == "root":
+            return draw(_JUNK)
+        if where == "entry":
+            entry = draw(st.sampled_from(entries))
+            key = draw(st.sampled_from(["i", "j", "k", "value"]))
+            if draw(st.booleans()):
+                entry.pop(key, None)
+            else:
+                entry[key] = draw(_JUNK)
+        else:
+            doc[where] = draw(_JUNK)
+    return doc
+
+
+_OPTIONS = st.lists(
+    st.sampled_from([
+        ["--which", "all"], ["--which", "jacobi"], ["--which", "moment"],
+        ["--which", "contact"], ["--which", "nope"],
+        ["--seed", "0"], ["--seed", "-3"], ["--seed", "x"],
+        ["--samples", "1"], ["--samples", "2"], ["--samples", "0"], ["--samples", "-1"],
+        ["--primes", "5", "7"], ["--primes", "2"], ["--primes", "4"], ["--primes", "13"],
+        ["--budget", "0"], ["--budget", "50"], ["--budget", "-1"],
+        ["--format", "md"], ["--format", "xml"], ["--bogus"],
+    ]),
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor=_tensor_json(), command=st.sampled_from(["check", "verify"]), options=_OPTIONS)
+def test_fuzzed_input_keeps_exit_contract(tensor, command, options):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cubic.json"
+        path.write_text(json.dumps(tensor))
+        argv = [command, str(path)]
+        if command == "verify":
+            # Bounded work: at most 2 samples and a small probe budget.
+            argv += ["--samples", "2", "--budget", "50"]
+            argv += [a for opt in options for a in opt]
+            argv += ["--out", str(Path(tmp) / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 1, 2), (argv, tensor)
+        assert "Traceback" not in err.getvalue()

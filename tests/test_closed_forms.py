@@ -29,7 +29,7 @@ from cubicontact.bch import (
 from cubicontact.catalog import catalog_get, catalog_list
 from cubicontact.contact import sample_chart_point
 from cubicontact.cubic import polarize, trilinear
-from cubicontact.extraction import algebra_for, extract_cubic
+from cubicontact.extraction import algebra_for, extraction
 from cubicontact.nilpotent import NElem, SlWElem, bracket, generic_element, _dot
 from cubicontact.sampling import SeededSampler
 from cubicontact.scalars import HALF, Jet, Q0, QPoly, TWELFTH
@@ -42,7 +42,7 @@ CUBICS = tuple(e.name for e in catalog_list()) + ("extracted-G2", "extracted-F4"
 
 def _cubic(name):
     if name.startswith("extracted-"):
-        return extract_cubic(algebra_for(name[-2], int(name[-1])))
+        return extraction(algebra_for(name[-2], int(name[-1]))).tensor
     return catalog_get(name).tensor()
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cubicontact import contact, verify
+from cubicontact import contact, moment, verify
 from cubicontact.bch import ChartElem, solve_line_coordinates
 from cubicontact.catalog import catalog_get, catalog_list
 from cubicontact.contact import (
@@ -18,8 +18,9 @@ from cubicontact.contact import (
     tau_matches_line_expansion,
 )
 from cubicontact.cubic import SymCubic, cubic_eval, polarize
-from cubicontact.extraction import algebra_for, extract_cubic
+from cubicontact.extraction import algebra_for, extraction
 from cubicontact.linalg import mat_det
+from cubicontact.moment import moment_membership, moment_point_at
 from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
 from cubicontact.scalars import HALF, Q0, Jet
@@ -34,15 +35,15 @@ ZERO1 = SymCubic(1, {})
 def theta(X, Z, T):
     """Contact form at chart point X on a chart velocity Z, mod the f1 line.
 
-    Returns the f2 coefficient Z3m + 1/2 (X2(z1) - Z2(x1)), the published
-    chart display.
+    Returns the f2 coefficient Z3m + 1/2 (X1.Z2 - X2.Z1), in the
+    orientation of contact.one_form_value.
     """
     require_assumption(T)
     if X.dim != Z.dim or X.dim != T.dim:
         raise ValueError("dimension mismatch")
     x2_z1 = sum((a * b for a, b in zip(X.x2, Z.x1)), Q0)
     z2_x1 = sum((a * b for a, b in zip(Z.x2, X.x1)), Q0)
-    return Z.x3_m + HALF * (x2_z1 - z2_x1)
+    return Z.x3_m + HALF * (z2_x1 - x2_z1)
 
 
 def symplectic_pairing_D(d1, d2, T):
@@ -114,7 +115,8 @@ def test_theta_kills_chart_directions_with_zero_x3m():
 def test_theta_half_term():
     x = ChartElem((F(0),), (F(1),), F(0), F(0))
     z = ChartElem((F(1),), (F(0),), F(0), F(0))
-    assert theta(x, z, X3) == F(1, 2)
+    assert theta(x, z, X3) == F(-1, 2)
+    assert theta(z, x, X3) == F(1, 2)
 
 
 def test_theta_refuses_assumption_violation():
@@ -128,7 +130,7 @@ def test_dtheta_base_point_entries_p1():
     expected = [[F(0)] * 6 for _ in range(6)]
     expected[0][2], expected[2][0] = F(1), F(-1)
     expected[1][3], expected[3][1] = F(-1), F(1)
-    expected[5][4], expected[4][5] = F(1), F(-1)
+    expected[4][5], expected[5][4] = F(1), F(-1)
     assert m == expected
     assert mat_det(m) == 1
 
@@ -163,6 +165,51 @@ def test_dtheta_determinant_is_fiber_power():
         assert mat_det(m) == pt.y ** (2 * 3 + 2)
 
 
+def _display_one_form_value(pt, velocity):
+    """theta~ in the published display orientation, the opposite sign on
+    the X2 terms: y (dX3m - z dX3l) + y/2 (X2.dX1 - X1.dX2)."""
+    p = pt.dim
+    x1, x2 = pt.chart.x1, pt.chart.x2
+    acc = Q0
+    for i in range(p):
+        acc += x2[i] * velocity[4 + i] - x1[i] * velocity[4 + p + i]
+    return pt.y * (velocity[2] - pt.z * velocity[3]) + HALF * pt.y * acc
+
+
+def _exterior_derivative(form, pt):
+    """M[a][b] = d_a form_b - d_b form_a, each partial taken exactly by
+    perturbing one coordinate with a Jet."""
+    n = 2 * pt.dim + 4
+    units = [_unit(n, b) for b in range(n)]
+    partial = [[form(_jet_point(pt, a), units[b]).eps for b in range(n)] for a in range(n)]
+    return [[partial[a][b] - partial[b][a] for b in range(n)] for a in range(n)]
+
+
+def test_display_orientation_has_the_same_determinant():
+    # Both orientations give det d(theta~) = y^(2p+2) at seeded det3 points.
+    T = catalog_get("det3").tensor()
+    p = T.dim
+    sampler = SeededSampler(23)
+    for _ in range(4):
+        pt = sample_chart_point(sampler, p)
+        flow = dtheta_matrix(pt, T)
+        display = _exterior_derivative(_display_one_form_value, pt)
+        assert flow != display
+        assert mat_det(flow) == mat_det(display) == pt.y ** (2 * p + 2)
+
+
+def test_display_orientation_breaks_the_moment_equation(monkeypatch):
+    # The negative test of the orientation: with the display form in
+    # moment_of, omega(phi1, phi3) = c(phi2, phi2, .) fails on xyz at the
+    # same seeded points where the flow orientation satisfies it.
+    T = catalog_get("xyz").tensor()
+    sampler = SeededSampler(25)
+    points = [sample_chart_point(sampler, T.dim) for _ in range(3)]
+    assert all(moment_membership(moment_point_at(pt, T), T) for pt in points)
+    monkeypatch.setattr(moment, "one_form_value", _display_one_form_value)
+    assert not any(moment_membership(moment_point_at(pt, T), T) for pt in points)
+
+
 def _jet_point(pt, a):
     """pt with every coordinate a Jet, eps = 1 on coordinate a only."""
     coords = [Jet(c, 1 if i == a else 0) for i, c in enumerate(pt.coords())]
@@ -175,22 +222,12 @@ def _jet_point(pt, a):
 
 @pytest.mark.parametrize("p", [1, 3, 9])
 def test_dtheta_is_exterior_derivative_of_one_form(p):
-    # Independent reference: M[a][b] = d_a theta~_b - d_b theta~_a, each
-    # partial taken exactly by perturbing one coordinate with a Jet.
-    n = 2 * p + 4
+    # Independent reference: the exterior derivative of one_form_value.
     T = SymCubic(p, {(0, 0, 0): 1})
-    units = [_unit(n, b) for b in range(n)]
     sampler = SeededSampler(30 + p)
     for _ in range(3):
         pt = sample_chart_point(sampler, p)
-        partial = [
-            [one_form_value(_jet_point(pt, a), units[b]).eps for b in range(n)]
-            for a in range(n)
-        ]
-        expected = [
-            [partial[a][b] - partial[b][a] for b in range(n)] for a in range(n)
-        ]
-        assert dtheta_matrix(pt, T) == expected
+        assert dtheta_matrix(pt, T) == _exterior_derivative(one_form_value, pt)
 
 
 def test_dtheta_requires_nonzero_y():
@@ -295,7 +332,7 @@ TAU_CUBICS = tuple(e.name for e in catalog_list()) + ("extracted-G2", "extracted
 
 def _tau_cubic(name):
     if name.startswith("extracted-"):
-        return extract_cubic(algebra_for(name[-2], int(name[-1])))
+        return extraction(algebra_for(name[-2], int(name[-1]))).tensor
     return catalog_get(name).tensor()
 
 

@@ -21,7 +21,7 @@ from cubicontact.cubic import (
     reduce_mod,
     trilinear,
 )
-from cubicontact.extraction import extract_cubic
+from cubicontact.extraction import extraction
 from cubicontact.linalg import mat_det, mat_inv, mat_mul, mat_rank, mat_solve
 from cubicontact.sampling import SeededSampler
 
@@ -83,7 +83,7 @@ B_RANK_CUBICS = tuple(e.name for e in catalog_list()) + ("G2", "F4", "E6")
 @pytest.mark.parametrize("name", B_RANK_CUBICS)
 def test_b_rank_matches_dense_rows(name, request):
     if name in ("G2", "F4", "E6"):
-        T = extract_cubic(request.getfixturevalue(name.lower()))
+        T = extraction(request.getfixturevalue(name.lower())).tensor
     else:
         T = catalog_get(name).tensor()
     assert b_rank(T) == _dense_b_rank(T)

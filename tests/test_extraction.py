@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -6,18 +7,17 @@ from cubicontact.chevalley import chevalley
 from cubicontact.cubic import SymCubic, b_rank
 from cubicontact.extraction import (
     ExtractionError,
-    _mat_vec_cols,
-    _sparse_columns,
+    _distinguished,
+    _pairing_matrix,
     algebra_for,
     double_grading,
-    extract_cubic,
     extraction,
     five_step_grading,
     gradings_report,
     ternary_dimension_check,
     verify_embedding,
-    verify_pairings,
 )
+from cubicontact.linalg import mat_rank
 from cubicontact.rootsystems import TypeARejection, build_root_system
 
 
@@ -70,23 +70,31 @@ def test_grading_additivity_of_brackets(g2):
                     assert grade[lc] == want
 
 
+def verify_pairings(alg):
+    """(p, rank of g(0,1) x g(1,1) -> g(1,2), rank of g(1,0) x g(1,1) -> g(2,1))."""
+    x_basis, z_basis, y_basis, psi, psi_alpha = _distinguished(alg, double_grading(alg))
+    return (
+        len(y_basis),
+        mat_rank(_pairing_matrix(alg, x_basis, y_basis, psi_alpha)),
+        mat_rank(_pairing_matrix(alg, z_basis, y_basis, psi)),
+    )
+
+
 @pytest.mark.parametrize("key", sorted(EXPECTED_P))
 def test_pairings_perfect(key):
     alg = algebra_for(*key)
-    rep = verify_pairings(alg)
-    assert rep.perfect
-    assert rep.p == EXPECTED_P[key]
+    assert verify_pairings(alg) == (EXPECTED_P[key],) * 3
 
 
 def test_extract_g2_normalizes_to_x3(g2):
-    T = extract_cubic(g2)
+    T = extraction(g2).tensor
     assert T == SymCubic(1, {(0, 0, 0): 1})
 
 
 @pytest.mark.parametrize("key", sorted(EXPECTED_P))
 def test_extracted_assumption(key):
     alg = algebra_for(*key)
-    T = extract_cubic(alg)
+    T = extraction(alg).tensor
     assert T.dim == EXPECTED_P[key]
     assert b_rank(T) == T.dim
 
@@ -152,13 +160,6 @@ def test_sparse_contraction_matches_dense(key):
     assert data.raw_tensor == _dense_raw_tensor(alg, data)
 
 
-def test_sparse_mat_vec_matches_dense():
-    m = [[F(0), F(2), F(0)], [F(-1, 3), F(0), F(5)], [F(0), F(0), F(0)]]
-    for v in ([F(1), F(2), F(3)], [F(0), F(0), F(7, 2)], [F(0)] * 3):
-        dense = [sum(m[r][c] * v[c] for c in range(3)) for r in range(3)]
-        assert _mat_vec_cols(_sparse_columns(m), v) == dense
-
-
 def test_extraction_memoized_per_algebra(g2):
     private = chevalley(build_root_system("G", 2))
     data = extraction(private)
@@ -206,3 +207,77 @@ def test_gradings_report_shape(g2):
     assert rep["dim_g"] == 14
     assert rep["five_step_dims"] == [1, 4, 4, 4, 1]
     assert rep["p"] == 1
+
+
+# --- verdicts of the embedding check on corrupted Chevalley tables ------
+#
+# Each mutant corrupts structure constants of a fresh algebra after its
+# extraction is memoized, so only verify_embedding reads the corrupted
+# entries.  The blocks are named by the pieces of the two basis labels:
+# x in g(0,1), z in g(1,0), y in g(1,1).
+
+
+def _extracted(lie_type, rank):
+    alg = chevalley(build_root_system(lie_type, rank))
+    return alg, extraction(alg)
+
+
+def _block_entries(alg, left, right):
+    """(row, column) positions of the nonzero entries [left_a, right_b]."""
+    index = alg.index
+    return [
+        (index[la], index[lb])
+        for la in left
+        for lb in right
+        if alg._row(index[la]).get(index[lb])
+    ]
+
+
+def _scale(alg, i, j, factor):
+    row = alg._row(i)
+    row[j] = tuple((k, factor * c) for k, c in row[j])
+
+
+def _block(data, name):
+    pieces = {"x": data.x_basis, "z": data.z_basis, "y": data.y_basis}
+    return pieces[name[0]], pieces[name[1]]
+
+
+@pytest.mark.parametrize("block", ["xz", "yx", "yz"])
+@pytest.mark.parametrize("key, which", [(("G", 2), 0), (("F", 4), 0), (("F", 4), -1)])
+def test_embedding_fails_on_one_sided_entry(key, which, block):
+    alg, data = _extracted(*key)
+    i, j = _block_entries(alg, *_block(data, block))[which]
+    _scale(alg, i, j, 2)
+    rep = verify_embedding(alg)
+    assert rep.ok is False
+
+
+@pytest.mark.parametrize("block", ["xz", "yx", "yz"])
+@pytest.mark.parametrize("which", [0, 3, -1])
+def test_embedding_fails_on_antisymmetric_pair_f4(which, block):
+    alg, data = _extracted("F", 4)
+    i, j = _block_entries(alg, *_block(data, block))[which]
+    _scale(alg, i, j, 2)
+    _scale(alg, j, i, 2)
+    rep = verify_embedding(alg)
+    assert rep.ok is False
+
+
+@pytest.mark.parametrize("key", [("G", 2), ("F", 4)])
+def test_embedding_fails_on_bracket_outside_g11(key):
+    alg, data = _extracted(*key)
+    i, j = _block_entries(alg, data.x_basis, data.z_basis)[0]
+    (_k, c), = alg._row(i)[j]
+    alg._row(i)[j] = ((alg.index[data.psi_label], c),)
+    rep = verify_embedding(alg)
+    assert rep.ok is False
+
+
+def test_embedding_raises_on_zero_cubic():
+    alg, data = _extracted("F", 4)
+    alg.derived["extraction"] = dataclasses.replace(
+        data, raw_tensor=SymCubic(data.p, {})
+    )
+    with pytest.raises(ExtractionError):
+        verify_embedding(alg)

@@ -3,7 +3,8 @@
 A refactor or a speed-up must leave every report byte-identical for a
 fixed configuration.  These digests pin the ``verify --which all``
 report of every catalog cubic at three seeds and the ``extract
---embedding --compare j3o-norm`` files of G2 and F4.  A documented
+--embedding --compare j3o-norm`` files of every type the extraction
+accepts (G2, F4, E6-E8, B3-B8, D4-D8) with its exit code.  A documented
 schema change re-records them: ``python tests/test_golden_reports.py``
 prints the current table.
 """
@@ -52,6 +53,62 @@ VERIFY_DIGESTS = {
 }
 
 EXTRACT_DIGESTS = {
+    'B3': {
+        'extract-report-B3.json': 'f210086aff40873fe41a7b29a5e870349bfb0bbd90f5c19472b88d3ffbeff833',
+        'extracted-B3.json': 'f4e582354a729482d8e14cfa2ae0b0f850a6efc31926fdde60626e244741bb43',
+    },
+    'B4': {
+        'extract-report-B4.json': 'dae36451d6042648919698fe25258330addda065de7f62b8c83d51ca501560f8',
+        'extracted-B4.json': 'cbcf3cb59d67837b13ce5b2e439c082ff070b1ad9a70d8dd0e12d2bcdebc69dc',
+    },
+    'B5': {
+        'extract-report-B5.json': '1b993fef862783bdafbd24a594136ac1939450fb196d7a93a813639a8b85cc79',
+        'extracted-B5.json': 'b8794b30ff56d723cb1a0a60c48e348ee015220196d5b36fe7da5f48671c7def',
+    },
+    'B6': {
+        'extract-report-B6.json': '64ab48091d7a487f230a8ac21e600c7727e834e75091889ff908580c64b87b08',
+        'extracted-B6.json': '850b0e8b79333020f9d528f876b3050edabdbe11cd46d52642e8ab4e7d2ab899',
+    },
+    'B7': {
+        'extract-report-B7.json': '3ab063e6e738a1a95714b33ae05ee93cf1cc90f6be05b105baa6487f9d799c40',
+        'extracted-B7.json': 'dc6b1adcd116429ab9a967a692d445bd0c99b2178d3d63837bdafdcfc06bf4fe',
+    },
+    'B8': {
+        'extract-report-B8.json': '00a2dd491c80ce8b295493493f2159187184c4e84a90093ac347656b945c4312',
+        'extracted-B8.json': '758e9fbed7447ae14cb186eefbf5488cb0c1a8b5f936aa41a8ae390038e41b07',
+    },
+    'D4': {
+        'extract-report-D4.json': '1efd526ccc47e2b2208d378a4fba8fa32fcdb8501f7e00586fd44038890b90f6',
+        'extracted-D4.json': 'ed83807c7a69e4f8252881250131571b2ef09485885444af3003f40f9ceca43d',
+    },
+    'D5': {
+        'extract-report-D5.json': '04a60f3e285de44bff390cd33a8f7d5c3b1aa2513b91f8012407f06baaee84de',
+        'extracted-D5.json': 'd960803ba809d7e1ae84eeae5a236195393ef43c37f3f1129f6db07e6e06af97',
+    },
+    'D6': {
+        'extract-report-D6.json': '16d40a87add0239ee7a1c56c473cc205c010d8856f972005b0b159291dcdcc4b',
+        'extracted-D6.json': '64525e7e28d0829bcc9198a3488547874f5791f9e5f632c11a3d8d2eb6340824',
+    },
+    'D7': {
+        'extract-report-D7.json': 'b956eb385880f150ac432a67c71503fd81318045467f7084ede348a689ca61b2',
+        'extracted-D7.json': 'abb2c96ec20a0691eb5f1fbc6ee12e615d05fbb9332035a47b6870ff2576acca',
+    },
+    'D8': {
+        'extract-report-D8.json': '2ca7c1d09451903a12ebcf674e9c8b79fe1f05b1468dbca95e37206b42f34558',
+        'extracted-D8.json': '2ca0574dd530a8b5a368ab330a7b57de7f71c280381fead74272f5e21ba1888f',
+    },
+    'E6': {
+        'extract-report-E6.json': 'c9df45e5b51c8476372f5f8ba8434f342fac71f4cbc9193fd9d1f14ae4e74ed8',
+        'extracted-E6.json': '233673491b7bb98c543945fe5a151be7074fc951b3130479045cd44e9e39604c',
+    },
+    'E7': {
+        'extract-report-E7.json': 'c219daae11fd09f356d0486f4b99185fb0fe85f676427a3a8933a8a14f136950',
+        'extracted-E7.json': '27c8fbd5acdf7010d34ca118a6c365cd495f287b6745ac2535fa4bcc6a3ad1fa',
+    },
+    'E8': {
+        'extract-report-E8.json': 'b27d30596f5c52a0a7d5d04aff77ab2656d65c44a9cc48aa02e5cfffc9f01d45',
+        'extracted-E8.json': 'b406715fd6c40372a6bb397536b59edd42d1cdae8b4d864217825c603f9655e0',
+    },
     'F4': {
         'extract-report-F4.json': 'cee6134081fb8312978caba5f4bb0479ab551f0cec4e506d834eebc6af1972ce',
         'extracted-F4.json': 'a0ca95e11f172d747fdb9c7a63beb2c4174b01beecf1b143dd96a7ad7bf33d29',
@@ -81,12 +138,21 @@ def verify_digest(name: str, seed: int, tmp_path) -> str:
     return _digest(report)
 
 
+EXTRACT_TYPES = ("G2", "F4", "E6", "E7", "E8") + tuple(f"B{n}" for n in range(3, 9)) + tuple(
+    f"D{n}" for n in range(4, 9)
+)
+
+
+def extract_exit_code(lie_type: str) -> int:
+    """Only the E8 cubic is the j3o norm; every other comparison fails."""
+    return 0 if lie_type == "E8" else 1
+
+
 def extract_digests(lie_type: str, tmp_path) -> dict:
     out = tmp_path / "out"
     code = main(["extract", "--type", lie_type, "--embedding", "--compare", "j3o-norm",
                  "--out", str(out)])
-    # The G2 and F4 cubics are not the j3o norm: the comparison fails.
-    assert code == 1, lie_type
+    assert code == extract_exit_code(lie_type), lie_type
     return {f.name: _digest(f) for f in sorted(out.iterdir())}
 
 
@@ -103,7 +169,7 @@ def test_extract_files_digest(lie_type, tmp_path, capsys):
 def test_every_catalog_cubic_is_pinned():
     names = {e.name for e in catalog_list()}
     assert set(VERIFY_DIGESTS) == {(n, s) for n in names for s in SEEDS}
-    assert set(EXTRACT_DIGESTS) == {"G2", "F4"}
+    assert set(EXTRACT_DIGESTS) == set(EXTRACT_TYPES)
 
 
 if __name__ == "__main__":
@@ -118,7 +184,7 @@ if __name__ == "__main__":
     with contextlib.redirect_stdout(io.StringIO()):
         verify = {(e.name, s): verify_digest(e.name, s, fresh())
                   for e in catalog_list() for s in SEEDS}
-        extract = {t: extract_digests(t, fresh()) for t in ("G2", "F4")}
+        extract = {t: extract_digests(t, fresh()) for t in EXTRACT_TYPES}
     print("VERIFY_DIGESTS = {")
     for key in sorted(verify):
         print(f"    {key!r}: {verify[key]!r},")

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cubicontact.linalg import mat_det, mat_inv, mat_mul, mat_rank, mat_solve
+from cubicontact.linalg import _solve_augmented, mat_det, mat_inv, mat_mul, mat_rank, mat_solve
 from cubicontact.sampling import SeededSampler
 from cubicontact.scalars import Q0, Q1
 
@@ -194,6 +194,26 @@ def test_rank_rectangular_matches_reference(shape):
         assert mat_rank(m) == ref_rank(m)
     low = mat_mul(_random(sampler, shape[0], 1), _random(sampler, 1, shape[1]))
     assert mat_rank(low) == ref_rank(low) <= 1
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_tall_full_rank_solve_matches_reference(n):
+    # A consistent tall system [a | a x]: zero rows, repeated rows and
+    # combinations of rows around n independent ones, in shuffled order.
+    sampler = SeededSampler(59 + n)
+    square = _random(sampler, n, n)
+    while ref_det(square) == 0:
+        square = _random(sampler, n, n)
+    x = _random(sampler, n, 2)
+    extra = mat_mul(_random(sampler, 2 * n, n, sparsity=2), square)
+    rows = square + extra + [[Q0] * n, square[0]]
+    order = sorted(range(len(rows)), key=lambda _i: sampler.int_range(0, 10 ** 6))
+    tall = [rows[i] for i in order]
+    assert _solve_augmented(tall, mat_mul(tall, x), n) == x
+    # Rank below n raises, also with no rows at all.
+    for deficient in ([r[:-1] + [Q0] for r in tall], []):
+        with pytest.raises(ZeroDivisionError):
+            _solve_augmented(deficient, [[Q0, Q0] for _ in deficient], n)
 
 
 def test_inputs_are_not_modified():

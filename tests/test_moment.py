@@ -24,7 +24,7 @@ from cubicontact.moment import (
     moment_point_at,
     smoothness_probe,
 )
-from cubicontact.nilpotent import NElem, SlWElem, n_basis
+from cubicontact.nilpotent import NElem, SlWElem, basis_element, n_dim
 from cubicontact.scalars import Q0
 from cubicontact.sampling import SeededSampler
 
@@ -61,7 +61,7 @@ def test_moment_of_linear_in_generator():
     sampler = SeededSampler(31)
     T = FERMAT3
     pt = sample_chart_point(sampler, 3)
-    basis = n_basis(3)
+    basis = [basis_element(3, i) for i in range(n_dim(3))]
     for _ in range(5):
         coeffs = [sampler.fraction() for _ in basis]
         combo = NElem.zero(3)
