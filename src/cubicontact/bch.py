@@ -36,8 +36,9 @@ lcm, computes [X, Y] and the central term in Python ints from T's
 integer table (``SymCubic.scaled``), and builds the Fractions once, at
 the end (common-denominator arithmetic; Geddes, Czapor and Labahn,
 Algorithms for Computer Algebra, 1992, ch. 9).  Elements over any other
-ring (QPoly, LinForm, Jet, or holding a plain int) take the generic path
-through ``bracket``.
+ring take the generic path through ``bracket``: QPoly and LinForm, whose
+own arithmetic runs on int numerators over one denominator (see
+``scalars``), Jet, and elements holding a plain int.
 
 ``chart_decompose`` factors exp(U) = exp(X) exp(w (x) p) with X in the
 chart complement n_m = (V (x) f2) + V* + W and p = f1 + z f2; it works

@@ -25,12 +25,20 @@ from .scalars import Q0, Q1
 
 
 def _scaled_rows(rows):
-    """Each row times the lcm of its denominators, as ints, and the lcms' product."""
+    """Each row times the lcm of its denominators, as ints, and the lcms' product.
+
+    Only the entries that are not the shared zero Q0, which fills the
+    sparse matrices built here (d(theta~), b_rank, identities), are
+    converted, so a row costs in proportion to its nonzero entries.
+    """
     out, scale = [], 1
     for row in rows:
-        pairs = [x.as_integer_ratio() for x in row]
-        d = lcm(*[q for _n, q in pairs])
-        out.append([n for n, _q in pairs] if d == 1 else [n * (d // q) for n, q in pairs])
+        pairs = [(i, x.as_integer_ratio()) for i, x in enumerate(row) if x is not Q0]
+        d = lcm(*[q for _i, (_n, q) in pairs])
+        ints = [0] * len(row)
+        for i, (n, q) in pairs:
+            ints[i] = n * (d // q)
+        out.append(ints)
         scale *= d
     return out, scale
 

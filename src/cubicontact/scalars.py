@@ -1,8 +1,8 @@
 """Exact scalar rings.
 
-Everything in this package runs on ``fractions.Fraction``; no floating
-point value is ever produced.  Two small commutative ring extensions and
-a type of linear forms are needed by the chart computations:
+No floating point value is ever produced.  Besides ``fractions.Fraction``
+the chart computations need two small commutative ring extensions and a
+type of linear forms:
 
 * ``QPoly``   - dense univariate polynomials over Q, used to solve for
   group elements whose coordinates are exact polynomials in a line
@@ -16,6 +16,14 @@ a type of linear forms are needed by the chart computations:
   operations exist, so a non-linear use raises TypeError instead of
   giving a wrong number.
 
+``QPoly`` and ``LinForm`` store Python-int numerators over one positive
+denominator, normalized so that gcd(den, numerators) = 1 (and, for a
+``QPoly``, with no trailing zero).  Equal values therefore have equal
+storage, and their ring operations run in ints: an lcm to add, one gcd
+to normalize (common-denominator arithmetic; Geddes, Czapor and Labahn,
+Algorithms for Computer Algebra, 1992, ch. 9).  A coefficient read out
+of either is a normalized ``Fraction``.
+
 All three interoperate with ``Fraction`` and ``int`` through the
 reflected arithmetic hooks, so the algebra layer can stay
 scalar-agnostic.
@@ -24,6 +32,8 @@ scalar-agnostic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -43,112 +53,141 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def _as_fraction(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return None
+def _ratio(x):
+    """(numerator, denominator) of an int or Fraction, else None."""
+    return x.as_integer_ratio() if isinstance(x, (int, Fraction)) else None
+
+
+def _over_lcm(values):
+    """Numerators of values over the lcm of their denominators, and the lcm."""
+    pairs = [frac(c).as_integer_ratio() for c in values]
+    den = lcm(*[q for _n, q in pairs])
+    return [n * (den // q) for n, q in pairs], den
 
 
 class QPoly:
-    """Univariate polynomial over Q with exact coefficients."""
+    """Univariate polynomial over Q with exact coefficients.
 
-    __slots__ = ("coeffs",)
+    ``nums`` holds the int numerators, constant term first and with no
+    trailing zero, over the positive int ``den``, with
+    gcd(den, *nums) = 1; the zero polynomial is ((), 1).
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self._store(*_over_lcm(coeffs))
+
+    @classmethod
+    def _of(cls, nums: list, den: int) -> "QPoly":
+        out = object.__new__(cls)
+        out._store(nums, den)
+        return out
+
+    def _store(self, nums: list, den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        g = 1 if den == 1 else gcd(den, *nums)
+        self.nums = tuple(nums) if g == 1 else tuple(n // g for n in nums)
+        self.den = den // g
 
     @staticmethod
     def const(c) -> "QPoly":
-        return QPoly((frac(c),))
+        return QPoly((c,))
 
     @staticmethod
     def x() -> "QPoly":
-        return QPoly((Q0, Q1))
+        return QPoly._of([0, 1], 1)
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Q0
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Q0
 
     def __call__(self, value):
         acc = Q0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
+        for k in reversed(range(len(self.nums))):
+            acc = acc * value + self.coefficient(k)
         return acc
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __add__(self, other):
-        if isinstance(other, QPoly):
-            n = max(len(self.coeffs), len(other.coeffs))
-            return QPoly(
-                (self.coefficient(i) + other.coefficient(i) for i in range(n))
-            )
-        f = _as_fraction(other)
-        if f is None:
-            return NotImplemented
-        return self + QPoly((f,))
+        if not isinstance(other, QPoly):
+            r = _ratio(other)
+            if r is None:
+                return NotImplemented
+            other = QPoly._of([r[0]], r[1])
+        a, b = self.nums, other.nums
+        if not b:
+            return self
+        if not a:
+            return other
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        out = [x * fa for x in a]
+        out += [0] * (len(b) - len(a))
+        for i, y in enumerate(b):
+            out[i] += y * fb
+        return QPoly._of(out, self.den * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly(tuple(-c for c in self.coeffs))
+        return QPoly._of([-n for n in self.nums], self.den)
 
     def __sub__(self, other):
-        o = other if isinstance(other, QPoly) else None
-        if o is None:
-            f = _as_fraction(other)
-            if f is None:
-                return NotImplemented
-            o = QPoly((f,))
-        return self + (-o)
+        if not isinstance(other, (QPoly, int, Fraction)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, QPoly):
-            if not self.coeffs or not other.coeffs:
+            a, b = self.nums, other.nums
+            if not a or not b:
                 return QPoly()
-            out = [Q0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return QPoly(out)
-        f = _as_fraction(other)
-        if f is None:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            return QPoly._of(out, self.den * other.den)
+        r = _ratio(other)
+        if r is None:
             return NotImplemented
-        return QPoly(tuple(c * f for c in self.coeffs))
+        return QPoly._of([n * r[0] for n in self.nums], self.den * r[1])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        f = _as_fraction(other)
-        if f is None:
+        r = _ratio(other)
+        if r is None:
             return NotImplemented
-        return self * (Q1 / f)
+        n, q = r
+        if not n:
+            raise ZeroDivisionError("polynomial divided by zero")
+        if n < 0:
+            n, q = -n, -q
+        return QPoly._of([c * q for c in self.nums], self.den * n)
 
     def __eq__(self, other):
         if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
-        f = _as_fraction(other)
-        if f is None:
+            return self.nums == other.nums and self.den == other.den
+        r = _ratio(other)
+        if r is None:
             return NotImplemented
-        return self.coeffs == (() if f == 0 else (f,))
+        return self.nums == ((r[0],) if r[0] else ()) and self.den == r[1]
 
     def __hash__(self):
-        return hash(("QPoly", self.coeffs))
+        return hash(("QPoly", self.nums, self.den))
 
     def __repr__(self):
-        return f"QPoly({list(self.coeffs)!r})"
+        return f"QPoly({[self.coefficient(k) for k in range(len(self.nums))]!r})"
 
 
 class Jet:
@@ -170,10 +209,9 @@ class Jet:
     def _coerce(self, other):
         if isinstance(other, Jet):
             return other
-        f = _as_fraction(other)
-        if f is None:
-            return None
-        return Jet(f, 0)
+        if isinstance(other, (int, Fraction)):
+            return Jet(other, 0)
+        return None
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -234,52 +272,74 @@ class Jet:
 class LinForm:
     """Sparse linear form sum_i c_i a_i over Q in formal coordinates a_i.
 
-    ``coeffs`` maps a coordinate index to its nonzero coefficient.  Forms
-    add and subtract, and scale by ``int`` or ``Fraction``; adding the
-    exact constant 0 is the identity.  A product of two forms or the sum
-    of a form and a nonzero constant would leave the linear forms and
-    raises TypeError.  The empty form is false and equals 0.
+    ``nums`` maps a coordinate index to the nonzero int numerator of its
+    coefficient over the positive int ``den``, with gcd(den, *nums) = 1;
+    ``coeffs`` is a read-only view of the coefficients as Fractions.
+    Forms add and subtract, and scale by ``int`` or ``Fraction``; adding
+    the exact constant 0 is the identity.  A product of two forms or the
+    sum of a form and a nonzero constant would leave the linear forms
+    and raises TypeError.  The empty form is false and equals 0.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=None):
-        self.coeffs = {} if coeffs is None else coeffs
+        coeffs = coeffs or {}
+        nums, den = _over_lcm(coeffs.values())
+        self._store({i: n for i, n in zip(coeffs, nums) if n}, den)
+
+    @classmethod
+    def _of(cls, nums: dict, den: int) -> "LinForm":
+        out = object.__new__(cls)
+        out._store(nums, den)
+        return out
+
+    def _store(self, nums: dict, den: int) -> None:
+        g = 1 if den == 1 else gcd(den, *nums.values())
+        self.nums = nums if g == 1 else {i: n // g for i, n in nums.items()}
+        self.den = den // g
 
     @staticmethod
     def coordinate(i: int) -> "LinForm":
-        return LinForm({i: Q1})
+        return LinForm._of({i: 1}, 1)
+
+    @property
+    def coeffs(self):
+        return MappingProxyType({i: Fraction(n, self.den) for i, n in self.nums.items()})
 
     def coefficient(self, i: int) -> Fraction:
-        return self.coeffs.get(i, Q0)
+        n = self.nums.get(i)
+        return Q0 if n is None else Fraction(n, self.den)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LinForm):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if other:
                 raise TypeError("cannot add a nonzero constant to a linear form")
             return self
-        if not isinstance(other, LinForm):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            a = out.get(i)
-            if a is None:
-                out[i] = c
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        out = dict(self.nums) if fa == 1 else {i: n * fa for i, n in self.nums.items()}
+        for i, n in other.nums.items():
+            s = out.get(i, 0) + n * fb
+            if s:
+                out[i] = s
             else:
-                s = a + c
-                if s:
-                    out[i] = s
-                else:
-                    del out[i]
-        return LinForm(out)
+                del out[i]
+        return LinForm._of(out, self.den * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LinForm({i: -c for i, c in self.coeffs.items()})
+        return LinForm._of({i: -n for i, n in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -292,19 +352,19 @@ class LinForm:
             raise TypeError("product of two linear forms is not linear")
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if not other:
+        n, q = other.as_integer_ratio()
+        if not n:
             return LinForm()
-        return LinForm({i: c * other for i, c in self.coeffs.items()})
+        return LinForm._of({i: c * n for i, c in self.nums.items()}, self.den * q)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, LinForm):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return not self.coeffs and not other
+            return not self.nums and not other
         return NotImplemented
 
     def __repr__(self):
-        return f"LinForm({self.coeffs!r})"
-
+        return f"LinForm({dict(self.coeffs)!r})"

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cubicontact.cli import main
 from cubicontact.cubic import dumps_tensor, loads_tensor
 from cubicontact.catalog import catalog_get
+from cubicontact.verify import SUITES
 
 
 @pytest.fixture()
@@ -190,6 +191,38 @@ def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, caps
     assert not out.exists()
 
 
+def _tensor_with_value(tmp_path, name, index, value):
+    doc = json.loads(dumps_tensor(catalog_get(name).tensor()))
+    doc["entries"][index]["value"] = value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_probe_prime_denominator_rejected_before_any_suite(tmp_path, capsys, monkeypatch):
+    def boom(T, cfg):
+        raise AssertionError("a suite ran")
+
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, boom)
+    path = _tensor_with_value(tmp_path, "pfaff6", 4, "1/5")
+    out = tmp_path / "out"
+    assert main(["verify", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: entry ") and "divisible by 5" in err
+    assert not out.exists()
+
+
+def test_probe_prime_denominator_rejected_whatever_the_probe_order(tmp_path, capsys):
+    # The probe finds a witness of xyz mod 5 and never reduces mod 7.
+    path = _tensor_with_value(tmp_path, "xyz", 0, "3/7")
+    out = tmp_path / "out"
+    argv = ["verify", str(path), "--samples", "2", "--primes", "5", "7", "--out", str(out)]
+    assert main(argv) == 2
+    assert "divisible by 7" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_long_run_flag_is_gone(x3_file, tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -247,7 +280,7 @@ _OPTIONS = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(tensor=_tensor_json(), command=st.sampled_from(["check", "verify"]), options=_OPTIONS)
 def test_fuzzed_input_keeps_exit_contract(tensor, command, options):
     with tempfile.TemporaryDirectory() as tmp:

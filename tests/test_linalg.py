@@ -129,6 +129,27 @@ def _ints(sampler, n_rows, n_cols):
     ]
 
 
+def _dtheta_shaped(sampler, p, y):
+    """Skew (2p+4)-square matrix with the nonzero pattern of d(theta~):
+    ints and Fractions, its zeros the shared Q0 except for an int 0 and
+    a fresh Fraction(0).  Its determinant is y^(2p+2)."""
+    n = 2 * p + 4
+    m = [[Q0] * n for _ in range(n)]
+
+    def put(a, b, x):
+        m[a][b], m[b][a] = x, -x
+
+    put(0, 2, 1)
+    put(0, 3, -sampler.fraction())
+    put(1, 3, -y)
+    for i in range(p):
+        put(0, 4 + i, sampler.fraction() / 2)
+        put(0, 4 + p + i, sampler.int_range(-9, 9))
+        put(4 + i, 4 + p + i, y)
+    m[1][2], m[2][1] = 0, F(0)
+    return m
+
+
 def _low_rank(sampler, n, r):
     """n x n product of n x r and r x n factors: rank at most r."""
     return mat_mul(_random(sampler, n, r), _random(sampler, r, n))
@@ -156,6 +177,9 @@ def _cases():
     m = _ints(sampler, 5, 5)
     cases.append([row[:2] + big[2:] for row, big in zip(m, _large(sampler, 5, 5))])
     cases.append([[2, 4, 6], [1, 2, 3], [0, 1, 5]])
+    # Sparse d(theta~)-shaped matrices, one of them singular (y = 0).
+    for p, y in ((1, F(3, 7)), (3, F(-2)), (6, F(5, 11)), (2, Q0)):
+        cases.append(_dtheta_shaped(sampler, p, y))
     # A signed permutation, as in the extraction pairings.
     cases.append([[Q0, F(-1), Q0], [Q0, Q0, F(1)], [F(1), Q0, Q0]])
     return cases
@@ -214,6 +238,13 @@ def test_tall_full_rank_solve_matches_reference(n):
     for deficient in ([r[:-1] + [Q0] for r in tall], []):
         with pytest.raises(ZeroDivisionError):
             _solve_augmented(deficient, [[Q0, Q0] for _ in deficient], n)
+
+
+def test_dtheta_shaped_determinant_closed_form():
+    sampler = SeededSampler(60)
+    for p in (1, 4, 15):
+        y = sampler.nonzero_fraction()
+        assert mat_det(_dtheta_shaped(sampler, p, y)) == y ** (2 * p + 2)
 
 
 def test_inputs_are_not_modified():
