@@ -27,9 +27,9 @@ from .scalars import Q0, Q1
 def _scaled_rows(rows):
     """Each row times the lcm of its denominators, as ints, and the lcms' product.
 
-    Only the entries that are not the shared zero Q0, which fills the
-    sparse matrices built here (d(theta~), b_rank, identities), are
-    converted, so a row costs in proportion to its nonzero entries.
+    The package fills its sparse matrices (d(theta~), b_rank rows,
+    identities) with the shared zero Q0; those entries are skipped by
+    identity, so only a row's other entries are converted.
     """
     out, scale = [], 1
     for row in rows:
