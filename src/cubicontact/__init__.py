@@ -75,7 +75,6 @@ from .chevalley import (
     ChevalleyAlgebra,
     StructureConstantError,
     chevalley,
-    coroot_element,
     verify_chevalley_jacobi,
 )
 from .extraction import (
@@ -84,7 +83,6 @@ from .extraction import (
     algebra_for,
     double_grading,
     extraction,
-    five_step_grading,
     ternary_dimension_check,
     verify_embedding,
 )

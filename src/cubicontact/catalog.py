@@ -20,7 +20,9 @@ is  N = l1 l2 l3 - sum_i l_i n(a_i) + t(a1 (a2 a3)).
 
 Signatures are equivalence-motivated fingerprints (p, polarization
 rank, finite-field probe class); linear equivalence itself is out of
-scope and never asserted.
+scope and never asserted.  The probe class says whether the probe found
+a singular point of a reduction mod one of its primes; a singular
+reduction does not make the cubic singular over Q.
 """
 
 from __future__ import annotations
@@ -270,12 +272,7 @@ SIGNATURE_PROBE_BUDGET = 200_000
 SIGNATURE_PROBE_SEED = 1405
 
 
-def signature(
-    T: SymCubic,
-    primes=SIGNATURE_PROBE_PRIMES,
-    budget=SIGNATURE_PROBE_BUDGET,
-    seed=SIGNATURE_PROBE_SEED,
-) -> dict:
+def signature(T: SymCubic) -> dict:
     """Equivalence-motivated fingerprint of a cubic.
 
     The probe verdict is computed at a reduced budget compared to the
@@ -285,7 +282,9 @@ def signature(
     use only p, b_rank and the probe class.
     """
     normalized, _ = normalize_cubic(T)
-    probe = smoothness_probe(T, primes=primes, budget=budget, seed=seed)
+    probe = smoothness_probe(
+        T, SIGNATURE_PROBE_PRIMES, SIGNATURE_PROBE_BUDGET, SIGNATURE_PROBE_SEED
+    )
     sampler = SeededSampler(7)
     values = [str(cubic_eval(T, sampler.vector(T.dim))) for _ in range(8)]
     eval_hash = hashlib.sha256("|".join(values).encode("ascii")).hexdigest()[:16]

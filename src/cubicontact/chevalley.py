@@ -23,21 +23,23 @@ through beta.  Every other constant follows from the standard relations:
             + N(eps, -alpha) N(-beta, eps - alpha),
     a Jacobi consequence on (e_eps, e_-alpha, e_-beta).
 
-Every constant is checked to be a nonzero integer (a failure raises
-``StructureConstantError``).  The brackets of basis elements are kept in
-one integer table indexed by basis position, filled a row at a time on
-first use from the rules above; ``bracket_labels``, ``bracket`` and the
-Jacobi check all read it.  The table has the format of
-nilpotent.bracket_table, so both algebras are checked by the one Jacobi
-kernel in ``nilpotent``: the exhaustive check compares every stored
-entry with its transpose and evaluates the jacobiator of every unordered
-basis triple; the sampled check evaluates it on seeded triples.
+The relations are evaluated in ints: the pairings and root lengths
+(x, x) are the ints of ``RootSystem.pairing`` and ``norm2``, and each
+division is a divmod.  Every constant is checked to be a nonzero
+integer (a remainder or a zero raises ``StructureConstantError``).
+The brackets of basis elements are kept in one integer table indexed by
+basis position, filled a row at a time on first use from the rules
+above; ``bracket_labels``, ``bracket`` and the Jacobi check all read it.
+The table has the format of nilpotent.bracket_table, so both algebras
+are checked by the one Jacobi kernel in ``nilpotent``: the exhaustive
+check compares every stored entry with its transpose and evaluates the
+jacobiator of every unordered basis triple; the sampled check evaluates
+it on seeded triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .nilpotent import _jacobiator, _vsub, jacobi_violations
 from .rootsystems import RootSystem, _neg, _vadd
@@ -48,12 +50,13 @@ class StructureConstantError(ValueError):
     """A derived structure constant is not a nonzero integer."""
 
 
-def _integral(val, x, y) -> int:
-    if val.denominator != 1:
+def _integral(num: int, den: int, x, y) -> int:
+    val, rem = divmod(num, den)
+    if rem:
         raise StructureConstantError(
-            f"non-integral structure constant N{(x, y)} = {val}"
+            f"non-integral structure constant N{(x, y)} = {num}/{den}"
         )
-    return int(val)
+    return val
 
 
 class ChevalleyAlgebra:
@@ -166,7 +169,7 @@ class ChevalleyAlgebra:
                     _neg(y), _vsub(eps, x)
                 )
             denom = self.n_constant(eps, _neg(s))
-            return _integral(Fraction(t1 + t2, denom), x, y)
+            return _integral(t1 + t2, denom, x, y)
         if not xpos and not ypos:
             return -self.n_constant(_neg(x), _neg(y))
         # Mixed signs.
@@ -176,11 +179,9 @@ class ChevalleyAlgebra:
         if rs.is_positive(s):
             mu = _neg(y)
             nu = s
-            val = (
-                -Fraction(rs.norm2(nu), rs.norm2(x))
-                * self.n_constant(mu, nu)
+            return _integral(
+                -rs.norm2(nu) * self.n_constant(mu, nu), rs.norm2(x), x, y
             )
-            return _integral(val, x, y)
         return self.n_constant(_neg(y), _neg(x))
 
     # -- brackets ---------------------------------------------------------
@@ -254,22 +255,6 @@ class ChevalleyAlgebra:
 
 def chevalley(rs: RootSystem) -> ChevalleyAlgebra:
     return ChevalleyAlgebra(rs)
-
-
-def coroot_element(alg: ChevalleyAlgebra, root) -> dict:
-    """H_root as a combination of the h_i, with <root, H_root> = 2."""
-    coords = alg.rs.coroot_coordinates(root)
-    return {("h", i): c for i, c in enumerate(coords) if c}
-
-
-def eigenvalue_on(alg: ChevalleyAlgebra, h: dict, beta) -> int:
-    """<beta, h> for h a combination of simple coroots."""
-    rs = alg.rs
-    total = 0
-    for (kind, i), c in h.items():
-        assert kind == "h"
-        total += c * rs.pairing(beta, rs.simple_root(i))
-    return total
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 The coroot of the highest root psi induces the five-step grading with
 ad-eigenvalues 0, +-1, +-2 and one-dimensional extremes.  Together with
 the coroot of psi - alpha (alpha the unique simple root adjacent to psi)
-it induces a double grading by integer pairs.  The distinguished pieces
+it induces a double grading by integer pairs: e_beta has degree
+(<beta, psi^vee>, <beta, (psi - alpha)^vee>), read off RootSystem.pairing,
+and the h_i have degree (0, 0).  The distinguished pieces
 
     g(0,1), g(1,0), g(1,1), g(2,1) = g_psi, g(1,2) = g_{psi-alpha}
 
@@ -31,19 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .chevalley import (
-    ChevalleyAlgebra,
-    chevalley,
-    coroot_element,
-    eigenvalue_on,
-)
-from .cubic import SymCubic, b_rank, normalize_cubic, polarize
+from .chevalley import ChevalleyAlgebra, chevalley
+from .cubic import SymCubic, b_rank, normalize_cubic
 from .linalg import _solve_augmented, mat_inv, mat_mul, mat_rank
 from .nilpotent import bracket_table, n_dim
-from .rootsystems import (
-    build_root_system,
-    find_alpha,
-)
+from .rootsystems import build_root_system, find_alpha
 from .scalars import Q0, Q1
 
 
@@ -54,23 +48,6 @@ class ExtractionError(ValueError):
 @lru_cache(maxsize=None)
 def algebra_for(lie_type: str, rank: int) -> ChevalleyAlgebra:
     return chevalley(build_root_system(lie_type.upper(), rank))
-
-
-def five_step_grading(alg: ChevalleyAlgebra):
-    """Partition of the basis by the ad-eigenvalue of the psi coroot."""
-    rs = alg.rs
-    h_psi = coroot_element(alg, rs.highest_root)
-    pieces = {e: [] for e in (-2, -1, 0, 1, 2)}
-    for lab in alg.labels:
-        kind, v = lab
-        eig = 0 if kind == "h" else eigenvalue_on(alg, h_psi, v)
-        if eig not in pieces:
-            raise ExtractionError(f"eigenvalue {eig} outside -2..2 for {lab}")
-        pieces[eig].append(lab)
-    dims = tuple(len(pieces[e]) for e in (-2, -1, 0, 1, 2))
-    if dims[0] != 1 or dims[4] != 1:
-        raise ExtractionError(f"extreme grading pieces not lines: dims {dims}")
-    return pieces, dims
 
 
 @dataclass(frozen=True)
@@ -89,31 +66,48 @@ class DoubleGrading:
     def dim_p(self) -> int:
         return len(self.piece(1, 1))
 
+    def five_step_dims(self) -> tuple:
+        """Dimensions of the psi-coroot pieces of degree -2..2."""
+        return tuple(
+            sum(len(labs) for (a, _b), labs in self.pieces.items() if a == e)
+            for e in range(-2, 3)
+        )
+
+    def piece_dims(self) -> dict:
+        return {f"{a},{b}": len(labs) for (a, b), labs in sorted(self.pieces.items())}
+
 
 def double_grading(alg: ChevalleyAlgebra) -> DoubleGrading:
+    """Degree (<beta, psi^vee>, <beta, (psi - alpha)^vee>) of each e_beta.
+
+    The h_i have degree (0, 0).  The first degree is the five-step
+    grading by the psi coroot: it must lie in -2..2, with lines in
+    degree +-2.
+    """
     rs = alg.rs
     alpha_index, alpha = find_alpha(rs)
     psi = rs.highest_root
     psi_alpha = tuple(p - a for p, a in zip(psi, alpha))
-    h1 = coroot_element(alg, psi)
-    h2 = coroot_element(alg, psi_alpha)
     assignment = []
     pieces = {}
     for lab in alg.labels:
         kind, v = lab
-        if kind == "h":
-            ab = (0, 0)
-        else:
-            ab = (eigenvalue_on(alg, h1, v), eigenvalue_on(alg, h2, v))
+        ab = (0, 0) if kind == "h" else (rs.pairing(v, psi), rs.pairing(v, psi_alpha))
+        if not -2 <= ab[0] <= 2:
+            raise ExtractionError(f"eigenvalue {ab[0]} outside -2..2 for {lab}")
         assignment.append((lab, ab))
         pieces.setdefault(ab, []).append(lab)
-    return DoubleGrading(
+    dg = DoubleGrading(
         alpha_index=alpha_index,
         alpha=alpha,
         psi=psi,
         assignment=tuple(assignment),
         pieces={k: tuple(v) for k, v in pieces.items()},
     )
+    dims = dg.five_step_dims()
+    if dims[0] != 1 or dims[4] != 1:
+        raise ExtractionError(f"extreme grading pieces not lines: dims {dims}")
+    return dg
 
 
 def _coefficient_of(vec: dict, label) -> Fraction:
@@ -271,16 +265,12 @@ def extraction(alg: ChevalleyAlgebra) -> ExtractionData:
 
 def gradings_report(alg: ChevalleyAlgebra) -> dict:
     """CLI-facing summary of the gradings and the extraction."""
-    _pieces, dims = five_step_grading(alg)
     data = extraction(alg)
-    piece_dims = {
-        f"{a},{b}": len(labs) for (a, b), labs in sorted(data.dg.pieces.items())
-    }
     return {
         "type": f"{alg.rs.lie_type}{alg.rs.rank}",
         "dim_g": alg.dimension,
-        "five_step_dims": list(dims),
-        "double_grading_dims": piece_dims,
+        "five_step_dims": list(data.dg.five_step_dims()),
+        "double_grading_dims": data.dg.piece_dims(),
         "p": data.p,
         "b_rank": b_rank(data.tensor),
         "normalization_scalar": str(data.norm_scalar),
@@ -342,16 +332,21 @@ def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
             {z_basis[b]: phi_mat[i][b] for b in range(p) if phi_mat[i][b]}
         )
 
-    # Dual block: rows B(e_i, e_j) against the g(1,1) coordinates of
-    # [x_i, phi(x_j)]; the solution is the transpose of J.
+    # Dual block: rows B(e_i, e_j), read off the n2 coordinates of
+    # [e_i (x) f1, e_j (x) f2] (omega(f1, f2) = 1), against the g(1,1)
+    # coordinates of [x_i, phi(x_j)]; the solution is the transpose of J.
+    table = bracket_table(T)
     y_index = {lab: k for k, lab in enumerate(y_basis)}
     b_rows = []
     k_rows = []
     for i in range(p):
         for j in range(p):
-            b_row = polarize(T, _unit(p, i), _unit(p, j))
-            if not any(b_row):
+            terms = table[i].get(p + j)
+            if not terms:
                 continue
+            b_row = [Q0] * p
+            for k, c in terms:
+                b_row[k - 2 * p] = c
             k_row = [Q0] * p
             for lab, coeff in alg.bracket(theta_cols[i], theta_cols[p + j]).items():
                 if lab in y_index:
@@ -372,12 +367,11 @@ def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
     kappa1 = Fraction(alg.bracket(eps0, theta_cols[0]).get(data.psi_alpha_label, 0))
     kappa2 = Fraction(alg.bracket(eps0, theta_cols[p]).get(data.psi_label, 0))
     if not kappa1 or not kappa2:
-        return _embedding_fail(data, 0, ("degenerate W normalization",))
+        return _embedding_report(data, 0, ("degenerate W normalization",))
     theta_cols.append({data.psi_alpha_label: kappa1})
     theta_cols.append({data.psi_label: kappa2})
 
     # Full structure-constant comparison.
-    table = bracket_table(T)
     d = n_dim(p)
     pairs = 0
     for a in range(d):
@@ -394,34 +388,21 @@ def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
             got = alg.bracket(theta_cols[a], theta_cols[b])
             got = {lab: Fraction(c) for lab, c in got.items() if c}
             if got != expected:
-                return _embedding_fail(data, pairs, (a, b, got, expected))
-    return EmbeddingReport(
-        lie_type=data.lie_type,
-        rank=data.rank,
-        p=p,
-        dim_n=d,
-        pairs_checked=pairs,
-        ok=True,
-        first_mismatch=None,
-        norm_scalar=data.norm_scalar,
-    )
+                return _embedding_report(data, pairs, (a, b, got, expected))
+    return _embedding_report(data, pairs)
 
 
-def _embedding_fail(data: ExtractionData, pairs, info) -> EmbeddingReport:
+def _embedding_report(data: ExtractionData, pairs, mismatch=None) -> EmbeddingReport:
     return EmbeddingReport(
         lie_type=data.lie_type,
         rank=data.rank,
         p=data.p,
         dim_n=n_dim(data.p),
         pairs_checked=pairs,
-        ok=False,
-        first_mismatch=info,
+        ok=mismatch is None,
+        first_mismatch=mismatch,
         norm_scalar=data.norm_scalar,
     )
-
-
-def _unit(p, i):
-    return tuple(Q1 if t == i else Q0 for t in range(p))
 
 
 def ternary_dimension_check(alg: ChevalleyAlgebra) -> dict:
@@ -430,13 +411,10 @@ def ternary_dimension_check(alg: ChevalleyAlgebra) -> dict:
     dim_g = alg.dimension
     p = data.p
     dim_h = dim_g - 8 - 6 * p
-    piece_dims = {
-        f"{a},{b}": len(labs) for (a, b), labs in sorted(data.dg.pieces.items())
-    }
     return {
         "type": f"{alg.rs.lie_type}{alg.rs.rank}",
         "dim_g": dim_g,
         "p": p,
         "dim_h": dim_h,
-        "pieces": piece_dims,
+        "pieces": data.dg.piece_dims(),
     }

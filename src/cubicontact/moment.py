@@ -286,7 +286,7 @@ def smoothness_probe(
 ) -> ProbeVerdict:
     """Search for v != 0 over F_q with B(v, v) = 0.
 
-    Such a v is (the reduction of) a singular point of the projective
+    Such a v is a singular point of the reduction mod q of the projective
     cubic hypersurface, since the gradient of c at v equals 3 B(v, v)
     under the full-sum normalization.
 
@@ -294,9 +294,10 @@ def smoothness_probe(
     vector is tested in lexicographic order.  Otherwise, in mode
     'structured+random', the p^2 vectors of _structured_candidates are
     tested first, then the nonzero ones among `budget` seeded random
-    draws.  trials counts the vectors tested.  A witness proves the
-    hypersurface singular; 'none-found' is evidence of smoothness, not
-    a proof.
+    draws.  trials counts the vectors tested.  A witness proves only
+    that the reduction mod q is singular, not the hypersurface over Q:
+    x^3 + 5 y^3 + z^3 is smooth over Q, yet e_y is a witness mod 5.
+    'none-found' is evidence of smoothness, not a proof.
     """
     p = T.dim
     modes = []
@@ -340,8 +341,9 @@ def boundary_report(
     then c(phi2, phi2, .) = 0.  When the probe finds no singular-point
     witness the boundary parameters reduce to the 2p of phi1 and the
     codimension >= 2 argument is supported (not proved: 'none-found' is
-    evidence of smoothness only); a witness proves the hypersurface
-    singular and the argument inapplicable.
+    evidence of smoothness only).  A witness shows only that a reduction
+    mod q is singular; the argument is then reported inapplicable,
+    although the hypersurface over Q may still be smooth.
     """
     p = T.dim
     verdict = smoothness_probe(T, primes=primes, budget=budget, seed=seed)

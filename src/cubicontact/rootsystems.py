@@ -8,8 +8,11 @@ beta + alpha_i is a root iff p_i(beta) - <beta, alpha_i^vee> > 0 where
 p_i(beta) is the length of the descending alpha_i-string through beta.
 
 The inner product is the symmetrized Cartan matrix with the minimal
-integer symmetrizer, so all pairings <beta, gamma^vee> are exact
-integers.
+integer symmetrizer, so ``inner`` and ``norm2`` are ints.  ``pairing``
+<beta, gamma^vee> and ``coroot_coordinates`` divide them with divmod
+and raise RootSystemError on a remainder.  This module is the one
+source of root pairings: the Chevalley brackets [h_i, e_beta] and the
+ad-eigenvalues of the highest-root gradings are read off ``pairing``.
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ class RootSystem:
     def order_index(self, beta) -> int:
         return self._pos_index[beta]
 
-    def inner(self, beta, gamma) -> Fraction:
+    def inner(self, beta, gamma) -> int:
         a = self.cartan
         d = self.sym_d
         total = 0
@@ -133,17 +136,17 @@ class RootSystem:
             for j, gj in enumerate(gamma):
                 if gj:
                     total += bi * gj * d[i] * a[i][j]
-        return Fraction(total)
+        return total
 
-    def norm2(self, beta) -> Fraction:
+    def norm2(self, beta) -> int:
         return self.inner(beta, beta)
 
     def pairing(self, beta, gamma) -> int:
         """<beta, gamma^vee> = 2 (beta, gamma) / (gamma, gamma), an integer."""
-        val = 2 * self.inner(beta, gamma) / self.norm2(gamma)
-        if val.denominator != 1:
+        val, rem = divmod(2 * self.inner(beta, gamma), self.norm2(gamma))
+        if rem:
             raise RootSystemError(f"non-integral pairing {beta} {gamma}")
-        return int(val)
+        return val
 
     def simple_root(self, i: int):
         return tuple(1 if t == i else 0 for t in range(self.rank))
@@ -153,10 +156,10 @@ class RootSystem:
         n2 = self.norm2(beta)
         out = []
         for i, c in enumerate(beta):
-            v = Fraction(2 * c * self.sym_d[i]) / n2
-            if v.denominator != 1:
+            v, rem = divmod(2 * c * self.sym_d[i], n2)
+            if rem:
                 raise RootSystemError(f"non-integral coroot for {beta}")
-            out.append(int(v))
+            out.append(v)
         return tuple(out)
 
 

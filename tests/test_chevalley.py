@@ -3,8 +3,6 @@ import pytest
 from cubicontact.chevalley import (
     StructureConstantError,
     chevalley,
-    coroot_element,
-    eigenvalue_on,
     verify_chevalley_jacobi,
 )
 from cubicontact.extraction import algebra_for
@@ -197,8 +195,7 @@ def test_all_constants_integral_f4():
 def test_coroot_normalization_g2():
     alg = algebra_for("G", 2)
     rs = alg.rs
-    h_psi = coroot_element(alg, rs.highest_root)
-    assert eigenvalue_on(alg, h_psi, rs.highest_root) == 2
+    assert rs.pairing(rs.highest_root, rs.highest_root) == 2
 
 
 def test_coroot_pairing_f4():
@@ -206,8 +203,7 @@ def test_coroot_pairing_f4():
     rs = alg.rs
     _i, alpha = find_alpha(rs)
     psi_alpha = tuple(p - a for p, a in zip(rs.highest_root, alpha))
-    h_psi = coroot_element(alg, rs.highest_root)
-    assert eigenvalue_on(alg, h_psi, psi_alpha) == 1
+    assert rs.pairing(psi_alpha, rs.highest_root) == 1
 
 
 def test_bracket_of_combinations():

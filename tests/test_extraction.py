@@ -12,28 +12,46 @@ from cubicontact.extraction import (
     algebra_for,
     double_grading,
     extraction,
-    five_step_grading,
     gradings_report,
     ternary_dimension_check,
     verify_embedding,
 )
 from cubicontact.linalg import mat_rank
-from cubicontact.rootsystems import TypeARejection, build_root_system
+from cubicontact.rootsystems import RootSystem, TypeARejection, build_root_system
 
 
 def test_five_step_dims_g2(g2):
-    _pieces, dims = five_step_grading(g2)
-    assert dims == (1, 4, 4, 4, 1)
+    assert double_grading(g2).five_step_dims() == (1, 4, 4, 4, 1)
 
 
 def test_five_step_dims_e8(e8):
-    _pieces, dims = five_step_grading(e8)
-    assert dims == (1, 56, 134, 56, 1)
+    assert double_grading(e8).five_step_dims() == (1, 56, 134, 56, 1)
 
 
 def test_five_step_extremes_are_root_lines(f4):
-    pieces, _dims = five_step_grading(f4)
-    assert pieces[2] == [("e", f4.rs.highest_root)]
+    dg = double_grading(f4)
+    top = [lab for lab, (a, _b) in dg.assignment if a == 2]
+    assert top == [("e", f4.rs.highest_root)]
+
+
+@pytest.mark.parametrize("bad", [3, 2], ids=["outside-range", "extreme-plane"])
+def test_psi_grading_checks_raise(monkeypatch, bad):
+    """A psi-pairing out of -2..2, or a second root in degree 2, is rejected."""
+    alg = chevalley(build_root_system("G", 2))
+    rs = alg.rs
+    psi = rs.highest_root
+    victim = next(b for b in rs.pos_roots if rs.pairing(b, psi) == 1)
+    pairing = RootSystem.pairing
+
+    def mutant(self, beta, gamma):
+        if self is rs and beta == victim and gamma == psi:
+            return bad
+        return pairing(self, beta, gamma)
+
+    monkeypatch.setattr(RootSystem, "pairing", mutant)
+    match = "outside -2..2" if bad == 3 else "extreme grading pieces not lines"
+    with pytest.raises(ExtractionError, match=match):
+        extraction(alg)
 
 
 EXPECTED_P = {("G", 2): 1, ("F", 4): 6, ("E", 6): 9, ("E", 7): 15, ("E", 8): 27}

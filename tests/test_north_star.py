@@ -1,0 +1,83 @@
+"""Source lint for the package's promises: exact arithmetic, no runtime deps.
+
+Every module of ``cubicontact`` is parsed and walked:
+
+  * every import is relative or names a standard-library module;
+  * no float literal and no use of the name ``float`` appears;
+  * ``math`` is used only for the integer functions ``gcd`` and ``lcm``.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cubicontact"
+MODULES = sorted(SRC.glob("*.py"))
+MATH_ALLOWED = {"gcd", "lcm"}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _where(path, node):
+    return f"{path.name}:{node.lineno}"
+
+
+def test_modules_found():
+    assert any(m.name == "__init__.py" for m in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_relative(path):
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] not in sys.stdlib_module_names:
+                bad.append((_where(path, node), name))
+    assert not bad
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_floats(path):
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            bad.append((_where(path, node), node.value))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            bad.append((_where(path, node), "float"))
+    assert not bad
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_math_only_for_gcd_and_lcm(path):
+    nodes = list(ast.walk(_tree(path)))
+    bad = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            bad += [a.name for a in node.names if a.name not in MATH_ALLOWED]
+        elif isinstance(node, ast.Import):
+            bad += [a.asname for a in node.names if a.name == "math" and a.asname]
+    # Every use of the name math must be the base of math.gcd or math.lcm.
+    bases = set()
+    for node in nodes:
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+        ):
+            bases.add(id(node.value))
+            if node.attr not in MATH_ALLOWED:
+                bad.append(f"{_where(path, node)} math.{node.attr}")
+    for node in nodes:
+        if isinstance(node, ast.Name) and node.id == "math" and id(node) not in bases:
+            bad.append(f"{_where(path, node)} bare math")
+    assert not bad

@@ -60,6 +60,36 @@ def test_pairings_are_integers():
             assert isinstance(rs.pairing(beta, gamma), int)
 
 
+@pytest.mark.parametrize(
+    "key", [("G", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("E", 6)]
+)
+def test_pairing_matches_coroot_expansion(key):
+    """<beta, gamma^vee> = sum_i c_i <beta, alpha_i^vee>, c = gamma^vee coords.
+
+    The right side expands gamma^vee in the simple coroots and reads
+    <beta, alpha_i^vee> off row i of the Cartan matrix.
+    """
+    rs = build_root_system(*key)
+    a = rs.cartan
+    for gamma in rs.all_roots():
+        c = rs.coroot_coordinates(gamma)
+        assert all(isinstance(x, int) for x in c)
+        for beta in rs.all_roots():
+            expected = sum(
+                c[i] * sum(b * a[i][j] for j, b in enumerate(beta))
+                for i in range(rs.rank)
+            )
+            got = rs.pairing(beta, gamma)
+            assert isinstance(got, int) and got == expected, (beta, gamma)
+
+
+def test_inner_products_are_ints():
+    rs = build_root_system("F", 4)
+    for beta in rs.pos_roots:
+        assert type(rs.norm2(beta)) is int and rs.norm2(beta) in (2, 4)
+        assert type(rs.inner(beta, rs.highest_root)) is int
+
+
 def test_symmetrizer_values():
     assert symmetrizer(cartan_matrix("G", 2)) == (1, 3)
     assert symmetrizer(cartan_matrix("F", 4)) == (2, 2, 1, 1)
