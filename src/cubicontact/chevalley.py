@@ -24,9 +24,10 @@ through beta.  Every other constant follows from the standard relations:
     a Jacobi consequence on (e_eps, e_-alpha, e_-beta).
 
 The relations are evaluated in ints: the pairings and root lengths
-(x, x) are the ints of ``RootSystem.pairing`` and ``norm2``, and each
-division is a divmod.  Every constant is checked to be a nonzero
-integer (a remainder or a zero raises ``StructureConstantError``).
+(x, x) are the ints of ``RootSystem.pairing`` and ``norm2`` (tabled
+once per algebra), and each division is a divmod.  Every constant is
+checked to be a nonzero integer (a remainder or a zero raises
+``StructureConstantError``).
 The brackets of basis elements are kept in one integer table indexed by
 basis position, filled a row at a time on first use from the rules
 above; ``bracket_labels``, ``bracket`` and the Jacobi check all read it.
@@ -81,6 +82,7 @@ class ChevalleyAlgebra:
         )
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self._n_memo = {}
+        self._norm2 = {b: rs.norm2(b) for b in rs.pos_roots}
         self._extraspecial = self._build_extraspecial()
         self._rows = [None] * len(self.labels)
         # Results other modules derive from this algebra, memoized per
@@ -131,20 +133,18 @@ class ChevalleyAlgebra:
 
     def n_constant(self, x, y) -> int:
         """N(x, y) with [e_x, e_y] = N(x, y) e_{x+y}; 0 if x+y not a root."""
-        rs = self.rs
-        s = _vadd(x, y)
-        if not any(s) or not rs.is_root(s):
-            return 0
-        key = (x, y)
-        hit = self._n_memo.get(key)
+        hit = self._n_memo.get((x, y))
         if hit is not None:
             return hit
+        s = _vadd(x, y)
+        if not any(s) or not self.rs.is_root(s):
+            return 0
         val = self._n_compute(x, y, s)
         if not val:
             raise StructureConstantError(
                 f"vanishing structure constant N{(x, y)}"
             )
-        self._n_memo[key] = val
+        self._n_memo[(x, y)] = val
         return val
 
     def _n_compute(self, x, y, s):
@@ -180,7 +180,7 @@ class ChevalleyAlgebra:
             mu = _neg(y)
             nu = s
             return _integral(
-                -rs.norm2(nu) * self.n_constant(mu, nu), rs.norm2(x), x, y
+                -self._norm2[nu] * self.n_constant(mu, nu), self._norm2[x], x, y
             )
         return self.n_constant(_neg(y), _neg(x))
 

@@ -13,9 +13,12 @@ carry two bracket pairings
 
     g(0,1) (x) g(1,1) -> g(1,2),      g(1,0) (x) g(1,1) -> g(2,1),
 
-which are perfect for the supported types.  They determine a linear map
-phi : g(0,1) -> g(1,0) by matching the two induced identifications with
-the dual of g(1,1), and the cubic form on V = g(0,1) is read off from
+which are perfect for the supported types.  As [e_beta, e_gamma] is a
+multiple of e_{beta+gamma}, each matches basis vectors one to one (beta
+with target - beta) and is read off the integer structure-constant
+table.  The linear map phi : g(0,1) -> g(1,0) matching the two pairings
+is thus a scaled signed permutation, and the cubic form on V = g(0,1) is
+read off from
 
     [phi(X), [phi(X), X]] = c(X) e_psi.
 
@@ -34,8 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chevalley import ChevalleyAlgebra, chevalley
-from .cubic import SymCubic, b_rank, normalize_cubic
-from .linalg import _solve_augmented, mat_inv, mat_mul, mat_rank
+from .cubic import SymCubic, b_rank, normalize_cubic, perm_multiplicity
+from .linalg import _solve_augmented
 from .nilpotent import bracket_table, n_dim
 from .rootsystems import build_root_system, find_alpha
 from .scalars import Q0, Q1
@@ -110,29 +113,11 @@ def double_grading(alg: ChevalleyAlgebra) -> DoubleGrading:
     return dg
 
 
-def _coefficient_of(vec: dict, label) -> Fraction:
-    return Fraction(vec.get(label, 0))
-
-
-def _pairing_matrix(alg, left_labels, mid_labels, target_label):
-    """M[i][j] = coefficient of target in [left_i, mid_j]."""
-    rows = []
-    for la in left_labels:
-        row = []
-        for lb in mid_labels:
-            br = alg.bracket_labels(la, lb)
-            extra = [l for l in br if l != target_label and br[l]]
-            if extra:
-                raise ExtractionError(
-                    f"bracket [{la}, {lb}] leaves the target line: {extra}"
-                )
-            row.append(_coefficient_of(br, target_label))
-        rows.append(row)
-    return rows
-
-
 @dataclass(frozen=True)
 class ExtractionData:
+    """Pieces, phi and cubic of one algebra.  The two pairings are
+    matchings of basis vectors, so phi(x_a) = r_a z_pi(a) for each a."""
+
     lie_type: str
     rank: int
     p: int
@@ -142,9 +127,7 @@ class ExtractionData:
     y_basis: tuple  # labels of g(1,1)
     psi_label: tuple
     psi_alpha_label: tuple
-    m_lower: tuple  # pairing matrix into g(1,2)
-    m_upper: tuple  # pairing matrix into g(2,1)
-    phi_mat: tuple  # phi(x_a) = sum_b phi_mat[a][b] z_b
+    phi: tuple  # (pi(a), r_a) for each a
     raw_tensor: SymCubic
     tensor: SymCubic  # normalized
     norm_scalar: Fraction
@@ -168,79 +151,72 @@ def _distinguished(alg: ChevalleyAlgebra, dg: DoubleGrading):
     return x_basis, z_basis, y_basis, top[0], side[0]
 
 
-def _sparse_columns(m):
-    """Nonzero entries of each column of m, as (row, value) pairs."""
-    return [
-        [(r, m[r][c]) for r in range(len(m)) if m[r][c]]
-        for c in range(len(m[0]))
-    ]
+def _matching(alg: ChevalleyAlgebra, left, y_pos: dict, target) -> dict:
+    """m -> (a, n) with [left_a, y_m] = n e_target; y_pos maps the basis
+    position of y_m to m.  Rejects a pairing that is not one to one."""
+    index, labels = alg.index, alg.labels
+    t = index[target]
+    pairs = []
+    for a, la in enumerate(left):
+        for j, terms in alg._row(index[la]).items():
+            m = y_pos.get(j)
+            if m is None:
+                continue
+            extra = [labels[k] for k, _n in terms if k != t]
+            if extra:
+                raise ExtractionError(
+                    f"bracket [{la}, {labels[j]}] leaves the target line: {extra}"
+                )
+            pairs.append((m, a, terms[0][1]))
+    every = list(range(len(left)))
+    ys = sorted(m for m, _a, _n in pairs)
+    if ys != every or sorted(a for _m, a, _n in pairs) != every:
+        raise ExtractionError(
+            f"pairings are not perfect: the pairing into {target} is not one to one"
+        )
+    return {m: (a, n) for m, a, n in pairs}
 
 
 def extraction(alg: ChevalleyAlgebra) -> ExtractionData:
-    """Pairings, phi and the cubic, computed once per algebra object."""
+    """Pairings, phi and the cubic, once per algebra object: in a Chevalley
+    basis both pairings are matchings, so phi is a scaled permutation."""
     hit = alg.derived.get("extraction")
     if hit is not None:
         return hit
     dg = double_grading(alg)
     x_basis, z_basis, y_basis, psi_label, psi_alpha_label = _distinguished(alg, dg)
     p = len(y_basis)
-    m_lower = _pairing_matrix(alg, x_basis, y_basis, psi_alpha_label)
-    m_upper = _pairing_matrix(alg, z_basis, y_basis, psi_label)
-    ranks = (mat_rank(m_lower), mat_rank(m_upper))
-    if ranks != (p, p):
-        raise ExtractionError(
-            f"pairings are not perfect: ranks {ranks[0]}, {ranks[1]} != {p}"
-        )
-    # phi(x_a) = sum_b phi[a][b] z_b with phi . m_upper = m_lower.
-    m_upper_inv = mat_inv(m_upper)
-    phi_mat = mat_mul(m_lower, m_upper_inv)
+    index = alg.index
+    y_pos = {index[lab]: m for m, lab in enumerate(y_basis)}
+    lower = _matching(alg, x_basis, y_pos, psi_alpha_label)
+    upper = _matching(alg, z_basis, y_pos, psi_label)
+    # x_a and z_pi(a) share the partner y_m: phi(x_a) = (l_a / u_pi(a)) z_pi(a).
+    phi = [None] * p
+    for m, (a, n_low) in lower.items():
+        b, n_up = upper[m]
+        phi[a] = (b, Fraction(n_low, n_up))
 
-    # Trilinear map F(a,b,c) = e_psi coefficient of [phi(x_a), [phi(x_b), x_c]]
-    # = phi_a . m_upper . inner_bc, contracted over nonzero entries only:
-    # the pairing matrices are sparse (monomial for G2 to E8).
-    phi_vecs = [
-        {z_basis[b]: phi_mat[a][b] for b in range(p) if phi_mat[a][b]}
-        for a in range(p)
-    ]
-    y_index = {lab: i for i, lab in enumerate(y_basis)}
-    m_upper_cols = _sparse_columns(m_upper)
-    phi_cols = _sparse_columns(phi_mat)
-    f_vals = {}
-    for b in range(p):
-        for c in range(p):
-            br = alg.bracket(phi_vecs[b], {x_basis[c]: Q1})
-            contracted = {}
-            for lab, coeff in br.items():
-                if lab not in y_index:
+    # F(a, b, c) = e_psi coefficient of [phi(x_a), [phi(x_b), x_c]]: an entry
+    # [z_pi(b), x_c] = n y_m gives r_b n l_a, for the a matched to y_m.  The
+    # symmetric cubic averages F over the distinct orderings of a triple.
+    x_pos = {index[lab]: c for c, lab in enumerate(x_basis)}
+    sums = {}
+    for b, (zb, r) in enumerate(phi):
+        for j, terms in alg._row(index[z_basis[zb]]).items():
+            c = x_pos.get(j)
+            if c is None:
+                continue
+            for k, n in terms:
+                if k not in y_pos:
                     raise ExtractionError(
-                        f"[phi(x_{b}), x_{c}] leaves g(1,1): {lab}"
+                        f"[phi(x_{b}), x_{c}] leaves g(1,1): {alg.labels[k]}"
                     )
-                for d, m in m_upper_cols[y_index[lab]]:
-                    contracted[d] = contracted.get(d, Q0) + m * coeff
-            for d, val in contracted.items():
-                if val:
-                    for a, phi_ad in phi_cols[d]:
-                        f_vals[a, b, c] = f_vals.get((a, b, c), Q0) + phi_ad * val
-
-    def f_val(a, b, c):
-        return f_vals.get((a, b, c), Q0)
-
-    entries = {}
-    sixth = Fraction(1, 6)
-    for a in range(p):
-        for b in range(a, p):
-            for c in range(b, p):
-                total = (
-                    f_val(a, b, c)
-                    + f_val(a, c, b)
-                    + f_val(b, a, c)
-                    + f_val(b, c, a)
-                    + f_val(c, a, b)
-                    + f_val(c, b, a)
-                )
-                if total:
-                    entries[(a, b, c)] = total * sixth
-    raw = SymCubic(p, entries)
+                a, n_low = lower[y_pos[k]]
+                tri = tuple(sorted((a, b, c)))
+                sums[tri] = sums.get(tri, Q0) + r * n * n_low
+    raw = SymCubic(
+        p, {tri: v / perm_multiplicity(tri) for tri, v in sorted(sums.items())}
+    )
     normalized, scalar = normalize_cubic(raw)
     data = ExtractionData(
         lie_type=alg.rs.lie_type,
@@ -252,9 +228,7 @@ def extraction(alg: ChevalleyAlgebra) -> ExtractionData:
         y_basis=tuple(y_basis),
         psi_label=psi_label,
         psi_alpha_label=psi_alpha_label,
-        m_lower=tuple(tuple(r) for r in m_lower),
-        m_upper=tuple(tuple(r) for r in m_upper),
-        phi_mat=tuple(tuple(r) for r in phi_mat),
+        phi=tuple(phi),
         raw_tensor=raw,
         tensor=normalized,
         norm_scalar=scalar,
@@ -323,14 +297,10 @@ def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
     p = data.p
     T = data.raw_tensor
     x_basis, z_basis, y_basis = data.x_basis, data.z_basis, data.y_basis
-    phi_mat = data.phi_mat
 
     # Images of e_i (x) f1 and e_i (x) f2.
     theta_cols = [{x_basis[i]: Q1} for i in range(p)]
-    for i in range(p):
-        theta_cols.append(
-            {z_basis[b]: phi_mat[i][b] for b in range(p) if phi_mat[i][b]}
-        )
+    theta_cols += [{z_basis[b]: r} for b, r in data.phi]
 
     # Dual block: rows B(e_i, e_j), read off the n2 coordinates of
     # [e_i (x) f1, e_j (x) f2] (omega(f1, f2) = 1), against the g(1,1)

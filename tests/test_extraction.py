@@ -8,7 +8,6 @@ from cubicontact.cubic import SymCubic, b_rank
 from cubicontact.extraction import (
     ExtractionError,
     _distinguished,
-    _pairing_matrix,
     algebra_for,
     double_grading,
     extraction,
@@ -16,7 +15,7 @@ from cubicontact.extraction import (
     ternary_dimension_check,
     verify_embedding,
 )
-from cubicontact.linalg import mat_rank
+from cubicontact.linalg import mat_inv, mat_mul, mat_rank
 from cubicontact.rootsystems import RootSystem, TypeARejection, build_root_system
 
 
@@ -88,6 +87,19 @@ def test_grading_additivity_of_brackets(g2):
                     assert grade[lc] == want
 
 
+def _pairing_matrix(alg, left_labels, mid_labels, target_label):
+    """Dense M[i][j] = coefficient of target in [left_i, mid_j]."""
+    rows = []
+    for la in left_labels:
+        row = []
+        for lb in mid_labels:
+            br = alg.bracket_labels(la, lb)
+            assert set(br) <= {target_label}
+            row.append(F(br.get(target_label, 0)))
+        rows.append(row)
+    return rows
+
+
 def verify_pairings(alg):
     """(p, rank of g(0,1) x g(1,1) -> g(1,2), rank of g(1,0) x g(1,1) -> g(2,1))."""
     x_basis, z_basis, y_basis, psi, psi_alpha = _distinguished(alg, double_grading(alg))
@@ -134,10 +146,12 @@ def test_embedding_e_series(key):
     assert rep.pairs_checked == rep.dim_n * rep.dim_n
 
 
-def _dense_raw_tensor(alg, data):
-    """The raw cubic by dense Fraction contraction over every entry."""
+def _dense_reference(alg, data):
+    """phi = m_lower . m_upper^-1 and the raw cubic by dense contraction."""
     p = data.p
-    phi_mat, m_upper = data.phi_mat, data.m_upper
+    m_lower = _pairing_matrix(alg, data.x_basis, data.y_basis, data.psi_alpha_label)
+    m_upper = _pairing_matrix(alg, data.z_basis, data.y_basis, data.psi_label)
+    phi_mat = mat_mul(m_lower, mat_inv(m_upper))
     y_index = {lab: i for i, lab in enumerate(data.y_basis)}
     phi_vecs = [
         {data.z_basis[b]: phi_mat[a][b] for b in range(p) if phi_mat[a][b]}
@@ -168,14 +182,26 @@ def _dense_raw_tensor(alg, data):
                 )
                 if total:
                     entries[(a, b, c)] = total * F(1, 6)
-    return SymCubic(p, entries)
+    return phi_mat, SymCubic(p, entries)
 
 
-@pytest.mark.parametrize("key", sorted(EXPECTED_P))
+SUPPORTED = sorted(EXPECTED_P) + [("B", n) for n in range(3, 9)] + [
+    ("D", n) for n in range(4, 9)
+]
+
+
+@pytest.mark.parametrize("key", SUPPORTED)
 def test_sparse_contraction_matches_dense(key):
+    """The matchings give the phi and raw cubic of the dense solve."""
     alg = algebra_for(*key)
     data = extraction(alg)
-    assert data.raw_tensor == _dense_raw_tensor(alg, data)
+    phi_mat, raw = _dense_reference(alg, data)
+    p = data.p
+    dense_phi = [[F(0)] * p for _ in range(p)]
+    for a, (b, r) in enumerate(data.phi):
+        dense_phi[a][b] = r
+    assert dense_phi == phi_mat
+    assert data.raw_tensor == raw
 
 
 def test_extraction_memoized_per_algebra(g2):
@@ -299,3 +325,46 @@ def test_embedding_raises_on_zero_cubic():
     )
     with pytest.raises(ExtractionError):
         verify_embedding(alg)
+
+
+# --- extraction on corrupted pairings -------------------------------------
+#
+# Each mutant corrupts one table entry of a fresh algebra before its
+# extraction runs, so extraction itself must reject it.
+
+
+def _pieces(lie_type, rank):
+    alg = chevalley(build_root_system(lie_type, rank))
+    return alg, _distinguished(alg, double_grading(alg))
+
+
+def _redirect(alg, i, j, label):
+    (_k, c), = alg._row(i)[j]
+    alg._row(i)[j] = ((alg.index[label], c),)
+
+
+@pytest.mark.parametrize("key", [("G", 2), ("F", 4)])
+def test_extraction_rejects_missing_partner(key):
+    alg, (x_basis, _z, y_basis, _psi, _psi_alpha) = _pieces(*key)
+    i, j = _block_entries(alg, x_basis, y_basis)[0]
+    del alg._row(i)[j]
+    with pytest.raises(ExtractionError, match="pairings are not perfect"):
+        extraction(alg)
+
+
+@pytest.mark.parametrize("key", [("G", 2), ("F", 4)])
+def test_extraction_rejects_pairing_off_target_line(key):
+    alg, (x_basis, _z, y_basis, psi, _psi_alpha) = _pieces(*key)
+    i, j = _block_entries(alg, x_basis, y_basis)[0]
+    _redirect(alg, i, j, psi)
+    with pytest.raises(ExtractionError, match="leaves the target line"):
+        extraction(alg)
+
+
+@pytest.mark.parametrize("key", [("G", 2), ("F", 4)])
+def test_extraction_rejects_bracket_outside_g11(key):
+    alg, (x_basis, z_basis, _y, psi, _psi_alpha) = _pieces(*key)
+    i, j = _block_entries(alg, z_basis, x_basis)[0]
+    _redirect(alg, i, j, psi)
+    with pytest.raises(ExtractionError, match=r"leaves g\(1,1\)"):
+        extraction(alg)

@@ -2,15 +2,34 @@
 
 bench/tracer.py names the functions it times, counts and captures.  A
 name that no longer resolves would only fail a traced benchmark run; a
-traced name without an in-package caller (cubic.trilinear, kept as the
-reference of the closed-form contractions) must not be deleted unseen.
+traced name without an in-package caller must not be deleted unseen,
+and its per-layer metrics read 0 unless a workload calls it directly,
+so the traced names no package code refers to are listed in
+UNCALLED_IN_PACKAGE.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
+PACKAGE = ROOT / "src" / "cubicontact"
+
+# Traced names with no reference in the package outside their own
+# definition.  verify_chevalley_jacobi is the public entry point the
+# benchmark's Jacobi workload calls; the others are kept as references
+# for tests (trilinear for the closed-form contractions, mat_inv and
+# mat_mul for the dense extraction reference, bracket_labels for the
+# Chevalley tables).  A function that loses its last caller joins this
+# set, so its metrics cannot read 0 unnoticed.
+UNCALLED_IN_PACKAGE = {
+    ("chevalley", "verify_chevalley_jacobi"),
+    ("chevalley", "ChevalleyAlgebra.bracket_labels"),
+    ("cubic", "trilinear"),
+    ("linalg", "mat_inv"),
+    ("linalg", "mat_mul"),
+}
 
 
 def _traced_names():
@@ -39,3 +58,40 @@ def test_traced_names_resolve():
             assert callable(owner.get(qualname)), f"{module}.{cls_name}.{qualname}"
         else:
             assert callable(getattr(owner, qualname, None)), f"{module}.{qualname}"
+
+
+def _referenced_names():
+    """Names read (called, or stored in a table) in package code.
+
+    A reference inside the definition of a function of the same name,
+    such as a recursive call, does not count.
+    """
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return found
+
+
+def test_uncalled_traced_names_are_listed():
+    referenced = _referenced_names()
+    uncalled = {
+        (module, qualname)
+        for module, qualname in _traced_names()
+        if qualname.rsplit(".", 1)[-1] not in referenced
+    }
+    assert uncalled == UNCALLED_IN_PACKAGE
