@@ -176,12 +176,6 @@ class ChartElem:
             self.dim, col2=self.x1, n2=self.x2, n3=(self.x3_l, self.x3_m)
         )
 
-    @staticmethod
-    def from_nelem(x: NElem) -> "ChartElem":
-        if any(r[0] for r in x.n1):
-            raise ValueError("element has a V (x) f1 component, not in the chart")
-        return ChartElem(x.col(1), x.n2, x.n3[1], x.n3[0])
-
 
 def chart_decompose(U: NElem, z, T: SymCubic):
     """Solve exp(U) = exp(X) exp(w (x) p) with X in n_m and p = f1 + z f2.

@@ -8,7 +8,8 @@ Commands:
   catalog list|emit NAME  catalog of Jordan norm cubics
 
 Exit codes follow the contract: 0 success, 1 failed check or rejected
-input (e.g. assumption violation, type A extraction), 2 malformed input.
+input (e.g. assumption violation, type A extraction), 2 malformed input
+(e.g. an unreadable tensor file or an unparseable Lie type).
 All file I/O uses the JSON tensor format; reports are byte-deterministic
 for a fixed configuration.
 """
@@ -41,7 +42,7 @@ from .extraction import (
     verify_embedding,
 )
 from .reports import RunConfig, canonical_json, jsonable
-from .rootsystems import RootSystemError, TypeARejection
+from .rootsystems import RootSystemError
 from .verify import SUITES, run_verification
 
 OUT_ENV = "CUBICONTACT_OUT"
@@ -134,18 +135,17 @@ def _parse_type(text: str):
 
 
 def cmd_extract(args) -> int:
+    # An unknown compare name or an unparseable type is malformed input;
+    # a well-formed type the construction does not support is rejected.
     try:
         entry = catalog_get(args.compare) if args.compare else None
-    except KeyError as exc:
+        lie_type, rank = _parse_type(args.type)
+    except (KeyError, RootSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        lie_type, rank = _parse_type(args.type)
         alg = algebra_for(lie_type, rank)
         data = extraction(alg)
-    except TypeARejection as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return 1
     except (RootSystemError, ExtractionError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1

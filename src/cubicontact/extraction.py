@@ -25,9 +25,12 @@ read off from
 ``verify_embedding`` then checks, structure constant by structure
 constant, that the span of the five pieces with its Chevalley bracket is
 isomorphic as a graded Lie algebra to the abstract three-step algebra
-built from the extracted cubic.  Types A and C are rejected with
-diagnostics (A: no unique adjacent simple root; C: the distinguished
-pieces have mismatched dimensions).
+built from the extracted cubic.  By the same weight argument the
+identification is a scaled injection of basis positions: the cubic is a
+weight vector of the torus, so each B(e_i, e_j) is a multiple of one
+eps_k, and its image [x_i, phi(x_j)] is a multiple of one root vector.
+Types A and C are rejected with diagnostics (A: no unique adjacent
+simple root; C: the distinguished pieces have mismatched dimensions).
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from functools import lru_cache
 
 from .chevalley import ChevalleyAlgebra, chevalley
 from .cubic import SymCubic, b_rank, normalize_cubic, perm_multiplicity
-from .linalg import _solve_augmented
 from .nilpotent import bracket_table, n_dim
 from .rootsystems import build_root_system, find_alpha
 from .scalars import Q0, Q1
@@ -65,9 +67,6 @@ class DoubleGrading:
 
     def piece(self, a, b):
         return self.pieces.get((a, b), ())
-
-    def dim_p(self) -> int:
-        return len(self.piece(1, 1))
 
     def five_step_dims(self) -> tuple:
         """Dimensions of the psi-coroot pieces of degree -2..2."""
@@ -276,70 +275,81 @@ class EmbeddingReport:
         }
 
 
-def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
-    """Structure-constant comparison of the graded span with abstract n.
+def _image_bracket(alg: ChevalleyAlgebra, theta, a, b) -> dict:
+    """[theta(a), theta(b)] as Chevalley basis position -> coefficient."""
+    (sa, ca), (sb, cb) = theta[a], theta[b]
+    if not (ca and cb):
+        return {}
+    return {k: ca * cb * n for k, n in alg._row(sa).get(sb, ())}
 
-    Builds the basis identification theta of n(raw cubic) with the
-    span: e_i (x) f1 -> x_i, e_i (x) f2 -> phi(x_i), and the dual basis
-    eps_k of V* -> J(eps_k) in g(1,1), where J is the linear map with
-    J(B(e_i, e_j)) = [x_i, phi(x_j)].  J is solved from the pairs with
-    B(e_i, e_j) != 0 in one elimination; B is onto (the surjectivity
-    assumption), so J is unique.  The W line is read off eps_0:
-    f1 -> kappa1 e_{psi-alpha} and f2 -> kappa2 e_psi with
-    [eps_0, e_0 (x) f1] = f1 and [eps_0, e_0 (x) f2] = f2.
 
-    The check is the comparison of every bracket of basis elements of n
-    with the Chevalley bracket of their images; any inconsistency of
-    the data used to build theta shows up there.  Only a zero kappa is
-    reported before it, as the comparison cannot see a degenerate W line.
-    """
-    data = extraction(alg)
+def _theta(alg: ChevalleyAlgebra, data: ExtractionData, table) -> list:
+    """(sigma(a), c_a) for the basis vectors e_i (x) f1, e_i (x) f2, eps_k
+    of n; table is the structure-constant table of n(raw cubic).  c_a = 0
+    is a zero image."""
     p = data.p
-    T = data.raw_tensor
-    x_basis, z_basis, y_basis = data.x_basis, data.z_basis, data.y_basis
-
-    # Images of e_i (x) f1 and e_i (x) f2.
-    theta_cols = [{x_basis[i]: Q1} for i in range(p)]
-    theta_cols += [{z_basis[b]: r} for b, r in data.phi]
-
-    # Dual block: rows B(e_i, e_j), read off the n2 coordinates of
-    # [e_i (x) f1, e_j (x) f2] (omega(f1, f2) = 1), against the g(1,1)
-    # coordinates of [x_i, phi(x_j)]; the solution is the transpose of J.
-    table = bracket_table(T)
-    y_index = {lab: k for k, lab in enumerate(y_basis)}
-    b_rows = []
-    k_rows = []
+    index = alg.index
+    theta = [(index[lab], Q1) for lab in data.x_basis]
+    theta += [(index[data.z_basis[b]], r) for b, r in data.phi]
+    # [e_i (x) f1, e_j (x) f2] = B(e_i, e_j), as omega(f1, f2) = 1.
+    eps = [None] * p
     for i in range(p):
         for j in range(p):
             terms = table[i].get(p + j)
             if not terms:
                 continue
-            b_row = [Q0] * p
-            for k, c in terms:
-                b_row[k - 2 * p] = c
-            k_row = [Q0] * p
-            for lab, coeff in alg.bracket(theta_cols[i], theta_cols[p + j]).items():
-                if lab in y_index:
-                    k_row[y_index[lab]] = coeff
-            b_rows.append(b_row)
-            k_rows.append(k_row)
-    try:
-        j_transpose = _solve_augmented(b_rows, k_rows, p)
-    except ZeroDivisionError:
-        raise ExtractionError(
-            "extracted cubic violates the surjectivity assumption"
-        ) from None
-    for row in j_transpose:
-        theta_cols.append({y_basis[m]: v for m, v in enumerate(row) if v})
+            if len(terms) != 1:
+                raise ExtractionError(
+                    f"B(e_{i}, e_{j}) has {len(terms)} coordinates: "
+                    "the cubic is not a weight vector"
+                )
+            (k, c), = terms
+            if eps[k - 2 * p] is None:
+                # Off one basis vector, J(eps_k) becomes a zero image,
+                # which the comparison rejects.
+                got = list(_image_bracket(alg, theta, i, p + j).items())
+                m, n = got[0] if len(got) == 1 else (None, Q0)
+                eps[k - 2 * p] = (m, n / c)
+    if None in eps:
+        raise ExtractionError("extracted cubic violates the surjectivity assumption")
+    return theta + eps
+
+
+def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
+    """Structure-constant comparison of the graded span with abstract n.
+
+    The identification theta of n(raw cubic) with the span sends each
+    basis vector a of n to c_a times one basis vector sigma(a) of g:
+    e_i (x) f1 -> x_i, e_i (x) f2 -> phi(x_i) = r_i z_pi(i), and the dual
+    basis eps_k of V* -> J(eps_k) = [x_i, phi(x_j)] / c for the first
+    pair with B(e_i, e_j) = c eps_k.  Both are single terms: the cubic
+    is a weight vector, so T(i, j, k) != 0 fixes the weight of x_k, hence
+    k, and B(e_i, e_j) is a multiple of one eps_k; [x_i, z_pi(j)] is a
+    multiple of one root vector, as a root space is a line.  B is onto
+    (the surjectivity assumption), so every eps_k is reached.  The W line is read off
+    eps_0: f1 -> kappa1 e_{psi-alpha} and f2 -> kappa2 e_psi with
+    [eps_0, e_0 (x) f1] = f1 and [eps_0, e_0 (x) f2] = f2.
+
+    The check is the comparison of every bracket of basis elements of n
+    with the Chevalley bracket of their images, read off both tables by
+    position; any inconsistency of the data used to build theta shows
+    up there.  Only a zero kappa is reported before it, as the
+    comparison cannot see a degenerate W line.  Labels appear only in
+    the recorded mismatch.
+    """
+    data = extraction(alg)
+    p = data.p
+    index = alg.index
+    table = bracket_table(data.raw_tensor)
+    theta = _theta(alg, data, table)
 
     # W line images, from the brackets of eps_0 with e_0 (x) f1, f2.
-    eps0 = theta_cols[2 * p]
-    kappa1 = Fraction(alg.bracket(eps0, theta_cols[0]).get(data.psi_alpha_label, 0))
-    kappa2 = Fraction(alg.bracket(eps0, theta_cols[p]).get(data.psi_label, 0))
+    kappa1 = _image_bracket(alg, theta, 2 * p, 0).get(index[data.psi_alpha_label], Q0)
+    kappa2 = _image_bracket(alg, theta, 2 * p, p).get(index[data.psi_label], Q0)
     if not kappa1 or not kappa2:
         return _embedding_report(data, 0, ("degenerate W normalization",))
-    theta_cols.append({data.psi_alpha_label: kappa1})
-    theta_cols.append({data.psi_label: kappa2})
+    theta.append((index[data.psi_alpha_label], kappa1))
+    theta.append((index[data.psi_label], kappa2))
 
     # Full structure-constant comparison.
     d = n_dim(p)
@@ -349,15 +359,18 @@ def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
             pairs += 1
             expected = {}
             for idx, coeff in table[a].get(b, ()):
-                for lab, c2 in theta_cols[idx].items():
-                    val = expected.get(lab, Q0) + coeff * c2
-                    if val:
-                        expected[lab] = val
-                    else:
-                        expected.pop(lab, None)
-            got = alg.bracket(theta_cols[a], theta_cols[b])
-            got = {lab: Fraction(c) for lab, c in got.items() if c}
+                s, c = theta[idx]
+                val = expected.get(s, Q0) + coeff * c
+                if val:
+                    expected[s] = val
+                else:
+                    expected.pop(s, None)
+            got = _image_bracket(alg, theta, a, b)
             if got != expected:
+                labels = alg.labels
+                got, expected = (
+                    {labels[k]: v for k, v in m.items()} for m in (got, expected)
+                )
                 return _embedding_report(data, pairs, (a, b, got, expected))
     return _embedding_report(data, pairs)
 

@@ -9,11 +9,13 @@ with a nonzero f in the pivot column becomes
 
 divided by the gcd of its entries, which keeps it no larger than the
 Bareiss row.  Rows with a zero in the pivot column are skipped.
-mat_det tracks the row scales and multipliers exactly; mat_solve and
-mat_inv divide by each pivot once, at the end.  The same solve serves
+mat_det tracks the row scales and multipliers exactly; the solve behind
+mat_inv divides by each pivot once, at the end.  The solve also takes
 tall systems of full column rank: the solution is read off the pivot
 rows, which is the unique solution when the system is consistent (the
-caller checks consistency).  Results are Fractions.
+caller checks consistency).  Its one tall caller is the test reference
+for the embedding check, which solves the map J of V* into g(1,1) from
+every pair of the B table.  Results are Fractions.
 """
 
 from __future__ import annotations
@@ -112,11 +114,6 @@ def _solve_augmented(a, right, n: int):
     if len(pivots) < n:
         raise ZeroDivisionError("singular system")
     return [[Fraction(x, m[i][i]) for x in m[i][n:]] for i in range(n)]
-
-
-def mat_solve(a, b):
-    """Solve a x = b for square a; b is a vector.  Raises on singular a."""
-    return [row[0] for row in _solve_augmented(a, [[bv] for bv in b], len(a))]
 
 
 def mat_inv(a):

@@ -110,10 +110,6 @@ class RootSystem:
     _pos_set: frozenset = field(repr=False)
     _pos_index: dict = field(repr=False)
 
-    @property
-    def num_roots(self) -> int:
-        return 2 * len(self.pos_roots)
-
     def is_root(self, beta) -> bool:
         return beta in self._pos_set or _neg(beta) in self._pos_set
 

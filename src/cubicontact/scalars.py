@@ -199,10 +199,6 @@ class Jet:
         self.val = frac(val)
         self.eps = frac(eps)
 
-    @staticmethod
-    def variable() -> "Jet":
-        return Jet(0, 1)
-
     def __bool__(self):
         return bool(self.val) or bool(self.eps)
 

@@ -308,4 +308,4 @@ def test_chart_elem_conversion():
     assert x.col(0) == (F(0), F(0))
     assert x.col(1) == (F(1), F(2))
     assert x.n3 == (F(6), F(5))
-    assert ChartElem.from_nelem(x) == c
+    assert x.n2 == (F(3), F(4))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubicontact.cli import main
 from cubicontact.cubic import dumps_tensor, loads_tensor
-from cubicontact.catalog import catalog_get
+from cubicontact.catalog import catalog_get, catalog_list
 from cubicontact.verify import SUITES
 
 
@@ -112,6 +112,12 @@ def test_extract_type_c_rejected(tmp_path):
     assert main(["extract", "--type", "C3", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("lie_type", ["E9", "A0"])
+def test_extract_unsupported_type_is_rejected_not_malformed(lie_type, tmp_path, capsys):
+    assert main(["extract", "--type", lie_type, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("rejected: ")
+
+
 def test_catalog_list_and_emit(tmp_path, capsys):
     assert main(["catalog", "list"]) == 0
     out = capsys.readouterr().out
@@ -145,6 +151,9 @@ def test_stdout_when_no_out(monkeypatch, capsys):
         ["verify", "{x3}", "--primes", "4", "--out", "{out}"],
         ["verify", "{x3}", "--budget", "-1", "--which", "moment", "--out", "{out}"],
         ["extract", "--type", "G2", "--compare", "nope", "--out", "{out}"],
+        ["extract", "--type", "X7", "--out", "{out}"],
+        ["extract", "--type", "hello", "--out", "{out}"],
+        ["extract", "--type", "", "--out", "{out}"],
         ["check", "{zero_den}"],
         ["check", "{bool_value}"],
         ["check", "{bool_index}"],
@@ -159,7 +168,8 @@ def test_stdout_when_no_out(monkeypatch, capsys):
     ],
     ids=[
         "unknown-signature-name", "samples-0", "non-prime", "negative-budget",
-        "unknown-compare-name", "zero-denominator", "boolean-value",
+        "unknown-compare-name", "unparseable-type", "word-type", "empty-type",
+        "zero-denominator", "boolean-value",
         "boolean-index", "boolean-dim", "float-index", "check-directory",
         "verify-directory", "check-non-utf8", "verify-non-utf8",
         "probe-prime-denominator", "probe-prime-denominator-primes",
@@ -300,3 +310,34 @@ def test_fuzzed_input_keeps_exit_contract(tensor, command, options):
                 code = exc.code
         assert code in (0, 1, 2), (argv, tensor)
         assert "Traceback" not in err.getvalue()
+
+
+# Well-formed types, supported or not; E7 and E8 are left out to keep
+# each example short.  Text without a digit never parses as a type.
+_PARSEABLE_TYPES = ["G2", "B3", "D4", "F4", "A2", "C3", "E9"]
+_TYPE = st.one_of(
+    st.sampled_from(_PARSEABLE_TYPES + ["X7", ""]),
+    st.text(alphabet="HXhx -_?\u00e9", max_size=6),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    lie_type=_TYPE,
+    compare=st.sampled_from([None, "nope"] + [e.name for e in catalog_list()]),
+    embedding=st.booleans(),
+)
+def test_fuzzed_extract_keeps_exit_contract(lie_type, compare, embedding):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["extract", f"--type={lie_type}", "--out", str(Path(tmp) / "out")]
+        if compare is not None:
+            argv += ["--compare", compare]
+        if embedding:
+            argv.append("--embedding")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
+        malformed = lie_type.strip() not in _PARSEABLE_TYPES or compare == "nope"
+        assert (code == 2) == malformed, (argv, code, err.getvalue())

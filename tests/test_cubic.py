@@ -22,7 +22,7 @@ from cubicontact.cubic import (
     trilinear,
 )
 from cubicontact.extraction import extraction
-from cubicontact.linalg import mat_det, mat_inv, mat_mul, mat_rank, mat_solve
+from cubicontact.linalg import mat_det, mat_inv, mat_mul, mat_rank
 from cubicontact.sampling import SeededSampler
 
 cubic_module = importlib.import_module("cubicontact.cubic")
@@ -237,7 +237,7 @@ def test_linalg_rank_det_solve():
     a = [[F(2), F(1)], [F(1), F(1)]]
     assert mat_rank(a) == 2
     assert mat_det(a) == 1
-    assert mat_solve(a, [F(3), F(2)]) == [F(1), F(1)]
+    assert mat_mul(mat_inv(a), [[F(3)], [F(2)]]) == [[F(1)], [F(1)]]
     assert mat_mul(a, mat_inv(a)) == [[F(1), F(0)], [F(0), F(1)]]
     assert mat_det([[F(0), F(1)], [F(0), F(2)]]) == 0
     assert mat_rank([[F(1), F(2)], [F(2), F(4)]]) == 1

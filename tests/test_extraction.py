@@ -8,6 +8,7 @@ from cubicontact.cubic import SymCubic, b_rank
 from cubicontact.extraction import (
     ExtractionError,
     _distinguished,
+    _theta,
     algebra_for,
     double_grading,
     extraction,
@@ -15,8 +16,10 @@ from cubicontact.extraction import (
     ternary_dimension_check,
     verify_embedding,
 )
-from cubicontact.linalg import mat_inv, mat_mul, mat_rank
+from cubicontact.linalg import _solve_augmented, mat_inv, mat_mul, mat_rank
+from cubicontact.nilpotent import bracket_table
 from cubicontact.rootsystems import RootSystem, TypeARejection, build_root_system
+from cubicontact.scalars import Q0
 
 
 def test_five_step_dims_g2(g2):
@@ -60,7 +63,7 @@ EXPECTED_P = {("G", 2): 1, ("F", 4): 6, ("E", 6): 9, ("E", 7): 15, ("E", 8): 27}
 def test_double_grading_p(key):
     alg = algebra_for(*key)
     dg = double_grading(alg)
-    assert dg.dim_p() == EXPECTED_P[key]
+    assert len(dg.piece(1, 1)) == EXPECTED_P[key]
     assert len(dg.piece(1, 0)) == EXPECTED_P[key]
     assert len(dg.piece(0, 1)) == EXPECTED_P[key]
     assert len(dg.piece(2, 1)) == 1 and len(dg.piece(1, 2)) == 1
@@ -204,6 +207,55 @@ def test_sparse_contraction_matches_dense(key):
     assert data.raw_tensor == raw
 
 
+@pytest.mark.parametrize("key", SUPPORTED)
+def test_b_rows_are_multiples_of_one_eps(key):
+    """The cubic is a weight vector: each nonzero B(e_i, e_j) has one coordinate."""
+    data = extraction(algebra_for(*key))
+    p = data.p
+    table = bracket_table(data.raw_tensor)
+    rows = [table[i][p + j] for i in range(p) for j in range(p) if table[i].get(p + j)]
+    assert rows and all(len(terms) == 1 for terms in rows)
+
+
+def _tall_solve_j(alg, data, table):
+    """Rows J(eps_k) in the g(1,1) basis, from one tall solve of
+    J(B(e_i, e_j)) = [x_i, phi(x_j)] over every pair with B(e_i, e_j) != 0."""
+    p = data.p
+    y_index = {lab: k for k, lab in enumerate(data.y_basis)}
+    b_rows, k_rows = [], []
+    for i in range(p):
+        for j in range(p):
+            terms = table[i].get(p + j)
+            if not terms:
+                continue
+            b_row = [Q0] * p
+            for k, c in terms:
+                b_row[k - 2 * p] = c
+            zb, r = data.phi[j]
+            k_row = [Q0] * p
+            for lab, coeff in alg.bracket({data.x_basis[i]: 1}, {data.z_basis[zb]: r}).items():
+                k_row[y_index[lab]] = coeff
+            b_rows.append(b_row)
+            k_rows.append(k_row)
+    return _solve_augmented(b_rows, k_rows, p)
+
+
+@pytest.mark.parametrize("key", SUPPORTED)
+def test_theta_of_eps_matches_tall_solve(key):
+    """J(eps_k) read off the first pair equals the solve over all pairs."""
+    alg = algebra_for(*key)
+    data = extraction(alg)
+    p = data.p
+    table = bracket_table(data.raw_tensor)
+    y_pos = {alg.index[lab]: m for m, lab in enumerate(data.y_basis)}
+    rows = []
+    for s, c in _theta(alg, data, table)[2 * p:]:
+        row = [Q0] * p
+        row[y_pos[s]] = c
+        rows.append(row)
+    assert rows == _tall_solve_j(alg, data, table)
+
+
 def test_extraction_memoized_per_algebra(g2):
     private = chevalley(build_root_system("G", 2))
     data = extraction(private)
@@ -318,6 +370,16 @@ def test_embedding_fails_on_bracket_outside_g11(key):
     assert rep.ok is False
 
 
+@pytest.mark.parametrize("key", [("G", 2), ("F", 4)])
+def test_embedding_fails_on_deleted_xz_entry(key):
+    """A zero [x_i, phi(x_j)] gives J(eps_k) a zero image, which is reported."""
+    alg, data = _extracted(*key)
+    i, j = _block_entries(alg, data.x_basis, data.z_basis)[0]
+    del alg._row(i)[j]
+    rep = verify_embedding(alg)
+    assert rep.ok is False
+
+
 def test_embedding_raises_on_zero_cubic():
     alg, data = _extracted("F", 4)
     alg.derived["extraction"] = dataclasses.replace(
@@ -325,6 +387,23 @@ def test_embedding_raises_on_zero_cubic():
     )
     with pytest.raises(ExtractionError):
         verify_embedding(alg)
+
+
+def test_embedding_raises_on_b_row_with_two_coordinates():
+    """A cubic that is not a weight vector has a B(e_i, e_j) off one eps_k."""
+    alg, data = _extracted("F", 4)
+    entries = dict(data.raw_tensor.entries)
+    (a, b, _c), value = next(iter(entries.items()))
+    k = next(k for k in range(data.p) if tuple(sorted((a, b, k))) not in entries)
+    entries[tuple(sorted((a, b, k)))] = value
+    alg.derived["extraction"] = dataclasses.replace(
+        data, raw_tensor=SymCubic(data.p, entries)
+    )
+    with pytest.raises(ExtractionError) as err:
+        verify_embedding(alg)
+    assert str(err.value) == (
+        "B(e_0, e_3) has 2 coordinates: the cubic is not a weight vector"
+    )
 
 
 # --- extraction on corrupted pairings -------------------------------------

@@ -23,7 +23,7 @@ ROOT_COUNTS = {
 def test_root_counts(key):
     t, r = key
     rs = build_root_system(t, r)
-    assert rs.num_roots == ROOT_COUNTS[key]
+    assert len(rs.all_roots()) == ROOT_COUNTS[key]
 
 
 HIGHEST = {

@@ -31,7 +31,7 @@ def test_qpoly_mixed_with_fraction():
 
 
 def test_jet_derivation_rules():
-    eps = Jet.variable()
+    eps = Jet(0, 1)
     a = Jet(2, 3)
     b = Jet(5, -1)
     assert a * b == Jet(10, 13)
@@ -44,7 +44,7 @@ def test_jet_derivation_rules():
 
 
 def test_jet_square_of_variable_vanishes():
-    eps = Jet.variable()
+    eps = Jet(0, 1)
     assert eps * eps == Jet(0, 0)
     assert not (eps * eps)
 

@@ -5,7 +5,9 @@ name that no longer resolves would only fail a traced benchmark run; a
 traced name without an in-package caller must not be deleted unseen,
 and its per-layer metrics read 0 unless a workload calls it directly,
 so the traced names no package code refers to are listed in
-UNCALLED_IN_PACKAGE.
+UNCALLED_IN_PACKAGE.  A traced method counts as referenced only through
+an attribute (x.method), so a function of the same name, such as
+nilpotent.bracket for ChevalleyAlgebra.bracket, cannot stand in for it.
 """
 
 import ast
@@ -18,13 +20,16 @@ PACKAGE = ROOT / "src" / "cubicontact"
 
 # Traced names with no reference in the package outside their own
 # definition.  verify_chevalley_jacobi is the public entry point the
-# benchmark's Jacobi workload calls; the others are kept as references
-# for tests (trilinear for the closed-form contractions, mat_inv and
-# mat_mul for the dense extraction reference, bracket_labels for the
-# Chevalley tables).  A function that loses its last caller joins this
-# set, so its metrics cannot read 0 unnoticed.
+# benchmark's Jacobi workload calls; ChevalleyAlgebra.bracket, the
+# bracket of label dicts, is kept as public API and for the tracer (the
+# embedding check reads the table by position); the others are kept as
+# references for tests (trilinear for the closed-form contractions,
+# mat_inv and mat_mul for the dense extraction reference, bracket_labels
+# for the Chevalley tables).  A function that loses its last caller
+# joins this set, so its metrics cannot read 0 unnoticed.
 UNCALLED_IN_PACKAGE = {
     ("chevalley", "verify_chevalley_jacobi"),
+    ("chevalley", "ChevalleyAlgebra.bracket"),
     ("chevalley", "ChevalleyAlgebra.bracket_labels"),
     ("cubic", "trilinear"),
     ("linalg", "mat_inv"),
@@ -61,37 +66,49 @@ def test_traced_names_resolve():
 
 
 def _referenced_names():
-    """Names read (called, or stored in a table) in package code.
+    """Names read (called, or stored in a table) in package code, as
+    (bare names, attribute names).
 
     A reference inside the definition of a function of the same name,
     such as a recursive call, does not count.
     """
-    found = set()
+    names, attributes = set(), set()
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside | {node.name}
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            name = node.id
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            name = node.attr
-        else:
-            name = None
-        if name is not None and name not in inside:
-            found.add(name)
+        loaded = isinstance(getattr(node, "ctx", None), ast.Load)
+        if loaded and isinstance(node, ast.Name) and node.id not in inside:
+            names.add(node.id)
+        elif loaded and isinstance(node, ast.Attribute) and node.attr not in inside:
+            attributes.add(node.attr)
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
-    return found
+    return names, attributes
+
+
+def _is_referenced(qualname, names, attributes):
+    """A method through an attribute; a function by name or as module.attr."""
+    if "." in qualname:
+        return qualname.rsplit(".", 1)[-1] in attributes
+    return qualname in names or qualname in attributes
 
 
 def test_uncalled_traced_names_are_listed():
-    referenced = _referenced_names()
+    names, attributes = _referenced_names()
     uncalled = {
         (module, qualname)
         for module, qualname in _traced_names()
-        if qualname.rsplit(".", 1)[-1] not in referenced
+        if not _is_referenced(qualname, names, attributes)
     }
     assert uncalled == UNCALLED_IN_PACKAGE
+
+
+def test_method_is_not_referenced_by_a_function_of_the_same_name():
+    names, attributes = {"bracket"}, set()
+    assert _is_referenced("bracket", names, attributes)
+    assert not _is_referenced("ChevalleyAlgebra.bracket", names, attributes)
+    assert _is_referenced("ChevalleyAlgebra.bracket", set(), {"bracket"})
