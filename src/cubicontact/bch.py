@@ -38,12 +38,13 @@ the end (common-denominator arithmetic; Geddes, Czapor and Labahn,
 Algorithms for Computer Algebra, 1992, ch. 9).  Elements over any other
 ring take the generic path through ``bracket``: QPoly and LinForm, whose
 own arithmetic runs on int numerators over one denominator (see
-``scalars``), Jet, and elements holding a plain int.
+``scalars``), and elements holding a plain int.
 
 ``chart_decompose`` factors exp(U) = exp(X) exp(w (x) p) with X in the
 chart complement n_m = (V (x) f2) + V* + W and p = f1 + z f2; it works
-over any of the scalar rings (rationals, polynomials in z, jets), which
-is what the line solver and the moment computations build on.
+over any of the scalar rings (rationals, polynomials in z or in a flow
+parameter t), which is what the line solver and the moment computations
+build on.
 """
 
 from __future__ import annotations

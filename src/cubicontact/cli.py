@@ -31,7 +31,7 @@ from .cubic import (
     cubic_hash,
     dumps_tensor,
     load_tensor,
-    reduce_mod,
+    reduction,
 )
 from .extraction import (
     ExtractionError,
@@ -41,7 +41,7 @@ from .extraction import (
     ternary_dimension_check,
     verify_embedding,
 )
-from .reports import RunConfig, canonical_json, jsonable
+from .reports import PRIME_BOUND, RunConfig, canonical_json, jsonable
 from .rootsystems import RootSystemError
 from .verify import SUITES, run_verification
 
@@ -102,10 +102,11 @@ def cmd_verify(args) -> int:
         return 2
     try:
         if "moment" in which and assumption_holds(T):
-            # The moment suite's probe reduces T mod every prime: reject a
-            # denominator divisible by one before any suite runs.
+            # The moment suite's probe reads T mod every prime: reduce it
+            # once here, so a denominator divisible by one is rejected
+            # before any suite runs.
             for q in cfg.primes:
-                reduce_mod(T, q)
+                reduction(T, q)
         report = run_verification(T, which, cfg)
     except ReductionError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -213,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--samples", type=int, default=100)
     p_verify.add_argument(
-        "--primes", type=int, nargs="+", default=[5, 7, 11, 13]
+        "--primes", type=int, nargs="+", default=[5, 7, 11, 13],
+        help=f"probe primes, each below {PRIME_BOUND} (2**32)",
     )
     p_verify.add_argument("--budget", type=int, default=10 ** 6)
     add_common(p_verify)

@@ -84,7 +84,7 @@ def perm_multiplicity(tri) -> int:
 class SymCubic:
     """Symmetric trilinear tensor on Q^p (sparse, canonical i<=j<=k keys)."""
 
-    __slots__ = ("dim", "entries", "_grouped", "_scaled", "_b_rank")
+    __slots__ = ("dim", "entries", "_grouped", "_scaled", "_b_rank", "_reduced")
 
     def __init__(self, dim: int, entries):
         if dim < 1:
@@ -104,6 +104,7 @@ class SymCubic:
         self._grouped = None
         self._scaled = None
         self._b_rank = None
+        self._reduced = {}
 
     def value(self, i, j, k) -> Fraction:
         return self.entries.get(_canonical_triple(i, j, k), Q0)
@@ -238,6 +239,13 @@ def reduce_mod(T: SymCubic, q: int) -> FFTensor:
     return FFTensor(modulus=q, dim=T.dim, entries=tuple(out))
 
 
+def reduction(T: SymCubic, q: int) -> FFTensor:
+    """reduce_mod(T, q), computed once per tensor and modulus."""
+    if q not in T._reduced:
+        T._reduced[q] = reduce_mod(T, q)
+    return T._reduced[q]
+
+
 def from_cubic_monomials(dim: int, monomials, scale=1) -> SymCubic:
     """Tensor for a cubic polynomial given by monomial coefficients.
 
@@ -291,7 +299,7 @@ def _json_index(x) -> int:
 def loads_tensor(text: str) -> SymCubic:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int over Python's digit limit
         raise TensorFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise TensorFormatError("tensor JSON needs 'dim' and 'entries'")

@@ -5,8 +5,8 @@ evaluated on the fundamental vector field of A, computed as the exact
 t-derivative at 0 of the A-flow written in chart coordinates.  For
 generators in n the flow fixes z and y and its derivative is polynomial,
 so everything reduces to plain rational arithmetic; for sl(W) generators
-the flow moves z and y and the derivative is taken with first order
-jets.
+the flow moves z and y, so it is written over polynomials in t (QPoly)
+and the derivative is the t^1 coefficient.
 
 The n* component of the moment map needs the moment value on all 3p + 2
 basis elements of n.  A -> theta~(velocity(A)) is linear, so it is
@@ -45,11 +45,11 @@ from .cubic import (
     SymCubic,
     cubic_hash,
     polarize,
-    reduce_mod,
+    reduction,
 )
 from .nilpotent import NElem, SlWElem, generic_element, _dot
 from .sampling import SeededSampler
-from .scalars import HALF, Jet, Q0, TWELFTH
+from .scalars import HALF, Q0, QPoly, TWELFTH
 
 
 class FlowBasePointError(ValueError):
@@ -116,43 +116,40 @@ def _velocity_from_n_generator(pt: ChartPoint, A: NElem, T: SymCubic):
 
 
 def _velocity_from_slw_generator(pt: ChartPoint, A: SlWElem, T: SymCubic):
-    """Coordinate velocity of the sl(W) flow, via first order jets."""
+    """Coordinate velocity of the sl(W) flow: the t^1 coefficients of the
+    flow written over QPoly in t.
+
+    The flow scales y by 1 + t(a + zb) and moves z to
+    (z + t(c - za)) / (1 + t(a + zb)); only the first-order part
+    z + t(c - 2za - z^2 b) of the quotient can reach a t^1 coefficient,
+    because chart_decompose is polynomial in its arguments.
+    """
     (a, b), (c, _d) = A.mat
     p = T.dim
-    eps = Jet(0, 1)
-    z = Jet(pt.z)
-    y = Jet(pt.y)
-    lam = 1 + eps * (a + pt.z * b)
-    znew = (z + eps * (c - pt.z * a)) / lam
-    ynew = y * lam
+    t = QPoly.x()
+    z = pt.z
+    zdot = c - 2 * z * a - z * z * b
     x1 = pt.chart.x1
-    x2 = pt.chart.x2
     x3l, x3m = pt.chart.x3_l, pt.chart.x3_m
     U = NElem.from_parts(
         p,
-        col1=tuple(eps * (b * t) for t in x1),
-        col2=tuple(Jet(t) - eps * (a * t) for t in x1),
-        n2=tuple(Jet(t) for t in x2),
+        col1=tuple(t * (b * x) for x in x1),
+        col2=tuple(x - t * (a * x) for x in x1),
+        n2=tuple(QPoly.const(x) for x in pt.chart.x2),
         n3=(
-            Jet(x3l) + eps * (a * x3l + b * x3m),
-            Jet(x3m) + eps * (c * x3l - a * x3m),
+            x3l + t * (a * x3l + b * x3m),
+            x3m + t * (c * x3l - a * x3m),
         ),
     )
-    chart, _w = chart_decompose(U, znew, T)
-    for got, want in (
-        (znew.val, pt.z),
-        (ynew.val, pt.y),
-        (chart.x3_m.val, pt.chart.x3_m),
-    ):
-        if got != want:
-            raise FlowBasePointError(
-                "flow does not fix the base point coordinates"
-            )
-    xdot1 = tuple(t.eps for t in chart.x1)
-    xdot2 = tuple(t.eps for t in chart.x2)
+    chart, _w = chart_decompose(U, z + t * zdot, T)
+    if chart.x3_m.coefficient(0) != x3m:
+        raise FlowBasePointError("flow does not fix the base point coordinates")
+    xdot1 = tuple(x.coefficient(1) for x in chart.x1)
+    xdot2 = tuple(x.coefficient(1) for x in chart.x2)
     return (
-        (ynew.eps, znew.eps, chart.x3_m.eps, chart.x3_l.eps) + xdot1 + xdot2
-    )
+        pt.y * (a + z * b), zdot,
+        chart.x3_m.coefficient(1), chart.x3_l.coefficient(1),
+    ) + xdot1 + xdot2
 
 
 def moment_of(pt: ChartPoint, A, T: SymCubic) -> Fraction:
@@ -304,7 +301,7 @@ def smoothness_probe(
     trials = []
     witness = None
     for q in primes:
-        per_k = _quadric_data(reduce_mod(T, q))
+        per_k = _quadric_data(reduction(T, q))
         if q ** p <= budget:
             modes.append((q, "exhaustive"))
             candidates = islice(product(range(q), repeat=p), 1, None)

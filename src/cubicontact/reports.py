@@ -12,6 +12,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 
+# Probe primes must lie below 2**32: the probe draws residues from 32-bit
+# words, which sample a larger modulus non-uniformly, and the bound keeps
+# the trial division in _is_prime under 2**16 steps.
+PRIME_BOUND = 2 ** 32
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -36,6 +42,8 @@ class RunConfig:
         if self.probe_budget < 0:
             raise ValueError("probe budget must be >= 0")
         for q in self.primes:
+            if q >= PRIME_BOUND:
+                raise ValueError(f"prime {q} is not below 2**32")
             if not _is_prime(q):
                 raise ValueError(f"{q} is not prime")
 

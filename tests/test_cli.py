@@ -1,15 +1,19 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cubicontact import cubic
 from cubicontact.cli import main
 from cubicontact.cubic import dumps_tensor, loads_tensor
 from cubicontact.catalog import catalog_get, catalog_list
+from cubicontact.reports import RunConfig
 from cubicontact.verify import SUITES
 
 
@@ -165,6 +169,10 @@ def test_stdout_when_no_out(monkeypatch, capsys):
         ["verify", "{non_utf8}", "--out", "{out}"],
         ["verify", "{fifth}", "--samples", "2", "--out", "{out}"],
         ["verify", "{fifth}", "--samples", "2", "--primes", "5", "7", "--out", "{out}"],
+        ["check", "{oversize_dim}"],
+        ["check", "{oversize_value}"],
+        ["check", "{exponent_value}"],
+        ["verify", "{x3}", "--which", "jacobi", "--primes", "1000000000000000003", "--out", "{out}"],
     ],
     ids=[
         "unknown-signature-name", "samples-0", "non-prime", "negative-budget",
@@ -173,6 +181,7 @@ def test_stdout_when_no_out(monkeypatch, capsys):
         "boolean-index", "boolean-dim", "float-index", "check-directory",
         "verify-directory", "check-non-utf8", "verify-non-utf8",
         "probe-prime-denominator", "probe-prime-denominator-primes",
+        "oversize-dim", "oversize-value", "exponent-value", "prime-above-bound",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, capsys):
@@ -183,6 +192,11 @@ def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, caps
         "bool_dim": '{"dim": true, "entries": [{"i": 1, "j": 1, "k": 1, "value": "1"}]}',
         "float_index": '{"dim": 2, "entries": [{"i": 1.5, "j": 2, "k": 2, "value": "1"}]}',
         "fifth": '{"dim": 1, "entries": [{"i": 1, "j": 1, "k": 1, "value": "1/5"}]}',
+        # Past Python's 4,300-digit limit for int parsing.
+        "oversize_dim": '{"dim": 1%s, "entries": []}' % ("0" * 5000),
+        "oversize_value": '{"dim": 1, "entries": [{"i": 1, "j": 1, "k": 1, "value": 1%s}]}' % ("0" * 5000),
+        # 63 bytes that Fraction would expand to a 400-million-digit power of ten.
+        "exponent_value": '{"dim":1,"entries":[{"i":1,"j":1,"k":1,"value":"1e400000000"}]}',
     }
     paths = {}
     for key, text in tensors.items():
@@ -194,11 +208,20 @@ def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, caps
     paths["non_utf8"].write_bytes(b"\xff\xfe")
     out = tmp_path / "out"
     argv = [a.format(x3=x3_file, out=out, **paths) for a in argv]
+    start = time.perf_counter()
     assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_probe_primes_lie_below_2_to_the_32():
+    assert RunConfig(primes=(4294967291,)).primes == (4294967291,)
+    for q in (4294967311, 1000000000000000003):
+        with pytest.raises(ValueError, match="below 2"):
+            RunConfig(primes=(q,))
 
 
 def _tensor_with_value(tmp_path, name, index, value):
@@ -233,6 +256,17 @@ def test_probe_prime_denominator_rejected_whatever_the_probe_order(tmp_path, cap
     assert not out.exists()
 
 
+def test_verify_reduces_the_tensor_once_per_prime(tmp_path, monkeypatch):
+    # The up-front denominator check and the probe share one reduction.
+    real, calls = cubic.reduce_mod, []
+    monkeypatch.setattr(cubic, "reduce_mod", lambda T, q: calls.append(q) or real(T, q))
+    path = tmp_path / "fermat3.json"
+    path.write_text(dumps_tensor(catalog_get("fermat3").tensor()))
+    argv = ["verify", str(path), "--which", "moment", "--samples", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert calls == [5, 7, 11, 13]
+
+
 def test_long_run_flag_is_gone(x3_file, tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -246,6 +280,17 @@ def test_long_run_flag_is_gone(x3_file, tmp_path, capsys):
 
 _JUNK = st.sampled_from([None, True, "x", 1.5, -1, 9, [], {}])
 _VALUE = st.sampled_from(["1", "-2", "1/2", "1/5", "3/7", "1/13", "0", 3])
+# json.dumps cannot write an int past Python's 4,300-digit limit, so an
+# oversize JSON integer is drawn as a marker string naming its digit
+# count, and the marker is replaced in the written text.
+_OVERSIZE_INT = st.integers(4301, 20_000).map("@int{}@".format)
+_EXPONENT_VALUE = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["1", "-3", "2/", "0.5"]),
+    st.sampled_from(["e", "E", "e-", "e+"]),
+    st.integers(0, 10 ** 9),
+)
+_ADVERSARIAL = st.one_of(_OVERSIZE_INT, _EXPONENT_VALUE)
 
 
 @st.composite
@@ -261,9 +306,16 @@ def _tensor_json(draw):
     ))
     doc = {"dim": dim, "entries": entries}
     for _ in range(draw(st.integers(0, 2))):
-        where = draw(st.sampled_from(["dim", "entries", "entry", "root"]))
+        where = draw(st.sampled_from(["dim", "entries", "entry", "root", "size"]))
         if where == "root":
             return draw(_JUNK)
+        if where == "size":
+            # An oversize integer as dim, or an oversize or exponent value.
+            if draw(st.booleans()):
+                doc["dim"] = draw(_OVERSIZE_INT)
+            else:
+                draw(st.sampled_from(entries))["value"] = draw(_ADVERSARIAL)
+            continue
         if where == "entry":
             entry = draw(st.sampled_from(entries))
             key = draw(st.sampled_from(["i", "j", "k", "value"]))
@@ -283,19 +335,44 @@ _OPTIONS = st.lists(
         ["--seed", "0"], ["--seed", "-3"], ["--seed", "x"],
         ["--samples", "1"], ["--samples", "2"], ["--samples", "0"], ["--samples", "-1"],
         ["--primes", "5", "7"], ["--primes", "2"], ["--primes", "4"], ["--primes", "13"],
+        # The largest prime below 2**32, and primes above it.
+        ["--primes", "4294967291"], ["--primes", "4294967311"],
+        ["--primes", "1000000000000000003"],
         ["--budget", "0"], ["--budget", "50"], ["--budget", "-1"],
         ["--format", "md"], ["--format", "xml"], ["--bogus"],
-    ]),
+    ])
+    # A prime option of 1 to 18 digits, each digit count equally likely.
+    | st.integers(1, 18).flatmap(lambda d: st.integers(10 ** (d - 1), 10 ** d)).map(
+        lambda q: ["--primes", str(q)]
+    ),
     max_size=4,
 )
+# Every example is a few checks on dim <= 4; the unbounded inputs above
+# ran for minutes or hung.
+_EXAMPLE_SECONDS = 5.0
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+_X3 = {"dim": 1, "entries": [{"i": 1, "j": 1, "k": 1, "value": "1"}]}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(tensor=_tensor_json(), command=st.sampled_from(["check", "verify"]), options=_OPTIONS)
+@example(tensor=dict(_X3, dim="@int5000@"), command="check", options=[])
+@example(
+    tensor=dict(_X3, entries=[dict(_X3["entries"][0], value="1e400000000")]),
+    command="check",
+    options=[],
+)
+@example(
+    tensor=_X3,
+    command="verify",
+    options=[["--which", "jacobi"], ["--primes", "1000000000000000003"]],
+)
 def test_fuzzed_input_keeps_exit_contract(tensor, command, options):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cubic.json"
-        path.write_text(json.dumps(tensor))
+        text = re.sub(r'"@int(\d+)@"', lambda m: "9" * int(m.group(1)), json.dumps(tensor))
+        path.write_text(text)
         argv = [command, str(path)]
         if command == "verify":
             # Bounded work: at most 2 samples and a small probe budget.
@@ -303,11 +380,13 @@ def test_fuzzed_input_keeps_exit_contract(tensor, command, options):
             argv += [a for opt in options for a in opt]
             argv += ["--out", str(Path(tmp) / "out")]
         err = io.StringIO()
+        start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code
+        assert time.perf_counter() - start < _EXAMPLE_SECONDS, (argv, tensor)
         assert code in (0, 1, 2), (argv, tensor)
         assert "Traceback" not in err.getvalue()
 

@@ -23,7 +23,7 @@ from cubicontact.linalg import mat_det
 from cubicontact.moment import moment_membership, moment_point_at
 from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
-from cubicontact.scalars import HALF, Q0, Jet
+from cubicontact.scalars import HALF, Q0, QPoly
 
 X3 = SymCubic(1, {(0, 0, 0): 1})
 FERMAT3 = SymCubic(3, {(i, i, i): 1 for i in range(3)})
@@ -177,11 +177,14 @@ def _display_one_form_value(pt, velocity):
 
 
 def _exterior_derivative(form, pt):
-    """M[a][b] = d_a form_b - d_b form_a, each partial taken exactly by
-    perturbing one coordinate with a Jet."""
+    """M[a][b] = d_a form_b - d_b form_a, each partial taken exactly as
+    the t^1 coefficient after moving one coordinate by t (QPoly in t)."""
     n = 2 * pt.dim + 4
     units = [_unit(n, b) for b in range(n)]
-    partial = [[form(_jet_point(pt, a), units[b]).eps for b in range(n)] for a in range(n)]
+    partial = [
+        [form(_moved_point(pt, a), units[b]).coefficient(1) for b in range(n)]
+        for a in range(n)
+    ]
     return [[partial[a][b] - partial[b][a] for b in range(n)] for a in range(n)]
 
 
@@ -210,9 +213,10 @@ def test_display_orientation_breaks_the_moment_equation(monkeypatch):
     assert not any(moment_membership(moment_point_at(pt, T), T) for pt in points)
 
 
-def _jet_point(pt, a):
-    """pt with every coordinate a Jet, eps = 1 on coordinate a only."""
-    coords = [Jet(c, 1 if i == a else 0) for i, c in enumerate(pt.coords())]
+def _moved_point(pt, a):
+    """pt with every coordinate a QPoly in t, coordinate a moved to c + t."""
+    t = QPoly.x()
+    coords = [c + t if i == a else QPoly.const(c) for i, c in enumerate(pt.coords())]
     p = pt.dim
     chart = ChartElem(
         tuple(coords[4: 4 + p]), tuple(coords[4 + p:]), coords[2], coords[3]

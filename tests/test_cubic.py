@@ -217,6 +217,22 @@ def test_json_rejects_garbage():
         loads_tensor('{"dim": 2, "entries": [{"i": 2, "j": 1, "k": 1, "value": "1"}]}')
 
 
+def test_json_rejects_integers_past_the_digit_limit():
+    big = "1" + "0" * 5000
+    with pytest.raises(TensorFormatError):
+        loads_tensor('{"dim": %s, "entries": []}' % big)
+    with pytest.raises(TensorFormatError):
+        loads_tensor('{"dim": 1, "entries": [{"i": 1, "j": 1, "k": 1, "value": %s}]}' % big)
+
+
+@pytest.mark.parametrize("value", ["1e400000000", "2E3", "-1.5e-2", "1/1e3"])
+def test_json_rejects_exponent_notation(value):
+    with pytest.raises(TensorFormatError):
+        loads_tensor('{"dim": 1, "entries": [{"i": 1, "j": 1, "k": 1, "value": "%s"}]}' % value)
+    with pytest.raises(ValueError):
+        SymCubic(1, {(0, 0, 0): value})
+
+
 def test_from_cubic_monomials_full_sum_scaling():
     # det of symmetric 3x3 via monomials: value 6 at the identity under
     # the integer symmetrization convention.

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cubicontact.scalars import Jet, LinForm, QPoly, frac
+from cubicontact.scalars import LinForm, QPoly, frac
 
 
 def test_frac_coercions():
@@ -28,25 +28,6 @@ def test_qpoly_mixed_with_fraction():
     assert F(2) + z == QPoly((F(2), F(1)))
     assert z - F(1) == QPoly((F(-1), F(1)))
     assert F(3) * z == z * 3
-
-
-def test_jet_derivation_rules():
-    eps = Jet(0, 1)
-    a = Jet(2, 3)
-    b = Jet(5, -1)
-    assert a * b == Jet(10, 13)
-    assert (a + b).eps == 2
-    assert (a / b).val == F(2, 5)
-    # quotient rule: (a/b)' = (a'b - ab') / b^2
-    assert (a / b).eps == F(3 * 5 - 2 * (-1), 25)
-    with pytest.raises(ZeroDivisionError):
-        _ = a / eps
-
-
-def test_jet_square_of_variable_vanishes():
-    eps = Jet(0, 1)
-    assert eps * eps == Jet(0, 0)
-    assert not (eps * eps)
 
 
 def test_linform_linear_operations():
