@@ -33,9 +33,10 @@ basis position, filled a row at a time on first use from the rules
 above; ``bracket_labels``, ``bracket`` and the Jacobi check all read it.
 The table has the format of nilpotent.bracket_table, so both algebras
 are checked by the one Jacobi kernel in ``nilpotent``: the exhaustive
-check compares every stored entry with its transpose and evaluates the
+check compares every stored entry with its transpose and covers the
 jacobiator of every unordered basis triple; the sampled check evaluates
-it on seeded triples.
+it on seeded triples.  The exhaustive check grades the basis by the root
+lattice, so it evaluates only triples whose total weight is 0 or a root.
 """
 
 from __future__ import annotations
@@ -279,16 +280,22 @@ def verify_chevalley_jacobi(
     Both modes read the algebra's integer structure-constant table and
     work on basis positions; labels appear only in reported violations.
 
-    Exhaustive mode runs nilpotent.jacobi_violations on the table: label
-    pairs whose brackets are not antisymmetric, then every unordered
-    triple with a nonzero jacobiator, so it checks C(d, 3) triples.
-    Sampled mode evaluates the jacobiator of ``sample`` seeded triples.
+    Exhaustive mode runs nilpotent.jacobi_violations on the table, graded
+    by the root lattice: h_i has weight 0 and e_beta the simple-root
+    coordinates of beta in base 64 (they lie within 6, so sums of up to
+    three roots keep distinct codes).  It yields the label pairs whose
+    brackets are not antisymmetric, then every unordered triple with a
+    nonzero jacobiator; the triples it skips have zero jacobiators, so it
+    checks C(d, 3) triples.  Sampled mode evaluates the jacobiator of
+    ``sample`` seeded triples.
     """
     labels = alg.labels
     d = len(labels)
     rows = alg.table()
     if sample is None:
-        found = jacobi_violations(rows)
+        weight = [sum(x * 64 ** i for i, x in enumerate(v)) if k == "e" else 0
+                  for k, v in labels]
+        found = jacobi_violations(rows, weight)
         checked = d * (d - 1) * (d - 2) // 6
         mode = "exhaustive"
     else:

@@ -41,7 +41,7 @@ from .extraction import (
     ternary_dimension_check,
     verify_embedding,
 )
-from .reports import PRIME_BOUND, RunConfig, canonical_json, jsonable
+from .reports import MAX_PROBE_BUDGET, PRIME_BOUND, RunConfig, canonical_json, jsonable
 from .rootsystems import RootSystemError
 from .verify import SUITES, run_verification
 
@@ -217,7 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--primes", type=int, nargs="+", default=[5, 7, 11, 13],
         help=f"probe primes, each below {PRIME_BOUND} (2**32)",
     )
-    p_verify.add_argument("--budget", type=int, default=10 ** 6)
+    p_verify.add_argument(
+        "--budget", type=int, default=10 ** 6,
+        help=f"probe candidates per prime, at most {MAX_PROBE_BUDGET} (10**6)",
+    )
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

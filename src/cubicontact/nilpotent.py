@@ -16,7 +16,7 @@ dim W = 2.  ``verify_jacobi`` re-derives that fact from ``bracket``
 itself: ``bracket_table`` reads the structure constants off one bracket
 per basis element, and ``jacobi_violations``, the Jacobi kernel shared
 with the Chevalley algebras, checks antisymmetry on every stored entry
-and the jacobiator on every basis triple.
+and, graded by degree, the jacobiator of every basis triple.
 
 Elements carry their grade-1 part as a p x 2 matrix whose columns are
 the f1 and f2 coefficients.  All values are immutable; every operation
@@ -25,6 +25,7 @@ is a pure function, safe for concurrent use.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
@@ -234,36 +235,51 @@ def _jacobiator(rows, i, j, k) -> dict:
     return acc
 
 
-def jacobi_violations(rows):
-    """Every antisymmetry and Jacobi violation of a sparse bracket table.
+def jacobi_violations(rows, weight):
+    """Every antisymmetry and Jacobi violation of a graded bracket table.
 
     ``rows`` is a structure-constant table in the format of
-    ``bracket_table``.  First come the pairs (a, b), a <= b, with
-    [b_a, b_b] != -[b_b, b_a] (for a == b: a nonzero self-bracket), in
-    order; each stored entry is compared with its transpose.  Then come
-    the triples i < j < k with a nonzero jacobiator, in order.  For an
-    antisymmetric bracket the jacobiator is alternating, so these C(d, 3)
-    triples cover all d^3: a triple with a repeated index gives zero and
-    a permuted one the same value up to sign.  A triple whose three
-    inner brackets are all absent is skipped, its jacobiator being zero.
+    ``bracket_table``; ``weight[i]``, an int, grades basis position i.
+    First come the pairs (a, b), a <= b, with [b_a, b_b] != -[b_b, b_a]
+    (for a == b: a nonzero self-bracket), in order.  Then come the
+    triples i < j < k with a nonzero jacobiator, in order; for an
+    antisymmetric bracket, whose jacobiator alternates, these C(d, 3)
+    cover all d^3.  A triple is evaluated once, from the first stored of
+    [b_i,b_j], [b_j,b_k], [b_k,b_i] (with none stored it is zero), and,
+    if every stored term of [b_a, b_b] has weight weight[a] + weight[b],
+    only when a basis vector has weight w_i + w_j + w_k, the weight of
+    its jacobiator.  Otherwise every weight is taken to be zero.
     """
     bad = set()
+    graded = True
     for a, row in enumerate(rows):
         for b, terms in row.items():
             if dict(rows[b].get(a, ())) != {k: -c for k, c in terms}:
                 bad.add((min(a, b), max(a, b)))
+            s = weight[a] + weight[b]
+            graded = graded and all(weight[k] == s for k, _c in terms)
+    if not graded:
+        weight = [0] * len(rows)
+    occupied = set(weight)
+    cands_of = {}
+    found = []
+    for a, row in enumerate(rows):
+        for b in row:
+            s = weight[a] + weight[b]
+            if s not in cands_of:
+                cands_of[s] = [c for c, u in enumerate(weight) if s + u in occupied]
+            cands = cands_of[s]
+            if a < b:  # c < a gives (c, a, b), c > b gives (a, b, c)
+                lo, hi = bisect_left(cands, a), bisect_right(cands, b)
+                triples = [(c, a, b) for c in cands[:lo] if a not in rows[c]]
+                triples += [(a, b, c) for c in cands[hi:]]
+            else:  # b < c < a gives (b, c, a), whose [b_a, b_b] comes last
+                lo, hi = bisect_right(cands, b), bisect_left(cands, a)
+                triples = [(b, c, a) for c in cands[lo:hi]
+                           if c not in rows[b] and a not in rows[c]]
+            found += [t for t in triples if _jacobiator(rows, *t)]
     yield from sorted(bad)
-    d = len(rows)
-    for i in range(d):
-        row_i = rows[i]
-        for j in range(i + 1, d):
-            row_j = rows[j]
-            ij_zero = j not in row_i
-            for k in range(j + 1, d):
-                if ij_zero and k not in row_j and i not in rows[k]:
-                    continue  # all three inner brackets vanish
-                if _jacobiator(rows, i, j, k):
-                    yield (i, j, k)
+    yield from sorted(found)
 
 
 @dataclass(frozen=True)
@@ -297,12 +313,14 @@ def verify_jacobi(T: SymCubic) -> JacobiReport:
     """Antisymmetry and the Jacobi identity on the basis of n.
 
     The table is read off ``bracket`` (see bracket_table) and checked by
-    jacobi_violations; the report keeps its first MAX_VIOLATIONS
-    violations.  triples_checked is C(d, 3).
+    jacobi_violations, graded by the degree 1, 2, 3; the report keeps its
+    first MAX_VIOLATIONS violations.  triples_checked is C(d, 3): every
+    triple the kernel skips has a zero jacobiator.
     """
     p = T.dim
     d = n_dim(p)
-    violations = tuple(islice(jacobi_violations(bracket_table(T)), MAX_VIOLATIONS))
+    found = jacobi_violations(bracket_table(T), [1] * (2 * p) + [2] * p + [3, 3])
+    violations = tuple(islice(found, MAX_VIOLATIONS))
     return JacobiReport(
         p, d, d * (d - 1) * (d - 2) // 6, violations,
         assumption_holds(T), cubic_hash(T),

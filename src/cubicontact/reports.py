@@ -16,6 +16,8 @@ from fractions import Fraction
 # words, which sample a larger modulus non-uniformly, and the bound keeps
 # the trial division in _is_prime under 2**16 steps.
 PRIME_BOUND = 2 ** 32
+# The probe enumerates F_q^p when q**p <= budget: 5**20 points take hours.
+MAX_PROBE_BUDGET = 10 ** 6
 
 
 def _is_prime(n: int) -> bool:
@@ -39,8 +41,8 @@ class RunConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.probe_budget < 0:
-            raise ValueError("probe budget must be >= 0")
+        if not 0 <= self.probe_budget <= MAX_PROBE_BUDGET:
+            raise ValueError(f"probe budget must be in [0, {MAX_PROBE_BUDGET}]")
         for q in self.primes:
             if q >= PRIME_BOUND:
                 raise ValueError(f"prime {q} is not below 2**32")

@@ -147,6 +147,14 @@ def test_stdout_when_no_out(monkeypatch, capsys):
     assert '"dim":1' in capsys.readouterr().out
 
 
+def _diagonal(dim):
+    """The tensor document of x_1^3 + ... + x_dim^3."""
+    return {
+        "dim": dim,
+        "entries": [{"i": i, "j": i, "k": i, "value": "1"} for i in range(1, dim + 1)],
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -173,6 +181,8 @@ def test_stdout_when_no_out(monkeypatch, capsys):
         ["check", "{oversize_value}"],
         ["check", "{exponent_value}"],
         ["verify", "{x3}", "--which", "jacobi", "--primes", "1000000000000000003", "--out", "{out}"],
+        # 5**20 <= 10**30: the probe would enumerate F_5^20 exhaustively.
+        ["verify", "{diagonal20}", "--which", "moment", "--budget", str(10 ** 30), "--out", "{out}"],
     ],
     ids=[
         "unknown-signature-name", "samples-0", "non-prime", "negative-budget",
@@ -182,6 +192,7 @@ def test_stdout_when_no_out(monkeypatch, capsys):
         "verify-directory", "check-non-utf8", "verify-non-utf8",
         "probe-prime-denominator", "probe-prime-denominator-primes",
         "oversize-dim", "oversize-value", "exponent-value", "prime-above-bound",
+        "budget-above-bound",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, capsys):
@@ -197,6 +208,7 @@ def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, caps
         "oversize_value": '{"dim": 1, "entries": [{"i": 1, "j": 1, "k": 1, "value": 1%s}]}' % ("0" * 5000),
         # 63 bytes that Fraction would expand to a 400-million-digit power of ten.
         "exponent_value": '{"dim":1,"entries":[{"i":1,"j":1,"k":1,"value":"1e400000000"}]}',
+        "diagonal20": json.dumps(_diagonal(20)),
     }
     paths = {}
     for key, text in tensors.items():
@@ -338,7 +350,7 @@ _OPTIONS = st.lists(
         # The largest prime below 2**32, and primes above it.
         ["--primes", "4294967291"], ["--primes", "4294967311"],
         ["--primes", "1000000000000000003"],
-        ["--budget", "0"], ["--budget", "50"], ["--budget", "-1"],
+        ["--budget", "0"], ["--budget", "50"], ["--budget", "-1"], ["--budget", str(10 ** 30)],
         ["--format", "md"], ["--format", "xml"], ["--bogus"],
     ])
     # A prime option of 1 to 18 digits, each digit count equally likely.
@@ -347,12 +359,13 @@ _OPTIONS = st.lists(
     ),
     max_size=4,
 )
-# Every example is a few checks on dim <= 4; the unbounded inputs above
-# ran for minutes or hung.
+# Every drawn example is a few checks on dim <= 4, and the explicit
+# dim-200 Jacobi example takes about a second; the unbounded inputs
+# above ran for minutes or hung.
 _EXAMPLE_SECONDS = 5.0
 
 
-_X3 = {"dim": 1, "entries": [{"i": 1, "j": 1, "k": 1, "value": "1"}]}
+_X3 = _diagonal(1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -368,6 +381,9 @@ _X3 = {"dim": 1, "entries": [{"i": 1, "j": 1, "k": 1, "value": "1"}]}
     command="verify",
     options=[["--which", "jacobi"], ["--primes", "1000000000000000003"]],
 )
+# dim n = 602: the Jacobi kernel evaluates only the 79,600 n1 triples
+# that a stored bracket and the grading leave open.
+@example(tensor=_diagonal(200), command="verify", options=[["--which", "jacobi"]])
 def test_fuzzed_input_keeps_exit_contract(tensor, command, options):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cubic.json"

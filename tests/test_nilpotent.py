@@ -1,8 +1,11 @@
+import functools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cubicontact import nilpotent
+from cubicontact.chevalley import chevalley, verify_chevalley_jacobi
 from cubicontact.catalog import catalog_get, catalog_list
 from cubicontact.cubic import SymCubic, polarize
 from cubicontact.extraction import algebra_for, extraction
@@ -19,6 +22,7 @@ from cubicontact.nilpotent import (
     verify_jacobi,
 )
 from cubicontact.reports import RunConfig
+from cubicontact.rootsystems import build_root_system
 from cubicontact.sampling import SeededSampler
 from cubicontact.verify import run_verification
 
@@ -35,6 +39,11 @@ def n_basis(p):
 def basis_degree(p, idx):
     """Grade of basis element idx: 2p in n1, p in n2, then 2 in n3."""
     return 1 if idx < 2 * p else 2 if idx < 3 * p else 3
+
+
+def n_weight(p):
+    """The degree grading of n, the Jacobi kernel's weights."""
+    return [basis_degree(p, i) for i in range(n_dim(p))]
 
 
 def sample_nelem(sampler, p):
@@ -242,7 +251,9 @@ def test_jacobi_catches_antisymmetric_corruption(monkeypatch):
 
     _patch_table(monkeypatch, edit)
     assert not verify_jacobi(FERMAT3).ok
-    violations = list(nilpotent.jacobi_violations(nilpotent.bracket_table(FERMAT3)))
+    violations = list(
+        nilpotent.jacobi_violations(nilpotent.bracket_table(FERMAT3), n_weight(3))
+    )
     assert all(len(v) == 3 and v[0] < v[1] < v[2] for v in violations)
     assert (0, 1, p) in violations
     assert set(violations) == _jacobi_violations_all_ordered(
@@ -343,3 +354,237 @@ def test_generic_element_rejects_nonlinear_use():
     g = generic_element(2)
     with pytest.raises(TypeError):
         bracket(g, g, T)
+
+
+# --- the graded Jacobi kernel against the ungraded walk -------------------
+
+
+def _ungraded_violations(rows):
+    """The Jacobi kernel without a grading, as a reference.
+
+    The antisymmetry pairs, then a walk over all C(d, 3) triples that
+    skips a triple only when none of [b_i,b_j], [b_j,b_k], [b_k,b_i] is
+    stored.
+    """
+    bad = set()
+    for a, row in enumerate(rows):
+        for b, terms in row.items():
+            if dict(rows[b].get(a, ())) != {k: -c for k, c in terms}:
+                bad.add((min(a, b), max(a, b)))
+    yield from sorted(bad)
+    d = len(rows)
+    for i in range(d):
+        row_i = rows[i]
+        for j in range(i + 1, d):
+            row_j = rows[j]
+            ij_zero = j not in row_i
+            for k in range(j + 1, d):
+                if ij_zero and k not in row_j and i not in rows[k]:
+                    continue  # all three inner brackets vanish
+                if nilpotent._jacobiator(rows, i, j, k):
+                    yield (i, j, k)
+
+
+def _chevalley_weight(alg):
+    """The root-lattice grading, each root as an int in base 64."""
+    return [
+        sum(x * 64 ** i for i, x in enumerate(v)) if k == "e" else 0
+        for k, v in alg.labels
+    ]
+
+
+@functools.cache
+def _graded_table(name):
+    """Rows, weights and homogeneous slots (a, b, k) of a clean table."""
+    if name in ("G2", "B3"):
+        alg = chevalley(build_root_system(name[0], int(name[1:])))
+        rows, weight = alg.table(), _chevalley_weight(alg)
+    else:
+        T = catalog_get(name).tensor()
+        rows, weight = bracket_table(T), n_weight(T.dim)
+    d = len(rows)
+    slots = [
+        (a, b, k) for a in range(d) for b in range(d) for k in range(d)
+        if weight[k] == weight[a] + weight[b]
+    ]
+    return rows, weight, slots
+
+
+def _add_term(rows, a, b, k, c):
+    """Add c b_k to the stored [b_a, b_b], dropping the entry if it cancels."""
+    terms = dict(rows[a].get(b, ()))
+    terms[k] = terms.get(k, 0) + c
+    entry = tuple((t, v) for t, v in sorted(terms.items()) if v)
+    if entry:
+        rows[a][b] = entry
+    else:
+        rows[a].pop(b, None)
+
+
+_CORRUPTIONS = ["drop", "scale", "one-sided", "wrong-weight", "symmetric"]
+
+
+@st.composite
+def _corrupted_table(draw):
+    """A clean n or Chevalley table with one or two corruptions."""
+    name = draw(st.sampled_from(["x3", "fermat3", "xyz", "det3", "G2", "B3"]))
+    clean, weight, slots = _graded_table(name)
+    rows = [dict(row) for row in clean]
+    d = len(rows)
+    for kind in draw(st.lists(st.sampled_from(_CORRUPTIONS), min_size=1, max_size=2)):
+        c = draw(st.sampled_from([1, -1, 2]))
+        stored = [(a, b) for a in range(d) for b in sorted(rows[a])]
+        if kind in ("drop", "scale"):
+            a, b = draw(st.sampled_from(stored))
+            if kind == "drop":
+                del rows[a][b]
+            else:
+                factor = draw(st.sampled_from([-1, 2, 3]))
+                rows[a][b] = tuple((k, v * factor) for k, v in rows[a][b])
+        elif kind == "wrong-weight":
+            a, b, k = (draw(st.integers(0, d - 1)) for _ in range(3))
+            assume((a, b, k) not in slots)
+            _add_term(rows, a, b, k, c)
+            if draw(st.booleans()):
+                _add_term(rows, b, a, k, -c)
+        else:
+            a, b, k = draw(st.sampled_from(slots))
+            _add_term(rows, a, b, k, c)
+            if kind == "symmetric":
+                _add_term(rows, b, a, k, -c)
+    return rows, weight
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_corrupted_table())
+def test_graded_kernel_matches_ungraded_walk(case):
+    rows, weight = case
+    assert list(nilpotent.jacobi_violations(rows, weight)) == list(
+        _ungraded_violations(rows)
+    )
+
+
+@st.composite
+def _random_graded_table(draw):
+    """Random integer weights and random entries, nearly all homogeneous,
+    each stored in one orientation or in both with opposite signs."""
+    d = draw(st.integers(3, 7))
+    weight = [draw(st.integers(-3, 3)) for _ in range(d)]
+    rows = [{} for _ in range(d)]
+    for _ in range(draw(st.integers(1, 8))):
+        a, b = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        s = weight[a] + weight[b]
+        right = [k for k in range(d) if weight[k] == s]
+        if right and draw(st.integers(0, 5)):
+            k = draw(st.sampled_from(right))
+        else:
+            k = draw(st.integers(0, d - 1))
+        c = draw(st.sampled_from([1, -1, 2]))
+        _add_term(rows, a, b, k, c)
+        if draw(st.booleans()):
+            _add_term(rows, b, a, k, -c)
+    return rows, weight
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_random_graded_table())
+def test_graded_kernel_matches_ungraded_walk_on_random_gradings(case):
+    rows, weight = case
+    assert list(nilpotent.jacobi_violations(rows, weight)) == list(
+        _ungraded_violations(rows)
+    )
+
+
+def _count_jacobiators(monkeypatch):
+    calls = []
+    real = nilpotent._jacobiator
+
+    def counted(rows, i, j, k):
+        calls.append((i, j, k))
+        return real(rows, i, j, k)
+
+    monkeypatch.setattr(nilpotent, "_jacobiator", counted)
+    return calls
+
+
+def test_jacobiator_count_e7(monkeypatch):
+    alg = algebra_for("E", 7)
+    calls = _count_jacobiators(monkeypatch)
+    rep = verify_chevalley_jacobi(alg)
+    assert rep.ok and rep.triples_checked == 133 * 132 * 131 // 6
+    assert len(calls) == 55_353
+
+
+@pytest.mark.parametrize(
+    "T, count",
+    [
+        (catalog_get("j3o-norm").tensor(), 16_410),
+        (SymCubic(200, {(i, i, i): 1 for i in range(200)}), 79_600),
+    ],
+    ids=["j3o-norm", "diagonal-200"],
+)
+def test_jacobiator_count_n(T, count, monkeypatch):
+    calls = _count_jacobiators(monkeypatch)
+    rep = verify_jacobi(T)
+    assert rep.ok
+    d = n_dim(T.dim)
+    assert rep.triples_checked == d * (d - 1) * (d - 2) // 6
+    assert len(calls) == count
+
+
+def _b3_kernel_and_reference(monkeypatch, edit):
+    """Edit a private B3 table; the kernel's and the reference's
+    violations, each with its count of jacobiator calls."""
+    alg = chevalley(build_root_system("B", 3))
+    rows = alg.table()
+    edit(alg, rows)
+    calls = _count_jacobiators(monkeypatch)
+    violations = verify_chevalley_jacobi(alg).violations
+    kernel_calls = len(calls)
+    reference = tuple(
+        tuple(alg.labels[i] for i in v) for v in _ungraded_violations(rows)
+    )
+    return violations, kernel_calls, reference, len(calls) - kernel_calls
+
+
+def test_graded_mutant_breaks_jacobi_on_both_orientations(monkeypatch):
+    # Double [e_a, e_b] and [e_b, e_a]: antisymmetric and homogeneous, so
+    # the graded walk evaluates the same triples as on the clean table.
+    def edit(alg, rows):
+        a, b = next(
+            (i, j) for i, row in enumerate(rows) for j in row
+            if i < j and alg.labels[i][0] == alg.labels[j][0] == "e"
+        )
+        for x, y in ((a, b), (b, a)):
+            rows[x][y] = tuple((k, 2 * c) for k, c in rows[x][y])
+
+    clean = _b3_kernel_and_reference(monkeypatch, lambda alg, rows: None)
+    violations, calls, reference, reference_calls = _b3_kernel_and_reference(
+        monkeypatch, edit
+    )
+    assert violations and violations == reference
+    assert all(len(v) == 3 for v in violations)
+    assert calls == clean[1] < reference_calls
+
+
+def test_nonhomogeneous_mutant_turns_the_grading_off(monkeypatch):
+    # [h_0, h_1] = e_beta = -[h_1, h_0]: antisymmetric, but e_beta does not
+    # have weight 0, so the kernel evaluates every triple with a stored
+    # inner bracket, as the ungraded walk does, and finds (h_0, h_1, h_2).
+    def edit(alg, rows):
+        h2 = alg.labels[2]
+        beta = next(
+            i for i, lab in enumerate(alg.labels)
+            if lab[0] == "e" and alg.bracket_labels(h2, lab)
+        )
+        rows[0][1] = ((beta, 1),)
+        rows[1][0] = ((beta, -1),)
+
+    violations, calls, reference, reference_calls = _b3_kernel_and_reference(
+        monkeypatch, edit
+    )
+    h0, h1, h2 = (("h", i) for i in range(3))
+    assert (h0, h1, h2) in violations
+    assert violations == reference
+    assert all(len(v) == 3 for v in violations)
+    assert calls == reference_calls
