@@ -23,11 +23,12 @@ through beta.  Every other constant follows from the standard relations:
             + N(eps, -alpha) N(-beta, eps - alpha),
     a Jacobi consequence on (e_eps, e_-alpha, e_-beta).
 
-The relations are evaluated in ints: the pairings and root lengths
-(x, x) are the ints of ``RootSystem.pairing`` and ``norm2`` (tabled
-once per algebra), and each division is a divmod.  Every constant is
-checked to be a nonzero integer (a remainder or a zero raises
-``StructureConstantError``).
+Roots are basis positions with int codes, so beta + gamma is an int sum
+and one dict lookup, and ``n_constant`` memoizes N by position pair.
+The relations are evaluated in ints from pairings, root lengths and
+coroots tabled once per algebra, and each division is a divmod.  Every
+constant is checked to be a nonzero integer (a remainder or a zero
+raises ``StructureConstantError``).
 The brackets of basis elements are kept in one integer table indexed by
 basis position, filled a row at a time on first use from the rules
 above; ``bracket_labels``, ``bracket`` and the Jacobi check all read it.
@@ -43,8 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nilpotent import _jacobiator, _vsub, jacobi_violations
-from .rootsystems import RootSystem, _neg, _vadd
+from .nilpotent import _jacobiator, jacobi_violations
+from .rootsystems import RootSystem, _neg
 from .sampling import SeededSampler
 
 
@@ -52,38 +53,51 @@ class StructureConstantError(ValueError):
     """A derived structure constant is not a nonzero integer."""
 
 
-def _integral(num: int, den: int, x, y) -> int:
-    val, rem = divmod(num, den)
-    if rem:
-        raise StructureConstantError(
-            f"non-integral structure constant N{(x, y)} = {num}/{den}"
-        )
-    return val
-
-
 class ChevalleyAlgebra:
     """Simple Lie algebra over Q in a Chevalley basis.
 
     Elements are dicts from basis labels to rational coefficients; the
     labels are ("h", i) for the coroot generators and ("e", root) for
-    root vectors.
+    root vectors.  Positions in ``labels``: h_0..h_{r-1}, the m positive
+    roots in (height, lex) order, then their negatives, so -beta is m
+    positions from beta.  ``codes`` holds sum_t beta_t 64^t per position
+    (0 for h_i).  Coordinates lie in [-6, 6] up to rank 8, so sums of up
+    to three roots stay within +-18 < 32 and keep distinct codes.
+    ``pairings`` holds <beta, alpha_i^vee> per position, ``coroots``
+    the coordinates of beta^vee.
 
-    The bracket of basis elements b_i, b_j (positions in ``labels``) is
-    row i, entry j of the structure-constant table: the tuple of nonzero
-    (k, int coefficient) terms of [b_i, b_j], absent when the bracket is
-    zero.  Rows are filled on first use.
+    The bracket of basis elements b_i, b_j is row i, entry j of the
+    structure-constant table: the tuple of nonzero (k, int coefficient)
+    terms of [b_i, b_j], absent when the bracket is zero.  Rows are
+    filled on first use.
     """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
+        r = rs.rank
+        pos = rs.pos_roots
         self.labels = tuple(
-            [("h", i) for i in range(rs.rank)]
-            + [("e", b) for b in rs.pos_roots]
-            + [("e", _neg(b)) for b in rs.pos_roots]
+            [("h", i) for i in range(r)]
+            + [("e", b) for b in pos]
+            + [("e", _neg(b)) for b in pos]
         )
         self.index = {lab: i for i, lab in enumerate(self.labels)}
+        split = self._split = r + len(pos)  # first negative root position
+        # Position of -beta for the position of beta.
+        self._opposite = [*range(r), *range(split, split + len(pos)), *range(r, split)]
+        self.codes = tuple(
+            sum(c * 64 ** t for t, c in enumerate(lab[1])) if lab[0] == "e" else 0
+            for lab in self.labels
+        )
+        self._at = {c: i for i, c in enumerate(self.codes) if c}
+        norm2 = [rs.norm2(b) for b in pos]
+        self._norm2 = [None] * r + norm2 + norm2
+        pairings = [tuple(sum(c * a for c, a in zip(b, row)) for row in rs.cartan)
+                    for b in pos]
+        self.pairings = [(0,) * r] * r + pairings + [_neg(p) for p in pairings]
+        coroots = [rs.coroot_coordinates(b) for b in pos]
+        self.coroots = [None] * r + coroots + [_neg(c) for c in coroots]
         self._n_memo = {}
-        self._norm2 = {b: rs.norm2(b) for b in rs.pos_roots}
         self._extraspecial = self._build_extraspecial()
         self._rows = [None] * len(self.labels)
         # Results other modules derive from this algebra, memoized per
@@ -97,93 +111,93 @@ class ChevalleyAlgebra:
         return len(self.labels)
 
     def _build_extraspecial(self):
-        rs = self.rs
+        """gamma -> extraspecial (alpha, beta), positive root positions."""
+        r, at, codes = self.rs.rank, self._at, self.codes
         out = {}
-        for gamma in rs.pos_roots:
-            if sum(gamma) == 1:
+        for g in range(r, self._split):
+            if sum(self.labels[g][1]) == 1:
                 continue
-            best = None
-            for alpha in rs.pos_roots:
-                beta = _vsub(gamma, alpha)
-                if not rs.is_positive(beta):
-                    continue
-                if rs.order_index(alpha) >= rs.order_index(beta):
-                    continue
-                if best is None or rs.order_index(alpha) < rs.order_index(best[0]):
-                    best = (alpha, beta)
-            if best is None:
+            for a in range(r, g):
+                b = at.get(codes[g] - codes[a])
+                if b is not None and a < b < self._split:
+                    out[g] = (a, b)
+                    break
+            else:
                 # gamma = alpha + alpha never happens; a decomposition
                 # with alpha == beta is impossible for roots.
-                raise RuntimeError(f"no decomposition for {gamma}")
-            out[gamma] = best
+                raise RuntimeError(f"no decomposition for {self.labels[g][1]}")
         return out
 
-    def string_p(self, alpha, beta) -> int:
-        """Largest k with beta - k alpha a root."""
-        rs = self.rs
+    def string_p(self, alpha: int, beta: int) -> int:
+        """Largest k with beta - k alpha a root (root positions)."""
+        at = self._at
+        step = self.codes[alpha]
+        code = self.codes[beta] - step
         k = 0
-        gamma = beta
-        while True:
-            gamma = _vsub(gamma, alpha)
-            if rs.is_root(gamma) and any(gamma):
-                k += 1
-            else:
-                return k
+        while code in at:
+            k += 1
+            code -= step
+        return k
 
     # -- structure constants --------------------------------------------
 
-    def n_constant(self, x, y) -> int:
-        """N(x, y) with [e_x, e_y] = N(x, y) e_{x+y}; 0 if x+y not a root."""
+    def _exact(self, num: int, den: int, x: int, y: int) -> int:
+        val, rem = divmod(num, den)
+        if rem:
+            raise StructureConstantError(
+                f"non-integral structure constant "
+                f"N({self.labels[x][1]}, {self.labels[y][1]}) = {num}/{den}"
+            )
+        return val
+
+    def n_constant(self, x: int, y: int) -> int:
+        """N(x, y) of root positions: [e_x, e_y] = N(x, y) e_{x+y}, or 0."""
         hit = self._n_memo.get((x, y))
         if hit is not None:
             return hit
-        s = _vadd(x, y)
-        if not any(s) or not self.rs.is_root(s):
+        s = self._at.get(self.codes[x] + self.codes[y])
+        if s is None:
             return 0
         val = self._n_compute(x, y, s)
         if not val:
             raise StructureConstantError(
-                f"vanishing structure constant N{(x, y)}"
+                f"vanishing structure constant "
+                f"N({self.labels[x][1]}, {self.labels[y][1]})"
             )
         self._n_memo[(x, y)] = val
         return val
 
     def _n_compute(self, x, y, s):
-        rs = self.rs
-        xpos = rs.is_positive(x)
-        ypos = rs.is_positive(y)
+        split, opp, n = self._split, self._opposite, self.n_constant
+        xpos = x < split
+        ypos = y < split
         if xpos and ypos:
-            if rs.order_index(x) > rs.order_index(y):
-                return -self.n_constant(y, x)
+            if x > y:
+                return -n(y, x)
             eps, delta = self._extraspecial[s]
             if (x, y) == (eps, delta):
                 return self.string_p(x, y) + 1
             # Special pair: Jacobi on (e_eps, e_-x, e_-y).
+            at, codes = self._at, self.codes
             t1 = 0
-            if rs.is_root(_vsub(eps, y)):
-                t1 = self.n_constant(_neg(y), eps) * self.n_constant(
-                    _neg(x), _vsub(eps, y)
-                )
+            k = at.get(codes[eps] - codes[y])
+            if k is not None:
+                t1 = n(opp[y], eps) * n(opp[x], k)
             t2 = 0
-            if rs.is_root(_vsub(eps, x)):
-                t2 = self.n_constant(eps, _neg(x)) * self.n_constant(
-                    _neg(y), _vsub(eps, x)
-                )
-            denom = self.n_constant(eps, _neg(s))
-            return _integral(t1 + t2, denom, x, y)
+            k = at.get(codes[eps] - codes[x])
+            if k is not None:
+                t2 = n(eps, opp[x]) * n(opp[y], k)
+            return self._exact(t1 + t2, n(eps, opp[s]), x, y)
         if not xpos and not ypos:
-            return -self.n_constant(_neg(x), _neg(y))
+            return -n(opp[x], opp[y])
         # Mixed signs.
         if not xpos:
-            return -self.n_constant(y, x)
+            return -n(y, x)
         # x positive, y negative now.
-        if rs.is_positive(s):
-            mu = _neg(y)
-            nu = s
-            return _integral(
-                -self._norm2[nu] * self.n_constant(mu, nu), self._norm2[x], x, y
-            )
-        return self.n_constant(_neg(y), _neg(x))
+        if s < split:
+            norm2 = self._norm2
+            return self._exact(-norm2[s] * n(opp[y], s), norm2[x], x, y)
+        return n(opp[y], opp[x])
 
     # -- brackets ---------------------------------------------------------
 
@@ -200,32 +214,29 @@ class ChevalleyAlgebra:
 
     def _fill_row(self, i: int) -> dict:
         """Nonzero brackets [b_i, b_j] from the Chevalley rules."""
-        rs = self.rs
-        labels = self.labels
-        r = rs.rank
-        kind, va = labels[i]
+        r = self.rs.rank
+        d = len(self.labels)
+        pairings = self.pairings
         row = {}
-        if kind == "h":
-            alpha = rs.simple_root(va)
-            for j in range(r, len(labels)):
-                c = rs.pairing(labels[j][1], alpha)
+        if i < r:
+            for j in range(r, d):
+                c = pairings[j][i]
                 if c:
                     row[j] = ((j, c),)
             return row
-        for j in range(r):
-            c = rs.pairing(va, rs.simple_root(j))
+        for j, c in enumerate(pairings[i]):
             if c:
                 row[j] = ((i, -c),)
-        for j in range(r, len(labels)):
-            vb = labels[j][1]
-            s = _vadd(va, vb)
-            if not any(s):
-                coords = rs.coroot_coordinates(va)
-                row[j] = tuple((t, c) for t, c in enumerate(coords) if c)
+        at, codes = self._at, self.codes
+        code = codes[i]
+        for j in range(r, d):
+            s = code + codes[j]
+            if not s:
+                row[j] = tuple((t, c) for t, c in enumerate(self.coroots[i]) if c)
                 continue
-            k = self.index.get(("e", s))
+            k = at.get(s)
             if k is not None:
-                row[j] = ((k, self.n_constant(va, vb)),)
+                row[j] = ((k, self.n_constant(i, j)),)
         return row
 
     def bracket_labels(self, la, lb) -> dict:
@@ -281,21 +292,17 @@ def verify_chevalley_jacobi(
     work on basis positions; labels appear only in reported violations.
 
     Exhaustive mode runs nilpotent.jacobi_violations on the table, graded
-    by the root lattice: h_i has weight 0 and e_beta the simple-root
-    coordinates of beta in base 64 (they lie within 6, so sums of up to
-    three roots keep distinct codes).  It yields the label pairs whose
-    brackets are not antisymmetric, then every unordered triple with a
-    nonzero jacobiator; the triples it skips have zero jacobiators, so it
-    checks C(d, 3) triples.  Sampled mode evaluates the jacobiator of
-    ``sample`` seeded triples.
+    by the root lattice: the weight of a position is its code.  It yields
+    the label pairs whose brackets are not antisymmetric, then every
+    unordered triple with a nonzero jacobiator; the triples it skips have
+    zero jacobiators, so it checks C(d, 3) triples.  Sampled mode
+    evaluates the jacobiator of ``sample`` seeded triples.
     """
     labels = alg.labels
     d = len(labels)
     rows = alg.table()
     if sample is None:
-        weight = [sum(x * 64 ** i for i, x in enumerate(v)) if k == "e" else 0
-                  for k, v in labels]
-        found = jacobi_violations(rows, weight)
+        found = jacobi_violations(rows, alg.codes)
         checked = d * (d - 1) * (d - 2) // 6
         mode = "exhaustive"
     else:

@@ -4,7 +4,8 @@ The coroot of the highest root psi induces the five-step grading with
 ad-eigenvalues 0, +-1, +-2 and one-dimensional extremes.  Together with
 the coroot of psi - alpha (alpha the unique simple root adjacent to psi)
 it induces a double grading by integer pairs: e_beta has degree
-(<beta, psi^vee>, <beta, (psi - alpha)^vee>), read off RootSystem.pairing,
+(<beta, psi^vee>, <beta, (psi - alpha)^vee>), read off the algebra's
+simple-coroot pairings and the coroot coordinates of psi and psi - alpha,
 and the h_i have degree (0, 0).  The distinguished pieces
 
     g(0,1), g(1,0), g(1,1), g(2,1) = g_psi, g(1,2) = g_{psi-alpha}
@@ -86,15 +87,15 @@ def double_grading(alg: ChevalleyAlgebra) -> DoubleGrading:
     grading by the psi coroot: it must lie in -2..2, with lines in
     degree +-2.
     """
-    rs = alg.rs
-    alpha_index, alpha = find_alpha(rs)
-    psi = rs.highest_root
+    alpha_index, alpha = find_alpha(alg.rs)
+    psi = alg.rs.highest_root
     psi_alpha = tuple(p - a for p, a in zip(psi, alpha))
+    # <beta, gamma^vee> = sum_i (gamma^vee)_i <beta, alpha_i^vee>.
+    duals = [alg.coroots[alg.index["e", g]] for g in (psi, psi_alpha)]
     assignment = []
     pieces = {}
-    for lab in alg.labels:
-        kind, v = lab
-        ab = (0, 0) if kind == "h" else (rs.pairing(v, psi), rs.pairing(v, psi_alpha))
+    for lab, pairs in zip(alg.labels, alg.pairings):
+        ab = tuple(sum(c * q for c, q in zip(dual, pairs)) for dual in duals)
         if not -2 <= ab[0] <= 2:
             raise ExtractionError(f"eigenvalue {ab[0]} outside -2..2 for {lab}")
         assignment.append((lab, ab))

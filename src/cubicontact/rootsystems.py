@@ -10,9 +10,9 @@ p_i(beta) is the length of the descending alpha_i-string through beta.
 The inner product is the symmetrized Cartan matrix with the minimal
 integer symmetrizer, so ``inner`` and ``norm2`` are ints.  ``pairing``
 <beta, gamma^vee> and ``coroot_coordinates`` divide them with divmod
-and raise RootSystemError on a remainder.  This module is the one
-source of root pairings: the Chevalley brackets [h_i, e_beta] and the
-ad-eigenvalues of the highest-root gradings are read off ``pairing``.
+and raise RootSystemError on a remainder.  ``chevalley`` tables the
+simple-coroot pairings, lengths and coroots of the roots once per
+algebra from ``cartan``, ``norm2`` and ``coroot_coordinates``.
 """
 
 from __future__ import annotations
@@ -108,19 +108,12 @@ class RootSystem:
     pos_roots: tuple  # ordered by (height, lex)
     highest_root: tuple
     _pos_set: frozenset = field(repr=False)
-    _pos_index: dict = field(repr=False)
 
     def is_root(self, beta) -> bool:
         return beta in self._pos_set or _neg(beta) in self._pos_set
 
-    def is_positive(self, beta) -> bool:
-        return beta in self._pos_set
-
     def all_roots(self):
         return list(self.pos_roots) + [_neg(b) for b in self.pos_roots]
-
-    def order_index(self, beta) -> int:
-        return self._pos_index[beta]
 
     def inner(self, beta, gamma) -> int:
         a = self.cartan
@@ -202,7 +195,6 @@ def build_root_system(lie_type: str, rank: int) -> RootSystem:
     max_h = sum(highest)
     if sum(1 for b in ordered if sum(b) == max_h) != 1:
         raise RootSystemError("highest root is not unique")
-    index = {b: i for i, b in enumerate(ordered)}
     rs = RootSystem(
         lie_type=lie_type.upper(),
         rank=rank,
@@ -211,7 +203,6 @@ def build_root_system(lie_type: str, rank: int) -> RootSystem:
         pos_roots=ordered,
         highest_root=highest,
         _pos_set=frozenset(pos),
-        _pos_index=index,
     )
     for i in range(n):
         if rs.is_root(_vadd(highest, simples[i])):

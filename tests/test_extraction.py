@@ -18,7 +18,7 @@ from cubicontact.extraction import (
 )
 from cubicontact.linalg import _solve_augmented, mat_inv, mat_mul, mat_rank
 from cubicontact.nilpotent import bracket_table
-from cubicontact.rootsystems import RootSystem, TypeARejection, build_root_system
+from cubicontact.rootsystems import TypeARejection, build_root_system
 from cubicontact.scalars import Q0
 
 
@@ -37,20 +37,16 @@ def test_five_step_extremes_are_root_lines(f4):
 
 
 @pytest.mark.parametrize("bad", [3, 2], ids=["outside-range", "extreme-plane"])
-def test_psi_grading_checks_raise(monkeypatch, bad):
+def test_psi_grading_checks_raise(bad):
     """A psi-pairing out of -2..2, or a second root in degree 2, is rejected."""
     alg = chevalley(build_root_system("G", 2))
     rs = alg.rs
     psi = rs.highest_root
     victim = next(b for b in rs.pos_roots if rs.pairing(b, psi) == 1)
-    pairing = RootSystem.pairing
-
-    def mutant(self, beta, gamma):
-        if self is rs and beta == victim and gamma == psi:
-            return bad
-        return pairing(self, beta, gamma)
-
-    monkeypatch.setattr(RootSystem, "pairing", mutant)
+    # Scaling the victim's simple-coroot pairings scales <victim, psi^vee>
+    # from 1 to bad.
+    v = alg.index["e", victim]
+    alg.pairings[v] = tuple(bad * c for c in alg.pairings[v])
     match = "outside -2..2" if bad == 3 else "extreme grading pieces not lines"
     with pytest.raises(ExtractionError, match=match):
         extraction(alg)
