@@ -36,7 +36,6 @@ from .nilpotent import (
 from .bch import (
     ChartElem,
     GroupElem,
-    LineSolution,
     bch,
     chart_decompose,
     exp_diff,

@@ -68,10 +68,9 @@ def _central(c2, U: NElem) -> NElem:
 def _cleared(x: NElem):
     """(coordinates in basis order times d, d) with d the lcm of their
     denominators, or None unless every coordinate is a Fraction."""
-    flat = x.col(0) + x.col(1) + x.n2 + x.n3
-    if any(type(c) is not Fraction for c in flat):
+    if any(type(c) is not Fraction for c in x.coords):
         return None
-    pairs = [c.as_integer_ratio() for c in flat]
+    pairs = [c.as_integer_ratio() for c in x.coords]
     d = lcm(*[q for _n, q in pairs])
     return [n * (d // q) for n, q in pairs], d
 
@@ -100,7 +99,7 @@ def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
     # t [U, [X, Y]] is central with coordinates -t b . U_col / (dt dx dy).
     s = [w * xa * dy + ya * dx for xa, ya in zip(xs, ys)]
     hn, hd, tn, td = h.numerator, h.denominator, t.numerator, t.denominator
-    n1 = [Fraction(sa, dxy) for sa in s[:2 * p]]
+    n1 = tuple(Fraction(sa, dxy) for sa in s[:2 * p])
     n2 = tuple(Fraction(hd * dt * sa + hn * ba, hd * dt * dxy) for sa, ba in zip(s[2 * p:], b))
     n3 = tuple(
         Fraction(
@@ -110,7 +109,7 @@ def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
         )
         for sa, xca, yca in zip(s[3 * p:], xc, yc)
     )
-    return NElem(tuple(zip(n1[:p], n1[p:])), n2, n3)
+    return NElem(n1 + n2 + n3)
 
 
 def bch(X: NElem, Y: NElem, T: SymCubic) -> NElem:
@@ -217,54 +216,25 @@ def chart_recompose(chart: ChartElem, w, z, T: SymCubic) -> NElem:
     return bch(x, wp, T)
 
 
-@dataclass(frozen=True)
-class LineSolution:
-    """Exact chart coordinates of the line through exp(v (x) f1).
+def _line(v, p: int) -> NElem:
+    """v (x) f1 with every coordinate a constant QPoly in z."""
+    return NElem(tuple(map(QPoly.const, v)) + (QPoly(),) * (2 * p + 2))
 
-    All fields are QPoly in the line parameter z: z1 (V coordinates of
-    the (x) f2 block), z2 (covector), z3_l / z3_m (W coordinates on f1
-    and f2), and w with exp(v (x) f1) = exp(Z) exp(w (x) (f1 + z f2)).
+
+def solve_line_coordinates(v, T: SymCubic):
+    """Solve exp(v (x) f1) = exp(X(z)) exp(w(z) (x) p) exactly over Q[z].
+
+    Returns chart_decompose's (ChartElem, w), every coordinate a QPoly
+    in the line parameter z.
     """
-
-    v: tuple
-    z1: tuple
-    z2: tuple
-    z3_l: QPoly
-    z3_m: QPoly
-    w: tuple
-
-
-def solve_line_coordinates(v, T: SymCubic) -> LineSolution:
-    """Solve exp(v (x) f1) = exp(Z(z)) exp(w(z) (x) p) exactly over Q[z]."""
     p = T.dim
     if len(v) != p:
         raise ValueError(f"vector length {len(v)} != dim {p}")
-    zvar = QPoly.x()
-    lift = QPoly.const
-    U = NElem.from_parts(p, col1=tuple(lift(c) for c in v)).map_scalars(
-        lambda s: s if isinstance(s, QPoly) else lift(s)
-    )
-    chart, w = chart_decompose(U, zvar, T)
-    return LineSolution(
-        v=tuple(v),
-        z1=chart.x1,
-        z2=chart.x2,
-        z3_l=chart.x3_l,
-        z3_m=chart.x3_m,
-        w=w,
-    )
+    return chart_decompose(_line(v, p), QPoly.x(), T)
 
 
-def line_solution_consistent(sol: LineSolution, T: SymCubic) -> bool:
-    """Substitute the solution back through the group law, as polynomials."""
-    p = T.dim
-    zvar = QPoly.x()
-    chart = ChartElem(sol.z1, sol.z2, sol.z3_m, sol.z3_l)
-    recomposed = chart_recompose(chart, sol.w, zvar, T)
-    expected = NElem.from_parts(
-        p, col1=tuple(QPoly.const(c) for c in sol.v)
-    )
-    diff = recomposed - expected.map_scalars(
-        lambda s: s if isinstance(s, QPoly) else QPoly.const(s)
-    )
-    return diff.is_zero()
+def line_solution_consistent(v, chart: ChartElem, w, T: SymCubic) -> bool:
+    """Substitute a line solution back through the group law, as
+    polynomials in z: H(X, w (x) p) = v (x) f1."""
+    recomposed = chart_recompose(chart, w, QPoly.x(), T)
+    return (recomposed - _line(v, T.dim)).is_zero()

@@ -114,7 +114,7 @@ def cmd_verify(args) -> int:
     _emit(args, f"verify-{cubic_hash(T)[:12]}.{args.format}", report.render(args.format))
     if report.all_pass:
         return 0
-    # Serialize the first counterexample for failed checks.
+    # Name the first check that did not pass.
     for check in report.checks:
         if check["status"] != "pass":
             print(
@@ -215,11 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=100)
     p_verify.add_argument(
         "--primes", type=int, nargs="+", default=[5, 7, 11, 13],
-        help=f"probe primes, each below {PRIME_BOUND} (2**32)",
+        help=f"distinct probe primes, each below {PRIME_BOUND} (2**32)",
     )
     p_verify.add_argument(
         "--budget", type=int, default=10 ** 6,
-        help=f"probe candidates per prime, at most {MAX_PROBE_BUDGET} (10**6)",
+        help=(
+            "probe budget per prime: enumerate F_q^p when q^p <= budget, else "
+            "this many random draws after the p^2 structured candidates; "
+            f"at most {MAX_PROBE_BUDGET} (10**6)"
+        ),
     )
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)

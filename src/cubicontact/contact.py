@@ -206,17 +206,17 @@ def tau_matches_line_expansion(v, T: SymCubic) -> bool:
     """
     require_assumption(T)
     s1, s2, s3 = tau_line_constants(T)
-    sol = solve_line_coordinates(v, T)
+    chart, _w = solve_line_coordinates(v, T)
     bvv = polarize(T, v, v)
     cv = cubic_eval(T, v)
-    for x, coeff in zip(v, sol.z1):
+    for x, coeff in zip(v, chart.x1):
         if coeff.coefficient(1) != s1 * x:
             return False
         if coeff.degree() > 1:
             return False
-    for x, coeff in zip(bvv, sol.z2):
+    for x, coeff in zip(bvv, chart.x2):
         if coeff.coefficient(1) != s2 * x:
             return False
-    if sol.z3_l.coefficient(1) != s3 * cv:
+    if chart.x3_l.coefficient(1) != s3 * cv:
         return False
     return True

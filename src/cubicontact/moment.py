@@ -291,10 +291,12 @@ def smoothness_probe(
     vector is tested in lexicographic order.  Otherwise, in mode
     'structured+random', the p^2 vectors of _structured_candidates are
     tested first, then the nonzero ones among `budget` seeded random
-    draws.  trials counts the vectors tested.  A witness proves only
-    that the reduction mod q is singular, not the hypersurface over Q:
-    x^3 + 5 y^3 + z^3 is smooth over Q, yet e_y is a witness mod 5.
-    'none-found' is evidence of smoothness, not a proof.
+    draws; the budget does not bound the p^2 structured candidates, so
+    trials may exceed it.  trials counts the vectors tested.  A witness
+    proves only that the reduction mod q is singular, not the
+    hypersurface over Q: x^3 + 5 y^3 + z^3 is smooth over Q, yet e_y is
+    a witness mod 5.  'none-found' is evidence of smoothness, not a
+    proof.
     """
     p = T.dim
     modes = []

@@ -18,9 +18,9 @@ per basis element, and ``jacobi_violations``, the Jacobi kernel shared
 with the Chevalley algebras, checks antisymmetry on every stored entry
 and, graded by degree, the jacobiator of every basis triple.
 
-Elements carry their grade-1 part as a p x 2 matrix whose columns are
-the f1 and f2 coefficients.  All values are immutable; every operation
-is a pure function, safe for concurrent use.
+Elements carry their 3p + 2 coordinates as one tuple in basis order
+(see basis_element).  All values are immutable; every operation is a
+pure function, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -47,86 +47,82 @@ def _dot(u, v):
     return s
 
 
-def _vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def _vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
 class NElem:
-    """Graded element of n; also the log coordinate of a group element.
+    """Element of n in basis coordinates; also the log coordinate of a
+    group element.
 
-    n1: p rows of (f1 coefficient, f2 coefficient)
-    n2: covector coordinates, length p
-    n3: (f1 coefficient, f2 coefficient)
+    coords: the 3p + 2 coordinates in basis order (see basis_element):
+    col(0), the f1 column of the grade-1 part, then col(1), the f2
+    column, then n2, the covector, then n3, the f1 and f2 coefficients.
     """
 
-    n1: tuple
-    n2: tuple
-    n3: tuple
+    coords: tuple
+
+    def __post_init__(self):
+        if len(self.coords) % 3 != 2:
+            raise DimensionMismatchError(
+                f"{len(self.coords)} coordinates, not 3p + 2 for any p"
+            )
 
     @staticmethod
     def zero(p: int) -> "NElem":
-        return NElem(tuple(((Q0, Q0)) for _ in range(p)), (Q0,) * p, (Q0, Q0))
+        return NElem((Q0,) * n_dim(p))
 
     @staticmethod
     def from_parts(p, col1=None, col2=None, n2=None, n3=None) -> "NElem":
-        c1 = tuple(col1) if col1 is not None else (Q0,) * p
-        c2 = tuple(col2) if col2 is not None else (Q0,) * p
-        nn2 = tuple(n2) if n2 is not None else (Q0,) * p
-        nn3 = tuple(n3) if n3 is not None else (Q0, Q0)
-        return NElem(tuple(zip(c1, c2)), nn2, nn3)
+        coords = ()
+        for name, part, size in (
+            ("col1", col1, p), ("col2", col2, p), ("n2", n2, p), ("n3", n3, 2),
+        ):
+            part = (Q0,) * size if part is None else tuple(part)
+            if len(part) != size:
+                raise DimensionMismatchError(
+                    f"{name} has length {len(part)}, expected {size}"
+                )
+            coords += part
+        return NElem(coords)
 
     @property
     def dim(self) -> int:
-        return len(self.n2)
+        return (len(self.coords) - 2) // 3
 
     def col(self, a: int):
-        return tuple(row[a] for row in self.n1)
+        p = self.dim
+        return self.coords[a * p:(a + 1) * p]
+
+    @property
+    def n2(self):
+        p = self.dim
+        return self.coords[2 * p:3 * p]
+
+    @property
+    def n3(self):
+        return self.coords[-2:]
 
     def __add__(self, other: "NElem") -> "NElem":
-        return NElem(
-            tuple((r1[0] + r2[0], r1[1] + r2[1]) for r1, r2 in zip(self.n1, other.n1)),
-            _vadd(self.n2, other.n2),
-            _vadd(self.n3, other.n3),
-        )
+        return NElem(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
 
     def __sub__(self, other: "NElem") -> "NElem":
-        return self + (-other)
+        return NElem(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
 
     def __neg__(self) -> "NElem":
-        return NElem(
-            tuple((-r[0], -r[1]) for r in self.n1),
-            tuple(-x for x in self.n2),
-            (-self.n3[0], -self.n3[1]),
-        )
+        return NElem(tuple(-a for a in self.coords))
 
     def __mul__(self, s) -> "NElem":
-        return NElem(
-            tuple((r[0] * s, r[1] * s) for r in self.n1),
-            tuple(x * s for x in self.n2),
-            (self.n3[0] * s, self.n3[1] * s),
-        )
+        return NElem(tuple(a * s for a in self.coords))
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return (
-            all(not r[0] and not r[1] for r in self.n1)
-            and all(not x for x in self.n2)
-            and not self.n3[0]
-            and not self.n3[1]
-        )
+        return not any(self.coords)
 
     def map_scalars(self, f) -> "NElem":
-        return NElem(
-            tuple((f(r[0]), f(r[1])) for r in self.n1),
-            tuple(f(x) for x in self.n2),
-            (f(self.n3[0]), f(self.n3[1])),
-        )
+        return NElem(tuple(map(f, self.coords)))
 
 
 def _check_same_dim(x: NElem, y: NElem, T: SymCubic):
@@ -139,13 +135,12 @@ def _check_same_dim(x: NElem, y: NElem, T: SymCubic):
 def bracket(x: NElem, y: NElem, T: SymCubic) -> NElem:
     """Lie bracket of n.  Output lives in grades 2 and 3 only."""
     _check_same_dim(x, y, T)
-    p = T.dim
     # omega(f1, f2) = +1: the n2 part is B(x_f1, y_f2) - B(x_f2, y_f1).
     n2 = _vsub(polarize(T, x.col(0), y.col(1)), polarize(T, x.col(1), y.col(0)))
     n3 = tuple(
         _dot(x.n2, y.col(a)) - _dot(y.n2, x.col(a)) for a in (0, 1)
     )
-    return NElem(tuple(((Q0, Q0)) for _ in range(p)), n2, n3)
+    return NElem((Q0,) * (2 * T.dim) + n2 + n3)
 
 
 # --- basis bookkeeping -------------------------------------------------
@@ -158,24 +153,9 @@ def n_dim(p: int) -> int:
 
 
 def basis_element(p: int, idx: int) -> NElem:
-    z = [Q0] * p
-    if idx < p:
-        col1 = list(z)
-        col1[idx] = Q1
-        return NElem.from_parts(p, col1=col1)
-    if idx < 2 * p:
-        col2 = list(z)
-        col2[idx - p] = Q1
-        return NElem.from_parts(p, col2=col2)
-    if idx < 3 * p:
-        n2 = list(z)
-        n2[idx - 2 * p] = Q1
-        return NElem.from_parts(p, n2=n2)
-    if idx == 3 * p:
-        return NElem.from_parts(p, n3=(Q1, Q0))
-    if idx == 3 * p + 1:
-        return NElem.from_parts(p, n3=(Q0, Q1))
-    raise IndexError(idx)
+    if not 0 <= idx < n_dim(p):
+        raise IndexError(idx)
+    return NElem(tuple(Q1 if k == idx else Q0 for k in range(n_dim(p))))
 
 
 def generic_element(p: int) -> NElem:
@@ -185,12 +165,7 @@ def generic_element(p: int) -> NElem:
     map that is linear in its NElem argument, evaluated once here, yields
     its value on basis_element(p, i) as the coefficient of a_i.
     """
-    a = LinForm.coordinate
-    return NElem(
-        tuple((a(i), a(p + i)) for i in range(p)),
-        tuple(a(2 * p + i) for i in range(p)),
-        (a(3 * p), a(3 * p + 1)),
-    )
+    return NElem(tuple(map(LinForm.coordinate, range(n_dim(p)))))
 
 
 def bracket_table(T: SymCubic) -> list:
@@ -200,8 +175,7 @@ def bracket_table(T: SymCubic) -> list:
     basis coordinates, absent when the bracket is zero: the format of
     ChevalleyAlgebra.table.  Bracketing b_i with generic_element(p) once
     gives the whole row: coordinate k of the result is a LinForm whose
-    coefficient of a_j is the k-th coordinate of [b_i, b_j].  n2
-    coordinate m is basis index 2p + m, n3 coordinate a is 3p + a.
+    coefficient of a_j is the k-th coordinate of [b_i, b_j].
     """
     p = T.dim
     generic = generic_element(p)
@@ -209,7 +183,7 @@ def bracket_table(T: SymCubic) -> list:
     for i in range(n_dim(p)):
         out = bracket(basis_element(p, i), generic, T)
         row = {}
-        for k, form in enumerate(out.n2 + out.n3, start=2 * p):
+        for k, form in enumerate(out.coords):
             if form:
                 for j, c in form.coeffs.items():
                     row.setdefault(j, []).append((k, c))
@@ -349,12 +323,14 @@ class SlWElem:
 def act_slw(g: SlWElem, x: NElem) -> NElem:
     """Derivation action: g on the W factor of n1, zero on n2, g on n3."""
     (a, b), (c, d) = g.mat
-    p = x.dim
-    new_n1 = tuple(
-        (a * r[0] + b * r[1], c * r[0] + d * r[1]) for r in x.n1
+    c0, c1 = x.col(0), x.col(1)
+    u, v = x.n3
+    return NElem(
+        tuple(a * s + b * t for s, t in zip(c0, c1))
+        + tuple(c * s + d * t for s, t in zip(c0, c1))
+        + (Q0,) * x.dim
+        + (a * u + b * v, c * u + d * v)
     )
-    n3 = (a * x.n3[0] + b * x.n3[1], c * x.n3[0] + d * x.n3[1])
-    return NElem(new_n1, (Q0,) * p, n3)
 
 
 def dim_report(T: SymCubic) -> dict:

@@ -16,7 +16,9 @@ from fractions import Fraction
 # words, which sample a larger modulus non-uniformly, and the bound keeps
 # the trial division in _is_prime under 2**16 steps.
 PRIME_BOUND = 2 ** 32
-# The probe enumerates F_q^p when q**p <= budget: 5**20 points take hours.
+# The probe enumerates F_q^p when q**p <= budget (5**20 points take
+# hours), and otherwise makes budget random draws per prime after its p**2
+# structured candidates, which the budget does not bound.
 MAX_PROBE_BUDGET = 10 ** 6
 
 
@@ -43,6 +45,8 @@ class RunConfig:
             raise ValueError("samples must be >= 1")
         if not 0 <= self.probe_budget <= MAX_PROBE_BUDGET:
             raise ValueError(f"probe budget must be in [0, {MAX_PROBE_BUDGET}]")
+        if len(set(self.primes)) != len(self.primes):
+            raise ValueError(f"probe primes repeat: {list(self.primes)}")
         for q in self.primes:
             if q >= PRIME_BOUND:
                 raise ValueError(f"prime {q} is not below 2**32")

@@ -72,7 +72,7 @@ def test_bch_no_grade_one_correction():
         y = sample_nelem(sampler, 2)
         h = bch(x, y, T2)
         lin = x + y
-        assert h.n1 == lin.n1
+        assert h.col(0) == lin.col(0) and h.col(1) == lin.col(1)
 
 
 def test_group_laws():
@@ -188,12 +188,16 @@ def test_group_suite_reports_broken_inverse_once(monkeypatch):
     assert details["failures"] == [{"check": "inverse", "sample": 0}]
 
 
+def _grade1(x):
+    return NElem.from_parts(x.dim, col1=x.col(0), col2=x.col(1))
+
+
 def _display_inversion(x, z, T):
     # The published inversion display, including its 5/12 coefficient.
     p = T.dim
-    x1 = NElem(x.n1, (F(0),) * p, (F(0), F(0)))
+    x1 = _grade1(x)
     x2 = NElem.from_parts(p, n2=x.n2)
-    z1 = NElem(z.n1, (F(0),) * p, (F(0), F(0)))
+    z1 = _grade1(z)
     z2 = NElem.from_parts(p, n2=z.n2)
     y2 = z2 - HALF * bracket(x1, z1, T)
     y3_corr = (
@@ -201,7 +205,10 @@ def _display_inversion(x, z, T):
         + HALF * bracket(x2, z1, T)
         - F(5, 12) * bracket(x1, bracket(x1, z1, T), T)
     )
-    return NElem(z.n1, y2.n2, tuple(a - b for a, b in zip(z.n3, y3_corr.n3)))
+    return NElem.from_parts(
+        p, col1=z.col(0), col2=z.col(1), n2=y2.n2,
+        n3=tuple(a - b for a, b in zip(z.n3, y3_corr.n3)),
+    )
 
 
 def test_inversion_matches_display_on_chart_subspace():
@@ -221,11 +228,7 @@ def test_inversion_matches_display_on_chart_subspace():
             n2=sampler.vector(2),
             n3=(sampler.fraction(), sampler.fraction()),
         )
-        assert bracket(
-            NElem(x.n1, (F(0),) * 2, (F(0), F(0))),
-            NElem(z.n1, (F(0),) * 2, (F(0), F(0))),
-            T2,
-        ).is_zero()
+        assert bracket(_grade1(x), _grade1(z), T2).is_zero()
         assert exp_diff_inv(x, z, T2) == _display_inversion(x, z, T2)
 
 
@@ -236,8 +239,8 @@ def test_inversion_differs_from_display_by_quarter_term():
     for _ in range(25):
         x = sample_nelem(sampler, 2)
         z = sample_nelem(sampler, 2)
-        x1 = NElem(x.n1, (F(0),) * 2, (F(0), F(0)))
-        z1 = NElem(z.n1, (F(0),) * 2, (F(0), F(0)))
+        x1 = _grade1(x)
+        z1 = _grade1(z)
         nested = bracket(x1, bracket(x1, z1, T2), T2)
         solver = exp_diff_inv(x, z, T2)
         display = _display_inversion(x, z, T2)
@@ -270,27 +273,27 @@ def test_chart_decompose_roundtrip():
 
 
 def test_line_solution_zero_vector():
-    sol = solve_line_coordinates((F(0),), X3)
-    assert all(c == QPoly() for c in sol.z1)
-    assert all(c == QPoly() for c in sol.z2)
-    assert sol.z3_l == QPoly() and sol.z3_m == QPoly()
-    assert all(c == QPoly() for c in sol.w)
+    chart, w = solve_line_coordinates((F(0),), X3)
+    assert all(c == QPoly() for c in chart.x1)
+    assert all(c == QPoly() for c in chart.x2)
+    assert chart.x3_l == QPoly() and chart.x3_m == QPoly()
+    assert all(c == QPoly() for c in w)
 
 
 def test_line_solution_grade_one_exact():
     sampler = SeededSampler(17)
     for _ in range(10):
         v = sampler.vector(2)
-        sol = solve_line_coordinates(v, T2)
-        for x, coeff in zip(v, sol.z1):
+        chart, w = solve_line_coordinates(v, T2)
+        for x, coeff in zip(v, chart.x1):
             assert coeff == QPoly((F(0), -x))
-        for x, coeff in zip(v, sol.w):
+        for x, coeff in zip(v, w):
             assert coeff == QPoly((x,)) if x else coeff == QPoly()
 
 
 def test_line_solution_sixth_coefficient():
-    sol = solve_line_coordinates((F(1),), X3)
-    assert abs(sol.z3_l.coefficient(1)) == F(1, 6)
+    chart, _w = solve_line_coordinates((F(1),), X3)
+    assert abs(chart.x3_l.coefficient(1)) == F(1, 6)
 
 
 def test_line_solution_recomposes():
@@ -298,8 +301,9 @@ def test_line_solution_recomposes():
     for T, p in ((X3, 1), (T2, 2)):
         for _ in range(10):
             v = sampler.vector(p)
-            sol = solve_line_coordinates(v, T)
-            assert line_solution_consistent(sol, T)
+            chart, w = solve_line_coordinates(v, T)
+            assert line_solution_consistent(v, chart, w, T)
+            assert not line_solution_consistent(tuple(c + 1 for c in v), chart, w, T)
 
 
 def test_chart_elem_conversion():

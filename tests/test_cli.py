@@ -183,6 +183,8 @@ def _diagonal(dim):
         ["verify", "{x3}", "--which", "jacobi", "--primes", "1000000000000000003", "--out", "{out}"],
         # 5**20 <= 10**30: the probe would enumerate F_5^20 exhaustively.
         ["verify", "{diagonal20}", "--which", "moment", "--budget", str(10 ** 30), "--out", "{out}"],
+        # A probe verdict keys its modes and trials by prime.
+        ["verify", "{x3}", "--primes", "5", "5", "--out", "{out}"],
     ],
     ids=[
         "unknown-signature-name", "samples-0", "non-prime", "negative-budget",
@@ -192,7 +194,7 @@ def _diagonal(dim):
         "verify-directory", "check-non-utf8", "verify-non-utf8",
         "probe-prime-denominator", "probe-prime-denominator-primes",
         "oversize-dim", "oversize-value", "exponent-value", "prime-above-bound",
-        "budget-above-bound",
+        "budget-above-bound", "repeated-prime",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, capsys):

@@ -63,14 +63,15 @@ def ref_exp_diff(X, Y, T):
 def ref_exp_diff_inv(X, Z, T):
     """Grade-by-grade back substitution."""
     p = T.dim
-    y1 = NElem(Z.n1, (Q0,) * p, (Q0, Q0))
-    x1 = NElem(X.n1, (Q0,) * p, (Q0, Q0))
+    y1 = NElem.from_parts(p, col1=Z.col(0), col2=Z.col(1))
+    x1 = NElem.from_parts(p, col1=X.col(0), col2=X.col(1))
     b11 = bracket(x1, y1, T)
     y2 = tuple(a - HALF * b for a, b in zip(Z.n2, b11.n2))
-    y12 = NElem(Z.n1, y2, (Q0, Q0))
-    x12 = NElem(X.n1, X.n2, (Q0, Q0))
+    y12 = NElem.from_parts(p, col1=Z.col(0), col2=Z.col(1), n2=y2)
+    x12 = NElem.from_parts(p, col1=X.col(0), col2=X.col(1), n2=X.n2)
     corr = HALF * bracket(x12, y12, T) + TWELFTH * bracket(x1, b11, T)
-    return NElem(Z.n1, y2, tuple(a - b for a, b in zip(Z.n3, corr.n3)))
+    y3 = tuple(a - b for a, b in zip(Z.n3, corr.n3))
+    return NElem.from_parts(p, col1=Z.col(0), col2=Z.col(1), n2=y2, n3=y3)
 
 
 def ref_chart_decompose(U, z, T):
@@ -123,12 +124,11 @@ def _qpoly_inputs(T, sampler):
     """The line solver's data: chart element, w (x) p, line element, z."""
     p = T.dim
     v = sampler.vector(p)
-    sol = solve_line_coordinates(v, T)
+    chart, w = solve_line_coordinates(v, T)
     zvar = QPoly.x()
-    chart = ChartElem(sol.z1, sol.z2, sol.z3_m, sol.z3_l).to_nelem()
-    wp = NElem.from_parts(p, col1=sol.w, col2=tuple(zvar * wi for wi in sol.w))
+    wp = NElem.from_parts(p, col1=w, col2=tuple(zvar * wi for wi in w))
     line = NElem.from_parts(p, col1=tuple(QPoly.const(c) for c in v))
-    return chart, wp, line, zvar
+    return chart.to_nelem(), wp, line, zvar
 
 
 def _jet_inputs(T, sampler, monkeypatch):
@@ -304,16 +304,6 @@ big_fractions = st.just(Fraction(0)) | st.builds(
 SERIES = ((bch, ref_bch), (exp_diff, ref_exp_diff), (exp_diff_inv, ref_exp_diff_inv))
 
 
-def _element(p, coords):
-    return NElem.from_parts(
-        p, col1=coords[:p], col2=coords[p:2 * p], n2=coords[2 * p:3 * p], n3=coords[3 * p:]
-    )
-
-
-def _coordinates(x):
-    return x.col(0) + x.col(1) + x.n2 + x.n3
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     data=st.data(),
@@ -329,16 +319,16 @@ def test_integer_path_matches_references(data, name, scale, with_ints):
     p = T.dim
     scalars = st.integers(-50, 50) | big_fractions if with_ints else big_fractions
     X, Y = (
-        _element(p, data.draw(st.lists(scalars, min_size=3 * p + 2, max_size=3 * p + 2)))
+        NElem(tuple(data.draw(st.lists(scalars, min_size=3 * p + 2, max_size=3 * p + 2))))
         for _ in range(2)
     )
     if with_ints:
-        X = _element(p, (7,) + _coordinates(X)[1:])
+        X = NElem((7,) + X.coords[1:])
     with mock.patch.object(bch_module, "bracket", wraps=bracket) as spy:
         for fn, ref in SERIES:
             for a, b in ((X, Y), (Y, X)):
                 out = fn(a, b, T)
                 assert out == ref(a, b, T), fn.__name__
                 if not with_ints:
-                    assert all(type(c) is Fraction for c in _coordinates(out))
+                    assert all(type(c) is Fraction for c in out.coords)
     assert spy.call_count == (6 if with_ints else 0)

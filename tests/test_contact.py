@@ -348,12 +348,12 @@ def test_tau_line_constants_and_match(name):
     sampler = SeededSampler(23)
     for v in [(F(0),) * p] + [sampler.vector(p) for _ in range(20)]:
         # Degree-1 line coefficients are (-v, -B(v,v)/2, c(v)/6).
-        sol = solve_line_coordinates(v, T)
-        assert [c.coefficient(1) for c in sol.z1] == [-x for x in v]
-        assert [c.coefficient(1) for c in sol.z2] == [
+        chart, _w = solve_line_coordinates(v, T)
+        assert [c.coefficient(1) for c in chart.x1] == [-x for x in v]
+        assert [c.coefficient(1) for c in chart.x2] == [
             -x / 2 for x in polarize(T, v, v)
         ]
-        assert sol.z3_l.coefficient(1) == cubic_eval(T, v) / 6
+        assert chart.x3_l.coefficient(1) == cubic_eval(T, v) / 6
         assert tau_matches_line_expansion(v, T)
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cubicontact import nilpotent
 from cubicontact.chevalley import chevalley, verify_chevalley_jacobi
 from cubicontact.catalog import catalog_get, catalog_list
-from cubicontact.cubic import SymCubic, polarize
+from cubicontact.cubic import DimensionMismatchError, SymCubic, polarize
 from cubicontact.extraction import algebra_for, extraction
 from cubicontact.nilpotent import (
     NElem,
@@ -24,6 +24,7 @@ from cubicontact.nilpotent import (
 from cubicontact.reports import RunConfig
 from cubicontact.rootsystems import build_root_system
 from cubicontact.sampling import SeededSampler
+from cubicontact.scalars import LinForm
 from cubicontact.verify import run_verification
 
 X3 = SymCubic(1, {(0, 0, 0): 1})
@@ -62,7 +63,7 @@ def test_bracket_v_f1_v_f2():
     out = bracket(x, y, X3)
     assert out.n2 == (F(1),)
     assert out.n3 == (F(0), F(0))
-    assert all(not r[0] and not r[1] for r in out.n1)
+    assert not any(out.col(0) + out.col(1))
 
 
 def test_bracket_dual_against_v_f2():
@@ -159,7 +160,7 @@ def test_jacobi_suite_reads_bracket(monkeypatch):
             a + b
             for a, b in zip(polarize(T, x.col(0), y.col(1)), polarize(T, x.col(1), y.col(0)))
         )
-        return NElem(out.n1, n2, out.n3)
+        return NElem.from_parts(x.dim, col1=out.col(0), col2=out.col(1), n2=n2, n3=out.n3)
 
     T = catalog_get("xyz").tensor()
     cfg = RunConfig(seed=0, samples=2)
@@ -354,6 +355,81 @@ def test_generic_element_rejects_nonlinear_use():
     g = generic_element(2)
     with pytest.raises(TypeError):
         bracket(g, g, T)
+
+
+# --- the basis-order layout -------------------------------------------------
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_basis_and_generic_element_coordinates(p):
+    d = n_dim(p)
+    generic = generic_element(p)
+    assert len(generic.coords) == d
+    for i in range(d):
+        assert basis_element(p, i).coords == tuple(F(k == i) for k in range(d))
+        assert generic.coords[i] == LinForm.coordinate(i)
+    for idx in (-1, d, d + 1):
+        with pytest.raises(IndexError):
+            basis_element(p, idx)
+
+
+@pytest.mark.parametrize(
+    "part, value",
+    [("col1", (1, 2, 3)), ("col2", (1,)), ("n2", (1, 2, 3)), ("n3", (1, 2, 3)), ("n3", ())],
+)
+def test_from_parts_rejects_a_part_of_the_wrong_length(part, value):
+    with pytest.raises(DimensionMismatchError, match=part):
+        NElem.from_parts(2, **{part: value})
+
+
+@pytest.mark.parametrize("length", [0, 1, 3, 4, 6, 9])
+def test_coordinates_not_3p_plus_2_are_rejected(length):
+    with pytest.raises(DimensionMismatchError, match="3p \\+ 2"):
+        NElem((F(1),) * length)
+
+
+def test_sum_and_difference_need_one_dimension():
+    with pytest.raises(ValueError):
+        NElem.zero(1) + NElem.zero(2)
+    with pytest.raises(ValueError):
+        NElem.zero(2) - NElem.zero(1)
+
+
+def _pair_layout_act_slw(g, x):
+    """act_slw on the grade-1 part held as p rows (f1, f2 coefficient)."""
+    (a, b), (c, d) = g.mat
+    rows = [(a * r0 + b * r1, c * r0 + d * r1) for r0, r1 in zip(x.col(0), x.col(1))]
+    u, v = x.n3
+    return NElem.from_parts(
+        x.dim,
+        col1=[r[0] for r in rows],
+        col2=[r[1] for r in rows],
+        n3=(a * u + b * v, c * u + d * v),
+    )
+
+
+_coord = st.just(F(0)) | st.fractions(min_value=-5, max_value=5, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.integers(1, 4), data=st.data(), s=_coord, g=st.tuples(_coord, _coord, _coord))
+def test_layout_acts_coordinate_by_coordinate(p, data, s, g):
+    vec = st.lists(_coord, min_size=p, max_size=p).map(tuple)
+    col1, col2, n2 = data.draw(vec), data.draw(vec), data.draw(vec)
+    n3 = data.draw(st.tuples(_coord, _coord))
+    x = NElem.from_parts(p, col1=col1, col2=col2, n2=n2, n3=n3)
+    assert x.coords == col1 + col2 + n2 + n3
+    assert (x.dim, x.col(0), x.col(1), x.n2, x.n3) == (p, col1, col2, n2, n3)
+    y = NElem(data.draw(st.lists(_coord, min_size=n_dim(p), max_size=n_dim(p)).map(tuple)))
+    pairs = list(zip(x.coords, y.coords))
+    assert (x + y).coords == tuple(a + b for a, b in pairs)
+    assert (x - y).coords == tuple(a - b for a, b in pairs)
+    assert (-x).coords == tuple(-a for a in x.coords)
+    assert (x * s).coords == (s * x).coords == tuple(a * s for a in x.coords)
+    for z in (x, y, x * 0, NElem.zero(p)):
+        assert z.is_zero() == all(a == 0 for a in z.coords)
+    assert x.map_scalars(lambda a: 2 * a + 1).coords == tuple(2 * a + 1 for a in x.coords)
+    gen = SlWElem.of(*g)
+    assert act_slw(gen, x) == _pair_layout_act_slw(gen, x)
 
 
 # --- the graded Jacobi kernel against the ungraded walk -------------------

@@ -323,12 +323,7 @@ CHART_CUBICS = ("x3", "xyz", "det3", "pfaff6")
 
 
 def _ref_generic_element(p):
-    a = RefLinForm.coordinate
-    return NElem(
-        tuple((a(i), a(p + i)) for i in range(p)),
-        tuple(a(2 * p + i) for i in range(p)),
-        (a(3 * p), a(3 * p + 1)),
-    )
+    return NElem(tuple(map(RefLinForm.coordinate, range(3 * p + 2))))
 
 
 @pytest.mark.parametrize("name", CHART_CUBICS)
@@ -343,10 +338,11 @@ def test_line_solve_over_reference_qpoly(name):
             lambda s: s if isinstance(s, RefQPoly) else lift(s)
         )
         chart, w = chart_decompose(U, RefQPoly.x(), T)
-        sol = solve_line_coordinates(v, T)
+        new_chart, new_w = solve_line_coordinates(v, T)
         pairs = (
-            list(zip(sol.z1, chart.x1)) + list(zip(sol.z2, chart.x2)) + list(zip(sol.w, w))
-            + [(sol.z3_l, chart.x3_l), (sol.z3_m, chart.x3_m)]
+            list(zip(new_chart.x1, chart.x1)) + list(zip(new_chart.x2, chart.x2))
+            + list(zip(new_w, w))
+            + [(new_chart.x3_l, chart.x3_l), (new_chart.x3_m, chart.x3_m)]
         )
         for new, ref in pairs:
             _same_qpoly(new, ref)
