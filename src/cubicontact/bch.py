@@ -51,10 +51,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
-from .cubic import SymCubic, polarize
+from .cubic import SymCubic, clear_denominators, polarize
 from .nilpotent import NElem, _check_same_dim, _dot, bracket
 from .scalars import HALF, Q0, QPoly, SIXTH, TWELFTH
 
@@ -65,21 +64,11 @@ def _central(c2, U: NElem) -> NElem:
     return NElem.from_parts(U.dim, n3=tuple(-_dot(c2, U.col(a)) for a in (0, 1)))
 
 
-def _cleared(x: NElem):
-    """(coordinates in basis order times d, d) with d the lcm of their
-    denominators, or None unless every coordinate is a Fraction."""
-    if any(type(c) is not Fraction for c in x.coords):
-        return None
-    pairs = [c.as_integer_ratio() for c in x.coords]
-    d = lcm(*[q for _n, q in pairs])
-    return [n * (d // q) for n, q in pairs], d
-
-
 def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
     """[X +] Y + h [X, Y] + t [U, [X, Y]], U = X - Y with X, else U = X:
     the one kernel of bch, exp_diff and exp_diff_inv."""
     _check_same_dim(X, Y, T)
-    cleared = _cleared(X), _cleared(Y)
+    cleared = clear_denominators(X.coords), clear_denominators(Y.coords)
     if None in cleared:
         xy = bracket(X, Y, T)
         out = Y + h * xy + t * _central(xy.n2, X - Y if with_x else X)

@@ -16,12 +16,13 @@ Because T is fully symmetric, every trilinear value is a contraction of
 one polarization, c(x, y, w) = B(x, w) . y, whatever pair is polarized.
 ``polarize`` walks T's ordered entries grouped by first index, so a zero
 v1_i skips its whole group and a unit vector costs only its own group;
-the group law reads the same table times the lcm of the entries'
-denominators, as ints.  Both tables are memoized on the tensor.
+the group law and ``cubic_eval`` read the same table times the lcm of
+the entries' denominators, as ints.  Both tables are memoized on the
+tensor.
 
 The surjectivity condition on B (rank of the span of all B(e_i, e_j)
 equal to p) is what makes the downstream geometry work; it is exposed
-here as ``b_rank``.
+here as ``b_rank``, also memoized on the tensor.
 
 The JSON interchange format (1-based indices, values as 'num/den'
 strings) is the file format used by every command of the package.
@@ -151,6 +152,17 @@ class SymCubic:
         return f"SymCubic(dim={self.dim}, nnz={len(self.entries)})"
 
 
+def clear_denominators(coords):
+    """(coords times d as ints, d) with d the lcm of their denominators,
+    or None unless every coordinate is a Fraction: the integer form in
+    which ``SymCubic.scaled`` is read."""
+    if any(type(c) is not Fraction for c in coords):
+        return None
+    pairs = [c.as_integer_ratio() for c in coords]
+    d = lcm(*[q for _n, q in pairs])
+    return [n * (d // q) for n, q in pairs], d
+
+
 def _check_vec(T: SymCubic, v, name="vector"):
     if len(v) != T.dim:
         raise DimensionMismatchError(
@@ -159,8 +171,22 @@ def _check_vec(T: SymCubic, v, name="vector"):
 
 
 def cubic_eval(T: SymCubic, v) -> Fraction:
-    """c(v), the full symmetric sum over all index orderings."""
+    """c(v), the full symmetric sum over all index orderings.
+
+    When every coordinate is a Fraction, v is cleared to ints once and
+    the ordered table ``T.scaled()`` is walked in ints; the Fraction is
+    built once, at the end.
+    """
     _check_vec(T, v)
+    cleared = clear_denominators(v)
+    if cleared is not None:
+        vs, dv = cleared
+        dt, rows = T.scaled()
+        total = 0
+        for a, row in zip(vs, rows):
+            if a:
+                total += a * sum(val * vs[j] * vs[k] for j, k, val in row)
+        return Fraction(total, dt * dv ** 3)
     total = Q0
     for tri, val in T.entries.items():
         i, j, k = tri
@@ -200,20 +226,22 @@ def b_rank(T: SymCubic) -> int:
 
     B(e_i, e_j)_k = T(i, j, k): rows and columns are built only for the
     pairs and indices that occur in an entry, all others being zero.
+    The rank is computed once per tensor.
     """
+    if T._b_rank is not None:
+        return T._b_rank
     cols = {k: c for c, k in enumerate(sorted({i for tri in T.entries for i in tri}))}
     rows = {}
     for (i, j, k), val in T.entries.items():
         for pair, col in (((i, j), k), ((i, k), j), ((j, k), i)):
             rows.setdefault(pair, [Q0] * len(cols))[cols[col]] = val
-    return mat_rank(list(rows.values()))
+    T._b_rank = mat_rank(list(rows.values()))
+    return T._b_rank
 
 
 def assumption_holds(T: SymCubic) -> bool:
     """True when the polarization map is surjective (b_rank == p)."""
-    if T._b_rank is None:
-        T._b_rank = b_rank(T)
-    return T._b_rank == T.dim
+    return b_rank(T) == T.dim
 
 
 @dataclass(frozen=True)

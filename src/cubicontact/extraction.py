@@ -335,8 +335,12 @@ def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
     with the Chevalley bracket of their images, read off both tables by
     position; any inconsistency of the data used to build theta shows
     up there.  Only a zero kappa is reported before it, as the
-    comparison cannot see a degenerate W line.  Labels appear only in
-    the recorded mismatch.
+    comparison cannot see a degenerate W line.  For each a it visits
+    only the b stored in n's row a and the b whose image position is
+    stored in the Chevalley row of sigma(a): every other pair is zero on
+    both sides.  pairs_checked counts all d^2 pairs, and a mismatch
+    reports the first (a, b) in order with the count a walk of every
+    pair would reach.  Labels appear only in the recorded mismatch.
     """
     data = extraction(alg)
     p = data.p
@@ -352,12 +356,20 @@ def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
     theta.append((index[data.psi_alpha_label], kappa1))
     theta.append((index[data.psi_label], kappa2))
 
-    # Full structure-constant comparison.
+    # Structure-constant comparison, sparse on both sides: [a, b] can be
+    # nonzero only if n's row a stores b, or if the Chevalley row of
+    # sigma(a) stores the position of a nonzero image theta(b).
+    preimages = {}
+    for b, (s, c) in enumerate(theta):
+        if c:
+            preimages.setdefault(s, []).append(b)
     d = n_dim(p)
-    pairs = 0
-    for a in range(d):
-        for b in range(d):
-            pairs += 1
+    for a, (sa, ca) in enumerate(theta):
+        cands = set(table[a])
+        if ca:
+            for t in alg._row(sa):
+                cands.update(preimages.get(t, ()))
+        for b in sorted(cands):
             expected = {}
             for idx, coeff in table[a].get(b, ()):
                 s, c = theta[idx]
@@ -372,8 +384,9 @@ def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
                 got, expected = (
                     {labels[k]: v for k, v in m.items()} for m in (got, expected)
                 )
-                return _embedding_report(data, pairs, (a, b, got, expected))
-    return _embedding_report(data, pairs)
+                # The count a dense walk of (a, b) in order would reach.
+                return _embedding_report(data, a * d + b + 1, (a, b, got, expected))
+    return _embedding_report(data, d * d)
 
 
 def _embedding_report(data: ExtractionData, pairs, mismatch=None) -> EmbeddingReport:

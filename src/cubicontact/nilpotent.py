@@ -12,11 +12,13 @@ omega(f1, f2) = +1.  The brackets are
 
 all other graded pieces bracketing to zero (degrees beyond three).  The
 grade-3 part is central and the Jacobi identity holds exactly because
-dim W = 2.  ``verify_jacobi`` re-derives that fact from ``bracket``
-itself: ``bracket_table`` reads the structure constants off one bracket
-per basis element, and ``jacobi_violations``, the Jacobi kernel shared
-with the Chevalley algebras, checks antisymmetry on every stored entry
-and, graded by degree, the jacobiator of every basis triple.
+dim W = 2.  Every structure constant is an entry of the cubic or +-1,
+so ``bracket_table`` writes them straight from T's entries, and
+``jacobi_violations``, the Jacobi kernel shared with the Chevalley
+algebras, checks antisymmetry on every stored entry and, graded by
+degree, the jacobiator of every basis triple.  ``ad_mismatches`` ties
+the table to ``bracket``: one bracket with the generic element gives
+all of ad_x at once, which must equal the table contracted with x.
 
 Elements carry their 3p + 2 coordinates as one tuple in basis order
 (see basis_element).  All values are immutable; every operation is a
@@ -169,26 +171,45 @@ def generic_element(p: int) -> NElem:
 
 
 def bracket_table(T: SymCubic) -> list:
-    """Structure-constant table of n, read off ``bracket``.
+    """Structure-constant table of n, written from T's entries.
 
     Row i maps j to the nonzero (k, coefficient) terms of [b_i, b_j] in
-    basis coordinates, absent when the bracket is zero: the format of
-    ChevalleyAlgebra.table.  Bracketing b_i with generic_element(p) once
-    gives the whole row: coordinate k of the result is a LinForm whose
-    coefficient of a_j is the k-th coordinate of [b_i, b_j].
+    basis coordinates, sorted by k and absent when the bracket is zero:
+    the format of ChevalleyAlgebra.table.  Each ordered entry (i, j, k)
+    of ``T.grouped()`` gives [e_i (x) f1, e_j (x) f2] its eps_k term
+    T(i, j, k) and [e_i (x) f2, e_j (x) f1] the negative; then
+    [eps_m, e_m (x) f_s] = f_s = -[e_m (x) f_s, eps_m].  O(nnz + p).
     """
     p = T.dim
-    generic = generic_element(p)
-    table = []
-    for i in range(n_dim(p)):
-        out = bracket(basis_element(p, i), generic, T)
-        row = {}
-        for k, form in enumerate(out.coords):
-            if form:
-                for j, c in form.coeffs.items():
-                    row.setdefault(j, []).append((k, c))
-        table.append({j: tuple(terms) for j, terms in row.items()})
-    return table
+    table = [{} for _ in range(n_dim(p))]
+    for i, row in enumerate(T.grouped()):
+        for j, k, val in row:
+            table[i].setdefault(p + j, []).append((2 * p + k, val))
+            table[p + i].setdefault(j, []).append((2 * p + k, -val))
+    for m in range(p):
+        for s in (0, 1):
+            table[2 * p + m][s * p + m] = [(3 * p + s, Q1)]
+            table[s * p + m][2 * p + m] = [(3 * p + s, -Q1)]
+    return [{j: tuple(sorted(terms)) for j, terms in row.items()} for row in table]
+
+
+def ad_mismatches(x: NElem, T: SymCubic) -> list:
+    """Basis positions k at which ad_x read off ``bracket`` and off
+    ``bracket_table`` differ.
+
+    bracket(x, generic_element(p), T) is all of ad_x at once: coordinate
+    k is a LinForm whose coefficient of a_j is the k-th coordinate of
+    [x, b_j].  The table gives the same as sum_i x_i [b_i, b_j].
+    """
+    p = T.dim
+    expected = [{} for _ in range(n_dim(p))]
+    for xi, row in zip(x.coords, bracket_table(T)):
+        if xi:
+            for j, terms in row.items():
+                for k, c in terms:
+                    expected[k][j] = expected[k].get(j, 0) + xi * c
+    got = bracket(x, generic_element(p), T).coords
+    return [k for k, (g, e) in enumerate(zip(got, expected)) if g != LinForm(e)]
 
 
 def _jacobiator(rows, i, j, k) -> dict:
@@ -286,10 +307,11 @@ MAX_VIOLATIONS = 16
 def verify_jacobi(T: SymCubic) -> JacobiReport:
     """Antisymmetry and the Jacobi identity on the basis of n.
 
-    The table is read off ``bracket`` (see bracket_table) and checked by
-    jacobi_violations, graded by the degree 1, 2, 3; the report keeps its
-    first MAX_VIOLATIONS violations.  triples_checked is C(d, 3): every
-    triple the kernel skips has a zero jacobiator.
+    The table is written from T's entries (see bracket_table) and checked
+    by jacobi_violations, graded by the degree 1, 2, 3; the report keeps
+    its first MAX_VIOLATIONS violations.  triples_checked is C(d, 3):
+    every triple the kernel skips has a zero jacobiator.  That the table
+    is the table of ``bracket`` is ad_mismatches' check.
     """
     p = T.dim
     d = n_dim(p)

@@ -25,7 +25,7 @@ from .contact import (
 from .cubic import SymCubic, assumption_holds, b_rank, cubic_hash
 from .linalg import mat_det
 from .moment import boundary_report, moment_membership, moment_point_at
-from .nilpotent import NElem, dim_report, generic_element, verify_jacobi
+from .nilpotent import NElem, ad_mismatches, dim_report, generic_element, verify_jacobi
 from .reports import RunConfig, VerificationReport, jsonable
 from .sampling import SeededSampler
 from .scalars import Q1
@@ -44,8 +44,13 @@ def _sample_nelem(sampler: SeededSampler, p: int) -> NElem:
 def run_jacobi_suite(T: SymCubic, cfg: RunConfig):
     rep = verify_jacobi(T)
     dims = dim_report(T)
-    status = "pass" if rep.ok and dims["consistent"] else "fail"
+    # The table is written from T's entries; one seeded ad_x ties it to
+    # bracket.  The key appears only on a mismatch.
+    mismatches = ad_mismatches(_sample_nelem(SeededSampler(cfg.seed), T.dim), T)
+    status = "pass" if rep.ok and dims["consistent"] and not mismatches else "fail"
     details = {"jacobi": rep.to_json(), "dimensions": dims}
+    if mismatches:
+        details["ad_mismatches"] = mismatches
     return status, details
 
 

@@ -75,6 +75,17 @@ def test_verify_jacobi_runs_regardless(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_jacobi_on_dim_3000_one_entry_file(tmp_path):
+    # n's table is written from the one entry, in O(nnz + p).
+    path = tmp_path / "big.json"
+    path.write_text('{"dim":3000,"entries":[{"i":1,"j":1,"k":1,"value":"1"}]}\n')
+    assert path.stat().st_size == 57
+    start = time.perf_counter()
+    code = main(["verify", str(path), "--which", "jacobi", "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert time.perf_counter() - start < 5
+
+
 def test_verify_byte_identical_reports(x3_file, tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -173,6 +173,54 @@ def _change_basis(T, m):
     return SymCubic(p, entries)
 
 
+def test_b_rank_computed_once_per_tensor(monkeypatch):
+    from cubicontact.reports import RunConfig
+    from cubicontact.verify import run_verification
+
+    calls = []
+    real = mat_rank
+    monkeypatch.setattr(cubic_module, "mat_rank", lambda rows: calls.append(rows) or real(rows))
+    T = SymCubic(3, {(0, 0, 0): 1, (0, 1, 1): F(1, 2)})
+    assert b_rank(T) == 2 and b_rank(T) == 2
+    assert not cubic_module.assumption_holds(T)
+    # The refusal record reads the rank that assumption_holds cached.
+    report = run_verification(T, ["jacobi", "contact"], RunConfig(seed=0))
+    assert report.checks[1]["details"]["b_rank"] == 2
+    assert len(calls) == 1
+    assert b_rank(T.scale(2)) == 2 and len(calls) == 2
+
+
+def _fraction_cubic_eval(T, v):
+    """c(v) as a Fraction sum over the canonical entries, as a reference."""
+    total = F(0)
+    for tri, val in T.entries.items():
+        i, j, k = tri
+        prod = v[i] * v[j] * v[k]
+        if prod:
+            total = total + cubic_module.perm_multiplicity(tri) * val * prod
+    return total
+
+
+@st.composite
+def _cubic_and_vector(draw):
+    p = draw(st.integers(1, 6))
+    index = st.integers(0, p - 1)
+    entries = draw(st.dictionaries(st.tuples(index, index, index), small_fracs, max_size=12))
+    T = SymCubic(p, {tuple(sorted(t)): c for t, c in entries.items()})
+    return T, draw(st.lists(st.just(F(0)) | small_fracs, min_size=p, max_size=p))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_cubic_and_vector())
+def test_cubic_eval_integer_path_matches_fraction_sum(case):
+    T, v = case
+    value = cubic_eval(T, v)
+    assert type(value) is F and value == _fraction_cubic_eval(T, v)
+    # Int coordinates take the generic loop, which gives the same value.
+    ints = [int(x) for x in v]
+    assert cubic_eval(T, ints) == _fraction_cubic_eval(T, [F(x) for x in ints])
+
+
 def test_b_rank_invariant_under_unimodular_change():
     sampler = SeededSampler(11)
     T = FERMAT3

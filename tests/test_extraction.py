@@ -8,6 +8,7 @@ from cubicontact.cubic import SymCubic, b_rank
 from cubicontact.extraction import (
     ExtractionError,
     _distinguished,
+    _image_bracket,
     _theta,
     algebra_for,
     double_grading,
@@ -17,7 +18,7 @@ from cubicontact.extraction import (
     verify_embedding,
 )
 from cubicontact.linalg import _solve_augmented, mat_inv, mat_mul, mat_rank
-from cubicontact.nilpotent import bracket_table
+from cubicontact.nilpotent import bracket_table, n_dim
 from cubicontact.rootsystems import TypeARejection, build_root_system
 from cubicontact.scalars import Q0
 
@@ -314,6 +315,49 @@ def _extracted(lie_type, rank):
     return alg, extraction(alg)
 
 
+def _dense_embedding(alg):
+    """(pairs_checked, first_mismatch) of the walk over all d^2 pairs
+    (a, b) in order that the sparse comparison replaced, as a reference."""
+    data = extraction(alg)
+    p = data.p
+    index = alg.index
+    table = bracket_table(data.raw_tensor)
+    theta = _theta(alg, data, table)
+    kappa1 = _image_bracket(alg, theta, 2 * p, 0).get(index[data.psi_alpha_label], Q0)
+    kappa2 = _image_bracket(alg, theta, 2 * p, p).get(index[data.psi_label], Q0)
+    if not kappa1 or not kappa2:
+        return 0, ("degenerate W normalization",)
+    theta += [(index[data.psi_alpha_label], kappa1), (index[data.psi_label], kappa2)]
+    d = n_dim(p)
+    pairs = 0
+    for a in range(d):
+        for b in range(d):
+            pairs += 1
+            expected = {}
+            for idx, coeff in table[a].get(b, ()):
+                s, c = theta[idx]
+                val = expected.get(s, Q0) + coeff * c
+                if val:
+                    expected[s] = val
+                else:
+                    expected.pop(s, None)
+            got = _image_bracket(alg, theta, a, b)
+            if got != expected:
+                labels = alg.labels
+                got, expected = (
+                    {labels[k]: v for k, v in m.items()} for m in (got, expected)
+                )
+                return pairs, (a, b, got, expected)
+    return pairs, None
+
+
+def _assert_fails_as_dense_walk(alg):
+    rep = verify_embedding(alg)
+    assert rep.ok is False
+    assert (rep.pairs_checked, rep.first_mismatch) == _dense_embedding(alg)
+    return rep
+
+
 def _block_entries(alg, left, right):
     """(row, column) positions of the nonzero entries [left_a, right_b]."""
     index = alg.index
@@ -341,8 +385,7 @@ def test_embedding_fails_on_one_sided_entry(key, which, block):
     alg, data = _extracted(*key)
     i, j = _block_entries(alg, *_block(data, block))[which]
     _scale(alg, i, j, 2)
-    rep = verify_embedding(alg)
-    assert rep.ok is False
+    _assert_fails_as_dense_walk(alg)
 
 
 @pytest.mark.parametrize("block", ["xz", "yx", "yz"])
@@ -352,8 +395,7 @@ def test_embedding_fails_on_antisymmetric_pair_f4(which, block):
     i, j = _block_entries(alg, *_block(data, block))[which]
     _scale(alg, i, j, 2)
     _scale(alg, j, i, 2)
-    rep = verify_embedding(alg)
-    assert rep.ok is False
+    _assert_fails_as_dense_walk(alg)
 
 
 @pytest.mark.parametrize("key", [("G", 2), ("F", 4)])
@@ -362,8 +404,7 @@ def test_embedding_fails_on_bracket_outside_g11(key):
     i, j = _block_entries(alg, data.x_basis, data.z_basis)[0]
     (_k, c), = alg._row(i)[j]
     alg._row(i)[j] = ((alg.index[data.psi_label], c),)
-    rep = verify_embedding(alg)
-    assert rep.ok is False
+    _assert_fails_as_dense_walk(alg)
 
 
 @pytest.mark.parametrize("key", [("G", 2), ("F", 4)])
@@ -372,8 +413,23 @@ def test_embedding_fails_on_deleted_xz_entry(key):
     alg, data = _extracted(*key)
     i, j = _block_entries(alg, data.x_basis, data.z_basis)[0]
     del alg._row(i)[j]
-    rep = verify_embedding(alg)
-    assert rep.ok is False
+    _assert_fails_as_dense_walk(alg)
+
+
+@pytest.mark.parametrize("key", [("G", 2), ("F", 4), ("E", 6)])
+def test_embedding_fails_on_entry_where_n_bracket_is_zero(key):
+    """[x_i, x_j] is zero in n, so n's row of e_i (x) f1 stores no e_j (x) f1:
+    only the Chevalley side can reach the added entry."""
+    alg, data = _extracted(*key)
+    index = alg.index
+    j = min(1, data.p - 1)
+    xi, xj = index[data.x_basis[0]], index[data.x_basis[j]]
+    assert xj not in alg._row(xi)
+    assert j not in bracket_table(data.raw_tensor)[0]
+    alg._row(xi)[xj] = ((index[data.psi_label], 1),)
+    rep = _assert_fails_as_dense_walk(alg)
+    assert rep.first_mismatch[:2] == (0, j)
+    assert rep.pairs_checked == j + 1
 
 
 def test_embedding_raises_on_zero_cubic():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cubicontact import nilpotent
+from cubicontact import verify as verify_module
 from cubicontact.chevalley import chevalley, verify_chevalley_jacobi
 from cubicontact.catalog import catalog_get, catalog_list
 from cubicontact.cubic import DimensionMismatchError, SymCubic, polarize
@@ -137,21 +138,76 @@ def _explicit_bracket_table(T):
     return table
 
 
+def _table_cubic(name):
+    if name.startswith("raw-"):
+        return extraction(algebra_for(name[4], int(name[5:]))).raw_tensor
+    return catalog_get(name).tensor()
+
+
 @pytest.mark.parametrize(
     "name",
     [e.name for e in catalog_list()] + ["raw-G2", "raw-F4", "raw-E6"],
 )
 def test_bracket_table_matches_explicit_rules(name):
-    if name.startswith("raw-"):
-        T = extraction(algebra_for(name[4], int(name[5:]))).raw_tensor
-    else:
-        T = catalog_get(name).tensor()
+    T = _table_cubic(name)
     assert bracket_table(T) == _explicit_bracket_table(T)
+
+
+def _generic_bracket_table(T):
+    """The table read off ``bracket``, one generic bracket per row, as a
+    reference: coordinate k of [b_i, generic] is a LinForm whose
+    coefficient of a_j is the k-th coordinate of [b_i, b_j]."""
+    p = T.dim
+    generic = generic_element(p)
+    table = []
+    for i in range(n_dim(p)):
+        out = bracket(basis_element(p, i), generic, T)
+        row = {}
+        for k, form in enumerate(out.coords):
+            if form:
+                for j, c in form.coeffs.items():
+                    row.setdefault(j, []).append((k, c))
+        table.append({j: tuple(terms) for j, terms in row.items()})
+    return table
+
+
+def _assert_same_table(T):
+    table = bracket_table(T)
+    assert table == _generic_bracket_table(T)
+    # Term for term: the same order of k and Fraction values.
+    assert all(
+        type(c) is F and [k for k, _c in terms] == sorted(k for k, _c in terms)
+        for row in table for terms in row.values() for _k, c in terms
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    [e.name for e in catalog_list()] + [f"raw-{t}" for t in ("G2", "F4", "E6", "E7", "E8")],
+)
+def test_bracket_table_matches_generic_bracket(name):
+    _assert_same_table(_table_cubic(name))
+
+
+@st.composite
+def _sparse_cubic(draw):
+    p = draw(st.integers(1, 8))
+    index = st.integers(0, p - 1)
+    value = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    entries = draw(st.dictionaries(st.tuples(index, index, index), value, max_size=10))
+    return SymCubic(p, {tuple(sorted(t)): v for t, v in entries.items()})
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(T=_sparse_cubic())
+def test_bracket_table_matches_generic_bracket_on_random_cubics(T):
+    _assert_same_table(T)
 
 
 def test_jacobi_suite_reads_bracket(monkeypatch):
     # A bracket whose n2 part is symmetric, B(x_f1, y_f2) + B(x_f2, y_f1),
-    # is not a Lie bracket; the jacobi suite must see it.
+    # is not a Lie bracket; the jacobi suite must see it.  The table is
+    # written from T's entries, so the suite sees it through ad_mismatches.
     real = nilpotent.bracket
 
     def symmetric_n2(x, y, T):
@@ -164,11 +220,51 @@ def test_jacobi_suite_reads_bracket(monkeypatch):
 
     T = catalog_get("xyz").tensor()
     cfg = RunConfig(seed=0, samples=2)
-    assert run_verification(T, ["jacobi"], cfg).checks[0]["status"] == "pass"
+    clean = run_verification(T, ["jacobi"], cfg).checks[0]
+    assert clean["status"] == "pass" and "ad_mismatches" not in clean["details"]
     monkeypatch.setattr(nilpotent, "bracket", symmetric_n2)
     report = run_verification(T, ["jacobi"], cfg)
     assert report.checks[0]["status"] == "fail"
-    assert report.checks[0]["details"]["jacobi"]["jacobi_violations"]
+    assert report.checks[0]["details"]["ad_mismatches"]
+
+
+def test_jacobi_suite_catches_one_sided_n3_sign_flip(monkeypatch):
+    # [eps, v (x) w] = v*(v) w, but the mutant's [v (x) w, eps] is +v*(v) w.
+    real = nilpotent.bracket
+
+    def flipped_n3(x, y, T):
+        out = real(x, y, T)
+        dot = nilpotent._dot
+        n3 = tuple(dot(x.n2, y.col(a)) + dot(y.n2, x.col(a)) for a in (0, 1))
+        return NElem(out.coords[:-2] + n3)
+
+    monkeypatch.setattr(nilpotent, "bracket", flipped_n3)
+    for name in ("x3", "xyz", "det3"):
+        entry = catalog_get(name)
+        check = run_verification(entry.tensor(), ["jacobi"], RunConfig(seed=1)).checks[0]
+        assert check["status"] == "fail"
+        p = entry.p
+        assert set(check["details"]["ad_mismatches"]) == {3 * p, 3 * p + 1}
+
+
+def test_jacobi_suite_draws_one_element_whatever_the_samples(monkeypatch):
+    seen = []
+    real = nilpotent.ad_mismatches
+    monkeypatch.setattr(verify_module, "ad_mismatches", lambda x, T: seen.append(x) or real(x, T))
+    T = catalog_get("xyz").tensor()
+    reports = [run_verification(T, ["jacobi"], RunConfig(seed=5, samples=n)) for n in (1, 7)]
+    assert seen[0] == seen[1] and len(seen) == 2
+    assert reports[0].checks == reports[1].checks
+
+
+def test_corrupted_table_reaches_the_kernel_through_the_suite(monkeypatch):
+    def edit(t):
+        t[2][2] = ((3, F(1)),)  # [eps, eps] = f1
+
+    _patch_table(monkeypatch, edit)
+    check = run_verification(X3, ["jacobi"], RunConfig(seed=0)).checks[0]
+    assert check["status"] == "fail"
+    assert check["details"]["jacobi"]["jacobi_violations"][0] == [2, 2]
 
 
 def test_jacobi_x3_full_enumeration():
