@@ -32,13 +32,14 @@ that carries a 5/12 coefficient instead; the difference is exactly
 bch, exp_diff and exp_diff_inv share one kernel with the coefficients
 (1/2, 1/12), (1/2, 1/12) and (-1/2, 1/6).  When every coordinate of both
 arguments is a Fraction it clears each element's denominators with one
-lcm, computes [X, Y] and the central term in Python ints from T's
-integer table (``SymCubic.scaled``), and builds the Fractions once, at
-the end (common-denominator arithmetic; Geddes, Czapor and Labahn,
-Algorithms for Computer Algebra, 1992, ch. 9).  Elements over any other
-ring take the generic path through ``bracket``: QPoly and LinForm, whose
-own arithmetic runs on int numerators over one denominator (see
-``scalars``), and elements holding a plain int.
+lcm (``scalars.clear_denominators``), computes [X, Y] and the central
+term in Python ints from T's integer table (``SymCubic.scaled``), and
+builds the Fractions once, at the end (common-denominator arithmetic;
+Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch.
+9).  Elements over QPoly or LinForm take the generic path through
+``bracket``, whose ``polarize`` and ``_dot`` run the same way on the
+rings' int numerators (``scalars.contract``); elements holding a plain
+int, or over a foreign ring, take it one term at a time.
 
 ``chart_decompose`` factors exp(U) = exp(X) exp(w (x) p) with X in the
 chart complement n_m = (V (x) f2) + V* + W and p = f1 + z f2; it works
@@ -53,9 +54,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .cubic import SymCubic, clear_denominators, polarize
+from .cubic import SymCubic, polarize
 from .nilpotent import NElem, _check_same_dim, _dot, bracket
-from .scalars import HALF, Q0, QPoly, SIXTH, TWELFTH
+from .scalars import HALF, Q0, QPoly, SIXTH, TWELFTH, clear_denominators
 
 
 def _central(c2, U: NElem) -> NElem:
@@ -68,12 +69,12 @@ def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
     """[X +] Y + h [X, Y] + t [U, [X, Y]], U = X - Y with X, else U = X:
     the one kernel of bch, exp_diff and exp_diff_inv."""
     _check_same_dim(X, Y, T)
-    cleared = clear_denominators(X.coords), clear_denominators(Y.coords)
-    if None in cleared:
+    cx, cy = clear_denominators(X.coords), clear_denominators(Y.coords)
+    if cx is None or cy is None or cx[0] or cy[0]:
         xy = bracket(X, Y, T)
         out = Y + h * xy + t * _central(xy.n2, X - Y if with_x else X)
         return X + out if with_x else out
-    (xs, dx), (ys, dy) = cleared
+    (_rx, xs, dx), (_ry, ys, dy) = cx, cy
     dt, rows = T.scaled()
     p, w, dxy = T.dim, int(with_x), dx * dy
     xc, yc = (xs[:p], xs[p:2 * p]), (ys[:p], ys[p:2 * p])

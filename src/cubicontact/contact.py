@@ -33,6 +33,7 @@ from fractions import Fraction
 from .bch import ChartElem, solve_line_coordinates
 from .cubic import SymCubic, assumption_holds, cubic_eval, cubic_hash, polarize
 from .linalg import mat_det
+from .nilpotent import _dot
 from .sampling import SeededSampler
 from .scalars import HALF, Q0, Q1, SIXTH
 
@@ -75,9 +76,7 @@ def one_form_value(pt: ChartPoint, velocity) -> Fraction:
     y, z = pt.y, pt.z
     x1, x2 = pt.chart.x1, pt.chart.x2
     val = y * (velocity[2] - z * velocity[3])
-    acc = Q0
-    for i in range(p):
-        acc += x1[i] * velocity[4 + p + i] - x2[i] * velocity[4 + i]
+    acc = _dot(x1, velocity[4 + p:4 + 2 * p]) - _dot(x2, velocity[4:4 + p])
     return val + HALF * y * acc
 
 

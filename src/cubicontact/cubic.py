@@ -14,11 +14,15 @@ B(v, v)(v) = c(v) holds on the nose.  The polarization
 is the covector with k-th coordinate sum_{i,j} T_sym(i,j,k) v1_i v2_j.
 Because T is fully symmetric, every trilinear value is a contraction of
 one polarization, c(x, y, w) = B(x, w) . y, whatever pair is polarized.
-``polarize`` walks T's ordered entries grouped by first index, so a zero
-v1_i skips its whole group and a unit vector costs only its own group;
-the group law and ``cubic_eval`` read the same table times the lcm of
-the entries' denominators, as ints.  Both tables are memoized on the
-tensor.
+``polarize`` walks T's ordered entries grouped by first index, times the
+lcm of the entries' denominators (``SymCubic.scaled``), so a zero v1_i
+skips its whole group and a unit vector costs only its own group.  It
+runs as one integer pass of the cleared-vector kernel
+(``scalars.contract``) over Fraction, LinForm and QPoly vectors alike:
+both vectors are cleared to numerators over a common denominator, the
+terms are summed in Python ints, and each output coordinate is built
+once.  The group law and ``cubic_eval`` read the same integer table.
+Both tables are memoized on the tensor.
 
 The surjectivity condition on B (rank of the span of all B(e_i, e_j)
 equal to p) is what makes the downstream geometry work; it is exposed
@@ -37,7 +41,7 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import mat_rank
-from .scalars import Q0, frac
+from .scalars import Q0, clear_denominators, contract, frac
 
 
 class DimensionMismatchError(ValueError):
@@ -152,17 +156,6 @@ class SymCubic:
         return f"SymCubic(dim={self.dim}, nnz={len(self.entries)})"
 
 
-def clear_denominators(coords):
-    """(coords times d as ints, d) with d the lcm of their denominators,
-    or None unless every coordinate is a Fraction: the integer form in
-    which ``SymCubic.scaled`` is read."""
-    if any(type(c) is not Fraction for c in coords):
-        return None
-    pairs = [c.as_integer_ratio() for c in coords]
-    d = lcm(*[q for _n, q in pairs])
-    return [n * (d // q) for n, q in pairs], d
-
-
 def _check_vec(T: SymCubic, v, name="vector"):
     if len(v) != T.dim:
         raise DimensionMismatchError(
@@ -175,12 +168,12 @@ def cubic_eval(T: SymCubic, v) -> Fraction:
 
     When every coordinate is a Fraction, v is cleared to ints once and
     the ordered table ``T.scaled()`` is walked in ints; the Fraction is
-    built once, at the end.
+    built once, at the end.  Other coordinates take the per-term loop.
     """
     _check_vec(T, v)
     cleared = clear_denominators(v)
-    if cleared is not None:
-        vs, dv = cleared
+    if cleared is not None and cleared[0] is None:
+        _ring, vs, dv = cleared
         dt, rows = T.scaled()
         total = 0
         for a, row in zip(vs, rows):
@@ -197,9 +190,17 @@ def cubic_eval(T: SymCubic, v) -> Fraction:
 
 
 def polarize(T: SymCubic, v1, v2):
-    """B(v1, v2) = c(v1, v2, .), as a covector coordinate tuple."""
+    """B(v1, v2) = c(v1, v2, .), as a covector coordinate tuple.
+
+    One pass of ``contract`` over ``T.scaled()``; vectors over a ring the
+    kernel does not clear take the per-term loop.
+    """
     _check_vec(T, v1, "v1")
     _check_vec(T, v2, "v2")
+    dt, rows = T.scaled()
+    out = contract(rows, v1, v2, T.dim, dt)
+    if out is not None:
+        return out
     out = [Q0] * T.dim
     for a, row in zip(v1, T.grouped()):
         if not a:

@@ -18,7 +18,8 @@ so ``bracket_table`` writes them straight from T's entries, and
 algebras, checks antisymmetry on every stored entry and, graded by
 degree, the jacobiator of every basis triple.  ``ad_mismatches`` ties
 the table to ``bracket``: one bracket with the generic element gives
-all of ad_x at once, which must equal the table contracted with x.
+all of ad_x at once, which must equal the table contracted with x;
+the jacobi suite hands it the table ``verify_jacobi`` checked.
 
 Elements carry their 3p + 2 coordinates as one tuple in basis order
 (see basis_element).  All values are immutable; every operation is a
@@ -28,7 +29,7 @@ pure function, safe for concurrent use.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 from .cubic import (
@@ -38,10 +39,17 @@ from .cubic import (
     cubic_hash,
     polarize,
 )
-from .scalars import LinForm, Q0, Q1
+from .scalars import LinForm, Q0, Q1, contract
 
 
 def _dot(u, v):
+    """sum_i u_i v_i over any of the scalar rings: one pass of the
+    cleared-vector kernel with diagonal rows, or, over a ring it does
+    not clear, one term at a time."""
+    n = min(len(u), len(v))
+    out = contract((((i, 0, 1),) for i in range(n)), u, v, 1)
+    if out is not None:
+        return out[0]
     s = Q0
     for a, b in zip(u, v):
         if a and b:
@@ -193,9 +201,9 @@ def bracket_table(T: SymCubic) -> list:
     return [{j: tuple(sorted(terms)) for j, terms in row.items()} for row in table]
 
 
-def ad_mismatches(x: NElem, T: SymCubic) -> list:
+def ad_mismatches(x: NElem, T: SymCubic, table: list) -> list:
     """Basis positions k at which ad_x read off ``bracket`` and off
-    ``bracket_table`` differ.
+    ``table``, T's ``bracket_table``, differ.
 
     bracket(x, generic_element(p), T) is all of ad_x at once: coordinate
     k is a LinForm whose coefficient of a_j is the k-th coordinate of
@@ -203,7 +211,7 @@ def ad_mismatches(x: NElem, T: SymCubic) -> list:
     """
     p = T.dim
     expected = [{} for _ in range(n_dim(p))]
-    for xi, row in zip(x.coords, bracket_table(T)):
+    for xi, row in zip(x.coords, table):
         if xi:
             for j, terms in row.items():
                 for k, c in terms:
@@ -285,6 +293,7 @@ class JacobiReport:
     violations: tuple
     assumption_ok: bool
     cubic_hash: str
+    table: list = field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -310,16 +319,18 @@ def verify_jacobi(T: SymCubic) -> JacobiReport:
     The table is written from T's entries (see bracket_table) and checked
     by jacobi_violations, graded by the degree 1, 2, 3; the report keeps
     its first MAX_VIOLATIONS violations.  triples_checked is C(d, 3):
-    every triple the kernel skips has a zero jacobiator.  That the table
-    is the table of ``bracket`` is ad_mismatches' check.
+    every triple the kernel skips has a zero jacobiator.  The report
+    keeps the table it checked; that it is the table of ``bracket`` is
+    ad_mismatches' check.
     """
     p = T.dim
     d = n_dim(p)
-    found = jacobi_violations(bracket_table(T), [1] * (2 * p) + [2] * p + [3, 3])
+    table = bracket_table(T)
+    found = jacobi_violations(table, [1] * (2 * p) + [2] * p + [3, 3])
     violations = tuple(islice(found, MAX_VIOLATIONS))
     return JacobiReport(
         p, d, d * (d - 1) * (d - 2) // 6, violations,
-        assumption_holds(T), cubic_hash(T),
+        assumption_holds(T), cubic_hash(T), table,
     )
 
 

@@ -26,6 +26,14 @@ holds that storage and the vector-space operations; a subclass says how
 a constant embeds and what the product of two sums is.  A coefficient
 read out of either is a normalized ``Fraction``.
 
+The same storage carries whole vectors: ``clear_denominators`` writes a
+coordinate tuple as numerators (ints, or int dicts for formal sums) over
+one common denominator, and ``contract``, the cleared-vector kernel,
+runs a bilinear contraction such as ``cubic.polarize`` or
+``nilpotent._dot`` on them in ints, building each output coordinate
+once instead of one ring operation per term.  No other module reads
+``nums`` or ``den``.
+
 Both interoperate with ``Fraction`` and ``int`` through the reflected
 arithmetic hooks, so the algebra layer can stay scalar-agnostic.
 """
@@ -69,8 +77,8 @@ class _FormalSum:
     ``Fraction``; adding 0 is the identity and the empty sum equals 0.
     Each subclass supplies two hooks: ``_embed(x)``, the nonzero int or
     Fraction x as a sum of its class or None when x has no such form,
-    and ``_product(other)``, the product of two sums.  The empty sum is
-    false.
+    and ``_mul_nums(x, y)``, the product of two numerator dicts.  The
+    empty sum is false.
     """
 
     __slots__ = ("nums", "den")
@@ -137,7 +145,8 @@ class _FormalSum:
 
     def __mul__(self, other):
         if type(other) is type(self):
-            return self._product(other)
+            out = self._mul_nums(self.nums, other.nums)
+            return self._of({k: c for k, c in out.items() if c}, self.den * other.den)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         n, q = other.as_integer_ratio()
@@ -174,12 +183,13 @@ class QPoly(_FormalSum):
         n, q = x.as_integer_ratio()
         return QPoly._of({0: n}, q)
 
-    def _product(self, other):
+    @staticmethod
+    def _mul_nums(x, y):
         out = {}
-        for i, x in self.nums.items():
-            for j, y in other.nums.items():
-                out[i + j] = out.get(i + j, 0) + x * y
-        return QPoly._of({k: c for k, c in out.items() if c}, self.den * other.den)
+        for i, a in x.items():
+            for j, b in y.items():
+                out[i + j] = out.get(i + j, 0) + a * b
+        return out
 
     @staticmethod
     def const(c) -> "QPoly":
@@ -226,7 +236,8 @@ class LinForm(_FormalSum):
     def _embed(self, x):
         return None
 
-    def _product(self, other):
+    @staticmethod
+    def _mul_nums(x, y):
         raise TypeError("product of two linear forms is not linear")
 
     @staticmethod
@@ -239,3 +250,90 @@ class LinForm(_FormalSum):
 
     def __repr__(self):
         return f"LinForm({dict(self.coeffs)!r})"
+
+
+# --- the cleared-vector kernel ---------------------------------------------
+
+def clear_denominators(coords):
+    """(ring, nums, den): a coordinate tuple as numerators over its common
+    denominator den, the lcm of the coordinates' denominators.
+
+    When every coordinate is a Fraction, ring is None and nums are ints.
+    Over one formal-sum class, whose sums may be mixed with int or
+    Fraction zeros, ring is that class and nums are int dicts (a zero
+    gives 0), to be read and never written: a sum already over den
+    lends its own storage.  Anything else gives None, and the caller
+    keeps its per-term loop: a foreign ring, two formal classes, a
+    nonzero constant among formal sums, or an int among plain numbers.
+    """
+    kinds = set(map(type, coords))
+    if kinds <= {Fraction}:
+        pairs = [c.as_integer_ratio() for c in coords]
+        d = lcm(*[q for _n, q in pairs])
+        return None, [n * (d // q) for n, q in pairs], d
+    formal = kinds - {Fraction, int}
+    ring = formal.pop() if len(formal) == 1 else None
+    if (
+        ring is None
+        or not issubclass(ring, _FormalSum)
+        or any(c and type(c) is not ring for c in coords)
+    ):
+        return None
+    d = lcm(*[c.den for c in coords if c])
+    return ring, [
+        0 if not c else c.nums if c.den == d else {s: n * (d // c.den) for s, n in c.nums.items()}
+        for c in coords
+    ], d
+
+
+def contract(rows, u, v, size, den=1):
+    """The bilinear map w_k = sum of c u_i v_j / den over each i and each
+    (j, k, c) of rows[i], as a size-tuple; None when u or v has no
+    cleared form (see clear_denominators) or the two are over different
+    formal classes.  rows is iterated alongside u.
+
+    c and den are ints, and the terms run in ints on the cleared
+    numerators; each w_k is built once, at the end.  Over plain numbers
+    w_k is a Fraction.  Over a formal class it is a sum of that class,
+    or Q0 where no term reaches it, as a per-term loop would leave it; a
+    product of two LinForms raises TypeError.
+    """
+    cu, cv = clear_denominators(u), clear_denominators(v)
+    if cu is None or cv is None:
+        return None
+    (ru, us, du), (rv, vs, dv) = cu, cv
+    if ru and rv and ru is not rv:
+        return None
+    den *= du * dv
+    ring = ru or rv
+    if ring is None:
+        acc = [0] * size
+        for a, row in zip(us, rows):
+            if a:
+                for j, k, c in row:
+                    b = vs[j]
+                    if b:
+                        acc[k] += c * a * b
+        return tuple(Fraction(n, den) for n in acc)
+    product = ring._mul_nums if ru and rv else None
+    acc = [None] * size
+    for a, row in zip(us, rows):
+        if a:
+            for j, k, c in row:
+                b = vs[j]
+                if b:
+                    if product:
+                        nums = product(a, b)
+                    elif ru:
+                        nums, c = a, c * b
+                    else:
+                        nums, c = b, c * a
+                    out = acc[k]
+                    if out is None:
+                        out = acc[k] = {}
+                    for s, n in nums.items():
+                        out[s] = out.get(s, 0) + n * c
+    return tuple(
+        Q0 if out is None else ring._of({s: n for s, n in out.items() if n}, den)
+        for out in acc
+    )

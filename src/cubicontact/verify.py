@@ -46,7 +46,7 @@ def run_jacobi_suite(T: SymCubic, cfg: RunConfig):
     dims = dim_report(T)
     # The table is written from T's entries; one seeded ad_x ties it to
     # bracket.  The key appears only on a mismatch.
-    mismatches = ad_mismatches(_sample_nelem(SeededSampler(cfg.seed), T.dim), T)
+    mismatches = ad_mismatches(_sample_nelem(SeededSampler(cfg.seed), T.dim), T, rep.table)
     status = "pass" if rep.ok and dims["consistent"] and not mismatches else "fail"
     details = {"jacobi": rep.to_json(), "dimensions": dims}
     if mismatches:

@@ -250,11 +250,25 @@ def test_jacobi_suite_catches_one_sided_n3_sign_flip(monkeypatch):
 def test_jacobi_suite_draws_one_element_whatever_the_samples(monkeypatch):
     seen = []
     real = nilpotent.ad_mismatches
-    monkeypatch.setattr(verify_module, "ad_mismatches", lambda x, T: seen.append(x) or real(x, T))
+    monkeypatch.setattr(
+        verify_module, "ad_mismatches", lambda x, T, table: seen.append(x) or real(x, T, table)
+    )
     T = catalog_get("xyz").tensor()
     reports = [run_verification(T, ["jacobi"], RunConfig(seed=5, samples=n)) for n in (1, 7)]
     assert seen[0] == seen[1] and len(seen) == 2
     assert reports[0].checks == reports[1].checks
+
+
+def test_jacobi_suite_builds_the_table_once(monkeypatch):
+    # verify_jacobi's report carries the table that ad_mismatches reads.
+    calls = []
+    real = nilpotent.bracket_table
+    monkeypatch.setattr(nilpotent, "bracket_table", lambda T: calls.append(T) or real(T))
+    T = catalog_get("det3").tensor()
+    check = run_verification(T, ["jacobi"], RunConfig(seed=2)).checks[0]
+    assert check["status"] == "pass" and len(calls) == 1
+    rep = verify_jacobi(T)
+    assert rep.table == real(T) and rep == verify_jacobi(catalog_get("det3").tensor())
 
 
 def test_corrupted_table_reaches_the_kernel_through_the_suite(monkeypatch):

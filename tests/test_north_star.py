@@ -4,7 +4,9 @@ Every module of ``cubicontact`` is parsed and walked:
 
   * every import is relative or names a standard-library module;
   * no float literal and no use of the name ``float`` appears;
-  * ``math`` is used only for the integer functions ``gcd`` and ``lcm``.
+  * ``math`` is used only for the integer functions ``gcd`` and ``lcm``;
+  * only ``scalars`` reads the ``nums``/``den`` storage of the formal sums
+    or builds one through ``_of``.
 """
 
 import ast
@@ -80,4 +82,21 @@ def test_math_only_for_gcd_and_lcm(path):
     for node in nodes:
         if isinstance(node, ast.Name) and node.id == "math" and id(node) not in bases:
             bad.append(f"{_where(path, node)} bare math")
+    assert not bad
+
+
+STORAGE = {"nums", "den", "_of"}
+
+
+@pytest.mark.parametrize(
+    "path", [m for m in MODULES if m.name != "scalars.py"], ids=lambda p: p.name
+)
+def test_formal_sum_storage_stays_in_scalars(path):
+    # The nums/den storage of QPoly and LinForm is read and built only in
+    # scalars, whose cleared-vector kernel the contractions call.
+    bad = [
+        f"{_where(path, node)} .{node.attr}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr in STORAGE
+    ]
     assert not bad

@@ -5,7 +5,9 @@ Fraction per coefficient.  Every ring operation of the int-backed
 classes is compared with them on drawn inputs, and so are the chart code
 results that rest on them: the line solver over QPoly and the moment map
 on the LinForm generic element, both ring-generic, are run once over
-each ring and compared coefficient for coefficient.
+each ring and compared coefficient for coefficient.  The contractions
+``polarize`` and ``_dot``, which run on the rings' cleared numerators,
+are compared with the per-term loops they replaced.
 """
 
 from fractions import Fraction
@@ -17,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 from cubicontact.bch import chart_decompose, solve_line_coordinates
 from cubicontact.catalog import catalog_get
 from cubicontact.contact import sample_chart_point
+from cubicontact.cubic import SymCubic, polarize
 from cubicontact.moment import MomentPoint, moment_of, moment_point_at
-from cubicontact.nilpotent import NElem
+from cubicontact.nilpotent import NElem, _dot
 from cubicontact.sampling import SeededSampler
-from cubicontact.scalars import LinForm, Q0, Q1, QPoly, frac
+from cubicontact.scalars import LinForm, Q0, Q1, QPoly, _FormalSum, frac
 
 
 # --- references: the Fraction-backed rings ----------------------------------
@@ -362,3 +365,131 @@ def test_moment_map_over_reference_linform(name):
             phi3=(mu(3 * p + 1), -mu(3 * p)),
         )
         assert moment_point_at(pt, T) == want
+
+
+# --- the cleared-vector contractions against the per-term loops -----------
+
+def _ref_polarize(T, v1, v2):
+    """polarize as one ring operation per term."""
+    out = [Q0] * T.dim
+    for a, row in zip(v1, T.grouped()):
+        if not a:
+            continue
+        for j, k, val in row:
+            b = v2[j]
+            if b:
+                out[k] = out[k] + val * a * b
+    return tuple(out)
+
+
+def _ref_dot(u, v):
+    s = Q0
+    for a, b in zip(u, v):
+        if a and b:
+            s = s + a * b
+    return s
+
+
+def _same_value(new, ref):
+    """Same type and value and, for a formal sum, the same storage."""
+    assert type(new) is type(ref) and new == ref
+    if isinstance(ref, (QPoly, LinForm)):
+        assert (new.nums, new.den) == (ref.nums, ref.den)
+
+
+entry_values = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from((1, 2, 3, 7)))
+
+
+@st.composite
+def small_cubics(draw):
+    p = draw(st.integers(1, 4))
+    triples = [(i, j, k) for i in range(p) for j in range(i, p) for k in range(j, p)]
+    chosen = draw(st.lists(st.sampled_from(triples), unique=True, max_size=6))
+    return SymCubic(p, {t: draw(entry_values) for t in chosen})
+
+
+zeros = st.sampled_from((0, Q0))
+COORDINATES = {
+    "fraction": st.builds(Fraction, st.integers(-20, 20), st.sampled_from((1, 2, 3, 1_000_003))),
+    "int": st.integers(-5, 5),
+    "linform": zeros | form_dicts.map(LinForm),
+    "qpoly": zeros | coefficient_lists.map(QPoly),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    T=small_cubics(),
+    kinds=st.tuples(st.sampled_from(sorted(COORDINATES)), st.sampled_from(sorted(COORDINATES))),
+)
+def test_contractions_match_per_term_loops(data, T, kinds):
+    u, v = (
+        data.draw(st.lists(COORDINATES[kind], min_size=T.dim, max_size=T.dim))
+        for kind in kinds
+    )
+    for new, ref in ((polarize, _ref_polarize), (_dot, _ref_dot)):
+        args = (T, u, v) if new is polarize else (u, v)
+        got, want = _outcome(new, *args), _outcome(ref, *args)
+        if want is TypeError or got is TypeError:
+            assert got is want
+        elif new is polarize:
+            assert len(got) == T.dim
+            for g, w in zip(got, want):
+                _same_value(g, w)
+        else:
+            _same_value(got, want)
+
+
+def test_contraction_type_errors():
+    # out[0] = T(0,0,0) v1_0 v2_0 + T(1,1,0) v1_1 v2_1.
+    T = SymCubic(2, {(0, 0, 0): Fraction(1), (0, 1, 1): Fraction(1, 2)})
+    a0, a1 = LinForm.coordinate(0), LinForm.coordinate(1)
+    # A product of two linear forms.
+    with pytest.raises(TypeError):
+        polarize(T, (a0, a1), (a0, Q0))
+    with pytest.raises(TypeError):
+        _dot((a0, a1), (0, a1))
+    # A nonzero constant in a linear-form result: a0 + 1/2, a0 + 1.
+    with pytest.raises(TypeError):
+        polarize(T, (a0, Q1), (Q1, Q1))
+    with pytest.raises(TypeError):
+        _dot((a0, Q1), (Q1, Q1))
+    # Zeros mixed into formal vectors are skipped, as by the per-term loop.
+    assert polarize(T, (a0, 0), (Q1, Q0)) == (a0, Q0) and _dot((a0, Q0), (Q1, a1)) == a0
+
+
+def test_foreign_ring_gets_the_right_contractions():
+    T = catalog_get("det3").tensor().scale(Fraction(5, 7))
+    p = T.dim
+    sampler = SeededSampler(66)
+    u, w = sampler.vector(p), sampler.vector(p)
+    new1, new2 = [QPoly((a, b)) for a, b in zip(u, w)], [QPoly((b, 0, a)) for a, b in zip(u, w)]
+    ref1, ref2 = [RefQPoly((a, b)) for a, b in zip(u, w)], [RefQPoly((b, 0, a)) for a, b in zip(u, w)]
+    pairs = list(zip(polarize(T, new1, new2), polarize(T, ref1, ref2)))
+    pairs.append((_dot(new1, new2), _dot(ref1, ref2)))
+    for new, ref in pairs:
+        if isinstance(ref, RefQPoly):
+            _same_qpoly(new, ref)
+        else:
+            _same_value(new, ref)
+
+
+def test_contractions_build_one_sum_per_coordinate(monkeypatch):
+    # out[0] of polarize gathers 2p - 1 terms; a per-term loop builds a
+    # sum for each term and each partial sum, O(p) per coordinate.
+    p = 200
+    T = SymCubic(p, {(0, 0, k): Fraction(1, k + 1) for k in range(p)})
+    forms = tuple(LinForm.coordinate(i) * Fraction(1, i + 2) for i in range(p))
+    numbers = tuple(Fraction(i + 1, 3) for i in range(p))
+    built = []
+    store = _FormalSum._store
+    monkeypatch.setattr(
+        _FormalSum, "_store", lambda self, nums, den: built.append(1) or store(self, nums, den)
+    )
+    for u, v in ((numbers, forms), (forms, numbers)):
+        built.clear()
+        out = polarize(T, u, v)
+        assert len(built) == p and all(type(c) is LinForm and c for c in out)
+        built.clear()
+        assert type(_dot(u, v)) is LinForm and len(built) == 1
