@@ -37,9 +37,9 @@ term in Python ints from T's integer table (``SymCubic.scaled``), and
 builds the Fractions once, at the end (common-denominator arithmetic;
 Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch.
 9).  Elements over QPoly or LinForm take the generic path through
-``bracket``, whose ``polarize`` and ``_dot`` run the same way on the
-rings' int numerators (``scalars.contract``); elements holding a plain
-int, or over a foreign ring, take it one term at a time.
+``bracket``, whose ``polarize`` and ``scalars.dot`` run the same way
+on the rings' int numerators (``scalars.contract``); elements holding a
+plain int, or over a foreign ring, take it one term at a time.
 
 ``chart_decompose`` factors exp(U) = exp(X) exp(w (x) p) with X in the
 chart complement n_m = (V (x) f2) + V* + W and p = f1 + z f2; it works
@@ -55,14 +55,14 @@ from fractions import Fraction
 from operator import mul
 
 from .cubic import SymCubic, polarize
-from .nilpotent import NElem, _check_same_dim, _dot, bracket
-from .scalars import HALF, Q0, QPoly, SIXTH, TWELFTH, clear_denominators
+from .nilpotent import NElem, _check_same_dim, bracket
+from .scalars import HALF, Q0, QPoly, SIXTH, TWELFTH, clear_denominators, dot
 
 
 def _central(c2, U: NElem) -> NElem:
     """[U, C] for any C in n2 + n3 whose n2 part is c2: the central
     element with coordinates -c2 . U_col(a)."""
-    return NElem.from_parts(U.dim, n3=tuple(-_dot(c2, U.col(a)) for a in (0, 1)))
+    return NElem.from_parts(U.dim, n3=tuple(-dot(c2, U.col(a)) for a in (0, 1)))
 
 
 def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
@@ -183,9 +183,9 @@ def chart_decompose(U: NElem, z, T: SymCubic):
     x2 = tuple(u + HALF * b for u, b in zip(U.n2, bx1w))
     # Grade 3 corrections; c is symmetric, so c(x1, x1, w) = B(x1, w).x1
     # and c(x1, w, w) = B(x1, w).w.
-    x2w = _dot(x2, w)
-    t_x1x1w = _dot(bx1w, x1)
-    t_x1ww = _dot(bx1w, w)
+    x2w = dot(x2, w)
+    t_x1x1w = dot(bx1w, x1)
+    t_x1ww = dot(bx1w, w)
     x3_l = U.n3[0] - HALF * x2w + TWELFTH * t_x1ww
     x3_m = (
         U.n3[1]

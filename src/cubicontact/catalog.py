@@ -37,7 +37,6 @@ from .cubic import (
     cubic_eval,
     cubic_hash,
     from_cubic_monomials,
-    normalize_cubic,
 )
 from .moment import smoothness_probe
 from .sampling import SeededSampler
@@ -281,7 +280,6 @@ def signature(T: SymCubic) -> dict:
     change detection but are basis dependent, so consistency comparisons
     use only p, b_rank and the probe class.
     """
-    normalized, _ = normalize_cubic(T)
     probe = smoothness_probe(
         T, SIGNATURE_PROBE_PRIMES, SIGNATURE_PROBE_BUDGET, SIGNATURE_PROBE_SEED
     )
@@ -292,7 +290,7 @@ def signature(T: SymCubic) -> dict:
         "p": T.dim,
         "b_rank": b_rank(T),
         "probe": probe.verdict_class,
-        "nnz_normalized": len(normalized.entries),
+        "nnz_normalized": len(T.entries),
         "eval_hash": eval_hash,
         "cubic_hash": cubic_hash(T),
     }

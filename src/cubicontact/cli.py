@@ -211,14 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("all",) + tuple(SUITES),
         default="all",
     )
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--samples", type=int, default=100)
+    defaults = RunConfig()
+    p_verify.add_argument("--seed", type=int, default=defaults.seed)
+    p_verify.add_argument("--samples", type=int, default=defaults.samples)
     p_verify.add_argument(
-        "--primes", type=int, nargs="+", default=[5, 7, 11, 13],
+        "--primes", type=int, nargs="+", default=list(defaults.primes),
         help=f"distinct probe primes, each below {PRIME_BOUND} (2**32)",
     )
     p_verify.add_argument(
-        "--budget", type=int, default=10 ** 6,
+        "--budget", type=int, default=defaults.probe_budget,
         help=(
             "probe budget per prime: enumerate F_q^p when q^p <= budget, else "
             "this many random draws after the p^2 structured candidates; "

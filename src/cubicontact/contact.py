@@ -31,11 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bch import ChartElem, solve_line_coordinates
-from .cubic import SymCubic, assumption_holds, cubic_eval, cubic_hash, polarize
+from .cubic import SymCubic, assumption_holds, cubic_hash, polarize
 from .linalg import mat_det
-from .nilpotent import _dot
 from .sampling import SeededSampler
-from .scalars import HALF, Q0, Q1, SIXTH
+from .scalars import HALF, Q0, Q1, SIXTH, dot
 
 
 class AssumptionError(ValueError):
@@ -76,7 +75,7 @@ def one_form_value(pt: ChartPoint, velocity) -> Fraction:
     y, z = pt.y, pt.z
     x1, x2 = pt.chart.x1, pt.chart.x2
     val = y * (velocity[2] - z * velocity[3])
-    acc = _dot(x1, velocity[4 + p:4 + 2 * p]) - _dot(x2, velocity[4:4 + p])
+    acc = dot(x1, velocity[4 + p:4 + 2 * p]) - dot(x2, velocity[4:4 + p])
     return val + HALF * y * acc
 
 
@@ -181,7 +180,8 @@ def tau(v, T: SymCubic):
     """[v : B(v,v) : c(v) : 1] as a flat coordinate tuple of length 2p+2."""
     if len(v) != T.dim:
         raise ValueError("dimension mismatch")
-    return tuple(v) + polarize(T, v, v) + (cubic_eval(T, v), Q1)
+    bvv = polarize(T, v, v)
+    return tuple(v) + bvv + (dot(bvv, v), Q1)
 
 
 def tau_line_constants(T: SymCubic):
@@ -207,7 +207,7 @@ def tau_matches_line_expansion(v, T: SymCubic) -> bool:
     s1, s2, s3 = tau_line_constants(T)
     chart, _w = solve_line_coordinates(v, T)
     bvv = polarize(T, v, v)
-    cv = cubic_eval(T, v)
+    cv = dot(bvv, v)
     for x, coeff in zip(v, chart.x1):
         if coeff.coefficient(1) != s1 * x:
             return False

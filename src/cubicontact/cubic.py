@@ -21,8 +21,10 @@ runs as one integer pass of the cleared-vector kernel
 (``scalars.contract``) over Fraction, LinForm and QPoly vectors alike:
 both vectors are cleared to numerators over a common denominator, the
 terms are summed in Python ints, and each output coordinate is built
-once.  The group law and ``cubic_eval`` read the same integer table.
-Both tables are memoized on the tensor.
+once.  ``cubic_eval`` and ``trilinear`` are that polarization paired
+with one more vector by ``scalars.dot``, on the same kernel, and the
+group law reads the same integer table.  Both tables are memoized on
+the tensor.
 
 The surjectivity condition on B (rank of the span of all B(e_i, e_j)
 equal to p) is what makes the downstream geometry work; it is exposed
@@ -41,7 +43,7 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import mat_rank
-from .scalars import Q0, clear_denominators, contract, frac
+from .scalars import Q0, contract, dot, frac
 
 
 class DimensionMismatchError(ValueError):
@@ -164,29 +166,9 @@ def _check_vec(T: SymCubic, v, name="vector"):
 
 
 def cubic_eval(T: SymCubic, v) -> Fraction:
-    """c(v), the full symmetric sum over all index orderings.
-
-    When every coordinate is a Fraction, v is cleared to ints once and
-    the ordered table ``T.scaled()`` is walked in ints; the Fraction is
-    built once, at the end.  Other coordinates take the per-term loop.
-    """
+    """c(v) = B(v, v) . v, the full symmetric sum over all index orderings."""
     _check_vec(T, v)
-    cleared = clear_denominators(v)
-    if cleared is not None and cleared[0] is None:
-        _ring, vs, dv = cleared
-        dt, rows = T.scaled()
-        total = 0
-        for a, row in zip(vs, rows):
-            if a:
-                total += a * sum(val * vs[j] * vs[k] for j, k, val in row)
-        return Fraction(total, dt * dv ** 3)
-    total = Q0
-    for tri, val in T.entries.items():
-        i, j, k = tri
-        prod = v[i] * v[j] * v[k]
-        if prod:
-            total = total + perm_multiplicity(tri) * val * prod
-    return total
+    return dot(polarize(T, v, v), v)
 
 
 def polarize(T: SymCubic, v1, v2):
@@ -213,13 +195,8 @@ def polarize(T: SymCubic, v1, v2):
 
 
 def trilinear(T: SymCubic, v1, v2, v3) -> Fraction:
-    """Full symmetric trilinear value c(v1, v2, v3)."""
-    cov = polarize(T, v1, v2)
-    total = Q0
-    for c, x in zip(cov, v3):
-        if c and x:
-            total = total + c * x
-    return total
+    """Full symmetric trilinear value c(v1, v2, v3) = B(v1, v2) . v3."""
+    return dot(polarize(T, v1, v2), v3)
 
 
 def b_rank(T: SymCubic) -> int:

@@ -47,9 +47,9 @@ from .cubic import (
     polarize,
     reduction,
 )
-from .nilpotent import NElem, SlWElem, generic_element, _dot
+from .nilpotent import NElem, SlWElem, generic_element
 from .sampling import SeededSampler
-from .scalars import HALF, Q0, QPoly, TWELFTH
+from .scalars import HALF, Q0, QPoly, TWELFTH, dot
 
 
 class FlowBasePointError(ValueError):
@@ -109,9 +109,9 @@ def _velocity_from_n_generator(pt: ChartPoint, A: NElem, T: SymCubic):
     xdot1 = tuple(m - z * l for m, l in zip(v_m, v_l))
     b_x1_vl = polarize(T, x1, v_l)
     xdot2 = tuple(a + HALF * b for a, b in zip(V.n2, b_x1_vl))
-    x2_vl = _dot(x2, v_l)
+    x2_vl = dot(x2, v_l)
     xdot3_l = V.n3[0] - HALF * x2_vl
-    xdot3_m = V.n3[1] - HALF * z * x2_vl - TWELFTH * _dot(b_x1_vl, x1)
+    xdot3_m = V.n3[1] - HALF * z * x2_vl - TWELFTH * dot(b_x1_vl, x1)
     return (Q0, Q0, xdot3_m, xdot3_l) + xdot1 + xdot2
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
+from math import lcm
 
 from .cubic import (
     SymCubic,
@@ -39,22 +40,7 @@ from .cubic import (
     cubic_hash,
     polarize,
 )
-from .scalars import LinForm, Q0, Q1, contract
-
-
-def _dot(u, v):
-    """sum_i u_i v_i over any of the scalar rings: one pass of the
-    cleared-vector kernel with diagonal rows, or, over a ring it does
-    not clear, one term at a time."""
-    n = min(len(u), len(v))
-    out = contract((((i, 0, 1),) for i in range(n)), u, v, 1)
-    if out is not None:
-        return out[0]
-    s = Q0
-    for a, b in zip(u, v):
-        if a and b:
-            s = s + a * b
-    return s
+from .scalars import LinForm, Q0, Q1, contract, dot, frac
 
 
 def _vsub(u, v):
@@ -148,7 +134,7 @@ def bracket(x: NElem, y: NElem, T: SymCubic) -> NElem:
     # omega(f1, f2) = +1: the n2 part is B(x_f1, y_f2) - B(x_f2, y_f1).
     n2 = _vsub(polarize(T, x.col(0), y.col(1)), polarize(T, x.col(1), y.col(0)))
     n3 = tuple(
-        _dot(x.n2, y.col(a)) - _dot(y.n2, x.col(a)) for a in (0, 1)
+        dot(x.n2, y.col(a)) - dot(y.n2, x.col(a)) for a in (0, 1)
     )
     return NElem((Q0,) * (2 * T.dim) + n2 + n3)
 
@@ -203,21 +189,25 @@ def bracket_table(T: SymCubic) -> list:
 
 def ad_mismatches(x: NElem, T: SymCubic, table: list) -> list:
     """Basis positions k at which ad_x read off ``bracket`` and off
-    ``table``, T's ``bracket_table``, differ.
+    ``table``, T's ``bracket_table``, differ; x has rational (Fraction
+    or int) coordinates.
 
     bracket(x, generic_element(p), T) is all of ad_x at once: coordinate
     k is a LinForm whose coefficient of a_j is the k-th coordinate of
-    [x, b_j].  The table gives the same as sum_i x_i [b_i, b_j].
+    [x, b_j].  The table gives the same as sum_i x_i [b_i, b_j], one
+    ``contract`` of x with the generic element over the table's terms,
+    cleared to ints over the lcm of their denominators.
     """
     p = T.dim
-    expected = [{} for _ in range(n_dim(p))]
-    for xi, row in zip(x.coords, table):
-        if xi:
-            for j, terms in row.items():
-                for k, c in terms:
-                    expected[k][j] = expected[k].get(j, 0) + xi * c
-    got = bracket(x, generic_element(p), T).coords
-    return [k for k, (g, e) in enumerate(zip(got, expected)) if g != LinForm(e)]
+    den = lcm(*(c.denominator for row in table for terms in row.values() for _k, c in terms))
+    rows = [
+        [(j, k, c.numerator * (den // c.denominator)) for j, terms in row.items() for k, c in terms]
+        for row in table
+    ]
+    generic = generic_element(p)
+    expected = contract(rows, tuple(map(frac, x.coords)), generic.coords, n_dim(p), den)
+    got = bracket(x, generic, T).coords
+    return [k for k, (g, e) in enumerate(zip(got, expected)) if g != e]
 
 
 def _jacobiator(rows, i, j, k) -> dict:
@@ -347,8 +337,6 @@ class SlWElem:
 
     @staticmethod
     def of(a, b, c) -> "SlWElem":
-        from .scalars import frac
-
         a, b, c = frac(a), frac(b), frac(c)
         return SlWElem(((a, b), (c, -a)))
 

@@ -29,10 +29,14 @@ read out of either is a normalized ``Fraction``.
 The same storage carries whole vectors: ``clear_denominators`` writes a
 coordinate tuple as numerators (ints, or int dicts for formal sums) over
 one common denominator, and ``contract``, the cleared-vector kernel,
-runs a bilinear contraction such as ``cubic.polarize`` or
-``nilpotent._dot`` on them in ints, building each output coordinate
-once instead of one ring operation per term.  No other module reads
-``nums`` or ``den``.
+runs a bilinear contraction on them in ints, building each output
+coordinate once instead of one ring operation per term.  The vector
+contractions go through it: ``cubic.polarize`` (and with it
+``cubic_eval`` and ``trilinear``), the structure-constant check
+``nilpotent.ad_mismatches``, and ``dot``, the pairing of a covector with
+a vector, which is ``contract`` with diagonal rows; only the group law
+(``bch._series``) fuses its contractions into one walk of its own.  No
+other module reads ``nums`` or ``den``.
 
 Both interoperate with ``Fraction`` and ``int`` through the reflected
 arithmetic hooks, so the algebra layer can stay scalar-agnostic.
@@ -337,3 +341,18 @@ def contract(rows, u, v, size, den=1):
         Q0 if out is None else ring._of({s: n for s, n in out.items() if n}, den)
         for out in acc
     )
+
+
+def dot(u, v):
+    """sum_i u_i v_i over any of the scalar rings: one pass of
+    ``contract`` with diagonal rows, or, over a ring it does not clear,
+    one term at a time."""
+    n = min(len(u), len(v))
+    out = contract((((i, 0, 1),) for i in range(n)), u, v, 1)
+    if out is not None:
+        return out[0]
+    s = Q0
+    for a, b in zip(u, v):
+        if a and b:
+            s = s + a * b
+    return s

@@ -30,9 +30,9 @@ from cubicontact.catalog import catalog_get, catalog_list
 from cubicontact.contact import sample_chart_point
 from cubicontact.cubic import polarize, trilinear
 from cubicontact.extraction import algebra_for, extraction
-from cubicontact.nilpotent import NElem, SlWElem, bracket, generic_element, _dot
+from cubicontact.nilpotent import NElem, SlWElem, bracket, generic_element
 from cubicontact.sampling import SeededSampler
-from cubicontact.scalars import HALF, Q0, QPoly, TWELFTH
+from cubicontact.scalars import HALF, Q0, QPoly, TWELFTH, dot as _dot
 
 bch_module = importlib.import_module("cubicontact.bch")
 nilpotent = importlib.import_module("cubicontact.nilpotent")

@@ -24,6 +24,7 @@ from cubicontact.cubic import (
 from cubicontact.extraction import extraction
 from cubicontact.linalg import mat_det, mat_inv, mat_mul, mat_rank
 from cubicontact.sampling import SeededSampler
+from cubicontact.scalars import QPoly
 
 cubic_module = importlib.import_module("cubicontact.cubic")
 
@@ -201,6 +202,15 @@ def _fraction_cubic_eval(T, v):
     return total
 
 
+def _fraction_trilinear(T, u, v, w):
+    """c(u, v, w) summed over every ordering of every entry, as a reference."""
+    total = F(0)
+    for tri, val in T.entries.items():
+        for i, j, k in cubic_module._distinct_perms(tri):
+            total = total + val * u[i] * v[j] * w[k]
+    return total
+
+
 @st.composite
 def _cubic_and_vector(draw):
     p = draw(st.integers(1, 6))
@@ -216,9 +226,18 @@ def test_cubic_eval_integer_path_matches_fraction_sum(case):
     T, v = case
     value = cubic_eval(T, v)
     assert type(value) is F and value == _fraction_cubic_eval(T, v)
-    # Int coordinates take the generic loop, which gives the same value.
+    # Int coordinates have no cleared form (scalars.clear_denominators
+    # refuses an int among plain numbers), so polarize and dot take their
+    # per-term fallbacks, which give the same value.
     ints = [int(x) for x in v]
     assert cubic_eval(T, ints) == _fraction_cubic_eval(T, [F(x) for x in ints])
+    # trilinear is B(v1, v2) . v3 on the same kernel.
+    shifted = v[1:] + v[:1]
+    assert trilinear(T, v, shifted, ints) == _fraction_trilinear(T, v, shifted, ints)
+    # QPoly coordinates run through the kernel on int dicts.
+    qv = [QPoly((a, b)) for a, b in zip(v, shifted)]
+    assert cubic_eval(T, qv) == _fraction_cubic_eval(T, qv)
+    assert trilinear(T, qv, v, qv) == _fraction_trilinear(T, qv, v, qv)
 
 
 def test_b_rank_invariant_under_unimodular_change():

@@ -14,6 +14,7 @@ from cubicontact.nilpotent import (
     NElem,
     SlWElem,
     act_slw,
+    ad_mismatches,
     basis_element,
     bracket,
     bracket_table,
@@ -234,7 +235,7 @@ def test_jacobi_suite_catches_one_sided_n3_sign_flip(monkeypatch):
 
     def flipped_n3(x, y, T):
         out = real(x, y, T)
-        dot = nilpotent._dot
+        dot = nilpotent.dot
         n3 = tuple(dot(x.n2, y.col(a)) + dot(y.n2, x.col(a)) for a in (0, 1))
         return NElem(out.coords[:-2] + n3)
 
@@ -279,6 +280,76 @@ def test_corrupted_table_reaches_the_kernel_through_the_suite(monkeypatch):
     check = run_verification(X3, ["jacobi"], RunConfig(seed=0)).checks[0]
     assert check["status"] == "fail"
     assert check["details"]["jacobi"]["jacobi_violations"][0] == [2, 2]
+
+
+def _ref_ad_mismatches(x, T, table):
+    """ad_mismatches as a Fraction accumulation per position, as a
+    reference: the expected side summed into dicts and built into one
+    LinForm per position."""
+    p = T.dim
+    expected = [{} for _ in range(n_dim(p))]
+    for xi, row in zip(x.coords, table):
+        if xi:
+            for j, terms in row.items():
+                for k, c in terms:
+                    expected[k][j] = expected[k].get(j, 0) + xi * c
+    got = bracket(x, generic_element(p), T).coords
+    return [k for k, (g, e) in enumerate(zip(got, expected)) if g != LinForm(e)]
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog_list()])
+def test_ad_mismatches_matches_reference_on_catalog(name):
+    T = catalog_get(name).tensor()
+    x = sample_nelem(SeededSampler(3), T.dim)
+    table = bracket_table(T)
+    assert ad_mismatches(x, T, table) == _ref_ad_mismatches(x, T, table) == []
+
+
+_small_fraction = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3, 7)))
+
+
+@st.composite
+def _cubic_element_table(draw):
+    """A sparse cubic with entry denominators 2, 3 and 7, an element with
+    Fraction coordinates, and its table, one term possibly replaced by a
+    drawn value."""
+    p = draw(st.integers(1, 6))
+    index = st.integers(0, p - 1)
+    entries = draw(st.dictionaries(st.tuples(index, index, index), _small_fraction, max_size=8))
+    T = SymCubic(p, {tuple(sorted(t)): v for t, v in entries.items()})
+    x = NElem(tuple(draw(st.lists(_small_fraction, min_size=n_dim(p), max_size=n_dim(p)))))
+    table = bracket_table(T)
+    slots = [(i, j) for i, row in enumerate(table) for j in row]
+    value = draw(st.none() | st.builds(F, st.integers(-9, 9), st.sampled_from((1, 5, 11))))
+    if value is not None:
+        i, j = draw(st.sampled_from(slots))
+        (k, _c), *rest = table[i][j]
+        table[i][j] = ((k, value), *rest)
+    return T, x, table
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_cubic_element_table())
+def test_ad_mismatches_matches_reference_on_random_cubics(case):
+    T, x, table = case
+    assert ad_mismatches(x, T, table) == _ref_ad_mismatches(x, T, table)
+
+
+def test_ad_mismatches_sees_a_value_with_a_new_denominator():
+    # [e0 f1, e1 f2] = T(0, 1, k) eps_k; one value becomes 1/5, a
+    # denominator no entry of xyz has, so the lcm of the table changes.
+    T = catalog_get("xyz").tensor()
+    p = T.dim
+    table = bracket_table(T)
+    (k, c), *rest = table[0][p + 1]
+    table[0][p + 1] = ((k, F(1, 5)), *rest)
+    x = sample_nelem(SeededSampler(4), p)
+    assert x.coords[0] and c != F(1, 5)
+    mismatches = ad_mismatches(x, T, table)
+    assert mismatches == _ref_ad_mismatches(x, T, table) == [k]
+    # Int coordinates are rationals too.
+    ints = NElem(tuple(int(2 * c) for c in x.coords))
+    assert ad_mismatches(ints, T, table) == _ref_ad_mismatches(ints, T, table) == [k]
 
 
 def test_jacobi_x3_full_enumeration():

@@ -6,7 +6,9 @@ Every module of ``cubicontact`` is parsed and walked:
   * no float literal and no use of the name ``float`` appears;
   * ``math`` is used only for the integer functions ``gcd`` and ``lcm``;
   * only ``scalars`` reads the ``nums``/``den`` storage of the formal sums
-    or builds one through ``_of``.
+    or builds one through ``_of``;
+  * only ``scalars`` defines the contraction kernel: ``dot``,
+    ``contract`` and ``clear_denominators``.
 """
 
 import ast
@@ -99,4 +101,26 @@ def test_formal_sum_storage_stays_in_scalars(path):
         for node in ast.walk(_tree(path))
         if isinstance(node, ast.Attribute) and node.attr in STORAGE
     ]
+    assert not bad
+
+
+KERNEL = {"dot", "_dot", "contract", "clear_denominators"}
+
+
+@pytest.mark.parametrize(
+    "path", [m for m in MODULES if m.name != "scalars.py"], ids=lambda p: p.name
+)
+def test_contraction_kernel_is_defined_only_in_scalars(path):
+    # One contraction kernel: every other module imports dot and contract
+    # from scalars instead of keeping its own.
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        else:
+            continue
+        if name in KERNEL:
+            bad.append(f"{_where(path, node)} {name}")
     assert not bad

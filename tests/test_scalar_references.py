@@ -6,7 +6,7 @@ classes is compared with them on drawn inputs, and so are the chart code
 results that rest on them: the line solver over QPoly and the moment map
 on the LinForm generic element, both ring-generic, are run once over
 each ring and compared coefficient for coefficient.  The contractions
-``polarize`` and ``_dot``, which run on the rings' cleared numerators,
+``polarize`` and ``scalars.dot``, which run on the rings' cleared numerators,
 are compared with the per-term loops they replaced.
 """
 
@@ -21,9 +21,9 @@ from cubicontact.catalog import catalog_get
 from cubicontact.contact import sample_chart_point
 from cubicontact.cubic import SymCubic, polarize
 from cubicontact.moment import MomentPoint, moment_of, moment_point_at
-from cubicontact.nilpotent import NElem, _dot
+from cubicontact.nilpotent import NElem
 from cubicontact.sampling import SeededSampler
-from cubicontact.scalars import LinForm, Q0, Q1, QPoly, _FormalSum, frac
+from cubicontact.scalars import LinForm, Q0, Q1, QPoly, _FormalSum, dot as _dot, frac
 
 
 # --- references: the Fraction-backed rings ----------------------------------
