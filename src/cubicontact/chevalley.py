@@ -36,8 +36,8 @@ The table has the format of nilpotent.bracket_table, so both algebras
 are checked by the one Jacobi kernel in ``nilpotent``: the exhaustive
 check compares every stored entry with its transpose and covers the
 jacobiator of every unordered basis triple; the sampled check evaluates
-it on seeded triples.  The exhaustive check grades the basis by the root
-lattice, so it evaluates only triples whose total weight is 0 or a root.
+it on seeded triples.  The kernel reads the table alone: root codes
+add only here.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ class ChevalleyAlgebra:
     root vectors.  Positions in ``labels``: h_0..h_{r-1}, the m positive
     roots in (height, lex) order, then their negatives, so -beta is m
     positions from beta.  ``codes`` holds sum_t beta_t 64^t per position
-    (0 for h_i).  Coordinates lie in [-6, 6] up to rank 8, so sums of up
-    to three roots stay within +-18 < 32 and keep distinct codes.
+    (0 for h_i).  Coordinates lie in [-6, 6] up to rank 8, so the codes
+    looked up (sums of two roots, and beta - k alpha one step past an
+    alpha-string) stay within +-18 < 32 and keep distinct codes.
     ``pairings`` holds <beta, alpha_i^vee> per position, ``coroots``
     the coordinates of beta^vee.
 
@@ -291,9 +292,8 @@ def verify_chevalley_jacobi(
     Both modes read the algebra's integer structure-constant table and
     work on basis positions; labels appear only in reported violations.
 
-    Exhaustive mode runs nilpotent.jacobi_violations on the table, graded
-    by the root lattice: the weight of a position is its code.  It yields
-    the label pairs whose brackets are not antisymmetric, then every
+    Exhaustive mode runs nilpotent.jacobi_violations on the table.  It
+    yields the label pairs whose brackets are not antisymmetric, then every
     unordered triple with a nonzero jacobiator; the triples it skips have
     zero jacobiators, so it checks C(d, 3) triples.  Sampled mode
     evaluates the jacobiator of ``sample`` seeded triples.
@@ -302,7 +302,7 @@ def verify_chevalley_jacobi(
     d = len(labels)
     rows = alg.table()
     if sample is None:
-        found = jacobi_violations(rows, alg.codes)
+        found = jacobi_violations(rows)
         checked = d * (d - 1) * (d - 2) // 6
         mode = "exhaustive"
     else:

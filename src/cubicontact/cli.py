@@ -5,7 +5,7 @@ Commands:
   check FILE              assumption and dimension summary of a cubic
   verify FILE [--which]   run verification suites with a seeded config
   extract --type G2       extract the cubic of a simple Lie algebra
-  catalog list|emit NAME  catalog of Jordan norm cubics
+  catalog list|emit|signature [NAME]  the catalog of Jordan norm cubics
 
 Exit codes follow the contract: 0 success, 1 failed check or rejected
 input (e.g. assumption violation, type A extraction), 2 malformed input
@@ -185,7 +185,8 @@ def cmd_catalog(args) -> int:
     if args.action == "emit":
         _emit(args, f"catalog-{entry.name}.json", dumps_tensor(entry.tensor()))
     else:
-        print(canonical_json(jsonable(signature(entry.tensor()))))
+        text = canonical_json(jsonable(signature(entry.tensor())))
+        _emit(args, f"signature-{entry.name}.json", text)
     return 0
 
 
@@ -196,9 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_out(p):
         p.add_argument("--out", default=None, help="output directory (or $CUBICONTACT_OUT)")
-        p.add_argument("--format", choices=("json", "md"), default="json")
 
     p_check = sub.add_parser("check", help="assumption and dimension summary")
     p_check.add_argument("cubic")
@@ -226,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
             f"at most {MAX_PROBE_BUDGET} (10**6)"
         ),
     )
-    add_common(p_verify)
+    p_verify.add_argument("--format", choices=("json", "md"), default="json")
+    add_out(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_extract = sub.add_parser("extract", help="extract the cubic of a simple Lie algebra")
@@ -235,13 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument(
         "--embedding", action="store_true", help="also run the embedding verification"
     )
-    add_common(p_extract)
+    add_out(p_extract)
     p_extract.set_defaults(func=cmd_extract)
 
     p_cat = sub.add_parser("catalog", help="catalog of Jordan norm cubics")
     p_cat.add_argument("action", choices=("list", "emit", "signature"))
     p_cat.add_argument("name", nargs="?")
-    add_common(p_cat)
+    add_out(p_cat)
     p_cat.set_defaults(func=cmd_catalog)
     return parser
 

@@ -15,8 +15,8 @@ grade-3 part is central and the Jacobi identity holds exactly because
 dim W = 2.  Every structure constant is an entry of the cubic or +-1,
 so ``bracket_table`` writes them straight from T's entries, and
 ``jacobi_violations``, the Jacobi kernel shared with the Chevalley
-algebras, checks antisymmetry on every stored entry and, graded by
-degree, the jacobiator of every basis triple.  ``ad_mismatches`` ties
+algebras, checks antisymmetry on every stored entry and the jacobiator
+of every basis triple the table can make nonzero.  ``ad_mismatches`` ties
 the table to ``bracket``: one bracket with the generic element gives
 all of ad_x at once, which must equal the table contracted with x;
 the jacobi suite hands it the table ``verify_jacobi`` checked.
@@ -228,48 +228,45 @@ def _jacobiator(rows, i, j, k) -> dict:
     return acc
 
 
-def jacobi_violations(rows, weight):
-    """Every antisymmetry and Jacobi violation of a graded bracket table.
+def jacobi_violations(rows):
+    """Every antisymmetry and Jacobi violation of a bracket table.
 
     ``rows`` is a structure-constant table in the format of
-    ``bracket_table``; ``weight[i]``, an int, grades basis position i.
-    First come the pairs (a, b), a <= b, with [b_a, b_b] != -[b_b, b_a]
-    (for a == b: a nonzero self-bracket), in order.  Then come the
-    triples i < j < k with a nonzero jacobiator, in order; for an
-    antisymmetric bracket, whose jacobiator alternates, these C(d, 3)
-    cover all d^3.  A triple is evaluated once, from the first stored of
-    [b_i,b_j], [b_j,b_k], [b_k,b_i] (with none stored it is zero), and,
-    if every stored term of [b_a, b_b] has weight weight[a] + weight[b],
-    only when a basis vector has weight w_i + w_j + w_k, the weight of
-    its jacobiator.  Otherwise every weight is taken to be zero.
+    ``bracket_table``.  First come the pairs (a, b), a <= b, with
+    [b_a, b_b] != -[b_b, b_a] (for a == b: a nonzero self-bracket), in
+    order.  Then come the triples i < j < k with a nonzero jacobiator, in
+    order; for an antisymmetric bracket, whose jacobiator alternates,
+    these C(d, 3) cover all d^3.  The term [b_x, [b_y, b_z]] can be
+    nonzero only if [b_y, b_z] is stored and row x stores one of its term
+    positions: x is then a candidate of (y, z).  A triple is evaluated
+    once, from the first of its rotations (k; i, j), (i; j, k), (j; k, i)
+    whose x is a candidate of its (y, z); with none, it is zero.
     """
     bad = set()
-    graded = True
+    holders = {}  # basis position -> the rows that store it, in order
     for a, row in enumerate(rows):
         for b, terms in row.items():
             if dict(rows[b].get(a, ())) != {k: -c for k, c in terms}:
                 bad.add((min(a, b), max(a, b)))
-            s = weight[a] + weight[b]
-            graded = graded and all(weight[k] == s for k, _c in terms)
-    if not graded:
-        weight = [0] * len(rows)
-    occupied = set(weight)
-    cands_of = {}
+            holders.setdefault(b, []).append(a)
+    memo = {}  # term positions -> their candidates, sorted and as a set
+    for key in {tuple(k for k, _c in t) for row in rows for t in row.values()}:
+        xs = sorted({x for k in key for x in holders.get(k, ())})
+        memo[key] = xs, set(xs)
+    cands = [{b: memo[tuple(k for k, _c in t)] for b, t in row.items()} for row in rows]
+    absent = ((), ())  # the candidates of an unstored pair
     found = []
-    for a, row in enumerate(rows):
-        for b in row:
-            s = weight[a] + weight[b]
-            if s not in cands_of:
-                cands_of[s] = [c for c, u in enumerate(weight) if s + u in occupied]
-            cands = cands_of[s]
-            if a < b:  # c < a gives (c, a, b), c > b gives (a, b, c)
-                lo, hi = bisect_left(cands, a), bisect_right(cands, b)
-                triples = [(c, a, b) for c in cands[:lo] if a not in rows[c]]
-                triples += [(a, b, c) for c in cands[hi:]]
-            else:  # b < c < a gives (b, c, a), whose [b_a, b_b] comes last
-                lo, hi = bisect_right(cands, b), bisect_left(cands, a)
-                triples = [(b, c, a) for c in cands[lo:hi]
-                           if c not in rows[b] and a not in rows[c]]
+    for a, row in enumerate(cands):
+        for b, (xs, _set) in row.items():
+            if a < b:  # x > b: (a, b, x), whose first rotation this is
+                lo, hi = bisect_left(xs, a), bisect_right(xs, b)
+                triples = [(a, b, x) for x in xs[hi:]]
+                # x < a: (x, a, b), unless its first rotation (b; x, a) passes
+                triples += [(x, a, b) for x in xs[:lo] if b not in cands[x].get(a, absent)[1]]
+            else:  # b < x < a: (b, x, a), whose last rotation this is
+                lo, hi = bisect_right(xs, b), bisect_left(xs, a)
+                triples = [(b, x, a) for x in xs[lo:hi] if a not in cands[b].get(x, absent)[1]
+                           and b not in cands[x].get(a, absent)[1]]
             found += [t for t in triples if _jacobiator(rows, *t)]
     yield from sorted(bad)
     yield from sorted(found)
@@ -307,16 +304,15 @@ def verify_jacobi(T: SymCubic) -> JacobiReport:
     """Antisymmetry and the Jacobi identity on the basis of n.
 
     The table is written from T's entries (see bracket_table) and checked
-    by jacobi_violations, graded by the degree 1, 2, 3; the report keeps
-    its first MAX_VIOLATIONS violations.  triples_checked is C(d, 3):
-    every triple the kernel skips has a zero jacobiator.  The report
-    keeps the table it checked; that it is the table of ``bracket`` is
-    ad_mismatches' check.
+    by jacobi_violations; the report keeps its first MAX_VIOLATIONS
+    violations.  triples_checked is C(d, 3): every triple the kernel
+    skips has a zero jacobiator.  The report keeps the table it checked;
+    that it is the table of ``bracket`` is ad_mismatches' check.
     """
     p = T.dim
     d = n_dim(p)
     table = bracket_table(T)
-    found = jacobi_violations(table, [1] * (2 * p) + [2] * p + [3, 3])
+    found = jacobi_violations(table)
     violations = tuple(islice(found, MAX_VIOLATIONS))
     return JacobiReport(
         p, d, d * (d - 1) * (d - 2) // 6, violations,

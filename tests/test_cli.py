@@ -158,6 +158,21 @@ def test_stdout_when_no_out(monkeypatch, capsys):
     assert '"dim":1' in capsys.readouterr().out
 
 
+def test_catalog_signature_goes_to_out(tmp_path, monkeypatch, capsys):
+    # With neither --out nor $CUBICONTACT_OUT it prints; with either it
+    # writes the same text to signature-<name>.json.
+    monkeypatch.delenv("CUBICONTACT_OUT", raising=False)
+    assert main(["catalog", "signature", "xyz"]) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["p"] == 3
+    assert main(["catalog", "signature", "xyz", "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "signature-xyz.json").read_text() == printed
+    monkeypatch.setenv("CUBICONTACT_OUT", str(tmp_path / "env"))
+    assert main(["catalog", "signature", "xyz"]) == 0
+    assert (tmp_path / "env" / "signature-xyz.json").read_text() == printed
+    assert printed not in capsys.readouterr().out
+
+
 def _diagonal(dim):
     """The tensor document of x_1^3 + ... + x_dim^3."""
     return {
@@ -292,12 +307,23 @@ def test_verify_reduces_the_tensor_once_per_prime(tmp_path, monkeypatch):
     assert calls == [5, 7, 11, 13]
 
 
-def test_long_run_flag_is_gone(x3_file, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "{x3}", "--long-run"], "--long-run"),
+        (["extract", "--type", "G2", "--format", "md"], "--format"),
+        (["catalog", "emit", "x3", "--format", "md"], "--format"),
+    ],
+    ids=["verify-long-run", "extract-format", "catalog-format"],
+)
+def test_long_run_flag_is_gone(argv, flag, x3_file, tmp_path, capsys):
+    # Only verify renders a report in more than one format.
     out = tmp_path / "out"
+    argv = [a.format(x3=x3_file) for a in argv]
     with pytest.raises(SystemExit) as exc:
-        main(["verify", str(x3_file), "--long-run", "--out", str(out)])
+        main(argv + ["--out", str(out)])
     assert exc.value.code == 2
-    assert "--long-run" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -373,7 +399,7 @@ _OPTIONS = st.lists(
     max_size=4,
 )
 # Every drawn example is a few checks on dim <= 4, and the explicit
-# dim-200 Jacobi example takes about a second; the unbounded inputs
+# dim-200 Jacobi example takes well under a second; the unbounded inputs
 # above ran for minutes or hung.
 _EXAMPLE_SECONDS = 5.0
 
@@ -394,8 +420,8 @@ _X3 = _diagonal(1)
     command="verify",
     options=[["--which", "jacobi"], ["--primes", "1000000000000000003"]],
 )
-# dim n = 602: the Jacobi kernel evaluates only the 79,600 n1 triples
-# that a stored bracket and the grading leave open.
+# dim n = 602: no stored bracket has a term that a third row stores, so
+# the Jacobi kernel evaluates no jacobiator.
 @example(tensor=_diagonal(200), command="verify", options=[["--which", "jacobi"]])
 def test_fuzzed_input_keeps_exit_contract(tensor, command, options):
     with tempfile.TemporaryDirectory() as tmp:

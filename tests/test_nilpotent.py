@@ -45,7 +45,7 @@ def basis_degree(p, idx):
 
 
 def n_weight(p):
-    """The degree grading of n, the Jacobi kernel's weights."""
+    """The degree grading of n, by basis position."""
     return [basis_degree(p, i) for i in range(n_dim(p))]
 
 
@@ -434,7 +434,7 @@ def test_jacobi_catches_antisymmetric_corruption(monkeypatch):
     _patch_table(monkeypatch, edit)
     assert not verify_jacobi(FERMAT3).ok
     violations = list(
-        nilpotent.jacobi_violations(nilpotent.bracket_table(FERMAT3), n_weight(3))
+        nilpotent.jacobi_violations(nilpotent.bracket_table(FERMAT3))
     )
     assert all(len(v) == 3 and v[0] < v[1] < v[2] for v in violations)
     assert (0, 1, p) in violations
@@ -613,11 +613,11 @@ def test_layout_acts_coordinate_by_coordinate(p, data, s, g):
     assert act_slw(gen, x) == _pair_layout_act_slw(gen, x)
 
 
-# --- the graded Jacobi kernel against the ungraded walk -------------------
+# --- the Jacobi kernel against the ungraded walk -------------------------
 
 
 def _ungraded_violations(rows):
-    """The Jacobi kernel without a grading, as a reference.
+    """The Jacobi kernel without its candidate rule, as a reference.
 
     The antisymmetry pairs, then a walk over all C(d, 3) triples that
     skips a triple only when none of [b_i,b_j], [b_j,b_k], [b_k,b_i] is
@@ -715,8 +715,8 @@ def _corrupted_table(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=_corrupted_table())
 def test_graded_kernel_matches_ungraded_walk(case):
-    rows, weight = case
-    assert list(nilpotent.jacobi_violations(rows, weight)) == list(
+    rows, _weight = case
+    assert list(nilpotent.jacobi_violations(rows)) == list(
         _ungraded_violations(rows)
     )
 
@@ -746,8 +746,8 @@ def _random_graded_table(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=_random_graded_table())
 def test_graded_kernel_matches_ungraded_walk_on_random_gradings(case):
-    rows, weight = case
-    assert list(nilpotent.jacobi_violations(rows, weight)) == list(
+    rows, _weight = case
+    assert list(nilpotent.jacobi_violations(rows)) == list(
         _ungraded_violations(rows)
     )
 
@@ -769,16 +769,17 @@ def test_jacobiator_count_e7(monkeypatch):
     calls = _count_jacobiators(monkeypatch)
     rep = verify_chevalley_jacobi(alg)
     assert rep.ok and rep.triples_checked == 133 * 132 * 131 // 6
-    assert len(calls) == 55_353
+    assert len(calls) == 49_647
 
 
 @pytest.mark.parametrize(
     "T, count",
     [
-        (catalog_get("j3o-norm").tensor(), 16_410),
-        (SymCubic(200, {(i, i, i): 1 for i in range(200)}), 79_600),
+        (catalog_get("j3o-norm").tensor(), 438),
+        (SymCubic(200, {(i, i, i): 1 for i in range(200)}), 0),
+        (SymCubic(1000, {(i, i, i): 1 for i in range(1000)}), 0),
     ],
-    ids=["j3o-norm", "diagonal-200"],
+    ids=["j3o-norm", "diagonal-200", "diagonal-1000"],
 )
 def test_jacobiator_count_n(T, count, monkeypatch):
     calls = _count_jacobiators(monkeypatch)
@@ -805,8 +806,9 @@ def _b3_kernel_and_reference(monkeypatch, edit):
 
 
 def test_graded_mutant_breaks_jacobi_on_both_orientations(monkeypatch):
-    # Double [e_a, e_b] and [e_b, e_a]: antisymmetric and homogeneous, so
-    # the graded walk evaluates the same triples as on the clean table.
+    # Double [e_a, e_b] and [e_b, e_a]: antisymmetric, with the same term
+    # positions, so the kernel evaluates the same triples as on the clean
+    # table.
     def edit(alg, rows):
         a, b = next(
             (i, j) for i, row in enumerate(rows) for j in row
@@ -824,10 +826,11 @@ def test_graded_mutant_breaks_jacobi_on_both_orientations(monkeypatch):
     assert calls == clean[1] < reference_calls
 
 
-def test_nonhomogeneous_mutant_turns_the_grading_off(monkeypatch):
-    # [h_0, h_1] = e_beta = -[h_1, h_0]: antisymmetric, but e_beta does not
-    # have weight 0, so the kernel evaluates every triple with a stored
-    # inner bracket, as the ungraded walk does, and finds (h_0, h_1, h_2).
+def test_nonhomogeneous_mutant_is_caught_without_a_grading(monkeypatch):
+    # [h_0, h_1] = e_beta = -[h_1, h_0]: antisymmetric, but off the root
+    # grading.  h_2 stores e_beta, so (h_0, h_1, h_2) is a candidate
+    # triple and the kernel finds it, still evaluating fewer triples
+    # than the ungraded walk.
     def edit(alg, rows):
         h2 = alg.labels[2]
         beta = next(
@@ -844,4 +847,21 @@ def test_nonhomogeneous_mutant_turns_the_grading_off(monkeypatch):
     assert (h0, h1, h2) in violations
     assert violations == reference
     assert all(len(v) == 3 for v in violations)
-    assert calls == reference_calls
+    assert calls < reference_calls
+
+
+def test_kernel_evaluates_a_triple_from_its_first_passing_rotation():
+    # [b_0, b_1] = b_3, which no row stores: the first rotation (2; 0, 1)
+    # of (0, 1, 2) is stored but cannot be nonzero.  [b_1, b_2] = b_4,
+    # which row 0 stores, makes the second, (0; 1, 2), nonzero.  A kernel
+    # that took each triple from its first stored rotation would miss it.
+    rows = [
+        {1: ((3, 1),), 4: ((0, 1),)},
+        {0: ((3, -1),), 2: ((4, 1),)},
+        {1: ((4, -1),)},
+        {},
+        {0: ((0, -1),)},
+    ]
+    violations = list(nilpotent.jacobi_violations(rows))
+    assert (0, 1, 2) in violations
+    assert violations == list(_ungraded_violations(rows))

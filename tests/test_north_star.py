@@ -8,7 +8,9 @@ Every module of ``cubicontact`` is parsed and walked:
   * only ``scalars`` reads the ``nums``/``den`` storage of the formal sums
     or builds one through ``_of``;
   * only ``scalars`` defines the contraction kernel: ``dot``,
-    ``contract`` and ``clear_denominators``.
+    ``contract`` and ``clear_denominators``;
+  * only ``nilpotent`` defines the Jacobi kernel: ``_jacobiator`` and
+    ``jacobi_violations``.
 """
 
 import ast
@@ -104,15 +106,18 @@ def test_formal_sum_storage_stays_in_scalars(path):
     assert not bad
 
 
-KERNEL = {"dot", "_dot", "contract", "clear_denominators"}
+# Each shared kernel, by the one module that defines it.
+KERNELS = {
+    "scalars.py": {"dot", "_dot", "contract", "clear_denominators"},
+    "nilpotent.py": {"_jacobiator", "jacobi_violations"},
+}
 
 
-@pytest.mark.parametrize(
-    "path", [m for m in MODULES if m.name != "scalars.py"], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_contraction_kernel_is_defined_only_in_scalars(path):
-    # One contraction kernel: every other module imports dot and contract
-    # from scalars instead of keeping its own.
+    # One contraction kernel and one Jacobi kernel: every other module
+    # imports them from their owner instead of keeping its own.
+    foreign = set().union(*(v for owner, v in KERNELS.items() if owner != path.name))
     bad = []
     for node in ast.walk(_tree(path)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -121,6 +126,6 @@ def test_contraction_kernel_is_defined_only_in_scalars(path):
             name = node.id
         else:
             continue
-        if name in KERNEL:
+        if name in foreign:
             bad.append(f"{_where(path, node)} {name}")
     assert not bad
