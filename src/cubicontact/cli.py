@@ -48,20 +48,22 @@ from .verify import SUITES, run_verification
 OUT_ENV = "CUBICONTACT_OUT"
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(OUT_ENV) or "."
+def _out_dir(args):
+    """The output directory, made before any work, or None for stdout."""
+    out = args.out or os.environ.get(OUT_ENV)
+    if not out:
+        return None
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _emit(args, name: str, text: str) -> None:
-    if args.out or os.environ.get(OUT_ENV):
-        target = _out_dir(args) / name
-        target.write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {target}")
-    else:
+def _emit(out, name: str, text: str) -> None:
+    if out is None:
         print(text)
+    else:
+        (out / name).write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {out / name}")
 
 
 def cmd_check(args) -> int:
@@ -107,11 +109,12 @@ def cmd_verify(args) -> int:
             # before any suite runs.
             for q in cfg.primes:
                 reduction(T, q)
+        out = _out_dir(args)
         report = run_verification(T, which, cfg)
     except ReductionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, f"verify-{cubic_hash(T)[:12]}.{args.format}", report.render(args.format))
+    _emit(out, f"verify-{cubic_hash(T)[:12]}.{args.format}", report.render(args.format))
     if report.all_pass:
         return 0
     # Name the first check that did not pass.
@@ -144,6 +147,7 @@ def cmd_extract(args) -> int:
     except (KeyError, RootSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out = _out_dir(args)
     try:
         alg = algebra_for(lie_type, rank)
         data = extraction(alg)
@@ -151,7 +155,7 @@ def cmd_extract(args) -> int:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1
     name = f"{lie_type}{rank}"
-    _emit(args, f"extracted-{name}.json", dumps_tensor(data.tensor))
+    _emit(out, f"extracted-{name}.json", dumps_tensor(data.tensor))
     report = {
         "gradings": gradings_report(alg),
         "ternary": ternary_dimension_check(alg),
@@ -160,7 +164,7 @@ def cmd_extract(args) -> int:
         report["embedding"] = verify_embedding(alg).to_json()
     if entry is not None:
         report["comparison"] = compare_to_extraction(entry, alg)
-    _emit(args, f"extract-report-{name}.json", canonical_json(report))
+    _emit(out, f"extract-report-{name}.json", canonical_json(report))
     if entry is not None and not report["comparison"]["consistent"]:
         return 1
     if args.embedding and not report["embedding"]["ok"]:
@@ -182,11 +186,12 @@ def cmd_catalog(args) -> int:
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out = _out_dir(args)
     if args.action == "emit":
-        _emit(args, f"catalog-{entry.name}.json", dumps_tensor(entry.tensor()))
+        _emit(out, f"catalog-{entry.name}.json", dumps_tensor(entry.tensor()))
     else:
         text = canonical_json(jsonable(signature(entry.tensor())))
-        _emit(args, f"signature-{entry.name}.json", text)
+        _emit(out, f"signature-{entry.name}.json", text)
     return 0
 
 
@@ -250,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an unusable output path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,21 +1,21 @@
-"""Exact dense linear algebra over the rationals, fraction free.
+"""Exact sparse linear algebra over the rationals, fraction free.
 
-Matrices are lists of rows of int or Fraction entries.  One elimination
-kernel serves every routine.  It multiplies each row by the lcm of its
-denominators and works on ints (Bareiss, Math. Comp. 22, 1968): a row
-with a nonzero f in the pivot column becomes
+Matrices are lists of rows of int or Fraction entries.  One kernel
+serves rank, det and solve, and its work follows the nonzero entries.
+It holds each row as {column: int}, the entries times the lcm of the
+row's denominators (the shared zero Q0 is skipped by identity), and
+reduces the rows in order, always at their first column c.  If c has a
+pivot row, which is zero before c, the row becomes (pv/g) row - (f/g)
+pivot_row with g = gcd(pv, f), divided by the gcd of its entries
+(Bareiss, Math. Comp. 22, 1968).  A row still nonzero becomes the pivot
+row of its first column.  Reduction stops once every column has a
+pivot, so the dependent rows after that point cost nothing.
 
-    row <- (pv/g) row - (f/g) pivot_row,   g = gcd(pv, f),
-
-divided by the gcd of its entries, which keeps it no larger than the
-Bareiss row.  Rows with a zero in the pivot column are skipped.
-mat_det tracks the row scales and multipliers exactly; the solve behind
-mat_inv divides by each pivot once, at the end.  The solve also takes
-tall systems of full column rank: the solution is read off the pivot
-rows, which is the unique solution when the system is consistent (the
-caller checks consistency).  Its one tall caller is the test reference
-for the embedding check, which solves the map J of V* into g(1,1) from
-every pair of the B table.  Results are Fractions.
+mat_det multiplies the pivots, undoes the row scales and multipliers,
+and takes the sign of the permutation that sends each row to its pivot
+column.  The solve behind mat_inv back-substitutes over the pivot rows,
+last column first; a tall system of full column rank is solved on its
+pivot rows alone.  Results are Fractions.
 """
 
 from __future__ import annotations
@@ -26,98 +26,87 @@ from math import gcd, lcm
 from .scalars import Q0, Q1
 
 
-def _scaled_rows(rows):
-    """Each row times the lcm of its denominators, as ints, and the lcms' product.
-
-    The package fills its sparse matrices (d(theta~), b_rank rows,
-    identities) with the shared zero Q0; those entries are skipped by
-    identity, so only a row's other entries are converted.
-    """
+def _int_rows(rows):
+    """Each row as {column: int}, scaled by the lcm of its denominators, and the lcms' product."""
     out, scale = [], 1
     for row in rows:
-        pairs = [(i, x.as_integer_ratio()) for i, x in enumerate(row) if x is not Q0]
+        pairs = [(i, x.as_integer_ratio()) for i, x in enumerate(row) if x is not Q0 and x]
         d = lcm(*[q for _i, (_n, q) in pairs])
-        ints = [0] * len(row)
-        for i, (n, q) in pairs:
-            ints[i] = n * (d // q)
-        out.append(ints)
+        out.append({i: n * (d // q) for i, (n, q) in pairs})
         scale *= d
     return out, scale
 
 
-def _eliminate(m, n_cols: int, jordan: bool = False):
-    """Row-reduce the integer rows m in place on their first n_cols columns.
+def _echelon(m, n_cols: int):
+    """Reduce the dict rows m in order, pivoting on columns below n_cols only.
 
-    Entries below each pivot are cleared; with jordan=True those above
-    it too.  Columns past n_cols, such as an augmented right-hand side,
-    are carried along.  Returns the pivot columns and (num, den) with
-    det(m before) = num/den * det(m after).
-    """
-    n_rows = len(m)
-    pivots = []
+    Returns {column: pivot row} in row order, and (num, den) with
+    det(m before) = num/den * det(m after) when every row is a pivot."""
+    pivots = {}
     num = den = 1
-    for col in range(n_cols):
-        top = len(pivots)
-        if top == n_rows:
+    for row in m:
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                if c < n_cols:
+                    pivots[c] = row
+                break
+            g = gcd(prow[c], row[c])
+            a, b = prow[c] // g, row[c] // g
+            row = {j: a * v for j, v in row.items()}
+            for j, y in prow.items():
+                row[j] = row.get(j, 0) - b * y
+            g = gcd(*row.values()) or 1
+            row = {j: v // g for j, v in row.items() if v}
+            num, den = num * g, den * a
+        if len(pivots) == n_cols:
             break
-        piv = next((r for r in range(top, n_rows) if m[r][col]), None)
-        if piv is None:
-            continue
-        if piv != top:
-            m[top], m[piv] = m[piv], m[top]
-            num = -num
-        prow = m[top]
-        pv = prow[col]
-        targets = range(n_rows) if jordan else range(top + 1, n_rows)
-        for r in targets:
-            f = m[r][col]
-            if not f or r == top:
-                continue
-            g = gcd(pv, f)
-            a, b = pv // g, f // g
-            row = [a * x - b * y for x, y in zip(m[r], prow)]
-            c = gcd(*row)
-            if c > 1:
-                row = [x // c for x in row]
-                num *= c
-            m[r] = row
-            den *= a
-        pivots.append(col)
     return pivots, num, den
 
 
 def mat_rank(rows) -> int:
-    m, _scale = _scaled_rows(rows)
-    return len(_eliminate(m, len(m[0]) if m else 0)[0])
+    m, _scale = _int_rows(rows)
+    return len(_echelon(m, len(rows[0]) if rows else 0)[0])
 
 
 def mat_det(rows) -> Fraction:
     n = len(rows)
-    m, scale = _scaled_rows(rows)
-    pivots, num, den = _eliminate(m, n)
+    m, scale = _int_rows(rows)
+    pivots, num, den = _echelon(m, n)
     if len(pivots) < n:
         return Q0
+    perm = list(pivots)  # row i became the pivot row of column perm[i]
     for i in range(n):
-        num *= m[i][i]
+        while perm[i] != i:  # each swap puts one column in place
+            j = perm[i]
+            perm[i], perm[j], num = perm[j], j, -num
+    for c, prow in pivots.items():
+        num *= prow[c]
     return Fraction(num, den * scale)
 
 
 def _solve_augmented(a, right, n: int):
-    """Reduce [a | right] for a with n columns and full column rank.
+    """x with a x = right, as n rows, for a of n columns and full column rank.
 
-    a may have more rows than columns (a tall system); the solution is
-    read off the n pivot rows, and the other rows are not checked.
-    Returns the reduced right block; raises when rank(a) < n.
-    """
-    m, _scale = _scaled_rows([list(row) + list(extra) for row, extra in zip(a, right)])
-    pivots, _num, _den = _eliminate(m, n, jordan=True)
+    A tall a is solved on its pivot rows.  Raises when rank(a) < n."""
+    m, _scale = _int_rows([list(row) + list(extra) for row, extra in zip(a, right)])
+    pivots, _num, _den = _echelon(m, n)
     if len(pivots) < n:
         raise ZeroDivisionError("singular system")
-    return [[Fraction(x, m[i][i]) for x in m[i][n:]] for i in range(n)]
+    x = [None] * n
+    for c in range(n - 1, -1, -1):
+        prow = pivots[c]
+        acc = [Fraction(prow.get(n + k, 0)) for k in range(len(right[0]))]
+        for j, v in prow.items():
+            if c < j < n:
+                acc = [s - v * t for s, t in zip(acc, x[j])]
+        x[c] = [s / prow[c] for s in acc]
+    return x
 
 
 def mat_inv(a):
-    """Inverse of square a by one reduction of [a | I].  Raises on singular a."""
+    """Inverse of square a by one solve of a X = I.  Raises on singular a."""
     n = len(a)
     identity = [[Q1 if i == j else Q0 for j in range(n)] for i in range(n)]
     return _solve_augmented(a, identity, n)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cubicontact import cubic
+from cubicontact import cli, cubic
 from cubicontact.cli import main
 from cubicontact.cubic import dumps_tensor, loads_tensor
 from cubicontact.catalog import catalog_get, catalog_list
@@ -31,9 +31,15 @@ def test_check_ok(x3_file, capsys):
 
 
 def test_check_assumption_failure(tmp_path, capsys):
-    path = tmp_path / "zero.json"
-    path.write_text('{"dim": 2, "entries": []}')
-    assert main(["check", str(path)]) == 1
+    # b_rank builds columns only for the indices an entry names, so a
+    # one-entry tensor of dim 10**8 is rejected at once, in small memory.
+    huge = '{"dim": 100000000, "entries": [{"i": 1, "j": 1, "k": 1, "value": "1"}]}'
+    for name, text in (("zero.json", '{"dim": 2, "entries": []}'), ("huge.json", huge)):
+        path = tmp_path / name
+        path.write_text(text)
+        start = time.perf_counter()
+        assert main(["check", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
 
 
 def test_check_malformed(tmp_path):
@@ -152,6 +158,20 @@ def test_out_env_variable(tmp_path, monkeypatch):
     assert T.dim == 1
 
 
+def test_out_env_variable_naming_a_file_exits_2_before_extracting(tmp_path, monkeypatch, capsys):
+    def boom(alg):
+        raise AssertionError("extraction ran")
+
+    monkeypatch.setattr(cli, "extraction", boom)
+    target = tmp_path / "a-file"
+    target.write_text("keep")
+    monkeypatch.setenv("CUBICONTACT_OUT", str(target))
+    assert main(["extract", "--type", "G2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert target.read_text() == "keep"
+
+
 def test_stdout_when_no_out(monkeypatch, capsys):
     monkeypatch.delenv("CUBICONTACT_OUT", raising=False)
     assert main(["catalog", "emit", "x3"]) == 0
@@ -211,6 +231,12 @@ def _diagonal(dim):
         ["verify", "{diagonal20}", "--which", "moment", "--budget", str(10 ** 30), "--out", "{out}"],
         # A probe verdict keys its modes and trials by prime.
         ["verify", "{x3}", "--primes", "5", "5", "--out", "{out}"],
+        # An output path that is a file, or lies under one, fails before
+        # any suite or extraction runs.
+        ["verify", "{x3}", "--out", "{a_file}"],
+        ["extract", "--type", "E8", "--embedding", "--out", "{a_file}"],
+        ["catalog", "emit", "x3", "--out", "{a_file}"],
+        ["catalog", "emit", "x3", "--out", "{a_file}/sub"],
     ],
     ids=[
         "unknown-signature-name", "samples-0", "non-prime", "negative-budget",
@@ -220,7 +246,8 @@ def _diagonal(dim):
         "verify-directory", "check-non-utf8", "verify-non-utf8",
         "probe-prime-denominator", "probe-prime-denominator-primes",
         "oversize-dim", "oversize-value", "exponent-value", "prime-above-bound",
-        "budget-above-bound", "repeated-prime",
+        "budget-above-bound", "repeated-prime", "verify-out-file",
+        "extract-out-file", "catalog-emit-out-file", "catalog-emit-out-under-file",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, capsys):
@@ -246,6 +273,8 @@ def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, caps
     paths["directory"].mkdir()
     paths["non_utf8"] = tmp_path / "non-utf8.json"
     paths["non_utf8"].write_bytes(b"\xff\xfe")
+    paths["a_file"] = tmp_path / "a-file"
+    paths["a_file"].write_text("keep")
     out = tmp_path / "out"
     argv = [a.format(x3=x3_file, out=out, **paths) for a in argv]
     start = time.perf_counter()
@@ -255,6 +284,7 @@ def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, caps
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not out.exists()
+    assert paths["a_file"].read_text() == "keep"
 
 
 def test_probe_primes_lie_below_2_to_the_32():

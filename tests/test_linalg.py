@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicontact.linalg import _solve_augmented, mat_det, mat_inv, mat_mul, mat_rank
 from cubicontact.sampling import SeededSampler
@@ -263,3 +264,73 @@ def test_inputs_are_not_modified():
 def test_empty():
     assert mat_rank([]) == 0
     assert mat_det([]) == 1
+
+
+# Drawn matrices: shapes up to 8 x 8 and tall systems, zero shares from
+# none to all, ints, small and 30-bit Fractions, zeros written as Q0, 0
+# or Fraction(0), and rows repeated or combined from earlier ones.
+ZERO = st.sampled_from([Q0, 0, F(0)])
+ENTRY = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.builds(F, st.integers(-2 ** 30, 2 ** 30), st.integers(1, 2 ** 30)),
+)
+
+
+@st.composite
+def matrices(draw, n_rows, n_cols, dependent=True):
+    zero_share = draw(st.integers(0, 9))
+    m = [
+        [draw(ZERO) if draw(st.integers(0, 9)) < zero_share else draw(ENTRY) for _ in range(n_cols)]
+        for _ in range(n_rows)
+    ]
+    for r in range(1, n_rows if dependent else 0):
+        kind = draw(st.sampled_from(["drawn", "repeat", "combination"]))
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        if kind == "repeat":
+            m[r] = list(m[i])
+        elif kind == "combination":
+            s, t = draw(ENTRY), draw(ENTRY)
+            m[r] = [s * x + t * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_drawn_rank_matches_reference(data):
+    m = data.draw(matrices(data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))))
+    before = [list(r) for r in m]
+    assert mat_rank(m) == ref_rank(m)
+    assert m == before
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_drawn_square_det_solve_inv_match_reference(data):
+    n = data.draw(st.integers(0, 8))
+    m = data.draw(matrices(n, n, dependent=data.draw(st.booleans())))
+    b = data.draw(st.lists(ENTRY, min_size=n, max_size=n))
+    det = mat_det(m)
+    assert det == ref_det(m) and type(det) is F
+    if det == 0:
+        for fn, args in ((solve_vector, (m, b)), (mat_inv, (m,))):
+            with pytest.raises(ZeroDivisionError):
+                fn(*args)
+        return
+    assert solve_vector(m, b) == ref_solve(m, b)
+    assert mat_inv(m) == ref_inv(m)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_drawn_tall_solve_matches_reference(data):
+    # A consistent tall system a x = a x0: read off its pivot rows, the
+    # solution is x0 when a has full column rank.
+    n = data.draw(st.integers(1, 6))
+    a = data.draw(matrices(data.draw(st.integers(n + 1, 2 * n + 3)), n))
+    x0 = data.draw(matrices(n, 2))
+    if ref_rank(a) < n:
+        with pytest.raises(ZeroDivisionError):
+            _solve_augmented(a, mat_mul(a, x0), n)
+        return
+    assert _solve_augmented(a, mat_mul(a, x0), n) == x0

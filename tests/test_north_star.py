@@ -10,7 +10,9 @@ Every module of ``cubicontact`` is parsed and walked:
   * only ``scalars`` defines the contraction kernel: ``dot``,
     ``contract`` and ``clear_denominators``;
   * only ``nilpotent`` defines the Jacobi kernel: ``_jacobiator`` and
-    ``jacobi_violations``.
+    ``jacobi_violations``;
+  * only ``linalg`` defines the elimination kernel: ``_int_rows`` and
+    ``_echelon``.
 """
 
 import ast
@@ -110,13 +112,15 @@ def test_formal_sum_storage_stays_in_scalars(path):
 KERNELS = {
     "scalars.py": {"dot", "_dot", "contract", "clear_denominators"},
     "nilpotent.py": {"_jacobiator", "jacobi_violations"},
+    "linalg.py": {"_int_rows", "_echelon"},
 }
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_contraction_kernel_is_defined_only_in_scalars(path):
-    # One contraction kernel and one Jacobi kernel: every other module
-    # imports them from their owner instead of keeping its own.
+    # One contraction kernel, one Jacobi kernel and one elimination
+    # kernel: every other module imports them from their owner instead
+    # of keeping its own.
     foreign = set().union(*(v for owner, v in KERNELS.items() if owner != path.name))
     bad = []
     for node in ast.walk(_tree(path)):
