@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=defaults.samples)
     p_verify.add_argument(
         "--primes", type=int, nargs="+", default=list(defaults.primes),
-        help=f"distinct probe primes, each below {PRIME_BOUND} (2**32)",
+        help=f"distinct probe primes q, each with 5 <= q < {PRIME_BOUND} (2**32)",
     )
     p_verify.add_argument(
         "--budget", type=int, default=defaults.probe_budget,

@@ -21,8 +21,8 @@ has the closed form
     M[y][X3m] = 1,  M[y][X3l] = -z,  M[z][X3l] = -y,
     M[y][X1_i] = -X2_i / 2,  M[y][X2_i] = X1_i / 2,  M[X1_i][X2_i] = y,
 
-skew-completed, all other entries 0.  Nondegeneracy is certified by
-exact determinants at seeded sample points.
+skew-completed, all other entries 0: at most 6p + 6 nonzero entries.
+Nondegeneracy is certified by exact determinants at seeded points.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def one_form_value(pt: ChartPoint, velocity) -> Fraction:
 def dtheta_matrix(pt: ChartPoint, T: SymCubic):
     """Exact skew matrix of d(theta~) at pt, coordinates as in coords().
 
-    Filled from the closed form in the module docstring; T fixes only
-    the dimension.
+    Dict rows as linalg reads them, holding the nonzero entries of the
+    closed form in the module docstring; T fixes only the dimension.
     """
     y = pt.y
     if y == 0:
@@ -91,20 +91,13 @@ def dtheta_matrix(pt: ChartPoint, T: SymCubic):
     p = T.dim
     if pt.dim != p:
         raise ValueError("dimension mismatch")
-    n = 2 * p + 4
-    mat = [[Q0] * n for _ in range(n)]
-
-    def put(a, b, entry):
-        mat[a][b] = entry
-        mat[b][a] = -entry
-
-    put(0, 2, Q1)
-    put(0, 3, -pt.z)
-    put(1, 3, -y)
+    upper = [(0, 2, Q1), (0, 3, -pt.z), (1, 3, -y)]
     for i, (x1_i, x2_i) in enumerate(zip(pt.chart.x1, pt.chart.x2)):
-        put(0, 4 + i, -HALF * x2_i)
-        put(0, 4 + p + i, HALF * x1_i)
-        put(4 + i, 4 + p + i, y)
+        upper += [(0, 4 + i, -HALF * x2_i), (0, 4 + p + i, HALF * x1_i), (4 + i, 4 + p + i, y)]
+    mat = [{} for _ in range(2 * p + 4)]
+    for a, b, entry in upper:
+        if entry:  # skew-completed, zeros left out
+            mat[a][b], mat[b][a] = entry, -entry
     return mat
 
 

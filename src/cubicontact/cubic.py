@@ -202,17 +202,16 @@ def trilinear(T: SymCubic, v1, v2, v3) -> Fraction:
 def b_rank(T: SymCubic) -> int:
     """Rank over Q of span{ B(e_i, e_j) : i <= j } inside the dual space.
 
-    B(e_i, e_j)_k = T(i, j, k): rows and columns are built only for the
-    pairs and indices that occur in an entry, all others being zero.
-    The rank is computed once per tensor.
+    B(e_i, e_j)_k = T(i, j, k): a row {k: T(i, j, k)} is built only for
+    each pair that occurs in an entry, all others being zero.  The rank
+    is computed once per tensor.
     """
     if T._b_rank is not None:
         return T._b_rank
-    cols = {k: c for c, k in enumerate(sorted({i for tri in T.entries for i in tri}))}
     rows = {}
     for (i, j, k), val in T.entries.items():
         for pair, col in (((i, j), k), ((i, k), j), ((j, k), i)):
-            rows.setdefault(pair, [Q0] * len(cols))[cols[col]] = val
+            rows.setdefault(pair, {})[col] = val
     T._b_rank = mat_rank(list(rows.values()))
     return T._b_rank
 

@@ -51,9 +51,13 @@ class ExtractionError(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
 def algebra_for(lie_type: str, rank: int) -> ChevalleyAlgebra:
-    return chevalley(build_root_system(lie_type.upper(), rank))
+    return _algebra(lie_type.upper(), rank)
+
+
+@lru_cache(maxsize=None)
+def _algebra(lie_type: str, rank: int) -> ChevalleyAlgebra:
+    return chevalley(build_root_system(lie_type, rank))
 
 
 @dataclass(frozen=True)

@@ -281,11 +281,11 @@ def _random_candidates(p: int, q: int, budget: int, seed: int):
 def smoothness_probe(
     T: SymCubic, primes=(5, 7, 11, 13), budget: int = 10 ** 6, seed: int = 0
 ) -> ProbeVerdict:
-    """Search for v != 0 over F_q with B(v, v) = 0.
+    """Search for v != 0 over F_q, q >= 5, with B(v, v) = 0.
 
     Such a v is a singular point of the reduction mod q of the projective
     cubic hypersurface, since the gradient of c at v equals 3 B(v, v)
-    under the full-sum normalization.
+    under the full-sum normalization (zero mod 3 for every v: q >= 5).
 
     Per prime q, in mode 'exhaustive' when q^p <= budget, every nonzero
     vector is tested in lexicographic order.  Otherwise, in mode

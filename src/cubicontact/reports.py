@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 
-# Probe primes must lie below 2**32: the probe draws residues from 32-bit
-# words, which sample a larger modulus non-uniformly, and the bound keeps
-# the trial division in _is_prime under 2**16 steps.
+# Probe primes must lie in [5, 2**32).  Mod 3 grad c = 3 B(v, v) vanishes
+# identically, and mod 2 and 3 so do integer cubics, stored at 6 times
+# their polynomial.  The probe draws residues from 32-bit words, which
+# sample a larger modulus non-uniformly, and the bound keeps the trial
+# division in _is_prime under 2**16 steps.
 PRIME_BOUND = 2 ** 32
 # The probe enumerates F_q^p when q**p <= budget (5**20 points take
 # hours), and otherwise makes budget random draws per prime after its p**2
@@ -52,6 +54,8 @@ class RunConfig:
                 raise ValueError(f"prime {q} is not below 2**32")
             if not _is_prime(q):
                 raise ValueError(f"{q} is not prime")
+            if q < 5:
+                raise ValueError(f"prime {q} is below 5: the probe is blind mod 2 and mod 3")
 
     def to_json(self) -> dict:
         return {

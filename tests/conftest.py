@@ -3,6 +3,11 @@ import pytest
 from cubicontact.extraction import algebra_for
 
 
+def sparse_rows(dense):
+    """A dense list-of-lists matrix as the {column: value} rows linalg reads, zeros left out."""
+    return [{j: x for j, x in enumerate(row) if x} for row in dense]
+
+
 @pytest.fixture(scope="session")
 def g2():
     return algebra_for("G", 2)

@@ -207,6 +207,10 @@ def _diagonal(dim):
         ["catalog", "signature", "nope"],
         ["verify", "{x3}", "--samples", "0", "--out", "{out}"],
         ["verify", "{x3}", "--primes", "4", "--out", "{out}"],
+        # The probe is blind mod 2 and 3: x^3 + y^3 + z^3 = (x + y + z)^3
+        # mod 3 is singular, yet the probe found no witness there.
+        ["verify", "{x3}", "--primes", "2", "--out", "{out}"],
+        ["verify", "{fermat3}", "--which", "moment", "--primes", "3", "--out", "{out}"],
         ["verify", "{x3}", "--budget", "-1", "--which", "moment", "--out", "{out}"],
         ["extract", "--type", "G2", "--compare", "nope", "--out", "{out}"],
         ["extract", "--type", "X7", "--out", "{out}"],
@@ -239,7 +243,7 @@ def _diagonal(dim):
         ["catalog", "emit", "x3", "--out", "{a_file}/sub"],
     ],
     ids=[
-        "unknown-signature-name", "samples-0", "non-prime", "negative-budget",
+        "unknown-signature-name", "samples-0", "non-prime", "prime-2", "prime-3", "negative-budget",
         "unknown-compare-name", "unparseable-type", "word-type", "empty-type",
         "zero-denominator", "boolean-value",
         "boolean-index", "boolean-dim", "float-index", "check-directory",
@@ -264,6 +268,7 @@ def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, caps
         # 63 bytes that Fraction would expand to a 400-million-digit power of ten.
         "exponent_value": '{"dim":1,"entries":[{"i":1,"j":1,"k":1,"value":"1e400000000"}]}',
         "diagonal20": json.dumps(_diagonal(20)),
+        "fermat3": json.dumps(_diagonal(3)),
     }
     paths = {}
     for key, text in tensors.items():
@@ -292,6 +297,15 @@ def test_probe_primes_lie_below_2_to_the_32():
     for q in (4294967311, 1000000000000000003):
         with pytest.raises(ValueError, match="below 2"):
             RunConfig(primes=(q,))
+
+
+def test_probe_primes_are_at_least_5():
+    assert RunConfig(primes=(5,)).primes == (5,)
+    for q in (2, 3):
+        with pytest.raises(ValueError, match="below 5"):
+            RunConfig(primes=(q,))
+        with pytest.raises(ValueError, match="below 5"):
+            RunConfig(primes=(5, q, 7))
 
 
 def _tensor_with_value(tmp_path, name, index, value):

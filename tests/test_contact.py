@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from conftest import sparse_rows
 
 from cubicontact import contact, moment, verify
 from cubicontact.bch import ChartElem, solve_line_coordinates
@@ -67,10 +68,9 @@ def symplectic_pairing_D(d1, d2, T):
     for a in range(n):
         if not d1[a]:
             continue
-        row = mat[a]
-        for b in range(n):
-            if row[b] and d2[b]:
-                total += d1[a] * row[b] * d2[b]
+        for b, entry in mat[a].items():
+            if d2[b]:
+                total += d1[a] * entry * d2[b]
     return total
 
 
@@ -131,7 +131,7 @@ def test_dtheta_base_point_entries_p1():
     expected[0][2], expected[2][0] = F(1), F(-1)
     expected[1][3], expected[3][1] = F(-1), F(1)
     expected[4][5], expected[5][4] = F(1), F(-1)
-    assert m == expected
+    assert m == sparse_rows(expected)
     assert mat_det(m) == 1
 
 
@@ -149,10 +149,9 @@ def test_dtheta_antisymmetric_at_samples():
         pt = sample_chart_point(sampler, 2)
         T = SymCubic(2, {(0, 0, 0): 1, (0, 1, 1): 1})
         m = dtheta_matrix(pt, T)
-        n = len(m)
-        for a in range(n):
-            for b in range(n):
-                assert m[a][b] == -m[b][a]
+        for a, row in enumerate(m):
+            for b, entry in row.items():
+                assert m[b].get(a) == -entry
 
 
 def test_dtheta_determinant_is_fiber_power():
@@ -196,7 +195,7 @@ def test_display_orientation_has_the_same_determinant():
     for _ in range(4):
         pt = sample_chart_point(sampler, p)
         flow = dtheta_matrix(pt, T)
-        display = _exterior_derivative(_display_one_form_value, pt)
+        display = sparse_rows(_exterior_derivative(_display_one_form_value, pt))
         assert flow != display
         assert mat_det(flow) == mat_det(display) == pt.y ** (2 * p + 2)
 
@@ -231,7 +230,16 @@ def test_dtheta_is_exterior_derivative_of_one_form(p):
     sampler = SeededSampler(30 + p)
     for _ in range(3):
         pt = sample_chart_point(sampler, p)
-        assert dtheta_matrix(pt, T) == _exterior_derivative(one_form_value, pt)
+        assert dtheta_matrix(pt, T) == sparse_rows(_exterior_derivative(one_form_value, pt))
+
+
+def test_dtheta_stores_at_most_6p_plus_6_entries():
+    # The closed form's entries only, never the (2p + 4)^2 square.
+    p = 10 ** 4
+    pt = sample_chart_point(SeededSampler(26), p)
+    m = dtheta_matrix(pt, SymCubic(p, {(0, 0, 0): 1}))
+    assert len(m) == 2 * p + 4
+    assert sum(len(row) for row in m) <= 6 * p + 6
 
 
 def test_dtheta_requires_nonzero_y():
@@ -299,7 +307,7 @@ def test_pairing_d_rank():
         base = ChartPoint.base(p)
         m = dtheta_matrix(base, T)
         d_indices = [1, 3] + list(range(4, n))  # z, X3l, X1.., X2..
-        sub = [[m[a][b] for b in d_indices] for a in d_indices]
+        sub = [{b: v for b, v in m[a].items() if b in d_indices} for a in d_indices]
         from cubicontact.linalg import mat_rank
 
         assert mat_rank(sub) == 2 * p + 2

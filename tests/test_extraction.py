@@ -2,6 +2,7 @@ import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from conftest import sparse_rows
 
 from cubicontact.chevalley import chevalley
 from cubicontact.cubic import SymCubic, b_rank
@@ -105,8 +106,8 @@ def verify_pairings(alg):
     x_basis, z_basis, y_basis, psi, psi_alpha = _distinguished(alg, double_grading(alg))
     return (
         len(y_basis),
-        mat_rank(_pairing_matrix(alg, x_basis, y_basis, psi_alpha)),
-        mat_rank(_pairing_matrix(alg, z_basis, y_basis, psi)),
+        mat_rank(sparse_rows(_pairing_matrix(alg, x_basis, y_basis, psi_alpha))),
+        mat_rank(sparse_rows(_pairing_matrix(alg, z_basis, y_basis, psi))),
     )
 
 
@@ -151,12 +152,9 @@ def _dense_reference(alg, data):
     p = data.p
     m_lower = _pairing_matrix(alg, data.x_basis, data.y_basis, data.psi_alpha_label)
     m_upper = _pairing_matrix(alg, data.z_basis, data.y_basis, data.psi_label)
-    phi_mat = mat_mul(m_lower, mat_inv(m_upper))
+    phi_mat = mat_mul(sparse_rows(m_lower), mat_inv(sparse_rows(m_upper)))
     y_index = {lab: i for i, lab in enumerate(data.y_basis)}
-    phi_vecs = [
-        {data.z_basis[b]: phi_mat[a][b] for b in range(p) if phi_mat[a][b]}
-        for a in range(p)
-    ]
+    phi_vecs = [{data.z_basis[b]: v for b, v in row.items()} for row in phi_mat]
     contracted = [[None] * p for _ in range(p)]
     for b in range(p):
         for c in range(p):
@@ -169,7 +167,7 @@ def _dense_reference(alg, data):
             ]
 
     def f_val(a, b, c):
-        return sum((phi_mat[a][d] * contracted[b][c][d] for d in range(p)), F(0))
+        return sum((v * contracted[b][c][d] for d, v in phi_mat[a].items()), F(0))
 
     entries = {}
     for a in range(p):
@@ -200,7 +198,7 @@ def test_sparse_contraction_matches_dense(key):
     dense_phi = [[F(0)] * p for _ in range(p)]
     for a, (b, r) in enumerate(data.phi):
         dense_phi[a][b] = r
-    assert dense_phi == phi_mat
+    assert sparse_rows(dense_phi) == phi_mat
     assert data.raw_tensor == raw
 
 
@@ -234,7 +232,7 @@ def _tall_solve_j(alg, data, table):
                 k_row[y_index[lab]] = coeff
             b_rows.append(b_row)
             k_rows.append(k_row)
-    return _solve_augmented(b_rows, k_rows, p)
+    return _solve_augmented(sparse_rows(b_rows), sparse_rows(k_rows), p)
 
 
 @pytest.mark.parametrize("key", SUPPORTED)
@@ -250,7 +248,11 @@ def test_theta_of_eps_matches_tall_solve(key):
         row = [Q0] * p
         row[y_pos[s]] = c
         rows.append(row)
-    assert rows == _tall_solve_j(alg, data, table)
+    assert sparse_rows(rows) == _tall_solve_j(alg, data, table)
+
+
+def test_algebra_for_shares_one_algebra_across_case(e6):
+    assert algebra_for("e", 6) is algebra_for("E", 6) is e6
 
 
 def test_extraction_memoized_per_algebra(g2):

@@ -1,6 +1,9 @@
+import copy
 from fractions import Fraction as F
+from time import perf_counter
 
 import pytest
+from conftest import sparse_rows
 from hypothesis import given, settings, strategies as st
 
 from cubicontact.linalg import _solve_augmented, mat_det, mat_inv, mat_mul, mat_rank
@@ -9,12 +12,13 @@ from cubicontact.scalars import Q0, Q1
 
 
 def solve_vector(a, b):
-    """a x = b for square a and a vector b, through the shared kernel."""
-    return [row[0] for row in _solve_augmented(a, [[x] for x in b], len(a))]
+    """a x = b for square dict rows a and a vector b, through the shared kernel."""
+    return [row.get(0, Q0) for row in _solve_augmented(a, [{0: x} for x in b], len(a))]
 
 
 # Reference: the three separate elimination loops that rank, det and solve
 # used before they shared one kernel; inverse was one solve per column.
+# The references take dense lists; the kernel takes their sparse_rows.
 
 
 def ref_rank(rows):
@@ -109,6 +113,11 @@ def ref_inv(a):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
+def ref_mul(a, b):
+    m = len(b[0]) if b else 0
+    return [[sum((x * bt[j] for x, bt in zip(ai, b)), Q0) for j in range(m)] for ai in a]
+
+
 def _random(sampler, n_rows, n_cols, sparsity=0):
     """Seeded Fraction matrix; about sparsity / (sparsity + 1) of it zero."""
     return [
@@ -159,7 +168,7 @@ def _dtheta_shaped(sampler, p, y):
 
 def _low_rank(sampler, n, r):
     """n x n product of n x r and r x n factors: rank at most r."""
-    return mat_mul(_random(sampler, n, r), _random(sampler, r, n))
+    return ref_mul(_random(sampler, n, r), _random(sampler, r, n))
 
 
 def _cases():
@@ -198,21 +207,22 @@ CASES = _cases()
 @pytest.mark.parametrize("m", CASES)
 def test_rank_det_solve_inv_match_reference(m):
     n = len(m)
-    assert mat_rank(m) == ref_rank(m)
-    det = mat_det(m)
+    s = sparse_rows(m)
+    assert mat_rank(s) == ref_rank(m)
+    det = mat_det(s)
     assert det == ref_det(m) and type(det) is F
     b = [F(k + 1, 3) for k in range(n)]
     if ref_det(m) == 0:
-        for fn, args in ((solve_vector, (m, b)), (mat_inv, (m,))):
+        for fn, args in ((solve_vector, (s, b)), (mat_inv, (s,))):
             with pytest.raises(ZeroDivisionError):
                 fn(*args)
         return
-    assert solve_vector(m, b) == ref_solve(m, b)
-    assert solve_vector(m, list(range(n))) == ref_solve(m, list(range(n)))
-    inv = mat_inv(m)
-    assert inv == ref_inv(m)
-    assert all(type(x) is F for row in inv for x in row)
-    assert mat_mul(m, inv) == [[Q1 if i == j else Q0 for j in range(n)] for i in range(n)]
+    assert solve_vector(s, b) == ref_solve(m, b)
+    assert solve_vector(s, list(range(n))) == ref_solve(m, list(range(n)))
+    inv = mat_inv(s)
+    assert inv == sparse_rows(ref_inv(m))
+    assert all(type(x) is F for row in inv for x in row.values())
+    assert mat_mul(s, inv) == [{i: Q1} for i in range(n)]
 
 
 @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (3, 3)])
@@ -220,11 +230,11 @@ def test_rank_rectangular_matches_reference(shape):
     sampler = SeededSampler(58)
     for sparsity in (0, 3):
         m = _random(sampler, *shape, sparsity=sparsity)
-        assert mat_rank(m) == ref_rank(m)
+        assert mat_rank(sparse_rows(m)) == ref_rank(m)
     for m in (_large(sampler, *shape), _ints(sampler, *shape)):
-        assert mat_rank(m) == ref_rank(m)
-    low = mat_mul(_random(sampler, shape[0], 1), _random(sampler, 1, shape[1]))
-    assert mat_rank(low) == ref_rank(low) <= 1
+        assert mat_rank(sparse_rows(m)) == ref_rank(m)
+    low = ref_mul(_random(sampler, shape[0], 1), _random(sampler, 1, shape[1]))
+    assert mat_rank(sparse_rows(low)) == ref_rank(low) <= 1
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -236,29 +246,32 @@ def test_tall_full_rank_solve_matches_reference(n):
     while ref_det(square) == 0:
         square = _random(sampler, n, n)
     x = _random(sampler, n, 2)
-    extra = mat_mul(_random(sampler, 2 * n, n, sparsity=2), square)
+    extra = ref_mul(_random(sampler, 2 * n, n, sparsity=2), square)
     rows = square + extra + [[Q0] * n, square[0]]
     order = sorted(range(len(rows)), key=lambda _i: sampler.int_range(0, 10 ** 6))
     tall = [rows[i] for i in order]
-    assert _solve_augmented(tall, mat_mul(tall, x), n) == x
+    right = mat_mul(sparse_rows(tall), sparse_rows(x))
+    assert right == sparse_rows(ref_mul(tall, x))
+    assert _solve_augmented(sparse_rows(tall), right, n) == sparse_rows(x)
     # Rank below n raises, also with no rows at all.
     for deficient in ([r[:-1] + [Q0] for r in tall], []):
         with pytest.raises(ZeroDivisionError):
-            _solve_augmented(deficient, [[Q0, Q0] for _ in deficient], n)
+            _solve_augmented(sparse_rows(deficient), [{} for _ in deficient], n)
 
 
 def test_dtheta_shaped_determinant_closed_form():
     sampler = SeededSampler(60)
     for p in (1, 4, 15):
         y = sampler.nonzero_fraction()
-        assert mat_det(_dtheta_shaped(sampler, p, y)) == y ** (2 * p + 2)
+        assert mat_det(sparse_rows(_dtheta_shaped(sampler, p, y))) == y ** (2 * p + 2)
 
 
 def test_inputs_are_not_modified():
-    m = [[Q0, F(1)], [F(2), F(3)]]
-    before = [list(r) for r in m]
-    mat_rank(m), mat_det(m), solve_vector(m, [Q1, Q1]), mat_inv(m)
-    assert m == before
+    m = [{0: Q0, 1: F(1)}, {0: F(2), 1: F(3)}]
+    right = [{0: Q1}, {1: Q1}]
+    before = copy.deepcopy((m, right))
+    mat_rank(m), mat_det(m), _solve_augmented(m, right, 2), mat_inv(m), mat_mul(m, right)
+    assert (m, right) == before
 
 
 def test_empty():
@@ -266,9 +279,19 @@ def test_empty():
     assert mat_det([]) == 1
 
 
+def test_far_column_ranks_at_once():
+    # Columns are read where they occur: a column index of 10**8 builds
+    # nothing of that length.
+    rows = [{0: F(1, 2), 10 ** 8: 3}, {10 ** 8: F(-1, 7), 5: Q0}, {0: 1}, {}]
+    t0 = perf_counter()
+    assert mat_rank(rows) == 2
+    assert perf_counter() - t0 < 0.1
+
+
 # Drawn matrices: shapes up to 8 x 8 and tall systems, zero shares from
 # none to all, ints, small and 30-bit Fractions, zeros written as Q0, 0
-# or Fraction(0), and rows repeated or combined from earlier ones.
+# or Fraction(0), and rows repeated or combined from earlier ones.  The
+# kernel gets them as dict rows that also store some of the zeros.
 ZERO = st.sampled_from([Q0, 0, F(0)])
 ENTRY = st.one_of(
     st.integers(-9, 9),
@@ -295,13 +318,31 @@ def matrices(draw, n_rows, n_cols, dependent=True):
     return m
 
 
+@st.composite
+def stored(draw, m):
+    """sparse_rows(m) with explicit zeros (Q0, 0, Fraction(0)) drawn into some of m's zero places."""
+    rows = sparse_rows(m)
+    for row, dense in zip(rows, m):
+        for j, x in enumerate(dense):
+            if not x and draw(st.booleans()):
+                row[j] = draw(ZERO)
+    return rows
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
 def test_drawn_rank_matches_reference(data):
-    m = data.draw(matrices(data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))))
-    before = [list(r) for r in m]
-    assert mat_rank(m) == ref_rank(m)
-    assert m == before
+    n_cols = data.draw(st.integers(0, 8))
+    m = data.draw(matrices(data.draw(st.integers(0, 8)), n_cols))
+    # Column j moves to a drawn index up to 10**8; the indices between
+    # are absent from every row.
+    cols = sorted(data.draw(st.sets(st.integers(0, 10 ** 8 - 1), min_size=n_cols, max_size=n_cols)))
+    if cols and data.draw(st.booleans()):
+        cols[-1] = 10 ** 8
+    rows = [{cols[j]: x for j, x in row.items()} for row in data.draw(stored(m))]
+    before = copy.deepcopy(rows)
+    assert mat_rank(rows) == ref_rank(m)
+    assert rows == before
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -309,16 +350,17 @@ def test_drawn_rank_matches_reference(data):
 def test_drawn_square_det_solve_inv_match_reference(data):
     n = data.draw(st.integers(0, 8))
     m = data.draw(matrices(n, n, dependent=data.draw(st.booleans())))
+    a = data.draw(stored(m))
     b = data.draw(st.lists(ENTRY, min_size=n, max_size=n))
-    det = mat_det(m)
+    det = mat_det(a)
     assert det == ref_det(m) and type(det) is F
     if det == 0:
-        for fn, args in ((solve_vector, (m, b)), (mat_inv, (m,))):
+        for fn, args in ((solve_vector, (a, b)), (mat_inv, (a,))):
             with pytest.raises(ZeroDivisionError):
                 fn(*args)
         return
-    assert solve_vector(m, b) == ref_solve(m, b)
-    assert mat_inv(m) == ref_inv(m)
+    assert solve_vector(a, b) == ref_solve(m, b)
+    assert mat_inv(a) == sparse_rows(ref_inv(m))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -327,10 +369,13 @@ def test_drawn_tall_solve_matches_reference(data):
     # A consistent tall system a x = a x0: read off its pivot rows, the
     # solution is x0 when a has full column rank.
     n = data.draw(st.integers(1, 6))
-    a = data.draw(matrices(data.draw(st.integers(n + 1, 2 * n + 3)), n))
+    m = data.draw(matrices(data.draw(st.integers(n + 1, 2 * n + 3)), n))
     x0 = data.draw(matrices(n, 2))
-    if ref_rank(a) < n:
+    a = data.draw(stored(m))
+    right = mat_mul(a, data.draw(stored(x0)))
+    assert right == sparse_rows(ref_mul(m, x0))
+    if ref_rank(m) < n:
         with pytest.raises(ZeroDivisionError):
-            _solve_augmented(a, mat_mul(a, x0), n)
+            _solve_augmented(a, right, n)
         return
-    assert _solve_augmented(a, mat_mul(a, x0), n) == x0
+    assert _solve_augmented(a, right, n) == sparse_rows(x0)
