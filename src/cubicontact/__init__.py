@@ -54,7 +54,6 @@ from .contact import (
     tau_matches_line_expansion,
 )
 from .moment import (
-    FlowBasePointError,
     MomentPoint,
     ProbeVerdict,
     boundary_report,

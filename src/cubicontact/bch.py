@@ -43,9 +43,8 @@ plain int, or over a foreign ring, take it one term at a time.
 
 ``chart_decompose`` factors exp(U) = exp(X) exp(w (x) p) with X in the
 chart complement n_m = (V (x) f2) + V* + W and p = f1 + z f2; it works
-over any of the scalar rings (rationals, polynomials in z or in a flow
-parameter t), which is what the line solver and the moment computations
-build on.
+over any of the scalar rings (rationals or polynomials in z), which is
+what the line solver builds on; moment linearizes it by hand.
 """
 
 from __future__ import annotations

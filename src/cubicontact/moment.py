@@ -1,20 +1,20 @@
 """Moment functionals on the chart and the moment variety equation.
 
 For a group generator A, the moment value at a chart point is theta~
-evaluated on the fundamental vector field of A, computed as the exact
-t-derivative at 0 of the A-flow written in chart coordinates.  For
-generators in n the flow fixes z and y and its derivative is polynomial,
-so everything reduces to plain rational arithmetic; for sl(W) generators
-the flow moves z and y, so it is written over polynomials in t (QPoly)
-and the derivative is the t^1 coefficient.
+evaluated on the fundamental vector field of A.  Every generator moves
+the chart element X to first order along a vector V of n: V =
+exp_diff(-X, A) for A in n, and V = act_slw(A, X) for A in sl(W), which
+also moves y and z.  X has no f1 column, so the motion of z reaches no
+chart coordinate at first order, and one hand linearization of
+chart_decompose (_chart_velocity) gives the chart velocity of both.
 
 The n* component of the moment map needs the moment value on all 3p + 2
 basis elements of n.  A -> theta~(velocity(A)) is linear, so it is
 evaluated once, on the generic element of n whose coordinates are formal
 linear forms (nilpotent.generic_element): the coefficient of the i-th
 coordinate in the result is exactly the value on the i-th basis element.
-The flow code runs unchanged on these forms, and since they admit only
-linear operations, any non-linear use of A would raise instead of
+The velocity code runs unchanged on these forms, and since they admit
+only linear operations, any non-linear use of A would raise instead of
 giving a wrong number.
 
 The n-components are assembled into a point of the dual space through a
@@ -26,7 +26,9 @@ constant -2: with that normalization the assembled triples satisfy
 
 exactly at every chart point, which is the moment variety equation (the
 naive unscaled identification satisfies it only up to a factor 2, an
-artifact of c(v,v,.) being the full polarization).
+artifact of c(v,v,.) being the full polarization).  The same point has
+the closed form of moment_point_closed_form, which the moment suite
+checks it against.
 
 The one-form is contact.one_form_value; its orientation is the one in
 which these fundamental vector fields are contact vector fields (see the
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, product
 
-from .bch import chart_decompose, exp_diff
+from .bch import exp_diff
 from .contact import ChartPoint, one_form_value, require_assumption
 from .cubic import (
     SymCubic,
@@ -47,13 +49,9 @@ from .cubic import (
     polarize,
     reduction,
 )
-from .nilpotent import NElem, SlWElem, generic_element
+from .nilpotent import NElem, SlWElem, act_slw, generic_element
 from .sampling import SeededSampler
-from .scalars import HALF, Q0, QPoly, TWELFTH, dot
-
-
-class FlowBasePointError(ValueError):
-    """An sl(W) flow, re-expressed in the chart, moved the base point."""
+from .scalars import HALF, Q0, TWELFTH, dot
 
 
 @dataclass(frozen=True)
@@ -90,18 +88,13 @@ def moment_membership(m: MomentPoint, T: SymCubic) -> bool:
     return True
 
 
-def _velocity_from_n_generator(pt: ChartPoint, A: NElem, T: SymCubic):
-    """Coordinate velocity of the left flow of exp(tA) at t = 0.
+def _chart_velocity(pt: ChartPoint, V: NElem, T: SymCubic):
+    """Velocity of (x3_m, x3_l, x1, x2) as the chart element moves along V.
 
-    The flow multiplies exp(tA) exp(X) and re-expresses the product in
-    the chart at the same base line; to first order the moved element is
-    X + t V with V = exp_diff(-X, A) = A + 1/2 [A, X] + 1/12 [X, [X, A]],
-    and the chart re-decomposition is linearized by hand below (it is
-    affine in the first-order part; c(x1, x1, v_l) = B(x1, v_l).x1 as in
-    chart_decompose).  z and y do not move.
+    chart_decompose of X + t V, linearized by hand at t = 0: w = t v_l,
+    and c(x1, x1, v_l) = B(x1, v_l).x1 as in chart_decompose.
     """
     z = pt.z
-    V = exp_diff(-pt.chart.to_nelem(), A, T)
     v_l = V.col(0)
     v_m = V.col(1)
     x1 = pt.chart.x1
@@ -112,66 +105,39 @@ def _velocity_from_n_generator(pt: ChartPoint, A: NElem, T: SymCubic):
     x2_vl = dot(x2, v_l)
     xdot3_l = V.n3[0] - HALF * x2_vl
     xdot3_m = V.n3[1] - HALF * z * x2_vl - TWELFTH * dot(b_x1_vl, x1)
-    return (Q0, Q0, xdot3_m, xdot3_l) + xdot1 + xdot2
+    return (xdot3_m, xdot3_l) + xdot1 + xdot2
 
 
-def _velocity_from_slw_generator(pt: ChartPoint, A: SlWElem, T: SymCubic):
-    """Coordinate velocity of the sl(W) flow: the t^1 coefficients of the
-    flow written over QPoly in t.
+def _velocity(pt: ChartPoint, A, T: SymCubic):
+    """Coordinate velocity (y, z, x3_m, x3_l, x1, x2) of generator A at pt.
 
-    The flow scales y by 1 + t(a + zb) and moves z to
-    (z + t(c - za)) / (1 + t(a + zb)); only the first-order part
-    z + t(c - 2za - z^2 b) of the quotient can reach a t^1 coefficient,
-    because chart_decompose is polynomial in its arguments.
+    A in n: the left flow exp(tA) exp(X) moves X along exp_diff(-X, A)
+    and fixes y and z.  A = [[a, b], [c, -a]] in sl(W): X moves along
+    act_slw(A, X), y is scaled by 1 + t(a + zb) and z moves to
+    (z + t(c - za)) / (1 + t(a + zb)).
     """
-    (a, b), (c, _d) = A.mat
-    p = T.dim
-    t = QPoly.x()
-    z = pt.z
-    zdot = c - 2 * z * a - z * z * b
-    x1 = pt.chart.x1
-    x3l, x3m = pt.chart.x3_l, pt.chart.x3_m
-    U = NElem.from_parts(
-        p,
-        col1=tuple(t * (b * x) for x in x1),
-        col2=tuple(x - t * (a * x) for x in x1),
-        n2=tuple(QPoly.const(x) for x in pt.chart.x2),
-        n3=(
-            x3l + t * (a * x3l + b * x3m),
-            x3m + t * (c * x3l - a * x3m),
-        ),
-    )
-    chart, _w = chart_decompose(U, z + t * zdot, T)
-    if chart.x3_m.coefficient(0) != x3m:
-        raise FlowBasePointError("flow does not fix the base point coordinates")
-    xdot1 = tuple(x.coefficient(1) for x in chart.x1)
-    xdot2 = tuple(x.coefficient(1) for x in chart.x2)
-    return (
-        pt.y * (a + z * b), zdot,
-        chart.x3_m.coefficient(1), chart.x3_l.coefficient(1),
-    ) + xdot1 + xdot2
+    X = pt.chart.to_nelem()
+    if isinstance(A, NElem):
+        return (Q0, Q0) + _chart_velocity(pt, exp_diff(-X, A, T), T)
+    if isinstance(A, SlWElem):
+        (a, b), (c, _d) = A.mat
+        z = pt.z
+        ydot = pt.y * (a + z * b)
+        zdot = c - 2 * z * a - z * z * b
+        return (ydot, zdot) + _chart_velocity(pt, act_slw(A, X), T)
+    raise TypeError(f"unsupported generator {A!r}")
 
 
 def moment_of(pt: ChartPoint, A, T: SymCubic) -> Fraction:
     """theta~ on the fundamental vector field of the generator A at pt.
 
-    A may be an NElem, an SlWElem, or an (NElem, SlWElem) pair acting as
-    the sum of the two generators.  An NElem whose coordinates are
+    A is an NElem or an SlWElem.  An NElem whose coordinates are
     LinForms gives the LinForm of the values (see moment_point_at).
     """
     require_assumption(T)
     if pt.y == 0:
         raise ValueError("fiber coordinate y must be nonzero")
-    if isinstance(A, tuple):
-        an, aw = A
-        return moment_of(pt, an, T) + moment_of(pt, aw, T)
-    if isinstance(A, NElem):
-        vel = _velocity_from_n_generator(pt, A, T)
-    elif isinstance(A, SlWElem):
-        vel = _velocity_from_slw_generator(pt, A, T)
-    else:
-        raise TypeError(f"unsupported generator {A!r}")
-    return one_form_value(pt, vel)
+    return one_form_value(pt, _velocity(pt, A, T))
 
 
 def moment_point_at(pt: ChartPoint, T: SymCubic) -> MomentPoint:
@@ -190,6 +156,24 @@ def moment_point_at(pt: ChartPoint, T: SymCubic) -> MomentPoint:
     phi2 = tuple(mu(2 * p + k) for k in range(p))
     phi3 = (mu(3 * p + 1), -mu(3 * p))
     return MomentPoint(phi1=phi1, phi2=phi2, phi3=phi3)
+
+
+def moment_point_closed_form(pt: ChartPoint, T: SymCubic) -> MomentPoint:
+    """The moment point at pt from its closed form, independent of _velocity.
+
+    phi1_k = (2y X2_k, 2yz X2_k + y B(X1, X1)_k), phi2 = y X1,
+    phi3 = (y, yz).
+    """
+    y, z = pt.y, pt.z
+    x1, x2 = pt.chart.x1, pt.chart.x2
+    b = polarize(T, x1, x1)
+    return MomentPoint(
+        phi1=tuple(
+            (2 * y * x2_k, 2 * y * z * x2_k + y * b_k) for x2_k, b_k in zip(x2, b)
+        ),
+        phi2=tuple(y * x for x in x1),
+        phi3=(y, y * z),
+    )
 
 
 # --- finite field smoothness probe --------------------------------------

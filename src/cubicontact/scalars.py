@@ -6,9 +6,7 @@ of rational multiples of symbols:
 
 * ``QPoly``   - univariate polynomials, the symbols being the powers
   x^k.  In the line parameter z they solve for group elements whose
-  coordinates are exact polynomials in z; in the flow parameter t they
-  give the exact derivative of a group flow at t = 0 as the t^1
-  coefficient.
+  coordinates are exact polynomials in z.
 * ``LinForm`` - linear forms sum_i c_i a_i in formal coordinates a_i.
   A map that is linear in its argument, evaluated once on the generic
   argument whose i-th coordinate is a_i, yields its values on every

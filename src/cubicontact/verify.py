@@ -19,12 +19,18 @@ from .contact import (
     ChartPoint,
     dtheta_matrix,
     nondegeneracy_certificate,
+    sample_chart_point,
     tau_line_constants,
     tau_matches_line_expansion,
 )
 from .cubic import SymCubic, assumption_holds, b_rank, cubic_hash
 from .linalg import mat_det
-from .moment import boundary_report, moment_membership, moment_point_at
+from .moment import (
+    boundary_report,
+    moment_membership,
+    moment_point_at,
+    moment_point_closed_form,
+)
 from .nilpotent import NElem, ad_mismatches, dim_report, generic_element, verify_jacobi
 from .reports import RunConfig, VerificationReport, jsonable
 from .sampling import SeededSampler
@@ -133,14 +139,15 @@ def run_tau_suite(T: SymCubic, cfg: RunConfig):
 
 
 def run_moment_suite(T: SymCubic, cfg: RunConfig):
-    from .contact import sample_chart_point
-
     p = T.dim
     sampler = SeededSampler(cfg.seed ^ 0x3C3C)
     failures = []
     for s in range(cfg.samples):
         pt = sample_chart_point(sampler, p)
         m = moment_point_at(pt, T)
+        if m != moment_point_closed_form(pt, T):
+            failures.append({"check": "closed_form", "sample": s})
+            break
         if not moment_membership(m, T):
             failures.append({"check": "membership", "sample": s})
             break

@@ -1,13 +1,13 @@
 """The closed-form group law against the series it replaced.
 
-bch, exp_diff, exp_diff_inv, chart_decompose and the n-generator
-velocity rest on two facts: a double bracket [U, [X, Y]] is central,
-and c(x, y, w) = B(x, w).y for the symmetric trilinear form.  The
+bch, exp_diff, exp_diff_inv, chart_decompose and the chart velocity
+rest on two facts: a double bracket [U, [X, Y]] is central, and
+c(x, y, w) = B(x, w).y for the symmetric trilinear form.  The
 references below are the bracket-by-bracket and trilinear-by-trilinear
 versions they replaced.  Each pair is compared exactly on every catalog
 cubic and the extracted G2 and F4 cubics, over each scalar ring the
-package feeds them: Fraction, QPoly (the line solver and the sl(W)
-flow, in z and in t) and LinForm (the generic element).
+package feeds them: Fraction, QPoly (the line solver, in z; first-order
+jets in t) and LinForm (the generic element).
 """
 
 import importlib
@@ -30,7 +30,7 @@ from cubicontact.catalog import catalog_get, catalog_list
 from cubicontact.contact import sample_chart_point
 from cubicontact.cubic import polarize, trilinear
 from cubicontact.extraction import algebra_for, extraction
-from cubicontact.nilpotent import NElem, SlWElem, bracket, generic_element
+from cubicontact.nilpotent import NElem, bracket, generic_element
 from cubicontact.sampling import SeededSampler
 from cubicontact.scalars import HALF, Q0, QPoly, TWELFTH, dot as _dot
 
@@ -131,22 +131,23 @@ def _qpoly_inputs(T, sampler):
     return chart.to_nelem(), wp, line, zvar
 
 
-def _jet_inputs(T, sampler, monkeypatch):
-    """The elements and moved z that the sl(W) flow hands to chart_decompose."""
+def _jet_inputs(T, sampler):
+    """Degree-1 elements over QPoly in t: a chart point moved along two
+    sl(W) generators [[a, b], [c, -a]], and z moved along the first."""
     pt = sample_chart_point(sampler, T.dim)
-    seen = []
-
-    def recording(U, z, T):
-        seen.append((U, z))
-        return chart_decompose(U, z, T)
-
-    monkeypatch.setattr(moment, "chart_decompose", recording)
-    for g in (SlWElem.of(1, 2, 3), SlWElem.of(-2, 1, 5)):
-        moment._velocity_from_slw_generator(pt, g, T)
-    monkeypatch.undo()
-    (X, z), (Y, _z) = seen
-    assert isinstance(z, QPoly) and z.degree() == 1
-    assert any(isinstance(c, QPoly) and c.degree() == 1 for c in X.col(1))
+    t = QPoly.x()
+    x1, x3l, x3m = pt.chart.x1, pt.chart.x3_l, pt.chart.x3_m
+    X, Y = (
+        NElem.from_parts(
+            T.dim,
+            col1=tuple(t * (b * x) for x in x1),
+            col2=tuple(x - t * (a * x) for x in x1),
+            n2=tuple(QPoly.const(x) for x in pt.chart.x2),
+            n3=(x3l + t * (a * x3l + b * x3m), x3m + t * (c * x3l - a * x3m)),
+        )
+        for a, b, c in ((1, 2, 3), (-2, 1, 5))
+    )
+    z = pt.z + t * (3 - 2 * pt.z - 2 * pt.z * pt.z)
     return X, Y, z
 
 
@@ -171,7 +172,7 @@ def test_closed_forms_match_references_over_fraction(name):
         _assert_group_law_same(X, Y, T)
         assert chart_decompose(X, z, T) == ref_chart_decompose(X, z, T)
         pt = sample_chart_point(sampler, T.dim)
-        assert moment._velocity_from_n_generator(pt, X, T) == ref_velocity(pt, X, T)
+        assert moment._velocity(pt, X, T) == ref_velocity(pt, X, T)
 
 
 @pytest.mark.parametrize("name", CUBICS)
@@ -183,7 +184,7 @@ def test_closed_forms_match_references_over_qpoly(name):
     _assert_group_law_same(chart, line, T)
     assert chart_decompose(line, zvar, T) == ref_chart_decompose(line, zvar, T)
     pt = sample_chart_point(sampler, T.dim)
-    assert moment._velocity_from_n_generator(pt, chart, T) == ref_velocity(pt, chart, T)
+    assert moment._velocity(pt, chart, T) == ref_velocity(pt, chart, T)
 
 
 @pytest.mark.parametrize("name", CUBICS)
@@ -213,19 +214,19 @@ def test_closed_forms_match_references_over_linform(name):
         assert bch(*args, T) == ref_bch(*args, T)
     assert chart_decompose(upper, z, T) == ref_chart_decompose(upper, z, T)
     pt = sample_chart_point(sampler, p)
-    assert moment._velocity_from_n_generator(pt, generic, T) == ref_velocity(pt, generic, T)
+    assert moment._velocity(pt, generic, T) == ref_velocity(pt, generic, T)
 
 
 @pytest.mark.parametrize("name", CUBICS)
-def test_closed_forms_match_references_over_jet(name, monkeypatch):
+def test_closed_forms_match_references_over_jet(name):
     T = _cubic(name)
     sampler = SeededSampler(63)
-    X, Y, z = _jet_inputs(T, sampler, monkeypatch)
+    X, Y, z = _jet_inputs(T, sampler)
     _assert_group_law_same(X, Y, T)
     assert chart_decompose(X, z, T) == ref_chart_decompose(X, z, T)
     assert chart_decompose(Y, z, T) == ref_chart_decompose(Y, z, T)
     pt = sample_chart_point(sampler, T.dim)
-    assert moment._velocity_from_n_generator(pt, X, T) == ref_velocity(pt, X, T)
+    assert moment._velocity(pt, X, T) == ref_velocity(pt, X, T)
 
 
 # --- one tensor walk per closed form ---------------------------------------
@@ -262,9 +263,9 @@ def test_each_series_brackets_once(monkeypatch):
         fn(X, Y, T)
         assert len(brackets) == 1, fn.__name__
     brackets.clear()
-    moment._velocity_from_n_generator(pt, generic_element(T.dim), T)
+    moment._velocity(pt, generic_element(T.dim), T)
     assert len(brackets) == 1
-    moment._velocity_from_n_generator(pt, Y, T)
+    moment._velocity(pt, Y, T)
     assert len(brackets) == 1
 
 
@@ -279,12 +280,12 @@ def test_chart_contractions_polarize_once(monkeypatch):
     chart_decompose(X, z, T)
     assert len(polarizes) == 1 and not trilinears
     polarizes.clear()
-    moment._velocity_from_n_generator(pt, generic_element(T.dim), T)
+    moment._velocity(pt, generic_element(T.dim), T)
     # Two inside the one bracket, one for B(x1, v_l).
     assert len(polarizes) == 3 and not trilinears
     polarizes.clear()
     # On Fractions the series reads T's integer table: only B(x1, v_l).
-    moment._velocity_from_n_generator(pt, Y, T)
+    moment._velocity(pt, Y, T)
     assert len(polarizes) == 1
     for fn in (bch, exp_diff, exp_diff_inv):
         fn(X, Y, T)

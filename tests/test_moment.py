@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 from fractions import Fraction as F
 
@@ -16,15 +15,17 @@ from cubicontact.cubic import (
 )
 from cubicontact.extraction import extraction
 from cubicontact.moment import (
-    FlowBasePointError,
     MomentPoint,
     boundary_report,
     moment_membership,
     moment_of,
     moment_point_at,
+    moment_point_closed_form,
     smoothness_probe,
 )
 from cubicontact.nilpotent import NElem, SlWElem, basis_element, n_dim
+from cubicontact.reports import RunConfig
+from cubicontact.verify import run_verification
 from cubicontact.scalars import Q0
 from cubicontact.sampling import SeededSampler
 
@@ -81,16 +82,6 @@ def test_moment_of_linear_in_generator():
         assert moment_of(pt, combo, T) == c * moment_of(pt, g1, T) + moment_of(
             pt, g2, T
         )
-
-
-def test_moment_of_pair_generator():
-    sampler = SeededSampler(32)
-    pt = sample_chart_point(sampler, 1)
-    a_n = NElem.from_parts(1, col1=(F(1),), n2=(F(2),))
-    a_w = SlWElem.of(1, 2, 3)
-    assert moment_of(pt, (a_n, a_w), X3) == moment_of(pt, a_n, X3) + moment_of(
-        pt, a_w, X3
-    )
 
 
 @pytest.mark.parametrize("name", ["x3", "xyz", "fermat3", "det-sym-3"])
@@ -150,24 +141,6 @@ def _moment_point_by_basis_loop(pt, T):
     )
 
 
-def _moment_point_closed_form(pt, T):
-    """Hand-derived moment point, independent of the flow code.
-
-    phi1_k = (2y X2_k, 2yz X2_k + y B(X1, X1)_k), phi2 = y X1,
-    phi3 = (y, yz).
-    """
-    y, z = pt.y, pt.z
-    x1, x2 = pt.chart.x1, pt.chart.x2
-    b = polarize(T, x1, x1)
-    return MomentPoint(
-        phi1=tuple(
-            (2 * y * x2[k], 2 * y * z * x2[k] + y * b[k]) for k in range(T.dim)
-        ),
-        phi2=tuple(y * t for t in x1),
-        phi3=(y, y * z),
-    )
-
-
 @pytest.mark.parametrize("name", CATALOG)
 def test_moment_point_matches_basis_loop(name):
     T = catalog_get(name).tensor()
@@ -186,47 +159,45 @@ def test_moment_point_matches_closed_form(name):
     sampler = SeededSampler(35)
     for _ in range(3):
         pt = sample_chart_point(sampler, T.dim)
-        assert moment_point_at(pt, T) == _moment_point_closed_form(pt, T)
+        assert moment_point_at(pt, T) == moment_point_closed_form(pt, T)
 
 
 def _flipped_half_bracket_velocity():
-    """_velocity_from_n_generator with the sign of 1/2 [A, X] flipped.
+    """moment._velocity with the sign of 1/2 [A, X] flipped.
 
     exp_diff(X, A) differs from exp_diff(-X, A) only there: the 1/12
     [X, [X, A]] term is even in X.
     """
-    src = inspect.getsource(moment._velocity_from_n_generator)
-    term = "V = exp_diff(-pt.chart.to_nelem(), A, T)"
+    src = inspect.getsource(moment._velocity)
+    term = "exp_diff(-X, A, T)"
     assert src.count(term) == 1
     namespace = dict(vars(moment))
-    exec(src.replace(term, "V = exp_diff(pt.chart.to_nelem(), A, T)"), namespace)
-    return namespace["_velocity_from_n_generator"]
+    exec(src.replace(term, "exp_diff(X, A, T)"), namespace)
+    return namespace["_velocity"]
 
 
 @pytest.mark.parametrize("name", ["xyz", "det3"])
 def test_closed_form_catches_flipped_half_bracket(name, monkeypatch):
     T = catalog_get(name).tensor()
     pt = sample_chart_point(SeededSampler(36), T.dim)
-    assert moment_point_at(pt, T) == _moment_point_closed_form(pt, T)
-    monkeypatch.setattr(
-        moment, "_velocity_from_n_generator", _flipped_half_bracket_velocity()
-    )
-    assert moment_point_at(pt, T) != _moment_point_closed_form(pt, T)
+    assert moment_point_at(pt, T) == moment_point_closed_form(pt, T)
+    monkeypatch.setattr(moment, "_velocity", _flipped_half_bracket_velocity())
+    assert moment_point_at(pt, T) != moment_point_closed_form(pt, T)
 
 
-def test_slw_flow_moving_base_point_raises(monkeypatch):
-    real = moment.chart_decompose
-
-    def shifted(U, z, T):
-        chart, w = real(U, z, T)
-        return dataclasses.replace(chart, x3_m=chart.x3_m + 1), w
-
-    pt = sample_chart_point(SeededSampler(37), 3)
-    moment_of(pt, SlWElem.of(1, 2, 3), FERMAT3)
-    monkeypatch.setattr(moment, "chart_decompose", shifted)
-    with pytest.raises(FlowBasePointError):
-        moment_of(pt, SlWElem.of(1, 2, 3), FERMAT3)
-    assert issubclass(FlowBasePointError, ValueError)
+@pytest.mark.parametrize("name", ["xyz", "det3"])
+def test_moment_suite_fails_on_flipped_half_bracket(name, monkeypatch):
+    # The flip collapses the map to phi1 = phi2 = 0, phi3 = (y, yz),
+    # which satisfies the membership equation trivially; only the
+    # closed-form comparison tells it from the true map.
+    T = catalog_get(name).tensor()
+    cfg = RunConfig(seed=0, samples=3, primes=(5,), probe_budget=10)
+    [check] = run_verification(T, ["moment"], cfg).checks
+    assert check["status"] == "pass"
+    monkeypatch.setattr(moment, "_velocity", _flipped_half_bracket_velocity())
+    [check] = run_verification(T, ["moment"], cfg).checks
+    assert check["status"] == "fail"
+    assert check["details"]["failures"] == [{"check": "closed_form", "sample": 0}]
 
 
 def test_probe_fermat_exhaustive_none():
