@@ -16,10 +16,18 @@ dim W = 2.  Every structure constant is an entry of the cubic or +-1,
 so ``bracket_table`` writes them straight from T's entries, and
 ``jacobi_violations``, the Jacobi kernel shared with the Chevalley
 algebras, checks antisymmetry on every stored entry and the jacobiator
-of every basis triple the table can make nonzero.  ``ad_mismatches`` ties
-the table to ``bracket``: one bracket with the generic element gives
-all of ad_x at once, which must equal the table contracted with x;
-the jacobi suite hands it the table ``verify_jacobi`` checked.
+of every basis triple the table can make nonzero.  A caller that knows
+basis elements generating its algebra may pass them: on an
+antisymmetric table, once ad of each generator is a derivation, so is
+ad of every element (the x with ad_x a derivation form a subalgebra),
+and the Jacobi identity holds without the walk over all triples.  The
+Chevalley check passes its e_{+-alpha_i}; n passes none, since its
+brackets [e_i (x) f1, e_j (x) f2] are sums of eps_k, and single-term
+brackets of basis elements cannot show that a set generates it.
+``ad_mismatches`` ties the table to ``bracket``: one bracket with the
+generic element gives all of ad_x at once, which must equal the table
+contracted with x; the jacobi suite hands it the table ``verify_jacobi``
+checked.
 
 Elements carry their 3p + 2 coordinates as one tuple in basis order
 (see basis_element).  All values are immutable; every operation is a
@@ -228,7 +236,63 @@ def _jacobiator(rows, i, j, k) -> dict:
     return acc
 
 
-def jacobi_violations(rows):
+def _generates(rows, generators) -> bool:
+    """Whether single-term brackets [b_s, b_j] = c b_k, c != 0, for s in
+    ``generators``, reach every basis position from ``generators``: then
+    each b_k is a bracket of generators, and they generate the algebra."""
+    reached = set(generators)
+    frontier = list(reached)
+    while frontier:
+        j = frontier.pop()
+        for s in generators:
+            terms = rows[s].get(j, ())
+            if len(terms) == 1 and terms[0][1] and terms[0][0] not in reached:
+                reached.add(terms[0][0])
+                frontier.append(terms[0][0])
+    return reached.issuperset(range(len(rows)))
+
+
+def _derivations(rows, generators, holders) -> bool:
+    """Whether ad_s is a derivation for every s in ``generators``.
+
+    ``rows`` is antisymmetric, so the jacobiator alternates and ad_s is a
+    derivation when the jacobiator of (s, y, z) is zero for every pair
+    y < z.  Only pairs whose triple has a rotation passing the candidate
+    rule are evaluated: s a candidate of (y, z), or z one of (s, y) (or
+    y one of (s, z)); ``holders`` maps a position to the rows storing it.
+    A triple with an earlier generator was evaluated for that one.
+    Pairs are packed as y d + z.
+    """
+    d = len(rows)
+    producers = {}  # basis position -> packed stored pairs whose bracket has it
+    for y, row in enumerate(rows):
+        for z, terms in row.items():
+            if y < z:
+                for w, _c in terms:
+                    producers.setdefault(w, []).append(y * d + z)
+    done = set()
+    for s in generators:
+        if s in done:
+            continue
+        row_s = rows[s]
+        pairs = set()
+        for w in row_s:
+            pairs.update(producers.get(w, ()))
+        for y, terms in row_s.items():
+            yd = y * d
+            for w, _c in terms:
+                hw = holders.get(w, ())
+                pairs.update([z * d + y for z in hw[:bisect_left(hw, y)]])
+                pairs.update(map(yd.__add__, hw[bisect_right(hw, y):]))
+        done.add(s)
+        for pair in pairs:
+            y, z = divmod(pair, d)
+            if y not in done and z not in done and _jacobiator(rows, s, y, z):
+                return False
+    return True
+
+
+def jacobi_violations(rows, generators=()):
     """Every antisymmetry and Jacobi violation of a bracket table.
 
     ``rows`` is a structure-constant table in the format of
@@ -241,6 +305,16 @@ def jacobi_violations(rows):
     positions: x is then a candidate of (y, z).  A triple is evaluated
     once, from the first of its rotations (k; i, j), (i; j, k), (j; k, i)
     whose x is a candidate of its (y, z); with none, it is zero.
+
+    ``generators``, a list of basis positions, may certify the table
+    whole before the walk.  If the table is antisymmetric, single-term
+    brackets with the generators reach every position (see _generates),
+    and ad_s is a derivation for every generator s (see _derivations),
+    there is no violation and the walk is skipped: {x : ad_x is a
+    derivation} is a subalgebra, since ad_x a derivation gives
+    ad_[x,y] = [ad_x, ad_y] and a commutator of derivations is one, and
+    it holds generators of the whole algebra.  Otherwise the walk runs,
+    so the violations are the same for every ``generators``.
     """
     bad = set()
     holders = {}  # basis position -> the rows that store it, in order
@@ -249,6 +323,8 @@ def jacobi_violations(rows):
             if dict(rows[b].get(a, ())) != {k: -c for k, c in terms}:
                 bad.add((min(a, b), max(a, b)))
             holders.setdefault(b, []).append(a)
+    if not bad and _generates(rows, generators) and _derivations(rows, generators, holders):
+        return
     memo = {}  # term positions -> their candidates, sorted and as a set
     for key in {tuple(k for k, _c in t) for row in rows for t in row.values()}:
         xs = sorted({x for k in key for x in holders.get(k, ())})
@@ -304,10 +380,12 @@ def verify_jacobi(T: SymCubic) -> JacobiReport:
     """Antisymmetry and the Jacobi identity on the basis of n.
 
     The table is written from T's entries (see bracket_table) and checked
-    by jacobi_violations; the report keeps its first MAX_VIOLATIONS
-    violations.  triples_checked is C(d, 3): every triple the kernel
-    skips has a zero jacobiator.  The report keeps the table it checked;
-    that it is the table of ``bracket`` is ad_mismatches' check.
+    by jacobi_violations, with no generators (single-term brackets of
+    basis elements do not generate n), so the walk always runs; the
+    report keeps its first MAX_VIOLATIONS violations.  triples_checked
+    is C(d, 3): every triple the kernel skips has a zero jacobiator.
+    The report keeps the table it checked; that it is the table of
+    ``bracket`` is ad_mismatches' check.
     """
     p = T.dim
     d = n_dim(p)

@@ -12,6 +12,9 @@ import random
 import struct
 from fractions import Fraction
 
+# The values of fraction(), by (num + 6, den - 1).
+_FRACTIONS = tuple(tuple(Fraction(num, den) for den in (1, 2, 3)) for num in range(-6, 7))
+
 
 class SeededSampler:
     def __init__(self, seed: int):
@@ -26,28 +29,33 @@ class SeededSampler:
         span = hi - lo + 1
         return lo + self.bits(32) % span
 
-    def fraction(self, max_num: int = 6, max_den: int = 3) -> Fraction:
-        num = self.int_range(-max_num, max_num)
-        den = self.int_range(1, max_den)
-        return Fraction(num, den)
+    def _words(self, n: int):
+        """n 32-bit words of the stream from one getrandbits(32 n) call.
 
-    def nonzero_fraction(self, max_num: int = 6, max_den: int = 3) -> Fraction:
+        It fills its words least significant first, in the order n
+        successive getrandbits(32) calls return them, so the stream is
+        the same as drawing word by word.
+        """
+        return struct.unpack(
+            "<%dI" % n, self._rng.getrandbits(32 * n).to_bytes(4 * n, "little")
+        )
+
+    def fraction(self) -> Fraction:
+        """num / den, num in [-6, 6] and den in [1, 3], from two words."""
+        num = self.bits() % 13
+        return _FRACTIONS[num][self.bits() % 3]
+
+    def nonzero_fraction(self) -> Fraction:
         while True:
-            f = self.fraction(max_num, max_den)
+            f = self.fraction()
             if f:
                 return f
 
-    def vector(self, p: int, **kw):
-        return tuple(self.fraction(**kw) for _ in range(p))
+    def vector(self, p: int):
+        """p successive fraction() draws, from 2p words read at once."""
+        words = self._words(2 * p)
+        return tuple(_FRACTIONS[a % 13][b % 3] for a, b in zip(words[::2], words[1::2]))
 
     def residue_vector(self, p: int, q: int):
-        """p residues mod q, each from one 32-bit word of the stream.
-
-        One getrandbits(32 p) call fills its words least significant
-        first, in the order p successive getrandbits(32) calls return
-        them, so the stream is the same as drawing word by word.
-        """
-        words = struct.unpack(
-            "<%dI" % p, self._rng.getrandbits(32 * p).to_bytes(4 * p, "little")
-        )
-        return [w % q for w in words]
+        """p residues mod q, each from one 32-bit word of the stream."""
+        return [w % q for w in self._words(p)]

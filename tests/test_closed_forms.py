@@ -5,9 +5,10 @@ rest on two facts: a double bracket [U, [X, Y]] is central, and
 c(x, y, w) = B(x, w).y for the symmetric trilinear form.  The
 references below are the bracket-by-bracket and trilinear-by-trilinear
 versions they replaced.  Each pair is compared exactly on every catalog
-cubic and the extracted G2 and F4 cubics, over each scalar ring the
-package feeds them: Fraction, QPoly (the line solver, in z; first-order
-jets in t) and LinForm (the generic element).
+cubic and the extracted G2 and F4 cubics, over the scalar rings the
+package feeds them: Fraction, QPoly (the line solver, in z) and LinForm
+(the generic element).  The first-order jets in t of the ``over_jet``
+cases are hand-built degree-1 QPoly inputs; no package code makes them.
 """
 
 import importlib

@@ -652,19 +652,32 @@ def _chevalley_weight(alg):
 
 @functools.cache
 def _graded_table(name):
-    """Rows, weights and homogeneous slots (a, b, k) of a clean table."""
+    """Rows, weights, homogeneous slots (a, b, k) and the Chevalley
+    generators e_{+-alpha_i} (none for n) of a clean table."""
     if name in ("G2", "B3"):
         alg = chevalley(build_root_system(name[0], int(name[1:])))
         rows, weight = alg.table(), _chevalley_weight(alg)
+        true_generators = alg.simple_root_vectors()
     else:
         T = catalog_get(name).tensor()
         rows, weight = bracket_table(T), n_weight(T.dim)
+        true_generators = []
     d = len(rows)
     slots = [
         (a, b, k) for a in range(d) for b in range(d) for k in range(d)
         if weight[k] == weight[a] + weight[b]
     ]
-    return rows, weight, slots
+    return rows, weight, slots, true_generators
+
+
+def _draw_generators(draw, d, true_generators=()):
+    """None, every position, a random subset, or the true generators."""
+    kind = draw(st.sampled_from(["none", "all", "subset", "true"]))
+    if kind == "all":
+        return list(range(d))
+    if kind == "subset":
+        return draw(st.lists(st.integers(0, d - 1), max_size=d))
+    return list(true_generators) if kind == "true" else []
 
 
 def _add_term(rows, a, b, k, c):
@@ -683,9 +696,10 @@ _CORRUPTIONS = ["drop", "scale", "one-sided", "wrong-weight", "symmetric"]
 
 @st.composite
 def _corrupted_table(draw):
-    """A clean n or Chevalley table with one or two corruptions."""
+    """A clean n or Chevalley table with one or two corruptions, and a
+    generators list for it."""
     name = draw(st.sampled_from(["x3", "fermat3", "xyz", "det3", "G2", "B3"]))
-    clean, weight, slots = _graded_table(name)
+    clean, _weight, slots, true_generators = _graded_table(name)
     rows = [dict(row) for row in clean]
     d = len(rows)
     for kind in draw(st.lists(st.sampled_from(_CORRUPTIONS), min_size=1, max_size=2)):
@@ -709,14 +723,14 @@ def _corrupted_table(draw):
             _add_term(rows, a, b, k, c)
             if kind == "symmetric":
                 _add_term(rows, b, a, k, -c)
-    return rows, weight
+    return rows, _draw_generators(draw, d, true_generators)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=_corrupted_table())
 def test_graded_kernel_matches_ungraded_walk(case):
-    rows, _weight = case
-    assert list(nilpotent.jacobi_violations(rows)) == list(
+    rows, generators = case
+    assert list(nilpotent.jacobi_violations(rows, generators)) == list(
         _ungraded_violations(rows)
     )
 
@@ -724,7 +738,8 @@ def test_graded_kernel_matches_ungraded_walk(case):
 @st.composite
 def _random_graded_table(draw):
     """Random integer weights and random entries, nearly all homogeneous,
-    each stored in one orientation or in both with opposite signs."""
+    each stored in one orientation or in both with opposite signs, and a
+    generators list."""
     d = draw(st.integers(3, 7))
     weight = [draw(st.integers(-3, 3)) for _ in range(d)]
     rows = [{} for _ in range(d)]
@@ -740,14 +755,47 @@ def _random_graded_table(draw):
         _add_term(rows, a, b, k, c)
         if draw(st.booleans()):
             _add_term(rows, b, a, k, -c)
-    return rows, weight
+    return rows, _draw_generators(draw, d)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=_random_graded_table())
 def test_graded_kernel_matches_ungraded_walk_on_random_gradings(case):
-    rows, _weight = case
-    assert list(nilpotent.jacobi_violations(rows)) == list(
+    rows, generators = case
+    assert list(nilpotent.jacobi_violations(rows, generators)) == list(
+        _ungraded_violations(rows)
+    )
+
+
+@st.composite
+def _antisymmetric_table(draw):
+    """A table and its first 2 or 3 positions as generators, every entry
+    stored in both orientations with opposite signs.  Each later position
+    is first made a single-term bracket of a generator with an earlier
+    position, so the generators reach it until random entries, added on
+    top, spoil that."""
+    d = draw(st.integers(4, 7))
+    generators = list(range(draw(st.integers(2, 3))))
+    rows = [{} for _ in range(d)]
+    entries = []
+    for k in range(len(generators), d):
+        a = draw(st.sampled_from(generators))
+        b = draw(st.sampled_from([j for j in range(k) if j != a]))
+        entries.append((a, b, k))
+    entries += draw(st.lists(st.tuples(*[st.integers(0, d - 1)] * 3), max_size=6))
+    for a, b, k in entries:
+        c = draw(st.sampled_from([1, -1, 2]))
+        if a != b:
+            _add_term(rows, a, b, k, c)
+            _add_term(rows, b, a, k, -c)
+    return rows, generators
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_antisymmetric_table())
+def test_generator_certificate_matches_ungraded_walk(case):
+    rows, generators = case
+    assert list(nilpotent.jacobi_violations(rows, generators)) == list(
         _ungraded_violations(rows)
     )
 
@@ -764,12 +812,18 @@ def _count_jacobiators(monkeypatch):
     return calls
 
 
-def test_jacobiator_count_e7(monkeypatch):
-    alg = algebra_for("E", 7)
+@pytest.mark.parametrize(
+    "rank, count", [(6, 4_634), (7, 12_799), (8, 41_980)], ids=["E6", "E7", "E8"]
+)
+def test_jacobiator_count_e_series(rank, count, monkeypatch):
+    # Only the generator pass runs: the walk alone evaluates 49,647
+    # jacobiators on E7 and 249,596 on E8.
+    alg = algebra_for("E", rank)
     calls = _count_jacobiators(monkeypatch)
     rep = verify_chevalley_jacobi(alg)
-    assert rep.ok and rep.triples_checked == 133 * 132 * 131 // 6
-    assert len(calls) == 49_647
+    d = alg.dimension
+    assert rep.ok and rep.triples_checked == d * (d - 1) * (d - 2) // 6
+    assert len(calls) == count
 
 
 @pytest.mark.parametrize(
@@ -790,10 +844,10 @@ def test_jacobiator_count_n(T, count, monkeypatch):
     assert len(calls) == count
 
 
-def _b3_kernel_and_reference(monkeypatch, edit):
-    """Edit a private B3 table; the kernel's and the reference's
-    violations, each with its count of jacobiator calls."""
-    alg = chevalley(build_root_system("B", 3))
+def _chevalley_kernel_and_reference(monkeypatch, edit, key=("B", 3)):
+    """Edit a private Chevalley table (B3 by default); the kernel's and
+    the reference's violations, each with its count of jacobiator calls."""
+    alg = chevalley(build_root_system(*key))
     rows = alg.table()
     edit(alg, rows)
     calls = _count_jacobiators(monkeypatch)
@@ -805,25 +859,88 @@ def _b3_kernel_and_reference(monkeypatch, edit):
     return violations, kernel_calls, reference, len(calls) - kernel_calls
 
 
+def _walk_calls(monkeypatch, rows):
+    """The jacobiators the walk alone evaluates on ``rows``."""
+    calls = _count_jacobiators(monkeypatch)
+    list(nilpotent.jacobi_violations(rows))
+    return len(calls)
+
+
+def _double_both_orientations(rows, a, b):
+    for x, y in ((a, b), (b, a)):
+        rows[x][y] = tuple((k, 2 * c) for k, c in rows[x][y])
+
+
 def test_graded_mutant_breaks_jacobi_on_both_orientations(monkeypatch):
     # Double [e_a, e_b] and [e_b, e_a]: antisymmetric, with the same term
-    # positions, so the kernel evaluates the same triples as on the clean
-    # table.
+    # positions, so the walk evaluates the same triples as on the clean
+    # table.  The generator pass stops at its first nonzero jacobiator,
+    # and the walk follows.
     def edit(alg, rows):
         a, b = next(
             (i, j) for i, row in enumerate(rows) for j in row
             if i < j and alg.labels[i][0] == alg.labels[j][0] == "e"
         )
-        for x, y in ((a, b), (b, a)):
-            rows[x][y] = tuple((k, 2 * c) for k, c in rows[x][y])
+        _double_both_orientations(rows, a, b)
 
-    clean = _b3_kernel_and_reference(monkeypatch, lambda alg, rows: None)
-    violations, calls, reference, reference_calls = _b3_kernel_and_reference(
+    clean = _chevalley_kernel_and_reference(monkeypatch, lambda alg, rows: None)
+    walk = _walk_calls(monkeypatch, chevalley(build_root_system("B", 3)).table())
+    violations, calls, reference, reference_calls = _chevalley_kernel_and_reference(
         monkeypatch, edit
     )
     assert violations and violations == reference
     assert all(len(v) == 3 for v in violations)
-    assert calls == clean[1] < reference_calls
+    assert clean[1] < walk < calls <= walk + clean[1]
+    assert calls < reference_calls
+
+
+def test_non_generator_mutant_falls_back_to_the_walk(monkeypatch):
+    # Double N on two non-simple positive roots of E6, in both
+    # orientations: antisymmetric, every e_{+-alpha_i} untouched, yet
+    # Jacobi fails, so some ad e_{+-alpha_i} is no derivation.
+    def edit(alg, rows):
+        nonsimple = [i for i in range(alg.rs.rank, len(rows))
+                     if sum(alg.labels[i][1]) > 1]
+        a, b = next((i, j) for i in nonsimple for j in sorted(rows[i])
+                    if i < j and j in nonsimple)
+        _double_both_orientations(rows, a, b)
+
+    violations, calls, reference, _ = _chevalley_kernel_and_reference(
+        monkeypatch, edit, key=("E", 6)
+    )
+    assert len(violations) == 41 and violations == reference
+    assert calls > _walk_calls(monkeypatch, algebra_for("E", 6).table())
+
+
+def test_generation_failure_falls_back_to_the_walk(monkeypatch):
+    # Without [e_{alpha_1}, e_{-alpha_1}] no single-term bracket of the
+    # generators reaches h_1: the generator pass does not start, and only
+    # the walk's jacobiators are evaluated.
+    def edit(alg, rows):
+        generators = alg.simple_root_vectors()
+        e, f = generators[0], generators[alg.rs.rank]
+        del rows[e][f], rows[f][e]
+
+    violations, calls, reference, _ = _chevalley_kernel_and_reference(monkeypatch, edit)
+    assert violations and violations == reference
+    alg = chevalley(build_root_system("B", 3))
+    rows = alg.table()
+    edit(alg, rows)
+    assert not nilpotent._generates(rows, alg.simple_root_vectors())
+    assert calls == _walk_calls(monkeypatch, rows)
+
+
+def test_central_generators_certify_nothing():
+    # b_0 and b_1 bracket to zero with everything, so ad of each is a
+    # derivation, but they generate only their span: the violations
+    # outside it are found by the walk.
+    rows = [{}, {}] + [
+        {j + 2: tuple((k + 2, c) for k, c in terms) for j, terms in row.items()}
+        for row in _FIRST_PASSING_ROTATION_TABLE
+    ]
+    violations = list(nilpotent.jacobi_violations(rows, [0, 1]))
+    assert (2, 3, 4) in violations
+    assert violations == list(_ungraded_violations(rows))
 
 
 def test_nonhomogeneous_mutant_is_caught_without_a_grading(monkeypatch):
@@ -840,7 +957,7 @@ def test_nonhomogeneous_mutant_is_caught_without_a_grading(monkeypatch):
         rows[0][1] = ((beta, 1),)
         rows[1][0] = ((beta, -1),)
 
-    violations, calls, reference, reference_calls = _b3_kernel_and_reference(
+    violations, calls, reference, reference_calls = _chevalley_kernel_and_reference(
         monkeypatch, edit
     )
     h0, h1, h2 = (("h", i) for i in range(3))
@@ -850,18 +967,21 @@ def test_nonhomogeneous_mutant_is_caught_without_a_grading(monkeypatch):
     assert calls < reference_calls
 
 
+_FIRST_PASSING_ROTATION_TABLE = [
+    {1: ((3, 1),), 4: ((0, 1),)},
+    {0: ((3, -1),), 2: ((4, 1),)},
+    {1: ((4, -1),)},
+    {},
+    {0: ((0, -1),)},
+]
+
+
 def test_kernel_evaluates_a_triple_from_its_first_passing_rotation():
     # [b_0, b_1] = b_3, which no row stores: the first rotation (2; 0, 1)
     # of (0, 1, 2) is stored but cannot be nonzero.  [b_1, b_2] = b_4,
     # which row 0 stores, makes the second, (0; 1, 2), nonzero.  A kernel
     # that took each triple from its first stored rotation would miss it.
-    rows = [
-        {1: ((3, 1),), 4: ((0, 1),)},
-        {0: ((3, -1),), 2: ((4, 1),)},
-        {1: ((4, -1),)},
-        {},
-        {0: ((0, -1),)},
-    ]
+    rows = _FIRST_PASSING_ROTATION_TABLE
     violations = list(nilpotent.jacobi_violations(rows))
     assert (0, 1, 2) in violations
     assert violations == list(_ungraded_violations(rows))

@@ -9,8 +9,9 @@ Every module of ``cubicontact`` is parsed and walked:
     or builds one through ``_of``;
   * only ``scalars`` defines the contraction kernel: ``dot``,
     ``contract`` and ``clear_denominators``;
-  * only ``nilpotent`` defines the Jacobi kernel: ``_jacobiator`` and
-    ``jacobi_violations``;
+  * only ``nilpotent`` defines the Jacobi kernel: ``_jacobiator``,
+    ``jacobi_violations`` and its generator certificate, ``_generates``
+    and ``_derivations``;
   * only ``linalg`` defines the elimination kernel: ``_int_rows`` and
     ``_echelon``.
 """
@@ -111,7 +112,7 @@ def test_formal_sum_storage_stays_in_scalars(path):
 # Each shared kernel, by the one module that defines it.
 KERNELS = {
     "scalars.py": {"dot", "_dot", "contract", "clear_denominators"},
-    "nilpotent.py": {"_jacobiator", "jacobi_violations"},
+    "nilpotent.py": {"_jacobiator", "jacobi_violations", "_generates", "_derivations"},
     "linalg.py": {"_int_rows", "_echelon"},
     "moment.py": {"_chart_velocity"},
 }
