@@ -36,10 +36,15 @@ lcm (``scalars.clear_denominators``), computes [X, Y] and the central
 term in Python ints from T's integer table (``SymCubic.scaled``), and
 builds the Fractions once, at the end (common-denominator arithmetic;
 Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch.
-9).  Elements over QPoly or LinForm take the generic path through
-``bracket``, whose ``polarize`` and ``scalars.dot`` run the same way
-on the rings' int numerators (``scalars.contract``); elements holding a
-plain int, or over a foreign ring, take it one term at a time.
+9).  The two series linear in Y run the same walk when X is over
+Fractions and Y over one formal ring, as the generic element of
+moment_point_at is: Y's cleared numerators are int dicts, each product
+with one is a dict accumulation, and ``scalars.from_cleared`` builds the
+sums once, at the end.  Every other input takes the generic path
+through ``bracket``: X over QPoly or LinForm, bch on forms (a product
+of two forms, or a form plus a constant, raises TypeError there), and
+elements holding a plain int or over a foreign ring, which
+``polarize`` and ``scalars.dot`` take one term at a time.
 
 ``chart_decompose`` factors exp(U) = exp(X) exp(w (x) p) with X in the
 chart complement n_m = (V (x) f2) + V* + W and p = f1 + z f2; it works
@@ -50,12 +55,20 @@ what the line solver builds on; moment linearizes it by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .cubic import SymCubic, polarize
 from .nilpotent import NElem, _check_same_dim, bracket
-from .scalars import HALF, Q0, QPoly, SIXTH, TWELFTH, clear_denominators, dot
+from .scalars import (
+    HALF,
+    Q0,
+    QPoly,
+    SIXTH,
+    TWELFTH,
+    clear_denominators,
+    dot,
+    from_cleared,
+)
 
 
 def _central(c2, U: NElem) -> NElem:
@@ -69,10 +82,12 @@ def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
     the one kernel of bch, exp_diff and exp_diff_inv."""
     _check_same_dim(X, Y, T)
     cx, cy = clear_denominators(X.coords), clear_denominators(Y.coords)
-    if cx is None or cy is None or cx[0] or cy[0]:
+    if cx is None or cy is None or cx[0] or (cy[0] and with_x):
         xy = bracket(X, Y, T)
         out = Y + h * xy + t * _central(xy.n2, X - Y if with_x else X)
         return X + out if with_x else out
+    if cy[0]:
+        return _linear_series(cx[1], cx[2], *cy, T, h, t)
     (_rx, xs, dx), (_ry, ys, dy) = cx, cy
     dt, rows = T.scaled()
     p, w, dxy = T.dim, int(with_x), dx * dy
@@ -88,17 +103,62 @@ def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
     # t [U, [X, Y]] is central with coordinates -t b . U_col / (dt dx dy).
     s = [w * xa * dy + ya * dx for xa, ya in zip(xs, ys)]
     hn, hd, tn, td = h.numerator, h.denominator, t.numerator, t.denominator
-    n1 = tuple(Fraction(sa, dxy) for sa in s[:2 * p])
-    n2 = tuple(Fraction(hd * dt * sa + hn * ba, hd * dt * dxy) for sa, ba in zip(s[2 * p:], b))
-    n3 = tuple(
-        Fraction(
-            td * dt * dxy * (hd * sa + hn * (sum(map(mul, x2, yca)) - sum(map(mul, y2, xca))))
-            - tn * hd * (dy * sum(map(mul, b, xca)) - w * dx * sum(map(mul, b, yca))),
-            hd * td * dt * dxy * dxy,
-        )
+    n2 = [hd * dt * sa + hn * ba for sa, ba in zip(s[2 * p:], b)]
+    n3 = [
+        td * dt * dxy * (hd * sa + hn * (sum(map(mul, x2, yca)) - sum(map(mul, y2, xca))))
+        - tn * hd * (dy * sum(map(mul, b, xca)) - w * dx * sum(map(mul, b, yca)))
         for sa, xca, yca in zip(s[3 * p:], xc, yc)
+    ]
+    return NElem(
+        from_cleared(None, s[:2 * p], dxy)
+        + from_cleared(None, n2, hd * dt * dxy)
+        + from_cleared(None, n3, hd * td * dt * dxy * dxy)
     )
-    return NElem(n1 + n2 + n3)
+
+
+def _add_into(acc: dict, c: int, nums) -> None:
+    """acc += c nums, nums an int dict of clear_denominators or 0."""
+    if c and nums:
+        for s, n in nums.items():
+            acc[s] = acc.get(s, 0) + c * n
+
+
+def _linear_series(xs, dx, ring, ys, dy, T: SymCubic, h, t) -> NElem:
+    """Y + h [X, Y] + t [X, [X, Y]] from X's cleared ints (xs, dx) and
+    Y's int dicts over the formal class ring (ys, dy): the walk of the
+    Fraction path with w = 0, each product with a y numerator a dict
+    accumulation.  Grade 2 is over hd dt dx dy and grade 3 over
+    hd td dt dx^2 dy (one dy of the Fraction path's cancels)."""
+    dt, rows = T.scaled()
+    p = T.dim
+    xc, yc = (xs[:p], xs[p:2 * p]), (ys[:p], ys[p:2 * p])
+    x2, y2 = xs[2 * p:3 * p], ys[2 * p:3 * p]
+    b = [{} for _ in range(p)]
+    for a1, a2, row in zip(*xc, rows):
+        if a1 or a2:
+            for j, k, v in row:
+                _add_into(b[k], v * a1, yc[1][j])
+                _add_into(b[k], -v * a2, yc[0][j])
+    hn, hd, tn, td = h.numerator, h.denominator, t.numerator, t.denominator
+    n2 = [{} for _ in range(p)]
+    for out, ya, ba in zip(n2, y2, b):
+        _add_into(out, hd * dt * dx, ya)
+        _add_into(out, hn, ba)
+    # dx dy [X, Y]_3 = x2 . y_col - y2 . x_col; t [X, [X, Y]] is central,
+    # -t b . x_col / (dt dx^2 dy).
+    c3, ch, ct = hd * td * dt * dx * dx, td * dt * dx * hn, -tn * hd
+    n3 = [{}, {}]
+    for out, ya, xca, yca in zip(n3, ys[3 * p:], xc, yc):
+        _add_into(out, c3, ya)
+        for xa, yb, x2a, y2a, ba in zip(xca, yca, x2, y2, b):
+            _add_into(out, ch * x2a, yb)
+            _add_into(out, -ch * xa, y2a)
+            _add_into(out, ct * xa, ba)
+    return NElem(
+        from_cleared(ring, ys[:2 * p], dy)
+        + from_cleared(ring, n2, hd * dt * dx * dy)
+        + from_cleared(ring, n3, hd * td * dt * dx * dx * dy)
+    )
 
 
 def bch(X: NElem, Y: NElem, T: SymCubic) -> NElem:

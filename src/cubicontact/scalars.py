@@ -26,15 +26,18 @@ read out of either is a normalized ``Fraction``.
 
 The same storage carries whole vectors: ``clear_denominators`` writes a
 coordinate tuple as numerators (ints, or int dicts for formal sums) over
-one common denominator, and ``contract``, the cleared-vector kernel,
-runs a bilinear contraction on them in ints, building each output
-coordinate once instead of one ring operation per term.  The vector
-contractions go through it: ``cubic.polarize`` (and with it
-``cubic_eval`` and ``trilinear``), the structure-constant check
-``nilpotent.ad_mismatches``, and ``dot``, the pairing of a covector with
-a vector, which is ``contract`` with diagonal rows; only the group law
-(``bch._series``) fuses its contractions into one walk of its own.  No
-other module reads ``nums`` or ``den``.
+one common denominator, ``from_cleared`` is its inverse, and
+``contract``, the cleared-vector kernel, runs a bilinear contraction on
+them in ints, building each output coordinate once instead of one ring
+operation per term.  The vector contractions go through it:
+``cubic.polarize`` (and with it ``cubic_eval`` and ``trilinear``), the
+structure-constant check ``nilpotent.ad_mismatches``, and ``dot``, the
+pairing of a covector with a vector, which is ``contract`` with diagonal
+rows.  The group law (``bch._series``) fuses its contractions into one
+walk of its own on the cleared numerators, over Fractions and, for the
+series linear in Y, over a formal Y, and rebuilds its output through
+``from_cleared``.  No other module reads ``nums`` or ``den`` or builds a
+sum from them.
 
 Both interoperate with ``Fraction`` and ``int`` through the reflected
 arithmetic hooks, so the algebra layer can stay scalar-agnostic.
@@ -288,6 +291,22 @@ def clear_denominators(coords):
     ], d
 
 
+def from_cleared(ring, nums, den):
+    """The coordinate tuple whose cleared form is (ring, nums, den): the
+    inverse of clear_denominators.
+
+    With ring None each numerator is an int and gives a Fraction.  Over
+    a formal class each is an int dict, which is not kept, and gives a
+    sum of that class (zero terms dropped); a falsy entry (0, None or
+    {}) gives Q0, where a per-term loop would leave nothing added.
+    """
+    if ring is None:
+        return tuple(Fraction(n, den) for n in nums)
+    return tuple(
+        ring._of({s: n for s, n in out.items() if n}, den) if out else Q0 for out in nums
+    )
+
+
 def contract(rows, u, v, size, den=1):
     """The bilinear map w_k = sum of c u_i v_j / den over each i and each
     (j, k, c) of rows[i], as a size-tuple; None when u or v has no
@@ -316,7 +335,7 @@ def contract(rows, u, v, size, den=1):
                     b = vs[j]
                     if b:
                         acc[k] += c * a * b
-        return tuple(Fraction(n, den) for n in acc)
+        return from_cleared(None, acc, den)
     product = ring._mul_nums if ru and rv else None
     acc = [None] * size
     for a, row in zip(us, rows):
@@ -335,10 +354,7 @@ def contract(rows, u, v, size, den=1):
                         out = acc[k] = {}
                     for s, n in nums.items():
                         out[s] = out.get(s, 0) + n * c
-    return tuple(
-        Q0 if out is None else ring._of({s: n for s, n in out.items() if n}, den)
-        for out in acc
-    )
+    return from_cleared(ring, acc, den)
 
 
 def dot(u, v):

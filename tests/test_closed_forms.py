@@ -33,7 +33,7 @@ from cubicontact.cubic import polarize, trilinear
 from cubicontact.extraction import algebra_for, extraction
 from cubicontact.nilpotent import NElem, bracket, generic_element
 from cubicontact.sampling import SeededSampler
-from cubicontact.scalars import HALF, Q0, QPoly, TWELFTH, dot as _dot
+from cubicontact.scalars import HALF, LinForm, Q0, QPoly, TWELFTH, dot as _dot
 
 bch_module = importlib.import_module("cubicontact.bch")
 nilpotent = importlib.import_module("cubicontact.nilpotent")
@@ -186,6 +186,11 @@ def test_closed_forms_match_references_over_qpoly(name):
     assert chart_decompose(line, zvar, T) == ref_chart_decompose(line, zvar, T)
     pt = sample_chart_point(sampler, T.dim)
     assert moment._velocity(pt, chart, T) == ref_velocity(pt, chart, T)
+    # The series linear in Y walk T's integer table for a Fraction X.
+    X, _Y, _z = _fraction_inputs(T, sampler)
+    for Y in (wp, line):
+        assert exp_diff(X, Y, T) == ref_exp_diff(X, Y, T)
+        assert exp_diff_inv(X, Y, T) == ref_exp_diff_inv(X, Y, T)
 
 
 @pytest.mark.parametrize("name", CUBICS)
@@ -250,12 +255,14 @@ def _count(monkeypatch, fn_name, modules):
 
 def test_each_series_brackets_once(monkeypatch):
     """Off Fraction inputs (QPoly here) each series makes one bracket;
-    on Fraction inputs it runs on integers and makes none."""
+    on Fraction inputs it runs on integers and makes none, and so does
+    the linear series of a Fraction X on the generic element."""
     T = catalog_get("det3").tensor()
     sampler = SeededSampler(64)
     X, Y, z = _fraction_inputs(T, sampler)
     chart, wp, _line, _z = _qpoly_inputs(T, sampler)
     pt = sample_chart_point(sampler, T.dim)
+    generic = generic_element(T.dim)
     brackets = _count(monkeypatch, "bracket", (bch_module, moment))
     for fn in (bch, exp_diff, exp_diff_inv):
         brackets.clear()
@@ -264,10 +271,10 @@ def test_each_series_brackets_once(monkeypatch):
         fn(X, Y, T)
         assert len(brackets) == 1, fn.__name__
     brackets.clear()
-    moment._velocity(pt, generic_element(T.dim), T)
-    assert len(brackets) == 1
+    moment._velocity(pt, generic, T)
     moment._velocity(pt, Y, T)
-    assert len(brackets) == 1
+    exp_diff_inv(X, generic, T)
+    assert not brackets
 
 
 def test_chart_contractions_polarize_once(monkeypatch):
@@ -280,14 +287,12 @@ def test_chart_contractions_polarize_once(monkeypatch):
     trilinears = _count(monkeypatch, "trilinear", mods)
     chart_decompose(X, z, T)
     assert len(polarizes) == 1 and not trilinears
-    polarizes.clear()
-    moment._velocity(pt, generic_element(T.dim), T)
-    # Two inside the one bracket, one for B(x1, v_l).
-    assert len(polarizes) == 3 and not trilinears
-    polarizes.clear()
-    # On Fractions the series reads T's integer table: only B(x1, v_l).
-    moment._velocity(pt, Y, T)
-    assert len(polarizes) == 1
+    # On Fractions and on the generic element the series reads T's
+    # integer table: only B(x1, v_l).
+    for A in (generic_element(T.dim), Y):
+        polarizes.clear()
+        moment._velocity(pt, A, T)
+        assert len(polarizes) == 1 and not trilinears
     for fn in (bch, exp_diff, exp_diff_inv):
         fn(X, Y, T)
     assert len(polarizes) == 1 and not trilinears
@@ -306,6 +311,12 @@ big_fractions = st.just(Fraction(0)) | st.builds(
 SERIES = ((bch, ref_bch), (exp_diff, ref_exp_diff), (exp_diff_inv, ref_exp_diff_inv))
 
 
+def _forms(p):
+    """Q0, int 0, an empty form or a sparse form with big denominators."""
+    sparse = st.dictionaries(st.integers(0, 3 * p + 1), big_fractions, min_size=1, max_size=3)
+    return st.sampled_from((Q0, 0, LinForm())) | sparse.map(LinForm)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     data=st.data(),
@@ -316,16 +327,22 @@ SERIES = ((bch, ref_bch), (exp_diff, ref_exp_diff), (exp_diff_inv, ref_exp_diff_
 )
 def test_integer_path_matches_references(data, name, scale, with_ints):
     """Fraction elements take the integer path and give Fractions; an
-    element holding a plain int takes the generic path, one bracket."""
+    element holding a plain int takes the generic path, one bracket.
+
+    exp_diff and exp_diff_inv of a Fraction X on a Y of LinForms take the
+    integer path too and give LinForms or zeros; a Y that mixes in a
+    nonzero constant takes the generic path and raises where the
+    reference raises."""
     T = catalog_get(name).tensor().scale(scale)
     p = T.dim
+    size = 3 * p + 2
     scalars = st.integers(-50, 50) | big_fractions if with_ints else big_fractions
-    X, Y = (
-        NElem(tuple(data.draw(st.lists(scalars, min_size=3 * p + 2, max_size=3 * p + 2))))
-        for _ in range(2)
-    )
+    X, Y = (NElem(tuple(data.draw(st.lists(scalars, min_size=size, max_size=size)))) for _ in range(2))
     if with_ints:
         X = NElem((7,) + X.coords[1:])
+    F = NElem(tuple(data.draw(st.lists(_forms(p), min_size=size, max_size=size))))
+    i = data.draw(st.integers(0, size - 1))
+    mixed = NElem(F.coords[:i] + (data.draw(st.sampled_from((3, Fraction(-2, 5)))),) + F.coords[i + 1:])
     with mock.patch.object(bch_module, "bracket", wraps=bracket) as spy:
         for fn, ref in SERIES:
             for a, b in ((X, Y), (Y, X)):
@@ -333,4 +350,18 @@ def test_integer_path_matches_references(data, name, scale, with_ints):
                 assert out == ref(a, b, T), fn.__name__
                 if not with_ints:
                     assert all(type(c) is Fraction for c in out.coords)
-    assert spy.call_count == (6 if with_ints else 0)
+        assert spy.call_count == (6 if with_ints else 0)
+        for fn, ref in SERIES[1:]:
+            out = fn(X, F, T)
+            assert out == ref(X, F, T), fn.__name__
+            assert all(type(c) is LinForm or c == 0 for c in out.coords)
+        assert spy.call_count == (8 if with_ints else 0)
+        for fn, ref in SERIES[1:]:
+            try:
+                expected = ref(X, mixed, T)
+            except TypeError:
+                with pytest.raises(TypeError):
+                    fn(X, mixed, T)
+            else:
+                assert fn(X, mixed, T) == expected, fn.__name__
+        assert spy.call_count == (10 if with_ints else 2)

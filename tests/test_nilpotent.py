@@ -2,7 +2,7 @@ import functools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cubicontact import nilpotent
 from cubicontact import verify as verify_module
@@ -670,9 +670,10 @@ def _graded_table(name):
     return rows, weight, slots, true_generators
 
 
-def _draw_generators(draw, d, true_generators=()):
-    """None, every position, a random subset, or the true generators."""
-    kind = draw(st.sampled_from(["none", "all", "subset", "true"]))
+def _draw_generators(draw, d, true_generators=(), kinds=("none", "all", "subset", "true")):
+    """None, every position, a random subset, or the true generators;
+    Hypothesis leans to the first of ``kinds``."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "all":
         return list(range(d))
     if kind == "subset":
@@ -691,43 +692,59 @@ def _add_term(rows, a, b, k, c):
         rows[a].pop(b, None)
 
 
-_CORRUPTIONS = ["drop", "scale", "one-sided", "wrong-weight", "symmetric"]
+_CORRUPTIONS = ["wrong-weight", "right-weight", "drop", "scale"]
 
 
 @st.composite
 def _corrupted_table(draw):
     """A clean n or Chevalley table with one or two corruptions, and a
-    generators list for it."""
+    generators list for it.  Each corruption edits one orientation of a
+    pair or both: a table edited in both stays antisymmetric, and the
+    generator certificate runs on it."""
     name = draw(st.sampled_from(["x3", "fermat3", "xyz", "det3", "G2", "B3"]))
     clean, _weight, slots, true_generators = _graded_table(name)
     rows = [dict(row) for row in clean]
     d = len(rows)
     for kind in draw(st.lists(st.sampled_from(_CORRUPTIONS), min_size=1, max_size=2)):
         c = draw(st.sampled_from([1, -1, 2]))
+        both = draw(st.sampled_from([True, False]))
         stored = [(a, b) for a in range(d) for b in sorted(rows[a])]
         if kind in ("drop", "scale"):
             a, b = draw(st.sampled_from(stored))
-            if kind == "drop":
-                del rows[a][b]
-            else:
-                factor = draw(st.sampled_from([-1, 2, 3]))
-                rows[a][b] = tuple((k, v * factor) for k, v in rows[a][b])
-        elif kind == "wrong-weight":
+            factor = draw(st.sampled_from([-1, 2, 3])) if kind == "scale" else 0
+            for x, y in ((a, b), (b, a))[:1 + both]:
+                if not factor:
+                    rows[x].pop(y, None)
+                elif y in rows[x]:
+                    rows[x][y] = tuple((k, v * factor) for k, v in rows[x][y])
+            continue
+        if kind == "wrong-weight":
             a, b, k = (draw(st.integers(0, d - 1)) for _ in range(3))
             assume((a, b, k) not in slots)
-            _add_term(rows, a, b, k, c)
-            if draw(st.booleans()):
-                _add_term(rows, b, a, k, -c)
         else:
             a, b, k = draw(st.sampled_from(slots))
-            _add_term(rows, a, b, k, c)
-            if kind == "symmetric":
-                _add_term(rows, b, a, k, -c)
-    return rows, _draw_generators(draw, d, true_generators)
+        _add_term(rows, a, b, k, c)
+        if both:
+            _add_term(rows, b, a, k, -c)
+    return rows, _draw_generators(draw, d, true_generators, ("all", "subset", "true", "none"))
+
+
+def _producer_only_case():
+    """xyz with [e_0 (x) f2, e_2 (x) f2] = eps_2 in both orientations, a
+    wrong-weight term (omega(f2, f2) = 0), every position a generator.
+    Its one violation (2, 3, 5) shows only in [b_2, [b_3, b_5]]: b_3 and
+    b_5 hold nothing of [b_5, b_2] = 0 or [b_2, b_3] = eps_1, so
+    _derivations finds the pair (3, 5) for b_2 only from eps_2's
+    producers."""
+    rows = [dict(row) for row in _graded_table("xyz")[0]]
+    _add_term(rows, 3, 5, 8, 1)
+    _add_term(rows, 5, 3, 8, -1)
+    return rows, list(range(len(rows)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=_corrupted_table())
+@example(case=_producer_only_case())
 def test_graded_kernel_matches_ungraded_walk(case):
     rows, generators = case
     assert list(nilpotent.jacobi_violations(rows, generators)) == list(

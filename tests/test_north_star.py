@@ -8,7 +8,8 @@ Every module of ``cubicontact`` is parsed and walked:
   * only ``scalars`` reads the ``nums``/``den`` storage of the formal sums
     or builds one through ``_of``;
   * only ``scalars`` defines the contraction kernel: ``dot``,
-    ``contract`` and ``clear_denominators``;
+    ``contract``, ``clear_denominators`` and its inverse
+    ``from_cleared``;
   * only ``nilpotent`` defines the Jacobi kernel: ``_jacobiator``,
     ``jacobi_violations`` and its generator certificate, ``_generates``
     and ``_derivations``;
@@ -111,7 +112,7 @@ def test_formal_sum_storage_stays_in_scalars(path):
 
 # Each shared kernel, by the one module that defines it.
 KERNELS = {
-    "scalars.py": {"dot", "_dot", "contract", "clear_denominators"},
+    "scalars.py": {"dot", "_dot", "contract", "clear_denominators", "from_cleared"},
     "nilpotent.py": {"_jacobiator", "jacobi_violations", "_generates", "_derivations"},
     "linalg.py": {"_int_rows", "_echelon"},
     "moment.py": {"_chart_velocity"},
