@@ -35,18 +35,18 @@ above; ``bracket_labels``, ``bracket`` and the Jacobi check all read it.
 The table has the format of nilpotent.bracket_table, so both algebras
 are checked by the one Jacobi kernel in ``nilpotent``: the exhaustive
 check compares every stored entry with its transpose and covers the
-jacobiator of every unordered basis triple; the sampled check evaluates
-it on seeded triples.  The kernel reads the table alone: root codes
-add only here.
+jacobiator of every unordered basis triple, each from its smallest
+index; the sampled check evaluates it on seeded triples.  The kernel
+reads the table alone: root codes add only here.
 
 The exhaustive check hands the kernel the 2 rank positions of the
 e_{+-alpha_i}, which generate the algebra.  On an antisymmetric table
 the x with ad_x a derivation form a subalgebra (ad_x a derivation gives
 ad_[x,y] = [ad_x, ad_y], and a commutator of derivations is one), so
-once the jacobiators through each generator are zero and single-term
-brackets with the generators reach every basis position, Jacobi holds
-on every triple.  When either fails, the kernel walks all triples, so
-the report is the same as without generators.
+once the jacobiators of each generator with its candidate pairs are
+zero and single-term brackets with the generators reach every basis
+position, Jacobi holds on every triple.  When either fails, the kernel
+walks all triples, so the report is the same as without generators.
 """
 
 from __future__ import annotations
@@ -312,9 +312,10 @@ def verify_chevalley_jacobi(
     brackets are not antisymmetric, then every unordered triple with a
     nonzero jacobiator; the triples it skips have zero jacobiators, so
     it checks C(d, 3) triples.  On a Lie algebra it evaluates only the
-    jacobiators through the generators (12,799 of C(133, 3) on E7);
-    any violation sends it through the walk over all triples.  Sampled
-    mode evaluates the jacobiator of ``sample`` seeded triples.
+    jacobiators of each generator with its candidate pairs (12,799 of
+    C(133, 3) on E7); any violation sends it through the walk, which
+    takes each triple from its smallest index.  Sampled mode evaluates
+    the jacobiator of ``sample`` seeded triples.
     """
     labels = alg.labels
     d = len(labels)

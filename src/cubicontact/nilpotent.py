@@ -16,11 +16,13 @@ dim W = 2.  Every structure constant is an entry of the cubic or +-1,
 so ``bracket_table`` writes them straight from T's entries, and
 ``jacobi_violations``, the Jacobi kernel shared with the Chevalley
 algebras, checks antisymmetry on every stored entry and the jacobiator
-of every basis triple the table can make nonzero.  A caller that knows
-basis elements generating its algebra may pass them: on an
-antisymmetric table, once ad of each generator is a derivation, so is
-ad of every element (the x with ad_x a derivation form a subalgebra),
-and the Jacobi identity holds without the walk over all triples.  The
+of every basis triple the table can make nonzero, each from its
+smallest index.  A caller that knows basis elements generating its
+algebra may pass them: on an antisymmetric table, once ad of each
+generator is a derivation, so is ad of every element (the x with ad_x a
+derivation form a subalgebra), and the Jacobi identity holds without
+the walk over all triples.  The walk and this certificate evaluate
+the pairs of one enumeration, ``_pairs_through``, per position.  The
 Chevalley check passes its e_{+-alpha_i}; n passes none, since its
 brackets [e_i (x) f1, e_j (x) f2] are sums of eps_k, and single-term
 brackets of basis elements cannot show that a set generates it.
@@ -252,100 +254,91 @@ def _generates(rows, generators) -> bool:
     return reached.issuperset(range(len(rows)))
 
 
-def _derivations(rows, generators, holders) -> bool:
-    """Whether ad_s is a derivation for every s in ``generators``.
-
-    ``rows`` is antisymmetric, so the jacobiator alternates and ad_s is a
-    derivation when the jacobiator of (s, y, z) is zero for every pair
-    y < z.  Only pairs whose triple has a rotation passing the candidate
-    rule are evaluated: s a candidate of (y, z), or z one of (s, y) (or
-    y one of (s, z)); ``holders`` maps a position to the rows storing it.
-    A triple with an earlier generator was evaluated for that one.
-    Pairs are packed as y d + z.
+def _pairs_through(rows, s, holders, producers) -> set:
+    """The pairs y < z, packed as y d + z, for which a rotation of
+    {s, y, z} passes the candidate rule: [b_x, [b_y, b_z]] can be nonzero
+    only if [b_y, b_z] is stored and row x stores one of its terms.  Each
+    rotation is read as _jacobiator reads it when s comes first: s a
+    candidate of [b_y, b_z], z > y one of [b_s, b_y], or z < y one of
+    [b_y, b_s].  ``holders`` maps a position to the rows storing it, in
+    order; ``producers`` to the packed stored pairs y < z holding it.
     """
     d = len(rows)
-    producers = {}  # basis position -> packed stored pairs whose bracket has it
-    for y, row in enumerate(rows):
-        for z, terms in row.items():
-            if y < z:
-                for w, _c in terms:
-                    producers.setdefault(w, []).append(y * d + z)
+    row_s = rows[s]
+    pairs = set()
+    for w in row_s:
+        pairs.update(producers.get(w, ()))
+    for y, terms in row_s.items():
+        yd = y * d
+        for w, _c in terms:
+            hw = holders.get(w, ())
+            pairs.update(map(yd.__add__, hw[bisect_right(hw, y):]))
+    for y in holders.get(s, ()):
+        for w, _c in rows[y][s]:
+            hw = holders.get(w, ())
+            pairs.update([z * d + y for z in hw[:bisect_left(hw, y)]])
+    return pairs
+
+
+def _nonzero_through(rows, order, holders, producers):
+    """The triples (s, y, z) with a nonzero jacobiator, for s in ``order``
+    (repeats skipped) and y < z a pair of _pairs_through(s) holding no
+    position met in ``order`` so far.  Over every position in order, each
+    triple is taken once, from its smallest index, and skipped only when
+    no rotation passes the candidate rule, so that every term is zero."""
+    d = len(rows)
     done = set()
-    for s in generators:
+    for s in order:
         if s in done:
             continue
-        row_s = rows[s]
-        pairs = set()
-        for w in row_s:
-            pairs.update(producers.get(w, ()))
-        for y, terms in row_s.items():
-            yd = y * d
-            for w, _c in terms:
-                hw = holders.get(w, ())
-                pairs.update([z * d + y for z in hw[:bisect_left(hw, y)]])
-                pairs.update(map(yd.__add__, hw[bisect_right(hw, y):]))
         done.add(s)
-        for pair in pairs:
+        for pair in _pairs_through(rows, s, holders, producers):
             y, z = divmod(pair, d)
             if y not in done and z not in done and _jacobiator(rows, s, y, z):
-                return False
-    return True
+                yield s, y, z
 
 
 def jacobi_violations(rows, generators=()):
     """Every antisymmetry and Jacobi violation of a bracket table.
 
-    ``rows`` is a structure-constant table in the format of
-    ``bracket_table``.  First come the pairs (a, b), a <= b, with
-    [b_a, b_b] != -[b_b, b_a] (for a == b: a nonzero self-bracket), in
-    order.  Then come the triples i < j < k with a nonzero jacobiator, in
-    order; for an antisymmetric bracket, whose jacobiator alternates,
-    these C(d, 3) cover all d^3.  The term [b_x, [b_y, b_z]] can be
-    nonzero only if [b_y, b_z] is stored and row x stores one of its term
-    positions: x is then a candidate of (y, z).  A triple is evaluated
-    once, from the first of its rotations (k; i, j), (i; j, k), (j; k, i)
-    whose x is a candidate of its (y, z); with none, it is zero.
+    ``rows`` has the format of ``bracket_table``: terms sorted by
+    position, no zero coefficient, so [b_a, b_b] = -[b_b, b_a] exactly
+    when the two stored tuples agree up to sign.  First come the pairs
+    (a, b), a <= b, where they do not (a == b: a nonzero self-bracket),
+    in order.  Then come the triples i < j < k with a nonzero
+    jacobiator, in order: _nonzero_through over every position.  For an
+    antisymmetric bracket, whose jacobiator alternates, these C(d, 3)
+    cover all d^3.
 
     ``generators``, a list of basis positions, may certify the table
     whole before the walk.  If the table is antisymmetric, single-term
-    brackets with the generators reach every position (see _generates),
-    and ad_s is a derivation for every generator s (see _derivations),
-    there is no violation and the walk is skipped: {x : ad_x is a
-    derivation} is a subalgebra, since ad_x a derivation gives
-    ad_[x,y] = [ad_x, ad_y] and a commutator of derivations is one, and
-    it holds generators of the whole algebra.  Otherwise the walk runs,
-    so the violations are the same for every ``generators``.
+    brackets with the generators reach every position (see _generates)
+    and _nonzero_through over the generators finds nothing, then each
+    ad_s is a derivation (the jacobiator alternates, so a pair skipped
+    for s was evaluated with an earlier generator) and there is no
+    violation: {x : ad_x is a derivation} is a subalgebra, since ad_x a
+    derivation gives ad_[x,y] = [ad_x, ad_y] and a commutator of
+    derivations is one, and it holds generators of the whole algebra.
+    Otherwise the walk runs, so the violations are the same for every
+    ``generators``.
     """
+    d = len(rows)
     bad = set()
     holders = {}  # basis position -> the rows that store it, in order
+    producers = {}  # basis position -> packed stored pairs a < b whose bracket has it
     for a, row in enumerate(rows):
         for b, terms in row.items():
-            if dict(rows[b].get(a, ())) != {k: -c for k, c in terms}:
+            if tuple([(k, -c) for k, c in rows[b].get(a, ())]) != terms:
                 bad.add((min(a, b), max(a, b)))
             holders.setdefault(b, []).append(a)
-    if not bad and _generates(rows, generators) and _derivations(rows, generators, holders):
+            if a < b:
+                for w, _c in terms:
+                    producers.setdefault(w, []).append(a * d + b)
+    if (not bad and _generates(rows, generators)
+            and not any(_nonzero_through(rows, generators, holders, producers))):
         return
-    memo = {}  # term positions -> their candidates, sorted and as a set
-    for key in {tuple(k for k, _c in t) for row in rows for t in row.values()}:
-        xs = sorted({x for k in key for x in holders.get(k, ())})
-        memo[key] = xs, set(xs)
-    cands = [{b: memo[tuple(k for k, _c in t)] for b, t in row.items()} for row in rows]
-    absent = ((), ())  # the candidates of an unstored pair
-    found = []
-    for a, row in enumerate(cands):
-        for b, (xs, _set) in row.items():
-            if a < b:  # x > b: (a, b, x), whose first rotation this is
-                lo, hi = bisect_left(xs, a), bisect_right(xs, b)
-                triples = [(a, b, x) for x in xs[hi:]]
-                # x < a: (x, a, b), unless its first rotation (b; x, a) passes
-                triples += [(x, a, b) for x in xs[:lo] if b not in cands[x].get(a, absent)[1]]
-            else:  # b < x < a: (b, x, a), whose last rotation this is
-                lo, hi = bisect_right(xs, b), bisect_left(xs, a)
-                triples = [(b, x, a) for x in xs[lo:hi] if a not in cands[b].get(x, absent)[1]
-                           and b not in cands[x].get(a, absent)[1]]
-            found += [t for t in triples if _jacobiator(rows, *t)]
     yield from sorted(bad)
-    yield from sorted(found)
+    yield from sorted(_nonzero_through(rows, range(d), holders, producers))
 
 
 @dataclass(frozen=True)

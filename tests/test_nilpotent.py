@@ -734,7 +734,7 @@ def _producer_only_case():
     wrong-weight term (omega(f2, f2) = 0), every position a generator.
     Its one violation (2, 3, 5) shows only in [b_2, [b_3, b_5]]: b_3 and
     b_5 hold nothing of [b_5, b_2] = 0 or [b_2, b_3] = eps_1, so
-    _derivations finds the pair (3, 5) for b_2 only from eps_2's
+    _pairs_through finds the pair (3, 5) for b_2 only from eps_2's
     producers."""
     rows = [dict(row) for row in _graded_table("xyz")[0]]
     _add_term(rows, 3, 5, 8, 1)
@@ -847,10 +847,12 @@ def test_jacobiator_count_e_series(rank, count, monkeypatch):
     "T, count",
     [
         (catalog_get("j3o-norm").tensor(), 438),
+        (catalog_get("pfaff6").tensor(), 90),
+        (catalog_get("det3").tensor(), 36),
         (SymCubic(200, {(i, i, i): 1 for i in range(200)}), 0),
         (SymCubic(1000, {(i, i, i): 1 for i in range(1000)}), 0),
     ],
-    ids=["j3o-norm", "diagonal-200", "diagonal-1000"],
+    ids=["j3o-norm", "pfaff6", "det3", "diagonal-200", "diagonal-1000"],
 )
 def test_jacobiator_count_n(T, count, monkeypatch):
     calls = _count_jacobiators(monkeypatch)
@@ -999,6 +1001,26 @@ def test_kernel_evaluates_a_triple_from_its_first_passing_rotation():
     # which row 0 stores, makes the second, (0; 1, 2), nonzero.  A kernel
     # that took each triple from its first stored rotation would miss it.
     rows = _FIRST_PASSING_ROTATION_TABLE
+    violations = list(nilpotent.jacobi_violations(rows))
+    assert (0, 1, 2) in violations
+    assert violations == list(_ungraded_violations(rows))
+
+
+_ONE_SIDED_ROTATION_TABLE = [
+    {},
+    {3: ((4, 1),)},
+    {0: ((3, 1),)},
+    {},
+    {},
+]
+
+
+def test_kernel_reads_a_one_sided_rotation_in_the_jacobiators_orientation():
+    # [b_2, b_0] = b_3 is stored, [b_0, b_2] is not, and [b_1, b_3] = b_4:
+    # the only nonzero rotation of (0, 1, 2) is (1; 2, 0).  Row 0 is
+    # empty, so a kernel that read [b_0, b_2] for it would miss the
+    # triple.
+    rows = _ONE_SIDED_ROTATION_TABLE
     violations = list(nilpotent.jacobi_violations(rows))
     assert (0, 1, 2) in violations
     assert violations == list(_ungraded_violations(rows))

@@ -11,8 +11,9 @@ Every module of ``cubicontact`` is parsed and walked:
     ``contract``, ``clear_denominators`` and its inverse
     ``from_cleared``;
   * only ``nilpotent`` defines the Jacobi kernel: ``_jacobiator``,
-    ``jacobi_violations`` and its generator certificate, ``_generates``
-    and ``_derivations``;
+    ``jacobi_violations``, its generator check ``_generates``, the
+    candidate-pair enumeration ``_pairs_through`` and the loop
+    ``_nonzero_through`` that the walk and the certificate share;
   * only ``linalg`` defines the elimination kernel: ``_int_rows`` and
     ``_echelon``.
 """
@@ -113,7 +114,8 @@ def test_formal_sum_storage_stays_in_scalars(path):
 # Each shared kernel, by the one module that defines it.
 KERNELS = {
     "scalars.py": {"dot", "_dot", "contract", "clear_denominators", "from_cleared"},
-    "nilpotent.py": {"_jacobiator", "jacobi_violations", "_generates", "_derivations"},
+    "nilpotent.py": {"_jacobiator", "jacobi_violations", "_generates", "_pairs_through",
+                     "_nonzero_through"},
     "linalg.py": {"_int_rows", "_echelon"},
     "moment.py": {"_chart_velocity"},
 }
