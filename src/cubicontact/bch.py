@@ -30,19 +30,18 @@ that carries a 5/12 coefficient instead; the difference is exactly
 1/4 [X1,[X1,Z1]] and a dedicated test records both behaviours.
 
 bch, exp_diff and exp_diff_inv share one kernel with the coefficients
-(1/2, 1/12), (1/2, 1/12) and (-1/2, 1/6).  When every coordinate of both
-arguments is a Fraction it clears each element's denominators with one
-lcm (``scalars.clear_denominators``), computes [X, Y] and the central
-term in Python ints from T's integer table (``SymCubic.scaled``), and
-builds the Fractions once, at the end (common-denominator arithmetic;
-Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch.
-9).  The two series linear in Y run the same walk when X is over
-Fractions and Y over one formal ring, as the generic element of
-moment_point_at is: Y's cleared numerators are int dicts, each product
-with one is a dict accumulation, and ``scalars.from_cleared`` builds the
-sums once, at the end.  Every other input takes the generic path
-through ``bracket``: X over QPoly or LinForm, bch on forms (a product
-of two forms, or a form plus a constant, raises TypeError there), and
+(1/2, 1/12), (1/2, 1/12) and (-1/2, 1/6).  On Fractions it reads each
+element's cleared form (``NElem.cleared``), computes [X, Y] and the
+central term in ints from T's integer table (``SymCubic.scaled``), and
+returns its result in that form, over one denominator, building no
+Fraction (common-denominator arithmetic; Geddes, Czapor and Labahn,
+Algorithms for Computer Algebra, 1992, ch. 9).  The series linear in Y
+run the same walk when X is over Fractions and Y over one formal ring,
+as the generic element of moment_point_at is, with dict accumulations
+in place of int products; ``scalars.from_cleared`` builds the sums at
+the end.  Every other input takes the generic path through
+``bracket``: X over QPoly or LinForm, bch on forms (a product of two
+forms, or a form plus a constant, raises TypeError there), and
 elements holding a plain int or over a foreign ring, which
 ``polarize`` and ``scalars.dot`` take one term at a time.
 
@@ -65,7 +64,6 @@ from .scalars import (
     QPoly,
     SIXTH,
     TWELFTH,
-    clear_denominators,
     dot,
     from_cleared,
 )
@@ -81,7 +79,7 @@ def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
     """[X +] Y + h [X, Y] + t [U, [X, Y]], U = X - Y with X, else U = X:
     the one kernel of bch, exp_diff and exp_diff_inv."""
     _check_same_dim(X, Y, T)
-    cx, cy = clear_denominators(X.coords), clear_denominators(Y.coords)
+    cx, cy = X.cleared, Y.cleared
     if cx is None or cy is None or cx[0] or (cy[0] and with_x):
         xy = bracket(X, Y, T)
         out = Y + h * xy + t * _central(xy.n2, X - Y if with_x else X)
@@ -109,10 +107,10 @@ def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
         - tn * hd * (dy * sum(map(mul, b, xca)) - w * dx * sum(map(mul, b, yca)))
         for sa, xca, yca in zip(s[3 * p:], xc, yc)
     ]
-    return NElem(
-        from_cleared(None, s[:2 * p], dxy)
-        + from_cleared(None, n2, hd * dt * dxy)
-        + from_cleared(None, n3, hd * td * dt * dxy * dxy)
+    # Grades 1, 2, 3 are over dxy, hd dt dxy, hd td dt dxy^2: bring all to the last.
+    c1, c2 = hd * td * dt * dxy, td * dxy
+    return NElem.of_cleared(
+        [c1 * a for a in s[:2 * p]] + [c2 * a for a in n2] + n3, c1 * dxy
     )
 
 

@@ -31,15 +31,16 @@ generic element gives all of ad_x at once, which must equal the table
 contracted with x; the jacobi suite hands it the table ``verify_jacobi``
 checked.
 
-Elements carry their 3p + 2 coordinates as one tuple in basis order
-(see basis_element).  All values are immutable; every operation is a
-pure function, safe for concurrent use.
+Elements carry their 3p + 2 coordinates in basis order (see
+basis_element), as a tuple or a cleared int vector.  All values are
+immutable; every operation is a pure function, safe for concurrent use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cached_property
 from itertools import islice
 from math import lcm
 
@@ -50,14 +51,14 @@ from .cubic import (
     cubic_hash,
     polarize,
 )
-from .scalars import LinForm, Q0, Q1, contract, dot, frac
+from .scalars import (LinForm, Q0, Q1, clear_denominators, contract, dot, frac, from_cleared,
+                      normalize_cleared)
 
 
 def _vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
 class NElem:
     """Element of n in basis coordinates; also the log coordinate of a
     group element.
@@ -65,15 +66,51 @@ class NElem:
     coords: the 3p + 2 coordinates in basis order (see basis_element):
     col(0), the f1 column of the grade-1 part, then col(1), the f2
     column, then n2, the covector, then n3, the f1 and f2 coefficients.
+
+    ``cleared`` is clear_denominators(coords), computed once.  The group
+    law returns rational elements as that form alone (``of_cleared``),
+    (None, nums, den) in lowest terms, and builds no coords until read.
+    The form is unique: == compares it where both sides have one.
     """
 
-    coords: tuple
+    def __init__(self, coords: tuple):
+        if len(coords) % 3 != 2:
+            raise DimensionMismatchError(f"{len(coords)} coordinates, not 3p + 2 for any p")
+        self.__dict__["coords"] = coords
 
-    def __post_init__(self):
-        if len(self.coords) % 3 != 2:
-            raise DimensionMismatchError(
-                f"{len(self.coords)} coordinates, not 3p + 2 for any p"
-            )
+    @staticmethod
+    def of_cleared(nums, den) -> "NElem":
+        """The element with coordinates nums[i] / den, ints with den > 0."""
+        out = object.__new__(NElem)
+        out.__dict__["cleared"] = (None, *normalize_cleared(nums, den))
+        return out
+
+    def __setattr__(self, name, *_value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    @cached_property
+    def coords(self) -> tuple:
+        return from_cleared(*self.cleared)
+
+    @cached_property
+    def cleared(self):
+        return clear_denominators(self.coords)
+
+    def __eq__(self, other):
+        if type(other) is not NElem:
+            return NotImplemented
+        a, b = self.cleared, other.cleared
+        if a and b and a[0] is b[0] is None:
+            return a[1:] == b[1:]
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __repr__(self):
+        return f"NElem(coords={self.coords!r})"
 
     @staticmethod
     def zero(p: int) -> "NElem":
@@ -95,7 +132,7 @@ class NElem:
 
     @property
     def dim(self) -> int:
-        return (len(self.coords) - 2) // 3
+        return (len(self.__dict__.get("coords") or self.cleared[1]) - 2) // 3
 
     def col(self, a: int):
         p = self.dim
@@ -117,6 +154,9 @@ class NElem:
         return NElem(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
 
     def __neg__(self) -> "NElem":
+        c = self.cleared
+        if c and c[0] is None:
+            return NElem.of_cleared([-n for n in c[1]], c[2])
         return NElem(tuple(-a for a in self.coords))
 
     def __mul__(self, s) -> "NElem":
@@ -125,7 +165,7 @@ class NElem:
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.__dict__.get("coords") or self.cleared[1])
 
     def map_scalars(self, f) -> "NElem":
         return NElem(tuple(map(f, self.coords)))
@@ -254,45 +294,50 @@ def _generates(rows, generators) -> bool:
     return reached.issuperset(range(len(rows)))
 
 
-def _pairs_through(rows, s, holders, producers) -> set:
-    """The pairs y < z, packed as y d + z, for which a rotation of
+def _pairs_through(rows, s, holders, producers, lo) -> set:
+    """The pairs lo < y < z, packed as y d + z, for which a rotation of
     {s, y, z} passes the candidate rule: [b_x, [b_y, b_z]] can be nonzero
     only if [b_y, b_z] is stored and row x stores one of its terms.  Each
     rotation is read as _jacobiator reads it when s comes first: s a
     candidate of [b_y, b_z], z > y one of [b_s, b_y], or z < y one of
     [b_y, b_s].  ``holders`` maps a position to the rows storing it, in
-    order; ``producers`` to the packed stored pairs y < z holding it.
+    order; ``producers`` to the packed stored pairs y < z holding it, by y.
     """
     d = len(rows)
     row_s = rows[s]
     pairs = set()
     for w in row_s:
-        pairs.update(producers.get(w, ()))
+        pw = producers.get(w, ())
+        pairs.update(pw[bisect_left(pw, (lo + 1) * d):])
     for y, terms in row_s.items():
-        yd = y * d
-        for w, _c in terms:
-            hw = holders.get(w, ())
-            pairs.update(map(yd.__add__, hw[bisect_right(hw, y):]))
+        if y > lo:
+            yd = y * d
+            for w, _c in terms:
+                hw = holders.get(w, ())
+                pairs.update(map(yd.__add__, hw[bisect_right(hw, y):]))
     for y in holders.get(s, ()):
         for w, _c in rows[y][s]:
             hw = holders.get(w, ())
-            pairs.update([z * d + y for z in hw[:bisect_left(hw, y)]])
+            pairs.update([z * d + y for z in hw[bisect_right(hw, lo):bisect_left(hw, y)]])
     return pairs
 
 
 def _nonzero_through(rows, order, holders, producers):
     """The triples (s, y, z) with a nonzero jacobiator, for s in ``order``
     (repeats skipped) and y < z a pair of _pairs_through(s) holding no
-    position met in ``order`` so far.  Over every position in order, each
-    triple is taken once, from its smallest index, and skipped only when
-    no rotation passes the candidate rule, so that every term is zero."""
+    position met in ``order`` so far: lo < y, where 0, ..., lo are met.
+    Over every position in order, each triple is taken once, from its
+    smallest index, and skipped only when no rotation passes the
+    candidate rule, so that every term is zero."""
     d = len(rows)
-    done = set()
+    done, lo = set(), -1
     for s in order:
         if s in done:
             continue
         done.add(s)
-        for pair in _pairs_through(rows, s, holders, producers):
+        while lo + 1 in done:
+            lo += 1
+        for pair in _pairs_through(rows, s, holders, producers, lo):
             y, z = divmod(pair, d)
             if y not in done and z not in done and _jacobiator(rows, s, y, z):
                 yield s, y, z

@@ -33,11 +33,11 @@ operation per term.  The vector contractions go through it:
 ``cubic.polarize`` (and with it ``cubic_eval`` and ``trilinear``), the
 structure-constant check ``nilpotent.ad_mismatches``, and ``dot``, the
 pairing of a covector with a vector, which is ``contract`` with diagonal
-rows.  The group law (``bch._series``) fuses its contractions into one
-walk of its own on the cleared numerators, over Fractions and, for the
-series linear in Y, over a formal Y, and rebuilds its output through
-``from_cleared``.  No other module reads ``nums`` or ``den`` or builds a
-sum from them.
+rows.  The group law (``bch._series``) runs its own walk on the cleared
+numerators: over Fractions it takes and returns ``nilpotent.NElem``'s
+cached cleared form, in lowest terms (``normalize_cleared``), and over
+a formal Y it rebuilds its output through ``from_cleared``.  No other
+module reads a sum's ``nums`` or ``den``.
 
 Both interoperate with ``Fraction`` and ``int`` through the reflected
 arithmetic hooks, so the algebra layer can stay scalar-agnostic.
@@ -305,6 +305,13 @@ def from_cleared(ring, nums, den):
     return tuple(
         ring._of({s: n for s, n in out.items() if n}, den) if out else Q0 for out in nums
     )
+
+
+def normalize_cleared(nums, den):
+    """The int vector nums / den, den > 0, in lowest terms, gcd(den, *nums)
+    = 1: its one cleared form, the one clear_denominators gives."""
+    g = gcd(den, *nums)
+    return (nums, den) if g == 1 else ([n // g for n in nums], den // g)
 
 
 def contract(rows, u, v, size, den=1):

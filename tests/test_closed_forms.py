@@ -32,8 +32,10 @@ from cubicontact.contact import sample_chart_point
 from cubicontact.cubic import polarize, trilinear
 from cubicontact.extraction import algebra_for, extraction
 from cubicontact.nilpotent import NElem, bracket, generic_element
+from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
 from cubicontact.scalars import HALF, LinForm, Q0, QPoly, TWELFTH, dot as _dot
+from cubicontact.verify import run_expdiff_suite, run_group_suite
 
 bch_module = importlib.import_module("cubicontact.bch")
 nilpotent = importlib.import_module("cubicontact.nilpotent")
@@ -238,7 +240,8 @@ def test_closed_forms_match_references_over_jet(name):
 # --- one tensor walk per closed form ---------------------------------------
 
 def _count(monkeypatch, fn_name, modules):
-    """Count calls of fn_name through each module's binding of it."""
+    """The arguments of each call of fn_name through each module's
+    binding of it."""
     calls = []
     for mod in modules:
         real = getattr(mod, fn_name, None)
@@ -246,7 +249,7 @@ def _count(monkeypatch, fn_name, modules):
             continue
 
         def counted(*args, _real=real):
-            calls.append(fn_name)
+            calls.append(args)
             return _real(*args)
 
         monkeypatch.setattr(mod, fn_name, counted)
@@ -275,6 +278,33 @@ def test_each_series_brackets_once(monkeypatch):
     moment._velocity(pt, Y, T)
     exp_diff_inv(X, generic, T)
     assert not brackets
+
+
+def test_rational_series_keep_the_cleared_form(monkeypatch):
+    """On Fractions the group law reads and returns NElem's cleared form:
+    the group suite and the expdiff suite's samples build no rational
+    coordinates, moment_point_at negates X in ints and clears it once,
+    and coordinates are built on their first read only."""
+    T = catalog_get("det3").tensor()
+    cfg = RunConfig(seed=7, samples=3)
+    rebuilt = _count(monkeypatch, "from_cleared", (bch_module, nilpotent))
+    cleared = _count(monkeypatch, "clear_denominators", (bch_module, nilpotent))
+    assert run_group_suite(T, cfg)[0] == "pass" and not rebuilt
+    # Only the generic round trip rebuilds, over LinForm.
+    assert run_expdiff_suite(T, cfg)[0] == "pass"
+    assert rebuilt and all(args[0] is LinForm for args in rebuilt)
+    pt = sample_chart_point(SeededSampler(66), T.dim)
+    X = pt.chart.to_nelem()
+    rebuilt.clear()
+    cleared.clear()
+    moment.moment_point_at(pt, T)
+    assert all(args[0] is LinForm for args in rebuilt)
+    assert [args[0] for args in cleared] == [X.coords, generic_element(T.dim).coords]
+    X, Y, _z = _fraction_inputs(T, SeededSampler(67))
+    product = bch(X, Y, T)
+    rebuilt.clear()
+    assert product.coords == ref_bch(X, Y, T).coords and len(rebuilt) == 1
+    assert product.coords and len(rebuilt) == 1
 
 
 def test_chart_contractions_polarize_once(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cubicontact import nilpotent
+from cubicontact.bch import exp_diff
 from cubicontact import verify as verify_module
 from cubicontact.chevalley import chevalley, verify_chevalley_jacobi
 from cubicontact.catalog import catalog_get, catalog_list
@@ -28,6 +29,7 @@ from cubicontact.rootsystems import build_root_system
 from cubicontact.sampling import SeededSampler
 from cubicontact.scalars import LinForm
 from cubicontact.verify import run_verification
+from test_scalar_references import RefLinForm
 
 X3 = SymCubic(1, {(0, 0, 0): 1})
 ZERO2 = SymCubic(2, {})
@@ -613,6 +615,71 @@ def test_layout_acts_coordinate_by_coordinate(p, data, s, g):
     assert act_slw(gen, x) == _pair_layout_act_slw(gen, x)
 
 
+# --- value semantics of the cleared form -----------------------------------
+
+def _cleared_only(x):
+    """x as the group law returns it, holding its cleared form alone."""
+    out = exp_diff(NElem.zero(x.dim), x, SymCubic(x.dim, {}))
+    assert "coords" not in vars(out)
+    return out
+
+
+_rational_coords = st.integers(1, 3).flatmap(
+    lambda p: st.lists(_coord, min_size=n_dim(p), max_size=n_dim(p)).map(tuple)
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(u=_rational_coords, v=_rational_coords)
+@example(u=(F(0),) * 5, v=(F(0),) * 5)
+@example(u=(F(1),) + (F(0),) * 4, v=(F(1, 2),) * 8)
+def test_cleared_only_elements_keep_value_semantics(u, v):
+    x, y = NElem(u), NElem(v)
+    cx, cy = _cleared_only(x), _cleared_only(y)
+    same = u == v
+    for a, b in ((x, y), (cx, y), (x, cy), (cx, cy)):
+        assert (a == b) is same and (a != b) is not same
+    # ==, !=, dim, is_zero and -x read the cleared form alone.
+    assert cx == x and x == cx and not cx != x
+    assert cx.dim == x.dim and cx.is_zero() is x.is_zero() is (not any(u))
+    neg = -cx
+    assert "coords" not in vars(neg) and neg == -x and -neg == cx
+    assert "coords" not in vars(cx)
+    assert neg.coords == tuple(-a for a in u)
+    # An int coordinate leaves no cleared form; the coordinates compare.
+    ints = NElem(tuple(int(a) if a.denominator == 1 else a for a in u))
+    assert ints == cx and cx == ints and hash(ints) == hash(cx) == hash(x)
+    assert cx.coords == u and all(type(a) is F for a in cx.coords)
+    if same:
+        assert hash(cy) == hash(x)
+
+
+def test_elements_without_a_rational_cleared_form_compare_by_coordinates():
+    one = (F(1),) + (F(0),) * 4
+    ints = NElem((1,) + (0,) * 4)
+    assert ints == NElem(one) == _cleared_only(NElem(one)) == ints
+    assert hash(ints) == hash(_cleared_only(NElem(one)))
+    assert ints != _cleared_only(basis_element(1, 1)) and -ints == -NElem(one)
+    forms = NElem((LinForm(),) * 5)
+    assert forms == NElem.zero(1) == forms == _cleared_only(NElem.zero(1))
+    assert forms.is_zero() and forms != generic_element(1)
+    ref = NElem((RefLinForm.coordinate(0),) + (RefLinForm(),) * 4)
+    assert ref == NElem((RefLinForm.coordinate(0),) + (F(0),) * 4)
+    assert ref != NElem.zero(1) and ref != _cleared_only(basis_element(1, 0))
+    assert (-ref).coords == (RefLinForm({0: F(-1)}),) + (RefLinForm(),) * 4
+    assert (ref.dim, ref.is_zero(), NElem((RefLinForm(),) * 5).is_zero()) == (1, False, True)
+
+
+def test_elements_are_immutable():
+    x = _cleared_only(basis_element(1, 0))
+    for name in ("coords", "cleared", "dim"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, ())
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == basis_element(1, 0)
+
+
 # --- the Jacobi kernel against the ungraded walk -------------------------
 
 
@@ -856,11 +923,22 @@ def test_jacobiator_count_e_series(rank, count, monkeypatch):
 )
 def test_jacobiator_count_n(T, count, monkeypatch):
     calls = _count_jacobiators(monkeypatch)
+    # The walk enumerates only pairs above the positions met, so it
+    # evaluates each pair _pairs_through returns.
+    pairs = []
+    real = nilpotent._pairs_through
+
+    def counted(*args):
+        out = real(*args)
+        pairs.append(len(out))
+        return out
+
+    monkeypatch.setattr(nilpotent, "_pairs_through", counted)
     rep = verify_jacobi(T)
     assert rep.ok
     d = n_dim(T.dim)
     assert rep.triples_checked == d * (d - 1) * (d - 2) // 6
-    assert len(calls) == count
+    assert len(calls) == sum(pairs) == count
 
 
 def _chevalley_kernel_and_reference(monkeypatch, edit, key=("B", 3)):

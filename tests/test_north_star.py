@@ -8,8 +8,9 @@ Every module of ``cubicontact`` is parsed and walked:
   * only ``scalars`` reads the ``nums``/``den`` storage of the formal sums
     or builds one through ``_of``;
   * only ``scalars`` defines the contraction kernel: ``dot``,
-    ``contract``, ``clear_denominators`` and its inverse
-    ``from_cleared``;
+    ``contract``, ``clear_denominators``, its inverse ``from_cleared``
+    and ``normalize_cleared``, the lowest-terms step of a cleared
+    vector;
   * only ``nilpotent`` defines the Jacobi kernel: ``_jacobiator``,
     ``jacobi_violations``, its generator check ``_generates``, the
     candidate-pair enumeration ``_pairs_through`` and the loop
@@ -113,7 +114,8 @@ def test_formal_sum_storage_stays_in_scalars(path):
 
 # Each shared kernel, by the one module that defines it.
 KERNELS = {
-    "scalars.py": {"dot", "_dot", "contract", "clear_denominators", "from_cleared"},
+    "scalars.py": {"dot", "_dot", "contract", "clear_denominators", "from_cleared",
+                   "normalize_cleared"},
     "nilpotent.py": {"_jacobiator", "jacobi_violations", "_generates", "_pairs_through",
                      "_nonzero_through"},
     "linalg.py": {"_int_rows", "_echelon"},
