@@ -38,8 +38,9 @@ Fraction (common-denominator arithmetic; Geddes, Czapor and Labahn,
 Algorithms for Computer Algebra, 1992, ch. 9).  The series linear in Y
 run the same walk when X is over Fractions and Y over one formal ring,
 as the generic element of moment_point_at is, with dict accumulations
-in place of int products; ``scalars.from_cleared`` builds the sums at
-the end.  Every other input takes the generic path through
+in place of int products, and return that cleared form too, which the
+moment map's chart velocity reads; its sums are built only when read.
+Every other input takes the generic path through
 ``bracket``: X over QPoly or LinForm, bch on forms (a product of two
 forms, or a form plus a constant, raises TypeError there), and
 elements holding a plain int or over a foreign ring, which
@@ -65,7 +66,6 @@ from .scalars import (
     SIXTH,
     TWELFTH,
     dot,
-    from_cleared,
 )
 
 
@@ -125,7 +125,7 @@ def _linear_series(xs, dx, ring, ys, dy, T: SymCubic, h, t) -> NElem:
     """Y + h [X, Y] + t [X, [X, Y]] from X's cleared ints (xs, dx) and
     Y's int dicts over the formal class ring (ys, dy): the walk of the
     Fraction path with w = 0, each product with a y numerator a dict
-    accumulation.  Grade 2 is over hd dt dx dy and grade 3 over
+    accumulation.  The result is the cleared form over
     hd td dt dx^2 dy (one dy of the Fraction path's cancels)."""
     dt, rows = T.scaled()
     p = T.dim
@@ -138,25 +138,23 @@ def _linear_series(xs, dx, ring, ys, dy, T: SymCubic, h, t) -> NElem:
                 _add_into(b[k], v * a1, yc[1][j])
                 _add_into(b[k], -v * a2, yc[0][j])
     hn, hd, tn, td = h.numerator, h.denominator, t.numerator, t.denominator
-    n2 = [{} for _ in range(p)]
-    for out, ya, ba in zip(n2, y2, b):
-        _add_into(out, hd * dt * dx, ya)
-        _add_into(out, hn, ba)
+    c1 = hd * td * dt * dx * dx
+    out = [{} for _ in range(3 * p + 2)]
+    for acc, ya in zip(out, ys[:2 * p]):
+        _add_into(acc, c1, ya)
+    for acc, ya, ba in zip(out[2 * p:], y2, b):
+        _add_into(acc, c1, ya)
+        _add_into(acc, td * dx * hn, ba)
     # dx dy [X, Y]_3 = x2 . y_col - y2 . x_col; t [X, [X, Y]] is central,
     # -t b . x_col / (dt dx^2 dy).
-    c3, ch, ct = hd * td * dt * dx * dx, td * dt * dx * hn, -tn * hd
-    n3 = [{}, {}]
-    for out, ya, xca, yca in zip(n3, ys[3 * p:], xc, yc):
-        _add_into(out, c3, ya)
+    ch, ct = td * dt * dx * hn, -tn * hd
+    for acc, ya, xca, yca in zip(out[3 * p:], ys[3 * p:], xc, yc):
+        _add_into(acc, c1, ya)
         for xa, yb, x2a, y2a, ba in zip(xca, yca, x2, y2, b):
-            _add_into(out, ch * x2a, yb)
-            _add_into(out, -ch * xa, y2a)
-            _add_into(out, ct * xa, ba)
-    return NElem(
-        from_cleared(ring, ys[:2 * p], dy)
-        + from_cleared(ring, n2, hd * dt * dx * dy)
-        + from_cleared(ring, n3, hd * td * dt * dx * dx * dy)
-    )
+            _add_into(acc, ch * x2a, yb)
+            _add_into(acc, -ch * xa, y2a)
+            _add_into(acc, ct * xa, ba)
+    return NElem.of_cleared(out, c1 * dy, ring)
 
 
 def bch(X: NElem, Y: NElem, T: SymCubic) -> NElem:

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .bch import ChartElem, solve_line_coordinates
 from .cubic import SymCubic, assumption_holds, cubic_hash, polarize
 from .linalg import mat_det
 from .sampling import SeededSampler
-from .scalars import HALF, Q0, Q1, SIXTH, dot
+from .scalars import HALF, Q0, Q1, SIXTH, TERMS, ClearedVector, clear_denominators, dot
 
 
 class AssumptionError(ValueError):
@@ -68,15 +69,26 @@ class ChartPoint:
         c = self.chart
         return (self.y, self.z, c.x3_m, c.x3_l) + tuple(c.x1) + tuple(c.x2)
 
+    @cached_property
+    def cleared(self):
+        """coords() as ints over their common denominator, (None, nums,
+        den), or as (TERMS, coords(), 1) when they are not all Fractions."""
+        c = clear_denominators(self.coords())
+        return c if c and c[0] is None else (TERMS, self.coords(), 1)
+
 
 def one_form_value(pt: ChartPoint, velocity) -> Fraction:
-    """theta~ evaluated on a coordinate velocity vector at pt."""
+    """theta~ evaluated on a coordinate velocity vector at pt.
+
+    theta~'s coefficients (0, 0, y, -yz, -y/2 X2, y/2 X1), written over
+    2 d^2 from pt's coordinates cleared over d, pair with the velocity,
+    a tuple or a ClearedVector, in one dot: one int pass where both
+    clear.
+    """
     p = pt.dim
-    y, z = pt.y, pt.z
-    x1, x2 = pt.chart.x1, pt.chart.x2
-    val = y * (velocity[2] - z * velocity[3])
-    acc = dot(x1, velocity[4 + p:4 + 2 * p]) - dot(x2, velocity[4:4 + p])
-    return val + HALF * y * acc
+    ring, (y, z, _m, _l, *xs), d = pt.cleared
+    theta = [0, 0, 2 * d * y, -2 * y * z] + [-y * e for e in xs[p:]] + [y * a for a in xs[:p]]
+    return dot(ClearedVector(ring, theta, 2 * d * d), velocity)
 
 
 def dtheta_matrix(pt: ChartPoint, T: SymCubic):

@@ -174,24 +174,12 @@ def cubic_eval(T: SymCubic, v) -> Fraction:
 def polarize(T: SymCubic, v1, v2):
     """B(v1, v2) = c(v1, v2, .), as a covector coordinate tuple.
 
-    One pass of ``contract`` over ``T.scaled()``; vectors over a ring the
-    kernel does not clear take the per-term loop.
+    One pass of ``contract`` over ``T.scaled()``.
     """
     _check_vec(T, v1, "v1")
     _check_vec(T, v2, "v2")
     dt, rows = T.scaled()
-    out = contract(rows, v1, v2, T.dim, dt)
-    if out is not None:
-        return out
-    out = [Q0] * T.dim
-    for a, row in zip(v1, T.grouped()):
-        if not a:
-            continue
-        for j, k, val in row:
-            b = v2[j]
-            if b:
-                out[k] = out[k] + val * a * b
-    return tuple(out)
+    return contract(rows, v1, v2, T.dim, dt)
 
 
 def trilinear(T: SymCubic, v1, v2, v3) -> Fraction:

@@ -13,9 +13,12 @@ basis elements of n.  A -> theta~(velocity(A)) is linear, so it is
 evaluated once, on the generic element of n whose coordinates are formal
 linear forms (nilpotent.generic_element): the coefficient of the i-th
 coordinate in the result is exactly the value on the i-th basis element.
-The velocity code runs unchanged on these forms, and since they admit
-only linear operations, any non-linear use of A would raise instead of
-giving a wrong number.
+The path runs on cleared numerators (scalars.contract_cleared): int
+dicts for the generic element, ints for a rational generator.  V comes
+from the group law in that form, the velocity is a linear map of V's
+numerators and of B(x1, v_l)'s, and theta~'s coefficients pair with it
+in one more pass, so the value is the only sum built.  A generator that
+does not clear runs the same terms one ring operation at a time.
 
 The n-components are assembled into a point of the dual space through a
 fixed identification of (V (x) W)* and W* with V* (x) W and W via the
@@ -43,15 +46,17 @@ from itertools import chain, islice, product
 
 from .bch import exp_diff
 from .contact import ChartPoint, one_form_value, require_assumption
-from .cubic import (
-    SymCubic,
-    cubic_hash,
-    polarize,
-    reduction,
-)
+from .cubic import SymCubic, cubic_hash, reduction
 from .nilpotent import NElem, SlWElem, act_slw, generic_element
 from .sampling import SeededSampler
-from .scalars import HALF, Q0, TWELFTH, dot
+from .scalars import (
+    TERMS,
+    ClearedVector,
+    clear_denominators,
+    contract_cleared,
+    frac,
+    from_cleared,
+)
 
 
 @dataclass(frozen=True)
@@ -73,58 +78,78 @@ class MomentPoint:
 
 
 def moment_membership(m: MomentPoint, T: SymCubic) -> bool:
-    """Exact test of omega(phi1, phi3) = c(phi2, phi2, .)."""
+    """Exact test of omega(phi1, phi3) = c(phi2, phi2, .).
+
+    Both sides are compared as int vectors: phi's coordinates cleared
+    over d, omega(phi1, phi3) over d^2 and c(phi2, phi2, .) over dt d^2
+    from one contraction with T's integer table.
+    """
     p = T.dim
     if m.dim != p or len(m.phi1) != p:
         raise ValueError("dimension mismatch")
+    _r, nums, d = clear_denominators(tuple(map(frac, chain(m.phi2, m.phi3, *m.phi1))))
+    phi2, (g1, g2), phi1 = nums[:p], nums[p:p + 2], nums[p + 2:]
+    dt, rows = T.scaled()
+    _r, rhs, _d = contract_cleared(rows, (None, phi2, d), (None, phi2, d), p, dt)
     # omega(phi3, f1) = -phi3_f2, omega(phi3, f2) = +phi3_f1.
-    w1 = -m.phi3[1]
-    w2 = m.phi3[0]
-    rhs = polarize(T, m.phi2, m.phi2)
-    for k in range(p):
-        lhs = m.phi1[k][0] * w1 + m.phi1[k][1] * w2
-        if lhs != rhs[k]:
-            return False
-    return True
+    return all(
+        dt * (g1 * phi1[2 * k + 1] - g2 * phi1[2 * k]) == r for k, r in enumerate(rhs)
+    )
 
 
 def _chart_velocity(pt: ChartPoint, V: NElem, T: SymCubic):
-    """Velocity of (x3_m, x3_l, x1, x2) as the chart element moves along V.
+    """Cleared velocity (ring, nums, den) of (x3_m, x3_l, x1, x2) as the
+    chart element moves along V.
 
     chart_decompose of X + t V, linearized by hand at t = 0: w = t v_l,
-    and c(x1, x1, v_l) = B(x1, v_l).x1 as in chart_decompose.
+    and c(x1, x1, v_l) = b.x1 with b = B(x1, v_l) as in chart_decompose:
+
+        x3_m' = V3_m - 1/2 z x2.v_l - 1/12 b.x1,   x1' = v_m - z v_l,
+        x3_l' = V3_l - 1/2 x2.v_l,                 x2' = V2 + 1/2 b.
+
+    pt's z, x1 and x2 are ints over dx, V's 3p + 2 numerators are over
+    dv (its terms, over dv = 1, where it has no cleared form), and b,
+    from one contraction of T's integer table, is over dt dx dv.  Each
+    (source, target, c) below adds c source / (12 dt dx^2 dv), the
+    sources being V's numerators and then b's.
     """
-    z = pt.z
-    v_l = V.col(0)
-    v_m = V.col(1)
-    x1 = pt.chart.x1
-    x2 = pt.chart.x2
-    xdot1 = tuple(m - z * l for m, l in zip(v_m, v_l))
-    b_x1_vl = polarize(T, x1, v_l)
-    xdot2 = tuple(a + HALF * b for a, b in zip(V.n2, b_x1_vl))
-    x2_vl = dot(x2, v_l)
-    xdot3_l = V.n3[0] - HALF * x2_vl
-    xdot3_m = V.n3[1] - HALF * z * x2_vl - TWELFTH * dot(b_x1_vl, x1)
-    return (xdot3_m, xdot3_l) + xdot1 + xdot2
+    p = pt.dim
+    dt, rows = T.scaled()
+    pr, (_y, z, _m, _l, *xs), dx = pt.cleared
+    x1, x2 = xs[:p], xs[p:]
+    ring, vs, dv = V.cleared if pr is None and V.cleared else (TERMS, V.coords, 1)
+    _r, b, _db = contract_cleared(rows, (pr, x1, dx), (ring, vs[:p], dv), p, dt)
+    s = 12 * dt * dx
+    terms = [(3 * p + 1, 0, s * dx), (3 * p, 1, s * dx)]
+    for i, (a, e) in enumerate(zip(x1, x2)):
+        vl, vm, v2, bi = i, p + i, 2 * p + i, 3 * p + 2 + i
+        terms += [
+            (vl, 0, -6 * dt * z * e), (bi, 0, -a),  # x3_m'
+            (vl, 1, -6 * dt * dx * e),  # x3_l'
+            (vm, 2 + i, s * dx), (vl, 2 + i, -s * z),  # x1'
+            (v2, 2 + p + i, s * dx), (bi, 2 + p + i, 6 * dx),  # x2'
+        ]
+    return contract_cleared([terms], (None, [1], 1), (ring, [*vs, *b], dv), 2 * p + 2, s * dx)
 
 
 def _velocity(pt: ChartPoint, A, T: SymCubic):
     """Coordinate velocity (y, z, x3_m, x3_l, x1, x2) of generator A at pt.
 
     A in n: the left flow exp(tA) exp(X) moves X along exp_diff(-X, A)
-    and fixes y and z.  A = [[a, b], [c, -a]] in sl(W): X moves along
-    act_slw(A, X), y is scaled by 1 + t(a + zb) and z moves to
-    (z + t(c - za)) / (1 + t(a + zb)).
+    and fixes y and z; the velocity is a ClearedVector.  A = [[a, b],
+    [c, -a]] in sl(W): X moves along act_slw(A, X), y is scaled by
+    1 + t(a + zb) and z moves to (z + t(c - za)) / (1 + t(a + zb)).
     """
     X = pt.chart.to_nelem()
     if isinstance(A, NElem):
-        return (Q0, Q0) + _chart_velocity(pt, exp_diff(-X, A, T), T)
+        ring, nums, den = _chart_velocity(pt, exp_diff(-X, A, T), T)
+        return ClearedVector(ring, [0, 0, *nums], den)
     if isinstance(A, SlWElem):
         (a, b), (c, _d) = A.mat
         z = pt.z
         ydot = pt.y * (a + z * b)
         zdot = c - 2 * z * a - z * z * b
-        return (ydot, zdot) + _chart_velocity(pt, act_slw(A, X), T)
+        return (ydot, zdot) + from_cleared(*_chart_velocity(pt, act_slw(A, X), T))
     raise TypeError(f"unsupported generator {A!r}")
 
 
@@ -148,31 +173,43 @@ def moment_point_at(pt: ChartPoint, T: SymCubic) -> MomentPoint:
     basis of n (exact, because A -> moment_of(pt, A, T) is linear).
     These are presented in V* (x) W and W coordinates through the
     symplectic identifications (the n1 block scaled by -2, see the
-    module note).
+    module note), each coordinate built once from the form's cleared
+    numerators.
     """
     p = T.dim
-    mu = moment_of(pt, generic_element(p), T).coefficient
-    phi1 = tuple((-2 * mu(p + k), 2 * mu(k)) for k in range(p))
-    phi2 = tuple(mu(2 * p + k) for k in range(p))
-    phi3 = (mu(3 * p + 1), -mu(3 * p))
-    return MomentPoint(phi1=phi1, phi2=phi2, phi3=phi3)
+    _r, (mu,), den = clear_denominators((moment_of(pt, generic_element(p), T),))
+
+    def phi(i, c=1):
+        return Fraction(c * mu.get(i, 0), den)
+
+    return MomentPoint(
+        phi1=tuple((phi(p + k, -2), phi(k, 2)) for k in range(p)),
+        phi2=tuple(phi(2 * p + k) for k in range(p)),
+        phi3=(phi(3 * p + 1), phi(3 * p, -1)),
+    )
 
 
 def moment_point_closed_form(pt: ChartPoint, T: SymCubic) -> MomentPoint:
     """The moment point at pt from its closed form, independent of _velocity.
 
     phi1_k = (2y X2_k, 2yz X2_k + y B(X1, X1)_k), phi2 = y X1,
-    phi3 = (y, yz).
+    phi3 = (y, yz): each coordinate built once from pt's cleared ints,
+    over d, and B(X1, X1), over dt d^2 from one contraction with T's
+    integer table.
     """
-    y, z = pt.y, pt.z
-    x1, x2 = pt.chart.x1, pt.chart.x2
-    b = polarize(T, x1, x1)
+    p = pt.dim
+    _r, (y, z, _m, _l, *xs), d = pt.cleared
+    x1, x2 = xs[:p], xs[p:]
+    dt, rows = T.scaled()
+    _r, b, _db = contract_cleared(rows, (None, x1, d), (None, x1, d), p, dt)
+    d2, d3 = d * d, dt * d ** 3
     return MomentPoint(
         phi1=tuple(
-            (2 * y * x2_k, 2 * y * z * x2_k + y * b_k) for x2_k, b_k in zip(x2, b)
+            (Fraction(2 * y * e, d2), Fraction(y * (2 * dt * z * e + bk), d3))
+            for e, bk in zip(x2, b)
         ),
-        phi2=tuple(y * x for x in x1),
-        phi3=(y, y * z),
+        phi2=tuple(Fraction(y * a, d2) for a in x1),
+        phi3=(Fraction(y, d), Fraction(y * z, d2)),
     )
 
 

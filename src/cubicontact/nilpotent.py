@@ -68,9 +68,11 @@ class NElem:
     column, then n2, the covector, then n3, the f1 and f2 coefficients.
 
     ``cleared`` is clear_denominators(coords), computed once.  The group
-    law returns rational elements as that form alone (``of_cleared``),
-    (None, nums, den) in lowest terms, and builds no coords until read.
-    The form is unique: == compares it where both sides have one.
+    law returns its results as a cleared form alone (``of_cleared``) and
+    builds no coords until read: a rational element as (None, nums, den)
+    in lowest terms, a form that is unique, so == compares it where both
+    sides have one, and an element linear in a formal Y as (ring, int
+    dicts, den), not reduced.
     """
 
     def __init__(self, coords: tuple):
@@ -79,10 +81,13 @@ class NElem:
         self.__dict__["coords"] = coords
 
     @staticmethod
-    def of_cleared(nums, den) -> "NElem":
-        """The element with coordinates nums[i] / den, ints with den > 0."""
+    def of_cleared(nums, den, ring=None) -> "NElem":
+        """The element with coordinates nums[i] / den, den > 0: ints, or
+        int dicts (or 0) over the formal class ring."""
         out = object.__new__(NElem)
-        out.__dict__["cleared"] = (None, *normalize_cleared(nums, den))
+        out.__dict__["cleared"] = (
+            (None, *normalize_cleared(nums, den)) if ring is None else (ring, nums, den)
+        )
         return out
 
     def __setattr__(self, name, *_value):
@@ -165,7 +170,9 @@ class NElem:
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return not any(self.__dict__.get("coords") or self.cleared[1])
+        if "coords" in self.__dict__ or self.cleared[0]:
+            return not any(self.coords)
+        return not any(self.cleared[1])
 
     def map_scalars(self, f) -> "NElem":
         return NElem(tuple(map(f, self.coords)))
@@ -209,9 +216,11 @@ def generic_element(p: int) -> NElem:
 
     Its coordinates are the LinForm coordinates a_i in basis order, so a
     map that is linear in its NElem argument, evaluated once here, yields
-    its value on basis_element(p, i) as the coefficient of a_i.
+    its value on basis_element(p, i) as the coefficient of a_i.  It is
+    held in its cleared form, each a_i the dict {i: 1} over 1, and builds
+    the forms only when they are read.
     """
-    return NElem(tuple(map(LinForm.coordinate, range(n_dim(p)))))
+    return NElem.of_cleared([{i: 1} for i in range(n_dim(p))], 1, LinForm)
 
 
 def bracket_table(T: SymCubic) -> list:

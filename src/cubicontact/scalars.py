@@ -27,17 +27,24 @@ read out of either is a normalized ``Fraction``.
 The same storage carries whole vectors: ``clear_denominators`` writes a
 coordinate tuple as numerators (ints, or int dicts for formal sums) over
 one common denominator, ``from_cleared`` is its inverse, and
-``contract``, the cleared-vector kernel, runs a bilinear contraction on
-them in ints, building each output coordinate once instead of one ring
-operation per term.  The vector contractions go through it:
-``cubic.polarize`` (and with it ``cubic_eval`` and ``trilinear``), the
-structure-constant check ``nilpotent.ad_mismatches``, and ``dot``, the
-pairing of a covector with a vector, which is ``contract`` with diagonal
-rows.  The group law (``bch._series``) runs its own walk on the cleared
-numerators: over Fractions it takes and returns ``nilpotent.NElem``'s
-cached cleared form, in lowest terms (``normalize_cleared``), and over
-a formal Y it rebuilds its output through ``from_cleared``.  No other
-module reads a sum's ``nums`` or ``den``.
+``contract_cleared``, the cleared-vector kernel, runs a bilinear
+contraction on them in ints, building each output coordinate once
+instead of one ring operation per term.  A vector that does not clear
+takes the form TERMS, its coordinates as numerators over 1, on which
+the same terms run as ring operations.  ``contract`` clears two
+coordinate vectors, or reads a ``ClearedVector``'s form, and runs the
+kernel.  The vector contractions go through it: ``cubic.polarize``
+(and with it ``cubic_eval`` and ``trilinear``), the structure-constant
+check ``nilpotent.ad_mismatches``, and ``dot``, the pairing of a
+covector with a vector, which is ``contract`` with diagonal rows.  The
+moment map calls the kernel on cleared forms: ``moment._chart_velocity``
+for B(x1, v_l) and the velocity, ``contact.one_form_value`` pairing
+theta~ with it through ``dot``, and the closed form and membership test
+for B(X1, X1) and c(phi2, phi2, .).  The group law (``bch._series``)
+runs its own walk on the cleared numerators and takes and returns
+``nilpotent.NElem``'s cleared form: over Fractions in lowest terms
+(``normalize_cleared``), over a formal Y as int dicts.  No other module
+reads a sum's ``nums`` or ``den``.
 
 Both interoperate with ``Fraction`` and ``int`` through the reflected
 arithmetic hooks, so the algebra layer can stay scalar-agnostic.
@@ -291,6 +298,11 @@ def clear_denominators(coords):
     ], d
 
 
+# The ring of a cleared form whose numerators are ring elements, as given,
+# over an int den: the form of a vector that clear_denominators refuses.
+TERMS = "terms"
+
+
 def from_cleared(ring, nums, den):
     """The coordinate tuple whose cleared form is (ring, nums, den): the
     inverse of clear_denominators.
@@ -298,13 +310,51 @@ def from_cleared(ring, nums, den):
     With ring None each numerator is an int and gives a Fraction.  Over
     a formal class each is an int dict, which is not kept, and gives a
     sum of that class (zero terms dropped); a falsy entry (0, None or
-    {}) gives Q0, where a per-term loop would leave nothing added.
+    {}) gives Q0, where a per-term loop would leave nothing added.  Over
+    TERMS each is a ring element or int, times 1/den.
     """
     if ring is None:
         return tuple(Fraction(n, den) for n in nums)
+    if ring is TERMS:
+        return tuple(n * Fraction(1, den) for n in nums)
     return tuple(
         ring._of({s: n for s, n in out.items() if n}, den) if out else Q0 for out in nums
     )
+
+
+class ClearedVector:
+    """A coordinate vector held as its cleared form ``cleared`` = (ring,
+    nums, den), ring None, a formal class or TERMS, whose coordinates
+    are built through from_cleared on their first read.  ``contract``
+    and ``dot`` read the cleared form itself.  It equals a tuple or
+    ClearedVector with the same coordinates.
+    """
+
+    __slots__ = ("cleared", "_coords")
+
+    def __init__(self, ring, nums, den):
+        self.cleared = (ring, nums, den)
+        self._coords = None
+
+    @property
+    def coords(self) -> tuple:
+        if self._coords is None:
+            self._coords = from_cleared(*self.cleared)
+        return self._coords
+
+    def __len__(self):
+        return len(self.cleared[1])
+
+    def __getitem__(self, i):
+        return self.coords[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, ClearedVector)):
+            return NotImplemented
+        return self.coords == tuple(other)
+
+    def __repr__(self):
+        return f"ClearedVector({self.coords!r})"
 
 
 def normalize_cleared(nums, den):
@@ -314,27 +364,21 @@ def normalize_cleared(nums, den):
     return (nums, den) if g == 1 else ([n // g for n in nums], den // g)
 
 
-def contract(rows, u, v, size, den=1):
-    """The bilinear map w_k = sum of c u_i v_j / den over each i and each
-    (j, k, c) of rows[i], as a size-tuple; None when u or v has no
-    cleared form (see clear_denominators) or the two are over different
-    formal classes.  rows is iterated alongside u.
+def contract_cleared(rows, cu, cv, size, den=1):
+    """The bilinear map of ``contract`` on two cleared forms cu = (ru, us,
+    du) and cv = (rv, vs, dv): the cleared form (ring, nums, den du dv) of
+    w, ring being ru or rv.  At most one formal class may occur, and
+    TERMS only beside ints or TERMS.
 
-    c and den are ints, and the terms run in ints on the cleared
-    numerators; each w_k is built once, at the end.  Over plain numbers
-    w_k is a Fraction.  Over a formal class it is a sum of that class,
-    or Q0 where no term reaches it, as a per-term loop would leave it; a
-    product of two LinForms raises TypeError.
+    Over ints each w_k numerator is an int, and over TERMS a ring
+    element summed one term at a time onto 0; over a formal class it is
+    an int dict, or None where no term reaches it.  A product of two
+    LinForms raises TypeError.
     """
-    cu, cv = clear_denominators(u), clear_denominators(v)
-    if cu is None or cv is None:
-        return None
     (ru, us, du), (rv, vs, dv) = cu, cv
-    if ru and rv and ru is not rv:
-        return None
     den *= du * dv
     ring = ru or rv
-    if ring is None:
+    if ring is None or ring is TERMS:
         acc = [0] * size
         for a, row in zip(us, rows):
             if a:
@@ -342,9 +386,9 @@ def contract(rows, u, v, size, den=1):
                     b = vs[j]
                     if b:
                         acc[k] += c * a * b
-        return from_cleared(None, acc, den)
-    product = ring._mul_nums if ru and rv else None
+        return ring, acc, den
     acc = [None] * size
+    product = ring._mul_nums if ru and rv else None
     for a, row in zip(us, rows):
         if a:
             for j, k, c in row:
@@ -358,22 +402,35 @@ def contract(rows, u, v, size, den=1):
                         nums, c = b, c * a
                     out = acc[k]
                     if out is None:
-                        out = acc[k] = {}
-                    for s, n in nums.items():
-                        out[s] = out.get(s, 0) + n * c
-    return from_cleared(ring, acc, den)
+                        acc[k] = {s: n * c for s, n in nums.items()}
+                    else:
+                        for s, n in nums.items():
+                            out[s] = out.get(s, 0) + n * c
+    return ring, acc, den
+
+
+def contract(rows, u, v, size, den=1):
+    """The bilinear map w_k = sum of c u_i v_j / den over each i and each
+    (j, k, c) of rows[i], as a size-tuple.  rows is iterated alongside u;
+    c and den are ints.
+
+    u and v are coordinate sequences or ClearedVectors.  When both have
+    a cleared form (see clear_denominators) over at most one formal
+    class, the terms run in ints on the numerators and each w_k is built
+    once, at the end.  Otherwise they run one ring operation at a time.
+    Over plain numbers w_k is a Fraction; over a formal class it is a
+    sum of that class.  Where no term reaches it, w_k is Q0, as a
+    per-term loop leaves it.  A product of two LinForms raises
+    TypeError, and so does a nonzero constant added to a LinForm.
+    """
+    cu, cv = (x.cleared if type(x) is ClearedVector else clear_denominators(x) for x in (u, v))
+    if not (cu and cv and (not cu[0] or not cv[0] or cu[0] is cv[0])):
+        cu, cv = (TERMS, tuple(u), 1), (TERMS, tuple(v), 1)
+    return from_cleared(*contract_cleared(rows, cu, cv, size, den))
 
 
 def dot(u, v):
     """sum_i u_i v_i over any of the scalar rings: one pass of
-    ``contract`` with diagonal rows, or, over a ring it does not clear,
-    one term at a time."""
+    ``contract`` with diagonal rows."""
     n = min(len(u), len(v))
-    out = contract((((i, 0, 1),) for i in range(n)), u, v, 1)
-    if out is not None:
-        return out[0]
-    s = Q0
-    for a, b in zip(u, v):
-        if a and b:
-            s = s + a * b
-    return s
+    return contract((((i, 0, 1),) for i in range(n)), u, v, 1)[0]

@@ -16,7 +16,9 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from test_scalar_references import _ref_generic_element
+from test_slw_flow import GENERATORS as SLW_GENERATORS, ref_velocity_from_slw_generator
 
 from cubicontact import moment
 from cubicontact.bch import (
@@ -28,17 +30,19 @@ from cubicontact.bch import (
     solve_line_coordinates,
 )
 from cubicontact.catalog import catalog_get, catalog_list
-from cubicontact.contact import sample_chart_point
-from cubicontact.cubic import polarize, trilinear
+from cubicontact.contact import ChartPoint, sample_chart_point
+from cubicontact.cubic import SymCubic, assumption_holds, polarize, trilinear
 from cubicontact.extraction import algebra_for, extraction
-from cubicontact.nilpotent import NElem, bracket, generic_element
+from cubicontact.moment import MomentPoint
+from cubicontact.nilpotent import NElem, basis_element, bracket, generic_element
 from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
-from cubicontact.scalars import HALF, LinForm, Q0, QPoly, TWELFTH, dot as _dot
+from cubicontact.scalars import HALF, LinForm, Q0, QPoly, TWELFTH, _FormalSum, dot as _dot
 from cubicontact.verify import run_expdiff_suite, run_group_suite
 
 bch_module = importlib.import_module("cubicontact.bch")
 nilpotent = importlib.import_module("cubicontact.nilpotent")
+scalars = importlib.import_module("cubicontact.scalars")
 
 CUBICS = tuple(e.name for e in catalog_list()) + ("extracted-G2", "extracted-F4")
 
@@ -284,7 +288,12 @@ def test_rational_series_keep_the_cleared_form(monkeypatch):
     """On Fractions the group law reads and returns NElem's cleared form:
     the group suite and the expdiff suite's samples build no rational
     coordinates, moment_point_at negates X in ints and clears it once,
-    and coordinates are built on their first read only."""
+    and coordinates are built on their first read only.
+
+    Between exp_diff and the one form moment_of returns, moment_point_at
+    builds no LinForm: the generic element, its flow V and the chart
+    velocity stay int dicts, and the dot with theta~'s coefficients
+    builds the value, the only LinForm."""
     T = catalog_get("det3").tensor()
     cfg = RunConfig(seed=7, samples=3)
     rebuilt = _count(monkeypatch, "from_cleared", (bch_module, nilpotent))
@@ -295,11 +304,18 @@ def test_rational_series_keep_the_cleared_form(monkeypatch):
     assert rebuilt and all(args[0] is LinForm for args in rebuilt)
     pt = sample_chart_point(SeededSampler(66), T.dim)
     X = pt.chart.to_nelem()
+    kernel_rebuilt = _count(monkeypatch, "from_cleared", (scalars, moment))
+    built = []
+    of = _FormalSum.__dict__["_of"].__func__
+    monkeypatch.setattr(
+        _FormalSum, "_of", classmethod(lambda cls, *args: built.append(cls) or of(cls, *args))
+    )
     rebuilt.clear()
     cleared.clear()
-    moment.moment_point_at(pt, T)
-    assert all(args[0] is LinForm for args in rebuilt)
-    assert [args[0] for args in cleared] == [X.coords, generic_element(T.dim).coords]
+    m = moment.moment_point_at(pt, T)
+    assert [args[0] for args in cleared] == [X.coords] and not rebuilt
+    assert [args[0] for args in kernel_rebuilt] == [LinForm] and built == [LinForm]
+    assert m == moment.moment_point_closed_form(pt, T)
     X, Y, _z = _fraction_inputs(T, SeededSampler(67))
     product = bch(X, Y, T)
     rebuilt.clear()
@@ -318,14 +334,18 @@ def test_chart_contractions_polarize_once(monkeypatch):
     chart_decompose(X, z, T)
     assert len(polarizes) == 1 and not trilinears
     # On Fractions and on the generic element the series reads T's
-    # integer table: only B(x1, v_l).
+    # integer table, and the velocity walks it once more, for B(x1, v_l),
+    # in its cleared contraction.
+    walks = _count(monkeypatch, "contract_cleared", (moment,))
     for A in (generic_element(T.dim), Y):
         polarizes.clear()
+        walks.clear()
         moment._velocity(pt, A, T)
-        assert len(polarizes) == 1 and not trilinears
+        assert not polarizes and not trilinears
+        assert [args[0] is T.scaled()[1] for args in walks] == [True, False]
     for fn in (bch, exp_diff, exp_diff_inv):
         fn(X, Y, T)
-    assert len(polarizes) == 1 and not trilinears
+    assert not polarizes and not trilinears
 
 
 # --- the integer path of the series ----------------------------------------
@@ -336,6 +356,11 @@ BIG_DENOMINATORS = (1_000_003, 998_244_353, 1_000_000_007, 2_147_483_647, 999_99
 big_fractions = st.just(Fraction(0)) | st.builds(
     Fraction,
     st.integers(-10 ** 12, 10 ** 12),
+    st.sampled_from(BIG_DENOMINATORS) | st.integers(1, 10 ** 12),
+)
+nonzero_fractions = st.builds(
+    Fraction,
+    st.integers(1, 10 ** 12) | st.integers(-10 ** 12, -1),
     st.sampled_from(BIG_DENOMINATORS) | st.integers(1, 10 ** 12),
 )
 SERIES = ((bch, ref_bch), (exp_diff, ref_exp_diff), (exp_diff_inv, ref_exp_diff_inv))
@@ -395,3 +420,79 @@ def test_integer_path_matches_references(data, name, scale, with_ints):
             else:
                 assert fn(X, mixed, T) == expected, fn.__name__
         assert spy.call_count == (10 if with_ints else 2)
+
+
+# --- the cleared moment path -------------------------------------------------
+
+def ref_one_form_value(pt, velocity):
+    """theta~ on a coordinate velocity, one ring operation per term."""
+    p = pt.dim
+    x1, x2 = pt.chart.x1, pt.chart.x2
+    acc = Q0
+    for i in range(p):
+        acc = acc + x1[i] * velocity[4 + p + i] - x2[i] * velocity[4 + i]
+    return pt.y * (velocity[2] - pt.z * velocity[3]) + HALF * pt.y * acc
+
+
+def ref_moment_values(pt, T):
+    """The moment functional on each basis element of n, from the
+    references alone."""
+    p = T.dim
+    return [ref_one_form_value(pt, ref_velocity(pt, basis_element(p, i), T)) for i in range(3 * p + 2)]
+
+
+def _assembled(mu, p):
+    """moment_point_at's presentation of the values mu(i) on the basis."""
+    return MomentPoint(
+        phi1=tuple((-2 * mu(p + k), 2 * mu(k)) for k in range(p)),
+        phi2=tuple(mu(2 * p + k) for k in range(p)),
+        phi3=(mu(3 * p + 1), -mu(3 * p)),
+    )
+
+
+@st.composite
+def sparse_rank_p_cubics(draw):
+    """p = 1..6, a diagonal entry per index and up to 2p other entries,
+    all with big denominators; b_rank = p."""
+    p = draw(st.integers(1, 6))
+    entries = {(i, i, i): draw(nonzero_fractions) for i in range(p)}
+    triples = [(i, j, k) for i in range(p) for j in range(i, p) for k in range(j, p)]
+    for t in draw(st.lists(st.sampled_from(triples), unique=True, max_size=2 * p)):
+        entries[t] = draw(nonzero_fractions)
+    T = SymCubic(p, entries)
+    assume(assumption_holds(T))
+    return T
+
+
+@st.composite
+def edge_chart_points(draw, p):
+    """Chart points whose x1, x2 or z may be zero and whose y may be negative."""
+    vectors = st.just((Q0,) * p) | st.lists(big_fractions, min_size=p, max_size=p).map(tuple)
+    chart = ChartElem(draw(vectors), draw(vectors), draw(big_fractions), draw(big_fractions))
+    return ChartPoint(chart, draw(big_fractions), draw(nonzero_fractions))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), T=sparse_rank_p_cubics())
+def test_cleared_moment_path_matches_references(data, T):
+    """The cleared velocity and moment point against the per-term
+    references: on the generic element and a Fraction generator, per
+    basis element, on the sl(W) generators (their jet reference) and on
+    the reference LinForm ring, which no kernel clears."""
+    p = T.dim
+    pt = data.draw(edge_chart_points(p))
+    generic = generic_element(p)
+    A = NElem(tuple(data.draw(st.lists(big_fractions, min_size=3 * p + 2, max_size=3 * p + 2))))
+    for B in (generic, A):
+        assert moment._velocity(pt, B, T) == ref_velocity(pt, B, T)
+    mu = ref_moment_values(pt, T)
+    assert [moment.moment_of(pt, basis_element(p, i), T) for i in range(3 * p + 2)] == mu
+    m = moment.moment_point_at(pt, T)
+    assert m == _assembled(mu.__getitem__, p) == moment.moment_point_closed_form(pt, T)
+    assert moment.moment_membership(m, T)
+    for g in SLW_GENERATORS:
+        velocity = ref_velocity_from_slw_generator(pt, g, T)
+        assert moment._velocity(pt, g, T) == velocity
+        assert moment.moment_of(pt, g, T) == ref_one_form_value(pt, velocity)
+    ref_form = moment.moment_of(pt, _ref_generic_element(p), T)
+    assert _assembled(ref_form.coefficient, p) == m

@@ -177,11 +177,12 @@ def _display_one_form_value(pt, velocity):
 
 def _exterior_derivative(form, pt):
     """M[a][b] = d_a form_b - d_b form_a, each partial taken exactly as
-    the t^1 coefficient after moving one coordinate by t (QPoly in t)."""
+    the t^1 coefficient after moving one coordinate by t (QPoly in t).
+    A value that no coefficient of the form reaches may be a plain 0."""
     n = 2 * pt.dim + 4
     units = [_unit(n, b) for b in range(n)]
     partial = [
-        [form(_moved_point(pt, a), units[b]).coefficient(1) for b in range(n)]
+        [(QPoly() + form(_moved_point(pt, a), units[b])).coefficient(1) for b in range(n)]
         for a in range(n)
     ]
     return [[partial[a][b] - partial[b][a] for b in range(n)] for a in range(n)]

@@ -8,9 +8,10 @@ Every module of ``cubicontact`` is parsed and walked:
   * only ``scalars`` reads the ``nums``/``den`` storage of the formal sums
     or builds one through ``_of``;
   * only ``scalars`` defines the contraction kernel: ``dot``,
-    ``contract``, ``clear_denominators``, its inverse ``from_cleared``
-    and ``normalize_cleared``, the lowest-terms step of a cleared
-    vector;
+    ``contract``, its form-level core ``contract_cleared``,
+    ``clear_denominators``, its inverse ``from_cleared``,
+    ``normalize_cleared``, the lowest-terms step of a cleared vector,
+    the per-term form ``TERMS`` and the lazy ``ClearedVector``;
   * only ``nilpotent`` defines the Jacobi kernel: ``_jacobiator``,
     ``jacobi_violations``, its generator check ``_generates``, the
     candidate-pair enumeration ``_pairs_through`` and the loop
@@ -114,8 +115,8 @@ def test_formal_sum_storage_stays_in_scalars(path):
 
 # Each shared kernel, by the one module that defines it.
 KERNELS = {
-    "scalars.py": {"dot", "_dot", "contract", "clear_denominators", "from_cleared",
-                   "normalize_cleared"},
+    "scalars.py": {"dot", "_dot", "contract", "contract_cleared", "clear_denominators",
+                   "from_cleared", "normalize_cleared", "TERMS", "ClearedVector"},
     "nilpotent.py": {"_jacobiator", "jacobi_violations", "_generates", "_pairs_through",
                      "_nonzero_through"},
     "linalg.py": {"_int_rows", "_echelon"},
