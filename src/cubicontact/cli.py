@@ -41,7 +41,7 @@ from .extraction import (
     ternary_dimension_check,
     verify_embedding,
 )
-from .reports import MAX_PROBE_BUDGET, PRIME_BOUND, RunConfig, canonical_json, jsonable
+from .reports import MAX_PROBE_BUDGET, MAX_VERIFY_DIM, PRIME_BOUND, RunConfig, canonical_json
 from .rootsystems import RootSystemError
 from .verify import SUITES, run_verification
 
@@ -88,6 +88,8 @@ def cmd_check(args) -> int:
 def cmd_verify(args) -> int:
     try:
         T = load_tensor(args.cubic)
+        if T.dim > MAX_VERIFY_DIM:
+            raise TensorFormatError(f"dim {T.dim} is above {MAX_VERIFY_DIM}, the most verify runs")
     except TensorFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -190,7 +192,7 @@ def cmd_catalog(args) -> int:
     if args.action == "emit":
         _emit(out, f"catalog-{entry.name}.json", dumps_tensor(entry.tensor()))
     else:
-        text = canonical_json(jsonable(signature(entry.tensor())))
+        text = canonical_json(signature(entry.tensor()))
         _emit(out, f"signature-{entry.name}.json", text)
     return 0
 

@@ -88,7 +88,7 @@ def one_form_value(pt: ChartPoint, velocity) -> Fraction:
     p = pt.dim
     ring, (y, z, _m, _l, *xs), d = pt.cleared
     theta = [0, 0, 2 * d * y, -2 * y * z] + [-y * e for e in xs[p:]] + [y * a for a in xs[:p]]
-    return dot(ClearedVector(ring, theta, 2 * d * d), velocity)
+    return dot(ClearedVector.of_cleared(theta, 2 * d * d, ring), velocity)
 
 
 def dtheta_matrix(pt: ChartPoint, T: SymCubic):

@@ -143,7 +143,7 @@ def _velocity(pt: ChartPoint, A, T: SymCubic):
     X = pt.chart.to_nelem()
     if isinstance(A, NElem):
         ring, nums, den = _chart_velocity(pt, exp_diff(-X, A, T), T)
-        return ClearedVector(ring, [0, 0, *nums], den)
+        return ClearedVector.of_cleared([0, 0, *nums], den, ring)
     if isinstance(A, SlWElem):
         (a, b), (c, _d) = A.mat
         z = pt.z

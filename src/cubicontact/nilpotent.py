@@ -32,15 +32,14 @@ contracted with x; the jacobi suite hands it the table ``verify_jacobi``
 checked.
 
 Elements carry their 3p + 2 coordinates in basis order (see
-basis_element), as a tuple or a cleared int vector.  All values are
-immutable; every operation is a pure function, safe for concurrent use.
+basis_element), a scalars.ClearedVector.  All values are immutable;
+every operation is a pure function, safe for concurrent use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import FrozenInstanceError, dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import islice
 from math import lcm
 
@@ -51,71 +50,27 @@ from .cubic import (
     cubic_hash,
     polarize,
 )
-from .scalars import (LinForm, Q0, Q1, clear_denominators, contract, dot, frac, from_cleared,
-                      normalize_cleared)
+from .scalars import ClearedVector, LinForm, Q0, Q1, contract, dot, frac
 
 
 def _vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-class NElem:
+class NElem(ClearedVector):
     """Element of n in basis coordinates; also the log coordinate of a
     group element.
 
     coords: the 3p + 2 coordinates in basis order (see basis_element):
     col(0), the f1 column of the grade-1 part, then col(1), the f2
     column, then n2, the covector, then n3, the f1 and f2 coefficients.
-
-    ``cleared`` is clear_denominators(coords), computed once.  The group
-    law returns its results as a cleared form alone (``of_cleared``) and
-    builds no coords until read: a rational element as (None, nums, den)
-    in lowest terms, a form that is unique, so == compares it where both
-    sides have one, and an element linear in a formal Y as (ring, int
-    dicts, den), not reduced.
+    The group law returns its results through ``of_cleared``.
     """
 
     def __init__(self, coords: tuple):
         if len(coords) % 3 != 2:
             raise DimensionMismatchError(f"{len(coords)} coordinates, not 3p + 2 for any p")
-        self.__dict__["coords"] = coords
-
-    @staticmethod
-    def of_cleared(nums, den, ring=None) -> "NElem":
-        """The element with coordinates nums[i] / den, den > 0: ints, or
-        int dicts (or 0) over the formal class ring."""
-        out = object.__new__(NElem)
-        out.__dict__["cleared"] = (
-            (None, *normalize_cleared(nums, den)) if ring is None else (ring, nums, den)
-        )
-        return out
-
-    def __setattr__(self, name, *_value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    @cached_property
-    def coords(self) -> tuple:
-        return from_cleared(*self.cleared)
-
-    @cached_property
-    def cleared(self):
-        return clear_denominators(self.coords)
-
-    def __eq__(self, other):
-        if type(other) is not NElem:
-            return NotImplemented
-        a, b = self.cleared, other.cleared
-        if a and b and a[0] is b[0] is None:
-            return a[1:] == b[1:]
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return f"NElem(coords={self.coords!r})"
+        super().__init__(coords)
 
     @staticmethod
     def zero(p: int) -> "NElem":
@@ -137,7 +92,7 @@ class NElem:
 
     @property
     def dim(self) -> int:
-        return (len(self.__dict__.get("coords") or self.cleared[1]) - 2) // 3
+        return (len(self) - 2) // 3
 
     def col(self, a: int):
         p = self.dim
@@ -264,7 +219,7 @@ def ad_mismatches(x: NElem, T: SymCubic, table: list) -> list:
         for row in table
     ]
     generic = generic_element(p)
-    expected = contract(rows, tuple(map(frac, x.coords)), generic.coords, n_dim(p), den)
+    expected = contract(rows, tuple(map(frac, x.coords)), generic, n_dim(p), den)
     got = bracket(x, generic, T).coords
     return [k for k, (g, e) in enumerate(zip(got, expected)) if g != e]
 

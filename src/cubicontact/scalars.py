@@ -31,8 +31,10 @@ one common denominator, ``from_cleared`` is its inverse, and
 contraction on them in ints, building each output coordinate once
 instead of one ring operation per term.  A vector that does not clear
 takes the form TERMS, its coordinates as numerators over 1, on which
-the same terms run as ring operations.  ``contract`` clears two
-coordinate vectors, or reads a ``ClearedVector``'s form, and runs the
+the same terms run as ring operations.  A ``ClearedVector`` holds a
+vector as coordinates or as its cleared form and builds each from the
+other on first read; ``nilpotent.NElem`` is one.  ``contract`` reads a
+ClearedVector's form, or clears a coordinate vector, and runs the
 kernel.  The vector contractions go through it: ``cubic.polarize``
 (and with it ``cubic_eval`` and ``trilinear``), the structure-constant
 check ``nilpotent.ad_mismatches``, and ``dot``, the pairing of a
@@ -41,10 +43,9 @@ moment map calls the kernel on cleared forms: ``moment._chart_velocity``
 for B(x1, v_l) and the velocity, ``contact.one_form_value`` pairing
 theta~ with it through ``dot``, and the closed form and membership test
 for B(X1, X1) and c(phi2, phi2, .).  The group law (``bch._series``)
-runs its own walk on the cleared numerators and takes and returns
-``nilpotent.NElem``'s cleared form: over Fractions in lowest terms
-(``normalize_cleared``), over a formal Y as int dicts.  No other module
-reads a sum's ``nums`` or ``den``.
+runs its own walk on NElem's cleared numerators and returns its result
+through ``of_cleared``.  No other module reads a sum's ``nums`` or
+``den``.
 
 Both interoperate with ``Fraction`` and ``int`` through the reflected
 arithmetic hooks, so the algebra layer can stay scalar-agnostic.
@@ -52,7 +53,9 @@ arithmetic hooks, so the algebra layer can stay scalar-agnostic.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -323,38 +326,62 @@ def from_cleared(ring, nums, den):
 
 
 class ClearedVector:
-    """A coordinate vector held as its cleared form ``cleared`` = (ring,
-    nums, den), ring None, a formal class or TERMS, whose coordinates
-    are built through from_cleared on their first read.  ``contract``
-    and ``dot`` read the cleared form itself.  It equals a tuple or
-    ClearedVector with the same coordinates.
+    """An immutable coordinate vector, held as its coordinate tuple
+    ``coords`` or its cleared form ``cleared``, each built from the other
+    on its first read: cleared = clear_denominators(coords), None when
+    they do not clear, and coords = from_cleared(*cleared).
+
+    ``of_cleared`` takes nums over den: ints, brought to lowest terms,
+    a form that is unique, so == compares it where both sides are
+    rational; or int dicts over a formal class ring, or TERMS, as given.
+    Otherwise == compares coordinates, with a tuple too.
     """
 
-    __slots__ = ("cleared", "_coords")
+    def __init__(self, coords: tuple):
+        self.__dict__["coords"] = coords
 
-    def __init__(self, ring, nums, den):
-        self.cleared = (ring, nums, den)
-        self._coords = None
+    @classmethod
+    def of_cleared(cls, nums, den, ring=None):
+        out = object.__new__(cls)
+        out.__dict__["cleared"] = (
+            (None, *normalize_cleared(nums, den)) if ring is None else (ring, nums, den)
+        )
+        return out
 
-    @property
+    def __setattr__(self, name, *_value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    @cached_property
     def coords(self) -> tuple:
-        if self._coords is None:
-            self._coords = from_cleared(*self.cleared)
-        return self._coords
+        return from_cleared(*self.cleared)
+
+    @cached_property
+    def cleared(self):
+        return clear_denominators(self.coords)
 
     def __len__(self):
-        return len(self.cleared[1])
+        return len(self.__dict__.get("coords") or self.cleared[1])
 
     def __getitem__(self, i):
         return self.coords[i]
 
     def __eq__(self, other):
-        if not isinstance(other, (tuple, ClearedVector)):
+        if isinstance(other, tuple):
+            return self.coords == other
+        if not isinstance(other, ClearedVector):
             return NotImplemented
-        return self.coords == tuple(other)
+        a, b = self.cleared, other.cleared
+        if a and b and a[0] is b[0] is None:
+            return a[1:] == b[1:]
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
 
     def __repr__(self):
-        return f"ClearedVector({self.coords!r})"
+        return f"{type(self).__name__}(coords={self.coords!r})"
 
 
 def normalize_cleared(nums, den):
@@ -423,7 +450,7 @@ def contract(rows, u, v, size, den=1):
     per-term loop leaves it.  A product of two LinForms raises
     TypeError, and so does a nonzero constant added to a LinForm.
     """
-    cu, cv = (x.cleared if type(x) is ClearedVector else clear_denominators(x) for x in (u, v))
+    cu, cv = (x.cleared if isinstance(x, ClearedVector) else clear_denominators(x) for x in (u, v))
     if not (cu and cv and (not cu[0] or not cv[0] or cu[0] is cv[0])):
         cu, cv = (TERMS, tuple(u), 1), (TERMS, tuple(v), 1)
     return from_cleared(*contract_cleared(rows, cu, cv, size, den))

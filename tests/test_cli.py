@@ -13,7 +13,7 @@ from cubicontact import cli, cubic
 from cubicontact.cli import main
 from cubicontact.cubic import dumps_tensor, loads_tensor
 from cubicontact.catalog import catalog_get, catalog_list
-from cubicontact.reports import RunConfig
+from cubicontact.reports import MAX_VERIFY_DIM, RunConfig
 from cubicontact.verify import SUITES
 
 
@@ -228,6 +228,9 @@ def _diagonal(dim):
         ["verify", "{fifth}", "--samples", "2", "--out", "{out}"],
         ["verify", "{fifth}", "--samples", "2", "--primes", "5", "7", "--out", "{out}"],
         ["check", "{oversize_dim}"],
+        # verify would hold about 4 KB per dimension before any suite ran.
+        ["verify", "{huge_zero}", "--samples", "1", "--out", "{out}"],
+        ["verify", "{above_dim_bound}", "--samples", "1", "--out", "{out}"],
         ["check", "{oversize_value}"],
         ["check", "{exponent_value}"],
         ["verify", "{x3}", "--which", "jacobi", "--primes", "1000000000000000003", "--out", "{out}"],
@@ -249,8 +252,9 @@ def _diagonal(dim):
         "boolean-index", "boolean-dim", "float-index", "check-directory",
         "verify-directory", "check-non-utf8", "verify-non-utf8",
         "probe-prime-denominator", "probe-prime-denominator-primes",
-        "oversize-dim", "oversize-value", "exponent-value", "prime-above-bound",
-        "budget-above-bound", "repeated-prime", "verify-out-file",
+        "oversize-dim", "verify-huge-dim", "verify-above-dim-bound", "oversize-value",
+        "exponent-value", "prime-above-bound", "budget-above-bound", "repeated-prime",
+        "verify-out-file",
         "extract-out-file", "catalog-emit-out-file", "catalog-emit-out-under-file",
     ],
 )
@@ -264,6 +268,8 @@ def test_malformed_input_exits_2_without_traceback(argv, x3_file, tmp_path, caps
         "fifth": '{"dim": 1, "entries": [{"i": 1, "j": 1, "k": 1, "value": "1/5"}]}',
         # Past Python's 4,300-digit limit for int parsing.
         "oversize_dim": '{"dim": 1%s, "entries": []}' % ("0" * 5000),
+        "huge_zero": '{"dim": 100000000, "entries": []}',
+        "above_dim_bound": '{"dim": %d, "entries": []}' % (MAX_VERIFY_DIM + 1),
         "oversize_value": '{"dim": 1, "entries": [{"i": 1, "j": 1, "k": 1, "value": 1%s}]}' % ("0" * 5000),
         # 63 bytes that Fraction would expand to a 400-million-digit power of ten.
         "exponent_value": '{"dim":1,"entries":[{"i":1,"j":1,"k":1,"value":"1e400000000"}]}',

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_scalar_references import RefLinForm
 
-from cubicontact.scalars import LinForm, QPoly, frac
+from cubicontact.scalars import TERMS, ClearedVector, LinForm, QPoly, frac
 
 
 def test_frac_coercions():
@@ -60,3 +62,46 @@ def test_linform_rejects_nonlinear_use():
         _ = 1 - a
     with pytest.raises(TypeError):
         _ = a * 0.5
+
+
+_q = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_coefficients = st.dictionaries(st.integers(0, 3), _q, max_size=3)
+# Rational vectors and LinForm vectors with int and Fraction zeros clear;
+# int vectors and RefLinForm vectors do not.
+_vectors = st.one_of(
+    st.lists(_q, max_size=6),
+    st.lists(_coefficients.map(LinForm) | st.sampled_from((0, F(0))), max_size=6),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+    st.lists(_coefficients.map(RefLinForm) | st.just(F(0)), min_size=1, max_size=6),
+).map(tuple)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(coords=_vectors, scale=st.integers(1, 5))
+def test_cleared_vector_from_coordinates_or_cleared_form(coords, scale):
+    u = ClearedVector(coords)
+    c = u.cleared
+    if c is None:
+        v = ClearedVector.of_cleared(list(coords), 1, TERMS)
+    elif c[0] is None:
+        # Ints over a common multiple of den come to lowest terms.
+        v = ClearedVector.of_cleared([scale * n for n in c[1]], scale * c[2])
+        assert v.cleared == c and "coords" not in vars(v)
+    else:
+        v = ClearedVector.of_cleared(c[1], c[2], c[0])
+    assert u == v and v == u and not u != v
+    assert u == coords and coords == u and v == coords and coords == v
+    assert v.coords == coords and len(u) == len(v) == len(coords)
+    assert v != coords + (F(1),) and ClearedVector(coords + (F(1),)) != v
+    try:
+        expected = hash(coords)
+    except TypeError:  # LinForm and RefLinForm are unhashable
+        expected = None
+    if expected is not None:
+        assert hash(u) == hash(v) == expected
+    for x in (u, v):
+        for name in ("coords", "cleared", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, ())
+            with pytest.raises(AttributeError):
+                delattr(x, name)
