@@ -47,17 +47,18 @@ elements holding a plain int or over a foreign ring, which
 ``polarize`` and ``scalars.dot`` take one term at a time.
 
 ``chart_decompose`` factors exp(U) = exp(X) exp(w (x) p) with X in the
-chart complement n_m = (V (x) f2) + V* + W and p = f1 + z f2; it works
-over any of the scalar rings (rationals or polynomials in z), which is
-what the line solver builds on; moment linearizes it by hand.
+chart complement n_m = (V (x) f2) + V* + W and p = f1 + z f2, in ints
+for a rational U and z (the tau check), else over any scalar ring (the
+line solver's Q[z]); moment linearizes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 
-from .cubic import SymCubic, polarize
+from .cubic import DimensionMismatchError, SymCubic, polarize
 from .nilpotent import NElem, _check_same_dim, bracket
 from .scalars import (
     HALF,
@@ -65,7 +66,9 @@ from .scalars import (
     QPoly,
     SIXTH,
     TWELFTH,
+    contract_cleared,
     dot,
+    from_cleared,
 )
 
 
@@ -222,13 +225,42 @@ class ChartElem:
         )
 
 
+def _chart_cleared(us, d, z, T: SymCubic):
+    """x1, x2, x3_m, x3_l as (nums, den) int pairs, from U's numerators
+    us over d."""
+    p = T.dim
+    dt, rows = T.scaled()
+    zn, zd = z.as_integer_ratio()
+    w, n2, (n3_l, n3_m) = us[:p], us[2 * p:3 * p], us[3 * p:]
+    x1 = [zd * m - zn * a for m, a in zip(us[p:2 * p], w)]
+    # b is over db = dt zd d^2, x2 = U2 + 1/2 b over 2 db, and the grade-3
+    # terms of the ring-generic body over 12 db d (times zd for x3_m).
+    _r, b, db = contract_cleared(rows, (None, x1, zd * d), (None, w, d), p, dt)
+    x2 = [2 * dt * zd * d * u + c for u, c in zip(n2, b)]
+    x2w, t_x1x1w, t_x1ww = sum(map(mul, x2, w)), sum(map(mul, b, x1)), sum(map(mul, b, w))
+    return (
+        (x1, zd * d),
+        (x2, 2 * db),
+        (12 * db * zd * n3_m - zn * (3 * x2w - t_x1ww) - t_x1x1w, 12 * db * d * zd),
+        (12 * db * n3_l - 3 * x2w + t_x1ww, 12 * db * d),
+    )
+
+
 def chart_decompose(U: NElem, z, T: SymCubic):
     """Solve exp(U) = exp(X) exp(w (x) p) with X in n_m and p = f1 + z f2.
 
-    Returns (ChartElem, w).  Exact over any scalar ring containing the
-    entries of U and z; only ring operations and division by the fixed
-    integers 2, 12 occur.
+    Returns (ChartElem, w), exact over any scalar ring holding U and z:
+    only ring operations and division by 2 and 12 occur.
     """
+    if U.dim != T.dim:
+        raise DimensionMismatchError(f"element dimension {U.dim}, tensor dimension {T.dim}")
+    c = U.cleared
+    if c and c[0] is None and isinstance(z, (int, Fraction)):
+        x1, x2, x3_m, x3_l = _chart_cleared(c[1], c[2], z, T)
+        chart = ChartElem(
+            from_cleared(None, *x1), from_cleared(None, *x2), Fraction(*x3_m), Fraction(*x3_l)
+        )
+        return chart, U.col(0)
     u_l = U.col(0)
     u_m = U.col(1)
     w = u_l

@@ -30,12 +30,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
-from .bch import ChartElem, solve_line_coordinates
+from .bch import ChartElem, _chart_cleared
 from .cubic import SymCubic, assumption_holds, cubic_hash, polarize
 from .linalg import mat_det
 from .sampling import SeededSampler
-from .scalars import HALF, Q0, Q1, SIXTH, TERMS, ClearedVector, clear_denominators, dot
+from .scalars import (
+    HALF,
+    Q0,
+    Q1,
+    SIXTH,
+    TERMS,
+    ClearedVector,
+    clear_denominators,
+    contract_cleared,
+    dot,
+    frac,
+)
 
 
 class AssumptionError(ValueError):
@@ -190,37 +202,43 @@ def tau(v, T: SymCubic):
 
 
 def tau_line_constants(T: SymCubic):
-    """The constants (s1, s2, s3) relating line coordinates to tau.
-
-    The degree-1 coefficients of the line coordinates solved by
-    solve_line_coordinates are (s1 v, s2 B(v,v), s3 c(v)) with
-    (s1, s2, s3) = (-1, -1/2, 1/6) for every cubic; they follow from
-    chart_decompose.  tau_matches_line_expansion checks them against the
-    actual cubic.
-    """
+    """(s1, s2, s3) = (-1, -1/2, 1/6) for every cubic: chart_decompose
+    of exp(v (x) f1) at z has (x1, x2, x3_l) = z (s1 v, s2 B(v,v),
+    s3 c(v)), as tau_matches_line_expansion checks."""
     require_assumption(T)
     return -Q1, -HALF, SIXTH
 
 
-def tau_matches_line_expansion(v, T: SymCubic) -> bool:
-    """Degree-1 line coefficients equal (s1 v, s2 B(v,v), s3 c(v)).
+def _agrees(xs, d, s, ys, e, z) -> bool:
+    """xs / d == z s ys / e coordinatewise, in ints."""
+    a, b = z * s.numerator * d, s.denominator * e
+    return all(x * b == a * y for x, y in zip(xs, ys))
 
-    The constants come from tau_line_constants and are independent of v
-    and of the cubic.
+
+def tau_matches_line_expansion(v, T: SymCubic) -> bool:
+    """Line coordinates (x1, x2, x3_l) = z (s1 v, s2 B(v,v), s3 c(v)).
+
+    chart_decompose's formulas make them polynomials of degree <= 2 in
+    z, so agreeing at three integer z they agree as polynomials: deg x1
+    <= 1 and the QPoly line solve's degree-1 coefficients are as stated.
+    Runs in ints; the constants are read on each call.
     """
     require_assumption(T)
     s1, s2, s3 = tau_line_constants(T)
-    chart, _w = solve_line_coordinates(v, T)
-    bvv = polarize(T, v, v)
-    cv = dot(bvv, v)
-    for x, coeff in zip(v, chart.x1):
-        if coeff.coefficient(1) != s1 * x:
+    p = T.dim
+    if len(v) != p:
+        raise ValueError(f"vector length {len(v)} != dim {p}")
+    _r, vs, dv = clear_denominators(tuple(map(frac, v)))
+    dt, rows = T.scaled()
+    _r, bvv, _d = contract_cleared(rows, (None, vs, dv), (None, vs, dv), p, dt)
+    cv = sum(map(mul, bvv, vs))
+    line = vs + [0] * (2 * p + 2)
+    for z in (0, 1, -1):
+        x1, x2, _x3_m, (x3_l, d3) = _chart_cleared(line, dv, z, T)
+        if not (
+            _agrees(*x1, s1, vs, dv, z)
+            and _agrees(*x2, s2, bvv, dt * dv * dv, z)
+            and _agrees((x3_l,), d3, s3, (cv,), dt * dv ** 3, z)
+        ):
             return False
-        if coeff.degree() > 1:
-            return False
-    for x, coeff in zip(bvv, chart.x2):
-        if coeff.coefficient(1) != s2 * x:
-            return False
-    if chart.x3_l.coefficient(1) != s3 * cv:
-        return False
     return True

@@ -5,8 +5,7 @@ the chart computations need two formal sums over Q, each a finite sum
 of rational multiples of symbols:
 
 * ``QPoly``   - univariate polynomials, the symbols being the powers
-  x^k.  In the line parameter z they solve for group elements whose
-  coordinates are exact polynomials in z.
+  x^k: the line solver's coordinates, exact polynomials in z.
 * ``LinForm`` - linear forms sum_i c_i a_i in formal coordinates a_i.
   A map that is linear in its argument, evaluated once on the generic
   argument whose i-th coordinate is a_i, yields its values on every
@@ -42,10 +41,9 @@ covector with a vector, which is ``contract`` with diagonal rows.  The
 moment map calls the kernel on cleared forms: ``moment._chart_velocity``
 for B(x1, v_l) and the velocity, ``contact.one_form_value`` pairing
 theta~ with it through ``dot``, and the closed form and membership test
-for B(X1, X1) and c(phi2, phi2, .).  The group law (``bch._series``)
-runs its own walk on NElem's cleared numerators and returns its result
-through ``of_cleared``.  No other module reads a sum's ``nums`` or
-``den``.
+for B(X1, X1) and c(phi2, phi2, .); ``chart_decompose`` and the tau
+check call it too.  The group law (``bch._series``) runs its own walk.
+No other module reads a sum's ``nums`` or ``den``.
 
 Both interoperate with ``Fraction`` and ``int`` through the reflected
 arithmetic hooks, so the algebra layer can stay scalar-agnostic.

@@ -18,7 +18,7 @@ from cubicontact.bch import (
     line_solution_consistent,
     solve_line_coordinates,
 )
-from cubicontact.cubic import SymCubic
+from cubicontact.cubic import DimensionMismatchError, SymCubic
 from cubicontact.catalog import catalog_get
 from cubicontact.nilpotent import NElem, basis_element, bracket, generic_element, n_dim
 from cubicontact.reports import RunConfig
@@ -270,6 +270,9 @@ def test_chart_decompose_roundtrip():
         z = sampler.fraction()
         chart, w = chart_decompose(u, z, T2)
         assert chart_recompose(chart, w, z, T2) == u
+    for p in (1, 3):
+        with pytest.raises(DimensionMismatchError):
+            chart_decompose(sample_nelem(sampler, p), F(1), T2)
 
 
 def test_line_solution_zero_vector():

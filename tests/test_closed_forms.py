@@ -331,8 +331,11 @@ def test_chart_contractions_polarize_once(monkeypatch):
     mods = (bch_module, moment, nilpotent)
     polarizes = _count(monkeypatch, "polarize", mods)
     trilinears = _count(monkeypatch, "trilinear", mods)
+    # On Fractions chart_decompose walks T's integer table once, in ints.
+    chart_walks = _count(monkeypatch, "contract_cleared", (bch_module,))
     chart_decompose(X, z, T)
-    assert len(polarizes) == 1 and not trilinears
+    assert not polarizes and not trilinears
+    assert [args[0] is T.scaled()[1] for args in chart_walks] == [True]
     # On Fractions and on the generic element the series reads T's
     # integer table, and the velocity walks it once more, for B(x1, v_l),
     # in its cleared contraction.
@@ -462,6 +465,24 @@ def sparse_rank_p_cubics(draw):
     T = SymCubic(p, entries)
     assume(assumption_holds(T))
     return T
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), T=sparse_rank_p_cubics())
+def test_rational_chart_decompose_matches_reference(data, T):
+    """On a rational U and z chart_decompose runs in ints; it agrees with
+    the ring-generic reference, whole blocks of U zero or not, at z zero,
+    negative or fractional, and gives Fractions."""
+    p = T.dim
+    blocks = [
+        data.draw(st.just([Q0] * n) | st.lists(big_fractions, min_size=n, max_size=n))
+        for n in (p, p, p, 2)
+    ]
+    U = NElem(tuple(sum(blocks, [])))
+    z = data.draw(st.sampled_from((0, Q0, -3, Fraction(-5, 3))) | big_fractions)
+    chart, w = chart_decompose(U, z, T)
+    assert (chart, w) == ref_chart_decompose(U, z, T)
+    assert all(type(c) is Fraction for c in chart.to_nelem().coords)
 
 
 @st.composite

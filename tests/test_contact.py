@@ -364,6 +364,12 @@ def test_tau_line_constants_and_match(name):
         ]
         assert chart.x3_l.coefficient(1) == cubic_eval(T, v) / 6
         assert tau_matches_line_expansion(v, T)
+    # Int coordinates are accepted; a wrong length raises, not truncates.
+    assert tau_matches_line_expansion(tuple(range(-1, p - 1)), T)
+    assert tau_matches_line_expansion((0,) * p, T)
+    for v in ((F(1),) * (p + 1), (1,) * (p - 1)):
+        with pytest.raises(ValueError):
+            tau_matches_line_expansion(v, T)
 
 
 def test_tau_suite_fails_with_wrong_signs(monkeypatch):
