@@ -37,14 +37,14 @@ returns its result in that form, over one denominator, building no
 Fraction (common-denominator arithmetic; Geddes, Czapor and Labahn,
 Algorithms for Computer Algebra, 1992, ch. 9).  The series linear in Y
 run the same walk when X is over Fractions and Y over one formal ring,
-as the generic element of moment_point_at is, with dict accumulations
-in place of int products, and return that cleared form too, which the
-moment map's chart velocity reads; its sums are built only when read.
-Every other input takes the generic path through
-``bracket``: X over QPoly or LinForm, bch on forms (a product of two
-forms, or a form plus a constant, raises TypeError there), and
-elements holding a plain int or over a foreign ring, which
-``polarize`` and ``scalars.dot`` take one term at a time.
+with dict accumulations in place of int products, and return that
+cleared form too: the expdiff suite's round trip of the generic
+element, which the ``bracket`` path makes 2.5 times slower on j3o-norm.
+Every other input takes the generic path through ``bracket``: X over
+QPoly or LinForm, bch on forms (a product of two forms, or a form plus
+a constant, raises TypeError there), and elements holding a plain int
+or over a foreign ring, which ``polarize`` and ``scalars.dot`` take one
+term at a time.
 
 ``chart_decompose`` factors exp(U) = exp(X) exp(w (x) p) with X in the
 chart complement n_m = (V (x) f2) + V* + W and p = f1 + z f2, in ints

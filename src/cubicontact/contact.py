@@ -89,18 +89,20 @@ class ChartPoint:
         return c if c and c[0] is None else (TERMS, self.coords(), 1)
 
 
-def one_form_value(pt: ChartPoint, velocity) -> Fraction:
-    """theta~ evaluated on a coordinate velocity vector at pt.
-
-    theta~'s coefficients (0, 0, y, -yz, -y/2 X2, y/2 X1), written over
-    2 d^2 from pt's coordinates cleared over d, pair with the velocity,
-    a tuple or a ClearedVector, in one dot: one int pass where both
-    clear.
-    """
+def one_form_coefficients(pt: ChartPoint) -> ClearedVector:
+    """theta~'s coefficients (0, 0, y, -yz, -y/2 X2, y/2 X1) at pt, in
+    the order of coords(), over 2 d^2 from pt's coordinates cleared
+    over d."""
     p = pt.dim
     ring, (y, z, _m, _l, *xs), d = pt.cleared
     theta = [0, 0, 2 * d * y, -2 * y * z] + [-y * e for e in xs[p:]] + [y * a for a in xs[:p]]
-    return dot(ClearedVector.of_cleared(theta, 2 * d * d, ring), velocity)
+    return ClearedVector.of_cleared(theta, 2 * d * d, ring)
+
+
+def one_form_value(pt: ChartPoint, velocity) -> Fraction:
+    """theta~ on a coordinate velocity at pt, a tuple or a ClearedVector:
+    one dot with its coefficients, an int pass where both clear."""
+    return dot(one_form_coefficients(pt), velocity)
 
 
 def dtheta_matrix(pt: ChartPoint, T: SymCubic):

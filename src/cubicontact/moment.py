@@ -1,24 +1,20 @@
 """Moment functionals on the chart and the moment variety equation.
 
-For a group generator A, the moment value at a chart point is theta~
-evaluated on the fundamental vector field of A.  Every generator moves
-the chart element X to first order along a vector V of n: V =
-exp_diff(-X, A) for A in n, and V = act_slw(A, X) for A in sl(W), which
-also moves y and z.  X has no f1 column, so the motion of z reaches no
-chart coordinate at first order, and one hand linearization of
-chart_decompose (_chart_velocity) gives the chart velocity of both.
+The moment value of a group generator A at a chart point is theta~ on
+the fundamental vector field of A (E. Lerman, Contact toric manifolds,
+J. Symplectic Geom. 1, 2003).  A in n moves the chart element X along
+exp_diff(-X, A) = A - 1/2 [X, A] + 1/12 [X, [X, A]], and the chart
+coordinates along its image under J, the linearization of
+chart_decompose at X (X has no f1 column, so the motion of z reaches no
+chart coordinate at first order).  The value is the covector on n
 
-The n* component of the moment map needs the moment value on all 3p + 2
-basis elements of n.  A -> theta~(velocity(A)) is linear, so it is
-evaluated once, on the generic element of n whose coordinates are formal
-linear forms (nilpotent.generic_element): the coefficient of the i-th
-coordinate in the result is exactly the value on the i-th basis element.
-The path runs on cleared numerators (scalars.contract_cleared): int
-dicts for the generic element, ints for a rational generator.  V comes
-from the group law in that form, the velocity is a linear map of V's
-numerators and of B(x1, v_l)'s, and theta~'s coefficients pair with it
-in one more pass, so the value is the only sum built.  A generator that
-does not clear runs the same terms one ring operation at a time.
+    phi = xi - 1/2 xi o ad_X + 1/12 xi o ad_X o ad_X,   xi = theta~ o J,
+
+theta~ pulled back through J and moved by the coadjoint action of
+exp(-X) (A. A. Kirillov, Lectures on the Orbit Method, AMS 2004), built
+on pt's cleared ints: xi in closed form (_pullback), each xi o ad_X by
+nilpotent.bracket_transpose.  A in sl(W) moves X along act_slw(A, X),
+and y and z, which theta~ does not read: its value is xi(act_slw(A, X)).
 
 The n-components are assembled into a point of the dual space through a
 fixed identification of (V (x) W)* and W* with V* (x) W and W via the
@@ -31,11 +27,9 @@ exactly at every chart point, which is the moment variety equation (the
 naive unscaled identification satisfies it only up to a factor 2, an
 artifact of c(v,v,.) being the full polarization).  The same point has
 the closed form of moment_point_closed_form, which the moment suite
-checks it against.
-
-The one-form is contact.one_form_value; its orientation is the one in
-which these fundamental vector fields are contact vector fields (see the
-contact module).
+checks it against.  theta~'s coefficients, contact.one_form_coefficients,
+are in the orientation in which these fundamental vector fields are
+contact vector fields (see the contact module).
 """
 
 from __future__ import annotations
@@ -44,19 +38,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, product
 
-from .bch import exp_diff
-from .contact import ChartPoint, one_form_value, require_assumption
-from .cubic import SymCubic, cubic_hash, reduction
-from .nilpotent import NElem, SlWElem, act_slw, generic_element
+from .contact import ChartPoint, one_form_coefficients, require_assumption
+from .cubic import DimensionMismatchError, SymCubic, cubic_hash, reduction
+from .nilpotent import NElem, SlWElem, act_slw, bracket_transpose
 from .sampling import SeededSampler
-from .scalars import (
-    TERMS,
-    ClearedVector,
-    clear_denominators,
-    contract_cleared,
-    frac,
-    from_cleared,
-)
+from .scalars import ClearedVector, clear_denominators, contract_cleared, dot, frac
 
 
 @dataclass(frozen=True)
@@ -97,90 +83,80 @@ def moment_membership(m: MomentPoint, T: SymCubic) -> bool:
     )
 
 
-def _chart_velocity(pt: ChartPoint, V: NElem, T: SymCubic):
-    """Cleared velocity (ring, nums, den) of (x3_m, x3_l, x1, x2) as the
-    chart element moves along V.
+def _refuse(pt: ChartPoint, T: SymCubic):
+    if pt.dim != T.dim:
+        raise DimensionMismatchError(f"point dimension {pt.dim}, tensor dimension {T.dim}")
+    require_assumption(T)
+    if pt.y == 0:
+        raise ValueError("fiber coordinate y must be nonzero")
 
-    chart_decompose of X + t V, linearized by hand at t = 0: w = t v_l,
-    and c(x1, x1, v_l) = b.x1 with b = B(x1, v_l) as in chart_decompose:
+
+def _pullback(pt: ChartPoint, T: SymCubic):
+    """xi = theta~ o J, a ClearedVector in basis order.  J is
+    chart_decompose of X + t V linearized at t = 0, b = B(x1, v_l):
 
         x3_m' = V3_m - 1/2 z x2.v_l - 1/12 b.x1,   x1' = v_m - z v_l,
         x3_l' = V3_l - 1/2 x2.v_l,                 x2' = V2 + 1/2 b.
 
-    pt's z, x1 and x2 are ints over dx, V's 3p + 2 numerators are over
-    dv (its terms, over dv = 1, where it has no cleared form), and b,
-    from one contraction of T's integer table, is over dt dx dv.  Each
-    (source, target, c) below adds c source / (12 dt dx^2 dv), the
-    sources being V's numerators and then b's.
+    Against theta~'s coefficients t, xi_col2 = t_X1, xi_n2 = t_X2, xi_n3
+    = (t_l, t_m) and xi_col1 = -z t_X1 - 1/2 (t_l + z t_m) x2 + B(x1,
+    1/2 t_X2 - t_m/12 x1), one walk of T's integer table: over 12 dt d^2
+    dth, pt's coordinates being over d and t over dth.
     """
     p = pt.dim
-    dt, rows = T.scaled()
-    pr, (_y, z, _m, _l, *xs), dx = pt.cleared
+    ring, (_y, z, _m, _l, *xs), d = pt.cleared
     x1, x2 = xs[:p], xs[p:]
-    ring, vs, dv = V.cleared if pr is None and V.cleared else (TERMS, V.coords, 1)
-    _r, b, _db = contract_cleared(rows, (pr, x1, dx), (ring, vs[:p], dv), p, dt)
-    s = 12 * dt * dx
-    terms = [(3 * p + 1, 0, s * dx), (3 * p, 1, s * dx)]
-    for i, (a, e) in enumerate(zip(x1, x2)):
-        vl, vm, v2, bi = i, p + i, 2 * p + i, 3 * p + 2 + i
-        terms += [
-            (vl, 0, -6 * dt * z * e), (bi, 0, -a),  # x3_m'
-            (vl, 1, -6 * dt * dx * e),  # x3_l'
-            (vm, 2 + i, s * dx), (vl, 2 + i, -s * z),  # x1'
-            (v2, 2 + p + i, s * dx), (bi, 2 + p + i, 6 * dx),  # x2'
-        ]
-    return contract_cleared([terms], (None, [1], 1), (ring, [*vs, *b], dv), 2 * p + 2, s * dx)
+    _r, (_ty, _tz, tm, tl, *ts), dth = one_form_coefficients(pt).cleared
+    t1, t2 = ts[:p], ts[p:]
+    dt, rows = T.scaled()
+    w = [6 * d * a - tm * e for a, e in zip(t2, x1)]
+    _r, b, _db = contract_cleared(rows, (ring, x1, 1), (ring, w, 1), p)
+    col1 = [bk - 6 * dt * (2 * d * z * a + (d * tl + z * tm) * e) for a, e, bk in zip(t1, x2, b)]
+    c = 12 * dt * d * d
+    return ClearedVector.of_cleared(col1 + [c * a for a in ts] + [c * tl, c * tm], c * dth, ring)
 
 
-def _velocity(pt: ChartPoint, A, T: SymCubic):
-    """Coordinate velocity (y, z, x3_m, x3_l, x1, x2) of generator A at pt.
-
-    A in n: the left flow exp(tA) exp(X) moves X along exp_diff(-X, A)
-    and fixes y and z; the velocity is a ClearedVector.  A = [[a, b],
-    [c, -a]] in sl(W): X moves along act_slw(A, X), y is scaled by
-    1 + t(a + zb) and z moves to (z + t(c - za)) / (1 + t(a + zb)).
-    """
-    X = pt.chart.to_nelem()
-    if isinstance(A, NElem):
-        ring, nums, den = _chart_velocity(pt, exp_diff(-X, A, T), T)
-        return ClearedVector.of_cleared([0, 0, *nums], den, ring)
-    if isinstance(A, SlWElem):
-        (a, b), (c, _d) = A.mat
-        z = pt.z
-        ydot = pt.y * (a + z * b)
-        zdot = c - 2 * z * a - z * z * b
-        return (ydot, zdot) + from_cleared(*_chart_velocity(pt, act_slw(A, X), T))
-    raise TypeError(f"unsupported generator {A!r}")
+def _moment_covector(pt: ChartPoint, T: SymCubic):
+    """phi = xi - 1/2 xi o ad_X + 1/12 xi o ad_X o ad_X, a ClearedVector:
+    the moment value on each basis element of n."""
+    ring, (_y, _z, m, l, *xs), d = pt.cleared
+    X = ring, [0] * pt.dim + xs + [l, m], d
+    xi = _pullback(pt, T).cleared
+    once = bracket_transpose(X, xi, T)
+    twice = bracket_transpose(X, once, T)
+    h = T.scaled()[0] * d  # once is over h den(xi), twice over h^2 den(xi)
+    nums = [12 * h * h * a - 6 * h * b + e for a, b, e in zip(xi[1], once[1], twice[1])]
+    return ClearedVector.of_cleared(nums, 12 * twice[2], ring)
 
 
 def moment_of(pt: ChartPoint, A, T: SymCubic) -> Fraction:
-    """theta~ on the fundamental vector field of the generator A at pt.
-
-    A is an NElem or an SlWElem.  An NElem whose coordinates are
-    LinForms gives the LinForm of the values (see moment_point_at).
-    """
-    require_assumption(T)
-    if pt.y == 0:
-        raise ValueError("fiber coordinate y must be nonzero")
-    return one_form_value(pt, _velocity(pt, A, T))
+    """theta~ on the fundamental vector field of the generator A at pt:
+    xi(act_slw(A, X)) for an SlWElem, phi(A) for an NElem over any ring
+    (a LinForm of the values for the generic element)."""
+    _refuse(pt, T)
+    if isinstance(A, SlWElem):
+        return dot(_pullback(pt, T), act_slw(A, pt.chart.to_nelem()))
+    if not isinstance(A, NElem):
+        raise TypeError(f"unsupported generator {A!r}")
+    if A.dim != T.dim:
+        raise DimensionMismatchError(f"generator dimension {A.dim}, tensor dimension {T.dim}")
+    return dot(_moment_covector(pt, T), A)
 
 
 def moment_point_at(pt: ChartPoint, T: SymCubic) -> MomentPoint:
     """Assemble the n* component of the moment map at pt.
 
-    One moment_of call on the generic element of n gives the moment
-    functional as a linear form whose coefficients are its values on the
-    basis of n (exact, because A -> moment_of(pt, A, T) is linear).
-    These are presented in V* (x) W and W coordinates through the
-    symplectic identifications (the n1 block scaled by -2, see the
-    module note), each coordinate built once from the form's cleared
-    numerators.
+    phi's values on the basis of n are presented in V* (x) W and W
+    coordinates through the symplectic identifications (the n1 block
+    scaled by -2, see the module note), each coordinate built once
+    from phi's cleared numerators.
     """
+    _refuse(pt, T)
     p = T.dim
-    _r, (mu,), den = clear_denominators((moment_of(pt, generic_element(p), T),))
+    _r, mu, den = _moment_covector(pt, T).cleared
 
     def phi(i, c=1):
-        return Fraction(c * mu.get(i, 0), den)
+        return Fraction(c * mu[i], den)
 
     return MomentPoint(
         phi1=tuple((phi(p + k, -2), phi(k, 2)) for k in range(p)),
@@ -190,13 +166,14 @@ def moment_point_at(pt: ChartPoint, T: SymCubic) -> MomentPoint:
 
 
 def moment_point_closed_form(pt: ChartPoint, T: SymCubic) -> MomentPoint:
-    """The moment point at pt from its closed form, independent of _velocity.
+    """The moment point at pt from its closed form, independent of phi.
 
     phi1_k = (2y X2_k, 2yz X2_k + y B(X1, X1)_k), phi2 = y X1,
     phi3 = (y, yz): each coordinate built once from pt's cleared ints,
     over d, and B(X1, X1), over dt d^2 from one contraction with T's
     integer table.
     """
+    _refuse(pt, T)
     p = pt.dim
     _r, (y, z, _m, _l, *xs), d = pt.cleared
     x1, x2 = xs[:p], xs[p:]

@@ -50,7 +50,7 @@ from .cubic import (
     cubic_hash,
     polarize,
 )
-from .scalars import ClearedVector, LinForm, Q0, Q1, contract, dot, frac
+from .scalars import ClearedVector, LinForm, Q0, Q1, contract, contract_cleared, dot, frac
 
 
 def _vsub(u, v):
@@ -151,6 +151,28 @@ def bracket(x: NElem, y: NElem, T: SymCubic) -> NElem:
     return NElem((Q0,) * (2 * T.dim) + n2 + n3)
 
 
+def bracket_transpose(cx, cu, T: SymCubic):
+    """u o ad_x, the covector Y -> u([x, Y]), from the cleared forms cx =
+    (ring, xs, dx) of x and cu = (ring, us, du) of u, ring None or TERMS:
+
+        col1 -B(x_f2, u2) + u_l x2,   col2 B(x_f1, u2) + u_m x2,
+        n2 -(u_l x_f1 + u_m x_f2),    n3 0,   over dt dx du,
+
+    u2 and (u_l, u_m) being u's n2 and n3 blocks.
+    """
+    p = T.dim
+    (ring, xs, dx), (_r, us, du) = cx, cu
+    dt, rows = T.scaled()
+    xf1, xf2, x2 = xs[:p], xs[p:2 * p], xs[2 * p:3 * p]
+    u2, (ul, um) = us[2 * p:3 * p], us[3 * p:]
+    _r, b1, _d = contract_cleared(rows, (ring, xf1, 1), (ring, u2, 1), p)
+    _r, b2, _d = contract_cleared(rows, (ring, xf2, 1), (ring, u2, 1), p)
+    col1 = [dt * ul * e - b for e, b in zip(x2, b2)]
+    col2 = [dt * um * e + b for e, b in zip(x2, b1)]
+    n2 = [-dt * (ul * a + um * c) for a, c in zip(xf1, xf2)]
+    return ring, col1 + col2 + n2 + [0, 0], dt * dx * du
+
+
 # --- basis bookkeeping -------------------------------------------------
 #
 # Basis order: e_i (x) f1 for i < p, then e_i (x) f2, then the dual basis
@@ -167,13 +189,10 @@ def basis_element(p: int, idx: int) -> NElem:
 
 
 def generic_element(p: int) -> NElem:
-    """The element sum_i a_i b_i over the basis b_i, a_i formal coordinates.
-
-    Its coordinates are the LinForm coordinates a_i in basis order, so a
-    map that is linear in its NElem argument, evaluated once here, yields
-    its value on basis_element(p, i) as the coefficient of a_i.  It is
-    held in its cleared form, each a_i the dict {i: 1} over 1, and builds
-    the forms only when they are read.
+    """sum_i a_i b_i over the basis b_i, the a_i LinForm coordinates, held
+    as its cleared form {i: 1} over 1: a map linear in its NElem argument,
+    evaluated once on it, gives its value on basis_element(p, i) as the
+    coefficient of a_i (ad_x in ad_mismatches, the expdiff round trip).
     """
     return NElem.of_cleared([{i: 1} for i in range(n_dim(p))], 1, LinForm)
 

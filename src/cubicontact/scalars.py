@@ -38,11 +38,11 @@ kernel.  The vector contractions go through it: ``cubic.polarize``
 (and with it ``cubic_eval`` and ``trilinear``), the structure-constant
 check ``nilpotent.ad_mismatches``, and ``dot``, the pairing of a
 covector with a vector, which is ``contract`` with diagonal rows.  The
-moment map calls the kernel on cleared forms: ``moment._chart_velocity``
-for B(x1, v_l) and the velocity, ``contact.one_form_value`` pairing
-theta~ with it through ``dot``, and the closed form and membership test
-for B(X1, X1) and c(phi2, phi2, .); ``chart_decompose`` and the tau
-check call it too.  The group law (``bch._series``) runs its own walk.
+moment map calls the kernel on cleared forms for its B terms (theta~'s
+pull-back, ``nilpotent.bracket_transpose``, the closed form and the
+membership test), as ``chart_decompose`` and the tau check do, and
+pairs its covector with a generator through ``dot``.  The group law
+(``bch._series``) runs its own walk.
 No other module reads a sum's ``nums`` or ``den``.
 
 Both interoperate with ``Fraction`` and ``int`` through the reflected

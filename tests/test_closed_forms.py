@@ -1,6 +1,6 @@
 """The closed-form group law against the series it replaced.
 
-bch, exp_diff, exp_diff_inv, chart_decompose and the chart velocity
+bch, exp_diff, exp_diff_inv, chart_decompose and the moment map
 rest on two facts: a double bracket [U, [X, Y]] is central, and
 c(x, y, w) = B(x, w).y for the symmetric trilinear form.  The
 references below are the bracket-by-bracket and trilinear-by-trilinear
@@ -18,7 +18,11 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from test_scalar_references import _ref_generic_element
-from test_slw_flow import GENERATORS as SLW_GENERATORS, ref_velocity_from_slw_generator
+from test_slw_flow import (
+    GENERATORS as SLW_GENERATORS,
+    ref_one_form_value,
+    ref_velocity_from_slw_generator,
+)
 
 from cubicontact import moment
 from cubicontact.bch import (
@@ -34,13 +38,29 @@ from cubicontact.contact import ChartPoint, sample_chart_point
 from cubicontact.cubic import SymCubic, assumption_holds, polarize, trilinear
 from cubicontact.extraction import algebra_for, extraction
 from cubicontact.moment import MomentPoint
-from cubicontact.nilpotent import NElem, basis_element, bracket, generic_element
+from cubicontact.nilpotent import (
+    NElem,
+    basis_element,
+    bracket,
+    bracket_transpose,
+    generic_element,
+)
 from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
-from cubicontact.scalars import HALF, LinForm, Q0, QPoly, TWELFTH, _FormalSum, dot as _dot
+from cubicontact.scalars import (
+    HALF,
+    ClearedVector,
+    LinForm,
+    Q0,
+    QPoly,
+    TWELFTH,
+    _FormalSum,
+    dot as _dot,
+)
 from cubicontact.verify import run_expdiff_suite, run_group_suite
 
 bch_module = importlib.import_module("cubicontact.bch")
+contact = importlib.import_module("cubicontact.contact")
 nilpotent = importlib.import_module("cubicontact.nilpotent")
 scalars = importlib.import_module("cubicontact.scalars")
 
@@ -98,8 +118,13 @@ def ref_chart_decompose(U, z, T):
 def ref_velocity(pt, A, T):
     """The hand-written first-order series of the n-generator flow."""
     X = pt.chart.to_nelem()
-    z = pt.z
     V = A + HALF * bracket(A, X, T) + TWELFTH * bracket(X, bracket(X, A, T), T)
+    return ref_chart_velocity(pt, V, T)
+
+
+def ref_chart_velocity(pt, V, T):
+    """The chart velocity as the chart element moves along V."""
+    z = pt.z
     v_l, v_m = V.col(0), V.col(1)
     x1, x2 = pt.chart.x1, pt.chart.x2
     xdot1 = tuple(m - z * l for m, l in zip(v_m, v_l))
@@ -179,7 +204,7 @@ def test_closed_forms_match_references_over_fraction(name):
         _assert_group_law_same(X, Y, T)
         assert chart_decompose(X, z, T) == ref_chart_decompose(X, z, T)
         pt = sample_chart_point(sampler, T.dim)
-        assert moment._velocity(pt, X, T) == ref_velocity(pt, X, T)
+        assert moment.moment_of(pt, X, T) == ref_one_form_value(pt, ref_velocity(pt, X, T))
 
 
 @pytest.mark.parametrize("name", CUBICS)
@@ -191,7 +216,7 @@ def test_closed_forms_match_references_over_qpoly(name):
     _assert_group_law_same(chart, line, T)
     assert chart_decompose(line, zvar, T) == ref_chart_decompose(line, zvar, T)
     pt = sample_chart_point(sampler, T.dim)
-    assert moment._velocity(pt, chart, T) == ref_velocity(pt, chart, T)
+    assert moment.moment_of(pt, chart, T) == ref_one_form_value(pt, ref_velocity(pt, chart, T))
     # The series linear in Y walk T's integer table for a Fraction X.
     X, _Y, _z = _fraction_inputs(T, sampler)
     for Y in (wp, line):
@@ -226,7 +251,7 @@ def test_closed_forms_match_references_over_linform(name):
         assert bch(*args, T) == ref_bch(*args, T)
     assert chart_decompose(upper, z, T) == ref_chart_decompose(upper, z, T)
     pt = sample_chart_point(sampler, p)
-    assert moment._velocity(pt, generic, T) == ref_velocity(pt, generic, T)
+    assert moment.moment_of(pt, generic, T) == ref_one_form_value(pt, ref_velocity(pt, generic, T))
 
 
 @pytest.mark.parametrize("name", CUBICS)
@@ -238,7 +263,7 @@ def test_closed_forms_match_references_over_jet(name):
     assert chart_decompose(X, z, T) == ref_chart_decompose(X, z, T)
     assert chart_decompose(Y, z, T) == ref_chart_decompose(Y, z, T)
     pt = sample_chart_point(sampler, T.dim)
-    assert moment._velocity(pt, X, T) == ref_velocity(pt, X, T)
+    assert moment.moment_of(pt, X, T) == ref_one_form_value(pt, ref_velocity(pt, X, T))
 
 
 # --- one tensor walk per closed form ---------------------------------------
@@ -262,15 +287,16 @@ def _count(monkeypatch, fn_name, modules):
 
 def test_each_series_brackets_once(monkeypatch):
     """Off Fraction inputs (QPoly here) each series makes one bracket;
-    on Fraction inputs it runs on integers and makes none, and so does
-    the linear series of a Fraction X on the generic element."""
+    on Fraction inputs it runs on integers and makes none, and so do
+    the linear series of a Fraction X on the generic element and the
+    moment map on the generic element and a Fraction generator."""
     T = catalog_get("det3").tensor()
     sampler = SeededSampler(64)
     X, Y, z = _fraction_inputs(T, sampler)
     chart, wp, _line, _z = _qpoly_inputs(T, sampler)
     pt = sample_chart_point(sampler, T.dim)
     generic = generic_element(T.dim)
-    brackets = _count(monkeypatch, "bracket", (bch_module, moment))
+    brackets = _count(monkeypatch, "bracket", (bch_module, moment, nilpotent))
     for fn in (bch, exp_diff, exp_diff_inv):
         brackets.clear()
         fn(chart, wp, T)
@@ -278,27 +304,25 @@ def test_each_series_brackets_once(monkeypatch):
         fn(X, Y, T)
         assert len(brackets) == 1, fn.__name__
     brackets.clear()
-    moment._velocity(pt, generic, T)
-    moment._velocity(pt, Y, T)
+    values = [moment.moment_of(pt, A, T) for A in (generic, Y)]
     exp_diff_inv(X, generic, T)
     assert not brackets
+    assert values == [ref_one_form_value(pt, ref_velocity(pt, A, T)) for A in (generic, Y)]
 
 
 def test_rational_series_keep_the_cleared_form(monkeypatch):
     """On Fractions the group law reads and returns NElem's cleared form:
     the group suite and the expdiff suite's samples build no rational
-    coordinates, moment_point_at negates X in ints and clears it once,
-    and coordinates are built on their first read only.
+    coordinates, and coordinates are built on their first read only.
 
-    Between exp_diff and the one form moment_of returns, moment_point_at
-    builds no LinForm: the generic element, its flow V and the chart
-    velocity stay int dicts, and the dot with theta~'s coefficients
-    builds the value, the only LinForm."""
+    moment_point_at clears pt's coordinates once and runs on their
+    ints: it calls neither exp_diff nor generic_element, rebuilds no
+    coordinates and builds no LinForm."""
     T = catalog_get("det3").tensor()
     cfg = RunConfig(seed=7, samples=3)
     # ClearedVector, and with it NElem, clears and rebuilds through scalars.
     rebuilt = _count(monkeypatch, "from_cleared", (scalars, moment))
-    cleared = _count(monkeypatch, "clear_denominators", (scalars,))
+    cleared = _count(monkeypatch, "clear_denominators", (scalars, contact, moment))
     assert run_group_suite(T, cfg)[0] == "pass" and not rebuilt
     # Only the generic round trip rebuilds, over LinForm.
     assert run_expdiff_suite(T, cfg)[0] == "pass"
@@ -310,11 +334,13 @@ def test_rational_series_keep_the_cleared_form(monkeypatch):
     monkeypatch.setattr(
         _FormalSum, "_of", classmethod(lambda cls, *args: built.append(cls) or of(cls, *args))
     )
+    flows = _count(monkeypatch, "exp_diff", (bch_module, moment))
+    generics = _count(monkeypatch, "generic_element", (nilpotent, moment))
     rebuilt.clear()
     cleared.clear()
     m = moment.moment_point_at(pt, T)
-    assert [args[0] for args in cleared] == [X.coords]
-    assert [args[0] for args in rebuilt] == [LinForm] and built == [LinForm]
+    assert [args[0] for args in cleared] == [pt.coords()]
+    assert not rebuilt and not built and not flows and not generics
     assert m == moment.moment_point_closed_form(pt, T)
     X, Y, _z = _fraction_inputs(T, SeededSampler(67))
     product, expected = bch(X, Y, T), ref_bch(X, Y, T).coords
@@ -336,16 +362,24 @@ def test_chart_contractions_polarize_once(monkeypatch):
     chart_decompose(X, z, T)
     assert not polarizes and not trilinears
     assert [args[0] is T.scaled()[1] for args in chart_walks] == [True]
-    # On Fractions and on the generic element the series reads T's
-    # integer table, and the velocity walks it once more, for B(x1, v_l),
-    # in its cleared contraction.
-    walks = _count(monkeypatch, "contract_cleared", (moment,))
-    for A in (generic_element(T.dim), Y):
+    # The moment map walks T's integer table in its cleared contractions:
+    # once for theta~'s pull-back, then twice per bracket_transpose, for
+    # B(X_f1, .) and B(X_f2, .), of which the chart's X_f1 = 0 reaches no
+    # row.  An sl(W) generator needs the pull-back only.
+    walks = _count(monkeypatch, "contract_cleared", (moment, nilpotent))
+    covector = [True, False, True, False, True]
+    for run, reached in (
+        (lambda: moment.moment_point_at(pt, T), covector),
+        (lambda: moment.moment_of(pt, generic_element(T.dim), T), covector),
+        (lambda: moment.moment_of(pt, Y, T), covector),
+        (lambda: moment.moment_of(pt, SLW_GENERATORS[2], T), [True]),
+    ):
         polarizes.clear()
         walks.clear()
-        moment._velocity(pt, A, T)
+        run()
         assert not polarizes and not trilinears
-        assert [args[0] is T.scaled()[1] for args in walks] == [True, False]
+        assert all(args[0] is T.scaled()[1] for args in walks)
+        assert [any(args[1][1]) for args in walks] == reached
     for fn in (bch, exp_diff, exp_diff_inv):
         fn(X, Y, T)
     assert not polarizes and not trilinears
@@ -427,16 +461,6 @@ def test_integer_path_matches_references(data, name, scale, with_ints):
 
 # --- the cleared moment path -------------------------------------------------
 
-def ref_one_form_value(pt, velocity):
-    """theta~ on a coordinate velocity, one ring operation per term."""
-    p = pt.dim
-    x1, x2 = pt.chart.x1, pt.chart.x2
-    acc = Q0
-    for i in range(p):
-        acc = acc + x1[i] * velocity[4 + p + i] - x2[i] * velocity[4 + i]
-    return pt.y * (velocity[2] - pt.z * velocity[3]) + HALF * pt.y * acc
-
-
 def ref_moment_values(pt, T):
     """The moment functional on each basis element of n, from the
     references alone."""
@@ -496,7 +520,7 @@ def edge_chart_points(draw, p):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data(), T=sparse_rank_p_cubics())
 def test_cleared_moment_path_matches_references(data, T):
-    """The cleared velocity and moment point against the per-term
+    """moment_of and the moment point against the per-term
     references: on the generic element and a Fraction generator, per
     basis element, on the sl(W) generators (their jet reference) and on
     the reference LinForm ring, which no kernel clears."""
@@ -505,7 +529,7 @@ def test_cleared_moment_path_matches_references(data, T):
     generic = generic_element(p)
     A = NElem(tuple(data.draw(st.lists(big_fractions, min_size=3 * p + 2, max_size=3 * p + 2))))
     for B in (generic, A):
-        assert moment._velocity(pt, B, T) == ref_velocity(pt, B, T)
+        assert moment.moment_of(pt, B, T) == ref_one_form_value(pt, ref_velocity(pt, B, T))
     mu = ref_moment_values(pt, T)
     assert [moment.moment_of(pt, basis_element(p, i), T) for i in range(3 * p + 2)] == mu
     m = moment.moment_point_at(pt, T)
@@ -513,7 +537,31 @@ def test_cleared_moment_path_matches_references(data, T):
     assert moment.moment_membership(m, T)
     for g in SLW_GENERATORS:
         velocity = ref_velocity_from_slw_generator(pt, g, T)
-        assert moment._velocity(pt, g, T) == velocity
         assert moment.moment_of(pt, g, T) == ref_one_form_value(pt, velocity)
     ref_form = moment.moment_of(pt, _ref_generic_element(p), T)
     assert _assembled(ref_form.coefficient, p) == m
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), T=sparse_rank_p_cubics())
+def test_pullback_and_bracket_transpose_match_references(data, T):
+    """xi_j, theta~'s pull-back on b_j, is theta~ on the chart velocity of
+    b_j (ref_velocity with no series step); and bracket_transpose(x, u)_j
+    is u([x, b_j]) for the chart element, for an element whose blocks may
+    each be zero, and for u = xi and a drawn covector."""
+    p = T.dim
+    size = 3 * p + 2
+    pt = data.draw(edge_chart_points(p))
+    xi = moment._pullback(pt, T)
+    basis = [basis_element(p, j) for j in range(size)]
+    assert list(xi.coords) == [ref_one_form_value(pt, ref_chart_velocity(pt, b, T)) for b in basis]
+    blocks = [
+        data.draw(st.just([Q0] * n) | st.lists(big_fractions, min_size=n, max_size=n))
+        for n in (p, p, p, 2)
+    ]
+    u = ClearedVector(tuple(data.draw(st.lists(big_fractions, min_size=size, max_size=size))))
+    for x in (pt.chart.to_nelem(), NElem(tuple(sum(blocks, [])))):
+        for v in (xi, u):
+            ring, nums, den = bracket_transpose(x.cleared, v.cleared, T)
+            got = ClearedVector.of_cleared(nums, den, ring)
+            assert got == tuple(_dot(v, bracket(x, b, T)) for b in basis)

@@ -24,7 +24,7 @@ from cubicontact.linalg import mat_det
 from cubicontact.moment import moment_membership, moment_point_at
 from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
-from cubicontact.scalars import HALF, Q0, QPoly
+from cubicontact.scalars import HALF, Q0, ClearedVector, QPoly
 
 X3 = SymCubic(1, {(0, 0, 0): 1})
 FERMAT3 = SymCubic(3, {(i, i, i): 1 for i in range(3)})
@@ -175,6 +175,13 @@ def _display_one_form_value(pt, velocity):
     return pt.y * (velocity[2] - pt.z * velocity[3]) + HALF * pt.y * acc
 
 
+def _display_one_form_coefficients(pt):
+    """The coefficients of _display_one_form_value, in coords() order."""
+    y, x1, x2 = pt.y, pt.chart.x1, pt.chart.x2
+    head = (Q0, Q0, y, -y * pt.z)
+    return ClearedVector(head + tuple(HALF * y * e for e in x2) + tuple(-HALF * y * a for a in x1))
+
+
 def _exterior_derivative(form, pt):
     """M[a][b] = d_a form_b - d_b form_a, each partial taken exactly as
     the t^1 coefficient after moving one coordinate by t (QPoly in t).
@@ -202,14 +209,19 @@ def test_display_orientation_has_the_same_determinant():
 
 
 def test_display_orientation_breaks_the_moment_equation(monkeypatch):
-    # The negative test of the orientation: with the display form in
-    # moment_of, omega(phi1, phi3) = c(phi2, phi2, .) fails on xyz at the
-    # same seeded points where the flow orientation satisfies it.
+    # The negative test of the orientation: with the display form pulled
+    # back by the moment map, omega(phi1, phi3) = c(phi2, phi2, .) fails
+    # on xyz at the same seeded points where the flow orientation
+    # satisfies it.
     T = catalog_get("xyz").tensor()
     sampler = SeededSampler(25)
     points = [sample_chart_point(sampler, T.dim) for _ in range(3)]
     assert all(moment_membership(moment_point_at(pt, T), T) for pt in points)
-    monkeypatch.setattr(moment, "one_form_value", _display_one_form_value)
+    n = 2 * T.dim + 4
+    for pt in points:
+        coeffs = _display_one_form_coefficients(pt)
+        assert all(coeffs[b] == _display_one_form_value(pt, _unit(n, b)) for b in range(n))
+    monkeypatch.setattr(moment, "one_form_coefficients", _display_one_form_coefficients)
     assert not any(moment_membership(moment_point_at(pt, T), T) for pt in points)
 
 

@@ -3,10 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from cubicontact import moment
+from cubicontact import moment, nilpotent
 from cubicontact.catalog import catalog_get
-from cubicontact.contact import ChartPoint, sample_chart_point
+from cubicontact.contact import AssumptionError, ChartPoint, sample_chart_point
 from cubicontact.cubic import (
+    DimensionMismatchError,
     ReductionError,
     SymCubic,
     polarize,
@@ -56,6 +57,44 @@ def test_moment_of_central_generators_at_base():
         f2 = NElem.from_parts(1, n3=(F(0), F(1)))
         assert moment_of(pt, f1, X3) == 0
         assert moment_of(pt, f2, X3) == y
+
+
+def test_moment_functions_refuse_before_contracting(monkeypatch):
+    """moment_point_at, moment_point_closed_form and moment_of refuse a
+    point of another dimension (DimensionMismatchError), y = 0 (a plain
+    ValueError) and a cubic with b_rank < p (AssumptionError), before
+    any contraction; moment_of also refuses an NElem of another
+    dimension and a generator of neither kind."""
+    det3 = catalog_get("det3").tensor()
+    low_rank = SymCubic(2, {(0, 0, 0): 1})
+    sampler = SeededSampler(37)
+    good = sample_chart_point(sampler, 9)
+    zero_y = ChartPoint(good.chart, good.z, F(0))
+    cases = [
+        (sample_chart_point(sampler, 2), det3, DimensionMismatchError),
+        (sample_chart_point(sampler, 12), det3, DimensionMismatchError),
+        (zero_y, det3, ValueError),
+        (sample_chart_point(sampler, 2), low_rank, AssumptionError),
+    ]
+    walks = []
+    for mod in (moment, nilpotent):
+        monkeypatch.setattr(mod, "contract_cleared", lambda *args: walks.append(args))
+    for pt, T, error in cases:
+        calls = [
+            lambda: moment_point_at(pt, T),
+            lambda: moment_point_closed_form(pt, T),
+            lambda: moment_of(pt, basis_element(T.dim, 0), T),
+            lambda: moment_of(pt, SlWElem.of(1, 2, 3), T),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert type(info.value) is error
+    with pytest.raises(DimensionMismatchError):
+        moment_of(good, basis_element(8, 0), det3)
+    with pytest.raises(TypeError):
+        moment_of(good, (F(1),) * n_dim(9), det3)
+    assert not walks
 
 
 def test_moment_of_linear_in_generator():
@@ -162,18 +201,18 @@ def test_moment_point_matches_closed_form(name):
         assert moment_point_at(pt, T) == moment_point_closed_form(pt, T)
 
 
-def _flipped_half_bracket_velocity():
-    """moment._velocity with the sign of 1/2 [A, X] flipped.
-
-    exp_diff(X, A) differs from exp_diff(-X, A) only there: the 1/12
-    [X, [X, A]] term is even in X.
+def _flipped_half_bracket_covector():
+    """moment._moment_covector with the sign of phi's 1/2 xi o ad_X term
+    flipped: theta~ pulled back along exp_diff(X, A) in place of
+    exp_diff(-X, A), which differ only there, the 1/12 [X, [X, A]] term
+    being even in X.
     """
-    src = inspect.getsource(moment._velocity)
-    term = "exp_diff(-X, A, T)"
+    src = inspect.getsource(moment._moment_covector)
+    term = "- 6 * h * b"
     assert src.count(term) == 1
     namespace = dict(vars(moment))
-    exec(src.replace(term, "exp_diff(X, A, T)"), namespace)
-    return namespace["_velocity"]
+    exec(src.replace(term, "+ 6 * h * b"), namespace)
+    return namespace["_moment_covector"]
 
 
 @pytest.mark.parametrize("name", ["xyz", "det3"])
@@ -181,7 +220,7 @@ def test_closed_form_catches_flipped_half_bracket(name, monkeypatch):
     T = catalog_get(name).tensor()
     pt = sample_chart_point(SeededSampler(36), T.dim)
     assert moment_point_at(pt, T) == moment_point_closed_form(pt, T)
-    monkeypatch.setattr(moment, "_velocity", _flipped_half_bracket_velocity())
+    monkeypatch.setattr(moment, "_moment_covector", _flipped_half_bracket_covector())
     assert moment_point_at(pt, T) != moment_point_closed_form(pt, T)
 
 
@@ -194,7 +233,7 @@ def test_moment_suite_fails_on_flipped_half_bracket(name, monkeypatch):
     cfg = RunConfig(seed=0, samples=3, primes=(5,), probe_budget=10)
     [check] = run_verification(T, ["moment"], cfg).checks
     assert check["status"] == "pass"
-    monkeypatch.setattr(moment, "_velocity", _flipped_half_bracket_velocity())
+    monkeypatch.setattr(moment, "_moment_covector", _flipped_half_bracket_covector())
     [check] = run_verification(T, ["moment"], cfg).checks
     assert check["status"] == "fail"
     assert check["details"]["failures"] == [{"check": "closed_form", "sample": 0}]

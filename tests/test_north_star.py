@@ -15,7 +15,9 @@ Every module of ``cubicontact`` is parsed and walked:
   * only ``nilpotent`` defines the Jacobi kernel: ``_jacobiator``,
     ``jacobi_violations``, its generator check ``_generates``, the
     candidate-pair enumeration ``_pairs_through`` and the loop
-    ``_nonzero_through`` that the walk and the certificate share;
+    ``_nonzero_through`` that the walk and the certificate share, and
+    the transpose of the bracket, ``bracket_transpose``;
+  * only ``moment`` pulls theta~ back to n: ``_pullback``;
   * only ``linalg`` defines the elimination kernel: ``_int_rows`` and
     ``_echelon``.
 """
@@ -118,17 +120,17 @@ KERNELS = {
     "scalars.py": {"dot", "_dot", "contract", "contract_cleared", "clear_denominators",
                    "from_cleared", "normalize_cleared", "TERMS", "ClearedVector"},
     "nilpotent.py": {"_jacobiator", "jacobi_violations", "_generates", "_pairs_through",
-                     "_nonzero_through"},
+                     "_nonzero_through", "bracket_transpose"},
     "linalg.py": {"_int_rows", "_echelon"},
-    "moment.py": {"_chart_velocity"},
+    "moment.py": {"_pullback"},
 }
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_contraction_kernel_is_defined_only_in_scalars(path):
-    # One contraction kernel, one Jacobi kernel, one elimination kernel
-    # and one chart linearization: every other module imports them from
-    # their owner instead of keeping its own.
+    # One contraction kernel, one Jacobi kernel with the transpose of the
+    # bracket, one elimination kernel and one pull-back of theta~: every
+    # other module imports them from their owner instead of keeping its own.
     foreign = set().union(*(v for owner, v in KERNELS.items() if owner != path.name))
     bad = []
     for node in ast.walk(_tree(path)):

@@ -22,10 +22,12 @@ PACKAGE = ROOT / "src" / "cubicontact"
 # definition.  verify_chevalley_jacobi is the public entry point the
 # benchmark's Jacobi workload calls; ChevalleyAlgebra.bracket, the
 # bracket of label dicts, is kept as public API and for the tracer (the
-# embedding check reads the table by position), and so is
+# embedding check reads the table by position), and so are
 # solve_line_coordinates, the line solve over QPoly (the tau check
-# evaluates the line at rational points instead); the others are kept as
-# references for tests (trilinear for the closed-form contractions,
+# evaluates the line at rational points instead), and moment_of, the
+# moment value on one generator (moment_point_at reads the whole moment
+# covector instead); the others are kept as references for tests
+# (trilinear for the closed-form contractions,
 # mat_inv and mat_mul for the dense extraction reference, bracket_labels
 # for the Chevalley tables).  A function that loses its last caller
 # joins this set, so its metrics cannot read 0 unnoticed.
@@ -37,6 +39,7 @@ UNCALLED_IN_PACKAGE = {
     ("cubic", "trilinear"),
     ("linalg", "mat_inv"),
     ("linalg", "mat_mul"),
+    ("moment", "moment_of"),
 }
 
 
