@@ -30,26 +30,20 @@ that carries a 5/12 coefficient instead; the difference is exactly
 1/4 [X1,[X1,Z1]] and a dedicated test records both behaviours.
 
 bch, exp_diff and exp_diff_inv share one kernel with the coefficients
-(1/2, 1/12), (1/2, 1/12) and (-1/2, 1/6).  On Fractions it reads each
-element's cleared form (``NElem.cleared``), computes [X, Y] and the
-central term in ints from T's integer table (``SymCubic.scaled``), and
-returns its result in that form, over one denominator, building no
-Fraction (common-denominator arithmetic; Geddes, Czapor and Labahn,
-Algorithms for Computer Algebra, 1992, ch. 9).  The series linear in Y
-run the same walk when X is over Fractions and Y over one formal ring,
-with dict accumulations in place of int products, and return that
-cleared form too: the expdiff suite's round trip of the generic
-element, which the ``bracket`` path makes 2.5 times slower on j3o-norm.
-Every other input takes the generic path through ``bracket``: X over
-QPoly or LinForm, bch on forms (a product of two forms, or a form plus
-a constant, raises TypeError there), and elements holding a plain int
-or over a foreign ring, which ``polarize`` and ``scalars.dot`` take one
-term at a time.
+(1/2, 1/12), (1/2, 1/12) and (-1/2, 1/6).  It reads each element's
+cleared form (``NElem.cleared``), computes [X, Y] and the central term
+in ints from T's integer table (``SymCubic.scaled``), and returns its
+result in that form, over one denominator, building no Fraction
+(common-denominator arithmetic; Geddes, Czapor and Labahn, Algorithms
+for Computer Algebra, 1992, ch. 9).  X and Y are rational, int or
+Fraction coordinates, except that the series linear in Y also take a
+Y of LinForms: the expdiff suite's round trip of the generic element,
+with dict accumulations in place of int products.  Any other input
+raises TypeError.
 
 ``chart_decompose`` factors exp(U) = exp(X) exp(w (x) p) with X in the
 chart complement n_m = (V (x) f2) + V* + W and p = f1 + z f2, in ints
-for a rational U and z (the tau check), else over any scalar ring (the
-line solver's Q[z]); moment linearizes it.
+for a rational U and z (the tau check); moment linearizes it.
 """
 
 from __future__ import annotations
@@ -58,24 +52,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .cubic import DimensionMismatchError, SymCubic, polarize
-from .nilpotent import NElem, _check_same_dim, bracket
+from .cubic import DimensionMismatchError, SymCubic
+from .nilpotent import NElem, _check_same_dim
 from .scalars import (
     HALF,
     Q0,
     QPoly,
     SIXTH,
     TWELFTH,
+    LinForm,
     contract_cleared,
-    dot,
     from_cleared,
 )
-
-
-def _central(c2, U: NElem) -> NElem:
-    """[U, C] for any C in n2 + n3 whose n2 part is c2: the central
-    element with coordinates -c2 . U_col(a)."""
-    return NElem.from_parts(U.dim, n3=tuple(-dot(c2, U.col(a)) for a in (0, 1)))
 
 
 def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
@@ -83,10 +71,8 @@ def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
     the one kernel of bch, exp_diff and exp_diff_inv."""
     _check_same_dim(X, Y, T)
     cx, cy = X.cleared, Y.cleared
-    if cx is None or cy is None or cx[0] or (cy[0] and with_x):
-        xy = bracket(X, Y, T)
-        out = Y + h * xy + t * _central(xy.n2, X - Y if with_x else X)
-        return X + out if with_x else out
+    if not (cx and cy) or cx[0] or cy[0] not in (None, LinForm) or (cy[0] and with_x):
+        raise TypeError("rational elements only, or a LinForm Y of exp_diff or exp_diff_inv")
     if cy[0]:
         return _linear_series(cx[1], cx[2], *cy, T, h, t)
     (_rx, xs, dx), (_ry, ys, dy) = cx, cy
@@ -227,14 +213,18 @@ class ChartElem:
 
 def _chart_cleared(us, d, z, T: SymCubic):
     """x1, x2, x3_m, x3_l as (nums, den) int pairs, from U's numerators
-    us over d."""
+    us over d and a rational z.  With w = U_f1 and b = B(x1, w):
+
+        x1 = U_f2 - z w,   x3_l = U3_l - 1/2 x2.w + 1/12 b.w,
+        x2 = U2 + 1/2 b,   x3_m = U3_m - 1/2 z x2.w - 1/12 b.x1 + 1/12 z b.w.
+    """
     p = T.dim
     dt, rows = T.scaled()
     zn, zd = z.as_integer_ratio()
     w, n2, (n3_l, n3_m) = us[:p], us[2 * p:3 * p], us[3 * p:]
     x1 = [zd * m - zn * a for m, a in zip(us[p:2 * p], w)]
-    # b is over db = dt zd d^2, x2 = U2 + 1/2 b over 2 db, and the grade-3
-    # terms of the ring-generic body over 12 db d (times zd for x3_m).
+    # b is over db = dt zd d^2, x2 over 2 db, and the grade-3 terms over
+    # 12 db d (times zd for x3_m).
     _r, b, db = contract_cleared(rows, (None, x1, zd * d), (None, w, d), p, dt)
     x2 = [2 * dt * zd * d * u + c for u, c in zip(n2, b)]
     x2w, t_x1x1w, t_x1ww = sum(map(mul, x2, w)), sum(map(mul, b, x1)), sum(map(mul, b, w))
@@ -249,69 +239,33 @@ def _chart_cleared(us, d, z, T: SymCubic):
 def chart_decompose(U: NElem, z, T: SymCubic):
     """Solve exp(U) = exp(X) exp(w (x) p) with X in n_m and p = f1 + z f2.
 
-    Returns (ChartElem, w), exact over any scalar ring holding U and z:
-    only ring operations and division by 2 and 12 occur.
+    Returns (ChartElem, w) over Fractions, for U and z rational; any
+    other input raises TypeError.
     """
     if U.dim != T.dim:
         raise DimensionMismatchError(f"element dimension {U.dim}, tensor dimension {T.dim}")
     c = U.cleared
-    if c and c[0] is None and isinstance(z, (int, Fraction)):
-        x1, x2, x3_m, x3_l = _chart_cleared(c[1], c[2], z, T)
-        chart = ChartElem(
-            from_cleared(None, *x1), from_cleared(None, *x2), Fraction(*x3_m), Fraction(*x3_l)
-        )
-        return chart, U.col(0)
-    u_l = U.col(0)
-    u_m = U.col(1)
-    w = u_l
-    x1 = tuple(m - z * l for m, l in zip(u_m, u_l))
-    # Grade 2: X2 = U2 + 1/2 B(x1, w)   (from [x1 (x) f2, w (x) p]).
-    bx1w = polarize(T, x1, w)
-    x2 = tuple(u + HALF * b for u, b in zip(U.n2, bx1w))
-    # Grade 3 corrections; c is symmetric, so c(x1, x1, w) = B(x1, w).x1
-    # and c(x1, w, w) = B(x1, w).w.
-    x2w = dot(x2, w)
-    t_x1x1w = dot(bx1w, x1)
-    t_x1ww = dot(bx1w, w)
-    x3_l = U.n3[0] - HALF * x2w + TWELFTH * t_x1ww
-    x3_m = (
-        U.n3[1]
-        - HALF * (z * x2w)
-        - TWELFTH * t_x1x1w
-        + TWELFTH * (z * t_x1ww)
+    if not (c and c[0] is None and isinstance(z, (int, Fraction))):
+        raise TypeError("chart_decompose takes a rational element and z")
+    x1, x2, x3_m, x3_l = _chart_cleared(c[1], c[2], z, T)
+    chart = ChartElem(
+        from_cleared(None, *x1), from_cleared(None, *x2), Fraction(*x3_m), Fraction(*x3_l)
     )
-    return ChartElem(x1, x2, x3_m, x3_l), w
-
-
-def chart_recompose(chart: ChartElem, w, z, T: SymCubic) -> NElem:
-    """H(X, w (x) p): inverse of chart_decompose, for verification."""
-    p_dim = chart.dim
-    x = chart.to_nelem()
-    wp = NElem.from_parts(
-        p_dim, col1=w, col2=tuple(z * wi for wi in w)
-    )
-    return bch(x, wp, T)
-
-
-def _line(v, p: int) -> NElem:
-    """v (x) f1 with every coordinate a constant QPoly in z."""
-    return NElem(tuple(map(QPoly.const, v)) + (QPoly(),) * (2 * p + 2))
+    return chart, U.col(0)
 
 
 def solve_line_coordinates(v, T: SymCubic):
     """Solve exp(v (x) f1) = exp(X(z)) exp(w(z) (x) p) exactly over Q[z].
 
     Returns chart_decompose's (ChartElem, w), every coordinate a QPoly
-    in the line parameter z.
+    in the line parameter z.  On the line each has degree <= 2 in z, so
+    it is interpolated from its values at z = 0, 1, -1.
     """
     p = T.dim
     if len(v) != p:
         raise ValueError(f"vector length {len(v)} != dim {p}")
-    return chart_decompose(_line(v, p), QPoly.x(), T)
-
-
-def line_solution_consistent(v, chart: ChartElem, w, T: SymCubic) -> bool:
-    """Substitute a line solution back through the group law, as
-    polynomials in z: H(X, w (x) p) = v (x) f1."""
-    recomposed = chart_recompose(chart, w, QPoly.x(), T)
-    return (recomposed - _line(v, T.dim)).is_zero()
+    line = NElem.from_parts(p, col1=v)
+    at = [chart_decompose(line, z, T)[0].to_nelem().coords for z in (0, 1, -1)]
+    fit = [QPoly((f0, (f1 - f_1) / 2, (f1 + f_1) / 2 - f0)) for f0, f1, f_1 in zip(*at)]
+    chart = ChartElem(tuple(fit[p:2 * p]), tuple(fit[2 * p:3 * p]), fit[-1], fit[-2])
+    return chart, tuple(map(QPoly.const, v))

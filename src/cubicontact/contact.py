@@ -41,7 +41,6 @@ from .scalars import (
     Q0,
     Q1,
     SIXTH,
-    TERMS,
     ClearedVector,
     clear_denominators,
     contract_cleared,
@@ -84,9 +83,11 @@ class ChartPoint:
     @cached_property
     def cleared(self):
         """coords() as ints over their common denominator, (None, nums,
-        den), or as (TERMS, coords(), 1) when they are not all Fractions."""
+        den); TypeError unless all are rational."""
         c = clear_denominators(self.coords())
-        return c if c and c[0] is None else (TERMS, self.coords(), 1)
+        if not c or c[0]:
+            raise TypeError("a chart point has rational coordinates")
+        return c
 
 
 def one_form_coefficients(pt: ChartPoint) -> ClearedVector:
@@ -94,9 +95,9 @@ def one_form_coefficients(pt: ChartPoint) -> ClearedVector:
     the order of coords(), over 2 d^2 from pt's coordinates cleared
     over d."""
     p = pt.dim
-    ring, (y, z, _m, _l, *xs), d = pt.cleared
+    _r, (y, z, _m, _l, *xs), d = pt.cleared
     theta = [0, 0, 2 * d * y, -2 * y * z] + [-y * e for e in xs[p:]] + [y * a for a in xs[:p]]
-    return ClearedVector.of_cleared(theta, 2 * d * d, ring)
+    return ClearedVector.of_cleared(theta, 2 * d * d)
 
 
 def one_form_value(pt: ChartPoint, velocity) -> Fraction:
@@ -221,9 +222,9 @@ def tau_matches_line_expansion(v, T: SymCubic) -> bool:
     """Line coordinates (x1, x2, x3_l) = z (s1 v, s2 B(v,v), s3 c(v)).
 
     chart_decompose's formulas make them polynomials of degree <= 2 in
-    z, so agreeing at three integer z they agree as polynomials: deg x1
-    <= 1 and the QPoly line solve's degree-1 coefficients are as stated.
-    Runs in ints; the constants are read on each call.
+    z, so agreeing at z = 0, 1, -1 (solve_line_coordinates's points) they
+    agree as polynomials: deg x1 <= 1 and the degree-1 coefficients are
+    as stated.  Runs in ints; the constants are read on each call.
     """
     require_assumption(T)
     s1, s2, s3 = tau_line_constants(T)

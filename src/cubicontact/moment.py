@@ -104,29 +104,29 @@ def _pullback(pt: ChartPoint, T: SymCubic):
     dth, pt's coordinates being over d and t over dth.
     """
     p = pt.dim
-    ring, (_y, z, _m, _l, *xs), d = pt.cleared
+    _r, (_y, z, _m, _l, *xs), d = pt.cleared
     x1, x2 = xs[:p], xs[p:]
     _r, (_ty, _tz, tm, tl, *ts), dth = one_form_coefficients(pt).cleared
     t1, t2 = ts[:p], ts[p:]
     dt, rows = T.scaled()
     w = [6 * d * a - tm * e for a, e in zip(t2, x1)]
-    _r, b, _db = contract_cleared(rows, (ring, x1, 1), (ring, w, 1), p)
+    _r, b, _db = contract_cleared(rows, (None, x1, 1), (None, w, 1), p)
     col1 = [bk - 6 * dt * (2 * d * z * a + (d * tl + z * tm) * e) for a, e, bk in zip(t1, x2, b)]
     c = 12 * dt * d * d
-    return ClearedVector.of_cleared(col1 + [c * a for a in ts] + [c * tl, c * tm], c * dth, ring)
+    return ClearedVector.of_cleared(col1 + [c * a for a in ts] + [c * tl, c * tm], c * dth)
 
 
 def _moment_covector(pt: ChartPoint, T: SymCubic):
     """phi = xi - 1/2 xi o ad_X + 1/12 xi o ad_X o ad_X, a ClearedVector:
     the moment value on each basis element of n."""
-    ring, (_y, _z, m, l, *xs), d = pt.cleared
-    X = ring, [0] * pt.dim + xs + [l, m], d
+    _r, (_y, _z, m, l, *xs), d = pt.cleared
+    X = None, [0] * pt.dim + xs + [l, m], d
     xi = _pullback(pt, T).cleared
     once = bracket_transpose(X, xi, T)
     twice = bracket_transpose(X, once, T)
     h = T.scaled()[0] * d  # once is over h den(xi), twice over h^2 den(xi)
     nums = [12 * h * h * a - 6 * h * b + e for a, b, e in zip(xi[1], once[1], twice[1])]
-    return ClearedVector.of_cleared(nums, 12 * twice[2], ring)
+    return ClearedVector.of_cleared(nums, 12 * twice[2])
 
 
 def moment_of(pt: ChartPoint, A, T: SymCubic) -> Fraction:

@@ -152,8 +152,8 @@ def bracket(x: NElem, y: NElem, T: SymCubic) -> NElem:
 
 
 def bracket_transpose(cx, cu, T: SymCubic):
-    """u o ad_x, the covector Y -> u([x, Y]), from the cleared forms cx =
-    (ring, xs, dx) of x and cu = (ring, us, du) of u, ring None or TERMS:
+    """u o ad_x, the covector Y -> u([x, Y]), from the rational cleared
+    forms cx = (None, xs, dx) of x and cu = (None, us, du) of u:
 
         col1 -B(x_f2, u2) + u_l x2,   col2 B(x_f1, u2) + u_m x2,
         n2 -(u_l x_f1 + u_m x_f2),    n3 0,   over dt dx du,
@@ -161,16 +161,16 @@ def bracket_transpose(cx, cu, T: SymCubic):
     u2 and (u_l, u_m) being u's n2 and n3 blocks.
     """
     p = T.dim
-    (ring, xs, dx), (_r, us, du) = cx, cu
+    (_r, xs, dx), (_r, us, du) = cx, cu
     dt, rows = T.scaled()
     xf1, xf2, x2 = xs[:p], xs[p:2 * p], xs[2 * p:3 * p]
     u2, (ul, um) = us[2 * p:3 * p], us[3 * p:]
-    _r, b1, _d = contract_cleared(rows, (ring, xf1, 1), (ring, u2, 1), p)
-    _r, b2, _d = contract_cleared(rows, (ring, xf2, 1), (ring, u2, 1), p)
+    _r, b1, _d = contract_cleared(rows, (None, xf1, 1), (None, u2, 1), p)
+    _r, b2, _d = contract_cleared(rows, (None, xf2, 1), (None, u2, 1), p)
     col1 = [dt * ul * e - b for e, b in zip(x2, b2)]
     col2 = [dt * um * e + b for e, b in zip(x2, b1)]
     n2 = [-dt * (ul * a + um * c) for a, c in zip(xf1, xf2)]
-    return ring, col1 + col2 + n2 + [0, 0], dt * dx * du
+    return None, col1 + col2 + n2 + [0, 0], dt * dx * du
 
 
 # --- basis bookkeeping -------------------------------------------------

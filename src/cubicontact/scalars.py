@@ -45,8 +45,13 @@ pairs its covector with a generator through ``dot``.  The group law
 (``bch._series``) runs its own walk.
 No other module reads a sum's ``nums`` or ``den``.
 
-Both interoperate with ``Fraction`` and ``int`` through the reflected
-arithmetic hooks, so the algebra layer can stay scalar-agnostic.
+Ring-generic are ``contract`` (through TERMS), and so ``dot`` and
+``cubic.polarize``, ``nilpotent.bracket`` and ``NElem``'s arithmetic,
+for ``ad_mismatches``, ``moment_of`` and the tests' references.  The
+group law, ``chart_decompose`` and ``contact.ChartPoint`` refuse all
+but rational input (and a LinForm Y where linear in Y) with TypeError.
+Both formal sums mix with ``Fraction`` and ``int`` through the
+reflected arithmetic hooks.
 """
 
 from __future__ import annotations
@@ -271,16 +276,16 @@ def clear_denominators(coords):
     """(ring, nums, den): a coordinate tuple as numerators over its common
     denominator den, the lcm of the coordinates' denominators.
 
-    When every coordinate is a Fraction, ring is None and nums are ints.
-    Over one formal-sum class, whose sums may be mixed with int or
-    Fraction zeros, ring is that class and nums are int dicts (a zero
-    gives 0), to be read and never written: a sum already over den
-    lends its own storage.  Anything else gives None, and the caller
-    keeps its per-term loop: a foreign ring, two formal classes, a
-    nonzero constant among formal sums, or an int among plain numbers.
+    When every coordinate is rational, an int or a Fraction, ring is
+    None and nums are ints.  Over one formal-sum class, whose sums may
+    be mixed with int or Fraction zeros, ring is that class and nums are
+    int dicts (a zero gives 0), to be read and never written: a sum
+    already over den lends its own storage.  Anything else gives None,
+    and the caller keeps its per-term loop or refuses: a foreign ring,
+    two formal classes, or a nonzero constant among formal sums.
     """
     kinds = set(map(type, coords))
-    if kinds <= {Fraction}:
+    if kinds <= {Fraction, int}:
         pairs = [c.as_integer_ratio() for c in coords]
         d = lcm(*[q for _n, q in pairs])
         return None, [n * (d // q) for n, q in pairs], d

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_closed_forms import ref_bch
 
 from cubicontact import verify
 from cubicontact.bch import (
@@ -10,12 +11,10 @@ from cubicontact.bch import (
     GroupElem,
     bch,
     chart_decompose,
-    chart_recompose,
     exp_diff,
     exp_diff_inv,
     group_inv,
     group_mul,
-    line_solution_consistent,
     solve_line_coordinates,
 )
 from cubicontact.cubic import DimensionMismatchError, SymCubic
@@ -263,13 +262,19 @@ def test_exp_diff_linear_in_y(data):
     assert left == right
 
 
+def _recompose(chart, w, z, T, product=bch):
+    """H(X, w (x) p), p = f1 + z f2: the inverse of chart_decompose."""
+    wp = NElem.from_parts(chart.dim, col1=w, col2=tuple(z * wi for wi in w))
+    return product(chart.to_nelem(), wp, T)
+
+
 def test_chart_decompose_roundtrip():
     sampler = SeededSampler(16)
     for _ in range(25):
         u = sample_nelem(sampler, 2)
         z = sampler.fraction()
         chart, w = chart_decompose(u, z, T2)
-        assert chart_recompose(chart, w, z, T2) == u
+        assert _recompose(chart, w, z, T2) == u
     for p in (1, 3):
         with pytest.raises(DimensionMismatchError):
             chart_decompose(sample_nelem(sampler, p), F(1), T2)
@@ -300,13 +305,17 @@ def test_line_solution_sixth_coefficient():
 
 
 def test_line_solution_recomposes():
+    # Substituted back through the group law as polynomials in z (the
+    # reference series, which runs over QPoly): H(X, w (x) p) = v (x) f1.
     sampler = SeededSampler(18)
     for T, p in ((X3, 1), (T2, 2)):
         for _ in range(10):
             v = sampler.vector(p)
             chart, w = solve_line_coordinates(v, T)
-            assert line_solution_consistent(v, chart, w, T)
-            assert not line_solution_consistent(tuple(c + 1 for c in v), chart, w, T)
+            recomposed = _recompose(chart, w, QPoly.x(), T, ref_bch)
+            for u, consistent in ((v, True), (tuple(c + 1 for c in v), False)):
+                line = NElem.from_parts(p, col1=tuple(map(QPoly.const, u)))
+                assert (recomposed - line).is_zero() is consistent
 
 
 def test_chart_elem_conversion():

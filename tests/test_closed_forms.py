@@ -3,23 +3,32 @@
 bch, exp_diff, exp_diff_inv, chart_decompose and the moment map
 rest on two facts: a double bracket [U, [X, Y]] is central, and
 c(x, y, w) = B(x, w).y for the symmetric trilinear form.  The
-references below are the bracket-by-bracket and trilinear-by-trilinear
-versions they replaced.  Each pair is compared exactly on every catalog
-cubic and the extracted G2 and F4 cubics, over the scalar rings the
-package feeds them: Fraction, QPoly (the line solver, in z) and LinForm
-(the generic element).  The first-order jets in t of the ``over_jet``
-cases are hand-built degree-1 QPoly inputs; no package code makes them.
+references below, and ``test_slw_flow.ref_chart_decompose``, are the
+bracket-by-bracket and trilinear-by-trilinear versions they replaced,
+one ring operation per term.  Each pair is compared exactly on every
+catalog cubic and the extracted G2 and F4 cubics, on the input each
+closed form takes: Fractions, and for the series linear in Y a Y of
+LinForms (the generic element).  solve_line_coordinates, interpolated
+from chart_decompose at three rational z, is compared with the
+reference solved over QPoly in z.  Any other input to the group law or
+chart_decompose raises TypeError: QPoly, first-order jets in t (the
+hand-built degree-1 QPoly inputs of the ``over_jet`` cases, and
+``test_slw_flow.Jet``), RefQPoly and two LinForm arguments.  The moment
+value of a generator, which pairs through the ring-generic ``dot``, is
+still compared over each ring.
 """
 
 import importlib
+import sys
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from test_scalar_references import _ref_generic_element
+from test_scalar_references import RefQPoly, _ref_generic_element
 from test_slw_flow import (
     GENERATORS as SLW_GENERATORS,
+    Jet,
+    ref_chart_decompose,
     ref_one_form_value,
     ref_velocity_from_slw_generator,
 )
@@ -34,7 +43,7 @@ from cubicontact.bch import (
     solve_line_coordinates,
 )
 from cubicontact.catalog import catalog_get, catalog_list
-from cubicontact.contact import ChartPoint, sample_chart_point
+from cubicontact.contact import ChartPoint, one_form_coefficients, sample_chart_point
 from cubicontact.cubic import SymCubic, assumption_holds, polarize, trilinear
 from cubicontact.extraction import algebra_for, extraction
 from cubicontact.moment import MomentPoint
@@ -49,6 +58,7 @@ from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
 from cubicontact.scalars import (
     HALF,
+    TERMS,
     ClearedVector,
     LinForm,
     Q0,
@@ -57,7 +67,7 @@ from cubicontact.scalars import (
     _FormalSum,
     dot as _dot,
 )
-from cubicontact.verify import run_expdiff_suite, run_group_suite
+from cubicontact.verify import SUITES, run_expdiff_suite, run_group_suite, run_verification
 
 bch_module = importlib.import_module("cubicontact.bch")
 contact = importlib.import_module("cubicontact.contact")
@@ -101,20 +111,6 @@ def ref_exp_diff_inv(X, Z, T):
     return NElem.from_parts(p, col1=Z.col(0), col2=Z.col(1), n2=y2, n3=y3)
 
 
-def ref_chart_decompose(U, z, T):
-    """Three tensor walks: one polarize and two trilinear values."""
-    u_l, u_m = U.col(0), U.col(1)
-    w = u_l
-    x1 = tuple(m - z * l for m, l in zip(u_m, u_l))
-    x2 = tuple(u + HALF * b for u, b in zip(U.n2, polarize(T, x1, w)))
-    x2w = _dot(x2, w)
-    t_x1x1w = trilinear(T, x1, x1, w)
-    t_x1ww = trilinear(T, x1, w, w)
-    x3_l = U.n3[0] - HALF * x2w + TWELFTH * t_x1ww
-    x3_m = U.n3[1] - HALF * (z * x2w) - TWELFTH * t_x1x1w + TWELFTH * (z * t_x1ww)
-    return ChartElem(x1, x2, x3_m, x3_l), w
-
-
 def ref_velocity(pt, A, T):
     """The hand-written first-order series of the n-generator flow."""
     X = pt.chart.to_nelem()
@@ -153,7 +149,8 @@ def _fraction_inputs(T, sampler):
 
 
 def _qpoly_inputs(T, sampler):
-    """The line solver's data: chart element, w (x) p, line element, z."""
+    """The line solver's data over QPoly in z: chart element, w (x) p,
+    line element, z."""
     p = T.dim
     v = sampler.vector(p)
     chart, w = solve_line_coordinates(v, T)
@@ -195,6 +192,28 @@ def _assert_group_law_same(X, Y, T):
     assert exp_diff_inv(X, Y, T) == ref_exp_diff_inv(X, Y, T)
 
 
+def _assert_refused(X, Y, z, T):
+    """bch, exp_diff and exp_diff_inv on (X, Y) and (Y, X), and
+    chart_decompose on (X, z) and (Y, z), raise TypeError."""
+    for fn in (bch, exp_diff, exp_diff_inv):
+        for a, b in ((X, Y), (Y, X)):
+            with pytest.raises(TypeError):
+                fn(a, b, T)
+    for U in (X, Y):
+        with pytest.raises(TypeError):
+            chart_decompose(U, z, T)
+
+
+def _assert_point_refused(pt, T):
+    """pt with one QPoly coordinate, its z or one in its chart element:
+    one_form_coefficients and moment_point_at raise TypeError."""
+    moved = ChartElem(pt.chart.x1, pt.chart.x2, QPoly.x() + pt.chart.x3_m, pt.chart.x3_l)
+    for bad in (ChartPoint(pt.chart, QPoly.x(), pt.y), ChartPoint(moved, pt.z, pt.y)):
+        for fn in (one_form_coefficients, lambda q: moment.moment_point_at(q, T)):
+            with pytest.raises(TypeError):
+                fn(bad)
+
+
 @pytest.mark.parametrize("name", CUBICS)
 def test_closed_forms_match_references_over_fraction(name):
     T = _cubic(name)
@@ -209,19 +228,24 @@ def test_closed_forms_match_references_over_fraction(name):
 
 @pytest.mark.parametrize("name", CUBICS)
 def test_closed_forms_match_references_over_qpoly(name):
+    """solve_line_coordinates is the reference chart solve over QPoly in
+    z, on the zero vector and seeded ones; QPoly and RefQPoly elements,
+    and a QPoly z, are refused."""
     T = _cubic(name)
+    p = T.dim
     sampler = SeededSampler(61)
+    for v in [(Q0,) * p] + [sampler.vector(p) for _ in range(3)]:
+        line = NElem.from_parts(p, col1=tuple(QPoly.const(c) for c in v))
+        assert solve_line_coordinates(v, T) == ref_chart_decompose(line, QPoly.x(), T)
     chart, wp, line, zvar = _qpoly_inputs(T, sampler)
-    _assert_group_law_same(chart, wp, T)
-    _assert_group_law_same(chart, line, T)
-    assert chart_decompose(line, zvar, T) == ref_chart_decompose(line, zvar, T)
-    pt = sample_chart_point(sampler, T.dim)
-    assert moment.moment_of(pt, chart, T) == ref_one_form_value(pt, ref_velocity(pt, chart, T))
-    # The series linear in Y walk T's integer table for a Fraction X.
+    _assert_refused(chart, wp, zvar, T)
+    _assert_refused(chart, line, zvar, T)
     X, _Y, _z = _fraction_inputs(T, sampler)
-    for Y in (wp, line):
-        assert exp_diff(X, Y, T) == ref_exp_diff(X, Y, T)
-        assert exp_diff_inv(X, Y, T) == ref_exp_diff_inv(X, Y, T)
+    _assert_refused(X, wp, zvar, T)
+    _assert_refused(X, X.map_scalars(RefQPoly.const), RefQPoly.x(), T)
+    pt = sample_chart_point(sampler, p)
+    assert moment.moment_of(pt, chart, T) == ref_one_form_value(pt, ref_velocity(pt, chart, T))
+    _assert_point_refused(pt, T)
 
 
 @pytest.mark.parametrize("name", CUBICS)
@@ -237,7 +261,6 @@ def test_closed_forms_match_references_over_linform(name):
     # bch and chart_decompose are not linear: both versions refuse forms
     # where a product of two forms or a form plus a constant would occur...
     upper = _upper(generic)
-    zero = NElem.zero(p)
     for new, ref, args in (
         (bch, ref_bch, (generic, generic)),
         (bch, ref_bch, (X, upper)),
@@ -246,22 +269,31 @@ def test_closed_forms_match_references_over_linform(name):
         for fn in (new, ref):
             with pytest.raises(TypeError):
                 fn(*args, T)
-    # ...and agree where the result is linear.
+    # ...and the package refuses them where the reference's result is
+    # linear too, and any series with two LinForm arguments.
+    zero = NElem.zero(p)
     for args in ((generic, zero), (zero, generic), (upper, 3 * upper)):
-        assert bch(*args, T) == ref_bch(*args, T)
-    assert chart_decompose(upper, z, T) == ref_chart_decompose(upper, z, T)
+        ref_bch(*args, T)
+        with pytest.raises(TypeError):
+            bch(*args, T)
+    _assert_refused(generic, upper, z, T)
     pt = sample_chart_point(sampler, p)
     assert moment.moment_of(pt, generic, T) == ref_one_form_value(pt, ref_velocity(pt, generic, T))
 
 
 @pytest.mark.parametrize("name", CUBICS)
 def test_closed_forms_match_references_over_jet(name):
+    """Jets are refused by the group law and chart_decompose, as QPoly
+    in t and as the Jet ring; the moment value of a jet generator
+    matches the reference."""
     T = _cubic(name)
     sampler = SeededSampler(63)
     X, Y, z = _jet_inputs(T, sampler)
-    _assert_group_law_same(X, Y, T)
-    assert chart_decompose(X, z, T) == ref_chart_decompose(X, z, T)
-    assert chart_decompose(Y, z, T) == ref_chart_decompose(Y, z, T)
+    _assert_refused(X, Y, z, T)
+    A, B, w = _fraction_inputs(T, sampler)
+    jets = A.map_scalars(lambda a: Jet(a, 1)), B.map_scalars(Jet)
+    _assert_refused(*jets, Jet(w, 1), T)
+    _assert_refused(A, jets[0], Jet(w), T)
     pt = sample_chart_point(sampler, T.dim)
     assert moment.moment_of(pt, X, T) == ref_one_form_value(pt, ref_velocity(pt, X, T))
 
@@ -285,29 +317,56 @@ def _count(monkeypatch, fn_name, modules):
     return calls
 
 
-def test_each_series_brackets_once(monkeypatch):
-    """Off Fraction inputs (QPoly here) each series makes one bracket;
-    on Fraction inputs it runs on integers and makes none, and so do
-    the linear series of a Fraction X on the generic element and the
-    moment map on the generic element and a Fraction generator."""
+def test_series_and_moment_map_make_no_bracket(monkeypatch):
+    """bch imports no bracket, polarize or dot: each series runs on
+    integers, on Fraction inputs and for a Fraction X on the generic
+    element, and the moment map makes no bracket on the generic element
+    and a Fraction generator."""
+    assert not {"bracket", "polarize", "dot"} & set(vars(bch_module))
     T = catalog_get("det3").tensor()
     sampler = SeededSampler(64)
     X, Y, z = _fraction_inputs(T, sampler)
-    chart, wp, _line, _z = _qpoly_inputs(T, sampler)
     pt = sample_chart_point(sampler, T.dim)
     generic = generic_element(T.dim)
-    brackets = _count(monkeypatch, "bracket", (bch_module, moment, nilpotent))
+    brackets = _count(monkeypatch, "bracket", (moment, nilpotent))
     for fn in (bch, exp_diff, exp_diff_inv):
-        brackets.clear()
-        fn(chart, wp, T)
-        assert len(brackets) == 1, fn.__name__
         fn(X, Y, T)
-        assert len(brackets) == 1, fn.__name__
-    brackets.clear()
     values = [moment.moment_of(pt, A, T) for A in (generic, Y)]
     exp_diff_inv(X, generic, T)
     assert not brackets
     assert values == [ref_one_form_value(pt, ref_velocity(pt, A, T)) for A in (generic, Y)]
+
+
+def test_verify_runs_no_ring_generic_path(monkeypatch):
+    """Every suite of run_verification on det3 calls nilpotent.bracket
+    once, from ad_mismatches, never chart_decompose (the tau check calls
+    its kernel), and contract_cleared never on TERMS: no per-term path
+    comes back into the verify loop unseen."""
+    T = catalog_get("det3").tensor()
+    modules = [m for name, m in sys.modules.items() if name.startswith("cubicontact.")]
+    callers = {"bracket": [], "chart_decompose": [], "contract_cleared": []}
+    rings = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            callers[name].append(sys._getframe(1).f_code.co_name)
+            if name == "contract_cleared":
+                rings.extend((args[1][0], args[2][0]))
+            return real(*args)
+
+        for mod in modules:
+            if vars(mod).get(name) is real:
+                monkeypatch.setattr(mod, name, counted)
+
+    spy(nilpotent, "bracket")
+    spy(bch_module, "chart_decompose")
+    spy(scalars, "contract_cleared")
+    report = run_verification(T, tuple(SUITES), RunConfig(seed=7, samples=3, probe_budget=1000))
+    assert report.all_pass and len(report.checks) == len(SUITES)
+    assert callers["bracket"] == ["ad_mismatches"] and not callers["chart_decompose"]
+    assert callers["contract_cleared"] and TERMS not in rings
 
 
 def test_rational_series_keep_the_cleared_form(monkeypatch):
@@ -418,13 +477,12 @@ def _forms(p):
     with_ints=st.booleans(),
 )
 def test_integer_path_matches_references(data, name, scale, with_ints):
-    """Fraction elements take the integer path and give Fractions; an
-    element holding a plain int takes the generic path, one bracket.
+    """Rational elements, of Fractions or with plain ints among them,
+    take the integer path and give Fractions.
 
-    exp_diff and exp_diff_inv of a Fraction X on a Y of LinForms take the
-    integer path too and give LinForms or zeros; a Y that mixes in a
-    nonzero constant takes the generic path and raises where the
-    reference raises."""
+    exp_diff and exp_diff_inv of a rational X on a Y of LinForms take the
+    integer path too and give LinForms or zeros; a Y that mixes a nonzero
+    constant into LinForms has no cleared form and raises TypeError."""
     T = catalog_get(name).tensor().scale(scale)
     p = T.dim
     size = 3 * p + 2
@@ -435,28 +493,20 @@ def test_integer_path_matches_references(data, name, scale, with_ints):
     F = NElem(tuple(data.draw(st.lists(_forms(p), min_size=size, max_size=size))))
     i = data.draw(st.integers(0, size - 1))
     mixed = NElem(F.coords[:i] + (data.draw(st.sampled_from((3, Fraction(-2, 5)))),) + F.coords[i + 1:])
-    with mock.patch.object(bch_module, "bracket", wraps=bracket) as spy:
-        for fn, ref in SERIES:
-            for a, b in ((X, Y), (Y, X)):
-                out = fn(a, b, T)
-                assert out == ref(a, b, T), fn.__name__
-                if not with_ints:
-                    assert all(type(c) is Fraction for c in out.coords)
-        assert spy.call_count == (6 if with_ints else 0)
-        for fn, ref in SERIES[1:]:
-            out = fn(X, F, T)
-            assert out == ref(X, F, T), fn.__name__
-            assert all(type(c) is LinForm or c == 0 for c in out.coords)
-        assert spy.call_count == (8 if with_ints else 0)
-        for fn, ref in SERIES[1:]:
-            try:
-                expected = ref(X, mixed, T)
-            except TypeError:
-                with pytest.raises(TypeError):
-                    fn(X, mixed, T)
-            else:
-                assert fn(X, mixed, T) == expected, fn.__name__
-        assert spy.call_count == (10 if with_ints else 2)
+    for fn, ref in SERIES:
+        for a, b in ((X, Y), (Y, X)):
+            out = fn(a, b, T)
+            assert out == ref(a, b, T), fn.__name__
+            assert all(type(c) is Fraction for c in out.coords)
+    for fn, ref in SERIES[1:]:
+        out = fn(X, F, T)
+        assert out == ref(X, F, T), fn.__name__
+        assert all(type(c) is LinForm or c == 0 for c in out.coords)
+        if any(type(c) is LinForm for c in mixed.coords):
+            with pytest.raises(TypeError):
+                fn(X, mixed, T)
+        else:
+            assert fn(X, mixed, T) == ref(X, mixed, T), fn.__name__
 
 
 # --- the cleared moment path -------------------------------------------------

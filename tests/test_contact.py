@@ -24,7 +24,7 @@ from cubicontact.linalg import mat_det
 from cubicontact.moment import moment_membership, moment_point_at
 from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
-from cubicontact.scalars import HALF, Q0, ClearedVector, QPoly
+from cubicontact.scalars import HALF, Q0, ClearedVector
 
 X3 = SymCubic(1, {(0, 0, 0): 1})
 FERMAT3 = SymCubic(3, {(i, i, i): 1 for i in range(3)})
@@ -183,15 +183,13 @@ def _display_one_form_coefficients(pt):
 
 
 def _exterior_derivative(form, pt):
-    """M[a][b] = d_a form_b - d_b form_a, each partial taken exactly as
-    the t^1 coefficient after moving one coordinate by t (QPoly in t).
-    A value that no coefficient of the form reaches may be a plain 0."""
+    """M[a][b] = d_a form_b - d_b form_a.  theta~'s coefficients are
+    affine in each single coordinate, so each partial is exactly the
+    difference of form_b at pt with coordinate a moved by 1 and at pt."""
     n = 2 * pt.dim + 4
     units = [_unit(n, b) for b in range(n)]
-    partial = [
-        [(QPoly() + form(_moved_point(pt, a), units[b])).coefficient(1) for b in range(n)]
-        for a in range(n)
-    ]
+    at = [form(pt, u) for u in units]
+    partial = [[form(_moved_point(pt, a), units[b]) - at[b] for b in range(n)] for a in range(n)]
     return [[partial[a][b] - partial[b][a] for b in range(n)] for a in range(n)]
 
 
@@ -226,9 +224,8 @@ def test_display_orientation_breaks_the_moment_equation(monkeypatch):
 
 
 def _moved_point(pt, a):
-    """pt with every coordinate a QPoly in t, coordinate a moved to c + t."""
-    t = QPoly.x()
-    coords = [c + t if i == a else QPoly.const(c) for i, c in enumerate(pt.coords())]
+    """pt with coordinate a moved by 1."""
+    coords = [c + 1 if i == a else c for i, c in enumerate(pt.coords())]
     p = pt.dim
     chart = ChartElem(
         tuple(coords[4: 4 + p]), tuple(coords[4 + p:]), coords[2], coords[3]

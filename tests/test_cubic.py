@@ -228,11 +228,11 @@ def test_cubic_eval_integer_path_matches_fraction_sum(case):
     T, v = case
     value = cubic_eval(T, v)
     assert type(value) is F and value == _fraction_cubic_eval(T, v)
-    # Int coordinates have no cleared form (scalars.clear_denominators
-    # refuses an int among plain numbers), so polarize and dot take their
-    # per-term fallbacks, which give the same value.
+    # Int coordinates clear as rationals (scalars.clear_denominators), so
+    # polarize and dot run their int walks on them and give a Fraction.
     ints = [int(x) for x in v]
-    assert cubic_eval(T, ints) == _fraction_cubic_eval(T, [F(x) for x in ints])
+    value = cubic_eval(T, ints)
+    assert type(value) is F and value == _fraction_cubic_eval(T, [F(x) for x in ints])
     # trilinear is B(v1, v2) . v3 on the same kernel.
     shifted = v[1:] + v[:1]
     assert trilinear(T, v, shifted, ints) == _fraction_trilinear(T, v, shifted, ints)

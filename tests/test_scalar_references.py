@@ -3,9 +3,10 @@
 RefQPoly and RefLinForm below are the earlier classes that held one
 Fraction per coefficient.  Every ring operation of the int-backed
 classes is compared with them on drawn inputs, and so are the chart code
-results that rest on them: the line solver over QPoly and the moment map
-on the LinForm generic element, both ring-generic, are run once over
-each ring and compared coefficient for coefficient.  The contractions
+results that rest on them, coefficient for coefficient: the package's
+line solve, QPolys interpolated from three rational points, against the
+per-term chart solve over RefQPoly, and the moment map on the generic
+element over LinForm and over RefLinForm.  The contractions
 ``polarize`` and ``scalars.dot``, which run on the rings' cleared numerators,
 are compared with the per-term loops they replaced.
 """
@@ -15,6 +16,7 @@ from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_slw_flow import ref_chart_decompose
 
 from cubicontact.bch import chart_decompose, solve_line_coordinates
 from cubicontact.catalog import catalog_get
@@ -340,7 +342,9 @@ def test_line_solve_over_reference_qpoly(name):
         U = NElem.from_parts(p, col1=tuple(lift(c) for c in v)).map_scalars(
             lambda s: s if isinstance(s, RefQPoly) else lift(s)
         )
-        chart, w = chart_decompose(U, RefQPoly.x(), T)
+        with pytest.raises(TypeError):
+            chart_decompose(U, RefQPoly.x(), T)
+        chart, w = ref_chart_decompose(U, RefQPoly.x(), T)
         new_chart, new_w = solve_line_coordinates(v, T)
         pairs = (
             list(zip(new_chart.x1, chart.x1)) + list(zip(new_chart.x2, chart.x2))

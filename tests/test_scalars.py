@@ -66,12 +66,13 @@ def test_linform_rejects_nonlinear_use():
 
 _q = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 _coefficients = st.dictionaries(st.integers(0, 3), _q, max_size=3)
-# Rational vectors and LinForm vectors with int and Fraction zeros clear;
-# int vectors and RefLinForm vectors do not.
+# Rational vectors, of Fractions, ints or both, and LinForm vectors with
+# int and Fraction zeros clear; RefLinForm vectors do not.
 _vectors = st.one_of(
     st.lists(_q, max_size=6),
     st.lists(_coefficients.map(LinForm) | st.sampled_from((0, F(0))), max_size=6),
     st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+    st.lists(st.integers(-3, 3) | _q, min_size=1, max_size=6),
     st.lists(_coefficients.map(RefLinForm) | st.just(F(0)), min_size=1, max_size=6),
 ).map(tuple)
 
@@ -81,6 +82,8 @@ _vectors = st.one_of(
 def test_cleared_vector_from_coordinates_or_cleared_form(coords, scale):
     u = ClearedVector(coords)
     c = u.cleared
+    if all(type(x) in (int, F) for x in coords):
+        assert c[0] is None  # ints, alone or among Fractions, clear as rationals
     if c is None:
         v = ClearedVector.of_cleared(list(coords), 1, TERMS)
     elif c[0] is None:

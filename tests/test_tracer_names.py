@@ -23,8 +23,9 @@ PACKAGE = ROOT / "src" / "cubicontact"
 # benchmark's Jacobi workload calls; ChevalleyAlgebra.bracket, the
 # bracket of label dicts, is kept as public API and for the tracer (the
 # embedding check reads the table by position), and so are
-# solve_line_coordinates, the line solve over QPoly (the tau check
-# evaluates the line at rational points instead), and moment_of, the
+# solve_line_coordinates, the line solve as QPolys in z, interpolated
+# from chart_decompose at z = 0, 1, -1 (the tau check runs the int
+# kernel at those points itself), and moment_of, the
 # moment value on one generator (moment_point_at reads the whole moment
 # covector instead); the others are kept as references for tests
 # (trilinear for the closed-form contractions,
