@@ -37,8 +37,8 @@ from .cubic import (
     cubic_eval,
     cubic_hash,
     from_cubic_monomials,
+    smoothness_probe,
 )
-from .moment import smoothness_probe
 from .sampling import SeededSampler
 
 # --- octonions ----------------------------------------------------------

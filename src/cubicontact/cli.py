@@ -33,16 +33,7 @@ from .cubic import (
     load_tensor,
     reduction,
 )
-from .extraction import (
-    ExtractionError,
-    algebra_for,
-    extraction,
-    gradings_report,
-    ternary_dimension_check,
-    verify_embedding,
-)
 from .reports import MAX_PROBE_BUDGET, MAX_VERIFY_DIM, PRIME_BOUND, RunConfig, canonical_json
-from .rootsystems import RootSystemError
 from .verify import SUITES, run_verification
 
 OUT_ENV = "CUBICONTACT_OUT"
@@ -133,19 +124,26 @@ def cmd_verify(args) -> int:
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*([0-9]+)$")
 
 
-def _parse_type(text: str):
-    m = _TYPE_RE.match(text.strip())
-    if not m:
-        raise RootSystemError(f"cannot parse Lie type {text!r}")
-    return m.group(1).upper(), int(m.group(2))
-
-
 def cmd_extract(args) -> int:
+    # The Lie-algebra side is loaded by this command only.
+    from .extraction import (
+        ExtractionError,
+        algebra_for,
+        extraction,
+        gradings_report,
+        ternary_dimension_check,
+        verify_embedding,
+    )
+    from .rootsystems import RootSystemError
+
     # An unknown compare name or an unparseable type is malformed input;
     # a well-formed type the construction does not support is rejected.
     try:
         entry = catalog_get(args.compare) if args.compare else None
-        lie_type, rank = _parse_type(args.type)
+        m = _TYPE_RE.match(args.type.strip())
+        if not m:
+            raise RootSystemError(f"cannot parse Lie type {args.type!r}")
+        lie_type, rank = m.group(1).upper(), int(m.group(2))
     except (KeyError, RootSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -100,12 +100,6 @@ def one_form_coefficients(pt: ChartPoint) -> ClearedVector:
     return ClearedVector.of_cleared(theta, 2 * d * d)
 
 
-def one_form_value(pt: ChartPoint, velocity) -> Fraction:
-    """theta~ on a coordinate velocity at pt, a tuple or a ClearedVector:
-    one dot with its coefficients, an int pass where both clear."""
-    return dot(one_form_coefficients(pt), velocity)
-
-
 def dtheta_matrix(pt: ChartPoint, T: SymCubic):
     """Exact skew matrix of d(theta~) at pt, coordinates as in coords().
 

@@ -28,7 +28,9 @@ the tensor.
 
 The surjectivity condition on B (rank of the span of all B(e_i, e_j)
 equal to p) is what makes the downstream geometry work; it is exposed
-here as ``b_rank``, also memoized on the tensor.
+here as ``b_rank``, also memoized on the tensor.  ``smoothness_probe``
+searches the reductions mod q (``reduction``) for a singular point; the
+moment module's boundary report and the catalog signature read it.
 
 The JSON interchange format (1-based indices, values as 'num/den'
 strings) is the file format used by every command of the package.
@@ -40,9 +42,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice, product
 from math import lcm
 
 from .linalg import mat_rank
+from .sampling import SeededSampler
 from .scalars import Q0, contract, dot, frac
 
 
@@ -237,6 +241,145 @@ def reduction(T: SymCubic, q: int) -> FFTensor:
     if q not in T._reduced:
         T._reduced[q] = reduce_mod(T, q)
     return T._reduced[q]
+
+
+# --- finite field smoothness probe --------------------------------------
+
+@dataclass(frozen=True)
+class ProbeVerdict:
+    cubic_hash: str
+    primes: tuple
+    modes: tuple  # (q, 'exhaustive'|'structured+random') in probe order
+    trials: tuple  # (q, count actually tested)
+    witness: tuple | None  # (q, coordinates) or None
+
+    @property
+    def found(self) -> bool:
+        return self.witness is not None
+
+    @property
+    def verdict_class(self) -> str:
+        return "witness-found" if self.found else "none-found"
+
+    def to_json(self) -> dict:
+        return {
+            "cubic_hash": self.cubic_hash,
+            "primes": list(self.primes),
+            "modes": {str(q): m for q, m in self.modes},
+            "trials": {str(q): n for q, n in self.trials},
+            "witness": (
+                None
+                if self.witness is None
+                else {"q": self.witness[0], "v": list(self.witness[1])}
+            ),
+        }
+
+
+def _quadric_data(ff):
+    """Per-coordinate quadratic forms of B(v, v) mod q, for fast scans."""
+    q = ff.modulus
+    per_k = [[] for _ in range(ff.dim)]
+    for (i, j, k), val in ff.entries:
+        # Contribution of the symmetric entry to each output slot.
+        for (a, b, c) in {(i, j, k), (i, k, j), (j, k, i)}:
+            coeff = val if a == b else (2 * val) % q
+            per_k[c].append((a, b, coeff))
+    return per_k
+
+
+def _is_quadric_zero(per_k, v, q) -> bool:
+    for terms in per_k:
+        acc = 0
+        for a, b, coeff in terms:
+            acc += coeff * v[a] * v[b]
+        if acc % q:
+            return False
+    return True
+
+
+def _structured_candidates(p: int, q: int):
+    """e_i for every i, then e_i + e_j and e_i - e_j for i < j, mod q.
+
+    The singular locus of a cubic often contains a coordinate vector or
+    a sum or difference of two: the gradient of a Jordan norm is the
+    sharp map, which vanishes on rank-one elements such as diag(1, 0, 0)
+    (McCrimmon, A Taste of Jordan Algebras, 2004).  A random vector hits
+    such a cone with probability about q^-codim, so these p^2 vectors
+    are tested first.
+    """
+    for i in range(p):
+        v = [0] * p
+        v[i] = 1
+        yield v
+    for i in range(p):
+        for j in range(i + 1, p):
+            for sign in (1, q - 1):
+                v = [0] * p
+                v[i] = 1
+                v[j] = sign
+                yield v
+
+
+def _random_candidates(p: int, q: int, budget: int, seed: int):
+    """The nonzero vectors among `budget` seeded draws mod q."""
+    sampler = SeededSampler(seed ^ (q << 20))
+    for _ in range(budget):
+        v = sampler.residue_vector(p, q)
+        if any(v):
+            yield v
+
+
+def smoothness_probe(
+    T: SymCubic, primes=(5, 7, 11, 13), budget: int = 10 ** 6, seed: int = 0
+) -> ProbeVerdict:
+    """Search for v != 0 over F_q, q >= 5, with B(v, v) = 0.
+
+    Such a v is a singular point of the reduction mod q of the projective
+    cubic hypersurface, since the gradient of c at v equals 3 B(v, v)
+    under the full-sum normalization (zero mod 3 for every v: q >= 5).
+
+    Per prime q, in mode 'exhaustive' when q^p <= budget, every nonzero
+    vector is tested in lexicographic order.  Otherwise, in mode
+    'structured+random', the p^2 vectors of _structured_candidates are
+    tested first, then the nonzero ones among `budget` seeded random
+    draws; the budget does not bound the p^2 structured candidates, so
+    trials may exceed it.  trials counts the vectors tested.  A witness
+    proves only that the reduction mod q is singular, not the
+    hypersurface over Q: x^3 + 5 y^3 + z^3 is smooth over Q, yet e_y is
+    a witness mod 5.  'none-found' is evidence of smoothness, not a
+    proof.
+    """
+    p = T.dim
+    modes = []
+    trials = []
+    witness = None
+    for q in primes:
+        per_k = _quadric_data(reduction(T, q))
+        if q ** p <= budget:
+            modes.append((q, "exhaustive"))
+            candidates = islice(product(range(q), repeat=p), 1, None)
+        else:
+            modes.append((q, "structured+random"))
+            candidates = chain(
+                _structured_candidates(p, q),
+                _random_candidates(p, q, budget, seed),
+            )
+        count = 0
+        for v in candidates:
+            count += 1
+            if _is_quadric_zero(per_k, v, q):
+                witness = (q, tuple(v))
+                break
+        trials.append((q, count))
+        if witness is not None:
+            break
+    return ProbeVerdict(
+        cubic_hash=cubic_hash(T),
+        primes=tuple(primes),
+        modes=tuple(modes),
+        trials=tuple(trials),
+        witness=witness,
+    )
 
 
 def from_cubic_monomials(dim: int, monomials, scale=1) -> SymCubic:

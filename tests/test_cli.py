@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cubicontact import cli, cubic
+from cubicontact import cubic
 from cubicontact.cli import main
 from cubicontact.cubic import dumps_tensor, loads_tensor
 from cubicontact.catalog import catalog_get, catalog_list
@@ -162,7 +163,8 @@ def test_out_env_variable_naming_a_file_exits_2_before_extracting(tmp_path, monk
     def boom(alg):
         raise AssertionError("extraction ran")
 
-    monkeypatch.setattr(cli, "extraction", boom)
+    # cmd_extract imports extraction when it runs, from its home module.
+    monkeypatch.setattr(importlib.import_module("cubicontact.extraction"), "extraction", boom)
     target = tmp_path / "a-file"
     target.write_text("keep")
     monkeypatch.setenv("CUBICONTACT_OUT", str(target))

@@ -11,7 +11,7 @@ from cubicontact.contact import (
     ChartPoint,
     dtheta_matrix,
     nondegeneracy_certificate,
-    one_form_value,
+    one_form_coefficients,
     require_assumption,
     sample_chart_point,
     tau,
@@ -24,7 +24,7 @@ from cubicontact.linalg import mat_det
 from cubicontact.moment import moment_membership, moment_point_at
 from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
-from cubicontact.scalars import HALF, Q0, ClearedVector
+from cubicontact.scalars import HALF, Q0, ClearedVector, dot
 
 X3 = SymCubic(1, {(0, 0, 0): 1})
 FERMAT3 = SymCubic(3, {(i, i, i): 1 for i in range(3)})
@@ -33,11 +33,17 @@ ZERO1 = SymCubic(1, {})
 
 # --- helpers only these tests use, moved out of the package ------------
 
+def one_form_value(pt, velocity):
+    """theta~ on a coordinate velocity at pt, a tuple or a ClearedVector:
+    one dot with its coefficients, an int pass where both clear."""
+    return dot(one_form_coefficients(pt), velocity)
+
+
 def theta(X, Z, T):
     """Contact form at chart point X on a chart velocity Z, mod the f1 line.
 
     Returns the f2 coefficient Z3m + 1/2 (X1.Z2 - X2.Z1), in the
-    orientation of contact.one_form_value.
+    orientation of one_form_value.
     """
     require_assumption(T)
     if X.dim != Z.dim or X.dim != T.dim:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cubicontact import moment, nilpotent
+from cubicontact import cubic, moment, nilpotent
 from cubicontact.catalog import catalog_get
 from cubicontact.contact import AssumptionError, ChartPoint, sample_chart_point
 from cubicontact.cubic import (
@@ -283,7 +283,7 @@ def _parent_probe(T, primes, budget, seed=0):
     p = T.dim
     modes, trials, witness = [], [], None
     for q in primes:
-        per_k = moment._quadric_data(reduce_mod(T, q))
+        per_k = cubic._quadric_data(reduce_mod(T, q))
         exhaustive = q ** p <= budget
         modes.append((q, "exhaustive" if exhaustive else "random"))
         count = 0
@@ -298,7 +298,7 @@ def _parent_probe(T, primes, budget, seed=0):
                     break
                 v[i] += 1
                 count += 1
-                if moment._is_quadric_zero(per_k, v, q):
+                if cubic._is_quadric_zero(per_k, v, q):
                     witness = (q, tuple(v))
                     break
         else:
@@ -308,7 +308,7 @@ def _parent_probe(T, primes, budget, seed=0):
                 if not any(v):
                     continue
                 count += 1
-                if moment._is_quadric_zero(per_k, v, q):
+                if cubic._is_quadric_zero(per_k, v, q):
                     witness = (q, tuple(v))
                     break
         trials.append((q, count))
