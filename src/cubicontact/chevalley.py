@@ -32,8 +32,8 @@ raises ``StructureConstantError``).
 The brackets of basis elements are kept in one integer table indexed by
 basis position, filled a row at a time on first use from the rules
 above; ``bracket_labels``, ``bracket`` and the Jacobi check all read it.
-The table has the format of nilpotent.bracket_table, so both algebras
-are checked by the one Jacobi kernel in ``nilpotent``: the exhaustive
+It has the format of nilpotent.bracket_table, ints in both, so one
+Jacobi kernel in ``nilpotent`` checks both algebras: the exhaustive
 check compares every stored entry with its transpose and covers the
 jacobiator of every unordered basis triple, each from its smallest
 index; the sampled check evaluates it on seeded triples.  The kernel

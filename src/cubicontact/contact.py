@@ -22,7 +22,8 @@ has the closed form
     M[y][X1_i] = -X2_i / 2,  M[y][X2_i] = X1_i / 2,  M[X1_i][X2_i] = y,
 
 skew-completed, all other entries 0: at most 6p + 6 nonzero entries.
-Nondegeneracy is certified by exact determinants at seeded points.
+Nondegeneracy is certified by exact determinants of 2d M, d the common
+denominator of a seeded point's coordinates.
 """
 
 from __future__ import annotations
@@ -101,25 +102,24 @@ def one_form_coefficients(pt: ChartPoint) -> ClearedVector:
 
 
 def dtheta_matrix(pt: ChartPoint, T: SymCubic):
-    """Exact skew matrix of d(theta~) at pt, coordinates as in coords().
-
-    Dict rows as linalg reads them, holding the nonzero entries of the
-    closed form in the module docstring; T fixes only the dimension.
+    """(rows, den): den M at pt as int dict rows for linalg, coordinates
+    as in coords(), den = 2d for pt's coordinates cleared over d.  T
+    fixes only the dimension.
     """
-    y = pt.y
-    if y == 0:
-        raise ValueError("fiber coordinate y must be nonzero")
     p = T.dim
     if pt.dim != p:
         raise ValueError("dimension mismatch")
-    upper = [(0, 2, Q1), (0, 3, -pt.z), (1, 3, -y)]
-    for i, (x1_i, x2_i) in enumerate(zip(pt.chart.x1, pt.chart.x2)):
-        upper += [(0, 4 + i, -HALF * x2_i), (0, 4 + p + i, HALF * x1_i), (4 + i, 4 + p + i, y)]
+    _r, (y, z, _m, _l, *xs), d = pt.cleared
+    if y == 0:
+        raise ValueError("fiber coordinate y must be nonzero")
+    upper = [(0, 2, 2 * d), (0, 3, -2 * z), (1, 3, -2 * y)]
+    for i, (x1_i, x2_i) in enumerate(zip(xs[:p], xs[p:])):
+        upper += [(0, 4 + i, -x2_i), (0, 4 + p + i, x1_i), (4 + i, 4 + p + i, 2 * y)]
     mat = [{} for _ in range(2 * p + 4)]
     for a, b, entry in upper:
         if entry:  # skew-completed, zeros left out
             mat[a][b], mat[b][a] = entry, -entry
-    return mat
+    return mat, 2 * d
 
 
 def sample_chart_point(sampler: SeededSampler, p: int) -> ChartPoint:
@@ -162,7 +162,8 @@ class NondegeneracyReport:
 def nondegeneracy_certificate(
     T: SymCubic, samples: int = 100, seed: int = 0
 ) -> NondegeneracyReport:
-    """Exact determinants of d(theta~) at seeded points with y != 0.
+    """Exact determinants of d(theta~), det(den M) / den^(2p + 4) from
+    dtheta_matrix, at seeded points with y != 0.
 
     Runs even when the surjectivity assumption fails (the certificate is
     then informational; the report carries the flag).
@@ -173,7 +174,8 @@ def nondegeneracy_certificate(
     failures = []
     for s in range(samples):
         pt = sample_chart_point(sampler, p)
-        det = mat_det(dtheta_matrix(pt, T))
+        rows, den = dtheta_matrix(pt, T)
+        det = mat_det(rows) / den ** len(rows)
         dets.append(det)
         if det == 0:
             failures.append((s,) + pt.coords())

@@ -290,9 +290,10 @@ def _image_bracket(alg: ChevalleyAlgebra, theta, a, b) -> dict:
 
 def _theta(alg: ChevalleyAlgebra, data: ExtractionData, table) -> list:
     """(sigma(a), c_a) for the basis vectors e_i (x) f1, e_i (x) f2, eps_k
-    of n; table is the structure-constant table of n(raw cubic).  c_a = 0
-    is a zero image."""
+    of n; table is bracket_table(raw cubic), dt times n's structure
+    constants.  c_a = 0 is a zero image."""
     p = data.p
+    dt = data.raw_tensor.scaled()[0]
     index = alg.index
     theta = [(index[lab], Q1) for lab in data.x_basis]
     theta += [(index[data.z_basis[b]], r) for b, r in data.phi]
@@ -314,7 +315,7 @@ def _theta(alg: ChevalleyAlgebra, data: ExtractionData, table) -> list:
                 # which the comparison rejects.
                 got = list(_image_bracket(alg, theta, i, p + j).items())
                 m, n = got[0] if len(got) == 1 else (None, Q0)
-                eps[k - 2 * p] = (m, n / c)
+                eps[k - 2 * p] = (m, n * dt / c)
     if None in eps:
         raise ExtractionError("extracted cubic violates the surjectivity assumption")
     return theta + eps
@@ -362,7 +363,10 @@ def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
 
     # Structure-constant comparison, sparse on both sides: [a, b] can be
     # nonzero only if n's row a stores b, or if the Chevalley row of
-    # sigma(a) stores the position of a nonzero image theta(b).
+    # sigma(a) stores the position of a nonzero image theta(b).  The
+    # table's dt is divided out of theta's coefficients once.
+    dt = data.raw_tensor.scaled()[0]
+    image = [(s, c / dt) for s, c in theta]
     preimages = {}
     for b, (s, c) in enumerate(theta):
         if c:
@@ -376,8 +380,8 @@ def verify_embedding(alg: ChevalleyAlgebra) -> EmbeddingReport:
         for b in sorted(cands):
             expected = {}
             for idx, coeff in table[a].get(b, ()):
-                s, c = theta[idx]
-                val = expected.get(s, Q0) + coeff * c
+                s, c = image[idx]
+                val = expected.get(s, Q0) + c * coeff
                 if val:
                     expected[s] = val
                 else:

@@ -12,9 +12,9 @@ omega(f1, f2) = +1.  The brackets are
 
 all other graded pieces bracketing to zero (degrees beyond three).  The
 grade-3 part is central and the Jacobi identity holds exactly because
-dim W = 2.  Every structure constant is an entry of the cubic or +-1,
-so ``bracket_table`` writes them straight from T's entries, and
-``jacobi_violations``, the Jacobi kernel shared with the Chevalley
+dim W = 2.  Times dt, the lcm of T's denominators, each structure
+constant is an entry of T.scaled() or +-dt, an int in ``bracket_table``,
+and ``jacobi_violations``, the Jacobi kernel shared with the Chevalley
 algebras, checks antisymmetry on every stored entry and the jacobiator
 of every basis triple the table can make nonzero, each from its
 smallest index.  A caller that knows basis elements generating its
@@ -129,9 +129,6 @@ class NElem(ClearedVector):
             return not any(self.coords)
         return not any(self.cleared[1])
 
-    def map_scalars(self, f) -> "NElem":
-        return NElem(tuple(map(f, self.coords)))
-
 
 def _check_same_dim(x: NElem, y: NElem, T: SymCubic):
     if not (x.dim == y.dim == T.dim):
@@ -198,25 +195,26 @@ def generic_element(p: int) -> NElem:
 
 
 def bracket_table(T: SymCubic) -> list:
-    """Structure-constant table of n, written from T's entries.
+    """dt times the structure-constant table of n, (dt, rows) = T.scaled().
 
-    Row i maps j to the nonzero (k, coefficient) terms of [b_i, b_j] in
-    basis coordinates, sorted by k and absent when the bracket is zero:
-    the format of ChevalleyAlgebra.table.  Each ordered entry (i, j, k)
-    of ``T.grouped()`` gives [e_i (x) f1, e_j (x) f2] its eps_k term
-    T(i, j, k) and [e_i (x) f2, e_j (x) f1] the negative; then
-    [eps_m, e_m (x) f_s] = f_s = -[e_m (x) f_s, eps_m].  O(nnz + p).
+    Row i maps j to the nonzero (k, int) terms of dt [b_i, b_j], sorted by
+    k and absent when the bracket is zero: the format of
+    ChevalleyAlgebra.table.  Each (j, k, v) of rows[i] gives
+    [e_i (x) f1, e_j (x) f2] its eps_k term v and [e_i (x) f2, e_j (x) f1]
+    the negative; [eps_m, e_m (x) f_s] = dt f_s = -[e_m (x) f_s, eps_m].
+    Jacobiators scale by dt^2.  O(nnz + p).
     """
     p = T.dim
+    dt, rows = T.scaled()
     table = [{} for _ in range(n_dim(p))]
-    for i, row in enumerate(T.grouped()):
+    for i, row in enumerate(rows):
         for j, k, val in row:
             table[i].setdefault(p + j, []).append((2 * p + k, val))
             table[p + i].setdefault(j, []).append((2 * p + k, -val))
     for m in range(p):
         for s in (0, 1):
-            table[2 * p + m][s * p + m] = [(3 * p + s, Q1)]
-            table[s * p + m][2 * p + m] = [(3 * p + s, -Q1)]
+            table[2 * p + m][s * p + m] = [(3 * p + s, dt)]
+            table[s * p + m][2 * p + m] = [(3 * p + s, -dt)]
     return [{j: tuple(sorted(terms)) for j, terms in row.items()} for row in table]
 
 
@@ -227,9 +225,9 @@ def ad_mismatches(x: NElem, T: SymCubic, table: list) -> list:
 
     bracket(x, generic_element(p), T) is all of ad_x at once: coordinate
     k is a LinForm whose coefficient of a_j is the k-th coordinate of
-    [x, b_j].  The table gives the same as sum_i x_i [b_i, b_j], one
-    ``contract`` of x with the generic element over the table's terms,
-    cleared to ints over the lcm of their denominators.
+    [x, b_j].  The table gives dt times sum_i x_i [b_i, b_j], one
+    ``contract`` of x with the generic element over its terms cleared to
+    ints over the lcm of their denominators, divided by that lcm and dt.
     """
     p = T.dim
     den = lcm(*(c.denominator for row in table for terms in row.values() for _k, c in terms))
@@ -238,7 +236,7 @@ def ad_mismatches(x: NElem, T: SymCubic, table: list) -> list:
         for row in table
     ]
     generic = generic_element(p)
-    expected = contract(rows, tuple(map(frac, x.coords)), generic, n_dim(p), den)
+    expected = contract(rows, tuple(map(frac, x.coords)), generic, n_dim(p), den * T.scaled()[0])
     got = bracket(x, generic, T).coords
     return [k for k, (g, e) in enumerate(zip(got, expected)) if g != e]
 
@@ -400,9 +398,9 @@ MAX_VIOLATIONS = 16
 def verify_jacobi(T: SymCubic) -> JacobiReport:
     """Antisymmetry and the Jacobi identity on the basis of n.
 
-    The table is written from T's entries (see bracket_table) and checked
-    by jacobi_violations, with no generators (single-term brackets of
-    basis elements do not generate n), so the walk always runs; the
+    The int table of dt times the constants (see bracket_table) is
+    checked by jacobi_violations, with no generators (single-term brackets
+    of basis elements do not generate n), so the walk always runs; the
     report keeps its first MAX_VIOLATIONS violations.  triples_checked
     is C(d, 3): every triple the kernel skips has a zero jacobiator.
     The report keeps the table it checked; that it is the table of

@@ -105,7 +105,8 @@ def run_expdiff_suite(T: SymCubic, cfg: RunConfig):
 def run_contact_suite(T: SymCubic, cfg: RunConfig):
     cert = nondegeneracy_certificate(T, samples=cfg.samples, seed=cfg.seed)
     base = ChartPoint.base(T.dim)
-    base_det = mat_det(dtheta_matrix(base, T))
+    rows, den = dtheta_matrix(base, T)
+    base_det = mat_det(rows) / den ** len(rows)
     expected = Q1  # y = 1 at the base point: det = y^(2p+2)
     details = {
         "certificate": cert.to_json(),

@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import inspect
+
 import pytest
 from conftest import sparse_rows
 
@@ -32,6 +34,14 @@ ZERO1 = SymCubic(1, {})
 
 
 # --- helpers only these tests use, moved out of the package ------------
+
+def dtheta_fractions(pt, T):
+    """d(theta~) at pt as Fraction rows: dtheta_matrix's int rows over its
+    den, after checking that they are ints."""
+    rows, den = dtheta_matrix(pt, T)
+    assert all(type(v) is int for row in rows for v in row.values())
+    return [{b: F(v, den) for b, v in row.items()} for row in rows]
+
 
 def one_form_value(pt, velocity):
     """theta~ on a coordinate velocity at pt, a tuple or a ClearedVector:
@@ -69,7 +79,7 @@ def symplectic_pairing_D(d1, d2, T):
     for d in (d1, d2):
         if one_form_value(base, d) != 0:
             raise ValueError("argument is not in the contact hyperplane")
-    mat = dtheta_matrix(base, T)
+    mat = dtheta_fractions(base, T)
     total = Q0
     for a in range(n):
         if not d1[a]:
@@ -131,7 +141,7 @@ def test_theta_refuses_assumption_violation():
 
 
 def test_dtheta_base_point_entries_p1():
-    m = dtheta_matrix(ChartPoint.base(1), X3)
+    m = dtheta_fractions(ChartPoint.base(1), X3)
     # Coordinates (y, z, X3m, X3l, X1, X2): exactly the three blocks.
     expected = [[F(0)] * 6 for _ in range(6)]
     expected[0][2], expected[2][0] = F(1), F(-1)
@@ -142,8 +152,8 @@ def test_dtheta_base_point_entries_p1():
 
 
 def test_dtheta_scaling_in_y():
-    m1 = dtheta_matrix(ChartPoint.base(1, F(1)), X3)
-    m2 = dtheta_matrix(ChartPoint.base(1, F(2)), X3)
+    m1 = dtheta_fractions(ChartPoint.base(1, F(1)), X3)
+    m2 = dtheta_fractions(ChartPoint.base(1, F(2)), X3)
     assert m2[1][3] == 2 * m1[1][3]
     assert m2[5][4] == 2 * m1[5][4]
     assert m2[0][2] == m1[0][2]  # the dy block does not scale
@@ -154,7 +164,7 @@ def test_dtheta_antisymmetric_at_samples():
     for _ in range(10):
         pt = sample_chart_point(sampler, 2)
         T = SymCubic(2, {(0, 0, 0): 1, (0, 1, 1): 1})
-        m = dtheta_matrix(pt, T)
+        m, _den = dtheta_matrix(pt, T)
         for a, row in enumerate(m):
             for b, entry in row.items():
                 assert m[b].get(a) == -entry
@@ -166,7 +176,7 @@ def test_dtheta_determinant_is_fiber_power():
     T = FERMAT3
     for _ in range(10):
         pt = sample_chart_point(sampler, 3)
-        m = dtheta_matrix(pt, T)
+        m = dtheta_fractions(pt, T)
         assert mat_det(m) == pt.y ** (2 * 3 + 2)
 
 
@@ -206,7 +216,7 @@ def test_display_orientation_has_the_same_determinant():
     sampler = SeededSampler(23)
     for _ in range(4):
         pt = sample_chart_point(sampler, p)
-        flow = dtheta_matrix(pt, T)
+        flow = dtheta_fractions(pt, T)
         display = sparse_rows(_exterior_derivative(_display_one_form_value, pt))
         assert flow != display
         assert mat_det(flow) == mat_det(display) == pt.y ** (2 * p + 2)
@@ -246,14 +256,14 @@ def test_dtheta_is_exterior_derivative_of_one_form(p):
     sampler = SeededSampler(30 + p)
     for _ in range(3):
         pt = sample_chart_point(sampler, p)
-        assert dtheta_matrix(pt, T) == sparse_rows(_exterior_derivative(one_form_value, pt))
+        assert dtheta_fractions(pt, T) == sparse_rows(_exterior_derivative(one_form_value, pt))
 
 
 def test_dtheta_stores_at_most_6p_plus_6_entries():
     # The closed form's entries only, never the (2p + 4)^2 square.
     p = 10 ** 4
     pt = sample_chart_point(SeededSampler(26), p)
-    m = dtheta_matrix(pt, SymCubic(p, {(0, 0, 0): 1}))
+    m, _den = dtheta_matrix(pt, SymCubic(p, {(0, 0, 0): 1}))
     assert len(m) == 2 * p + 4
     assert sum(len(row) for row in m) <= 6 * p + 6
 
@@ -262,6 +272,48 @@ def test_dtheta_requires_nonzero_y():
     pt = ChartPoint(ChartElem.zero(1), F(0), F(0))
     with pytest.raises(ValueError):
         dtheta_matrix(pt, X3)
+
+
+def _reference_determinants(T, samples, seed):
+    """mat_det of the exterior-derivative reference at the certificate's
+    points, which have non-integral coordinates."""
+    sampler = SeededSampler(seed)
+    points = [sample_chart_point(sampler, T.dim) for _ in range(samples)]
+    assert all(any(F(c).denominator > 1 for c in pt.coords()) for pt in points)
+    return [mat_det(sparse_rows(_exterior_derivative(one_form_value, pt))) for pt in points]
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog_list() if e.p <= 15])
+def test_certificate_determinants_match_the_reference(name):
+    T = catalog_get(name).tensor()
+    rep = nondegeneracy_certificate(T, samples=3, seed=41)
+    assert list(rep.determinants) == _reference_determinants(T, 3, 41)
+    assert all(type(d) is F for d in rep.determinants)
+
+
+def _doubled_z_x3l_entry():
+    """contact.dtheta_matrix with its M[z][X3l] entry doubled."""
+    src = inspect.getsource(contact.dtheta_matrix)
+    entry = "(1, 3, -2 * y)"
+    assert src.count(entry) == 1
+    namespace = dict(vars(contact))
+    exec(src.replace(entry, "(1, 3, -4 * y)"), namespace)
+    return namespace["dtheta_matrix"]
+
+
+def test_certificate_sees_a_doubled_builder_entry(monkeypatch):
+    T = catalog_get("det3").tensor()
+    ref = _reference_determinants(T, 3, 42)
+    assert list(nondegeneracy_certificate(T, samples=3, seed=42).determinants) == ref
+    [check] = verify.run_verification(T, ["contact"], RunConfig(seed=42, samples=3)).checks
+    assert check["status"] == "pass"
+    mutant = _doubled_z_x3l_entry()
+    monkeypatch.setattr(contact, "dtheta_matrix", mutant)
+    monkeypatch.setattr(verify, "dtheta_matrix", mutant)
+    got = nondegeneracy_certificate(T, samples=3, seed=42).determinants
+    assert all(d != r for d, r in zip(got, ref))
+    [check] = verify.run_verification(T, ["contact"], RunConfig(seed=42, samples=3)).checks
+    assert check["status"] == "fail" and check["details"]["base_point_det"] == "4"
 
 
 def test_certificate_x3():
@@ -321,7 +373,7 @@ def test_pairing_d_rank():
     for T, p in ((X3, 1), (FERMAT3, 3)):
         n = 2 * p + 4
         base = ChartPoint.base(p)
-        m = dtheta_matrix(base, T)
+        m, _den = dtheta_matrix(base, T)
         d_indices = [1, 3] + list(range(4, n))  # z, X3l, X1.., X2..
         sub = [{b: v for b, v in m[a].items() if b in d_indices} for a in d_indices]
         from cubicontact.linalg import mat_rank

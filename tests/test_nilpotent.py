@@ -29,7 +29,7 @@ from cubicontact.rootsystems import build_root_system
 from cubicontact.sampling import SeededSampler
 from cubicontact.scalars import LinForm
 from cubicontact.verify import run_verification
-from test_scalar_references import RefLinForm
+from test_scalar_references import RefLinForm, map_scalars
 
 X3 = SymCubic(1, {(0, 0, 0): 1})
 ZERO2 = SymCubic(2, {})
@@ -175,11 +175,16 @@ def _generic_bracket_table(T):
 
 
 def _assert_same_table(T):
+    # dt times the table read off bracket, dt = T.scaled()[0].
     table = bracket_table(T)
-    assert table == _generic_bracket_table(T)
-    # Term for term: the same order of k and Fraction values.
+    dt = T.scaled()[0]
+    assert table == [
+        {j: tuple((k, dt * c) for k, c in terms) for j, terms in row.items()}
+        for row in _generic_bracket_table(T)
+    ]
+    # Term for term: the same order of k and int values.
     assert all(
-        type(c) is F and [k for k, _c in terms] == sorted(k for k, _c in terms)
+        type(c) is int and [k for k, _c in terms] == sorted(k for k, _c in terms)
         for row in table for terms in row.values() for _k, c in terms
     )
 
@@ -205,6 +210,26 @@ def _sparse_cubic(draw):
 @given(T=_sparse_cubic())
 def test_bracket_table_matches_generic_bracket_on_random_cubics(T):
     _assert_same_table(T)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(T=_sparse_cubic(), data=st.data())
+def test_int_table_has_the_violations_of_the_fraction_table(T, data):
+    # dt > 1: the int table is dt times the Fraction reference, so every
+    # jacobiator scales by dt^2 and the violations are the same, also
+    # after one coefficient is doubled in one orientation.
+    assume(T.scaled()[0] > 1)
+    table, ref = bracket_table(T), _explicit_bracket_table(T)
+    assert list(nilpotent.jacobi_violations(table)) == list(nilpotent.jacobi_violations(ref)) == []
+    i, j = data.draw(st.sampled_from([(i, j) for i, row in enumerate(ref) for j in row]))
+    t = data.draw(st.integers(0, len(ref[i][j]) - 1))
+    for rows in (table, ref):
+        terms = list(rows[i][j])
+        terms[t] = (terms[t][0], 2 * terms[t][1])
+        rows[i][j] = tuple(terms)
+    found = list(nilpotent.jacobi_violations(table))
+    assert found == list(nilpotent.jacobi_violations(ref))
+    assert (min(i, j), max(i, j)) in found
 
 
 def test_jacobi_suite_reads_bracket(monkeypatch):
@@ -289,12 +314,13 @@ def _ref_ad_mismatches(x, T, table):
     reference: the expected side summed into dicts and built into one
     LinForm per position."""
     p = T.dim
+    dt = T.scaled()[0]  # the table holds dt times the structure constants
     expected = [{} for _ in range(n_dim(p))]
     for xi, row in zip(x.coords, table):
         if xi:
             for j, terms in row.items():
                 for k, c in terms:
-                    expected[k][j] = expected[k].get(j, 0) + xi * c
+                    expected[k][j] = expected[k].get(j, 0) + xi * F(c, dt)
     got = bracket(x, generic_element(p), T).coords
     return [k for k, (g, e) in enumerate(zip(got, expected)) if g != LinForm(e)]
 
@@ -529,7 +555,7 @@ def test_generic_element_coefficients_are_the_basis():
     for p in (1, 2, 4):
         generic = generic_element(p)
         for i in range(n_dim(p)):
-            coeff = generic.map_scalars(lambda s: s.coefficient(i))
+            coeff = map_scalars(generic, lambda s: s.coefficient(i))
             assert coeff == basis_element(p, i)
 
 
@@ -610,7 +636,6 @@ def test_layout_acts_coordinate_by_coordinate(p, data, s, g):
     assert (x * s).coords == (s * x).coords == tuple(a * s for a in x.coords)
     for z in (x, y, x * 0, NElem.zero(p)):
         assert z.is_zero() == all(a == 0 for a in z.coords)
-    assert x.map_scalars(lambda a: 2 * a + 1).coords == tuple(2 * a + 1 for a in x.coords)
     gen = SlWElem.of(*g)
     assert act_slw(gen, x) == _pair_layout_act_slw(gen, x)
 

@@ -28,6 +28,11 @@ from cubicontact.sampling import SeededSampler
 from cubicontact.scalars import LinForm, Q0, Q1, QPoly, _FormalSum, dot as _dot, frac
 
 
+def map_scalars(x, f):
+    """The NElem with f applied to each coordinate of x."""
+    return NElem(tuple(map(f, x.coords)))
+
+
 # --- references: the Fraction-backed rings ----------------------------------
 
 def _as_fraction(x):
@@ -339,8 +344,9 @@ def test_line_solve_over_reference_qpoly(name):
     for _ in range(3):
         v = sampler.vector(p)
         lift = RefQPoly.const
-        U = NElem.from_parts(p, col1=tuple(lift(c) for c in v)).map_scalars(
-            lambda s: s if isinstance(s, RefQPoly) else lift(s)
+        U = map_scalars(
+            NElem.from_parts(p, col1=tuple(lift(c) for c in v)),
+            lambda s: s if isinstance(s, RefQPoly) else lift(s),
         )
         with pytest.raises(TypeError):
             chart_decompose(U, RefQPoly.x(), T)
