@@ -22,7 +22,7 @@ _HOMES = {
         " from_cubic_monomials load_tensor loads_tensor normalize_cubic polarize"
         " reduce_mod smoothness_probe trilinear"
     ),
-    "nilpotent": "NElem SlWElem act_slw bracket dim_report generic_element n_dim verify_jacobi",
+    "nilpotent": "NElem SlWElem act_slw bracket dim_report n_dim verify_jacobi",
     "bch": (
         "ChartElem GroupElem bch chart_decompose exp_diff exp_diff_inv group_inv"
         " group_mul solve_line_coordinates"

@@ -33,13 +33,14 @@ bch, exp_diff and exp_diff_inv share one kernel with the coefficients
 (1/2, 1/12), (1/2, 1/12) and (-1/2, 1/6).  It reads each element's
 cleared form (``NElem.cleared``), computes [X, Y] and the central term
 in ints from T's integer table (``SymCubic.scaled``), and returns its
-result in that form, over one denominator, building no Fraction
-(common-denominator arithmetic; Geddes, Czapor and Labahn, Algorithms
-for Computer Algebra, 1992, ch. 9).  X and Y are rational, int or
-Fraction coordinates, except that the series linear in Y also take a
-Y of LinForms: the expdiff suite's round trip of the generic element,
-with dict accumulations in place of int products.  Any other input
-raises TypeError.
+result in that form, (nums, den) over one denominator, building no
+Fraction (common-denominator arithmetic; Geddes, Czapor and Labahn,
+Algorithms for Computer Algebra, 1992, ch. 9).  X and Y have rational,
+int or Fraction, coordinates; any other input raises TypeError.
+exp_diff and exp_diff_inv are linear in Y by construction, so the
+expdiff suite checks their round trip on every basis element of a
+block at once at one Kronecker point (``nilpotent.kronecker_points``),
+for the bound of ``roundtrip_bound``.
 
 ``chart_decompose`` factors exp(U) = exp(X) exp(w (x) p) with X in the
 chart complement n_m = (V (x) f2) + V* + W and p = f1 + z f2, in ints
@@ -60,22 +61,21 @@ from .scalars import (
     QPoly,
     SIXTH,
     TWELFTH,
-    LinForm,
+    cleared_form,
     contract_cleared,
     from_cleared,
+    int_dot,
 )
+
+# The series coefficients (h, t) of exp_diff and of exp_diff_inv.
+_DIFF, _DIFF_INV = (HALF, TWELFTH), (-HALF, SIXTH)
 
 
 def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
     """[X +] Y + h [X, Y] + t [U, [X, Y]], U = X - Y with X, else U = X:
     the one kernel of bch, exp_diff and exp_diff_inv."""
     _check_same_dim(X, Y, T)
-    cx, cy = X.cleared, Y.cleared
-    if not (cx and cy) or cx[0] or cy[0] not in (None, LinForm) or (cy[0] and with_x):
-        raise TypeError("rational elements only, or a LinForm Y of exp_diff or exp_diff_inv")
-    if cy[0]:
-        return _linear_series(cx[1], cx[2], *cy, T, h, t)
-    (_rx, xs, dx), (_ry, ys, dy) = cx, cy
+    (xs, dx), (ys, dy) = cleared_form(X), cleared_form(Y)
     dt, rows = T.scaled()
     p, w, dxy = T.dim, int(with_x), dx * dy
     xc, yc = (xs[:p], xs[p:2 * p]), (ys[:p], ys[p:2 * p])
@@ -92,8 +92,8 @@ def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
     hn, hd, tn, td = h.numerator, h.denominator, t.numerator, t.denominator
     n2 = [hd * dt * sa + hn * ba for sa, ba in zip(s[2 * p:], b)]
     n3 = [
-        td * dt * dxy * (hd * sa + hn * (sum(map(mul, x2, yca)) - sum(map(mul, y2, xca))))
-        - tn * hd * (dy * sum(map(mul, b, xca)) - w * dx * sum(map(mul, b, yca)))
+        td * dt * dxy * (hd * sa + hn * (int_dot(x2, yca) - int_dot(y2, xca)))
+        - tn * hd * (dy * int_dot(b, xca) - w * dx * int_dot(b, yca))
         for sa, xca, yca in zip(s[3 * p:], xc, yc)
     ]
     # Grades 1, 2, 3 are over dxy, hd dt dxy, hd td dt dxy^2: bring all to the last.
@@ -101,49 +101,6 @@ def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
     return NElem.of_cleared(
         [c1 * a for a in s[:2 * p]] + [c2 * a for a in n2] + n3, c1 * dxy
     )
-
-
-def _add_into(acc: dict, c: int, nums) -> None:
-    """acc += c nums, nums an int dict of clear_denominators or 0."""
-    if c and nums:
-        for s, n in nums.items():
-            acc[s] = acc.get(s, 0) + c * n
-
-
-def _linear_series(xs, dx, ring, ys, dy, T: SymCubic, h, t) -> NElem:
-    """Y + h [X, Y] + t [X, [X, Y]] from X's cleared ints (xs, dx) and
-    Y's int dicts over the formal class ring (ys, dy): the walk of the
-    Fraction path with w = 0, each product with a y numerator a dict
-    accumulation.  The result is the cleared form over
-    hd td dt dx^2 dy (one dy of the Fraction path's cancels)."""
-    dt, rows = T.scaled()
-    p = T.dim
-    xc, yc = (xs[:p], xs[p:2 * p]), (ys[:p], ys[p:2 * p])
-    x2, y2 = xs[2 * p:3 * p], ys[2 * p:3 * p]
-    b = [{} for _ in range(p)]
-    for a1, a2, row in zip(*xc, rows):
-        if a1 or a2:
-            for j, k, v in row:
-                _add_into(b[k], v * a1, yc[1][j])
-                _add_into(b[k], -v * a2, yc[0][j])
-    hn, hd, tn, td = h.numerator, h.denominator, t.numerator, t.denominator
-    c1 = hd * td * dt * dx * dx
-    out = [{} for _ in range(3 * p + 2)]
-    for acc, ya in zip(out, ys[:2 * p]):
-        _add_into(acc, c1, ya)
-    for acc, ya, ba in zip(out[2 * p:], y2, b):
-        _add_into(acc, c1, ya)
-        _add_into(acc, td * dx * hn, ba)
-    # dx dy [X, Y]_3 = x2 . y_col - y2 . x_col; t [X, [X, Y]] is central,
-    # -t b . x_col / (dt dx^2 dy).
-    ch, ct = td * dt * dx * hn, -tn * hd
-    for acc, ya, xca, yca in zip(out[3 * p:], ys[3 * p:], xc, yc):
-        _add_into(acc, c1, ya)
-        for xa, yb, x2a, y2a, ba in zip(xca, yca, x2, y2, b):
-            _add_into(acc, ch * x2a, yb)
-            _add_into(acc, -ch * xa, y2a)
-            _add_into(acc, ct * xa, ba)
-    return NElem.of_cleared(out, c1 * dy, ring)
 
 
 def bch(X: NElem, Y: NElem, T: SymCubic) -> NElem:
@@ -172,12 +129,44 @@ def group_inv(a: GroupElem) -> GroupElem:
 
 def exp_diff(X: NElem, Y: NElem, T: SymCubic) -> NElem:
     """e_X(Y) = Y + 1/2 [X,Y] + 1/12 [X,[X,Y]]; linear in Y."""
-    return _series(X, Y, T, HALF, TWELFTH, with_x=False)
+    return _series(X, Y, T, *_DIFF, with_x=False)
 
 
 def exp_diff_inv(X: NElem, Z: NElem, T: SymCubic) -> NElem:
     """The exact Y with exp_diff(X, Y) = Z: Z - 1/2 [X,Z] + 1/6 [X,[X,Z]]."""
-    return _series(X, Z, T, -HALF, SIXTH, with_x=False)
+    return _series(X, Z, T, *_DIFF_INV, with_x=False)
+
+
+def roundtrip_bound(X: NElem, T: SymCubic) -> int:
+    """A bound C on the integer entries of D (M - I), M the round trip
+    Y -> exp_diff(X, exp_diff_inv(X, Y)), linear in Y, and D = D_E D_F
+    below: the bound of nilpotent.kronecker_points for M against I.
+
+    With X's coordinates cleared to xs over dx, u = max |xs| and S the
+    sum of T.scaled()'s |v|, A = dt dx ad_X is an int matrix: its n2 rows
+    sum xs_i v over T's terms, each row sum at most a2 = 2 u S, its n3
+    rows hold dt xs_i, row sums at most 2 p dt u, and (A^2 / dt) is an
+    int matrix, row sums at most u a2.  A series I + h ad_X + t ad_X^2
+    times D_S = hd td dt dx^2 (h = hn/hd, t = tn/td) is then
+    D_S I + hn td dx A + tn hd (A^2 / dt), whose row sums R_S are at most
+    D_S + |hn| td dx max(a2, 2 p dt u) + |tn| hd u a2.  So every entry of
+    D (M - I) is at most R_E R_F + D, from the series coefficients of
+    exp_diff and exp_diff_inv.  The bound is that of the series as
+    written, not of what ``_series`` returns: a kernel fault that leaves
+    it can go unseen (see nilpotent.kronecker_points).
+    """
+    xs, dx = cleared_form(X)
+    dt, rows = T.scaled()
+    u = max(map(abs, xs), default=0)
+    a2 = 2 * u * sum(abs(v) for row in rows for _j, _k, v in row)
+    a1 = max(a2, 2 * T.dim * dt * u)
+    bound, den = 1, 1
+    for h, t in (_DIFF, _DIFF_INV):
+        d = h.denominator * t.denominator * dt * dx * dx
+        hn, tn = abs(h.numerator), abs(t.numerator)
+        bound *= d + hn * t.denominator * dx * a1 + tn * h.denominator * u * a2
+        den *= d
+    return bound + den
 
 
 # --- the chart over the projective W line ------------------------------
@@ -225,7 +214,7 @@ def _chart_cleared(us, d, z, T: SymCubic):
     x1 = [zd * m - zn * a for m, a in zip(us[p:2 * p], w)]
     # b is over db = dt zd d^2, x2 over 2 db, and the grade-3 terms over
     # 12 db d (times zd for x3_m).
-    _r, b, db = contract_cleared(rows, (None, x1, zd * d), (None, w, d), p, dt)
+    b, db = contract_cleared(rows, (x1, zd * d), (w, d), p, dt)
     x2 = [2 * dt * zd * d * u + c for u, c in zip(n2, b)]
     x2w, t_x1x1w, t_x1ww = sum(map(mul, x2, w)), sum(map(mul, b, x1)), sum(map(mul, b, w))
     return (
@@ -244,13 +233,10 @@ def chart_decompose(U: NElem, z, T: SymCubic):
     """
     if U.dim != T.dim:
         raise DimensionMismatchError(f"element dimension {U.dim}, tensor dimension {T.dim}")
-    c = U.cleared
-    if not (c and c[0] is None and isinstance(z, (int, Fraction))):
-        raise TypeError("chart_decompose takes a rational element and z")
-    x1, x2, x3_m, x3_l = _chart_cleared(c[1], c[2], z, T)
-    chart = ChartElem(
-        from_cleared(None, *x1), from_cleared(None, *x2), Fraction(*x3_m), Fraction(*x3_l)
-    )
+    if not isinstance(z, (int, Fraction)):
+        raise TypeError("chart_decompose takes a rational z")
+    x1, x2, x3_m, x3_l = _chart_cleared(*cleared_form(U), z, T)
+    chart = ChartElem(from_cleared(*x1), from_cleared(*x2), Fraction(*x3_m), Fraction(*x3_l))
     return chart, U.col(0)
 
 

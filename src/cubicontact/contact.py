@@ -43,7 +43,7 @@ from .scalars import (
     Q1,
     SIXTH,
     ClearedVector,
-    clear_denominators,
+    cleared_form,
     contract_cleared,
     dot,
     frac,
@@ -83,12 +83,9 @@ class ChartPoint:
 
     @cached_property
     def cleared(self):
-        """coords() as ints over their common denominator, (None, nums,
-        den); TypeError unless all are rational."""
-        c = clear_denominators(self.coords())
-        if not c or c[0]:
-            raise TypeError("a chart point has rational coordinates")
-        return c
+        """coords() as ints over their common denominator, (nums, den);
+        TypeError unless all are rational."""
+        return cleared_form(self.coords())
 
 
 def one_form_coefficients(pt: ChartPoint) -> ClearedVector:
@@ -96,7 +93,7 @@ def one_form_coefficients(pt: ChartPoint) -> ClearedVector:
     the order of coords(), over 2 d^2 from pt's coordinates cleared
     over d."""
     p = pt.dim
-    _r, (y, z, _m, _l, *xs), d = pt.cleared
+    (y, z, _m, _l, *xs), d = pt.cleared
     theta = [0, 0, 2 * d * y, -2 * y * z] + [-y * e for e in xs[p:]] + [y * a for a in xs[:p]]
     return ClearedVector.of_cleared(theta, 2 * d * d)
 
@@ -109,7 +106,7 @@ def dtheta_matrix(pt: ChartPoint, T: SymCubic):
     p = T.dim
     if pt.dim != p:
         raise ValueError("dimension mismatch")
-    _r, (y, z, _m, _l, *xs), d = pt.cleared
+    (y, z, _m, _l, *xs), d = pt.cleared
     if y == 0:
         raise ValueError("fiber coordinate y must be nonzero")
     upper = [(0, 2, 2 * d), (0, 3, -2 * z), (1, 3, -2 * y)]
@@ -227,9 +224,9 @@ def tau_matches_line_expansion(v, T: SymCubic) -> bool:
     p = T.dim
     if len(v) != p:
         raise ValueError(f"vector length {len(v)} != dim {p}")
-    _r, vs, dv = clear_denominators(tuple(map(frac, v)))
+    vs, dv = cleared_form(tuple(map(frac, v)))
     dt, rows = T.scaled()
-    _r, bvv, _d = contract_cleared(rows, (None, vs, dv), (None, vs, dv), p, dt)
+    bvv, _d = contract_cleared(rows, (vs, dv), (vs, dv), p, dt)
     cv = sum(map(mul, bvv, vs))
     line = vs + [0] * (2 * p + 2)
     for z in (0, 1, -1):

@@ -18,13 +18,13 @@ one polarization, c(x, y, w) = B(x, w) . y, whatever pair is polarized.
 lcm of the entries' denominators (``SymCubic.scaled``), so a zero v1_i
 skips its whole group and a unit vector costs only its own group.  It
 runs as one integer pass of the cleared-vector kernel
-(``scalars.contract``) over Fraction, LinForm and QPoly vectors alike:
-both vectors are cleared to numerators over a common denominator, the
+(``scalars.contract``) over rational vectors, ints or Fractions: both
+are cleared to numerators over a common denominator, (nums, den), the
 terms are summed in Python ints, and each output coordinate is built
-once.  ``cubic_eval`` and ``trilinear`` are that polarization paired
-with one more vector by ``scalars.dot``, on the same kernel, and the
-group law reads the same integer table.  Both tables are memoized on
-the tensor.
+once.  Any other coordinate raises TypeError.  ``cubic_eval`` and
+``trilinear`` pair that polarization's int numerators with one more
+vector's and build a single Fraction, and the group law reads the same
+integer table.  Both tables are memoized on the tensor.
 
 The surjectivity condition on B (rank of the span of all B(e_i, e_j)
 equal to p) is what makes the downstream geometry work; it is exposed
@@ -44,10 +44,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, product
 from math import lcm
+from operator import mul
 
 from .linalg import mat_rank
 from .sampling import SeededSampler
-from .scalars import Q0, contract, dot, frac
+from .scalars import Q0, cleared_form, contract, contract_cleared, frac
 
 
 class DimensionMismatchError(ValueError):
@@ -172,7 +173,16 @@ def _check_vec(T: SymCubic, v, name="vector"):
 def cubic_eval(T: SymCubic, v) -> Fraction:
     """c(v) = B(v, v) . v, the full symmetric sum over all index orderings."""
     _check_vec(T, v)
-    return dot(polarize(T, v, v), v)
+    c = cleared_form(v)
+    return _trilinear_cleared(T, c, c, c)
+
+
+def _trilinear_cleared(T: SymCubic, c1, c2, c3) -> Fraction:
+    """c(v1, v2, v3) = B(v1, v2) . v3 from the vectors' cleared forms: the
+    int numerators of B(v1, v2) paired with v3's, one Fraction."""
+    dt, rows = T.scaled()
+    b, db = contract_cleared(rows, c1, c2, T.dim, dt)
+    return Fraction(sum(map(mul, b, c3[0])), db * c3[1])
 
 
 def polarize(T: SymCubic, v1, v2):
@@ -188,7 +198,9 @@ def polarize(T: SymCubic, v1, v2):
 
 def trilinear(T: SymCubic, v1, v2, v3) -> Fraction:
     """Full symmetric trilinear value c(v1, v2, v3) = B(v1, v2) . v3."""
-    return dot(polarize(T, v1, v2), v3)
+    _check_vec(T, v1, "v1")
+    _check_vec(T, v2, "v2")
+    return _trilinear_cleared(T, *map(cleared_form, (v1, v2, v3)))
 
 
 def b_rank(T: SymCubic) -> int:

@@ -32,9 +32,14 @@ from .scalars import Q0, Q1
 
 
 def _int_rows(rows):
-    """Each row as {column: int}, scaled by the lcm of its denominators, and the lcms' product."""
+    """Each row as {column: int}, scaled by the lcm of its denominators, and the lcms' product.
+
+    A row of nonzero ints is used as given: _echelon never writes a row."""
     out, scale = [], 1
     for row in rows:
+        if all(type(x) is int and x for x in row.values()):
+            out.append(row)
+            continue
         pairs = [(j, x.as_integer_ratio()) for j, x in row.items() if x]
         d = lcm(*[q for _j, (_n, q) in pairs])
         out.append({j: n * (d // q) for j, (n, q) in pairs})

@@ -42,7 +42,7 @@ from itertools import chain
 from .contact import ChartPoint, one_form_coefficients, require_assumption
 from .cubic import DimensionMismatchError, SymCubic, cubic_hash, smoothness_probe
 from .nilpotent import NElem, SlWElem, act_slw, bracket_transpose
-from .scalars import ClearedVector, clear_denominators, contract_cleared, dot, frac
+from .scalars import ClearedVector, cleared_form, contract_cleared, dot, frac
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,10 @@ def moment_membership(m: MomentPoint, T: SymCubic) -> bool:
     p = T.dim
     if m.dim != p or len(m.phi1) != p:
         raise ValueError("dimension mismatch")
-    _r, nums, d = clear_denominators(tuple(map(frac, chain(m.phi2, m.phi3, *m.phi1))))
+    nums, d = cleared_form(tuple(map(frac, chain(m.phi2, m.phi3, *m.phi1))))
     phi2, (g1, g2), phi1 = nums[:p], nums[p:p + 2], nums[p + 2:]
     dt, rows = T.scaled()
-    _r, rhs, _d = contract_cleared(rows, (None, phi2, d), (None, phi2, d), p, dt)
+    rhs, _d = contract_cleared(rows, (phi2, d), (phi2, d), p, dt)
     # omega(phi3, f1) = -phi3_f2, omega(phi3, f2) = +phi3_f1.
     return all(
         dt * (g1 * phi1[2 * k + 1] - g2 * phi1[2 * k]) == r for k, r in enumerate(rhs)
@@ -104,13 +104,13 @@ def _pullback(pt: ChartPoint, T: SymCubic):
     dth, pt's coordinates being over d and t over dth.
     """
     p = pt.dim
-    _r, (_y, z, _m, _l, *xs), d = pt.cleared
+    (_y, z, _m, _l, *xs), d = pt.cleared
     x1, x2 = xs[:p], xs[p:]
-    _r, (_ty, _tz, tm, tl, *ts), dth = one_form_coefficients(pt).cleared
+    (_ty, _tz, tm, tl, *ts), dth = one_form_coefficients(pt).cleared
     t1, t2 = ts[:p], ts[p:]
     dt, rows = T.scaled()
     w = [6 * d * a - tm * e for a, e in zip(t2, x1)]
-    _r, b, _db = contract_cleared(rows, (None, x1, 1), (None, w, 1), p)
+    b, _db = contract_cleared(rows, (x1, 1), (w, 1), p)
     col1 = [bk - 6 * dt * (2 * d * z * a + (d * tl + z * tm) * e) for a, e, bk in zip(t1, x2, b)]
     c = 12 * dt * d * d
     return ClearedVector.of_cleared(col1 + [c * a for a in ts] + [c * tl, c * tm], c * dth)
@@ -119,20 +119,20 @@ def _pullback(pt: ChartPoint, T: SymCubic):
 def _moment_covector(pt: ChartPoint, T: SymCubic):
     """phi = xi - 1/2 xi o ad_X + 1/12 xi o ad_X o ad_X, a ClearedVector:
     the moment value on each basis element of n."""
-    _r, (_y, _z, m, l, *xs), d = pt.cleared
-    X = None, [0] * pt.dim + xs + [l, m], d
+    (_y, _z, m, l, *xs), d = pt.cleared
+    X = [0] * pt.dim + xs + [l, m], d
     xi = _pullback(pt, T).cleared
     once = bracket_transpose(X, xi, T)
     twice = bracket_transpose(X, once, T)
     h = T.scaled()[0] * d  # once is over h den(xi), twice over h^2 den(xi)
-    nums = [12 * h * h * a - 6 * h * b + e for a, b, e in zip(xi[1], once[1], twice[1])]
-    return ClearedVector.of_cleared(nums, 12 * twice[2])
+    nums = [12 * h * h * a - 6 * h * b + e for a, b, e in zip(xi[0], once[0], twice[0])]
+    return ClearedVector.of_cleared(nums, 12 * twice[1])
 
 
 def moment_of(pt: ChartPoint, A, T: SymCubic) -> Fraction:
     """theta~ on the fundamental vector field of the generator A at pt:
-    xi(act_slw(A, X)) for an SlWElem, phi(A) for an NElem over any ring
-    (a LinForm of the values for the generic element)."""
+    xi(act_slw(A, X)) for an SlWElem, phi(A) for an NElem, a Fraction.
+    A's coordinates are rational; any other raises TypeError."""
     _refuse(pt, T)
     if isinstance(A, SlWElem):
         return dot(_pullback(pt, T), act_slw(A, pt.chart.to_nelem()))
@@ -153,7 +153,7 @@ def moment_point_at(pt: ChartPoint, T: SymCubic) -> MomentPoint:
     """
     _refuse(pt, T)
     p = T.dim
-    _r, mu, den = _moment_covector(pt, T).cleared
+    mu, den = _moment_covector(pt, T).cleared
 
     def phi(i, c=1):
         return Fraction(c * mu[i], den)
@@ -175,10 +175,10 @@ def moment_point_closed_form(pt: ChartPoint, T: SymCubic) -> MomentPoint:
     """
     _refuse(pt, T)
     p = pt.dim
-    _r, (y, z, _m, _l, *xs), d = pt.cleared
+    (y, z, _m, _l, *xs), d = pt.cleared
     x1, x2 = xs[:p], xs[p:]
     dt, rows = T.scaled()
-    _r, b, _db = contract_cleared(rows, (None, x1, d), (None, x1, d), p, dt)
+    b, _db = contract_cleared(rows, (x1, d), (x1, d), p, dt)
     d2, d3 = d * d, dt * d ** 3
     return MomentPoint(
         phi1=tuple(

@@ -26,14 +26,16 @@ the pairs of one enumeration, ``_pairs_through``, per position.  The
 Chevalley check passes its e_{+-alpha_i}; n passes none, since its
 brackets [e_i (x) f1, e_j (x) f2] are sums of eps_k, and single-term
 brackets of basis elements cannot show that a set generates it.
-``ad_mismatches`` ties the table to ``bracket``: one bracket with the
-generic element gives all of ad_x at once, which must equal the table
-contracted with x; the jacobi suite hands it the table ``verify_jacobi``
-checked.
+``ad_mismatches`` ties the table to ``bracket``: ad_x read off both,
+two maps linear in their argument, must agree, and their evaluation at
+the Kronecker points ``kronecker_points`` decides that exactly; the
+jacobi suite hands it the table ``verify_jacobi`` checked.
 
 Elements carry their 3p + 2 coordinates in basis order (see
-basis_element), a scalars.ClearedVector.  All values are immutable;
-every operation is a pure function, safe for concurrent use.
+basis_element), a scalars.ClearedVector.  ``bracket`` and the other
+kernels take rational coordinates only and raise TypeError on any
+other.  All values are immutable; every operation is a pure function,
+safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -48,13 +50,8 @@ from .cubic import (
     DimensionMismatchError,
     assumption_holds,
     cubic_hash,
-    polarize,
 )
-from .scalars import ClearedVector, LinForm, Q0, Q1, contract, contract_cleared, dot, frac
-
-
-def _vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+from .scalars import ClearedVector, Q0, Q1, cleared_form, contract_cleared, frac, int_dot
 
 
 class NElem(ClearedVector):
@@ -115,8 +112,8 @@ class NElem(ClearedVector):
 
     def __neg__(self) -> "NElem":
         c = self.cleared
-        if c and c[0] is None:
-            return NElem.of_cleared([-n for n in c[1]], c[2])
+        if c:
+            return NElem.of_cleared([-n for n in c[0]], c[1])
         return NElem(tuple(-a for a in self.coords))
 
     def __mul__(self, s) -> "NElem":
@@ -125,9 +122,9 @@ class NElem(ClearedVector):
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        if "coords" in self.__dict__ or self.cleared[0]:
+        if "coords" in self.__dict__:
             return not any(self.coords)
-        return not any(self.cleared[1])
+        return not any(self.cleared[0])
 
 
 def _check_same_dim(x: NElem, y: NElem, T: SymCubic):
@@ -138,19 +135,26 @@ def _check_same_dim(x: NElem, y: NElem, T: SymCubic):
 
 
 def bracket(x: NElem, y: NElem, T: SymCubic) -> NElem:
-    """Lie bracket of n.  Output lives in grades 2 and 3 only."""
+    """Lie bracket of n, in grades 2 and 3 only: dt dx dy [x, y] over
+    dt dx dy from the cleared forms of x and y and (dt, rows) = T.scaled()."""
     _check_same_dim(x, y, T)
+    p = T.dim
+    (xs, dx), (ys, dy) = cleared_form(x), cleared_form(y)
+    dt, rows = T.scaled()
     # omega(f1, f2) = +1: the n2 part is B(x_f1, y_f2) - B(x_f2, y_f1).
-    n2 = _vsub(polarize(T, x.col(0), y.col(1)), polarize(T, x.col(1), y.col(0)))
-    n3 = tuple(
-        dot(x.n2, y.col(a)) - dot(y.n2, x.col(a)) for a in (0, 1)
-    )
-    return NElem((Q0,) * (2 * T.dim) + n2 + n3)
+    b1, _d = contract_cleared(rows, (xs[:p], 1), (ys[p:2 * p], 1), p)
+    b2, _d = contract_cleared(rows, (xs[p:2 * p], 1), (ys[:p], 1), p)
+    x2, y2 = xs[2 * p:3 * p], ys[2 * p:3 * p]
+    n3 = [
+        dt * (int_dot(x2, ys[a * p:(a + 1) * p]) - int_dot(y2, xs[a * p:(a + 1) * p]))
+        for a in (0, 1)
+    ]
+    return NElem.of_cleared([0] * (2 * p) + [u - v for u, v in zip(b1, b2)] + n3, dt * dx * dy)
 
 
 def bracket_transpose(cx, cu, T: SymCubic):
-    """u o ad_x, the covector Y -> u([x, Y]), from the rational cleared
-    forms cx = (None, xs, dx) of x and cu = (None, us, du) of u:
+    """u o ad_x, the covector Y -> u([x, Y]), from the cleared forms
+    cx = (xs, dx) of x and cu = (us, du) of u:
 
         col1 -B(x_f2, u2) + u_l x2,   col2 B(x_f1, u2) + u_m x2,
         n2 -(u_l x_f1 + u_m x_f2),    n3 0,   over dt dx du,
@@ -158,16 +162,16 @@ def bracket_transpose(cx, cu, T: SymCubic):
     u2 and (u_l, u_m) being u's n2 and n3 blocks.
     """
     p = T.dim
-    (_r, xs, dx), (_r, us, du) = cx, cu
+    (xs, dx), (us, du) = cx, cu
     dt, rows = T.scaled()
     xf1, xf2, x2 = xs[:p], xs[p:2 * p], xs[2 * p:3 * p]
     u2, (ul, um) = us[2 * p:3 * p], us[3 * p:]
-    _r, b1, _d = contract_cleared(rows, (None, xf1, 1), (None, u2, 1), p)
-    _r, b2, _d = contract_cleared(rows, (None, xf2, 1), (None, u2, 1), p)
+    b1, _d = contract_cleared(rows, (xf1, 1), (u2, 1), p)
+    b2, _d = contract_cleared(rows, (xf2, 1), (u2, 1), p)
     col1 = [dt * ul * e - b for e, b in zip(x2, b2)]
     col2 = [dt * um * e + b for e, b in zip(x2, b1)]
     n2 = [-dt * (ul * a + um * c) for a, c in zip(xf1, xf2)]
-    return None, col1 + col2 + n2 + [0, 0], dt * dx * du
+    return col1 + col2 + n2 + [0, 0], dt * dx * du
 
 
 # --- basis bookkeeping -------------------------------------------------
@@ -185,13 +189,36 @@ def basis_element(p: int, idx: int) -> NElem:
     return NElem(tuple(Q1 if k == idx else Q0 for k in range(n_dim(p))))
 
 
-def generic_element(p: int) -> NElem:
-    """sum_i a_i b_i over the basis b_i, the a_i LinForm coordinates, held
-    as its cleared form {i: 1} over 1: a map linear in its NElem argument,
-    evaluated once on it, gives its value on basis_element(p, i) as the
-    coefficient of a_i (ad_x in ad_mismatches, the expdiff round trip).
+# Bits per coordinate of a Kronecker block, so that a map evaluated on it
+# holds O(n) numbers of bounded size, not the n^2 s / 2 bits of one point.
+KRONECKER_BLOCK_BITS = 1 << 15
+
+
+def kronecker_points(p: int, bound: int):
+    """The Kronecker points of n for ``bound``, one per block of w =
+    max(1, KRONECKER_BLOCK_BITS // s) columns: N = 2^s, s = b + 1 for b
+    the bit length of ``bound``, so N > 2 bound, and block j0 is
+    z_j = N^(j - j0) for j0 <= j < j0 + w, else 0.  For 3p + 2 <= w this
+    is the one point z_K = (1, N, N^2, ..., N^(3p+1)).
+
+    Let L be a map linear in its NElem argument, such as ``bracket`` in
+    its second argument or a series of ``bch`` in Y, and D an int for
+    which every entry of D L is an integer c_kj with |c_kj| <= bound.
+    Then D L(z)_k = sum_j c_kj N^(j - j0) over the block, whose balanced
+    base-N digits are the c_kj (L. Kronecker, J. reine angew. Math. 92,
+    1882; von zur Gathen and Gerhard, Modern Computer Algebra, 3rd ed.,
+    8.4).  So two such maps agree at every block exactly when they agree
+    on every basis element.  The caller derives the bound from the
+    formulas it intends, so the verdict is exact only for code that meets
+    it: a fault that pushes a coefficient of D L past N/2, or gives L a
+    denominator not dividing D, can cancel at z and go unseen.
     """
-    return NElem.of_cleared([{i: 1} for i in range(n_dim(p))], 1, LinForm)
+    shift, n = bound.bit_length() + 1, n_dim(p)
+    width = max(1, KRONECKER_BLOCK_BITS // shift)
+    for j0 in range(0, n, width):
+        nums = [0] * n
+        nums[j0:j0 + width] = [1 << (shift * j) for j in range(min(width, n - j0))]
+        yield NElem.of_cleared(nums, 1)
 
 
 def bracket_table(T: SymCubic) -> list:
@@ -223,11 +250,16 @@ def ad_mismatches(x: NElem, T: SymCubic, table: list) -> list:
     ``table``, T's ``bracket_table``, differ; x has rational (Fraction
     or int) coordinates.
 
-    bracket(x, generic_element(p), T) is all of ad_x at once: coordinate
-    k is a LinForm whose coefficient of a_j is the k-th coordinate of
-    [x, b_j].  The table gives dt times sum_i x_i [b_i, b_j], one
-    ``contract`` of x with the generic element over its terms cleared to
-    ints over the lcm of their denominators, divided by that lcm and dt.
+    Both sides are linear in Y: bracket(x, Y, T), and sum_i x_i [b_i, Y]
+    from the table, one ``contract_cleared`` of x with Y over the table's terms
+    cleared to ints over the lcm den of their denominators, divided by
+    den and dt.  For x's coordinates cleared to xs over dx, u = max |xs|,
+    D = den dt dx times either side has integer coefficients: for
+    bracket den times a sum of xs_i v over T.scaled()'s terms v (n2) or
+    dt xs_i (n3), at most den u max(S, dt) with S the sum of T.scaled()'s
+    |v|, and for the table at most u S_c with S_c the sum of its |c|.
+    Both are evaluated at the kronecker_points for the sum of these
+    bounds, and differ at k exactly where row k of the two maps does.
     """
     p = T.dim
     den = lcm(*(c.denominator for row in table for terms in row.values() for _k, c in terms))
@@ -235,10 +267,17 @@ def ad_mismatches(x: NElem, T: SymCubic, table: list) -> list:
         [(j, k, c.numerator * (den // c.denominator)) for j, terms in row.items() for k, c in terms]
         for row in table
     ]
-    generic = generic_element(p)
-    expected = contract(rows, tuple(map(frac, x.coords)), generic, n_dim(p), den * T.scaled()[0])
-    got = bracket(x, generic, T).coords
-    return [k for k, (g, e) in enumerate(zip(got, expected)) if g != e]
+    dt, t_rows = T.scaled()
+    xc = cleared_form(x)
+    u = max(map(abs, xc[0]), default=0)
+    s_t = sum(abs(v) for row in t_rows for _j, _k, v in row)
+    s_c = sum(abs(c) for row in rows for _j, _k, c in row)
+    found = set()
+    for z in kronecker_points(p, u * (den * max(s_t, dt) + s_c)):
+        es, ed = contract_cleared(rows, xc, z.cleared, n_dim(p), den * dt)
+        gs, gd = bracket(x, z, T).cleared
+        found.update(k for k, (g, e) in enumerate(zip(gs, es)) if g * ed != e * gd)
+    return sorted(found)
 
 
 def _jacobiator(rows, i, j, k) -> dict:

@@ -23,8 +23,9 @@ PRIME_BOUND = 2 ** 32
 # structured candidates, which the budget does not bound.
 MAX_PROBE_BUDGET = 10 ** 6
 # verify holds about 4 KB per dimension of the tensor (vectors and tables
-# over n's 3p + 2 basis) before any suite can refuse the cubic, so a
-# 40-byte file could ask for gigabytes; the CLI refuses a larger dim.
+# over n's 3p + 2 basis, Kronecker blocks of 4 KB per coordinate) before any
+# suite can refuse the cubic, so a 40-byte file could ask for gigabytes;
+# the CLI refuses a larger dim.
 MAX_VERIFY_DIM = 10 ** 4
 
 

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_closed_forms import ref_bch
-from test_scalar_references import map_scalars
+from test_closed_forms import as_ref_chart, ref_bch
+from test_scalar_references import RefQPoly, as_ref_qpoly, kronecker_digits
 
 from cubicontact import verify
 from cubicontact.bch import (
@@ -16,11 +16,12 @@ from cubicontact.bch import (
     exp_diff_inv,
     group_inv,
     group_mul,
+    roundtrip_bound,
     solve_line_coordinates,
 )
 from cubicontact.cubic import DimensionMismatchError, SymCubic
 from cubicontact.catalog import catalog_get
-from cubicontact.nilpotent import NElem, basis_element, bracket, generic_element, n_dim
+from cubicontact.nilpotent import NElem, basis_element, bracket, kronecker_points, n_dim
 from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
 from cubicontact.scalars import HALF, QPoly
@@ -138,15 +139,17 @@ def test_exp_diff_generic_roundtrip_matches_basis_loop(name):
     T = catalog_get(name).tensor()
     p = T.dim
     x = sample_nelem(SeededSampler(14), p)
-    generic = generic_element(p)
-    inv = exp_diff_inv(x, generic, T)
-    back = exp_diff(x, inv, T)
-    assert back == generic
+    (zk,) = kronecker_points(p, roundtrip_bound(x, T))
+    inv = exp_diff_inv(x, zk, T)
+    assert exp_diff(x, inv, T) == zk
+    # exp_diff_inv times 2 * 6 dt dx^2 has integer entries, read off as
+    # the balanced digits of its value at the Kronecker point.
+    digits = kronecker_digits(inv, zk, 12 * T.scaled()[0] * x.cleared[1] ** 2)
     for i in range(n_dim(p)):
         z = basis_element(p, i)
         y = exp_diff_inv(x, z, T)
-        assert map_scalars(inv, lambda s: s.coefficient(i)) == y
-        assert map_scalars(back, lambda s: s.coefficient(i)) == exp_diff(x, y, T)
+        assert tuple(row[i] for row in digits) == y.coords
+        assert exp_diff(x, y, T) == z
 
 
 def test_expdiff_suite_catches_perturbed_inverse(monkeypatch):
@@ -307,15 +310,16 @@ def test_line_solution_sixth_coefficient():
 
 def test_line_solution_recomposes():
     # Substituted back through the group law as polynomials in z (the
-    # reference series, which runs over QPoly): H(X, w (x) p) = v (x) f1.
+    # reference series, run over RefQPoly): H(X, w (x) p) = v (x) f1.
     sampler = SeededSampler(18)
     for T, p in ((X3, 1), (T2, 2)):
         for _ in range(10):
             v = sampler.vector(p)
             chart, w = solve_line_coordinates(v, T)
-            recomposed = _recompose(chart, w, QPoly.x(), T, ref_bch)
+            w = tuple(map(as_ref_qpoly, w))
+            recomposed = _recompose(as_ref_chart(chart), w, RefQPoly.x(), T, ref_bch)
             for u, consistent in ((v, True), (tuple(c + 1 for c in v), False)):
-                line = NElem.from_parts(p, col1=tuple(map(QPoly.const, u)))
+                line = NElem.from_parts(p, col1=tuple(map(RefQPoly.const, u)))
                 assert (recomposed - line).is_zero() is consistent
 
 

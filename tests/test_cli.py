@@ -2,7 +2,10 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -10,12 +13,16 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cubicontact
 from cubicontact import cubic
 from cubicontact.cli import main
 from cubicontact.cubic import dumps_tensor, loads_tensor
 from cubicontact.catalog import catalog_get, catalog_list
 from cubicontact.reports import MAX_VERIFY_DIM, RunConfig
 from cubicontact.verify import SUITES
+
+
+SRC = str(Path(cubicontact.__file__).resolve().parents[1])
 
 
 @pytest.fixture()
@@ -91,6 +98,27 @@ def test_verify_jacobi_on_dim_3000_one_entry_file(tmp_path):
     code = main(["verify", str(path), "--which", "jacobi", "--out", str(tmp_path / "out")])
     assert code == 0
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("which", ["expdiff", "jacobi"])
+def test_verify_kronecker_checks_at_the_dim_cap_one_entry_file(tmp_path, which):
+    # The Kronecker blocks keep each number under KRONECKER_BLOCK_BITS, so
+    # a 58-byte file at MAX_VERIFY_DIM holds tens of MB, not the
+    # gigabytes one point z_K over all 3p + 2 columns would.  The run is
+    # timed and its peak RSS read in a fresh interpreter.
+    path = tmp_path / "cap.json"
+    path.write_text(f'{{"dim":{MAX_VERIFY_DIM},"entries":[{{"i":1,"j":1,"k":1,"value":"1"}}]}}\n')
+    args = ["verify", str(path), "--which", which, "--samples", "1", "--out", str(tmp_path / "out")]
+    code = (
+        "import resource, sys, time; from cubicontact.cli import main; t = time.perf_counter(); "
+        f"c = main({args!r}); print(c, time.perf_counter() - t, "
+        "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    status, seconds, max_rss_kb = done.stdout.split()[-3:]
+    assert status == "0" and float(seconds) < 20 and int(max_rss_kb) < 200 * 1024
 
 
 def test_verify_byte_identical_reports(x3_file, tmp_path):

@@ -3,19 +3,20 @@
 bch, exp_diff, exp_diff_inv, chart_decompose and the moment map
 rest on two facts: a double bracket [U, [X, Y]] is central, and
 c(x, y, w) = B(x, w).y for the symmetric trilinear form.  The
-references below, and ``test_slw_flow.ref_chart_decompose``, are the
-bracket-by-bracket and trilinear-by-trilinear versions they replaced,
-one ring operation per term.  Each pair is compared exactly on every
-catalog cubic and the extracted G2 and F4 cubics, on the input each
-closed form takes: Fractions, and for the series linear in Y a Y of
-LinForms (the generic element).  solve_line_coordinates, interpolated
-from chart_decompose at three rational z, is compared with the
-reference solved over QPoly in z.  Any other input to the group law or
-chart_decompose raises TypeError: QPoly, first-order jets in t (the
-hand-built degree-1 QPoly inputs of the ``over_jet`` cases, and
-``test_slw_flow.Jet``), RefQPoly and two LinForm arguments.  The moment
-value of a generator, which pairs through the ring-generic ``dot``, is
-still compared over each ring.
+references below, and ``test_scalar_references.ref_chart_decompose``,
+are the bracket-by-bracket and trilinear-by-trilinear versions they
+replaced, one ring operation per term on the test-local kernels
+(``ref_bracket``, ``ref_polarize``, ``ref_trilinear``, ``ref_dot``).
+Each pair is compared exactly on every catalog cubic and the extracted
+G2 and F4 cubics, on Fractions; the series linear in Y are compared at
+the Kronecker point, digit by digit, with the references on the generic
+element of RefLinForms.  solve_line_coordinates, interpolated from
+chart_decompose at three rational z, is compared with the reference
+solved over RefQPoly in z.  The package takes rational input only: the
+group law, chart_decompose and the moment value refuse RefQPoly,
+RefLinForm and first-order jets in t (the hand-built degree-1 RefQPoly
+inputs of the ``over_jet`` cases, and ``test_slw_flow.Jet``) with
+TypeError.
 """
 
 import importlib
@@ -24,11 +25,22 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from test_scalar_references import RefQPoly, _ref_generic_element, map_scalars
+from test_scalar_references import (
+    RefLinForm,
+    RefQPoly,
+    as_ref_qpoly,
+    kronecker_digits,
+    map_scalars,
+    ref_bracket,
+    ref_chart_decompose,
+    ref_dot,
+    ref_generic_element,
+    ref_polarize,
+    ref_trilinear,
+)
 from test_slw_flow import (
     GENERATORS as SLW_GENERATORS,
     Jet,
-    ref_chart_decompose,
     ref_one_form_value,
     ref_velocity_from_slw_generator,
 )
@@ -40,11 +52,12 @@ from cubicontact.bch import (
     chart_decompose,
     exp_diff,
     exp_diff_inv,
+    roundtrip_bound,
     solve_line_coordinates,
 )
 from cubicontact.catalog import catalog_get, catalog_list
 from cubicontact.contact import ChartPoint, one_form_coefficients, sample_chart_point
-from cubicontact.cubic import SymCubic, assumption_holds, polarize, trilinear
+from cubicontact.cubic import SymCubic, assumption_holds, polarize
 from cubicontact.extraction import algebra_for, extraction
 from cubicontact.moment import MomentPoint
 from cubicontact.nilpotent import (
@@ -52,21 +65,11 @@ from cubicontact.nilpotent import (
     basis_element,
     bracket,
     bracket_transpose,
-    generic_element,
+    kronecker_points,
 )
 from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
-from cubicontact.scalars import (
-    HALF,
-    TERMS,
-    ClearedVector,
-    LinForm,
-    Q0,
-    QPoly,
-    TWELFTH,
-    _FormalSum,
-    dot as _dot,
-)
+from cubicontact.scalars import HALF, Q0, SIXTH, TWELFTH, ClearedVector, dot as _dot
 from cubicontact.verify import SUITES, run_expdiff_suite, run_group_suite, run_verification
 
 bch_module = importlib.import_module("cubicontact.bch")
@@ -86,15 +89,15 @@ def _cubic(name):
 # --- references: the series as written before the closed forms -----------
 
 def ref_bch(X, Y, T):
-    xy = bracket(X, Y, T)
-    term3 = TWELFTH * bracket(X, xy, T)
-    term4 = TWELFTH * bracket(Y, bracket(Y, X, T), T)
+    xy = ref_bracket(X, Y, T)
+    term3 = TWELFTH * ref_bracket(X, xy, T)
+    term4 = TWELFTH * ref_bracket(Y, ref_bracket(Y, X, T), T)
     return X + Y + HALF * xy + term3 + term4
 
 
 def ref_exp_diff(X, Y, T):
-    xy = bracket(X, Y, T)
-    return Y + HALF * xy + TWELFTH * bracket(X, xy, T)
+    xy = ref_bracket(X, Y, T)
+    return Y + HALF * xy + TWELFTH * ref_bracket(X, xy, T)
 
 
 def ref_exp_diff_inv(X, Z, T):
@@ -102,11 +105,11 @@ def ref_exp_diff_inv(X, Z, T):
     p = T.dim
     y1 = NElem.from_parts(p, col1=Z.col(0), col2=Z.col(1))
     x1 = NElem.from_parts(p, col1=X.col(0), col2=X.col(1))
-    b11 = bracket(x1, y1, T)
+    b11 = ref_bracket(x1, y1, T)
     y2 = tuple(a - HALF * b for a, b in zip(Z.n2, b11.n2))
     y12 = NElem.from_parts(p, col1=Z.col(0), col2=Z.col(1), n2=y2)
     x12 = NElem.from_parts(p, col1=X.col(0), col2=X.col(1), n2=X.n2)
-    corr = HALF * bracket(x12, y12, T) + TWELFTH * bracket(x1, b11, T)
+    corr = HALF * ref_bracket(x12, y12, T) + TWELFTH * ref_bracket(x1, b11, T)
     y3 = tuple(a - b for a, b in zip(Z.n3, corr.n3))
     return NElem.from_parts(p, col1=Z.col(0), col2=Z.col(1), n2=y2, n3=y3)
 
@@ -114,7 +117,7 @@ def ref_exp_diff_inv(X, Z, T):
 def ref_velocity(pt, A, T):
     """The hand-written first-order series of the n-generator flow."""
     X = pt.chart.to_nelem()
-    V = A + HALF * bracket(A, X, T) + TWELFTH * bracket(X, bracket(X, A, T), T)
+    V = A + HALF * ref_bracket(A, X, T) + TWELFTH * ref_bracket(X, ref_bracket(X, A, T), T)
     return ref_chart_velocity(pt, V, T)
 
 
@@ -124,10 +127,10 @@ def ref_chart_velocity(pt, V, T):
     v_l, v_m = V.col(0), V.col(1)
     x1, x2 = pt.chart.x1, pt.chart.x2
     xdot1 = tuple(m - z * l for m, l in zip(v_m, v_l))
-    xdot2 = tuple(a + HALF * b for a, b in zip(V.n2, polarize(T, x1, v_l)))
-    x2_vl = _dot(x2, v_l)
+    xdot2 = tuple(a + HALF * b for a, b in zip(V.n2, ref_polarize(T, x1, v_l)))
+    x2_vl = ref_dot(x2, v_l)
     xdot3_l = V.n3[0] - HALF * x2_vl
-    xdot3_m = V.n3[1] - HALF * z * x2_vl - TWELFTH * trilinear(T, x1, x1, v_l)
+    xdot3_m = V.n3[1] - HALF * z * x2_vl - TWELFTH * ref_trilinear(T, x1, x1, v_l)
     return (Q0, Q0, xdot3_m, xdot3_l) + xdot1 + xdot2
 
 
@@ -148,30 +151,46 @@ def _fraction_inputs(T, sampler):
     return _sample_nelem(sampler, p), _sample_nelem(sampler, p), sampler.fraction()
 
 
+def as_ref_chart(chart):
+    """A ChartElem of package QPolys as one of RefQPolys."""
+    return ChartElem(
+        tuple(map(as_ref_qpoly, chart.x1)), tuple(map(as_ref_qpoly, chart.x2)),
+        as_ref_qpoly(chart.x3_m), as_ref_qpoly(chart.x3_l),
+    )
+
+
+def _assert_same_chart(new, ref):
+    """solve_line_coordinates's (ChartElem, w) of QPolys against the
+    reference's of RefQPolys, coefficient by coefficient."""
+    (chart, w), (ref_chart, ref_w) = new, ref
+    assert (as_ref_chart(chart), tuple(map(as_ref_qpoly, w))) == (ref_chart, ref_w)
+
+
 def _qpoly_inputs(T, sampler):
-    """The line solver's data over QPoly in z: chart element, w (x) p,
+    """The line solver's data over RefQPoly in z: chart element, w (x) p,
     line element, z."""
     p = T.dim
     v = sampler.vector(p)
     chart, w = solve_line_coordinates(v, T)
-    zvar = QPoly.x()
+    zvar = RefQPoly.x()
+    w = tuple(map(as_ref_qpoly, w))
     wp = NElem.from_parts(p, col1=w, col2=tuple(zvar * wi for wi in w))
-    line = NElem.from_parts(p, col1=tuple(QPoly.const(c) for c in v))
-    return chart.to_nelem(), wp, line, zvar
+    line = NElem.from_parts(p, col1=tuple(RefQPoly.const(c) for c in v))
+    return as_ref_chart(chart).to_nelem(), wp, line, zvar
 
 
 def _jet_inputs(T, sampler):
-    """Degree-1 elements over QPoly in t: a chart point moved along two
+    """Degree-1 elements over RefQPoly in t: a chart point moved along two
     sl(W) generators [[a, b], [c, -a]], and z moved along the first."""
     pt = sample_chart_point(sampler, T.dim)
-    t = QPoly.x()
+    t = RefQPoly.x()
     x1, x3l, x3m = pt.chart.x1, pt.chart.x3_l, pt.chart.x3_m
     X, Y = (
         NElem.from_parts(
             T.dim,
             col1=tuple(t * (b * x) for x in x1),
             col2=tuple(x - t * (a * x) for x in x1),
-            n2=tuple(QPoly.const(x) for x in pt.chart.x2),
+            n2=tuple(RefQPoly.const(x) for x in pt.chart.x2),
             n3=(x3l + t * (a * x3l + b * x3m), x3m + t * (c * x3l - a * x3m)),
         )
         for a, b, c in ((1, 2, 3), (-2, 1, 5))
@@ -205,10 +224,10 @@ def _assert_refused(X, Y, z, T):
 
 
 def _assert_point_refused(pt, T):
-    """pt with one QPoly coordinate, its z or one in its chart element:
+    """pt with one RefQPoly coordinate, its z or one in its chart element:
     one_form_coefficients and moment_point_at raise TypeError."""
-    moved = ChartElem(pt.chart.x1, pt.chart.x2, QPoly.x() + pt.chart.x3_m, pt.chart.x3_l)
-    for bad in (ChartPoint(pt.chart, QPoly.x(), pt.y), ChartPoint(moved, pt.z, pt.y)):
+    moved = ChartElem(pt.chart.x1, pt.chart.x2, RefQPoly.x() + pt.chart.x3_m, pt.chart.x3_l)
+    for bad in (ChartPoint(pt.chart, RefQPoly.x(), pt.y), ChartPoint(moved, pt.z, pt.y)):
         for fn in (one_form_coefficients, lambda q: moment.moment_point_at(q, T)):
             with pytest.raises(TypeError):
                 fn(bad)
@@ -228,15 +247,15 @@ def test_closed_forms_match_references_over_fraction(name):
 
 @pytest.mark.parametrize("name", CUBICS)
 def test_closed_forms_match_references_over_qpoly(name):
-    """solve_line_coordinates is the reference chart solve over QPoly in
-    z, on the zero vector and seeded ones; QPoly and RefQPoly elements,
-    and a QPoly z, are refused."""
+    """solve_line_coordinates is the reference chart solve over RefQPoly
+    in z, on the zero vector and seeded ones; RefQPoly elements, a
+    RefQPoly z and a RefQPoly generator are refused."""
     T = _cubic(name)
     p = T.dim
     sampler = SeededSampler(61)
     for v in [(Q0,) * p] + [sampler.vector(p) for _ in range(3)]:
-        line = NElem.from_parts(p, col1=tuple(QPoly.const(c) for c in v))
-        assert solve_line_coordinates(v, T) == ref_chart_decompose(line, QPoly.x(), T)
+        line = NElem.from_parts(p, col1=tuple(RefQPoly.const(c) for c in v))
+        _assert_same_chart(solve_line_coordinates(v, T), ref_chart_decompose(line, RefQPoly.x(), T))
     chart, wp, line, zvar = _qpoly_inputs(T, sampler)
     _assert_refused(chart, wp, zvar, T)
     _assert_refused(chart, line, zvar, T)
@@ -244,20 +263,52 @@ def test_closed_forms_match_references_over_qpoly(name):
     _assert_refused(X, wp, zvar, T)
     _assert_refused(X, map_scalars(X, RefQPoly.const), RefQPoly.x(), T)
     pt = sample_chart_point(sampler, p)
-    assert moment.moment_of(pt, chart, T) == ref_one_form_value(pt, ref_velocity(pt, chart, T))
+    with pytest.raises(TypeError):
+        moment.moment_of(pt, chart, T)
     _assert_point_refused(pt, T)
+
+
+def _linform_rows(v, size):
+    """The coefficients of a vector of RefLinForms (or rational zeros),
+    one row per coordinate."""
+    rows = []
+    for c in v:
+        if isinstance(c, RefLinForm):
+            rows.append([c.coefficient(j) for j in range(size)])
+        else:
+            assert c == 0
+            rows.append([Q0] * size)
+    return rows
+
+
+# The series coefficients (h, t) of exp_diff and exp_diff_inv: each times
+# hd td dt dx^2 has integer entries.
+SERIES_COEFFICIENTS = (
+    (exp_diff, ref_exp_diff, (HALF, TWELFTH)),
+    (exp_diff_inv, ref_exp_diff_inv, (-HALF, SIXTH)),
+)
 
 
 @pytest.mark.parametrize("name", CUBICS)
 def test_closed_forms_match_references_over_linform(name):
+    """exp_diff and exp_diff_inv are linear in Y: their values at the
+    Kronecker point, read digit by digit over hd td dt dx^2, are the
+    reference series on the generic element of RefLinForms, which the
+    package refuses."""
     T = _cubic(name)
     p = T.dim
+    size = 3 * p + 2
     sampler = SeededSampler(62)
     X, _Y, z = _fraction_inputs(T, sampler)
-    generic = generic_element(p)
-    # exp_diff and its inverse are linear in the second argument.
-    assert exp_diff(X, generic, T) == ref_exp_diff(X, generic, T)
-    assert exp_diff_inv(X, generic, T) == ref_exp_diff_inv(X, generic, T)
+    generic = ref_generic_element(p)
+    # roundtrip_bound bounds each series' entries too.
+    (zk,) = kronecker_points(p, roundtrip_bound(X, T))
+    for fn, ref, (h, t) in SERIES_COEFFICIENTS:
+        den = h.denominator * t.denominator * T.scaled()[0] * X.cleared[1] ** 2
+        want = _linform_rows(ref(X, generic, T).coords, size)
+        assert kronecker_digits(fn(X, zk, T), zk, den) == want
+        with pytest.raises(TypeError):
+            fn(X, generic, T)
     # bch and chart_decompose are not linear: both versions refuse forms
     # where a product of two forms or a form plus a constant would occur...
     upper = _upper(generic)
@@ -270,23 +321,28 @@ def test_closed_forms_match_references_over_linform(name):
             with pytest.raises(TypeError):
                 fn(*args, T)
     # ...and the package refuses them where the reference's result is
-    # linear too, and any series with two LinForm arguments.
+    # linear too.
     zero = NElem.zero(p)
     for args in ((generic, zero), (zero, generic), (upper, 3 * upper)):
         ref_bch(*args, T)
         with pytest.raises(TypeError):
             bch(*args, T)
     _assert_refused(generic, upper, z, T)
+    # The moment value on each basis element is the reference's
+    # coefficient on the generic element.
     pt = sample_chart_point(sampler, p)
-    assert moment.moment_of(pt, generic, T) == ref_one_form_value(pt, ref_velocity(pt, generic, T))
+    ref_form = ref_one_form_value(pt, ref_velocity(pt, generic, T))
+    assert [moment.moment_of(pt, basis_element(p, j), T) for j in range(size)] == _linform_rows(
+        (ref_form,), size
+    )[0]
 
 
 @pytest.mark.parametrize("name", CUBICS)
 def test_closed_forms_match_references_over_jet(name):
-    """Jets are refused by the group law and chart_decompose, as QPoly
-    in t and as the Jet ring; the moment value of a jet generator
-    matches the reference."""
+    """Jets are refused by the group law, chart_decompose, polarize, dot,
+    bracket and the moment value, as RefQPoly in t and as the Jet ring."""
     T = _cubic(name)
+    p = T.dim
     sampler = SeededSampler(63)
     X, Y, z = _jet_inputs(T, sampler)
     _assert_refused(X, Y, z, T)
@@ -294,8 +350,18 @@ def test_closed_forms_match_references_over_jet(name):
     jets = map_scalars(A, lambda a: Jet(a, 1)), map_scalars(B, Jet)
     _assert_refused(*jets, Jet(w, 1), T)
     _assert_refused(A, jets[0], Jet(w), T)
-    pt = sample_chart_point(sampler, T.dim)
-    assert moment.moment_of(pt, X, T) == ref_one_form_value(pt, ref_velocity(pt, X, T))
+    pt = sample_chart_point(sampler, p)
+    for jet in (X, jets[0]):
+        for fn in (
+            lambda: polarize(T, jet.col(0), A.col(1)),
+            lambda: polarize(T, A.col(0), jet.col(1)),
+            lambda: _dot(jet.n2, A.col(0)),
+            lambda: bracket(A, jet, T),
+            lambda: bracket(jet, A, T),
+            lambda: moment.moment_of(pt, jet, T),
+        ):
+            with pytest.raises(TypeError):
+                fn()
 
 
 # --- one tensor walk per closed form ---------------------------------------
@@ -319,33 +385,33 @@ def _count(monkeypatch, fn_name, modules):
 
 def test_series_and_moment_map_make_no_bracket(monkeypatch):
     """bch imports no bracket, polarize or dot: each series runs on
-    integers, on Fraction inputs and for a Fraction X on the generic
-    element, and the moment map makes no bracket on the generic element
-    and a Fraction generator."""
+    integers, on Fraction inputs and on the Kronecker point, and the
+    moment map makes no bracket on the Kronecker point and a Fraction
+    generator."""
     assert not {"bracket", "polarize", "dot"} & set(vars(bch_module))
     T = catalog_get("det3").tensor()
     sampler = SeededSampler(64)
     X, Y, z = _fraction_inputs(T, sampler)
     pt = sample_chart_point(sampler, T.dim)
-    generic = generic_element(T.dim)
+    (zk,) = kronecker_points(T.dim, roundtrip_bound(X, T))
     brackets = _count(monkeypatch, "bracket", (moment, nilpotent))
     for fn in (bch, exp_diff, exp_diff_inv):
         fn(X, Y, T)
-    values = [moment.moment_of(pt, A, T) for A in (generic, Y)]
-    exp_diff_inv(X, generic, T)
+    values = [moment.moment_of(pt, A, T) for A in (zk, Y)]
+    exp_diff_inv(X, zk, T)
     assert not brackets
-    assert values == [ref_one_form_value(pt, ref_velocity(pt, A, T)) for A in (generic, Y)]
+    assert values == [ref_one_form_value(pt, ref_velocity(pt, A, T)) for A in (zk, Y)]
 
 
 def test_verify_runs_no_ring_generic_path(monkeypatch):
     """Every suite of run_verification on det3 calls nilpotent.bracket
     once, from ad_mismatches, never chart_decompose (the tau check calls
-    its kernel), and contract_cleared never on TERMS: no per-term path
+    its kernel), and contract_cleared on cleared forms: no per-term path
     comes back into the verify loop unseen."""
     T = catalog_get("det3").tensor()
     modules = [m for name, m in sys.modules.items() if name.startswith("cubicontact.")]
     callers = {"bracket": [], "chart_decompose": [], "contract_cleared": []}
-    rings = []
+    forms = []
 
     def spy(owner, name):
         real = getattr(owner, name)
@@ -353,7 +419,7 @@ def test_verify_runs_no_ring_generic_path(monkeypatch):
         def counted(*args):
             callers[name].append(sys._getframe(1).f_code.co_name)
             if name == "contract_cleared":
-                rings.extend((args[1][0], args[2][0]))
+                forms.extend(args[1:3])
             return real(*args)
 
         for mod in modules:
@@ -366,40 +432,33 @@ def test_verify_runs_no_ring_generic_path(monkeypatch):
     report = run_verification(T, tuple(SUITES), RunConfig(seed=7, samples=3, probe_budget=1000))
     assert report.all_pass and len(report.checks) == len(SUITES)
     assert callers["bracket"] == ["ad_mismatches"] and not callers["chart_decompose"]
-    assert callers["contract_cleared"] and TERMS not in rings
+    assert callers["contract_cleared"]
+    assert all(type(d) is int and all(type(n) is int for n in nums) for nums, d in forms)
 
 
 def test_rational_series_keep_the_cleared_form(monkeypatch):
     """On Fractions the group law reads and returns NElem's cleared form:
-    the group suite and the expdiff suite's samples build no rational
-    coordinates, and coordinates are built on their first read only.
+    the group suite and the expdiff suite, its Kronecker round trip
+    included, build no rational coordinates, and coordinates are built
+    on their first read only.
 
     moment_point_at clears pt's coordinates once and runs on their
-    ints: it calls neither exp_diff nor generic_element, rebuilds no
-    coordinates and builds no LinForm."""
+    ints: it calls neither exp_diff nor kronecker_points and rebuilds no
+    coordinates."""
     T = catalog_get("det3").tensor()
     cfg = RunConfig(seed=7, samples=3)
     # ClearedVector, and with it NElem, clears and rebuilds through scalars.
     rebuilt = _count(monkeypatch, "from_cleared", (scalars, moment))
     cleared = _count(monkeypatch, "clear_denominators", (scalars, contact, moment))
     assert run_group_suite(T, cfg)[0] == "pass" and not rebuilt
-    # Only the generic round trip rebuilds, over LinForm.
-    assert run_expdiff_suite(T, cfg)[0] == "pass"
-    assert rebuilt and all(args[0] is LinForm for args in rebuilt)
+    assert run_expdiff_suite(T, cfg)[0] == "pass" and not rebuilt
     pt = sample_chart_point(SeededSampler(66), T.dim)
-    X = pt.chart.to_nelem()
-    built = []
-    of = _FormalSum.__dict__["_of"].__func__
-    monkeypatch.setattr(
-        _FormalSum, "_of", classmethod(lambda cls, *args: built.append(cls) or of(cls, *args))
-    )
     flows = _count(monkeypatch, "exp_diff", (bch_module, moment))
-    generics = _count(monkeypatch, "generic_element", (nilpotent, moment))
-    rebuilt.clear()
+    points = _count(monkeypatch, "kronecker_points", (nilpotent, moment))
     cleared.clear()
     m = moment.moment_point_at(pt, T)
     assert [args[0] for args in cleared] == [pt.coords()]
-    assert not rebuilt and not built and not flows and not generics
+    assert not rebuilt and not flows and not points
     assert m == moment.moment_point_closed_form(pt, T)
     X, Y, _z = _fraction_inputs(T, SeededSampler(67))
     product, expected = bch(X, Y, T), ref_bch(X, Y, T).coords
@@ -429,7 +488,6 @@ def test_chart_contractions_polarize_once(monkeypatch):
     covector = [True, False, True, False, True]
     for run, reached in (
         (lambda: moment.moment_point_at(pt, T), covector),
-        (lambda: moment.moment_of(pt, generic_element(T.dim), T), covector),
         (lambda: moment.moment_of(pt, Y, T), covector),
         (lambda: moment.moment_of(pt, SLW_GENERATORS[2], T), [True]),
     ):
@@ -438,7 +496,7 @@ def test_chart_contractions_polarize_once(monkeypatch):
         run()
         assert not polarizes and not trilinears
         assert all(args[0] is T.scaled()[1] for args in walks)
-        assert [any(args[1][1]) for args in walks] == reached
+        assert [any(args[1][0]) for args in walks] == reached
     for fn in (bch, exp_diff, exp_diff_inv):
         fn(X, Y, T)
     assert not polarizes and not trilinears
@@ -464,8 +522,12 @@ SERIES = ((bch, ref_bch), (exp_diff, ref_exp_diff), (exp_diff_inv, ref_exp_diff_
 
 def _forms(p):
     """Q0, int 0, an empty form or a sparse form with big denominators."""
-    sparse = st.dictionaries(st.integers(0, 3 * p + 1), big_fractions, min_size=1, max_size=3)
-    return st.sampled_from((Q0, 0, LinForm())) | sparse.map(LinForm)
+    sparse = st.dictionaries(st.integers(0, 3 * p + 1), nonzero_fractions, min_size=1, max_size=3)
+    return st.sampled_from((Q0, 0, RefLinForm())) | sparse.map(RefLinForm)
+
+
+def _rational(x):
+    return all(type(c) in (int, Fraction) for c in x.coords)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -480,9 +542,10 @@ def test_integer_path_matches_references(data, name, scale, with_ints):
     """Rational elements, of Fractions or with plain ints among them,
     take the integer path and give Fractions.
 
-    exp_diff and exp_diff_inv of a rational X on a Y of LinForms take the
-    integer path too and give LinForms or zeros; a Y that mixes a nonzero
-    constant into LinForms has no cleared form and raises TypeError."""
+    A Y of RefLinForms, on which the references compute, or one that
+    mixes a nonzero constant into them, has no cleared form: exp_diff
+    and exp_diff_inv raise TypeError unless every coordinate is a
+    rational zero."""
     T = catalog_get(name).tensor().scale(scale)
     p = T.dim
     size = 3 * p + 2
@@ -499,14 +562,12 @@ def test_integer_path_matches_references(data, name, scale, with_ints):
             assert out == ref(a, b, T), fn.__name__
             assert all(type(c) is Fraction for c in out.coords)
     for fn, ref in SERIES[1:]:
-        out = fn(X, F, T)
-        assert out == ref(X, F, T), fn.__name__
-        assert all(type(c) is LinForm or c == 0 for c in out.coords)
-        if any(type(c) is LinForm for c in mixed.coords):
-            with pytest.raises(TypeError):
-                fn(X, mixed, T)
-        else:
-            assert fn(X, mixed, T) == ref(X, mixed, T), fn.__name__
+        for Z in (F, mixed):
+            if _rational(Z):
+                assert fn(X, Z, T) == ref(X, Z, T), fn.__name__
+            else:
+                with pytest.raises(TypeError):
+                    fn(X, Z, T)
 
 
 # --- the cleared moment path -------------------------------------------------
@@ -571,15 +632,13 @@ def edge_chart_points(draw, p):
 @given(data=st.data(), T=sparse_rank_p_cubics())
 def test_cleared_moment_path_matches_references(data, T):
     """moment_of and the moment point against the per-term
-    references: on the generic element and a Fraction generator, per
-    basis element, on the sl(W) generators (their jet reference) and on
-    the reference LinForm ring, which no kernel clears."""
+    references: on a Fraction generator, per basis element, on the sl(W)
+    generators (their jet reference) and on the generic element of the
+    reference RefLinForm ring, which no kernel clears."""
     p = T.dim
     pt = data.draw(edge_chart_points(p))
-    generic = generic_element(p)
     A = NElem(tuple(data.draw(st.lists(big_fractions, min_size=3 * p + 2, max_size=3 * p + 2))))
-    for B in (generic, A):
-        assert moment.moment_of(pt, B, T) == ref_one_form_value(pt, ref_velocity(pt, B, T))
+    assert moment.moment_of(pt, A, T) == ref_one_form_value(pt, ref_velocity(pt, A, T))
     mu = ref_moment_values(pt, T)
     assert [moment.moment_of(pt, basis_element(p, i), T) for i in range(3 * p + 2)] == mu
     m = moment.moment_point_at(pt, T)
@@ -588,8 +647,8 @@ def test_cleared_moment_path_matches_references(data, T):
     for g in SLW_GENERATORS:
         velocity = ref_velocity_from_slw_generator(pt, g, T)
         assert moment.moment_of(pt, g, T) == ref_one_form_value(pt, velocity)
-    ref_form = moment.moment_of(pt, _ref_generic_element(p), T)
-    assert _assembled(ref_form.coefficient, p) == m
+    ref_form = ref_one_form_value(pt, ref_velocity(pt, ref_generic_element(p), T))
+    assert _assembled(_linform_rows((ref_form,), 3 * p + 2)[0].__getitem__, p) == m
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -612,6 +671,5 @@ def test_pullback_and_bracket_transpose_match_references(data, T):
     u = ClearedVector(tuple(data.draw(st.lists(big_fractions, min_size=size, max_size=size))))
     for x in (pt.chart.to_nelem(), NElem(tuple(sum(blocks, [])))):
         for v in (xi, u):
-            ring, nums, den = bracket_transpose(x.cleared, v.cleared, T)
-            got = ClearedVector.of_cleared(nums, den, ring)
+            got = ClearedVector.of_cleared(*bracket_transpose(x.cleared, v.cleared, T))
             assert got == tuple(_dot(v, bracket(x, b, T)) for b in basis)

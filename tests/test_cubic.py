@@ -236,10 +236,12 @@ def test_cubic_eval_integer_path_matches_fraction_sum(case):
     # trilinear is B(v1, v2) . v3 on the same kernel.
     shifted = v[1:] + v[:1]
     assert trilinear(T, v, shifted, ints) == _fraction_trilinear(T, v, shifted, ints)
-    # QPoly coordinates run through the kernel on int dicts.
+    # Any other coordinate is refused, QPoly's too.
     qv = [QPoly((a, b)) for a, b in zip(v, shifted)]
-    assert cubic_eval(T, qv) == _fraction_cubic_eval(T, qv)
-    assert trilinear(T, qv, v, qv) == _fraction_trilinear(T, qv, v, qv)
+    with pytest.raises(TypeError):
+        cubic_eval(T, qv)
+    with pytest.raises(TypeError):
+        trilinear(T, v, v, qv)
 
 
 def test_b_rank_invariant_under_unimodular_change():

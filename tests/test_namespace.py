@@ -28,7 +28,7 @@ EXPORTED = frozenset(
     SymCubic FFTensor DimensionMismatchError TensorFormatError ReductionError
     b_rank assumption_holds cubic_eval cubic_hash dumps_tensor from_cubic_monomials
     load_tensor loads_tensor normalize_cubic polarize reduce_mod trilinear
-    NElem SlWElem act_slw bracket dim_report generic_element n_dim verify_jacobi
+    NElem SlWElem act_slw bracket dim_report n_dim verify_jacobi
     ChartElem GroupElem bch chart_decompose exp_diff exp_diff_inv group_inv group_mul
     solve_line_coordinates
     AssumptionError ChartPoint dtheta_matrix nondegeneracy_certificate tau

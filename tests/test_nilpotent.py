@@ -20,16 +20,16 @@ from cubicontact.nilpotent import (
     bracket,
     bracket_table,
     dim_report,
-    generic_element,
+    kronecker_points,
     n_dim,
     verify_jacobi,
 )
 from cubicontact.reports import RunConfig
 from cubicontact.rootsystems import build_root_system
+from cubicontact.scalars import dot
 from cubicontact.sampling import SeededSampler
-from cubicontact.scalars import LinForm
 from cubicontact.verify import run_verification
-from test_scalar_references import RefLinForm, map_scalars
+from test_scalar_references import RefLinForm, kronecker_digits, ref_bracket, ref_generic_element
 
 X3 = SymCubic(1, {(0, 0, 0): 1})
 ZERO2 = SymCubic(2, {})
@@ -157,18 +157,19 @@ def test_bracket_table_matches_explicit_rules(name):
 
 
 def _generic_bracket_table(T):
-    """The table read off ``bracket``, one generic bracket per row, as a
-    reference: coordinate k of [b_i, generic] is a LinForm whose
-    coefficient of a_j is the k-th coordinate of [b_i, b_j]."""
+    """The table read off ``bracket``, one bracket per row at the
+    Kronecker point, as a reference: the balanced base-N digits of dt
+    times coordinate k of [b_i, z_K] are dt times the k-th coordinates of
+    the [b_i, b_j], each at most max(S, dt), S the sum of T.scaled()'s |v|."""
     p = T.dim
-    generic = generic_element(p)
+    dt, rows = T.scaled()
+    (z,) = kronecker_points(p, max(dt, sum(abs(v) for row in rows for _j, _k, v in row)))
     table = []
     for i in range(n_dim(p)):
-        out = bracket(basis_element(p, i), generic, T)
         row = {}
-        for k, form in enumerate(out.coords):
-            if form:
-                for j, c in form.coeffs.items():
+        for k, coeffs in enumerate(kronecker_digits(bracket(basis_element(p, i), z, T), z, dt)):
+            for j, c in enumerate(coeffs):
+                if c:
                     row.setdefault(j, []).append((k, c))
         table.append({j: tuple(terms) for j, terms in row.items()})
     return table
@@ -262,7 +263,6 @@ def test_jacobi_suite_catches_one_sided_n3_sign_flip(monkeypatch):
 
     def flipped_n3(x, y, T):
         out = real(x, y, T)
-        dot = nilpotent.dot
         n3 = tuple(dot(x.n2, y.col(a)) + dot(y.n2, x.col(a)) for a in (0, 1))
         return NElem(out.coords[:-2] + n3)
 
@@ -310,19 +310,19 @@ def test_corrupted_table_reaches_the_kernel_through_the_suite(monkeypatch):
 
 
 def _ref_ad_mismatches(x, T, table):
-    """ad_mismatches as a Fraction accumulation per position, as a
-    reference: the expected side summed into dicts and built into one
-    LinForm per position."""
-    p = T.dim
+    """ad_mismatches per basis element, as a reference: the positions k
+    at which [x, b_j] from ``bracket`` differs, for some j, from
+    sum_i x_i [b_i, b_j] accumulated in Fractions from the table."""
+    d = n_dim(T.dim)
     dt = T.scaled()[0]  # the table holds dt times the structure constants
-    expected = [{} for _ in range(n_dim(p))]
+    expected = [[F(0)] * d for _ in range(d)]  # [k][j]
     for xi, row in zip(x.coords, table):
         if xi:
             for j, terms in row.items():
                 for k, c in terms:
-                    expected[k][j] = expected[k].get(j, 0) + xi * F(c, dt)
-    got = bracket(x, generic_element(p), T).coords
-    return [k for k, (g, e) in enumerate(zip(got, expected)) if g != LinForm(e)]
+                    expected[k][j] += xi * F(c) / dt
+    got = [bracket(x, basis_element(T.dim, j), T).coords for j in range(d)]
+    return [k for k in range(d) if any(got[j][k] != expected[k][j] for j in range(d))]
 
 
 @pytest.mark.parametrize("name", [e.name for e in catalog_list()])
@@ -551,19 +551,14 @@ def test_basis_enumeration():
     assert degrees == [1, 1, 1, 1, 2, 2, 3, 3]
 
 
-def test_generic_element_coefficients_are_the_basis():
-    for p in (1, 2, 4):
-        generic = generic_element(p)
-        for i in range(n_dim(p)):
-            coeff = map_scalars(generic, lambda s: s.coefficient(i))
-            assert coeff == basis_element(p, i)
-
-
 def test_generic_element_rejects_nonlinear_use():
+    # The reference bracket refuses a product of two linear forms; the
+    # package's refuses the forms themselves.
     T = SymCubic(2, {(0, 0, 1): 1})
-    g = generic_element(2)
-    with pytest.raises(TypeError):
-        bracket(g, g, T)
+    g = ref_generic_element(2)
+    for fn in (bracket, ref_bracket):
+        with pytest.raises(TypeError):
+            fn(g, g, T)
 
 
 # --- the basis-order layout -------------------------------------------------
@@ -571,11 +566,16 @@ def test_generic_element_rejects_nonlinear_use():
 @pytest.mark.parametrize("p", [1, 2, 5])
 def test_basis_and_generic_element_coordinates(p):
     d = n_dim(p)
-    generic = generic_element(p)
+    generic = ref_generic_element(p)
     assert len(generic.coords) == d
     for i in range(d):
         assert basis_element(p, i).coords == tuple(F(k == i) for k in range(d))
-        assert generic.coords[i] == LinForm.coordinate(i)
+        assert generic.coords[i] == RefLinForm.coordinate(i)
+    # The Kronecker point's coordinates are the powers of N = 2^(b + 1),
+    # b the bound's bit length: N > 2 bound.
+    for bound, n in ((0, 2), (1, 4), (5, 16), (2 ** 40, 2 ** 42)):
+        (z,) = kronecker_points(p, bound)
+        assert z.coords == tuple(F(n ** k) for k in range(d)) and n > 2 * bound
     for idx in (-1, d, d + 1):
         with pytest.raises(IndexError):
             basis_element(p, idx)
@@ -685,9 +685,9 @@ def test_elements_without_a_rational_cleared_form_compare_by_coordinates():
     assert ints == NElem(one) == _cleared_only(NElem(one)) == ints
     assert hash(ints) == hash(_cleared_only(NElem(one)))
     assert ints != _cleared_only(basis_element(1, 1)) and -ints == -NElem(one)
-    forms = NElem((LinForm(),) * 5)
+    forms = NElem((RefLinForm(),) * 5)
     assert forms == NElem.zero(1) == forms == _cleared_only(NElem.zero(1))
-    assert forms.is_zero() and forms != generic_element(1)
+    assert forms.is_zero() and forms != ref_generic_element(1)
     ref = NElem((RefLinForm.coordinate(0),) + (RefLinForm(),) * 4)
     assert ref == NElem((RefLinForm.coordinate(0),) + (F(0),) * 4)
     assert ref != NElem.zero(1) and ref != _cleared_only(basis_element(1, 0))

@@ -5,13 +5,12 @@ Every module of ``cubicontact`` is parsed and walked:
   * every import is relative or names a standard-library module;
   * no float literal and no use of the name ``float`` appears;
   * ``math`` is used only for the integer functions ``gcd`` and ``lcm``;
-  * only ``scalars`` reads the ``nums``/``den`` storage of the formal sums
-    or builds one through ``_of``;
+  * only ``scalars`` reads the ``coeffs`` storage of ``QPoly``;
   * only ``scalars`` defines the contraction kernel: ``dot``,
     ``contract``, its form-level core ``contract_cleared``,
-    ``clear_denominators``, its inverse ``from_cleared``,
-    ``normalize_cleared``, the lowest-terms step of a cleared vector,
-    the per-term form ``TERMS`` and the lazy ``ClearedVector``;
+    ``clear_denominators``, its inverse ``from_cleared``, its
+    rational-only guard ``cleared_form``, ``normalize_cleared``, the
+    lowest-terms step of a cleared vector, and the lazy ``ClearedVector``;
   * only ``nilpotent`` defines the Jacobi kernel: ``_jacobiator``,
     ``jacobi_violations``, its generator check ``_generates``, the
     candidate-pair enumeration ``_pairs_through`` and the loop
@@ -19,7 +18,11 @@ Every module of ``cubicontact`` is parsed and walked:
     the transpose of the bracket, ``bracket_transpose``;
   * only ``moment`` pulls theta~ back to n: ``_pullback``;
   * only ``linalg`` defines the elimination kernel: ``_int_rows`` and
-    ``_echelon``.
+    ``_echelon``;
+  * no module defines, imports or reads the formal rings the package
+    computed over before its kernels became rational-only: ``LinForm``,
+    ``_FormalSum``, the per-term form ``TERMS``, ``generic_element``
+    and the linear series over them, ``_linear_series`` and ``_add_into``.
 """
 
 import ast
@@ -98,15 +101,15 @@ def test_math_only_for_gcd_and_lcm(path):
     assert not bad
 
 
-STORAGE = {"nums", "den", "_of"}
+STORAGE = {"coeffs"}
 
 
 @pytest.mark.parametrize(
     "path", [m for m in MODULES if m.name != "scalars.py"], ids=lambda p: p.name
 )
 def test_formal_sum_storage_stays_in_scalars(path):
-    # The nums/den storage of QPoly and LinForm is read and built only in
-    # scalars, whose cleared-vector kernel the contractions call.
+    # QPoly's coefficient tuple is read only in scalars; every other
+    # module reads a coefficient through QPoly.coefficient.
     bad = [
         f"{_where(path, node)} .{node.attr}"
         for node in ast.walk(_tree(path))
@@ -118,7 +121,8 @@ def test_formal_sum_storage_stays_in_scalars(path):
 # Each shared kernel, by the one module that defines it.
 KERNELS = {
     "scalars.py": {"dot", "_dot", "contract", "contract_cleared", "clear_denominators",
-                   "from_cleared", "normalize_cleared", "TERMS", "ClearedVector"},
+                   "cleared_form", "from_cleared", "normalize_cleared", "ClearedVector",
+                   "int_dot"},
     "nilpotent.py": {"_jacobiator", "jacobi_violations", "_generates", "_pairs_through",
                      "_nonzero_through", "bracket_transpose"},
     "linalg.py": {"_int_rows", "_echelon"},
@@ -142,4 +146,28 @@ def test_contraction_kernel_is_defined_only_in_scalars(path):
             continue
         if name in foreign:
             bad.append(f"{_where(path, node)} {name}")
+    assert not bad
+
+
+RETIRED = {"LinForm", "_FormalSum", "TERMS", "generic_element", "_linear_series", "_add_into"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_formal_rings_stay_retired(path):
+    # Every kernel takes rational coordinates; a map linear in its
+    # argument is checked at one Kronecker point instead of on a
+    # generic element of formal linear forms.
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name, node.asname]
+        else:
+            continue
+        bad += [f"{_where(path, node)} {name}" for name in names if name in RETIRED]
     assert not bad

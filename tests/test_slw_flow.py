@@ -4,25 +4,25 @@
 ``ref_velocity_from_slw_generator`` is the sl(W) flow written over it:
 the moved z is the exact quotient (z + eps(c - za)) / (1 + eps(a + zb)),
 y is scaled by the same denominator, and the moved chart element is
-re-decomposed by ``ref_chart_decompose``, the chart solve written one
-ring operation per term.  ``ref_one_form_value`` pairs theta~
-with such a velocity one ring operation per term.  The package instead
-pairs theta~'s pull-back with act_slw (moment.moment_of); the two
-values are compared exactly on seeded points of several cubics.
+re-decomposed by ``test_scalar_references.ref_chart_decompose``, the
+chart solve written one ring operation per term.  ``ref_one_form_value``
+pairs theta~ with such a velocity one ring operation per term.  The
+package instead pairs theta~'s pull-back with act_slw
+(moment.moment_of); the two values are compared exactly on seeded
+points of several cubics.
 """
 
 from fractions import Fraction
 
 import pytest
+from test_scalar_references import ref_chart_decompose
 
 from cubicontact import moment
-from cubicontact.bch import ChartElem
 from cubicontact.catalog import catalog_get
 from cubicontact.contact import sample_chart_point
-from cubicontact.cubic import polarize, trilinear
 from cubicontact.nilpotent import NElem, SlWElem
 from cubicontact.sampling import SeededSampler
-from cubicontact.scalars import HALF, Q0, TWELFTH, dot, frac
+from cubicontact.scalars import HALF, Q0, frac
 
 
 class Jet:
@@ -98,21 +98,6 @@ class Jet:
 
     def __repr__(self):
         return f"Jet({self.val!r}, {self.eps!r})"
-
-
-def ref_chart_decompose(U, z, T):
-    """exp(U) = exp(X) exp(w (x) (f1 + z f2)) solved over any scalar ring
-    holding U and z: one polarize and two trilinear values."""
-    u_l, u_m = U.col(0), U.col(1)
-    w = u_l
-    x1 = tuple(m - z * l for m, l in zip(u_m, u_l))
-    x2 = tuple(u + HALF * b for u, b in zip(U.n2, polarize(T, x1, w)))
-    x2w = dot(x2, w)
-    t_x1x1w = trilinear(T, x1, x1, w)
-    t_x1ww = trilinear(T, x1, w, w)
-    x3_l = U.n3[0] - HALF * x2w + TWELFTH * t_x1ww
-    x3_m = U.n3[1] - HALF * (z * x2w) - TWELFTH * t_x1x1w + TWELFTH * (z * t_x1ww)
-    return ChartElem(x1, x2, x3_m, x3_l), w
 
 
 def ref_one_form_value(pt, velocity):
