@@ -7,20 +7,17 @@ Because n is 3-step nilpotent the Campbell-Hausdorff series terminates:
 Group elements are carried in logarithmic coordinates, so multiplication
 is H, the identity is 0 and inversion is negation.
 
-Every double bracket below is [U, C] with C = [X, Y] in n2 + n3.  C has
-no grade-1 part, so the only surviving term of the bracket is the n3
-pairing v*(v) w: [U, C] is central, with coordinates -C2 . U_col(a).
-One bracket per series is therefore enough.  With xy = [X, Y], the two
-third-order terms of H combine by antisymmetry into 1/12 [X - Y, xy]:
+Every double bracket below is [U, C] with C = [X, Y].  The two
+third-order terms of H combine by antisymmetry into 1/12 [X - Y, C]:
 
-    H(X, Y) = X + Y + 1/2 xy + 1/12 xy2 . (Y_col - X_col)   (last term in n3).
+    H(X, Y) = X + Y + 1/2 C + 1/12 [X - Y, C].
 
 The differential of the exponential chart at X is
 
-    e_X(Y) = Y + 1/2 [X,Y] + 1/12 [X,[X,Y]] = Y + 1/2 xy - 1/12 xy2 . X_col,
+    e_X(Y) = Y + 1/2 [X,Y] + 1/12 [X,[X,Y]],
 
-and since ad_X^3 = 0 its inverse is Z - 1/2 [X,Z] + 1/6 [X,[X,Z]], the
-last term again central.  Its grade-3 line reads
+and since ad_X^3 = 0 its inverse is Z - 1/2 [X,Z] + 1/6 [X,[X,Z]].  Its
+grade-3 line reads
 
     Y3 = Z3 - 1/2 [X1,Z2] - 1/2 [X2,Z1] + 1/6 [X1,[X1,Z1]],
 
@@ -30,17 +27,20 @@ that carries a 5/12 coefficient instead; the difference is exactly
 1/4 [X1,[X1,Z1]] and a dedicated test records both behaviours.
 
 bch, exp_diff and exp_diff_inv share one kernel with the coefficients
-(1/2, 1/12), (1/2, 1/12) and (-1/2, 1/6).  It reads each element's
-cleared form (``NElem.cleared``), computes [X, Y] and the central term
-in ints from T's integer table (``SymCubic.scaled``), and returns its
-result in that form, (nums, den) over one denominator, building no
-Fraction (common-denominator arithmetic; Geddes, Czapor and Labahn,
-Algorithms for Computer Algebra, 1992, ch. 9).  X and Y have rational,
-int or Fraction, coordinates; any other input raises TypeError.
-exp_diff and exp_diff_inv are linear in Y by construction, so the
-expdiff suite checks their round trip on every basis element of a
-block at once at one Kronecker point (``nilpotent.kronecker_points``),
-for the bound of ``roundtrip_bound``.
+(1/2, 1/12), (1/2, 1/12) and (-1/2, 1/6): two contractions with n's
+stored structure-constant rows (``nilpotent.bracket_views``), the table
+the jacobi suite checks.  The first gives C = [X, Y] from the cleared
+forms of X and Y (``NElem.cleared``).  C has no grade-1 part, so the
+second, [C, U] = -[U, C], walks only the p rows of n2, whose brackets
+land in the centre n3.  The kernel returns its result in that form,
+(nums, den) over one denominator, building no Fraction
+(common-denominator arithmetic; Geddes, Czapor and Labahn, Algorithms
+for Computer Algebra, 1992, ch. 9).  X and Y have rational, int or
+Fraction, coordinates; any other input raises TypeError.  exp_diff and
+exp_diff_inv are linear in Y by construction, so the expdiff suite
+checks their round trip on every basis element of a block at once at
+one Kronecker point (``nilpotent.kronecker_points``), for the bound of
+``roundtrip_bound``.
 
 ``chart_decompose`` factors exp(U) = exp(X) exp(w (x) p) with X in the
 chart complement n_m = (V (x) f2) + V* + W and p = f1 + z f2, in ints
@@ -54,7 +54,7 @@ from fractions import Fraction
 from operator import mul
 
 from .cubic import DimensionMismatchError, SymCubic
-from .nilpotent import NElem, _check_same_dim
+from .nilpotent import NElem, _check_same_dim, bracket_views
 from .scalars import (
     HALF,
     Q0,
@@ -64,7 +64,6 @@ from .scalars import (
     cleared_form,
     contract_cleared,
     from_cleared,
-    int_dot,
 )
 
 # The series coefficients (h, t) of exp_diff and of exp_diff_inv.
@@ -76,30 +75,21 @@ def _series(X: NElem, Y: NElem, T: SymCubic, h, t, with_x: bool) -> NElem:
     the one kernel of bch, exp_diff and exp_diff_inv."""
     _check_same_dim(X, Y, T)
     (xs, dx), (ys, dy) = cleared_form(X), cleared_form(Y)
-    dt, rows = T.scaled()
-    p, w, dxy = T.dim, int(with_x), dx * dy
-    xc, yc = (xs[:p], xs[p:2 * p]), (ys[:p], ys[p:2 * p])
-    x2, y2 = xs[2 * p:3 * p], ys[2 * p:3 * p]
-    # b = dt dx dy [X, Y]_2 = B(x_f1, y_f2) - B(x_f2, y_f1): one walk of T.
-    b = [0] * p
-    for a1, a2, row in zip(*xc, rows):
-        if a1 or a2:
-            for j, k, v in row:
-                b[k] += v * (a1 * yc[1][j] - a2 * yc[0][j])
-    # s = dx dy (w X + Y); dx dy [X, Y]_3 = x2 . y_col - y2 . x_col, and
-    # t [U, [X, Y]] is central with coordinates -t b . U_col / (dt dx dy).
-    s = [w * xa * dy + ya * dx for xa, ya in zip(xs, ys)]
+    rows, dt, p, w = bracket_views(T)[1], T.scaled()[0], T.dim, int(with_x)
+    # C = [X, Y] over dc = dt dx dy, then E = [C, U] = -[U, C] from C's n2
+    # block over de = dt dc du, U = X - Y over du = dx dy with X, else X.
+    cs, dc = contract_cleared(rows, (xs, dx), (ys, dy), len(rows), dt)
+    cu = ([xa * dy - ya * dx for xa, ya in zip(xs, ys)], dx * dy) if with_x else (xs, dx)
+    es, de = contract_cleared(rows[2 * p:3 * p], (cs[2 * p:3 * p], dc), cu, len(rows), dt)
+    # w X + Y over dx dy, h C and -t E, all over hd td de.
     hn, hd, tn, td = h.numerator, h.denominator, t.numerator, t.denominator
-    n2 = [hd * dt * sa + hn * ba for sa, ba in zip(s[2 * p:], b)]
-    n3 = [
-        td * dt * dxy * (hd * sa + hn * (int_dot(x2, yca) - int_dot(y2, xca)))
-        - tn * hd * (dy * int_dot(b, xca) - w * dx * int_dot(b, yca))
-        for sa, xca, yca in zip(s[3 * p:], xc, yc)
-    ]
-    # Grades 1, 2, 3 are over dxy, hd dt dxy, hd td dt dxy^2: bring all to the last.
-    c1, c2 = hd * td * dt * dxy, td * dxy
+    q = de // dc
     return NElem.of_cleared(
-        [c1 * a for a in s[:2 * p]] + [c2 * a for a in n2] + n3, c1 * dxy
+        [
+            td * q * (hd * dt * (w * xa * dy + ya * dx) + hn * c) - tn * hd * e
+            for xa, ya, c, e in zip(xs, ys, cs, es)
+        ],
+        hd * td * de,
     )
 
 

@@ -96,7 +96,8 @@ def perm_multiplicity(tri) -> int:
 class SymCubic:
     """Symmetric trilinear tensor on Q^p (sparse, canonical i<=j<=k keys)."""
 
-    __slots__ = ("dim", "entries", "_grouped", "_scaled", "_b_rank", "_reduced")
+    # _bracket holds n's structure constants, kept by nilpotent.bracket_views.
+    __slots__ = ("dim", "entries", "_grouped", "_scaled", "_b_rank", "_reduced", "_bracket")
 
     def __init__(self, dim: int, entries):
         if dim < 1:
@@ -115,6 +116,7 @@ class SymCubic:
         self.entries = canon
         self._grouped = None
         self._scaled = None
+        self._bracket = None
         self._b_rank = None
         self._reduced = {}
 

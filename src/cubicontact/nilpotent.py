@@ -14,10 +14,17 @@ all other graded pieces bracketing to zero (degrees beyond three).  The
 grade-3 part is central and the Jacobi identity holds exactly because
 dim W = 2.  Times dt, the lcm of T's denominators, each structure
 constant is an entry of T.scaled() or +-dt, an int in ``bracket_table``,
-and ``jacobi_violations``, the Jacobi kernel shared with the Chevalley
-algebras, checks antisymmetry on every stored entry and the jacobiator
-of every basis triple the table can make nonzero, each from its
-smallest index.  A caller that knows basis elements generating its
+the one place these rules are written.  ``bracket_views`` builds it once
+per tensor and keeps it on T, as T.scaled() is kept, with two views for
+``scalars.contract_cleared``: row i as (j, k, c) triples, and the same
+rows with j and k swapped.  ``bracket`` is one contraction over the
+rows, ``bracket_transpose`` (u o ad_x, for the moment map) one over the
+swapped rows, and the group law (``bch``) contracts with the rows too,
+so the table the jacobi suite checks is the bracket every consumer
+runs.  ``jacobi_violations``, the Jacobi kernel shared with the
+Chevalley algebras, checks antisymmetry on every stored entry and the
+jacobiator of every basis triple the table can make nonzero, each from
+its smallest index.  A caller that knows basis elements generating its
 algebra may pass them: on an antisymmetric table, once ad of each
 generator is a derivation, so is ad of every element (the x with ad_x a
 derivation form a subalgebra), and the Jacobi identity holds without
@@ -26,10 +33,6 @@ the pairs of one enumeration, ``_pairs_through``, per position.  The
 Chevalley check passes its e_{+-alpha_i}; n passes none, since its
 brackets [e_i (x) f1, e_j (x) f2] are sums of eps_k, and single-term
 brackets of basis elements cannot show that a set generates it.
-``ad_mismatches`` ties the table to ``bracket``: ad_x read off both,
-two maps linear in their argument, must agree, and their evaluation at
-the Kronecker points ``kronecker_points`` decides that exactly; the
-jacobi suite hands it the table ``verify_jacobi`` checked.
 
 Elements carry their 3p + 2 coordinates in basis order (see
 basis_element), a scalars.ClearedVector.  ``bracket`` and the other
@@ -41,9 +44,8 @@ safe for concurrent use.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
-from math import lcm
 
 from .cubic import (
     SymCubic,
@@ -51,7 +53,7 @@ from .cubic import (
     assumption_holds,
     cubic_hash,
 )
-from .scalars import ClearedVector, Q0, Q1, cleared_form, contract_cleared, frac, int_dot
+from .scalars import ClearedVector, Q0, Q1, cleared_form, contract_cleared, frac
 
 
 class NElem(ClearedVector):
@@ -135,43 +137,21 @@ def _check_same_dim(x: NElem, y: NElem, T: SymCubic):
 
 
 def bracket(x: NElem, y: NElem, T: SymCubic) -> NElem:
-    """Lie bracket of n, in grades 2 and 3 only: dt dx dy [x, y] over
-    dt dx dy from the cleared forms of x and y and (dt, rows) = T.scaled()."""
+    """Lie bracket of n: one contraction of the cleared forms of x and y
+    over the rows of bracket_views(T), over dt dx dy."""
     _check_same_dim(x, y, T)
-    p = T.dim
-    (xs, dx), (ys, dy) = cleared_form(x), cleared_form(y)
-    dt, rows = T.scaled()
-    # omega(f1, f2) = +1: the n2 part is B(x_f1, y_f2) - B(x_f2, y_f1).
-    b1, _d = contract_cleared(rows, (xs[:p], 1), (ys[p:2 * p], 1), p)
-    b2, _d = contract_cleared(rows, (xs[p:2 * p], 1), (ys[:p], 1), p)
-    x2, y2 = xs[2 * p:3 * p], ys[2 * p:3 * p]
-    n3 = [
-        dt * (int_dot(x2, ys[a * p:(a + 1) * p]) - int_dot(y2, xs[a * p:(a + 1) * p]))
-        for a in (0, 1)
-    ]
-    return NElem.of_cleared([0] * (2 * p) + [u - v for u, v in zip(b1, b2)] + n3, dt * dx * dy)
+    rows = bracket_views(T)[1]
+    nums, den = contract_cleared(rows, cleared_form(x), cleared_form(y), len(rows), T.scaled()[0])
+    return NElem.of_cleared(nums, den)
 
 
 def bracket_transpose(cx, cu, T: SymCubic):
     """u o ad_x, the covector Y -> u([x, Y]), from the cleared forms
-    cx = (xs, dx) of x and cu = (us, du) of u:
-
-        col1 -B(x_f2, u2) + u_l x2,   col2 B(x_f1, u2) + u_m x2,
-        n2 -(u_l x_f1 + u_m x_f2),    n3 0,   over dt dx du,
-
-    u2 and (u_l, u_m) being u's n2 and n3 blocks.
-    """
-    p = T.dim
-    (xs, dx), (us, du) = cx, cu
-    dt, rows = T.scaled()
-    xf1, xf2, x2 = xs[:p], xs[p:2 * p], xs[2 * p:3 * p]
-    u2, (ul, um) = us[2 * p:3 * p], us[3 * p:]
-    b1, _d = contract_cleared(rows, (xf1, 1), (u2, 1), p)
-    b2, _d = contract_cleared(rows, (xf2, 1), (u2, 1), p)
-    col1 = [dt * ul * e - b for e, b in zip(x2, b2)]
-    col2 = [dt * um * e + b for e, b in zip(x2, b1)]
-    n2 = [-dt * (ul * a + um * c) for a, c in zip(xf1, xf2)]
-    return col1 + col2 + n2 + [0, 0], dt * dx * du
+    cx = (xs, dx) of x and cu = (us, du) of u, as (nums, dt dx du): its
+    value on b_j sums x_i c u_k over the (j, k, c) of row i, one
+    contraction over the swapped rows of bracket_views(T)."""
+    swapped = bracket_views(T)[2]
+    return contract_cleared(swapped, cx, cu, len(swapped), T.scaled()[0])
 
 
 # --- basis bookkeeping -------------------------------------------------
@@ -201,9 +181,10 @@ def kronecker_points(p: int, bound: int):
     z_j = N^(j - j0) for j0 <= j < j0 + w, else 0.  For 3p + 2 <= w this
     is the one point z_K = (1, N, N^2, ..., N^(3p+1)).
 
-    Let L be a map linear in its NElem argument, such as ``bracket`` in
-    its second argument or a series of ``bch`` in Y, and D an int for
-    which every entry of D L is an integer c_kj with |c_kj| <= bound.
+    Let L be a map linear in its NElem argument, such as the round trip
+    of exp_diff and exp_diff_inv in Y that the expdiff suite checks, the
+    one caller, and D an int for which every entry of D L is an integer
+    c_kj with |c_kj| <= bound.
     Then D L(z)_k = sum_j c_kj N^(j - j0) over the block, whose balanced
     base-N digits are the c_kj (L. Kronecker, J. reine angew. Math. 92,
     1882; von zur Gathen and Gerhard, Modern Computer Algebra, 3rd ed.,
@@ -245,39 +226,16 @@ def bracket_table(T: SymCubic) -> list:
     return [{j: tuple(sorted(terms)) for j, terms in row.items()} for row in table]
 
 
-def ad_mismatches(x: NElem, T: SymCubic, table: list) -> list:
-    """Basis positions k at which ad_x read off ``bracket`` and off
-    ``table``, T's ``bracket_table``, differ; x has rational (Fraction
-    or int) coordinates.
-
-    Both sides are linear in Y: bracket(x, Y, T), and sum_i x_i [b_i, Y]
-    from the table, one ``contract_cleared`` of x with Y over the table's terms
-    cleared to ints over the lcm den of their denominators, divided by
-    den and dt.  For x's coordinates cleared to xs over dx, u = max |xs|,
-    D = den dt dx times either side has integer coefficients: for
-    bracket den times a sum of xs_i v over T.scaled()'s terms v (n2) or
-    dt xs_i (n3), at most den u max(S, dt) with S the sum of T.scaled()'s
-    |v|, and for the table at most u S_c with S_c the sum of its |c|.
-    Both are evaluated at the kronecker_points for the sum of these
-    bounds, and differ at k exactly where row k of the two maps does.
-    """
-    p = T.dim
-    den = lcm(*(c.denominator for row in table for terms in row.values() for _k, c in terms))
-    rows = [
-        [(j, k, c.numerator * (den // c.denominator)) for j, terms in row.items() for k, c in terms]
-        for row in table
-    ]
-    dt, t_rows = T.scaled()
-    xc = cleared_form(x)
-    u = max(map(abs, xc[0]), default=0)
-    s_t = sum(abs(v) for row in t_rows for _j, _k, v in row)
-    s_c = sum(abs(c) for row in rows for _j, _k, c in row)
-    found = set()
-    for z in kronecker_points(p, u * (den * max(s_t, dt) + s_c)):
-        es, ed = contract_cleared(rows, xc, z.cleared, n_dim(p), den * dt)
-        gs, gd = bracket(x, z, T).cleared
-        found.update(k for k, (g, e) in enumerate(zip(gs, es)) if g * ed != e * gd)
-    return sorted(found)
+def bracket_views(T: SymCubic):
+    """(table, rows, swapped): T's bracket_table, built once per tensor
+    and kept on it, with its views for contract_cleared: rows[i] the
+    (j, k, c) of table[i], and swapped[i] the same terms as (k, j, c).
+    Every caller shares them, so none may change the table."""
+    if T._bracket is None:
+        table = bracket_table(T)
+        rows = tuple(tuple((j, k, c) for j, terms in row.items() for k, c in terms) for row in table)
+        T._bracket = table, rows, tuple(tuple((k, j, c) for j, k, c in row) for row in rows)
+    return T._bracket
 
 
 def _jacobiator(rows, i, j, k) -> dict:
@@ -414,7 +372,6 @@ class JacobiReport:
     violations: tuple
     assumption_ok: bool
     cubic_hash: str
-    table: list = field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -442,17 +399,15 @@ def verify_jacobi(T: SymCubic) -> JacobiReport:
     of basis elements do not generate n), so the walk always runs; the
     report keeps its first MAX_VIOLATIONS violations.  triples_checked
     is C(d, 3): every triple the kernel skips has a zero jacobiator.
-    The report keeps the table it checked; that it is the table of
-    ``bracket`` is ad_mismatches' check.
+    The table is T's stored one (bracket_views), the one that bracket,
+    bracket_transpose and the group law contract with.
     """
     p = T.dim
     d = n_dim(p)
-    table = bracket_table(T)
-    found = jacobi_violations(table)
+    found = jacobi_violations(bracket_views(T)[0])
     violations = tuple(islice(found, MAX_VIOLATIONS))
     return JacobiReport(
-        p, d, d * (d - 1) * (d - 2) // 6, violations,
-        assumption_holds(T), cubic_hash(T), table,
+        p, d, d * (d - 1) * (d - 2) // 6, violations, assumption_holds(T), cubic_hash(T)
     )
 
 

@@ -22,10 +22,10 @@ PRIME_BOUND = 2 ** 32
 # hours), and otherwise makes budget random draws per prime after its p**2
 # structured candidates, which the budget does not bound.
 MAX_PROBE_BUDGET = 10 ** 6
-# verify holds about 4 KB per dimension of the tensor (vectors and tables
-# over n's 3p + 2 basis, Kronecker blocks of 4 KB per coordinate) before any
-# suite can refuse the cubic, so a 40-byte file could ask for gigabytes;
-# the CLI refuses a larger dim.
+# verify holds about 4 KB per dimension of the tensor (vectors over n's
+# 3p + 2 basis, n's stored bracket table and its two row views, Kronecker
+# blocks of 4 KB per coordinate) before any suite can refuse the cubic, so
+# a 40-byte file could ask for gigabytes; the CLI refuses a larger dim.
 MAX_VERIFY_DIM = 10 ** 4
 
 

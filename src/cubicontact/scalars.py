@@ -16,9 +16,10 @@ one.  ``contract`` reads a ClearedVector's form, or clears a coordinate
 vector, and runs the kernel.  ``cubic.polarize`` goes through it, and
 so does ``dot``, the pairing of a covector with a vector, which is
 ``contract`` with diagonal rows.  The moment map, ``chart_decompose``,
-the tau check, ``cubic_eval``, ``nilpotent.bracket`` and the
-structure-constant check ``nilpotent.ad_mismatches`` call the kernel on
-cleared forms; the group law (``bch._series``) runs its own walk.
+the tau check, ``cubic_eval``, and n's bracket in ``nilpotent.bracket``,
+``nilpotent.bracket_transpose`` and the group law (``bch._series``), all
+over the rows of ``nilpotent.bracket_views``, call the kernel on cleared
+forms.
 
 Every kernel takes rational coordinates only: ``cleared_form`` refuses
 any other coordinate with TypeError, never a wrong number.  A
@@ -33,7 +34,6 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -196,12 +196,6 @@ def contract_cleared(rows, cu, cv, size, den=1):
                 if b:
                     acc[k] += c * a * b
     return acc, den * du * dv
-
-
-def int_dot(us, vs):
-    """sum_i us_i vs_i over ints, zero products skipped: on a Kronecker
-    block a large partial sum is not copied once per zero term."""
-    return sum(filter(None, map(mul, us, vs)))
 
 
 def contract(rows, u, v, size, den=1):

@@ -404,10 +404,12 @@ def test_series_and_moment_map_make_no_bracket(monkeypatch):
 
 
 def test_verify_runs_no_ring_generic_path(monkeypatch):
-    """Every suite of run_verification on det3 calls nilpotent.bracket
-    once, from ad_mismatches, never chart_decompose (the tau check calls
-    its kernel), and contract_cleared on cleared forms: no per-term path
-    comes back into the verify loop unseen."""
+    """Every suite of run_verification on det3 calls neither
+    nilpotent.bracket nor chart_decompose (the tau check calls its
+    kernel), and calls contract_cleared on cleared forms from the walk
+    owners below only: the group law's series and u o ad_x contract with
+    n's stored table, so no per-term path comes back into the verify
+    loop unseen."""
     T = catalog_get("det3").tensor()
     modules = [m for name, m in sys.modules.items() if name.startswith("cubicontact.")]
     callers = {"bracket": [], "chart_decompose": [], "contract_cleared": []}
@@ -431,8 +433,11 @@ def test_verify_runs_no_ring_generic_path(monkeypatch):
     spy(scalars, "contract_cleared")
     report = run_verification(T, tuple(SUITES), RunConfig(seed=7, samples=3, probe_budget=1000))
     assert report.all_pass and len(report.checks) == len(SUITES)
-    assert callers["bracket"] == ["ad_mismatches"] and not callers["chart_decompose"]
-    assert callers["contract_cleared"]
+    assert not callers["bracket"] and not callers["chart_decompose"]
+    assert set(callers["contract_cleared"]) == {
+        "_series", "bracket_transpose", "_pullback", "_chart_cleared",
+        "tau_matches_line_expansion", "moment_membership", "moment_point_closed_form",
+    }
     assert all(type(d) is int and all(type(n) is int for n in nums) for nums, d in forms)
 
 
@@ -476,29 +481,34 @@ def test_chart_contractions_polarize_once(monkeypatch):
     polarizes = _count(monkeypatch, "polarize", mods)
     trilinears = _count(monkeypatch, "trilinear", mods)
     # On Fractions chart_decompose walks T's integer table once, in ints.
-    chart_walks = _count(monkeypatch, "contract_cleared", (bch_module,))
+    bch_walks = _count(monkeypatch, "contract_cleared", (bch_module,))
     chart_decompose(X, z, T)
     assert not polarizes and not trilinears
-    assert [args[0] is T.scaled()[1] for args in chart_walks] == [True]
-    # The moment map walks T's integer table in its cleared contractions:
-    # once for theta~'s pull-back, then twice per bracket_transpose, for
-    # B(X_f1, .) and B(X_f2, .), of which the chart's X_f1 = 0 reaches no
-    # row.  An sl(W) generator needs the pull-back only.
+    assert [args[0] is T.scaled()[1] for args in bch_walks] == [True]
+    # The moment map walks T's integer table once, for theta~'s pull-back,
+    # then the swapped rows of n's stored table once per bracket_transpose.
+    # An sl(W) generator needs the pull-back only.
+    _table, rows, swapped = nilpotent.bracket_views(T)
     walks = _count(monkeypatch, "contract_cleared", (moment, nilpotent))
-    covector = [True, False, True, False, True]
-    for run, reached in (
+    covector = [T.scaled()[1], swapped, swapped]
+    for run, owners in (
         (lambda: moment.moment_point_at(pt, T), covector),
         (lambda: moment.moment_of(pt, Y, T), covector),
-        (lambda: moment.moment_of(pt, SLW_GENERATORS[2], T), [True]),
+        (lambda: moment.moment_of(pt, SLW_GENERATORS[2], T), [T.scaled()[1]]),
     ):
         polarizes.clear()
         walks.clear()
         run()
         assert not polarizes and not trilinears
-        assert all(args[0] is T.scaled()[1] for args in walks)
-        assert [any(args[1][0]) for args in walks] == reached
+        assert len(walks) == len(owners)
+        assert all(args[0] is rows for args, rows in zip(walks, owners))
+    # Each series walks the stored rows for [X, Y], then only n2's p rows.
+    p = T.dim
     for fn in (bch, exp_diff, exp_diff_inv):
+        bch_walks.clear()
         fn(X, Y, T)
+        assert [len(args[0]) for args in bch_walks] == [3 * p + 2, p]
+        assert bch_walks[0][0] is rows and bch_walks[1][0] == rows[2 * p:3 * p]
     assert not polarizes and not trilinears
 
 
@@ -517,7 +527,11 @@ nonzero_fractions = st.builds(
     st.integers(1, 10 ** 12) | st.integers(-10 ** 12, -1),
     st.sampled_from(BIG_DENOMINATORS) | st.integers(1, 10 ** 12),
 )
-SERIES = ((bch, ref_bch), (exp_diff, ref_exp_diff), (exp_diff_inv, ref_exp_diff_inv))
+# bracket and the series over n's stored table, against the references;
+# all but bch are linear in their second argument.
+SERIES = (
+    (bch, ref_bch), (bracket, ref_bracket), (exp_diff, ref_exp_diff), (exp_diff_inv, ref_exp_diff_inv),
+)
 
 
 def _forms(p):
@@ -530,23 +544,43 @@ def _rational(x):
     return all(type(c) in (int, Fraction) for c in x.coords)
 
 
+@st.composite
+def sparse_rank_p_cubics(draw):
+    """p = 1..6, a diagonal entry per index and up to 2p other entries,
+    all with big denominators; b_rank = p."""
+    p = draw(st.integers(1, 6))
+    entries = {(i, i, i): draw(nonzero_fractions) for i in range(p)}
+    triples = [(i, j, k) for i in range(p) for j in range(i, p) for k in range(j, p)]
+    for t in draw(st.lists(st.sampled_from(triples), unique=True, max_size=2 * p)):
+        entries[t] = draw(nonzero_fractions)
+    T = SymCubic(p, entries)
+    assume(assumption_holds(T))
+    return T
+
+
+# Every catalog tensor here is integral; 5/7 gives T a denominator.
+CATALOG_OR_SPARSE = st.sampled_from(("x3", "xyz", "det-sym-3", "det3")).map(
+    lambda name: catalog_get(name).tensor()
+) | sparse_rank_p_cubics()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     data=st.data(),
-    name=st.sampled_from(("x3", "xyz", "det-sym-3", "det3")),
-    # Every catalog tensor is integral; 5/7 gives T a denominator.
+    T=CATALOG_OR_SPARSE,
     scale=st.sampled_from((Fraction(1), Fraction(5, 7))),
     with_ints=st.booleans(),
 )
-def test_integer_path_matches_references(data, name, scale, with_ints):
+def test_integer_path_matches_references(data, T, scale, with_ints):
     """Rational elements, of Fractions or with plain ints among them,
-    take the integer path and give Fractions.
+    take the integer path and give Fractions, on catalog cubics and on
+    sparse cubics with big denominators.
 
     A Y of RefLinForms, on which the references compute, or one that
-    mixes a nonzero constant into them, has no cleared form: exp_diff
-    and exp_diff_inv raise TypeError unless every coordinate is a
-    rational zero."""
-    T = catalog_get(name).tensor().scale(scale)
+    mixes a nonzero constant into them, has no cleared form: bracket,
+    exp_diff and exp_diff_inv raise TypeError unless every coordinate is
+    a rational zero."""
+    T = T.scale(scale)
     p = T.dim
     size = 3 * p + 2
     scalars = st.integers(-50, 50) | big_fractions if with_ints else big_fractions
@@ -586,20 +620,6 @@ def _assembled(mu, p):
         phi2=tuple(mu(2 * p + k) for k in range(p)),
         phi3=(mu(3 * p + 1), -mu(3 * p)),
     )
-
-
-@st.composite
-def sparse_rank_p_cubics(draw):
-    """p = 1..6, a diagonal entry per index and up to 2p other entries,
-    all with big denominators; b_rank = p."""
-    p = draw(st.integers(1, 6))
-    entries = {(i, i, i): draw(nonzero_fractions) for i in range(p)}
-    triples = [(i, j, k) for i in range(p) for j in range(i, p) for k in range(j, p)]
-    for t in draw(st.lists(st.sampled_from(triples), unique=True, max_size=2 * p)):
-        entries[t] = draw(nonzero_fractions)
-    T = SymCubic(p, entries)
-    assume(assumption_holds(T))
-    return T
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -656,8 +676,9 @@ def test_cleared_moment_path_matches_references(data, T):
 def test_pullback_and_bracket_transpose_match_references(data, T):
     """xi_j, theta~'s pull-back on b_j, is theta~ on the chart velocity of
     b_j (ref_velocity with no series step); and bracket_transpose(x, u)_j
-    is u([x, b_j]) for the chart element, for an element whose blocks may
-    each be zero, and for u = xi and a drawn covector."""
+    is u([x, b_j]), from the reference bracket, for the chart element, for
+    an element whose blocks may each be zero, and for u = xi and a drawn
+    covector."""
     p = T.dim
     size = 3 * p + 2
     pt = data.draw(edge_chart_points(p))
@@ -672,4 +693,4 @@ def test_pullback_and_bracket_transpose_match_references(data, T):
     for x in (pt.chart.to_nelem(), NElem(tuple(sum(blocks, [])))):
         for v in (xi, u):
             got = ClearedVector.of_cleared(*bracket_transpose(x.cleared, v.cleared, T))
-            assert got == tuple(_dot(v, bracket(x, b, T)) for b in basis)
+            assert got == tuple(_dot(v, ref_bracket(x, b, T)) for b in basis)

@@ -1,15 +1,15 @@
-"""The Kronecker checks against per-basis references, mutants and a short N.
+"""The Kronecker check against a per-basis reference, mutants and a short N.
 
-ad_mismatches and the expdiff suite's basis_roundtrip each compare two
-maps linear in their argument by their evaluation at the Kronecker
-points, z = (1, N, N^2, ...) over each block of columns, N = 2^(b+1)
-above twice a stated bound on the maps' integer coefficients.  Here
-their verdicts are compared with a loop over the basis on random sparse
-cubics with large denominators, over one block and over blocks of one
-column; a mutant with one wrong coefficient at the highest position,
-N^(d-1), and one with a coefficient just under the bound are caught; and
-a point with N at the planted coefficient, below the bound, misses it,
-so the bound is what makes the check exact.
+The expdiff suite's basis_roundtrip compares two maps linear in their
+argument by their evaluation at the Kronecker points, z = (1, N, N^2,
+...) over each block of columns, N = 2^(b+1) above twice a stated bound
+on the maps' integer coefficients.  Here its verdict is compared with a
+loop over the basis on random sparse cubics with large denominators,
+over one block and over blocks of one column; a mutant with one wrong
+coefficient at the highest position, N^(d-1), and one with a coefficient
+just under the bound are caught; and a point with N at the planted
+coefficient, below the bound, misses it, so the bound is what makes the
+check exact.
 """
 
 from contextlib import contextmanager
@@ -17,13 +17,12 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_nilpotent import _ref_ad_mismatches
 
 from cubicontact import nilpotent, verify
 from cubicontact.bch import exp_diff, exp_diff_inv
 from cubicontact.catalog import catalog_get
 from cubicontact.cubic import SymCubic
-from cubicontact.nilpotent import NElem, ad_mismatches, basis_element, bracket_table, n_dim
+from cubicontact.nilpotent import NElem, basis_element, n_dim
 from cubicontact.reports import RunConfig
 
 BIG_DENOMINATORS = (1_000_003, 998_244_353, 2_147_483_647, 999_999_937)
@@ -33,22 +32,12 @@ big_fractions = st.just(F(0)) | st.builds(
 
 
 @st.composite
-def big_cases(draw):
-    """A sparse cubic, an element and the cubic's bracket table with up to
-    two terms replaced by drawn values, all with large denominators."""
+def big_cubics(draw):
+    """A sparse cubic with large denominators."""
     p = draw(st.integers(1, 5))
     index = st.integers(0, p - 1)
     entries = draw(st.dictionaries(st.tuples(index, index, index), big_fractions, max_size=8))
-    T = SymCubic(p, {tuple(sorted(t)): v for t, v in entries.items()})
-    d = n_dim(p)
-    x = NElem(tuple(draw(st.lists(big_fractions, min_size=d, max_size=d))))
-    table = bracket_table(T)
-    for _ in range(draw(st.integers(0, 2))):
-        i, j, k = (draw(st.integers(0, d - 1)) for _ in range(3))
-        terms = dict(table[i].get(j, ()))
-        terms[k] = draw(big_fractions)
-        table[i][j] = tuple(sorted(terms.items()))
-    return T, x, table
+    return SymCubic(p, {tuple(sorted(t)): v for t, v in entries.items()})
 
 
 @contextmanager
@@ -59,14 +48,6 @@ def _blocks(narrow):
         if narrow:
             mp.setattr(nilpotent, "KRONECKER_BLOCK_BITS", 1)
         yield
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(case=big_cases(), narrow=st.booleans())
-def test_ad_check_matches_per_basis_reference_with_large_denominators(case, narrow):
-    T, x, table = case
-    with _blocks(narrow):
-        assert ad_mismatches(x, T, table) == _ref_ad_mismatches(x, T, table)
 
 
 def _planted_inverse(k, terms):
@@ -88,9 +69,8 @@ def _per_basis_roundtrip(X, T, inverse):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(case=big_cases(), narrow=st.booleans(), data=st.data())
-def test_roundtrip_check_matches_per_basis_reference_with_large_denominators(case, narrow, data):
-    T, _x, _table = case
+@given(T=big_cubics(), narrow=st.booleans(), data=st.data())
+def test_roundtrip_check_matches_per_basis_reference_with_large_denominators(T, narrow, data):
     d = n_dim(T.dim)
     k = data.draw(st.integers(0, d - 1))
     terms = data.draw(st.lists(st.tuples(st.integers(0, d - 1), big_fractions), max_size=2))
@@ -118,41 +98,10 @@ def test_kronecker_blocks_cover_each_column_once(monkeypatch, bits, width):
 
 # --- mutants on xyz ------------------------------------------------------------
 #
-# Row 0 of xyz's table, e_0 (x) f1, has no term at the columns eps_1 = 7,
-# eps_2 = 8 and f2 = 10, the highest position; output 9 is f1.
+# Column 10 is f2, the highest position; output 9 is f1.
 
 XYZ = catalog_get("xyz").tensor()
-X0 = basis_element(3, 0)  # its one coordinate is 1, over 1
 TOP, F1 = n_dim(3) - 1, 9
-
-
-@pytest.mark.parametrize("narrow", [False, True])
-def test_ad_check_catches_a_wrong_coefficient_at_the_highest_position(narrow):
-    table = bracket_table(XYZ)
-    with _blocks(narrow):
-        assert ad_mismatches(X0, XYZ, table) == []
-        table[0][TOP] = ((F1, 1),)
-        assert ad_mismatches(X0, XYZ, table) == _ref_ad_mismatches(X0, XYZ, table) == [F1]
-
-
-def test_ad_check_needs_its_bound(monkeypatch):
-    # Planted: c at column 7 and -1 at column 8, both into f1, so D (L - L')
-    # at f1 has the digits -c and 1 at N^7 and N^8.  c is just under the
-    # bound, which counts it in the table's sum of |c|: N > 2c sees it.
-    c = 2 ** 40
-    table = bracket_table(XYZ)
-    table[0][7], table[0][8] = ((F1, c),), ((F1, -1),)
-    seen = []
-    real = nilpotent.kronecker_points
-    monkeypatch.setattr(
-        nilpotent, "kronecker_points", lambda p, bound: seen.append(bound) or real(p, bound)
-    )
-    assert ad_mismatches(X0, XYZ, table) == _ref_ad_mismatches(X0, XYZ, table) == [F1]
-    assert c < seen[0] < 2 * c
-    # A point with N = c, below the bound: -c N^7 + N^8 = 0 hides both.
-    monkeypatch.setattr(nilpotent, "kronecker_points", lambda p, bound: real(p, c // 4))
-    assert next(real(3, c // 4)).coords[1] == c
-    assert ad_mismatches(X0, XYZ, table) == []
 
 
 def _basis_failed(T, cfg):

@@ -5,20 +5,19 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cubicontact import nilpotent
-from cubicontact.bch import exp_diff
-from cubicontact import verify as verify_module
+from cubicontact.bch import bch, exp_diff
 from cubicontact.chevalley import chevalley, verify_chevalley_jacobi
 from cubicontact.catalog import catalog_get, catalog_list
-from cubicontact.cubic import DimensionMismatchError, SymCubic, polarize
+from cubicontact.cubic import DimensionMismatchError, SymCubic
 from cubicontact.extraction import algebra_for, extraction
 from cubicontact.nilpotent import (
     NElem,
     SlWElem,
     act_slw,
-    ad_mismatches,
     basis_element,
     bracket,
     bracket_table,
+    bracket_transpose,
     dim_report,
     kronecker_points,
     n_dim,
@@ -26,7 +25,6 @@ from cubicontact.nilpotent import (
 )
 from cubicontact.reports import RunConfig
 from cubicontact.rootsystems import build_root_system
-from cubicontact.scalars import dot
 from cubicontact.sampling import SeededSampler
 from cubicontact.verify import run_verification
 from test_scalar_references import RefLinForm, kronecker_digits, ref_bracket, ref_generic_element
@@ -34,6 +32,12 @@ from test_scalar_references import RefLinForm, kronecker_digits, ref_bracket, re
 X3 = SymCubic(1, {(0, 0, 0): 1})
 ZERO2 = SymCubic(2, {})
 FERMAT3 = SymCubic(3, {(i, i, i): 1 for i in range(3)})
+
+
+def _fresh(T):
+    """A copy of T with no stored bracket table: a test that patches
+    bracket_table must not read, or leave, a module tensor's."""
+    return SymCubic(T.dim, T.entries)
 
 
 def n_basis(p):
@@ -233,70 +237,77 @@ def test_int_table_has_the_violations_of_the_fraction_table(T, data):
     assert (min(i, j), max(i, j)) in found
 
 
+def _consumer_outputs(T):
+    """bracket, bch and bracket_transpose on fixed elements of n(T)."""
+    sampler = SeededSampler(8)
+    x, y = sample_nelem(sampler, T.dim), sample_nelem(sampler, T.dim)
+    return bracket(x, y, T), bch(x, y, T), bracket_transpose(x.cleared, y.cleared, T)
+
+
+def _assert_edit_reaches_every_consumer(monkeypatch, edit, pairs):
+    """On a fresh tensor whose stored table is bracket_table's with
+    ``edit`` applied, the jacobi suite fails with the antisymmetry pairs
+    ``pairs(table)`` of the clean table first, and bracket, bch and
+    bracket_transpose all change: they contract with the table the suite
+    checks."""
+    for name in ("x3", "xyz", "det3"):
+        clean = _consumer_outputs(catalog_get(name).tensor())
+        expected = sorted(pairs(bracket_table(catalog_get(name).tensor())))
+        expected = [list(v) for v in expected[:nilpotent.MAX_VIOLATIONS]]
+        with monkeypatch.context() as mp:
+            _patch_table(mp, edit)
+            T = catalog_get(name).tensor()
+            check = run_verification(T, ["jacobi"], RunConfig(seed=1)).checks[0]
+            edited = _consumer_outputs(T)
+        assert check["status"] == "fail"
+        assert check["details"]["jacobi"]["jacobi_violations"][:len(expected)] == expected
+        assert all(a != b for a, b in zip(clean, edited)), name
+
+
 def test_jacobi_suite_reads_bracket(monkeypatch):
     # A bracket whose n2 part is symmetric, B(x_f1, y_f2) + B(x_f2, y_f1),
-    # is not a Lie bracket; the jacobi suite must see it.  The table is
-    # written from T's entries, so the suite sees it through ad_mismatches.
-    real = nilpotent.bracket
+    # is not a Lie bracket: [e_i f2, e_j f1] keeps the sign of
+    # [e_j f1, e_i f2].
+    def symmetric_n2(t):
+        p = (len(t) - 2) // 3
+        for i in range(p, 2 * p):
+            for j in [j for j in t[i] if j < p]:
+                t[i][j] = tuple((k, -c) for k, c in t[i][j])
 
-    def symmetric_n2(x, y, T):
-        out = real(x, y, T)
-        n2 = tuple(
-            a + b
-            for a, b in zip(polarize(T, x.col(0), y.col(1)), polarize(T, x.col(1), y.col(0)))
-        )
-        return NElem.from_parts(x.dim, col1=out.col(0), col2=out.col(1), n2=n2, n3=out.n3)
+    def pairs(table):
+        p = (len(table) - 2) // 3
+        return {(i, j) for i in range(p) for j in table[i] if j < 2 * p}
 
-    T = catalog_get("xyz").tensor()
-    cfg = RunConfig(seed=0, samples=2)
-    clean = run_verification(T, ["jacobi"], cfg).checks[0]
-    assert clean["status"] == "pass" and "ad_mismatches" not in clean["details"]
-    monkeypatch.setattr(nilpotent, "bracket", symmetric_n2)
-    report = run_verification(T, ["jacobi"], cfg)
-    assert report.checks[0]["status"] == "fail"
-    assert report.checks[0]["details"]["ad_mismatches"]
+    _assert_edit_reaches_every_consumer(monkeypatch, symmetric_n2, pairs)
 
 
 def test_jacobi_suite_catches_one_sided_n3_sign_flip(monkeypatch):
     # [eps, v (x) w] = v*(v) w, but the mutant's [v (x) w, eps] is +v*(v) w.
-    real = nilpotent.bracket
+    def flipped_n3(t):
+        p = (len(t) - 2) // 3
+        for s in (0, 1):
+            for m in range(p):
+                t[s * p + m][2 * p + m] = tuple((k, -c) for k, c in t[s * p + m][2 * p + m])
 
-    def flipped_n3(x, y, T):
-        out = real(x, y, T)
-        n3 = tuple(dot(x.n2, y.col(a)) + dot(y.n2, x.col(a)) for a in (0, 1))
-        return NElem(out.coords[:-2] + n3)
+    def pairs(table):
+        p = (len(table) - 2) // 3
+        return {(s * p + m, 2 * p + m) for s in (0, 1) for m in range(p)}
 
-    monkeypatch.setattr(nilpotent, "bracket", flipped_n3)
-    for name in ("x3", "xyz", "det3"):
-        entry = catalog_get(name)
-        check = run_verification(entry.tensor(), ["jacobi"], RunConfig(seed=1)).checks[0]
-        assert check["status"] == "fail"
-        p = entry.p
-        assert set(check["details"]["ad_mismatches"]) == {3 * p, 3 * p + 1}
-
-
-def test_jacobi_suite_draws_one_element_whatever_the_samples(monkeypatch):
-    seen = []
-    real = nilpotent.ad_mismatches
-    monkeypatch.setattr(
-        verify_module, "ad_mismatches", lambda x, T, table: seen.append(x) or real(x, T, table)
-    )
-    T = catalog_get("xyz").tensor()
-    reports = [run_verification(T, ["jacobi"], RunConfig(seed=5, samples=n)) for n in (1, 7)]
-    assert seen[0] == seen[1] and len(seen) == 2
-    assert reports[0].checks == reports[1].checks
+    _assert_edit_reaches_every_consumer(monkeypatch, flipped_n3, pairs)
 
 
 def test_jacobi_suite_builds_the_table_once(monkeypatch):
-    # verify_jacobi's report carries the table that ad_mismatches reads.
+    # One bracket_table per tensor: the jacobi suite checks the stored
+    # table, and the group law and the moment map contract with its views.
     calls = []
     real = nilpotent.bracket_table
     monkeypatch.setattr(nilpotent, "bracket_table", lambda T: calls.append(T) or real(T))
     T = catalog_get("det3").tensor()
-    check = run_verification(T, ["jacobi"], RunConfig(seed=2)).checks[0]
-    assert check["status"] == "pass" and len(calls) == 1
-    rep = verify_jacobi(T)
-    assert rep.table == real(T) and rep == verify_jacobi(catalog_get("det3").tensor())
+    cfg = RunConfig(seed=2, samples=2)
+    report = run_verification(T, ["jacobi", "group", "expdiff", "moment"], cfg)
+    assert report.all_pass and calls == [T]
+    assert nilpotent.bracket_views(T)[0] == real(T) and len(calls) == 1
+    assert verify_jacobi(T) == verify_jacobi(catalog_get("det3").tensor())
 
 
 def test_corrupted_table_reaches_the_kernel_through_the_suite(monkeypatch):
@@ -304,80 +315,9 @@ def test_corrupted_table_reaches_the_kernel_through_the_suite(monkeypatch):
         t[2][2] = ((3, F(1)),)  # [eps, eps] = f1
 
     _patch_table(monkeypatch, edit)
-    check = run_verification(X3, ["jacobi"], RunConfig(seed=0)).checks[0]
+    check = run_verification(_fresh(X3), ["jacobi"], RunConfig(seed=0)).checks[0]
     assert check["status"] == "fail"
     assert check["details"]["jacobi"]["jacobi_violations"][0] == [2, 2]
-
-
-def _ref_ad_mismatches(x, T, table):
-    """ad_mismatches per basis element, as a reference: the positions k
-    at which [x, b_j] from ``bracket`` differs, for some j, from
-    sum_i x_i [b_i, b_j] accumulated in Fractions from the table."""
-    d = n_dim(T.dim)
-    dt = T.scaled()[0]  # the table holds dt times the structure constants
-    expected = [[F(0)] * d for _ in range(d)]  # [k][j]
-    for xi, row in zip(x.coords, table):
-        if xi:
-            for j, terms in row.items():
-                for k, c in terms:
-                    expected[k][j] += xi * F(c) / dt
-    got = [bracket(x, basis_element(T.dim, j), T).coords for j in range(d)]
-    return [k for k in range(d) if any(got[j][k] != expected[k][j] for j in range(d))]
-
-
-@pytest.mark.parametrize("name", [e.name for e in catalog_list()])
-def test_ad_mismatches_matches_reference_on_catalog(name):
-    T = catalog_get(name).tensor()
-    x = sample_nelem(SeededSampler(3), T.dim)
-    table = bracket_table(T)
-    assert ad_mismatches(x, T, table) == _ref_ad_mismatches(x, T, table) == []
-
-
-_small_fraction = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3, 7)))
-
-
-@st.composite
-def _cubic_element_table(draw):
-    """A sparse cubic with entry denominators 2, 3 and 7, an element with
-    Fraction coordinates, and its table, one term possibly replaced by a
-    drawn value."""
-    p = draw(st.integers(1, 6))
-    index = st.integers(0, p - 1)
-    entries = draw(st.dictionaries(st.tuples(index, index, index), _small_fraction, max_size=8))
-    T = SymCubic(p, {tuple(sorted(t)): v for t, v in entries.items()})
-    x = NElem(tuple(draw(st.lists(_small_fraction, min_size=n_dim(p), max_size=n_dim(p)))))
-    table = bracket_table(T)
-    slots = [(i, j) for i, row in enumerate(table) for j in row]
-    value = draw(st.none() | st.builds(F, st.integers(-9, 9), st.sampled_from((1, 5, 11))))
-    if value is not None:
-        i, j = draw(st.sampled_from(slots))
-        (k, _c), *rest = table[i][j]
-        table[i][j] = ((k, value), *rest)
-    return T, x, table
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(case=_cubic_element_table())
-def test_ad_mismatches_matches_reference_on_random_cubics(case):
-    T, x, table = case
-    assert ad_mismatches(x, T, table) == _ref_ad_mismatches(x, T, table)
-
-
-def test_ad_mismatches_sees_a_value_with_a_new_denominator():
-    # [e0 f1, e1 f2] = T(0, 1, k) eps_k; one value becomes 1/5, a
-    # denominator no entry of xyz has, so the lcm of the table changes.
-    T = catalog_get("xyz").tensor()
-    p = T.dim
-    table = bracket_table(T)
-    (k, c), *rest = table[0][p + 1]
-    table[0][p + 1] = ((k, F(1, 5)), *rest)
-    x = sample_nelem(SeededSampler(4), p)
-    assert x.coords[0] and c != F(1, 5)
-    mismatches = ad_mismatches(x, T, table)
-    assert mismatches == _ref_ad_mismatches(x, T, table) == [k]
-    # Int coordinates are rationals too.
-    ints = NElem(tuple(int(2 * c) for c in x.coords))
-    assert ad_mismatches(ints, T, table) == _ref_ad_mismatches(ints, T, table) == [k]
 
 
 def test_jacobi_x3_full_enumeration():
@@ -433,7 +373,7 @@ def test_jacobi_catches_asymmetric_entry(monkeypatch):
         t[0][p] = t[0].get(p, ()) + ((3 * p, F(1)),)
 
     _patch_table(monkeypatch, edit)
-    rep = verify_jacobi(FERMAT3)
+    rep = verify_jacobi(_fresh(FERMAT3))
     assert not rep.ok
     assert (0, p) in rep.violations
 
@@ -443,7 +383,7 @@ def test_jacobi_catches_nonzero_self_bracket(monkeypatch):
         t[2][2] = ((3, F(1)),)  # [eps, eps] = f1
 
     _patch_table(monkeypatch, edit)
-    rep = verify_jacobi(X3)
+    rep = verify_jacobi(_fresh(X3))
     assert not rep.ok
     assert rep.violations[0] == (2, 2)
 
@@ -460,7 +400,7 @@ def test_jacobi_catches_antisymmetric_corruption(monkeypatch):
         t[p][0] = t[p].get(0, ()) + ((eps1, F(-1)),)
 
     _patch_table(monkeypatch, edit)
-    assert not verify_jacobi(FERMAT3).ok
+    assert not verify_jacobi(_fresh(FERMAT3)).ok
     violations = list(
         nilpotent.jacobi_violations(nilpotent.bracket_table(FERMAT3))
     )

@@ -15,7 +15,9 @@ Every module of ``cubicontact`` is parsed and walked:
     ``jacobi_violations``, its generator check ``_generates``, the
     candidate-pair enumeration ``_pairs_through`` and the loop
     ``_nonzero_through`` that the walk and the certificate share, and
-    the transpose of the bracket, ``bracket_transpose``;
+    n's structure constants: ``bracket_table``, its stored contraction
+    rows ``bracket_views``, and the transpose of the bracket,
+    ``bracket_transpose``, so no other module builds rows for n;
   * only ``moment`` pulls theta~ back to n: ``_pullback``;
   * only ``linalg`` defines the elimination kernel: ``_int_rows`` and
     ``_echelon``;
@@ -121,10 +123,9 @@ def test_formal_sum_storage_stays_in_scalars(path):
 # Each shared kernel, by the one module that defines it.
 KERNELS = {
     "scalars.py": {"dot", "_dot", "contract", "contract_cleared", "clear_denominators",
-                   "cleared_form", "from_cleared", "normalize_cleared", "ClearedVector",
-                   "int_dot"},
+                   "cleared_form", "from_cleared", "normalize_cleared", "ClearedVector"},
     "nilpotent.py": {"_jacobiator", "jacobi_violations", "_generates", "_pairs_through",
-                     "_nonzero_through", "bracket_transpose"},
+                     "_nonzero_through", "bracket_transpose", "bracket_table", "bracket_views"},
     "linalg.py": {"_int_rows", "_echelon"},
     "moment.py": {"_pullback"},
 }
@@ -132,9 +133,10 @@ KERNELS = {
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_contraction_kernel_is_defined_only_in_scalars(path):
-    # One contraction kernel, one Jacobi kernel with the transpose of the
-    # bracket, one elimination kernel and one pull-back of theta~: every
-    # other module imports them from their owner instead of keeping its own.
+    # One contraction kernel, one Jacobi kernel with n's structure-constant
+    # table and its rows, one elimination kernel and one pull-back of
+    # theta~: every other module imports them from their owner instead of
+    # keeping its own.
     foreign = set().union(*(v for owner, v in KERNELS.items() if owner != path.name))
     bad = []
     for node in ast.walk(_tree(path)):

@@ -25,9 +25,11 @@ PACKAGE = ROOT / "src" / "cubicontact"
 # embedding check reads the table by position), and so are
 # solve_line_coordinates, the line solve as QPolys in z, interpolated
 # from chart_decompose at z = 0, 1, -1 (the tau check runs the int
-# kernel at those points itself), and moment_of, the
+# kernel at those points itself), moment_of, the
 # moment value on one generator (moment_point_at reads the whole moment
-# covector instead); the others are kept as references for tests
+# covector instead), and nilpotent.bracket, n's bracket of two elements
+# (the group law and the moment map contract with the rows of n's stored
+# table themselves); the others are kept as references for tests
 # (trilinear for the closed-form contractions,
 # mat_inv and mat_mul for the dense extraction reference, bracket_labels
 # for the Chevalley tables).  A function that loses its last caller
@@ -41,6 +43,7 @@ UNCALLED_IN_PACKAGE = {
     ("linalg", "mat_inv"),
     ("linalg", "mat_mul"),
     ("moment", "moment_of"),
+    ("nilpotent", "bracket"),
 }
 
 
