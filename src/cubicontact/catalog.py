@@ -6,12 +6,13 @@ stored via the minimal integer symmetrization, so their cubic value is
 3! times the underlying polynomial (e.g. the symmetric 3x3 determinant
 entry evaluates to 6 at the identity matrix).
 
-The octonion multiplication is generated by Cayley-Dickson doubling
-from the quaternions,
+The octonions are the Cayley-Dickson doubling of the quaternions,
 
     (a, b) (c, d) = (a c - conj(d) b, d a + b conj(c)),
 
 over the basis e0 = 1, e1..e7 with n(x) = sum x_i^2 and t(x) = 2 x_0.
+On basis vectors it is a rule on indices, e_i e_j = s(i, j) e_(i xor j),
+with the sign s read off one halving at a time (``_cd_sign``).
 The 27-variable norm of hermitian 3x3 octonion matrices
 
     [[l1, a3, conj(a2)], [conj(a3), l2, a1], [a2, conj(a1), l3]]
@@ -28,7 +29,6 @@ reduction does not make the cubic singular over Q.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 
 from .cubic import (
@@ -44,39 +44,27 @@ from .sampling import SeededSampler
 # --- octonions ----------------------------------------------------------
 
 
-def _cd_mul(x, y):
-    """Cayley-Dickson product of equal-length power-of-two vectors."""
-    n = len(x)
+def _cd_sign(i, j, n=8):
+    """The sign s with e_i e_j = s e_(i xor j) in the Cayley-Dickson algebra
+    of dimension n: the doubling formula on e_k = (e_k, 0) for k < h = n / 2
+    and e_k = (0, e_(k-h)) otherwise, with conj(e_k) = -e_k for k > 0."""
     if n == 1:
-        return [x[0] * y[0]]
+        return 1
     h = n // 2
-    a, b = x[:h], x[h:]
-    c, d = y[:h], y[h:]
-    ac = _cd_mul(a, c)
-    db = _cd_mul(_cd_conj(d), b)
-    da = _cd_mul(d, a)
-    bc = _cd_mul(b, _cd_conj(c))
-    return [s - t for s, t in zip(ac, db)] + [s + t for s, t in zip(da, bc)]
-
-
-def _cd_conj(x):
-    return [x[0]] + [-t for t in x[1:]]
+    if j < h:
+        if i < h:
+            return _cd_sign(i, j, h)  # (e_i, 0)(e_j, 0) = (e_i e_j, 0)
+        s = _cd_sign(i - h, j, h)  # (0, b)(e_j, 0) = (0, b conj(e_j))
+        return s if j == 0 else -s
+    if i < h:
+        return _cd_sign(j - h, i, h)  # (e_i, 0)(0, d) = (0, d e_i)
+    s = _cd_sign(j - h, i - h, h)  # (0, b)(0, d) = (-conj(d) b, 0)
+    return -s if j == h else s
 
 
 def octonion_table():
-    """mult[i][j] = (k, sign) with e_i e_j = sign e_k."""
-    table = []
-    for i in range(8):
-        row = []
-        ei = [1 if t == i else 0 for t in range(8)]
-        for j in range(8):
-            ej = [1 if t == j else 0 for t in range(8)]
-            prod = _cd_mul(ei, ej)
-            nz = [(k, v) for k, v in enumerate(prod) if v]
-            assert len(nz) == 1 and abs(nz[0][1]) == 1
-            row.append(nz[0])
-        table.append(tuple(row))
-    return tuple(table)
+    """mult[i][j] = (i ^ j, sign) with e_i e_j = sign e_(i ^ j)."""
+    return tuple(tuple((i ^ j, _cd_sign(i, j)) for j in range(8)) for i in range(8))
 
 
 # --- tensor builders ------------------------------------------------------
@@ -115,22 +103,14 @@ def det_sym3_cubic() -> SymCubic:
 
 
 def det3_cubic() -> SymCubic:
-    """Determinant of a general 3x3 matrix, coordinates row-major."""
-    monomials = {}
-    for perm in itertools.permutations(range(3)):
-        sign = _perm_sign(perm)
-        tri = tuple(sorted(3 * r + perm[r] for r in range(3)))
-        monomials[tri] = monomials.get(tri, 0) + sign
-    return from_cubic_monomials(9, monomials, scale=6)
+    """Determinant of a general 3x3 matrix, coordinates row-major.
 
-
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    The column permutations are r -> s + e r (mod 3), with sign e: the
+    shifts are even (e = 1) and the reflections odd (e = -1)."""
+    monomials = sorted(
+        (tuple(3 * r + (s + e * r) % 3 for r in range(3)), e) for s in range(3) for e in (1, -1)
+    )
+    return from_cubic_monomials(9, dict(monomials), scale=6)
 
 
 _PFAFF_INDEX = {
@@ -177,17 +157,11 @@ def j3o_norm_cubic() -> SymCubic:
     # - l_i n(a_i)
     for i in range(3):
         for c in range(8):
-            key = tuple(sorted((i, var(i, c), var(i, c))))
-            monomials[key] = monomials.get(key, 0) - 1
+            monomials[(i, var(i, c), var(i, c))] = -1
     # + t(a1 (a2 a3)) = 2 [a1_0 (a2 a3)_0 - sum_{k>=1} a1_k (a2 a3)_k]
-    table = octonion_table()
-    for b in range(8):
-        for c in range(8):
-            k, sign = table[b][c]
-            eta = 1 if k == 0 else -1
-            key = tuple(sorted((var(0, k), var(1, b), var(2, c))))
-            monomials[key] = monomials.get(key, 0) + 2 * eta * sign
-    monomials = {k: v for k, v in monomials.items() if v}
+    for b, row in enumerate(octonion_table()):
+        for c, (k, sign) in enumerate(row):
+            monomials[(var(0, k), var(1, b), var(2, c))] = 2 * sign * (1 if k == 0 else -1)
     return from_cubic_monomials(27, monomials, scale=6)
 
 

@@ -23,8 +23,9 @@ are cleared to numerators over a common denominator, (nums, den), the
 terms are summed in Python ints, and each output coordinate is built
 once.  Any other coordinate raises TypeError.  ``cubic_eval`` and
 ``trilinear`` pair that polarization's int numerators with one more
-vector's and build a single Fraction, and the group law reads the same
-integer table.  Both tables are memoized on the tensor.
+vector's and build a single Fraction.  The group law reads n's stored
+table (``nilpotent.bracket_views``), which is built from ``T.scaled()``.
+All three tables are memoized on the tensor.
 
 The surjectivity condition on B (rank of the span of all B(e_i, e_j)
 equal to p) is what makes the downstream geometry work; it is exposed
@@ -301,6 +302,7 @@ def _quadric_data(ff):
     return per_k
 
 
+# Not contract_cleared on T.scaled(): this stops at the first nonzero coordinate.
 def _is_quadric_zero(per_k, v, q) -> bool:
     for terms in per_k:
         acc = 0

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -8,15 +9,16 @@ from cubicontact.catalog import (
     catalog_list,
     compare_signatures,
     compare_to_extraction,
+    _cd_sign,
+    det3_cubic,
     det_sym3_cubic,
     j3o_norm_cubic,
-    _cd_mul,
     octonion_table,
     pfaff6_cubic,
     signature,
     xq_cubic,
 )
-from cubicontact.cubic import b_rank, cubic_eval
+from cubicontact.cubic import b_rank, cubic_eval, from_cubic_monomials
 from cubicontact.sampling import SeededSampler
 
 
@@ -97,10 +99,67 @@ def test_octonion_table_shape():
         assert table[i][0] == (i, 1)
 
 
+def _ref_cd_mul(x, y):
+    """Cayley-Dickson doubling, (a, b)(c, d) = (ac - conj(d) b, da + b conj(c)),
+    on coordinate vectors of power-of-two length: the reference for the
+    index rule."""
+    n = len(x)
+    if n == 1:
+        return [x[0] * y[0]]
+    h = n // 2
+    a, b, c, d = x[:h], x[h:], y[:h], y[h:]
+
+    def conj(z):
+        return [z[0]] + [-t for t in z[1:]]
+
+    ac, db = _ref_cd_mul(a, c), _ref_cd_mul(conj(d), b)
+    da, bc = _ref_cd_mul(d, a), _ref_cd_mul(b, conj(c))
+    return [s - t for s, t in zip(ac, db)] + [s + t for s, t in zip(da, bc)]
+
+
+def _ref_basis_product(i, j, n):
+    """The nonzero coordinates of e_i e_j under the doubling recursion."""
+    e = [[int(t == k) for t in range(n)] for k in range(n)]
+    return [(k, v) for k, v in enumerate(_ref_cd_mul(e[i], e[j])) if v]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_cd_sign_matches_doubling_on_every_basis_product(n):
+    for i in range(n):
+        for j in range(n):
+            assert _ref_basis_product(i, j, n) == [(i ^ j, _cd_sign(i, j, n))], (i, j)
+
+
+def test_octonion_table_matches_doubling():
+    table = octonion_table()
+    assert [[[entry] for entry in row] for row in table] == [
+        [_ref_basis_product(i, j, 8) for j in range(8)] for i in range(8)
+    ]
+
+
 def octonion_mul(x, y):
-    """Product of two octonions given as 8-coordinate sequences."""
+    """Product of two octonions given as 8-coordinate sequences, read off
+    octonion_table(), the table j3o-norm is built from."""
     assert len(x) == len(y) == 8
-    return _cd_mul(list(x), list(y))
+    out = [0] * 8
+    for i, row in enumerate(octonion_table()):
+        for j, (k, sign) in enumerate(row):
+            out[k] += sign * x[i] * y[j]
+    return out
+
+
+def _ref_perm_sign(perm):
+    """(-1) to the number of inversions."""
+    inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(len(perm)), 2))
+    return (-1) ** inversions
+
+
+def test_det3_matches_permutation_expansion():
+    monomials = {
+        tuple(3 * r + perm[r] for r in range(3)): _ref_perm_sign(perm)
+        for perm in itertools.permutations(range(3))
+    }
+    assert det3_cubic() == from_cubic_monomials(9, monomials, scale=6)
 
 
 def octonion_norm(x):
