@@ -23,10 +23,7 @@ _HOMES = {
         " reduce_mod smoothness_probe trilinear"
     ),
     "nilpotent": "NElem SlWElem act_slw bracket dim_report n_dim verify_jacobi",
-    "bch": (
-        "ChartElem GroupElem bch chart_decompose exp_diff exp_diff_inv group_inv"
-        " group_mul solve_line_coordinates"
-    ),
+    "bch": "bch chart_decompose exp_diff exp_diff_inv solve_line_coordinates",
     "contact": (
         "AssumptionError ChartPoint dtheta_matrix nondegeneracy_certificate tau"
         " tau_line_constants tau_matches_line_expansion"

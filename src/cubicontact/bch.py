@@ -4,8 +4,8 @@ Because n is 3-step nilpotent the Campbell-Hausdorff series terminates:
 
     H(X, Y) = X + Y + 1/2 [X,Y] + 1/12 [X,[X,Y]] + 1/12 [Y,[Y,X]].
 
-Group elements are carried in logarithmic coordinates, so multiplication
-is H, the identity is 0 and inversion is negation.
+A group element is its logarithm, an NElem: multiplication is H, the
+identity is NElem.zero(p) and the inverse of X is -X.
 
 Every double bracket below is [U, C] with C = [X, Y].  The two
 third-order terms of H combine by antisymmetry into 1/12 [X - Y, C]:
@@ -44,12 +44,13 @@ one Kronecker point (``nilpotent.kronecker_points``), for the bound of
 
 ``chart_decompose`` factors exp(U) = exp(X) exp(w (x) p) with X in the
 chart complement n_m = (V (x) f2) + V* + W and p = f1 + z f2, in ints
-for a rational U and z (the tau check); moment linearizes it.
+for a rational U and z (the tau check); moment linearizes it.  A chart
+element X is an NElem of n_m, its f1 column zero; its chart coordinates
+are x1 = X.col(1), x2 = X.n2 and (x3_l, x3_m) = X.n3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -98,25 +99,6 @@ def bch(X: NElem, Y: NElem, T: SymCubic) -> NElem:
     return _series(X, Y, T, HALF, TWELFTH, with_x=True)
 
 
-@dataclass(frozen=True)
-class GroupElem:
-    """Element of N in log coordinates: the group element exp(log)."""
-
-    log: NElem
-
-    @staticmethod
-    def identity(p: int) -> "GroupElem":
-        return GroupElem(NElem.zero(p))
-
-
-def group_mul(a: GroupElem, b: GroupElem, T: SymCubic) -> GroupElem:
-    return GroupElem(bch(a.log, b.log, T))
-
-
-def group_inv(a: GroupElem) -> GroupElem:
-    return GroupElem(-a.log)
-
-
 def exp_diff(X: NElem, Y: NElem, T: SymCubic) -> NElem:
     """e_X(Y) = Y + 1/2 [X,Y] + 1/12 [X,[X,Y]]; linear in Y."""
     return _series(X, Y, T, *_DIFF, with_x=False)
@@ -161,35 +143,6 @@ def roundtrip_bound(X: NElem, T: SymCubic) -> int:
 
 # --- the chart over the projective W line ------------------------------
 
-@dataclass(frozen=True)
-class ChartElem:
-    """Element of the chart complement n_m = (V (x) f2) + V* + W.
-
-    x1:   V coordinates of the (x) f2 part
-    x2:   covector coordinates (grade 2)
-    x3_m: W coordinate on f2 (the chart coordinate usually written X3^1)
-    x3_l: W coordinate on f1 (X3^2)
-    """
-
-    x1: tuple
-    x2: tuple
-    x3_m: object
-    x3_l: object
-
-    @property
-    def dim(self) -> int:
-        return len(self.x1)
-
-    @staticmethod
-    def zero(p: int) -> "ChartElem":
-        return ChartElem((Q0,) * p, (Q0,) * p, Q0, Q0)
-
-    def to_nelem(self) -> NElem:
-        return NElem.from_parts(
-            self.dim, col2=self.x1, n2=self.x2, n3=(self.x3_l, self.x3_m)
-        )
-
-
 def _chart_cleared(us, d, z, T: SymCubic):
     """x1, x2, x3_m, x3_l as (nums, den) int pairs, from U's numerators
     us over d and a rational z.  With w = U_f1 and b = B(x1, w):
@@ -218,30 +171,30 @@ def _chart_cleared(us, d, z, T: SymCubic):
 def chart_decompose(U: NElem, z, T: SymCubic):
     """Solve exp(U) = exp(X) exp(w (x) p) with X in n_m and p = f1 + z f2.
 
-    Returns (ChartElem, w) over Fractions, for U and z rational; any
-    other input raises TypeError.
+    Returns (X, w) over Fractions, X an NElem whose f1 column is zero,
+    for U and z rational; any other input raises TypeError.
     """
     if U.dim != T.dim:
         raise DimensionMismatchError(f"element dimension {U.dim}, tensor dimension {T.dim}")
     if not isinstance(z, (int, Fraction)):
         raise TypeError("chart_decompose takes a rational z")
     x1, x2, x3_m, x3_l = _chart_cleared(*cleared_form(U), z, T)
-    chart = ChartElem(from_cleared(*x1), from_cleared(*x2), Fraction(*x3_m), Fraction(*x3_l))
-    return chart, U.col(0)
+    x3 = Fraction(*x3_l), Fraction(*x3_m)
+    return NElem((Q0,) * T.dim + from_cleared(*x1) + from_cleared(*x2) + x3), U.col(0)
 
 
 def solve_line_coordinates(v, T: SymCubic):
     """Solve exp(v (x) f1) = exp(X(z)) exp(w(z) (x) p) exactly over Q[z].
 
-    Returns chart_decompose's (ChartElem, w), every coordinate a QPoly
-    in the line parameter z.  On the line each has degree <= 2 in z, so
+    Returns chart_decompose's (X, w), every coordinate a QPoly in the
+    line parameter z, X an NElem (a container of QPolys) whose f1 column
+    is the zero QPoly.  On the line each has degree <= 2 in z, so
     it is interpolated from its values at z = 0, 1, -1.
     """
     p = T.dim
     if len(v) != p:
         raise ValueError(f"vector length {len(v)} != dim {p}")
     line = NElem.from_parts(p, col1=v)
-    at = [chart_decompose(line, z, T)[0].to_nelem().coords for z in (0, 1, -1)]
+    at = [chart_decompose(line, z, T)[0].coords for z in (0, 1, -1)]
     fit = [QPoly((f0, (f1 - f_1) / 2, (f1 + f_1) / 2 - f0)) for f0, f1, f_1 in zip(*at)]
-    chart = ChartElem(tuple(fit[p:2 * p]), tuple(fit[2 * p:3 * p]), fit[-1], fit[-2])
-    return chart, tuple(map(QPoly.const, v))
+    return NElem(tuple(fit)), tuple(map(QPoly.const, v))

@@ -5,7 +5,9 @@ Chart coordinates on the punctured line bundle are ordered
     (y, z, X3m, X3l, X1_1..X1_p, X2_1..X2_p),        2p + 4 in total,
 
 with y != 0 the fiber coordinate and z the coordinate on the projective
-W line.  The pulled back one-form is
+W line.  A ChartPoint holds y, z and the chart element, an NElem of the
+chart complement n_m whose f1 column is zero: X1 is its f2 column, X2
+its n2 part and (X3l, X3m) its n3 part.  The pulled back one-form is
 
     theta~ = y (dX3m - z dX3l) + y/2 (X1.dX2 - X2.dX1),
 
@@ -33,9 +35,10 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .bch import ChartElem, _chart_cleared
+from .bch import _chart_cleared
 from .cubic import SymCubic, assumption_holds, cubic_hash, polarize
 from .linalg import mat_det
+from .nilpotent import NElem
 from .sampling import SeededSampler
 from .scalars import (
     HALF,
@@ -63,11 +66,19 @@ def require_assumption(T: SymCubic):
 
 @dataclass(frozen=True)
 class ChartPoint:
-    """Point of the chart on the punctured line bundle (y != 0)."""
+    """Point of the chart on the punctured line bundle (y != 0).
 
-    chart: ChartElem
+    chart: the chart element, an NElem of n_m whose f1 column is zero;
+    a nonzero f1 column raises ValueError.
+    """
+
+    chart: NElem
     z: Fraction
     y: Fraction
+
+    def __post_init__(self):
+        if any(self.chart.col(0)):
+            raise ValueError("a chart element has no f1 column")
 
     @property
     def dim(self) -> int:
@@ -75,11 +86,11 @@ class ChartPoint:
 
     @staticmethod
     def base(p: int, y=Q1) -> "ChartPoint":
-        return ChartPoint(ChartElem.zero(p), Q0, y)
+        return ChartPoint(NElem.zero(p), Q0, y)
 
     def coords(self):
-        c = self.chart
-        return (self.y, self.z, c.x3_m, c.x3_l) + tuple(c.x1) + tuple(c.x2)
+        c, p = self.chart.coords, self.dim
+        return (self.y, self.z, c[-1], c[-2]) + c[p:-2]
 
     @cached_property
     def cleared(self):
@@ -120,9 +131,10 @@ def dtheta_matrix(pt: ChartPoint, T: SymCubic):
 
 
 def sample_chart_point(sampler: SeededSampler, p: int) -> ChartPoint:
-    chart = ChartElem(
-        sampler.vector(p), sampler.vector(p), sampler.fraction(), sampler.fraction()
-    )
+    """Draws x1, x2, x3_m, x3_l, z and y, in that order."""
+    x1, x2 = sampler.vector(p), sampler.vector(p)
+    x3_m, x3_l = sampler.fraction(), sampler.fraction()
+    chart = NElem((Q0,) * p + x1 + x2 + (x3_l, x3_m))
     return ChartPoint(chart, sampler.fraction(), sampler.nonzero_fraction())
 
 

@@ -25,7 +25,7 @@ once.  Any other coordinate raises TypeError.  ``cubic_eval`` and
 ``trilinear`` pair that polarization's int numerators with one more
 vector's and build a single Fraction.  The group law reads n's stored
 table (``nilpotent.bracket_views``), which is built from ``T.scaled()``.
-All three tables are memoized on the tensor.
+Both tables are memoized on the tensor.
 
 The surjectivity condition on B (rank of the span of all B(e_i, e_j)
 equal to p) is what makes the downstream geometry work; it is exposed
@@ -98,7 +98,7 @@ class SymCubic:
     """Symmetric trilinear tensor on Q^p (sparse, canonical i<=j<=k keys)."""
 
     # _bracket holds n's structure constants, kept by nilpotent.bracket_views.
-    __slots__ = ("dim", "entries", "_grouped", "_scaled", "_b_rank", "_reduced", "_bracket")
+    __slots__ = ("dim", "entries", "_scaled", "_b_rank", "_reduced", "_bracket")
 
     def __init__(self, dim: int, entries):
         if dim < 1:
@@ -115,7 +115,6 @@ class SymCubic:
             if v:
                 canon[(i, j, k)] = v
         self.entries = canon
-        self._grouped = None
         self._scaled = None
         self._bracket = None
         self._b_rank = None
@@ -124,24 +123,18 @@ class SymCubic:
     def value(self, i, j, k) -> Fraction:
         return self.entries.get(_canonical_triple(i, j, k), Q0)
 
-    def grouped(self):
-        """Row i: (j, k, value) for each ordered permutation (i, j, k) of an entry."""
-        if self._grouped is None:
-            rows = [[] for _ in range(self.dim)]
-            for tri, val in sorted(self.entries.items()):
-                for i, j, k in _distinct_perms(tri):
-                    rows[i].append((j, k, val))
-            self._grouped = tuple(map(tuple, rows))
-        return self._grouped
-
     def scaled(self):
-        """(d, grouped() times d), d the lcm of the entries' denominators."""
+        """(d, rows), d the lcm of the entries' denominators: row i holds
+        (j, k, d T_ijk), an int, for each ordered permutation (i, j, k)
+        of an entry."""
         if self._scaled is None:
             d = lcm(*(v.denominator for v in self.entries.values()))
-            self._scaled = d, tuple(
-                tuple((j, k, v.numerator * (d // v.denominator)) for j, k, v in row)
-                for row in self.grouped()
-            )
+            rows = [[] for _ in range(self.dim)]
+            for tri, val in sorted(self.entries.items()):
+                v = val.numerator * (d // val.denominator)
+                for i, j, k in _distinct_perms(tri):
+                    rows[i].append((j, k, v))
+            self._scaled = d, tuple(map(tuple, rows))
         return self._scaled
 
     def items_canonical(self):

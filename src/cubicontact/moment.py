@@ -27,53 +27,69 @@ exactly at every chart point, which is the moment variety equation (the
 naive unscaled identification satisfies it only up to a factor 2, an
 artifact of c(v,v,.) being the full polarization).  The same point has
 the closed form of moment_point_closed_form, which the moment suite
-checks it against.  theta~'s coefficients, contact.one_form_coefficients,
-are in the orientation in which these fundamental vector fields are
-contact vector fields (see the contact module).  boundary_report reads
+checks it against.  A MomentPoint is one ClearedVector of n*'s 3p + 2
+coordinates, phi2, phi3, then phi1 row by row; both functions build it
+from cleared ints, and the suite compares and tests the cleared forms.
+theta~'s coefficients, contact.one_form_coefficients, are in the
+orientation in which these fundamental vector fields are contact vector
+fields (see the contact module).  boundary_report reads
 the finite field smoothness probe, which lives with the cubic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 from .contact import ChartPoint, one_form_coefficients, require_assumption
 from .cubic import DimensionMismatchError, SymCubic, cubic_hash, smoothness_probe
 from .nilpotent import NElem, SlWElem, act_slw, bracket_transpose
-from .scalars import ClearedVector, cleared_form, contract_cleared, dot, frac
+from .scalars import ClearedVector, cleared_form, contract_cleared, dot
 
 
-@dataclass(frozen=True)
-class MomentPoint:
-    """Triple (phi1, phi2, phi3) in the dual of n.
+class MomentPoint(ClearedVector):
+    """A point (phi1, phi2, phi3) of the dual of n, as its 3p + 2
+    coordinates in the order phi2, phi3, then phi1 row by row:
 
     phi1: p rows of (f1 column, f2 column), an element of V* (x) W
     phi2: vector in V (the dual of n2)
     phi3: (f1, f2) coordinates of an element of W
     """
 
-    phi1: tuple
-    phi2: tuple
-    phi3: tuple
+    @staticmethod
+    def from_parts(phi1, phi2, phi3) -> "MomentPoint":
+        return MomentPoint(tuple(phi2) + tuple(phi3) + tuple(chain.from_iterable(phi1)))
 
     @property
     def dim(self) -> int:
-        return len(self.phi2)
+        return (len(self) - 2) // 3
+
+    @property
+    def phi1(self):
+        c, p = self.coords, self.dim
+        return tuple(zip(c[p + 2::2], c[p + 3::2]))
+
+    @property
+    def phi2(self):
+        return self.coords[:self.dim]
+
+    @property
+    def phi3(self):
+        p = self.dim
+        return self.coords[p:p + 2]
 
 
 def moment_membership(m: MomentPoint, T: SymCubic) -> bool:
     """Exact test of omega(phi1, phi3) = c(phi2, phi2, .).
 
-    Both sides are compared as int vectors: phi's coordinates cleared
-    over d, omega(phi1, phi3) over d^2 and c(phi2, phi2, .) over dt d^2
-    from one contraction with T's integer table.
+    Both sides are compared as int vectors: m's cleared coordinates over
+    d, omega(phi1, phi3) over d^2 and c(phi2, phi2, .) over dt d^2 from
+    one contraction with T's integer table.
     """
     p = T.dim
-    if m.dim != p or len(m.phi1) != p:
+    if len(m) != 3 * p + 2:
         raise ValueError("dimension mismatch")
-    nums, d = cleared_form(tuple(map(frac, chain(m.phi2, m.phi3, *m.phi1))))
+    nums, d = cleared_form(m)
     phi2, (g1, g2), phi1 = nums[:p], nums[p:p + 2], nums[p + 2:]
     dt, rows = T.scaled()
     rhs, _d = contract_cleared(rows, (phi2, d), (phi2, d), p, dt)
@@ -135,7 +151,7 @@ def moment_of(pt: ChartPoint, A, T: SymCubic) -> Fraction:
     A's coordinates are rational; any other raises TypeError."""
     _refuse(pt, T)
     if isinstance(A, SlWElem):
-        return dot(_pullback(pt, T), act_slw(A, pt.chart.to_nelem()))
+        return dot(_pullback(pt, T), act_slw(A, pt.chart))
     if not isinstance(A, NElem):
         raise TypeError(f"unsupported generator {A!r}")
     if A.dim != T.dim:
@@ -148,30 +164,21 @@ def moment_point_at(pt: ChartPoint, T: SymCubic) -> MomentPoint:
 
     phi's values on the basis of n are presented in V* (x) W and W
     coordinates through the symplectic identifications (the n1 block
-    scaled by -2, see the module note), each coordinate built once
-    from phi's cleared numerators.
+    scaled by -2, see the module note), on phi's cleared numerators.
     """
     _refuse(pt, T)
     p = T.dim
     mu, den = _moment_covector(pt, T).cleared
-
-    def phi(i, c=1):
-        return Fraction(c * mu[i], den)
-
-    return MomentPoint(
-        phi1=tuple((phi(p + k, -2), phi(k, 2)) for k in range(p)),
-        phi2=tuple(phi(2 * p + k) for k in range(p)),
-        phi3=(phi(3 * p + 1), phi(3 * p, -1)),
-    )
+    phi1 = chain.from_iterable((-2 * mu[p + k], 2 * mu[k]) for k in range(p))
+    return MomentPoint.of_cleared([*mu[2 * p:3 * p], mu[3 * p + 1], -mu[3 * p], *phi1], den)
 
 
 def moment_point_closed_form(pt: ChartPoint, T: SymCubic) -> MomentPoint:
     """The moment point at pt from its closed form, independent of phi.
 
     phi1_k = (2y X2_k, 2yz X2_k + y B(X1, X1)_k), phi2 = y X1,
-    phi3 = (y, yz): each coordinate built once from pt's cleared ints,
-    over d, and B(X1, X1), over dt d^2 from one contraction with T's
-    integer table.
+    phi3 = (y, yz): over dt d^3 from pt's cleared ints, over d, and
+    B(X1, X1), over dt d^2 from one contraction with T's integer table.
     """
     _refuse(pt, T)
     p = pt.dim
@@ -179,15 +186,9 @@ def moment_point_closed_form(pt: ChartPoint, T: SymCubic) -> MomentPoint:
     x1, x2 = xs[:p], xs[p:]
     dt, rows = T.scaled()
     b, _db = contract_cleared(rows, (x1, d), (x1, d), p, dt)
-    d2, d3 = d * d, dt * d ** 3
-    return MomentPoint(
-        phi1=tuple(
-            (Fraction(2 * y * e, d2), Fraction(y * (2 * dt * z * e + bk), d3))
-            for e, bk in zip(x2, b)
-        ),
-        phi2=tuple(Fraction(y * a, d2) for a in x1),
-        phi3=(Fraction(y, d), Fraction(y * z, d2)),
-    )
+    yd = y * dt * d  # phi2 and the f1 column of phi1 are over d^2
+    phi1 = chain.from_iterable((2 * yd * e, y * (2 * dt * z * e + bk)) for e, bk in zip(x2, b))
+    return MomentPoint.of_cleared([*(yd * a for a in x1), yd * d, yd * z, *phi1], dt * d ** 3)
 
 
 def boundary_report(

@@ -29,21 +29,19 @@ class SeededSampler:
         span = hi - lo + 1
         return lo + self.bits(32) % span
 
-    def _words(self, n: int):
-        """n 32-bit words of the stream from one getrandbits(32 n) call.
+    def _words(self, n: int) -> bytes:
+        """n 32-bit words of the stream, 4n little-endian bytes from one
+        getrandbits(32 n) call.
 
         It fills its words least significant first, in the order n
         successive getrandbits(32) calls return them, so the stream is
         the same as drawing word by word.
         """
-        return struct.unpack(
-            "<%dI" % n, self._rng.getrandbits(32 * n).to_bytes(4 * n, "little")
-        )
+        return self._rng.getrandbits(32 * n).to_bytes(4 * n, "little")
 
     def fraction(self) -> Fraction:
         """num / den, num in [-6, 6] and den in [1, 3], from two words."""
-        num = self.bits() % 13
-        return _FRACTIONS[num][self.bits() % 3]
+        return self.vector(1)[0]
 
     def nonzero_fraction(self) -> Fraction:
         while True:
@@ -52,10 +50,11 @@ class SeededSampler:
                 return f
 
     def vector(self, p: int):
-        """p successive fraction() draws, from 2p words read at once."""
-        words = self._words(2 * p)
-        return tuple(_FRACTIONS[a % 13][b % 3] for a, b in zip(words[::2], words[1::2]))
+        """p successive fraction() draws, from 2p words read at once: a
+        numerator word, then a denominator word, for each."""
+        pairs = struct.iter_unpack("<II", self._words(2 * p))
+        return tuple([_FRACTIONS[a % 13][b % 3] for a, b in pairs])
 
     def residue_vector(self, p: int, q: int):
         """p residues mod q, each from one 32-bit word of the stream."""
-        return [w % q for w in self._words(p)]
+        return [w % q for w in struct.unpack("<%dI" % p, self._words(p))]

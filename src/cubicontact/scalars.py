@@ -11,11 +11,12 @@ forms in ints, building each output coordinate once instead of one
 Fraction operation per term (common-denominator arithmetic; Geddes,
 Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9).  A
 ``ClearedVector`` holds a vector as coordinates or as its cleared form
-and builds each from the other on first read; ``nilpotent.NElem`` is
-one.  ``contract`` reads a ClearedVector's form, or clears a coordinate
-vector, and runs the kernel.  ``cubic.polarize`` goes through it, and
-so does ``dot``, the pairing of a covector with a vector, which is
-``contract`` with diagonal rows.  The moment map, ``chart_decompose``,
+and builds each from the other on first read; ``nilpotent.NElem`` and
+``moment.MomentPoint`` are ClearedVectors.  ``contract`` reads a
+ClearedVector's form, or clears a coordinate vector, and runs the
+kernel.  ``cubic.polarize`` goes through it, and so does ``dot``, the
+pairing of a covector with a vector, which is ``contract`` with
+diagonal rows.  The moment map, ``chart_decompose``,
 the tau check, ``cubic_eval``, and n's bracket in ``nilpotent.bracket``,
 ``nilpotent.bracket_transpose`` and the group law (``bch._series``), all
 over the rows of ``nilpotent.bracket_views``, call the kernel on cleared
@@ -62,7 +63,8 @@ def frac(x) -> Fraction:
 class QPoly:
     """Univariate polynomial over Q: ``coeffs`` holds its coefficients as
     Fractions, lowest degree first, without trailing zeros.  The zero
-    polynomial has no coefficients and degree -1."""
+    polynomial has no coefficients and degree -1, and is the one false
+    QPoly, so an NElem of QPolys answers is_zero()."""
 
     __slots__ = ("coeffs",)
 
@@ -81,6 +83,9 @@ class QPoly:
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, QPoly):

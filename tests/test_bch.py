@@ -2,23 +2,21 @@ import importlib
 from fractions import Fraction as F
 
 import pytest
+from conftest import chart_elem
 from hypothesis import given, settings, strategies as st
 from test_closed_forms import as_ref_chart, ref_bch
 from test_scalar_references import RefQPoly, as_ref_qpoly, kronecker_digits
 
 from cubicontact import verify
 from cubicontact.bch import (
-    ChartElem,
-    GroupElem,
     bch,
     chart_decompose,
     exp_diff,
     exp_diff_inv,
-    group_inv,
-    group_mul,
     roundtrip_bound,
     solve_line_coordinates,
 )
+from cubicontact.contact import ChartPoint
 from cubicontact.cubic import DimensionMismatchError, SymCubic
 from cubicontact.catalog import catalog_get
 from cubicontact.nilpotent import NElem, basis_element, bracket, kronecker_points, n_dim
@@ -77,17 +75,16 @@ def test_bch_no_grade_one_correction():
 
 
 def test_group_laws():
+    # A group element is its log: the product is bch, the inverse -a.
     sampler = SeededSampler(10)
-    e = GroupElem.identity(2)
+    e = NElem.zero(2)
     for _ in range(25):
-        a = GroupElem(sample_nelem(sampler, 2))
-        b = GroupElem(sample_nelem(sampler, 2))
-        c = GroupElem(sample_nelem(sampler, 2))
-        assert group_mul(a, group_inv(a), T2).log.is_zero()
-        assert group_mul(a, e, T2).log == a.log
-        left = group_mul(group_mul(a, b, T2), c, T2)
-        right = group_mul(a, group_mul(b, c, T2), T2)
-        assert left.log == right.log
+        a = sample_nelem(sampler, 2)
+        b = sample_nelem(sampler, 2)
+        c = sample_nelem(sampler, 2)
+        assert bch(a, -a, T2).is_zero()
+        assert bch(a, e, T2) == a
+        assert bch(bch(a, b, T2), c, T2) == bch(a, bch(b, c, T2), T2)
 
 
 def test_exp_diff_at_zero():
@@ -185,7 +182,7 @@ def test_group_suite_reports_broken_inverse_once(monkeypatch):
             H = H + NElem.from_parts(T.dim, n3=(F(1), F(0)))
         return H
 
-    monkeypatch.setattr(bch_module, "bch", no_inverse)
+    monkeypatch.setattr(verify, "bch", no_inverse)
     status, details = verify.run_group_suite(T, cfg)
     assert status == "fail"
     assert details["failures"] == [{"check": "inverse", "sample": 0}]
@@ -269,7 +266,7 @@ def test_exp_diff_linear_in_y(data):
 def _recompose(chart, w, z, T, product=bch):
     """H(X, w (x) p), p = f1 + z f2: the inverse of chart_decompose."""
     wp = NElem.from_parts(chart.dim, col1=w, col2=tuple(z * wi for wi in w))
-    return product(chart.to_nelem(), wp, T)
+    return product(chart, wp, T)
 
 
 def test_chart_decompose_roundtrip():
@@ -278,6 +275,7 @@ def test_chart_decompose_roundtrip():
         u = sample_nelem(sampler, 2)
         z = sampler.fraction()
         chart, w = chart_decompose(u, z, T2)
+        assert chart.col(0) == (F(0),) * 2
         assert _recompose(chart, w, z, T2) == u
     for p in (1, 3):
         with pytest.raises(DimensionMismatchError):
@@ -286,9 +284,7 @@ def test_chart_decompose_roundtrip():
 
 def test_line_solution_zero_vector():
     chart, w = solve_line_coordinates((F(0),), X3)
-    assert all(c == QPoly() for c in chart.x1)
-    assert all(c == QPoly() for c in chart.x2)
-    assert chart.x3_l == QPoly() and chart.x3_m == QPoly()
+    assert chart == NElem((QPoly(),) * 5) and chart.is_zero()
     assert all(c == QPoly() for c in w)
 
 
@@ -297,7 +293,9 @@ def test_line_solution_grade_one_exact():
     for _ in range(10):
         v = sampler.vector(2)
         chart, w = solve_line_coordinates(v, T2)
-        for x, coeff in zip(v, chart.x1):
+        assert chart.col(0) == (QPoly(),) * 2 and not any(chart.col(0))
+        assert chart.is_zero() is not any(v)
+        for x, coeff in zip(v, chart.col(1)):
             assert coeff == QPoly((F(0), -x))
         for x, coeff in zip(v, w):
             assert coeff == QPoly((x,)) if x else coeff == QPoly()
@@ -305,7 +303,7 @@ def test_line_solution_grade_one_exact():
 
 def test_line_solution_sixth_coefficient():
     chart, _w = solve_line_coordinates((F(1),), X3)
-    assert abs(chart.x3_l.coefficient(1)) == F(1, 6)
+    assert abs(chart.n3[0].coefficient(1)) == F(1, 6)
 
 
 def test_line_solution_recomposes():
@@ -324,9 +322,20 @@ def test_line_solution_recomposes():
 
 
 def test_chart_elem_conversion():
-    c = ChartElem((F(1), F(2)), (F(3), F(4)), F(5), F(6))
-    x = c.to_nelem()
+    # A chart element is an NElem of n_m: a ChartPoint reads its chart
+    # coordinates off it and refuses one with a nonzero f1 column.
+    x = chart_elem((F(1), F(2)), (F(3), F(4)), F(5), F(6))
     assert x.col(0) == (F(0), F(0))
     assert x.col(1) == (F(1), F(2))
     assert x.n3 == (F(6), F(5))
     assert x.n2 == (F(3), F(4))
+    pt = ChartPoint(x, F(7), F(8))
+    assert pt.coords() == (F(8), F(7), F(5), F(6), F(1), F(2), F(3), F(4))
+    assert ChartPoint(NElem.of_cleared([0, 0, 2, 4, 6, 8, 12, 10], 2), F(7), F(8)) == pt
+    for bad in (
+        NElem((F(1), F(0)) + x.coords[2:]),
+        NElem((F(0), F(-1, 3)) + x.coords[2:]),
+        NElem.of_cleared([0, 1, 2, 4, 6, 8, 12, 10], 2),
+    ):
+        with pytest.raises(ValueError):
+            ChartPoint(bad, F(7), F(8))

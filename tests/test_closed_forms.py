@@ -24,6 +24,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from conftest import chart_elem
 from hypothesis import assume, given, settings, strategies as st
 from test_scalar_references import (
     RefLinForm,
@@ -47,7 +48,6 @@ from test_slw_flow import (
 
 from cubicontact import moment
 from cubicontact.bch import (
-    ChartElem,
     bch,
     chart_decompose,
     exp_diff,
@@ -116,7 +116,7 @@ def ref_exp_diff_inv(X, Z, T):
 
 def ref_velocity(pt, A, T):
     """The hand-written first-order series of the n-generator flow."""
-    X = pt.chart.to_nelem()
+    X = pt.chart
     V = A + HALF * ref_bracket(A, X, T) + TWELFTH * ref_bracket(X, ref_bracket(X, A, T), T)
     return ref_chart_velocity(pt, V, T)
 
@@ -125,7 +125,7 @@ def ref_chart_velocity(pt, V, T):
     """The chart velocity as the chart element moves along V."""
     z = pt.z
     v_l, v_m = V.col(0), V.col(1)
-    x1, x2 = pt.chart.x1, pt.chart.x2
+    x1, x2 = pt.chart.col(1), pt.chart.n2
     xdot1 = tuple(m - z * l for m, l in zip(v_m, v_l))
     xdot2 = tuple(a + HALF * b for a, b in zip(V.n2, ref_polarize(T, x1, v_l)))
     x2_vl = ref_dot(x2, v_l)
@@ -152,15 +152,12 @@ def _fraction_inputs(T, sampler):
 
 
 def as_ref_chart(chart):
-    """A ChartElem of package QPolys as one of RefQPolys."""
-    return ChartElem(
-        tuple(map(as_ref_qpoly, chart.x1)), tuple(map(as_ref_qpoly, chart.x2)),
-        as_ref_qpoly(chart.x3_m), as_ref_qpoly(chart.x3_l),
-    )
+    """A chart element of package QPolys as one of RefQPolys."""
+    return map_scalars(chart, as_ref_qpoly)
 
 
 def _assert_same_chart(new, ref):
-    """solve_line_coordinates's (ChartElem, w) of QPolys against the
+    """solve_line_coordinates's (X, w) of QPolys against the
     reference's of RefQPolys, coefficient by coefficient."""
     (chart, w), (ref_chart, ref_w) = new, ref
     assert (as_ref_chart(chart), tuple(map(as_ref_qpoly, w))) == (ref_chart, ref_w)
@@ -176,7 +173,7 @@ def _qpoly_inputs(T, sampler):
     w = tuple(map(as_ref_qpoly, w))
     wp = NElem.from_parts(p, col1=w, col2=tuple(zvar * wi for wi in w))
     line = NElem.from_parts(p, col1=tuple(RefQPoly.const(c) for c in v))
-    return as_ref_chart(chart).to_nelem(), wp, line, zvar
+    return as_ref_chart(chart), wp, line, zvar
 
 
 def _jet_inputs(T, sampler):
@@ -184,13 +181,13 @@ def _jet_inputs(T, sampler):
     sl(W) generators [[a, b], [c, -a]], and z moved along the first."""
     pt = sample_chart_point(sampler, T.dim)
     t = RefQPoly.x()
-    x1, x3l, x3m = pt.chart.x1, pt.chart.x3_l, pt.chart.x3_m
+    x1, (x3l, x3m) = pt.chart.col(1), pt.chart.n3
     X, Y = (
         NElem.from_parts(
             T.dim,
             col1=tuple(t * (b * x) for x in x1),
             col2=tuple(x - t * (a * x) for x in x1),
-            n2=tuple(RefQPoly.const(x) for x in pt.chart.x2),
+            n2=tuple(RefQPoly.const(x) for x in pt.chart.n2),
             n3=(x3l + t * (a * x3l + b * x3m), x3m + t * (c * x3l - a * x3m)),
         )
         for a, b, c in ((1, 2, 3), (-2, 1, 5))
@@ -226,7 +223,8 @@ def _assert_refused(X, Y, z, T):
 def _assert_point_refused(pt, T):
     """pt with one RefQPoly coordinate, its z or one in its chart element:
     one_form_coefficients and moment_point_at raise TypeError."""
-    moved = ChartElem(pt.chart.x1, pt.chart.x2, RefQPoly.x() + pt.chart.x3_m, pt.chart.x3_l)
+    x3_l, x3_m = pt.chart.n3
+    moved = chart_elem(pt.chart.col(1), pt.chart.n2, RefQPoly.x() + x3_m, x3_l)
     for bad in (ChartPoint(pt.chart, RefQPoly.x(), pt.y), ChartPoint(moved, pt.z, pt.y)):
         for fn in (one_form_coefficients, lambda q: moment.moment_point_at(q, T)):
             with pytest.raises(TypeError):
@@ -615,7 +613,7 @@ def ref_moment_values(pt, T):
 
 def _assembled(mu, p):
     """moment_point_at's presentation of the values mu(i) on the basis."""
-    return MomentPoint(
+    return MomentPoint.from_parts(
         phi1=tuple((-2 * mu(p + k), 2 * mu(k)) for k in range(p)),
         phi2=tuple(mu(2 * p + k) for k in range(p)),
         phi3=(mu(3 * p + 1), -mu(3 * p)),
@@ -637,14 +635,14 @@ def test_rational_chart_decompose_matches_reference(data, T):
     z = data.draw(st.sampled_from((0, Q0, -3, Fraction(-5, 3))) | big_fractions)
     chart, w = chart_decompose(U, z, T)
     assert (chart, w) == ref_chart_decompose(U, z, T)
-    assert all(type(c) is Fraction for c in chart.to_nelem().coords)
+    assert all(type(c) is Fraction for c in chart.coords)
 
 
 @st.composite
 def edge_chart_points(draw, p):
     """Chart points whose x1, x2 or z may be zero and whose y may be negative."""
     vectors = st.just((Q0,) * p) | st.lists(big_fractions, min_size=p, max_size=p).map(tuple)
-    chart = ChartElem(draw(vectors), draw(vectors), draw(big_fractions), draw(big_fractions))
+    chart = chart_elem(draw(vectors), draw(vectors), draw(big_fractions), draw(big_fractions))
     return ChartPoint(chart, draw(big_fractions), draw(nonzero_fractions))
 
 
@@ -690,7 +688,7 @@ def test_pullback_and_bracket_transpose_match_references(data, T):
         for n in (p, p, p, 2)
     ]
     u = ClearedVector(tuple(data.draw(st.lists(big_fractions, min_size=size, max_size=size))))
-    for x in (pt.chart.to_nelem(), NElem(tuple(sum(blocks, [])))):
+    for x in (pt.chart, NElem(tuple(sum(blocks, [])))):
         for v in (xi, u):
             got = ClearedVector.of_cleared(*bracket_transpose(x.cleared, v.cleared, T))
             assert got == tuple(_dot(v, ref_bracket(x, b, T)) for b in basis)

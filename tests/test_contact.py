@@ -3,10 +3,10 @@ from fractions import Fraction as F
 import inspect
 
 import pytest
-from conftest import sparse_rows
+from conftest import chart_elem, sparse_rows
 
 from cubicontact import contact, moment, verify
-from cubicontact.bch import ChartElem, solve_line_coordinates
+from cubicontact.bch import solve_line_coordinates
 from cubicontact.catalog import catalog_get, catalog_list
 from cubicontact.contact import (
     AssumptionError,
@@ -24,6 +24,7 @@ from cubicontact.cubic import SymCubic, cubic_eval, polarize
 from cubicontact.extraction import algebra_for, extraction
 from cubicontact.linalg import mat_det
 from cubicontact.moment import moment_membership, moment_point_at
+from cubicontact.nilpotent import NElem
 from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
 from cubicontact.scalars import HALF, Q0, ClearedVector, dot
@@ -58,9 +59,9 @@ def theta(X, Z, T):
     require_assumption(T)
     if X.dim != Z.dim or X.dim != T.dim:
         raise ValueError("dimension mismatch")
-    x2_z1 = sum((a * b for a, b in zip(X.x2, Z.x1)), Q0)
-    z2_x1 = sum((a * b for a, b in zip(Z.x2, X.x1)), Q0)
-    return Z.x3_m + HALF * (z2_x1 - x2_z1)
+    x2_z1 = sum((a * b for a, b in zip(X.n2, Z.col(1))), Q0)
+    z2_x1 = sum((a * b for a, b in zip(Z.n2, X.col(1))), Q0)
+    return Z.n3[1] + HALF * (z2_x1 - x2_z1)
 
 
 def symplectic_pairing_D(d1, d2, T):
@@ -119,25 +120,25 @@ def tau_closure_sample(v, t, T):
 
 
 def test_theta_at_base_point_is_x3m_coefficient():
-    z = ChartElem((F(2),), (F(3),), F(7), F(4))
-    assert theta(ChartElem.zero(1), z, X3) == 7
+    z = chart_elem((F(2),), (F(3),), F(7), F(4))
+    assert theta(NElem.zero(1), z, X3) == 7
 
 
 def test_theta_kills_chart_directions_with_zero_x3m():
-    z = ChartElem((F(2),), (F(3),), F(0), F(4))
-    assert theta(ChartElem.zero(1), z, X3) == 0
+    z = chart_elem((F(2),), (F(3),), F(0), F(4))
+    assert theta(NElem.zero(1), z, X3) == 0
 
 
 def test_theta_half_term():
-    x = ChartElem((F(0),), (F(1),), F(0), F(0))
-    z = ChartElem((F(1),), (F(0),), F(0), F(0))
+    x = chart_elem((F(0),), (F(1),), F(0), F(0))
+    z = chart_elem((F(1),), (F(0),), F(0), F(0))
     assert theta(x, z, X3) == F(-1, 2)
     assert theta(z, x, X3) == F(1, 2)
 
 
 def test_theta_refuses_assumption_violation():
     with pytest.raises(AssumptionError):
-        theta(ChartElem.zero(1), ChartElem.zero(1), ZERO1)
+        theta(NElem.zero(1), NElem.zero(1), ZERO1)
 
 
 def test_dtheta_base_point_entries_p1():
@@ -184,7 +185,7 @@ def _display_one_form_value(pt, velocity):
     """theta~ in the published display orientation, the opposite sign on
     the X2 terms: y (dX3m - z dX3l) + y/2 (X2.dX1 - X1.dX2)."""
     p = pt.dim
-    x1, x2 = pt.chart.x1, pt.chart.x2
+    x1, x2 = pt.chart.col(1), pt.chart.n2
     acc = Q0
     for i in range(p):
         acc += x2[i] * velocity[4 + i] - x1[i] * velocity[4 + p + i]
@@ -193,7 +194,7 @@ def _display_one_form_value(pt, velocity):
 
 def _display_one_form_coefficients(pt):
     """The coefficients of _display_one_form_value, in coords() order."""
-    y, x1, x2 = pt.y, pt.chart.x1, pt.chart.x2
+    y, x1, x2 = pt.y, pt.chart.col(1), pt.chart.n2
     head = (Q0, Q0, y, -y * pt.z)
     return ClearedVector(head + tuple(HALF * y * e for e in x2) + tuple(-HALF * y * a for a in x1))
 
@@ -243,7 +244,7 @@ def _moved_point(pt, a):
     """pt with coordinate a moved by 1."""
     coords = [c + 1 if i == a else c for i, c in enumerate(pt.coords())]
     p = pt.dim
-    chart = ChartElem(
+    chart = chart_elem(
         tuple(coords[4: 4 + p]), tuple(coords[4 + p:]), coords[2], coords[3]
     )
     return ChartPoint(chart, coords[1], coords[0])
@@ -269,7 +270,7 @@ def test_dtheta_stores_at_most_6p_plus_6_entries():
 
 
 def test_dtheta_requires_nonzero_y():
-    pt = ChartPoint(ChartElem.zero(1), F(0), F(0))
+    pt = ChartPoint(NElem.zero(1), F(0), F(0))
     with pytest.raises(ValueError):
         dtheta_matrix(pt, X3)
 
@@ -425,11 +426,11 @@ def test_tau_line_constants_and_match(name):
     for v in [(F(0),) * p] + [sampler.vector(p) for _ in range(20)]:
         # Degree-1 line coefficients are (-v, -B(v,v)/2, c(v)/6).
         chart, _w = solve_line_coordinates(v, T)
-        assert [c.coefficient(1) for c in chart.x1] == [-x for x in v]
-        assert [c.coefficient(1) for c in chart.x2] == [
+        assert [c.coefficient(1) for c in chart.col(1)] == [-x for x in v]
+        assert [c.coefficient(1) for c in chart.n2] == [
             -x / 2 for x in polarize(T, v, v)
         ]
-        assert chart.x3_l.coefficient(1) == cubic_eval(T, v) / 6
+        assert chart.n3[0].coefficient(1) == cubic_eval(T, v) / 6
         assert tau_matches_line_expansion(v, T)
     # Int coordinates are accepted; a wrong length raises, not truncates.
     assert tau_matches_line_expansion(tuple(range(-1, p - 1)), T)

@@ -112,12 +112,14 @@ def test_grouped_and_scaled_tables():
     T = SymCubic(3, {(0, 0, 1): F(1, 2), (1, 2, 2): 2, (0, 1, 2): F(-1, 3)})
     d, rows = T.scaled()
     assert d == 6
-    grouped = T.grouped()
-    assert [[(j, k, F(v, d)) for j, k, v in row] for row in rows] == [list(r) for r in grouped]
     assert all(type(v) is int for row in rows for _j, _k, v in row)
-    # Row i holds every ordered permutation starting with i.
-    assert sorted((j, k) for j, k, _v in grouped[0]) == [(0, 1), (1, 0), (1, 2), (2, 1)]
-    assert sum(len(r) for r in grouped) == 3 + 3 + 6
+    # Row i over d holds T(i, j, k) once for every ordered permutation
+    # (i, j, k) of an entry, in the order of the sorted entries.
+    for i, row in enumerate(rows):
+        want = {(j, k): T.value(i, j, k) for j in range(3) for k in range(3) if T.value(i, j, k)}
+        assert len(row) == len(want) and {(j, k): F(v, d) for j, k, v in row} == want
+    assert rows[0] == ((0, 1, 3), (1, 0, 3), (1, 2, -2), (2, 1, -2))
+    assert sum(len(r) for r in rows) == 3 + 3 + 6
 
 
 def test_eval_equals_polarization_on_diagonal():

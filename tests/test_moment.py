@@ -35,18 +35,18 @@ FERMAT3 = SymCubic(3, {(i, i, i): 1 for i in range(3)})
 
 
 def test_membership_zero_triple():
-    m = MomentPoint(((F(0), F(0)),), (F(0),), (F(0), F(0)))
+    m = MomentPoint.from_parts(((F(0), F(0)),), (F(0),), (F(0), F(0)))
     assert moment_membership(m, X3)
 
 
 def test_membership_hand_true_case():
     # phi1 with f1 column -1, phi2 = 1, phi3 = f2 contracts to B(1,1).
-    m = MomentPoint(((F(-1), F(0)),), (F(1),), (F(0), F(1)))
+    m = MomentPoint.from_parts(((F(-1), F(0)),), (F(1),), (F(0), F(1)))
     assert moment_membership(m, X3)
 
 
 def test_membership_hand_false_case():
-    m = MomentPoint(((F(0), F(0)),), (F(1),), (F(0), F(0)))
+    m = MomentPoint.from_parts(((F(0), F(0)),), (F(1),), (F(0), F(0)))
     assert not moment_membership(m, X3)
 
 
@@ -173,7 +173,7 @@ def _moment_point_by_basis_loop(pt, T):
         moment_of(pt, NElem.from_parts(p, n3=(1, 0)), T),
         moment_of(pt, NElem.from_parts(p, n3=(0, 1)), T),
     ]
-    return MomentPoint(
+    return MomentPoint.from_parts(
         phi1=tuple((-2 * mu1[k][1], 2 * mu1[k][0]) for k in range(p)),
         phi2=tuple(mu2),
         phi3=(mu3[1], -mu3[0]),

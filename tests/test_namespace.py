@@ -29,8 +29,7 @@ EXPORTED = frozenset(
     b_rank assumption_holds cubic_eval cubic_hash dumps_tensor from_cubic_monomials
     load_tensor loads_tensor normalize_cubic polarize reduce_mod trilinear
     NElem SlWElem act_slw bracket dim_report n_dim verify_jacobi
-    ChartElem GroupElem bch chart_decompose exp_diff exp_diff_inv group_inv group_mul
-    solve_line_coordinates
+    bch chart_decompose exp_diff exp_diff_inv solve_line_coordinates
     AssumptionError ChartPoint dtheta_matrix nondegeneracy_certificate tau
     tau_line_constants tau_matches_line_expansion
     MomentPoint ProbeVerdict boundary_report moment_membership moment_of

@@ -24,7 +24,10 @@ Every module of ``cubicontact`` is parsed and walked:
   * no module defines, imports or reads the formal rings the package
     computed over before its kernels became rational-only: ``LinForm``,
     ``_FormalSum``, the per-term form ``TERMS``, ``generic_element``
-    and the linear series over them, ``_linear_series`` and ``_add_into``.
+    and the linear series over them, ``_linear_series`` and ``_add_into``;
+  * nor the wrappers of one element of n it kept before a group element
+    and a chart element became NElems: ``GroupElem``, ``group_mul``,
+    ``group_inv``, ``ChartElem`` and ``to_nelem``.
 """
 
 import ast
@@ -152,6 +155,25 @@ def test_contraction_kernel_is_defined_only_in_scalars(path):
 
 
 RETIRED = {"LinForm", "_FormalSum", "TERMS", "generic_element", "_linear_series", "_add_into"}
+WRAPPERS = {"GroupElem", "group_mul", "group_inv", "ChartElem", "to_nelem"}
+
+
+def _uses(path, names):
+    """Each definition, name, attribute or import alias in names."""
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found = [node.name]
+        elif isinstance(node, ast.Name):
+            found = [node.id]
+        elif isinstance(node, ast.Attribute):
+            found = [node.attr]
+        elif isinstance(node, ast.alias):
+            found = [node.name, node.asname]
+        else:
+            continue
+        bad += [f"{_where(path, node)} {name}" for name in found if name in names]
+    return bad
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -159,17 +181,11 @@ def test_formal_rings_stay_retired(path):
     # Every kernel takes rational coordinates; a map linear in its
     # argument is checked at one Kronecker point instead of on a
     # generic element of formal linear forms.
-    bad = []
-    for node in ast.walk(_tree(path)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Name):
-            names = [node.id]
-        elif isinstance(node, ast.Attribute):
-            names = [node.attr]
-        elif isinstance(node, ast.alias):
-            names = [node.name, node.asname]
-        else:
-            continue
-        bad += [f"{_where(path, node)} {name}" for name in names if name in RETIRED]
-    assert not bad
+    assert not _uses(path, RETIRED)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_element_wrappers_stay_retired(path):
+    # A group element is its log and a chart element an NElem with a
+    # zero f1 column: no module wraps an element of n in another type.
+    assert not _uses(path, WRAPPERS)

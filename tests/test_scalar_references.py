@@ -18,9 +18,10 @@ reference rings' coordinates with TypeError.
 from fractions import Fraction
 
 import pytest
+from conftest import chart_elem
 from hypothesis import given, settings, strategies as st
 
-from cubicontact.bch import ChartElem, chart_decompose, solve_line_coordinates
+from cubicontact.bch import chart_decompose, solve_line_coordinates
 from cubicontact.catalog import catalog_get
 from cubicontact.contact import sample_chart_point
 from cubicontact.cubic import SymCubic, polarize
@@ -240,13 +241,14 @@ def kronecker_digits(v, z, den):
 def ref_polarize(T, v1, v2):
     """polarize as one ring operation per term."""
     out = [Q0] * T.dim
-    for a, row in zip(v1, T.grouped()):
+    dt, rows = T.scaled()
+    for a, row in zip(v1, rows):
         if not a:
             continue
-        for j, k, val in row:
+        for j, k, c in row:
             b = v2[j]
             if b:
-                out[k] = out[k] + val * a * b
+                out[k] = out[k] + Fraction(c, dt) * a * b
     return tuple(out)
 
 
@@ -283,7 +285,7 @@ def ref_chart_decompose(U, z, T):
     t_x1ww = ref_trilinear(T, x1, w, w)
     x3_l = U.n3[0] - HALF * x2w + TWELFTH * t_x1ww
     x3_m = U.n3[1] - HALF * (z * x2w) - TWELFTH * t_x1x1w + TWELFTH * (z * t_x1ww)
-    return ChartElem(x1, x2, x3_m, x3_l), w
+    return chart_elem(x1, x2, x3_m, x3_l), w
 
 
 # --- drawn inputs -----------------------------------------------------------
@@ -353,6 +355,7 @@ def test_qpoly_and_linform_read_outs():
     assert p.coeffs == (Fraction(1, 2), Q0, Fraction(-3, 4)) and p.degree() == 2
     assert p.coefficient(2) == Fraction(-3, 4) and p.coefficient(5) == p.coefficient(-1) == 0
     assert QPoly((0, 0)) == QPoly() and QPoly().degree() == -1 and QPoly() != 0
+    assert not QPoly((0, 0)) and QPoly((0, 1)) and QPoly((-1,))
     assert QPoly(("1/3",)) == QPoly.const(Fraction(1, 3))
     f = RefLinForm({2: Fraction(2, 6), 5: Fraction(4)})
     assert f.coefficient(2) == Fraction(1, 3) and f.coefficient(3) == 0
@@ -381,12 +384,8 @@ def test_line_solve_over_reference_qpoly(name):
             chart_decompose(U, RefQPoly.x(), T)
         chart, w = ref_chart_decompose(U, RefQPoly.x(), T)
         new_chart, new_w = solve_line_coordinates(v, T)
-        pairs = (
-            list(zip(new_chart.x1, chart.x1)) + list(zip(new_chart.x2, chart.x2))
-            + list(zip(new_w, w))
-            + [(new_chart.x3_l, chart.x3_l), (new_chart.x3_m, chart.x3_m)]
-        )
-        for new, ref in pairs:
+        assert new_chart.col(0) == (QPoly(),) * p and chart.col(0) == (Q0,) * p
+        for new, ref in zip(new_chart.coords[p:] + new_w, chart.coords[p:] + w):
             _same_qpoly(new, ref)
 
 
@@ -403,7 +402,7 @@ def test_moment_map_over_reference_linform(name):
         with pytest.raises(TypeError):
             moment_of(pt, ref_generic_element(p), T)
         mu = [moment_of(pt, basis_element(p, i), T) for i in range(3 * p + 2)]
-        want = MomentPoint(
+        want = MomentPoint.from_parts(
             phi1=tuple((-2 * mu[p + k], 2 * mu[k]) for k in range(p)),
             phi2=tuple(mu[2 * p + k] for k in range(p)),
             phi3=(mu[3 * p + 1], -mu[3 * p]),

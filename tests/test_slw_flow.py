@@ -103,7 +103,7 @@ class Jet:
 def ref_one_form_value(pt, velocity):
     """theta~ on a coordinate velocity, one ring operation per term."""
     p = pt.dim
-    x1, x2 = pt.chart.x1, pt.chart.x2
+    x1, x2 = pt.chart.col(1), pt.chart.n2
     acc = Q0
     for i in range(p):
         acc = acc + x1[i] * velocity[4 + p + i] - x2[i] * velocity[4 + i]
@@ -120,9 +120,9 @@ def ref_velocity_from_slw_generator(pt, A, T):
     lam = 1 + eps * (a + pt.z * b)
     znew = (z + eps * (c - pt.z * a)) / lam
     ynew = y * lam
-    x1 = pt.chart.x1
-    x2 = pt.chart.x2
-    x3l, x3m = pt.chart.x3_l, pt.chart.x3_m
+    x1 = pt.chart.col(1)
+    x2 = pt.chart.n2
+    x3l, x3m = pt.chart.n3
     U = NElem.from_parts(
         p,
         col1=tuple(eps * (b * t) for t in x1),
@@ -137,12 +137,12 @@ def ref_velocity_from_slw_generator(pt, A, T):
     for got, want in (
         (znew.val, pt.z),
         (ynew.val, pt.y),
-        (chart.x3_m.val, pt.chart.x3_m),
+        (chart.n3[1].val, x3m),
     ):
         assert got == want, "the flow moved the base point"
-    xdot1 = tuple(t.eps for t in chart.x1)
-    xdot2 = tuple(t.eps for t in chart.x2)
-    return (ynew.eps, znew.eps, chart.x3_m.eps, chart.x3_l.eps) + xdot1 + xdot2
+    xdot1 = tuple(t.eps for t in chart.col(1))
+    xdot2 = tuple(t.eps for t in chart.n2)
+    return (ynew.eps, znew.eps, chart.n3[1].eps, chart.n3[0].eps) + xdot1 + xdot2
 
 
 def test_jet_derivation_rules():
