@@ -35,18 +35,19 @@ second, [C, U] = -[U, C], walks only the p rows of n2, whose brackets
 land in the centre n3.  The kernel returns its result in that form,
 (nums, den) over one denominator, building no Fraction
 (common-denominator arithmetic; Geddes, Czapor and Labahn, Algorithms
-for Computer Algebra, 1992, ch. 9).  X and Y have rational, int or
-Fraction, coordinates; any other input raises TypeError.  exp_diff and
-exp_diff_inv are linear in Y by construction, so the expdiff suite
-checks their round trip on every basis element of a block at once at
-one Kronecker point (``nilpotent.kronecker_points``), for the bound of
-``roundtrip_bound``.
+for Computer Algebra, 1992, ch. 9).  X and Y are NElems, so their
+coordinates are rational.  exp_diff and exp_diff_inv are linear in Y by
+construction, so the expdiff suite checks their round trip on every
+basis element of a block at once at one Kronecker point
+(``nilpotent.kronecker_points``), for the bound of ``roundtrip_bound``.
 
 ``chart_decompose`` factors exp(U) = exp(X) exp(w (x) p) with X in the
 chart complement n_m = (V (x) f2) + V* + W and p = f1 + z f2, in ints
 for a rational U and z (the tau check); moment linearizes it.  A chart
 element X is an NElem of n_m, its f1 column zero; its chart coordinates
-are x1 = X.col(1), x2 = X.n2 and (x3_l, x3_m) = X.n3.
+are x1 = X.col(1), x2 = X.n2 and (x3_l, x3_m) = X.n3.  On the line
+U = v (x) f1, X is quadratic in z, and ``solve_line_coordinates``
+returns its three rational coefficients.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .nilpotent import NElem, _check_same_dim, bracket_views
 from .scalars import (
     HALF,
     Q0,
-    QPoly,
     SIXTH,
     TWELFTH,
     cleared_form,
@@ -184,17 +184,13 @@ def chart_decompose(U: NElem, z, T: SymCubic):
 
 
 def solve_line_coordinates(v, T: SymCubic):
-    """Solve exp(v (x) f1) = exp(X(z)) exp(w(z) (x) p) exactly over Q[z].
+    """Solve exp(v (x) f1) = exp(X(z)) exp(w (x) p) exactly over Q[z].
 
-    Returns chart_decompose's (X, w), every coordinate a QPoly in the
-    line parameter z, X an NElem (a container of QPolys) whose f1 column
-    is the zero QPoly.  On the line each has degree <= 2 in z, so
-    it is interpolated from its values at z = 0, 1, -1.
+    Returns ((X0, X1, X2), w) with X(z) = X0 + z X1 + z^2 X2, each Xk a
+    rational NElem of n_m whose f1 column is zero, and w = tuple(v).  On
+    the line X has degree <= 2 in z, so its coefficients are
+    interpolated from chart_decompose at z = 0, 1, -1.
     """
-    p = T.dim
-    if len(v) != p:
-        raise ValueError(f"vector length {len(v)} != dim {p}")
-    line = NElem.from_parts(p, col1=v)
-    at = [chart_decompose(line, z, T)[0].coords for z in (0, 1, -1)]
-    fit = [QPoly((f0, (f1 - f_1) / 2, (f1 + f_1) / 2 - f0)) for f0, f1, f_1 in zip(*at)]
-    return NElem(tuple(fit)), tuple(map(QPoly.const, v))
+    line = NElem.from_parts(T.dim, col1=v)
+    x0, x1, x_1 = (chart_decompose(line, z, T)[0] for z in (0, 1, -1))
+    return (x0, HALF * (x1 - x_1), HALF * (x1 + x_1) - x0), tuple(v)

@@ -33,13 +33,12 @@ The brackets of basis elements are kept in one integer table indexed by
 basis position, filled a row at a time on first use from the rules
 above; ``bracket_labels``, ``bracket`` and the Jacobi check all read it.
 It has the format of nilpotent.bracket_table, ints in both, so one
-Jacobi kernel in ``nilpotent`` checks both algebras: the exhaustive
-check compares every stored entry with its transpose and covers the
-jacobiator of every unordered basis triple, each from its smallest
-index; the sampled check evaluates it on seeded triples.  The kernel
+Jacobi kernel in ``nilpotent`` checks both algebras: the check compares
+every stored entry with its transpose and covers the jacobiator of
+every unordered basis triple, each from its smallest index.  The kernel
 reads the table alone: root codes add only here.
 
-The exhaustive check hands the kernel the 2 rank positions of the
+The check hands the kernel the 2 rank positions of the
 e_{+-alpha_i}, which generate the algebra.  On an antisymmetric table
 the x with ad_x a derivation form a subalgebra (ad_x a derivation gives
 ad_[x,y] = [ad_x, ad_y], and a commutator of derivations is one), so
@@ -53,9 +52,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nilpotent import _jacobiator, jacobi_violations
+from .nilpotent import jacobi_violations
 from .rootsystems import RootSystem, _neg
-from .sampling import SeededSampler
 
 
 class StructureConstantError(ValueError):
@@ -290,7 +288,6 @@ class ChevalleyJacobiReport:
     lie_type: str
     rank: int
     dimension: int
-    mode: str
     triples_checked: int
     violations: tuple
 
@@ -299,45 +296,28 @@ class ChevalleyJacobiReport:
         return not self.violations
 
 
-def verify_chevalley_jacobi(
-    alg: ChevalleyAlgebra, sample: int | None = None, seed: int = 0
-) -> ChevalleyJacobiReport:
-    """Jacobi over basis triples; exhaustive when sample is None.
+def verify_chevalley_jacobi(alg: ChevalleyAlgebra, seed: int = 0) -> ChevalleyJacobiReport:
+    """Jacobi over every basis triple, exhaustive.
 
-    Both modes read the algebra's integer structure-constant table and
-    work on basis positions; labels appear only in reported violations.
-
-    Exhaustive mode runs nilpotent.jacobi_violations on the table with
-    the generators e_{+-alpha_i}.  It yields the label pairs whose
-    brackets are not antisymmetric, then every unordered triple with a
-    nonzero jacobiator; the triples it skips have zero jacobiators, so
-    it checks C(d, 3) triples.  On a Lie algebra it evaluates only the
-    jacobiators of each generator with its candidate pairs (12,799 of
-    C(133, 3) on E7); any violation sends it through the walk, which
-    takes each triple from its smallest index.  Sampled mode evaluates
-    the jacobiator of ``sample`` seeded triples.
+    It reads the algebra's integer structure-constant table and works on
+    basis positions; labels appear only in reported violations.  It runs
+    nilpotent.jacobi_violations on the table with the generators
+    e_{+-alpha_i}, which yields the label pairs whose brackets are not
+    antisymmetric, then every unordered triple with a nonzero
+    jacobiator; the triples it skips have zero jacobiators, so it checks
+    C(d, 3) triples.  On a Lie algebra it evaluates only the jacobiators
+    of each generator with its candidate pairs (12,799 of C(133, 3) on
+    E7); any violation sends it through the walk, which takes each
+    triple from its smallest index.  ``seed`` is ignored, since nothing
+    is sampled; it stays for callers that pass one seed to every check,
+    as bench/workloads.py does.
     """
-    labels = alg.labels
-    d = len(labels)
-    rows = alg.table()
-    if sample is None:
-        found = jacobi_violations(rows, alg.simple_root_vectors())
-        checked = d * (d - 1) * (d - 2) // 6
-        mode = "exhaustive"
-    else:
-        sampler = SeededSampler(seed)
-        triples = [
-            tuple(sampler.int_range(0, d - 1) for _ in range(3))
-            for _ in range(sample)
-        ]
-        found = (t for t in triples if _jacobiator(rows, *t))
-        checked = len(triples)
-        mode = "sampled"
+    d = len(alg.labels)
+    found = jacobi_violations(alg.table(), alg.simple_root_vectors())
     return ChevalleyJacobiReport(
         lie_type=alg.rs.lie_type,
         rank=alg.rs.rank,
         dimension=d,
-        mode=mode,
-        triples_checked=checked,
-        violations=tuple(tuple(labels[i] for i in v) for v in found),
+        triples_checked=d * (d - 1) * (d - 2) // 6,
+        violations=tuple(tuple(alg.labels[i] for i in v) for v in found),
     )

@@ -98,7 +98,7 @@ class SymCubic:
     """Symmetric trilinear tensor on Q^p (sparse, canonical i<=j<=k keys)."""
 
     # _bracket holds n's structure constants, kept by nilpotent.bracket_views.
-    __slots__ = ("dim", "entries", "_scaled", "_b_rank", "_reduced", "_bracket")
+    __slots__ = ("dim", "entries", "_scaled", "_b_rank", "_hash", "_reduced", "_bracket")
 
     def __init__(self, dim: int, entries):
         if dim < 1:
@@ -118,6 +118,7 @@ class SymCubic:
         self._scaled = None
         self._bracket = None
         self._b_rank = None
+        self._hash = None
         self._reduced = {}
 
     def value(self, i, j, k) -> Fraction:
@@ -486,5 +487,7 @@ def load_tensor(path) -> SymCubic:
 
 
 def cubic_hash(T: SymCubic) -> str:
-    """Content hash of the canonical JSON form."""
-    return hashlib.sha256(dumps_tensor(T).encode("ascii")).hexdigest()
+    """Content hash of the canonical JSON form, computed once per tensor."""
+    if T._hash is None:
+        T._hash = hashlib.sha256(dumps_tensor(T).encode("ascii")).hexdigest()
+    return T._hash

@@ -34,11 +34,11 @@ Chevalley check passes its e_{+-alpha_i}; n passes none, since its
 brackets [e_i (x) f1, e_j (x) f2] are sums of eps_k, and single-term
 brackets of basis elements cannot show that a set generates it.
 
-Elements carry their 3p + 2 coordinates in basis order (see
-basis_element), a scalars.ClearedVector.  ``bracket`` and the other
-kernels take rational coordinates only and raise TypeError on any
-other.  All values are immutable; every operation is a pure function,
-safe for concurrent use.
+Elements are rational by construction: an NElem is a
+scalars.ClearedVector of its 3p + 2 coordinates in basis order (see
+basis_element), and a coordinate that is not an int or a Fraction
+raises TypeError when it is built.  All values are immutable; every
+operation is a pure function, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -113,10 +113,8 @@ class NElem(ClearedVector):
         return NElem(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
 
     def __neg__(self) -> "NElem":
-        c = self.cleared
-        if c:
-            return NElem.of_cleared([-n for n in c[0]], c[1])
-        return NElem(tuple(-a for a in self.coords))
+        nums, den = self.cleared
+        return NElem.of_cleared([-n for n in nums], den)
 
     def __mul__(self, s) -> "NElem":
         return NElem(tuple(a * s for a in self.coords))
@@ -124,8 +122,6 @@ class NElem(ClearedVector):
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        if "coords" in self.__dict__:
-            return not any(self.coords)
         return not any(self.cleared[0])
 
 

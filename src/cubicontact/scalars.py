@@ -2,6 +2,9 @@
 
 No floating point value is ever produced: every coordinate the package
 computes with is rational, an ``int`` or a ``fractions.Fraction``.
+``rational_only`` is that rule, written once: every vector is rational
+by construction and every kernel refuses any other coordinate with
+TypeError, never a wrong number.
 
 ``clear_denominators`` writes a rational coordinate tuple as its cleared
 form ``(nums, den)``, int numerators over one positive common
@@ -10,23 +13,17 @@ the cleared-vector kernel, runs a bilinear contraction on two cleared
 forms in ints, building each output coordinate once instead of one
 Fraction operation per term (common-denominator arithmetic; Geddes,
 Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9).  A
-``ClearedVector`` holds a vector as coordinates or as its cleared form
-and builds each from the other on first read; ``nilpotent.NElem`` and
-``moment.MomentPoint`` are ClearedVectors.  ``contract`` reads a
-ClearedVector's form, or clears a coordinate vector, and runs the
-kernel.  ``cubic.polarize`` goes through it, and so does ``dot``, the
-pairing of a covector with a vector, which is ``contract`` with
-diagonal rows.  The moment map, ``chart_decompose``,
-the tau check, ``cubic_eval``, and n's bracket in ``nilpotent.bracket``,
-``nilpotent.bracket_transpose`` and the group law (``bch._series``), all
-over the rows of ``nilpotent.bracket_views``, call the kernel on cleared
-forms.
-
-Every kernel takes rational coordinates only: ``cleared_form`` refuses
-any other coordinate with TypeError, never a wrong number.  A
-ClearedVector may still hold other coordinates, as a container whose
-+, - and == run on them; it then has no cleared form.  ``QPoly`` is
-the value type of ``bch.solve_line_coordinates``, with no arithmetic.
+``ClearedVector`` holds a rational vector as coordinates or as its
+cleared form, builds each from the other on first read and compares
+the forms; ``nilpotent.NElem`` and ``moment.MomentPoint`` are
+ClearedVectors.  ``contract`` reads a ClearedVector's form, or clears a
+coordinate sequence, and runs the kernel.  ``cubic.polarize`` goes
+through it, and so does ``dot``, the pairing of a covector with a
+vector, which is ``contract`` with diagonal rows.  The moment map,
+``chart_decompose``, the tau check, ``cubic_eval``, and n's bracket in
+``nilpotent.bracket``, ``nilpotent.bracket_transpose`` and the group
+law (``bch._series``), all over the rows of ``nilpotent.bracket_views``,
+call the kernel on cleared forms.
 """
 
 from __future__ import annotations
@@ -60,52 +57,22 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-class QPoly:
-    """Univariate polynomial over Q: ``coeffs`` holds its coefficients as
-    Fractions, lowest degree first, without trailing zeros.  The zero
-    polynomial has no coefficients and degree -1, and is the one false
-    QPoly, so an NElem of QPolys answers is_zero()."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = list(map(frac, coeffs))
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def const(c) -> "QPoly":
-        return QPoly((c,))
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Q0
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"QPoly({list(self.coeffs)!r})"
-
-
 # --- the cleared-vector kernel ---------------------------------------------
 
-def clear_denominators(coords):
-    """(nums, den): a coordinate tuple as int numerators over den, the lcm
-    of the coordinates' denominators, or None unless every coordinate is
-    an int or a Fraction.  For Fractions in lowest terms gcd(den, *nums)
-    = 1, so equal vectors have equal forms."""
+def rational_only(coords):
+    """coords, unless a coordinate is not an int or a Fraction: the one
+    rule every vector and kernel of the package keeps."""
     if not set(map(type, coords)) <= {Fraction, int}:
-        return None
-    pairs = [c.as_integer_ratio() for c in coords]
+        raise TypeError("rational coordinates only: ints and Fractions")
+    return coords
+
+
+def clear_denominators(coords):
+    """(nums, den): a rational coordinate tuple as int numerators over den,
+    the lcm of the coordinates' denominators; TypeError for any other
+    coordinate (``rational_only``).  For Fractions in lowest terms
+    gcd(den, *nums) = 1, so equal vectors have equal forms."""
+    pairs = [c.as_integer_ratio() for c in rational_only(coords)]
     d = lcm(*[q for _n, q in pairs])
     return [n * (d // q) for n, q in pairs], d
 
@@ -113,10 +80,7 @@ def clear_denominators(coords):
 def cleared_form(v):
     """The cleared form of v, a ClearedVector or a coordinate sequence;
     TypeError when a coordinate is not rational."""
-    c = v.cleared if isinstance(v, ClearedVector) else clear_denominators(v)
-    if c is None:
-        raise TypeError("rational coordinates only: ints and Fractions")
-    return c
+    return v.cleared if isinstance(v, ClearedVector) else clear_denominators(v)
 
 
 def from_cleared(nums, den):
@@ -126,18 +90,18 @@ def from_cleared(nums, den):
 
 
 class ClearedVector:
-    """An immutable coordinate vector, held as its coordinate tuple
-    ``coords`` or its cleared form ``cleared``, each built from the other
-    on its first read: cleared = clear_denominators(coords), None when a
-    coordinate is not rational, and coords = from_cleared(*cleared).
+    """An immutable rational coordinate vector, held as its coordinate
+    tuple ``coords`` or its cleared form ``cleared``, each built from the
+    other on its first read: cleared = clear_denominators(coords) and
+    coords = from_cleared(*cleared).  A coordinate that is not an int or
+    a Fraction raises TypeError when the vector is built.
 
     ``of_cleared`` takes int nums over den and brings them to lowest
-    terms, a form that is unique, so == compares it where both sides
-    have one.  Otherwise == compares coordinates, with a tuple too.
+    terms, a form that is unique, so == compares it.
     """
 
     def __init__(self, coords: tuple):
-        self.__dict__["coords"] = coords
+        self.__dict__["coords"] = rational_only(coords)
 
     @classmethod
     def of_cleared(cls, nums, den):
@@ -165,14 +129,9 @@ class ClearedVector:
         return self.coords[i]
 
     def __eq__(self, other):
-        if isinstance(other, tuple):
-            return self.coords == other
         if not isinstance(other, ClearedVector):
             return NotImplemented
-        a, b = self.cleared, other.cleared
-        if a and b:
-            return a == b
-        return self.coords == other.coords
+        return self.cleared == other.cleared
 
     def __hash__(self):
         return hash(self.coords)

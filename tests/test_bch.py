@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 from conftest import chart_elem
 from hypothesis import given, settings, strategies as st
-from test_closed_forms import as_ref_chart, ref_bch
-from test_scalar_references import RefQPoly, as_ref_qpoly, kronecker_digits
+from test_closed_forms import ref_bch
+from test_scalar_references import RefElem, RefQPoly, kronecker_digits, line_as_ref_qpolys
 
 from cubicontact import verify
 from cubicontact.bch import (
@@ -22,7 +22,7 @@ from cubicontact.catalog import catalog_get
 from cubicontact.nilpotent import NElem, basis_element, bracket, kronecker_points, n_dim
 from cubicontact.reports import RunConfig
 from cubicontact.sampling import SeededSampler
-from cubicontact.scalars import HALF, QPoly
+from cubicontact.scalars import HALF
 
 bch_module = importlib.import_module("cubicontact.bch")
 
@@ -265,7 +265,7 @@ def test_exp_diff_linear_in_y(data):
 
 def _recompose(chart, w, z, T, product=bch):
     """H(X, w (x) p), p = f1 + z f2: the inverse of chart_decompose."""
-    wp = NElem.from_parts(chart.dim, col1=w, col2=tuple(z * wi for wi in w))
+    wp = type(chart).from_parts(chart.dim, col1=w, col2=tuple(z * wi for wi in w))
     return product(chart, wp, T)
 
 
@@ -283,27 +283,26 @@ def test_chart_decompose_roundtrip():
 
 
 def test_line_solution_zero_vector():
-    chart, w = solve_line_coordinates((F(0),), X3)
-    assert chart == NElem((QPoly(),) * 5) and chart.is_zero()
-    assert all(c == QPoly() for c in w)
+    xs, w = solve_line_coordinates((F(0),), X3)
+    assert xs == (NElem.zero(1),) * 3 and all(x.is_zero() for x in xs)
+    assert w == (F(0),)
 
 
 def test_line_solution_grade_one_exact():
+    # X(z) = X0 + z X1 + z^2 X2 has f1 column 0 and f2 column -z v; w = v.
     sampler = SeededSampler(17)
     for _ in range(10):
         v = sampler.vector(2)
-        chart, w = solve_line_coordinates(v, T2)
-        assert chart.col(0) == (QPoly(),) * 2 and not any(chart.col(0))
-        assert chart.is_zero() is not any(v)
-        for x, coeff in zip(v, chart.col(1)):
-            assert coeff == QPoly((F(0), -x))
-        for x, coeff in zip(v, w):
-            assert coeff == QPoly((x,)) if x else coeff == QPoly()
+        (x0, x1, x2), w = solve_line_coordinates(v, T2)
+        assert all(x.col(0) == (F(0),) * 2 for x in (x0, x1, x2))
+        assert x1.is_zero() is not any(v)
+        assert x0.col(1) == x2.col(1) == (F(0),) * 2 and x1.col(1) == tuple(-x for x in v)
+        assert w == v
 
 
 def test_line_solution_sixth_coefficient():
-    chart, _w = solve_line_coordinates((F(1),), X3)
-    assert abs(chart.n3[0].coefficient(1)) == F(1, 6)
+    (_x0, x1, _x2), _w = solve_line_coordinates((F(1),), X3)
+    assert abs(x1.n3[0]) == F(1, 6)
 
 
 def test_line_solution_recomposes():
@@ -313,11 +312,10 @@ def test_line_solution_recomposes():
     for T, p in ((X3, 1), (T2, 2)):
         for _ in range(10):
             v = sampler.vector(p)
-            chart, w = solve_line_coordinates(v, T)
-            w = tuple(map(as_ref_qpoly, w))
-            recomposed = _recompose(as_ref_chart(chart), w, RefQPoly.x(), T, ref_bch)
+            chart, w = line_as_ref_qpolys(solve_line_coordinates(v, T))
+            recomposed = _recompose(chart, w, RefQPoly.x(), T, ref_bch)
             for u, consistent in ((v, True), (tuple(c + 1 for c in v), False)):
-                line = NElem.from_parts(p, col1=tuple(map(RefQPoly.const, u)))
+                line = RefElem.from_parts(p, col1=tuple(map(RefQPoly.const, u)))
                 assert (recomposed - line).is_zero() is consistent
 
 

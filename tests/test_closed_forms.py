@@ -12,11 +12,12 @@ G2 and F4 cubics, on Fractions; the series linear in Y are compared at
 the Kronecker point, digit by digit, with the references on the generic
 element of RefLinForms.  solve_line_coordinates, interpolated from
 chart_decompose at three rational z, is compared with the reference
-solved over RefQPoly in z.  The package takes rational input only: the
-group law, chart_decompose and the moment value refuse RefQPoly,
-RefLinForm and first-order jets in t (the hand-built degree-1 RefQPoly
-inputs of the ``over_jet`` cases, and ``test_slw_flow.Jet``) with
-TypeError.
+solved over RefQPoly in z, and with its closed form.  The references
+run on RefElems; the package takes rational input only: NElem refuses
+RefQPoly, RefLinForm and first-order jets in t (the hand-built degree-1
+RefQPoly inputs of the ``over_jet`` cases, and ``test_slw_flow.Jet``),
+and so do chart_decompose as a z and the moment value as a generator,
+with TypeError.
 """
 
 import importlib
@@ -27,10 +28,12 @@ import pytest
 from conftest import chart_elem
 from hypothesis import assume, given, settings, strategies as st
 from test_scalar_references import (
+    RefElem,
     RefLinForm,
     RefQPoly,
-    as_ref_qpoly,
+    as_ref,
     kronecker_digits,
+    line_as_ref_qpolys,
     map_scalars,
     ref_bracket,
     ref_chart_decompose,
@@ -57,7 +60,7 @@ from cubicontact.bch import (
 )
 from cubicontact.catalog import catalog_get, catalog_list
 from cubicontact.contact import ChartPoint, one_form_coefficients, sample_chart_point
-from cubicontact.cubic import SymCubic, assumption_holds, polarize
+from cubicontact.cubic import SymCubic, assumption_holds, cubic_eval, polarize
 from cubicontact.extraction import algebra_for, extraction
 from cubicontact.moment import MomentPoint
 from cubicontact.nilpotent import (
@@ -89,6 +92,7 @@ def _cubic(name):
 # --- references: the series as written before the closed forms -----------
 
 def ref_bch(X, Y, T):
+    X, Y = as_ref(X), as_ref(Y)
     xy = ref_bracket(X, Y, T)
     term3 = TWELFTH * ref_bracket(X, xy, T)
     term4 = TWELFTH * ref_bracket(Y, ref_bracket(Y, X, T), T)
@@ -96,28 +100,29 @@ def ref_bch(X, Y, T):
 
 
 def ref_exp_diff(X, Y, T):
+    Y = as_ref(Y)
     xy = ref_bracket(X, Y, T)
     return Y + HALF * xy + TWELFTH * ref_bracket(X, xy, T)
 
 
 def ref_exp_diff_inv(X, Z, T):
     """Grade-by-grade back substitution."""
-    p = T.dim
-    y1 = NElem.from_parts(p, col1=Z.col(0), col2=Z.col(1))
-    x1 = NElem.from_parts(p, col1=X.col(0), col2=X.col(1))
+    p, parts = T.dim, RefElem.from_parts
+    y1 = parts(p, col1=Z.col(0), col2=Z.col(1))
+    x1 = parts(p, col1=X.col(0), col2=X.col(1))
     b11 = ref_bracket(x1, y1, T)
     y2 = tuple(a - HALF * b for a, b in zip(Z.n2, b11.n2))
-    y12 = NElem.from_parts(p, col1=Z.col(0), col2=Z.col(1), n2=y2)
-    x12 = NElem.from_parts(p, col1=X.col(0), col2=X.col(1), n2=X.n2)
+    y12 = parts(p, col1=Z.col(0), col2=Z.col(1), n2=y2)
+    x12 = parts(p, col1=X.col(0), col2=X.col(1), n2=X.n2)
     corr = HALF * ref_bracket(x12, y12, T) + TWELFTH * ref_bracket(x1, b11, T)
     y3 = tuple(a - b for a, b in zip(Z.n3, corr.n3))
-    return NElem.from_parts(p, col1=Z.col(0), col2=Z.col(1), n2=y2, n3=y3)
+    return parts(p, col1=Z.col(0), col2=Z.col(1), n2=y2, n3=y3)
 
 
 def ref_velocity(pt, A, T):
     """The hand-written first-order series of the n-generator flow."""
     X = pt.chart
-    V = A + HALF * ref_bracket(A, X, T) + TWELFTH * ref_bracket(X, ref_bracket(X, A, T), T)
+    V = as_ref(A) + HALF * ref_bracket(A, X, T) + TWELFTH * ref_bracket(X, ref_bracket(X, A, T), T)
     return ref_chart_velocity(pt, V, T)
 
 
@@ -151,29 +156,16 @@ def _fraction_inputs(T, sampler):
     return _sample_nelem(sampler, p), _sample_nelem(sampler, p), sampler.fraction()
 
 
-def as_ref_chart(chart):
-    """A chart element of package QPolys as one of RefQPolys."""
-    return map_scalars(chart, as_ref_qpoly)
-
-
-def _assert_same_chart(new, ref):
-    """solve_line_coordinates's (X, w) of QPolys against the
-    reference's of RefQPolys, coefficient by coefficient."""
-    (chart, w), (ref_chart, ref_w) = new, ref
-    assert (as_ref_chart(chart), tuple(map(as_ref_qpoly, w))) == (ref_chart, ref_w)
-
-
 def _qpoly_inputs(T, sampler):
     """The line solver's data over RefQPoly in z: chart element, w (x) p,
     line element, z."""
     p = T.dim
     v = sampler.vector(p)
-    chart, w = solve_line_coordinates(v, T)
+    chart, w = line_as_ref_qpolys(solve_line_coordinates(v, T))
     zvar = RefQPoly.x()
-    w = tuple(map(as_ref_qpoly, w))
-    wp = NElem.from_parts(p, col1=w, col2=tuple(zvar * wi for wi in w))
-    line = NElem.from_parts(p, col1=tuple(RefQPoly.const(c) for c in v))
-    return as_ref_chart(chart), wp, line, zvar
+    wp = RefElem.from_parts(p, col1=w, col2=tuple(zvar * wi for wi in w))
+    line = RefElem.from_parts(p, col1=tuple(RefQPoly.const(c) for c in v))
+    return chart, wp, line, zvar
 
 
 def _jet_inputs(T, sampler):
@@ -183,7 +175,7 @@ def _jet_inputs(T, sampler):
     t = RefQPoly.x()
     x1, (x3l, x3m) = pt.chart.col(1), pt.chart.n3
     X, Y = (
-        NElem.from_parts(
+        RefElem.from_parts(
             T.dim,
             col1=tuple(t * (b * x) for x in x1),
             col2=tuple(x - t * (a * x) for x in x1),
@@ -196,9 +188,9 @@ def _jet_inputs(T, sampler):
     return X, Y, z
 
 
-def _upper(x: NElem) -> NElem:
-    """The n2 + n3 part of x."""
-    return NElem.from_parts(x.dim, n2=x.n2, n3=x.n3)
+def _upper(x):
+    """The n2 + n3 part of x, an NElem or a RefElem."""
+    return type(x).from_parts(x.dim, n2=x.n2, n3=x.n3)
 
 
 def _assert_group_law_same(X, Y, T):
@@ -209,26 +201,29 @@ def _assert_group_law_same(X, Y, T):
 
 
 def _assert_refused(X, Y, z, T):
-    """bch, exp_diff and exp_diff_inv on (X, Y) and (Y, X), and
-    chart_decompose on (X, z) and (Y, z), raise TypeError."""
-    for fn in (bch, exp_diff, exp_diff_inv):
-        for a, b in ((X, Y), (Y, X)):
-            with pytest.raises(TypeError):
-                fn(a, b, T)
+    """X and Y, each an NElem or a RefElem, and z, a rational or a
+    reference ring's scalar: NElem refuses the coordinates of each
+    RefElem, and chart_decompose z unless it is rational, with
+    TypeError."""
     for U in (X, Y):
+        if isinstance(U, RefElem):
+            with pytest.raises(TypeError):
+                NElem(U.coords)
+    if not isinstance(z, (int, Fraction)):
         with pytest.raises(TypeError):
-            chart_decompose(U, z, T)
+            chart_decompose(NElem.zero(T.dim), z, T)
 
 
 def _assert_point_refused(pt, T):
-    """pt with one RefQPoly coordinate, its z or one in its chart element:
-    one_form_coefficients and moment_point_at raise TypeError."""
+    """pt with a RefQPoly z: one_form_coefficients and moment_point_at
+    raise TypeError; its chart element cannot hold a RefQPoly."""
     x3_l, x3_m = pt.chart.n3
-    moved = chart_elem(pt.chart.col(1), pt.chart.n2, RefQPoly.x() + x3_m, x3_l)
-    for bad in (ChartPoint(pt.chart, RefQPoly.x(), pt.y), ChartPoint(moved, pt.z, pt.y)):
-        for fn in (one_form_coefficients, lambda q: moment.moment_point_at(q, T)):
-            with pytest.raises(TypeError):
-                fn(bad)
+    with pytest.raises(TypeError):
+        chart_elem(pt.chart.col(1), pt.chart.n2, RefQPoly.x() + x3_m, x3_l)
+    bad = ChartPoint(pt.chart, RefQPoly.x(), pt.y)
+    for fn in (one_form_coefficients, lambda q: moment.moment_point_at(q, T)):
+        with pytest.raises(TypeError):
+            fn(bad)
 
 
 @pytest.mark.parametrize("name", CUBICS)
@@ -245,15 +240,17 @@ def test_closed_forms_match_references_over_fraction(name):
 
 @pytest.mark.parametrize("name", CUBICS)
 def test_closed_forms_match_references_over_qpoly(name):
-    """solve_line_coordinates is the reference chart solve over RefQPoly
-    in z, on the zero vector and seeded ones; RefQPoly elements, a
-    RefQPoly z and a RefQPoly generator are refused."""
+    """solve_line_coordinates's coefficients are the reference chart
+    solve over RefQPoly in z, on the zero vector and seeded ones;
+    RefQPoly elements, a RefQPoly z and a RefQPoly generator are
+    refused."""
     T = _cubic(name)
     p = T.dim
     sampler = SeededSampler(61)
     for v in [(Q0,) * p] + [sampler.vector(p) for _ in range(3)]:
-        line = NElem.from_parts(p, col1=tuple(RefQPoly.const(c) for c in v))
-        _assert_same_chart(solve_line_coordinates(v, T), ref_chart_decompose(line, RefQPoly.x(), T))
+        line = RefElem.from_parts(p, col1=tuple(RefQPoly.const(c) for c in v))
+        want = ref_chart_decompose(line, RefQPoly.x(), T)
+        assert line_as_ref_qpolys(solve_line_coordinates(v, T)) == want
     chart, wp, line, zvar = _qpoly_inputs(T, sampler)
     _assert_refused(chart, wp, zvar, T)
     _assert_refused(chart, line, zvar, T)
@@ -264,6 +261,25 @@ def test_closed_forms_match_references_over_qpoly(name):
     with pytest.raises(TypeError):
         moment.moment_of(pt, chart, T)
     _assert_point_refused(pt, T)
+
+
+def _assert_line_closed_form(v, T):
+    """The line solve in closed form: X0 = 0; X1 has f2 column -v, n2
+    -1/2 B(v, v) and n3 (c(v)/6, 0); X2 is c(v)/12 f2 in n3 alone."""
+    (x0, x1, x2), w = solve_line_coordinates(v, T)
+    p, cv = T.dim, cubic_eval(T, v)
+    bvv = polarize(T, v, v)
+    assert x0 == NElem.zero(p) and w == tuple(v)
+    assert x1 == NElem.from_parts(p, col2=[-a for a in v], n2=[-HALF * b for b in bvv], n3=(cv / 6, 0))
+    assert x2 == NElem.from_parts(p, n3=(0, cv / 12))
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog_list()])
+def test_line_solution_closed_form_on_catalog(name):
+    T = catalog_get(name).tensor()
+    sampler = SeededSampler(68)
+    for v in [(Q0,) * T.dim] + [sampler.vector(T.dim) for _ in range(3)]:
+        _assert_line_closed_form(v, T)
 
 
 def _linform_rows(v, size):
@@ -292,7 +308,7 @@ def test_closed_forms_match_references_over_linform(name):
     """exp_diff and exp_diff_inv are linear in Y: their values at the
     Kronecker point, read digit by digit over hd td dt dx^2, are the
     reference series on the generic element of RefLinForms, which the
-    package refuses."""
+    package's NElem refuses."""
     T = _cubic(name)
     p = T.dim
     size = 3 * p + 2
@@ -305,26 +321,16 @@ def test_closed_forms_match_references_over_linform(name):
         den = h.denominator * t.denominator * T.scaled()[0] * X.cleared[1] ** 2
         want = _linform_rows(ref(X, generic, T).coords, size)
         assert kronecker_digits(fn(X, zk, T), zk, den) == want
-        with pytest.raises(TypeError):
-            fn(X, generic, T)
-    # bch and chart_decompose are not linear: both versions refuse forms
-    # where a product of two forms or a form plus a constant would occur...
+    # bch and chart_decompose are not linear: the references refuse forms
+    # where a product of two forms or a form plus a constant would occur,
+    # and compute where the result is linear; the package holds no form.
     upper = _upper(generic)
-    for new, ref, args in (
-        (bch, ref_bch, (generic, generic)),
-        (bch, ref_bch, (X, upper)),
-        (chart_decompose, ref_chart_decompose, (generic, z)),
-    ):
-        for fn in (new, ref):
-            with pytest.raises(TypeError):
-                fn(*args, T)
-    # ...and the package refuses them where the reference's result is
-    # linear too.
+    for ref, args in ((ref_bch, (generic, generic)), (ref_bch, (X, upper)), (ref_chart_decompose, (generic, z))):
+        with pytest.raises(TypeError):
+            ref(*args, T)
     zero = NElem.zero(p)
     for args in ((generic, zero), (zero, generic), (upper, 3 * upper)):
         ref_bch(*args, T)
-        with pytest.raises(TypeError):
-            bch(*args, T)
     _assert_refused(generic, upper, z, T)
     # The moment value on each basis element is the reference's
     # coefficient on the generic element.
@@ -337,8 +343,8 @@ def test_closed_forms_match_references_over_linform(name):
 
 @pytest.mark.parametrize("name", CUBICS)
 def test_closed_forms_match_references_over_jet(name):
-    """Jets are refused by the group law, chart_decompose, polarize, dot,
-    bracket and the moment value, as RefQPoly in t and as the Jet ring."""
+    """Jets, as RefQPoly in t and as the Jet ring, are refused by NElem,
+    chart_decompose, polarize, dot and the moment value."""
     T = _cubic(name)
     p = T.dim
     sampler = SeededSampler(63)
@@ -354,8 +360,7 @@ def test_closed_forms_match_references_over_jet(name):
             lambda: polarize(T, jet.col(0), A.col(1)),
             lambda: polarize(T, A.col(0), jet.col(1)),
             lambda: _dot(jet.n2, A.col(0)),
-            lambda: bracket(A, jet, T),
-            lambda: bracket(jet, A, T),
+            lambda: NElem(jet.coords),
             lambda: moment.moment_of(pt, jet, T),
         ):
             with pytest.raises(TypeError):
@@ -575,9 +580,9 @@ def test_integer_path_matches_references(data, T, scale, with_ints):
     sparse cubics with big denominators.
 
     A Y of RefLinForms, on which the references compute, or one that
-    mixes a nonzero constant into them, has no cleared form: bracket,
-    exp_diff and exp_diff_inv raise TypeError unless every coordinate is
-    a rational zero."""
+    mixes a nonzero constant into them, is refused by NElem with
+    TypeError unless every coordinate is a rational zero; then bracket,
+    exp_diff and exp_diff_inv agree with the references on it."""
     T = T.scale(scale)
     p = T.dim
     size = 3 * p + 2
@@ -585,21 +590,21 @@ def test_integer_path_matches_references(data, T, scale, with_ints):
     X, Y = (NElem(tuple(data.draw(st.lists(scalars, min_size=size, max_size=size)))) for _ in range(2))
     if with_ints:
         X = NElem((7,) + X.coords[1:])
-    F = NElem(tuple(data.draw(st.lists(_forms(p), min_size=size, max_size=size))))
+    F = RefElem(data.draw(st.lists(_forms(p), min_size=size, max_size=size)))
     i = data.draw(st.integers(0, size - 1))
-    mixed = NElem(F.coords[:i] + (data.draw(st.sampled_from((3, Fraction(-2, 5)))),) + F.coords[i + 1:])
+    mixed = RefElem(F.coords[:i] + (data.draw(st.sampled_from((3, Fraction(-2, 5)))),) + F.coords[i + 1:])
     for fn, ref in SERIES:
         for a, b in ((X, Y), (Y, X)):
             out = fn(a, b, T)
             assert out == ref(a, b, T), fn.__name__
             assert all(type(c) is Fraction for c in out.coords)
-    for fn, ref in SERIES[1:]:
-        for Z in (F, mixed):
-            if _rational(Z):
-                assert fn(X, Z, T) == ref(X, Z, T), fn.__name__
-            else:
-                with pytest.raises(TypeError):
-                    fn(X, Z, T)
+    for Z in (F, mixed):
+        if not _rational(Z):
+            with pytest.raises(TypeError):
+                NElem(Z.coords)
+            continue
+        for fn, ref in SERIES[1:]:
+            assert fn(X, NElem(Z.coords), T) == ref(X, Z, T), fn.__name__
 
 
 # --- the cleared moment path -------------------------------------------------
@@ -636,6 +641,12 @@ def test_rational_chart_decompose_matches_reference(data, T):
     chart, w = chart_decompose(U, z, T)
     assert (chart, w) == ref_chart_decompose(U, z, T)
     assert all(type(c) is Fraction for c in chart.coords)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), T=sparse_rank_p_cubics())
+def test_line_solution_closed_form_on_sparse_cubics(data, T):
+    _assert_line_closed_form(tuple(data.draw(st.lists(big_fractions, min_size=T.dim, max_size=T.dim))), T)
 
 
 @st.composite
@@ -691,4 +702,4 @@ def test_pullback_and_bracket_transpose_match_references(data, T):
     for x in (pt.chart, NElem(tuple(sum(blocks, [])))):
         for v in (xi, u):
             got = ClearedVector.of_cleared(*bracket_transpose(x.cleared, v.cleared, T))
-            assert got == tuple(_dot(v, ref_bracket(x, b, T)) for b in basis)
+            assert got.coords == tuple(_dot(v, ref_bracket(x, b, T).coords) for b in basis)

@@ -1,9 +1,11 @@
+import hashlib
 import importlib
 from fractions import Fraction as F
 
 import pytest
 from conftest import sparse_rows
 from hypothesis import given, settings, strategies as st
+from test_scalar_references import RefQPoly
 
 from cubicontact.catalog import catalog_get, catalog_list
 from cubicontact.cubic import (
@@ -25,7 +27,6 @@ from cubicontact.cubic import (
 from cubicontact.extraction import extraction
 from cubicontact.linalg import mat_det, mat_inv, mat_mul, mat_rank
 from cubicontact.sampling import SeededSampler
-from cubicontact.scalars import QPoly
 
 cubic_module = importlib.import_module("cubicontact.cubic")
 
@@ -238,8 +239,8 @@ def test_cubic_eval_integer_path_matches_fraction_sum(case):
     # trilinear is B(v1, v2) . v3 on the same kernel.
     shifted = v[1:] + v[:1]
     assert trilinear(T, v, shifted, ints) == _fraction_trilinear(T, v, shifted, ints)
-    # Any other coordinate is refused, QPoly's too.
-    qv = [QPoly((a, b)) for a, b in zip(v, shifted)]
+    # Any other coordinate is refused, a RefQPoly's too.
+    qv = [RefQPoly((a, b)) for a, b in zip(v, shifted)]
     with pytest.raises(TypeError):
         cubic_eval(T, qv)
     with pytest.raises(TypeError):
@@ -279,6 +280,22 @@ def test_json_roundtrip_and_hash_stability():
     back = loads_tensor(text)
     assert back == T
     assert cubic_hash(back) == cubic_hash(T)
+
+
+def test_cubic_hash_computed_once_per_tensor(monkeypatch):
+    # One verify run reads the hash for its file name, its report and
+    # several suites' records: the canonical JSON is written once.
+    from cubicontact.reports import RunConfig
+    from cubicontact.verify import SUITES, run_verification
+
+    calls = []
+    real = cubic_module.dumps_tensor
+    monkeypatch.setattr(cubic_module, "dumps_tensor", lambda T: calls.append(T) or real(T))
+    T = catalog_get("det3").tensor()
+    expected = hashlib.sha256(real(T).encode("ascii")).hexdigest()
+    report = run_verification(T, tuple(SUITES), RunConfig(seed=7, samples=2, probe_budget=200))
+    assert report.cubic_hash == cubic_hash(T) == expected and len(calls) == 1
+    assert cubic_hash(T.scale(2)) != expected and len(calls) == 2
 
 
 def test_json_rejects_garbage():

@@ -10,6 +10,7 @@ from cubicontact.chevalley import chevalley, verify_chevalley_jacobi
 from cubicontact.catalog import catalog_get, catalog_list
 from cubicontact.cubic import DimensionMismatchError, SymCubic
 from cubicontact.extraction import algebra_for, extraction
+from cubicontact.moment import MomentPoint
 from cubicontact.nilpotent import (
     NElem,
     SlWElem,
@@ -26,8 +27,16 @@ from cubicontact.nilpotent import (
 from cubicontact.reports import RunConfig
 from cubicontact.rootsystems import build_root_system
 from cubicontact.sampling import SeededSampler
+from cubicontact.scalars import ClearedVector
 from cubicontact.verify import run_verification
-from test_scalar_references import RefLinForm, kronecker_digits, ref_bracket, ref_generic_element
+from test_scalar_references import (
+    RefLinForm,
+    RefQPoly,
+    kronecker_digits,
+    ref_bracket,
+    ref_generic_element,
+)
+from test_slw_flow import Jet
 
 X3 = SymCubic(1, {(0, 0, 0): 1})
 ZERO2 = SymCubic(2, {})
@@ -493,12 +502,12 @@ def test_basis_enumeration():
 
 def test_generic_element_rejects_nonlinear_use():
     # The reference bracket refuses a product of two linear forms; the
-    # package's refuses the forms themselves.
+    # package's NElem refuses the forms themselves.
     T = SymCubic(2, {(0, 0, 1): 1})
     g = ref_generic_element(2)
-    for fn in (bracket, ref_bracket):
+    for fn, args in ((ref_bracket, (g, g, T)), (NElem, (g.coords,))):
         with pytest.raises(TypeError):
-            fn(g, g, T)
+            fn(*args)
 
 
 # --- the basis-order layout -------------------------------------------------
@@ -611,7 +620,7 @@ def test_cleared_only_elements_keep_value_semantics(u, v):
     assert "coords" not in vars(neg) and neg == -x and -neg == cx
     assert "coords" not in vars(cx)
     assert neg.coords == tuple(-a for a in u)
-    # An int coordinate leaves no cleared form; the coordinates compare.
+    # Int coordinates clear as rationals: the same cleared form, and hash.
     ints = NElem(tuple(int(a) if a.denominator == 1 else a for a in u))
     assert ints == cx and cx == ints and hash(ints) == hash(cx) == hash(x)
     assert cx.coords == u and all(type(a) is F for a in cx.coords)
@@ -619,20 +628,21 @@ def test_cleared_only_elements_keep_value_semantics(u, v):
         assert hash(cy) == hash(x)
 
 
-def test_elements_without_a_rational_cleared_form_compare_by_coordinates():
+def test_elements_hold_rational_coordinates_only():
+    # An element has one cleared form and one equality, of cleared forms:
+    # ints and Fractions clear alike, a coordinate tuple is not an
+    # element, and any other coordinate, even a zero of a reference ring,
+    # is refused when the element is built.
     one = (F(1),) + (F(0),) * 4
     ints = NElem((1,) + (0,) * 4)
     assert ints == NElem(one) == _cleared_only(NElem(one)) == ints
+    assert ints.cleared == ([1, 0, 0, 0, 0], 1) and ints != one and NElem(one) != one
     assert hash(ints) == hash(_cleared_only(NElem(one)))
     assert ints != _cleared_only(basis_element(1, 1)) and -ints == -NElem(one)
-    forms = NElem((RefLinForm(),) * 5)
-    assert forms == NElem.zero(1) == forms == _cleared_only(NElem.zero(1))
-    assert forms.is_zero() and forms != ref_generic_element(1)
-    ref = NElem((RefLinForm.coordinate(0),) + (RefLinForm(),) * 4)
-    assert ref == NElem((RefLinForm.coordinate(0),) + (F(0),) * 4)
-    assert ref != NElem.zero(1) and ref != _cleared_only(basis_element(1, 0))
-    assert (-ref).coords == (RefLinForm({0: F(-1)}),) + (RefLinForm(),) * 4
-    assert (ref.dim, ref.is_zero(), NElem((RefLinForm(),) * 5).is_zero()) == (1, False, True)
+    for bad in (RefLinForm(), RefLinForm.coordinate(0), RefQPoly(), RefQPoly.x(), Jet(0, 1), Jet(1), 0.5, True):
+        for build in (NElem, MomentPoint, ClearedVector):
+            with pytest.raises(TypeError, match="rational coordinates only"):
+                build((bad,) + one[1:])
 
 
 def test_elements_are_immutable():

@@ -5,12 +5,12 @@ Every module of ``cubicontact`` is parsed and walked:
   * every import is relative or names a standard-library module;
   * no float literal and no use of the name ``float`` appears;
   * ``math`` is used only for the integer functions ``gcd`` and ``lcm``;
-  * only ``scalars`` reads the ``coeffs`` storage of ``QPoly``;
   * only ``scalars`` defines the contraction kernel: ``dot``,
-    ``contract``, its form-level core ``contract_cleared``,
-    ``clear_denominators``, its inverse ``from_cleared``, its
-    rational-only guard ``cleared_form``, ``normalize_cleared``, the
-    lowest-terms step of a cleared vector, and the lazy ``ClearedVector``;
+    ``contract``, its form-level core ``contract_cleared``, the one
+    rationality rule ``rational_only``, ``clear_denominators``, its
+    inverse ``from_cleared``, ``cleared_form``, the form of a vector or
+    a sequence, ``normalize_cleared``, the lowest-terms step of a cleared
+    vector, and the lazy ``ClearedVector``;
   * only ``nilpotent`` defines the Jacobi kernel: ``_jacobiator``,
     ``jacobi_violations``, its generator check ``_generates``, the
     candidate-pair enumeration ``_pairs_through`` and the loop
@@ -24,7 +24,9 @@ Every module of ``cubicontact`` is parsed and walked:
   * no module defines, imports or reads the formal rings the package
     computed over before its kernels became rational-only: ``LinForm``,
     ``_FormalSum``, the per-term form ``TERMS``, ``generic_element``
-    and the linear series over them, ``_linear_series`` and ``_add_into``;
+    and the linear series over them, ``_linear_series`` and
+    ``_add_into``, nor ``QPoly``, the polynomial type the line solve
+    returned before it returned rational coefficient elements;
   * nor the wrappers of one element of n it kept before a group element
     and a chart element became NElems: ``GroupElem``, ``group_mul``,
     ``group_inv``, ``ChartElem`` and ``to_nelem``.
@@ -106,27 +108,11 @@ def test_math_only_for_gcd_and_lcm(path):
     assert not bad
 
 
-STORAGE = {"coeffs"}
-
-
-@pytest.mark.parametrize(
-    "path", [m for m in MODULES if m.name != "scalars.py"], ids=lambda p: p.name
-)
-def test_formal_sum_storage_stays_in_scalars(path):
-    # QPoly's coefficient tuple is read only in scalars; every other
-    # module reads a coefficient through QPoly.coefficient.
-    bad = [
-        f"{_where(path, node)} .{node.attr}"
-        for node in ast.walk(_tree(path))
-        if isinstance(node, ast.Attribute) and node.attr in STORAGE
-    ]
-    assert not bad
-
-
 # Each shared kernel, by the one module that defines it.
 KERNELS = {
-    "scalars.py": {"dot", "_dot", "contract", "contract_cleared", "clear_denominators",
-                   "cleared_form", "from_cleared", "normalize_cleared", "ClearedVector"},
+    "scalars.py": {"dot", "_dot", "contract", "contract_cleared", "rational_only",
+                   "clear_denominators", "cleared_form", "from_cleared", "normalize_cleared",
+                   "ClearedVector"},
     "nilpotent.py": {"_jacobiator", "jacobi_violations", "_generates", "_pairs_through",
                      "_nonzero_through", "bracket_transpose", "bracket_table", "bracket_views"},
     "linalg.py": {"_int_rows", "_echelon"},
@@ -154,7 +140,7 @@ def test_contraction_kernel_is_defined_only_in_scalars(path):
     assert not bad
 
 
-RETIRED = {"LinForm", "_FormalSum", "TERMS", "generic_element", "_linear_series", "_add_into"}
+RETIRED = {"LinForm", "_FormalSum", "TERMS", "generic_element", "_linear_series", "_add_into", "QPoly"}
 WRAPPERS = {"GroupElem", "group_mul", "group_inv", "ChartElem", "to_nelem"}
 
 
@@ -178,9 +164,10 @@ def _uses(path, names):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_formal_rings_stay_retired(path):
-    # Every kernel takes rational coordinates; a map linear in its
-    # argument is checked at one Kronecker point instead of on a
-    # generic element of formal linear forms.
+    # Every vector is rational by construction and every kernel takes
+    # rational coordinates; a map linear in its argument is checked at
+    # one Kronecker point instead of on a generic element of formal
+    # linear forms, and the line solve returns rational coefficients.
     assert not _uses(path, RETIRED)
 
 

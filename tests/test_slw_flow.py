@@ -15,12 +15,12 @@ points of several cubics.
 from fractions import Fraction
 
 import pytest
-from test_scalar_references import ref_chart_decompose
+from test_scalar_references import RefElem, ref_chart_decompose
 
 from cubicontact import moment
 from cubicontact.catalog import catalog_get
 from cubicontact.contact import sample_chart_point
-from cubicontact.nilpotent import NElem, SlWElem
+from cubicontact.nilpotent import SlWElem
 from cubicontact.sampling import SeededSampler
 from cubicontact.scalars import HALF, Q0, frac
 
@@ -123,7 +123,7 @@ def ref_velocity_from_slw_generator(pt, A, T):
     x1 = pt.chart.col(1)
     x2 = pt.chart.n2
     x3l, x3m = pt.chart.n3
-    U = NElem.from_parts(
+    U = RefElem.from_parts(
         p,
         col1=tuple(eps * (b * t) for t in x1),
         col2=tuple(Jet(t) - eps * (a * t) for t in x1),

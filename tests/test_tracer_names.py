@@ -26,8 +26,9 @@ PACKAGE = ROOT / "src" / "cubicontact"
 # benchmark's Jacobi workload calls; ChevalleyAlgebra.bracket, the
 # bracket of label dicts, is kept as public API and for the tracer (the
 # embedding check reads the table by position), and so are
-# solve_line_coordinates, the line solve as an NElem of QPolys in z,
-# interpolated from chart_decompose at z = 0, 1, -1 (the tau check runs
+# solve_line_coordinates, the line solve as three rational NElems, the
+# coefficients of 1, z and z^2, interpolated from chart_decompose at
+# z = 0, 1, -1 (the tau check runs
 # the int kernel at those points itself), chart_decompose, whose one referrer
 # is solve_line_coordinates, polarize, B(v1, v2) as a covector, whose
 # one referrer is contact.tau, which no package code calls, moment_of, the
