@@ -5,6 +5,9 @@ Every module of ``cubicontact`` is parsed and walked:
   * every import is relative or names a standard-library module;
   * no float literal and no use of the name ``float`` appears;
   * ``math`` is used only for the integer functions ``gcd`` and ``lcm``;
+  * only ``scalars`` reads a vector's raw storage: the ``__dict__`` that
+    holds a ``ClearedVector``'s coordinates and cleared form, and the
+    ``coeffs`` tuple a formal sum was stored in;
   * only ``scalars`` defines the contraction kernel: ``dot``,
     ``contract``, its form-level core ``contract_cleared``, the one
     rationality rule ``rational_only``, ``clear_denominators``, its
@@ -105,6 +108,24 @@ def test_math_only_for_gcd_and_lcm(path):
     for node in nodes:
         if isinstance(node, ast.Name) and node.id == "math" and id(node) not in bases:
             bad.append(f"{_where(path, node)} bare math")
+    assert not bad
+
+
+STORAGE = {"coeffs", "__dict__"}
+
+
+@pytest.mark.parametrize(
+    "path", [m for m in MODULES if m.name != "scalars.py"], ids=lambda p: p.name
+)
+def test_formal_sum_storage_stays_in_scalars(path):
+    # A vector's storage is read only in scalars; every other module
+    # reads a ClearedVector through coords and cleared, and no module
+    # keeps a formal sum's coefficient tuple.
+    bad = [
+        f"{_where(path, node)} .{node.attr}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr in STORAGE
+    ]
     assert not bad
 
 
